@@ -5,23 +5,18 @@
 //! Prints a comparison table and writes a `BENCH_infer.json` perf record so
 //! later PRs have a trajectory to compare against.
 //!
-//! Flags:
+//! Flags (any other argument exits 2):
 //! * `--smoke` — a seconds-scale shape for CI (records `"smoke": true`);
 //! * `--min-speedup <x>` — exit non-zero if `forward_batch` does not reach
-//!   `x`× the serial reference (CI passes `--min-speedup 1.0` on
-//!   multi-core runners, so a `speedup < 1.0` regression can never ship
-//!   silently again);
-//! * `--backend <name>` — LUT-GEMM kernel backend for the headline
-//!   `forward_batch` timing (`scalar`, `vectorized`, `vec4`/`vec8`/`vec16`,
-//!   `sim`, `auto`). Independent of the flag, the bench also sweeps every
-//!   fixed lane width through the launch layer and records per-backend
-//!   timings (`backend_scalar_ms`, `backend_vec{4,8,16}_ms`).
+//!   `x`× the serial reference (CI passes `--min-speedup 1.5` on
+//!   multi-core runners, so a parallel-speedup regression can never ship
+//!   silently). A missing or unparsable `x` exits 2.
 //!
 //! Run with `cargo run --release -p edkm-bench --bin infer [-- --smoke]`.
 
 use edkm_core::infer::launch;
 use edkm_core::palettize::PalettizedTensor;
-use edkm_core::{PalettizedLinear, ScratchArena};
+use edkm_core::PalettizedLinear;
 use edkm_tensor::{runtime, DType, Device, Tensor};
 use std::hint::black_box;
 use std::time::Instant;
@@ -65,25 +60,26 @@ fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     best
 }
 
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\nusage: infer [--smoke] [--min-speedup <x>]");
+    std::process::exit(2);
+}
+
 fn parse_args() -> (bool, Option<f64>) {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let min_speedup = args.iter().position(|a| a == "--min-speedup").map(|i| {
-        args.get(i + 1)
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--min-speedup needs a numeric argument");
-                std::process::exit(2);
-            })
-    });
-    if let Some(i) = args.iter().position(|a| a == "--backend") {
-        let name = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--backend needs a backend name");
-            std::process::exit(2);
-        });
-        if let Err(e) = launch::set_default_backend(&name) {
-            eprintln!("{e}");
-            std::process::exit(2);
+    let mut smoke = false;
+    let mut min_speedup = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--min-speedup" => {
+                let value = args.next().and_then(|v| v.parse::<f64>().ok());
+                match value.filter(|x| x.is_finite()) {
+                    Some(x) => min_speedup = Some(x),
+                    None => usage_error("--min-speedup needs a numeric argument"),
+                }
+            }
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
     (smoke, min_speedup)
@@ -146,41 +142,6 @@ fn main() {
     println!("  speedup              {speedup:>9.2}x");
     println!("  bit-identical        {identical}");
 
-    // Per-backend sweep through the launch layer: the scalar oracle plus
-    // every fixed lane width, each checked bit-identical against the serial
-    // reference before it is timed. Uses `backend_by_name` directly so the
-    // sweep never perturbs the process-wide default backend selection.
-    let reference = lin.forward_serial(&x).to_vec();
-    let xv = x.to_vec();
-    let kernel = lin.kernel();
-    let mut arena = ScratchArena::new();
-    let mut sweep_out = vec![0.0f32; batch * out_features];
-    let mut sweep_ms = Vec::new();
-    println!();
-    for sel in ["scalar", "vec4", "vec8", "vec16"] {
-        let backend = launch::backend_by_name(sel).expect("registered backend");
-        kernel.launch_with(backend, &xv, batch, &mut sweep_out, &mut arena);
-        assert_eq!(
-            sweep_out, reference,
-            "backend {sel} must match the serial reference bit for bit"
-        );
-        let s = best_of(reps, || {
-            kernel.launch_with(
-                backend,
-                black_box(&xv),
-                batch,
-                black_box(&mut sweep_out),
-                &mut arena,
-            );
-        });
-        println!("  backend {sel:<12} {:>9.3} ms", s * 1e3);
-        sweep_ms.push((sel, s * 1e3));
-    }
-
-    let sweep_json: String = sweep_ms
-        .iter()
-        .map(|(sel, ms)| format!("  \"backend_{sel}_ms\": {ms:.3},\n"))
-        .collect();
     let record = format!(
         "{{\n  \"bench\": \"palettized_infer\",\n  \"smoke\": {smoke},\n  \
          \"out_features\": {out_features},\n  \
@@ -188,7 +149,7 @@ fn main() {
          \"threads\": {threads},\n  \"reps\": {reps},\n  \
          \"kernel_backend\": \"{backend_name}\",\n  \"kernel_lanes\": {backend_lanes},\n  \
          \"cpu_features\": \"{cpu_features}\",\n  \"serial_ms\": {:.3},\n  \
-         \"forward_batch_ms\": {:.3},\n{sweep_json}  \"speedup\": {:.3},\n  \
+         \"forward_batch_ms\": {:.3},\n  \"speedup\": {:.3},\n  \
          \"bit_identical\": {identical}\n}}\n",
         serial_s * 1e3,
         batch_s * 1e3,

@@ -467,11 +467,6 @@ pub struct StatsSnapshot {
     pub scratch_grows: u64,
     /// Time-to-first-token histogram, in scheduler steps.
     pub ttft_steps: TtftHistogram,
-    /// Name of the LUT-GEMM kernel backend serving the forward passes
-    /// (`"scalar"`, `"vectorized"`, `"sim"`; empty until first published).
-    pub kernel_backend: &'static str,
-    /// Lane width of the serving backend (1 for scalar paths).
-    pub kernel_lanes: u8,
     /// Requests admitted with a non-empty prefix-cache match.
     pub prefix_hits: u64,
     /// Prompt tokens served from the prefix cache instead of prefilled.
@@ -997,7 +992,6 @@ fn publish_stats<M: ServeModel>(
     pending: usize,
     tallies: &Tallies,
 ) {
-    let (kernel_backend, kernel_lanes) = crate::infer::launch::active();
     let mut stats = shared.stats.lock().expect("stats lock");
     *stats = StatsSnapshot {
         submitted: shared.submitted.load(Ordering::Relaxed),
@@ -1015,8 +1009,6 @@ fn publish_stats<M: ServeModel>(
         scratch_checkouts: sched.scratch().checkouts(),
         scratch_grows: sched.scratch().grows(),
         ttft_steps: tallies.ttft.clone(),
-        kernel_backend,
-        kernel_lanes,
         prefix_hits: sched.prefix_hits(),
         prefix_tokens_reused: sched.prefix_tokens_reused(),
         spec_proposed: sched.spec_proposed(),

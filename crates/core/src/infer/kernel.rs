@@ -12,9 +12,8 @@
 //!    stored at the narrowest width that holds the palette (`u8` for
 //!    k ≤ 256, `u16` above). Within a block the indices are
 //!    **structure-of-arrays** (column-major: all of column `j`'s row
-//!    indices adjacent), so a backend processing `L` output rows at once
-//!    reads its `L` lane indices as one contiguous run — the same repack
-//!    serves every lane width, and the hot loop streams a `(tile, chunk)`
+//!    indices adjacent), so a lane group of output rows reads its lane
+//!    indices as one contiguous run, and the hot loop streams a `(tile, chunk)`
 //!    block sequentially with no per-element bit extraction.
 //!
 //! 2. **Activation-side LUT precompute.** For each batch row, the products
@@ -34,18 +33,14 @@
 //!    are therefore bit-identical to [`TiledLutKernel::forward_serial_into`]
 //!    at every thread count — the determinism argument in DESIGN.md §11–12.
 //!
-//! The GEMM itself runs behind the pluggable backend layer in
-//! [`super::launch`]: [`TiledLutKernel::forward_into`] builds a
-//! [`super::launch::LutGemmArgs`] descriptor over this kernel's views and
-//! dispatches it to the process-selected [`super::launch::KernelBackend`]
-//! (scalar oracle, explicitly vectorized lanes, or the simulated GPU-style
-//! launch). Every backend preserves the accumulation order (`acc +=
-//! lut[idx[r, j]] · x[j]` for ascending `j`, one accumulator per output
-//! element) — the same order a dense row-times-matrixᵀ dot product uses —
-//! so the kernel agrees with a dense matmul over the decoded weights to
-//! rounding, and with itself exactly, no matter which backend serves.
+//! The GEMM itself runs in `launch::run_tiled`, which advances
+//! [`super::launch::LANES`] output rows at a time and preserves the
+//! accumulation order (`acc += lut[idx[r, j]] · x[j]` for ascending `j`,
+//! one accumulator per output element) — the same order a dense
+//! row-times-matrixᵀ dot product uses — so the kernel agrees with a dense
+//! matmul over the decoded weights to rounding, and with itself exactly.
 
-use super::launch::{self, IdxArg, LutGemmArgs, TensorArg, TensorArgMut};
+use super::launch;
 use crate::palettize::PalettizedTensor;
 use crate::scratch::ScratchArena;
 
@@ -81,8 +76,7 @@ enum TileIdx {
 /// Construction performs the one-time tile repack; [`forward_into`] and
 /// [`forward_serial_into`] run the GEMM with bit-identical results (the
 /// serial entry point exists so benchmarks can pin the single-threaded
-/// reference, and is the oracle every registered backend is tested
-/// against).
+/// reference, and is the oracle the tiled path is tested against).
 ///
 /// [`forward_into`]: TiledLutKernel::forward_into
 /// [`forward_serial_into`]: TiledLutKernel::forward_serial_into
@@ -110,8 +104,8 @@ pub(crate) fn chunk_cols(in_features: usize, c: usize) -> usize {
 /// Offset of the `(t, c)` index block inside the repacked stream: all of
 /// tile `t`'s earlier rows-times-full-width, plus this tile's rows times
 /// the columns of earlier chunks. Within a block, the index of `(row r,
-/// col j)` lives at `j · rows + r` — the structure-of-arrays layout every
-/// lane width reads contiguously.
+/// col j)` lives at `j · rows + r` — the structure-of-arrays layout a lane
+/// group reads contiguously.
 #[inline]
 pub(crate) fn block_base(out_features: usize, in_features: usize, t: usize, c: usize) -> usize {
     t * TILE_OUT * in_features + tile_rows(out_features, t) * c * IN_CHUNK
@@ -132,8 +126,8 @@ impl TiledLutKernel {
         let n_tiles = out_features.div_ceil(TILE_OUT);
         let n_chunks = in_features.div_ceil(IN_CHUNK);
         // Permute row-major [out, in] into (tile, chunk, col, row) blocks —
-        // column-major within each block, so the `L` lane indices of any
-        // row group are one contiguous run regardless of the lane width.
+        // column-major within each block, so the lane indices of any row
+        // group are one contiguous run.
         let mut order = Vec::with_capacity(flat.len());
         for t in 0..n_tiles {
             for c in 0..n_chunks {
@@ -177,6 +171,11 @@ impl TiledLutKernel {
         self.k
     }
 
+    /// Palette centroids, `k` long.
+    pub(super) fn lut(&self) -> &[f32] {
+        &self.lut
+    }
+
     /// Bytes of the repacked index stream plus the LUT — the kernel's
     /// resident footprint.
     pub fn resident_bytes(&self) -> usize {
@@ -213,9 +212,9 @@ impl TiledLutKernel {
     }
 
     /// Single-threaded reference GEMM: `out[i, r] = Σ_j lut[idx[r, j]] ·
-    /// x[i, j]`, ascending `j`, one accumulator per element. Every
-    /// registered backend is bit-identical to this loop at every lane
-    /// width and thread count — the oracle of the launch layer.
+    /// x[i, j]`, ascending `j`, one accumulator per element.
+    /// [`TiledLutKernel::forward_into`] is bit-identical to this loop at
+    /// every thread count — it is the oracle of the tiled path.
     ///
     /// # Panics
     ///
@@ -260,72 +259,23 @@ impl TiledLutKernel {
         }
     }
 
-    /// Borrowed launch descriptor over this kernel's views — the typed
-    /// argument bundle a [`super::launch::KernelBackend`] consumes.
-    /// `lanes` records the vectorization factor the caller asks for.
+    /// The tiled GEMM: activation-LUT tables per `(batch row, chunk)`,
+    /// index-gather accumulation, worker threads over output tiles.
+    /// Scratch (the product tables and the tile-major staging buffer)
+    /// comes from `arena`; steady-state calls of one shape allocate
+    /// nothing.
     ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `n · in` long or `out` is not `n · out` long.
-    pub fn launch_args<'a>(
-        &'a self,
-        x: &'a [f32],
-        n: usize,
-        out: &'a mut [f32],
-        lanes: u8,
-    ) -> LutGemmArgs<'a> {
-        self.check_shapes(x, n, out);
-        let idx = match &self.idx {
-            TileIdx::U8(v) => IdxArg::U8(v),
-            TileIdx::U16(v) => IdxArg::U16(v),
-        };
-        LutGemmArgs {
-            lut: TensorArg::from_raw_parts(&self.lut, [self.k, 1]),
-            idx,
-            x: TensorArg::from_raw_parts(x, [n, self.in_features]),
-            out: TensorArgMut::from_raw_parts(out, [n, self.out_features]),
-            lanes,
-        }
-    }
-
-    /// The tiled GEMM through the process-selected backend
-    /// ([`super::launch::default_backend`]): activation-LUT tables per
-    /// `(batch row, chunk)`, index-gather accumulation, worker threads
-    /// over output tiles. Scratch (the product tables and the tile-major
-    /// staging buffer) comes from `arena`; steady-state calls of one shape
-    /// allocate nothing.
-    ///
-    /// Bit-identical to [`TiledLutKernel::forward_serial_into`] no matter
-    /// which backend is selected.
+    /// Bit-identical to [`TiledLutKernel::forward_serial_into`].
     ///
     /// # Panics
     ///
     /// Panics if `x` is not `n · in` long or `out` is not `n · out` long.
     pub fn forward_into(&self, x: &[f32], n: usize, out: &mut [f32], arena: &mut ScratchArena) {
-        let backend = launch::default_backend();
-        self.launch_with(backend, x, n, out, arena);
-    }
-
-    /// Run the GEMM on an explicit `backend` (bench sweeps and the
-    /// backend-parity test suites; serving goes through
-    /// [`TiledLutKernel::forward_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `n · in` long or `out` is not `n · out` long.
-    pub fn launch_with(
-        &self,
-        backend: &dyn launch::KernelBackend,
-        x: &[f32],
-        n: usize,
-        out: &mut [f32],
-        arena: &mut ScratchArena,
-    ) {
-        if n == 0 || self.out_features == 0 {
-            self.check_shapes(x, n, out);
-            return;
+        self.check_shapes(x, n, out);
+        match &self.idx {
+            TileIdx::U8(idx) => launch::run_tiled(self, idx, x, n, out, arena),
+            TileIdx::U16(idx) => launch::run_tiled(self, idx, x, n, out, arena),
         }
-        backend.launch(self.launch_args(x, n, out, backend.lanes()), arena);
     }
 
     fn check_shapes(&self, x: &[f32], n: usize, out: &[f32]) {
@@ -387,6 +337,8 @@ mod tests {
             (16, 512, 4),   // exact tile/chunk multiples
             (17, 513, 3),   // one past the boundary on both axes
             (5, 33, 1),     // batch 1, sub-tile geometry
+            (7, 9, 1),      // tail-only rows: the 4 → 2 → 1 descent
+            (40, 100, 2),   // a last tile of exactly one lane group
             (130, 1030, 2), // several tiles and chunks with tails
         ] {
             let (p, kern) = kernel(out, inp, 8, (out + inp) as u64);
@@ -399,28 +351,6 @@ mod tests {
             let mut tiled = vec![0.0f32; n * out];
             kern.forward_into(&x, n, &mut tiled, &mut arena);
             assert_eq!(tiled, want, "tiled [{out}, {inp}] batch {n}");
-        }
-    }
-
-    #[test]
-    fn every_registered_backend_matches_the_oracle() {
-        for (out, inp, n) in [(17, 513, 3), (40, 100, 2), (7, 9, 1)] {
-            let (_p, kern) = kernel(out, inp, 8, (out * 7 + inp) as u64);
-            let x = xbuf(n, inp, 21);
-            let mut want = vec![0.0f32; n * out];
-            kern.forward_serial_into(&x, n, &mut want);
-            for backend in launch::registry() {
-                let mut arena = ScratchArena::new();
-                let mut got = vec![0.0f32; n * out];
-                kern.launch_with(*backend, &x, n, &mut got, &mut arena);
-                assert_eq!(
-                    got,
-                    want,
-                    "backend {} lanes {} on [{out}, {inp}] batch {n}",
-                    backend.name(),
-                    backend.lanes()
-                );
-            }
         }
     }
 

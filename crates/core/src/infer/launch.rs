@@ -1,305 +1,89 @@
-//! Backend-pluggable launch layer for the tiled LUT-GEMM kernel.
+//! The execution body of the tiled LUT-GEMM kernel.
 //!
 //! [`super::kernel::TiledLutKernel`] owns the *data* (palette LUT, the
-//! structure-of-arrays tile-repacked index stream); this module owns the
-//! *execution*. A GEMM call is described by a borrowed [`LutGemmArgs`]
-//! descriptor — typed views over the LUT, packed-index tiles, activations
-//! and output, plus an explicit `lanes` vectorization factor, in the
-//! spirit of CubeCL-style `TensorArg::from_raw_parts` launch arguments —
-//! and consumed by a [`KernelBackend`]. Three backends register:
+//! structure-of-arrays tile-repacked index stream); `run_tiled` is the
+//! one *execution* its `forward_into` calls. Output rows advance in lane
+//! groups of [`LANES`]. Lanes are assigned **across output rows**, so each
+//! lane owns one output element's complete ascending-`j` accumulator chain
+//! and no floating-point reduction ever crosses lanes: the result is
+//! bit-identical to the serial oracle
+//! ([`super::kernel::TiledLutKernel::forward_serial_into`]) by
+//! construction, at every thread count. The structure-of-arrays index
+//! layout (all lane indices of a column adjacent) lets the per-lane
+//! indexed adds autovectorize. Tail rows (`rows % LANES`) take the fixed
+//! descent 4 → 2 → 1, so the execution tree is deterministic by
+//! construction, not by accident of the optimizer.
 //!
-//! - **scalar** — the tiled, tile-parallel kernel with one scalar
-//!   accumulator chain processed per output row at a time: the
-//!   bit-identity *oracle* every other backend is tested against.
-//! - **vectorized** — fixed-width lane groups of 4/8/16 f32 output rows.
-//!   Lanes are assigned **across output rows**, so each lane owns one
-//!   output element's complete ascending-`j` accumulator chain and no
-//!   floating-point reduction ever crosses lanes: every lane width is
-//!   bit-identical to the serial oracle *by construction*, at every
-//!   thread count. The structure-of-arrays index layout (all `L` lane
-//!   indices of a column adjacent) lets the per-lane indexed adds
-//!   autovectorize. Tail rows (`rows % L`) are covered by a fixed
-//!   lane-halving descent `L → L/2 → … → 1`, so the execution tree is
-//!   deterministic by construction, not by accident of the optimizer.
-//!   The default lane width probes `std::arch` at runtime
-//!   ([`detected_lanes`]): avx512f → 16, avx2 → 8, everything else
-//!   (including non-x86) → 4 — a deterministic fallback order; all
-//!   widths are portable safe Rust, so any width runs on any CPU.
-//! - **sim** — a GPU-style launch model: the output tiles form a grid of
-//!   thread blocks scheduled in waves over [`SIM_SMS`] simulated
-//!   multiprocessors; launch overhead and the idle-slot cost of partial
-//!   waves are charged to the runtime ledger ([`sim_stats`] exposes the
-//!   occupancy telemetry). The math delegates to the scalar path, so the
-//!   results stay bit-identical — this backend is the seam for a real
-//!   GPU path, not a performance claim.
-//!
-//! The process-wide default backend is resolved once from the
-//! `EDKM_KERNEL_BACKEND` environment variable (`scalar`, `vectorized`,
-//! `vec4`, `vec8`, `vec16`, `sim`) or CLI override
-//! ([`set_default_backend`]), falling back to `vectorized` with the
-//! detected lane width. Because every backend is bit-identical, switching
-//! backends can never change served tokens — only throughput.
+//! The lane width is a constant, not a per-CPU choice: the body is
+//! portable safe Rust, and 8 rows measured fastest on every projection
+//! shape this repository serves, avx512f hosts included (DESIGN.md §12).
 
 use super::kernel::{
-    block_base, chunk_cols, tile_rows, IN_CHUNK, PROD_K_MAX, PROD_TABLE_MAX_FLOATS, TILE_OUT,
+    block_base, chunk_cols, tile_rows, TiledLutKernel, IN_CHUNK, PROD_K_MAX, PROD_TABLE_MAX_FLOATS,
+    TILE_OUT,
 };
 use crate::scratch::ScratchArena;
-use edkm_tensor::{runtime, Device};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
-/// Borrowed 2-D view over a dense f32 tensor, built from raw parts
-/// (data + shape) the way launch-descriptor ABIs pass tensor arguments.
-#[derive(Debug, Clone, Copy)]
-pub struct TensorArg<'a> {
-    data: &'a [f32],
-    shape: [usize; 2],
-}
+/// Output rows one lane group advances together.
+pub const LANES: usize = 8;
 
-impl<'a> TensorArg<'a> {
-    /// Wrap `data` as a row-major `[shape[0], shape[1]]` view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` does not equal `shape[0] · shape[1]`.
-    pub fn from_raw_parts(data: &'a [f32], shape: [usize; 2]) -> Self {
-        assert_eq!(data.len(), shape[0] * shape[1], "tensor arg shape mismatch");
-        TensorArg { data, shape }
-    }
-
-    /// The underlying row-major element slice.
-    pub fn data(&self) -> &'a [f32] {
-        self.data
-    }
-
-    /// Rows (`shape[0]`).
-    pub fn rows(&self) -> usize {
-        self.shape[0]
-    }
-
-    /// Columns (`shape[1]`).
-    pub fn cols(&self) -> usize {
-        self.shape[1]
-    }
-}
-
-/// Borrowed mutable 2-D view over a dense f32 output tensor.
-#[derive(Debug)]
-pub struct TensorArgMut<'a> {
-    data: &'a mut [f32],
-    shape: [usize; 2],
-}
-
-impl<'a> TensorArgMut<'a> {
-    /// Wrap `data` as a row-major `[shape[0], shape[1]]` output view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` does not equal `shape[0] · shape[1]`.
-    pub fn from_raw_parts(data: &'a mut [f32], shape: [usize; 2]) -> Self {
-        assert_eq!(data.len(), shape[0] * shape[1], "tensor arg shape mismatch");
-        TensorArgMut { data, shape }
-    }
-
-    /// Rows (`shape[0]`).
-    pub fn rows(&self) -> usize {
-        self.shape[0]
-    }
-
-    /// Columns (`shape[1]`).
-    pub fn cols(&self) -> usize {
-        self.shape[1]
-    }
-
-    /// Consume the view, releasing the underlying mutable slice.
-    pub fn into_data(self) -> &'a mut [f32] {
-        self.data
-    }
-}
-
-/// Borrowed view over the tile-repacked palette-index stream at its
-/// storage width (`u8` for k ≤ 256, `u16` up to the lossless 2¹⁶
-/// palette).
-#[derive(Debug, Clone, Copy)]
-pub enum IdxArg<'a> {
-    /// 8-bit indices.
-    U8(&'a [u8]),
-    /// 16-bit indices.
-    U16(&'a [u16]),
-}
-
-impl IdxArg<'_> {
-    /// Number of packed indices in the stream.
-    pub fn len(&self) -> usize {
-        match self {
-            IdxArg::U8(v) => v.len(),
-            IdxArg::U16(v) => v.len(),
+/// Add one `(tile, chunk)` index block to a tile's accumulators:
+/// `acc[r] += term_j(idx[r, j])` for every row `r`, where `columns`
+/// yields `term_j` for ascending `j` — a product-table line lookup, or the
+/// inline `lut[c] · x[j]` multiply. A lane group copies its [`LANES`]
+/// accumulators into a private buffer, which keeps them in registers
+/// across the whole chunk; the tail rows descend through widths 4, 2, 1
+/// in that order (the tail count in binary).
+#[inline(always)]
+fn accumulate<I, T, C>(acc: &mut [f32], blk: &[I], columns: C)
+where
+    I: Copy + Into<usize>,
+    T: Fn(usize) -> f32,
+    C: Iterator<Item = T> + Clone,
+{
+    let rows = acc.len();
+    let mut r = 0usize;
+    while r + LANES <= rows {
+        let mut lane = [0.0f32; LANES];
+        lane.copy_from_slice(&acc[r..r + LANES]);
+        for (j, term) in columns.clone().enumerate() {
+            for (a, &ci) in lane.iter_mut().zip(&blk[j * rows + r..][..LANES]) {
+                *a += term(ci.into());
+            }
         }
+        acc[r..r + LANES].copy_from_slice(&lane);
+        r += LANES;
     }
-
-    /// Whether the stream is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Storage width of one index, in bits.
-    pub fn width_bits(&self) -> u8 {
-        match self {
-            IdxArg::U8(_) => 8,
-            IdxArg::U16(_) => 16,
+    let mut w = LANES / 2;
+    while w >= 1 {
+        if r + w <= rows {
+            for (j, term) in columns.clone().enumerate() {
+                for (a, &ci) in acc[r..r + w].iter_mut().zip(&blk[j * rows + r..][..w]) {
+                    *a += term(ci.into());
+                }
+            }
+            r += w;
         }
+        w /= 2;
     }
 }
 
-/// The launch descriptor one LUT-GEMM call is made of: typed views over
-/// the palette LUT (`[k, 1]`), the tile-repacked index stream, the
-/// activations (`[n, in]`) and the output (`[n, out]`), plus the
-/// vectorization factor the caller requests. Built by
-/// [`super::kernel::TiledLutKernel::launch_args`].
-#[derive(Debug)]
-pub struct LutGemmArgs<'a> {
-    /// Palette centroids, `[k, 1]`.
-    pub lut: TensorArg<'a>,
-    /// Tile-repacked indices (structure-of-arrays within each block).
-    pub idx: IdxArg<'a>,
-    /// Activations, `[n, in]` row-major.
-    pub x: TensorArg<'a>,
-    /// Output, `[n, out]` row-major.
-    pub out: TensorArgMut<'a>,
-    /// Requested vectorization factor (1 for scalar execution).
-    pub lanes: u8,
-}
-
-/// One execution strategy for the LUT-GEMM. Every implementation must be
-/// bit-identical to [`super::kernel::TiledLutKernel::forward_serial_into`]
-/// — backends trade throughput, never results.
-pub trait KernelBackend: Send + Sync {
-    /// Stable identifier (`"scalar"`, `"vectorized"`, `"sim"`).
-    fn name(&self) -> &'static str;
-
-    /// Lane width this backend executes with (1 for scalar paths).
-    fn lanes(&self) -> u8;
-
-    /// Run the GEMM described by `args`, drawing scratch from `arena`.
-    fn launch(&self, args: LutGemmArgs<'_>, arena: &mut ScratchArena);
-}
-
-// ---------------------------------------------------------------------------
-// Shared tiled execution body
-// ---------------------------------------------------------------------------
-
-/// One tile's GEMM at lane width `L`: for every batch row, stream the
-/// `(t, c)` index blocks chunk by chunk, carrying `TILE_OUT` accumulators
-/// across chunks. `L` output rows advance together; each keeps its own
-/// accumulator chain in ascending-`j` order (bit-identical to serial),
-/// and the structure-of-arrays block layout makes the `L` index reads of
-/// one column a single contiguous run. Tail rows take the fixed
-/// lane-halving descent `L/2 → … → 1`.
-#[allow(clippy::too_many_arguments)] // internal hot loop, not API
-fn tile_gemm_lanes<I: Copy + Into<usize>, const L: usize>(
-    lut: &[f32],
-    k: usize,
-    out_features: usize,
-    in_features: usize,
+/// The tiled GEMM `out = x · Wᵀ` over `kernel`'s repacked `idx` stream:
+/// stage the activation-side LUT product tables, fan the output tiles
+/// across worker threads (fixed tile ownership, so results cannot depend
+/// on the thread count), and scatter the tile-major staging back to
+/// row-major. Scratch comes from `arena`. The caller checks the shapes.
+pub(super) fn run_tiled<I: Copy + Into<usize> + Sync>(
+    kernel: &TiledLutKernel,
     idx: &[I],
     x: &[f32],
     n: usize,
-    prod: &[f32],
-    use_prod: bool,
-    t: usize,
-    n_chunks: usize,
-    tile_out: &mut [f32],
+    out: &mut [f32],
+    arena: &mut ScratchArena,
 ) {
-    let rows = tile_rows(out_features, t);
-    for i in 0..n {
-        let mut acc = [0.0f32; TILE_OUT];
-        for c in 0..n_chunks {
-            let cols = chunk_cols(in_features, c);
-            let base = block_base(out_features, in_features, t, c);
-            let blk = &idx[base..base + rows * cols];
-            if use_prod {
-                let slab = &prod[i * k * in_features + c * IN_CHUNK * k..][..k * cols];
-                let mut r = 0usize;
-                while r + L <= rows {
-                    // A private lane buffer keeps the L accumulators in
-                    // registers across the whole chunk.
-                    let mut lane = [0.0f32; L];
-                    lane.copy_from_slice(&acc[r..r + L]);
-                    for (j, line) in slab.chunks_exact(k).enumerate() {
-                        let idxs = &blk[j * rows + r..j * rows + r + L];
-                        for (a, &ci) in lane.iter_mut().zip(idxs) {
-                            *a += line[ci.into()];
-                        }
-                    }
-                    acc[r..r + L].copy_from_slice(&lane);
-                    r += L;
-                }
-                // Fixed lane-halving descent over the tail rows: widths
-                // L/2, L/4, …, 1 in that order (rows % L in binary).
-                let mut w = L / 2;
-                while w >= 1 {
-                    if r + w <= rows {
-                        for (j, line) in slab.chunks_exact(k).enumerate() {
-                            let idxs = &blk[j * rows + r..j * rows + r + w];
-                            for (a, &ci) in acc[r..r + w].iter_mut().zip(idxs) {
-                                *a += line[ci.into()];
-                            }
-                        }
-                        r += w;
-                    }
-                    w /= 2;
-                }
-            } else {
-                // Rich-palette inline multiply: the identical f32s, no
-                // product table.
-                let xc = &x[i * in_features + c * IN_CHUNK..][..cols];
-                let lut = &lut[..k];
-                let mut r = 0usize;
-                while r + L <= rows {
-                    let mut lane = [0.0f32; L];
-                    lane.copy_from_slice(&acc[r..r + L]);
-                    for (j, &xv) in xc.iter().enumerate() {
-                        let idxs = &blk[j * rows + r..j * rows + r + L];
-                        for (a, &ci) in lane.iter_mut().zip(idxs) {
-                            *a += lut[ci.into()] * xv;
-                        }
-                    }
-                    acc[r..r + L].copy_from_slice(&lane);
-                    r += L;
-                }
-                let mut w = L / 2;
-                while w >= 1 {
-                    if r + w <= rows {
-                        for (j, &xv) in xc.iter().enumerate() {
-                            let idxs = &blk[j * rows + r..j * rows + r + w];
-                            for (a, &ci) in acc[r..r + w].iter_mut().zip(idxs) {
-                                *a += lut[ci.into()] * xv;
-                            }
-                        }
-                        r += w;
-                    }
-                    w /= 2;
-                }
-            }
-        }
-        tile_out[i * TILE_OUT..][..rows].copy_from_slice(&acc[..rows]);
-    }
-}
-
-/// The full tiled execution at lane width `L`: stage the activation-side
-/// LUT product tables, fan the output tiles across worker threads (fixed
-/// tile ownership, so results cannot depend on the thread count), and
-/// scatter the tile-major staging back to row-major.
-fn run_tiled<const L: usize>(args: LutGemmArgs<'_>, arena: &mut ScratchArena) {
-    let LutGemmArgs {
-        lut, idx, x, out, ..
-    } = args;
-    let (n, in_features) = (x.rows(), x.cols());
-    let out_features = out.cols();
-    let k = lut.rows();
-    let lut = lut.data();
-    let x = x.data();
-    let out = out.into_data();
+    let (out_features, in_features) = (kernel.out_features(), kernel.in_features());
+    let (lut, k) = (kernel.lut(), kernel.k());
     if n == 0 || out_features == 0 {
         return;
     }
@@ -338,41 +122,36 @@ fn run_tiled<const L: usize>(args: LutGemmArgs<'_>, arena: &mut ScratchArena) {
 
     // Tile-major staging: one `n × TILE_OUT` slab per tile (fixed stride
     // so each par chunk is exactly one tile), scattered back to row-major
-    // afterwards.
+    // afterwards. For every batch row a tile streams its `(t, c)` index
+    // blocks chunk by chunk, carrying its accumulators across chunks.
     let mut tmp = arena.take(n_tiles * n * TILE_OUT);
     {
-        let prod_ref: &[f32] = &prod;
+        let prod: &[f32] = &prod;
         tmp.par_chunks_mut(n * TILE_OUT)
             .enumerate()
-            .for_each(|(t, tile_out)| match idx {
-                IdxArg::U8(v) => tile_gemm_lanes::<u8, L>(
-                    lut,
-                    k,
-                    out_features,
-                    in_features,
-                    v,
-                    x,
-                    n,
-                    prod_ref,
-                    use_prod,
-                    t,
-                    n_chunks,
-                    tile_out,
-                ),
-                IdxArg::U16(v) => tile_gemm_lanes::<u16, L>(
-                    lut,
-                    k,
-                    out_features,
-                    in_features,
-                    v,
-                    x,
-                    n,
-                    prod_ref,
-                    use_prod,
-                    t,
-                    n_chunks,
-                    tile_out,
-                ),
+            .for_each(|(t, tile_out)| {
+                let rows = tile_rows(out_features, t);
+                for i in 0..n {
+                    let mut acc = [0.0f32; TILE_OUT];
+                    for c in 0..n_chunks {
+                        let cols = chunk_cols(in_features, c);
+                        let base = block_base(out_features, in_features, t, c);
+                        let blk = &idx[base..base + rows * cols];
+                        if use_prod {
+                            let slab = &prod[i * k * in_features + c * IN_CHUNK * k..][..k * cols];
+                            let columns =
+                                slab.chunks_exact(k).map(|line| move |ci: usize| line[ci]);
+                            accumulate(&mut acc[..rows], blk, columns);
+                        } else {
+                            // Rich-palette inline multiply: the identical
+                            // f32s, no product table.
+                            let xc = &x[i * in_features + c * IN_CHUNK..][..cols];
+                            let columns = xc.iter().map(|&xv| move |ci: usize| lut[ci] * xv);
+                            accumulate(&mut acc[..rows], blk, columns);
+                        }
+                    }
+                    tile_out[i * TILE_OUT..][..rows].copy_from_slice(&acc[..rows]);
+                }
             });
     }
     for t in 0..n_tiles {
@@ -386,180 +165,9 @@ fn run_tiled<const L: usize>(args: LutGemmArgs<'_>, arena: &mut ScratchArena) {
     arena.put(tmp);
 }
 
-// ---------------------------------------------------------------------------
-// Backends
-// ---------------------------------------------------------------------------
-
-/// The scalar-tiled oracle: one accumulator chain per output row,
-/// processed one row at a time. Still tiled and tile-parallel — only the
-/// row grouping is scalar.
-#[derive(Debug)]
-pub struct ScalarBackend;
-
-impl KernelBackend for ScalarBackend {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
-    fn lanes(&self) -> u8 {
-        1
-    }
-
-    fn launch(&self, args: LutGemmArgs<'_>, arena: &mut ScratchArena) {
-        run_tiled::<1>(args, arena);
-    }
-}
-
-/// The explicitly vectorized CPU backend at a fixed lane width
-/// (4, 8 or 16 f32 output rows per group). Portable safe Rust — any
-/// width runs on any CPU; [`detected_lanes`] picks the default.
-#[derive(Debug)]
-pub struct VectorizedBackend {
-    lanes: u8,
-}
-
-impl KernelBackend for VectorizedBackend {
-    fn name(&self) -> &'static str {
-        "vectorized"
-    }
-
-    fn lanes(&self) -> u8 {
-        self.lanes
-    }
-
-    fn launch(&self, args: LutGemmArgs<'_>, arena: &mut ScratchArena) {
-        match self.lanes {
-            4 => run_tiled::<4>(args, arena),
-            8 => run_tiled::<8>(args, arena),
-            _ => run_tiled::<16>(args, arena),
-        }
-    }
-}
-
-/// Simulated multiprocessors in the GPU-style launch model.
-pub const SIM_SMS: u64 = 16;
-
-/// Fixed host-side cost charged to the ledger per simulated launch, in
-/// flop-equivalents (kernel dispatch, argument marshaling).
-pub const SIM_LAUNCH_OVERHEAD_FLOPS: f64 = 4096.0;
-
-/// GPU-style launch model: the output tiles form the grid, scheduled in
-/// waves over [`SIM_SMS`] simulated multiprocessors. Each launch charges
-/// the runtime ledger the fixed launch overhead plus the idle-slot cost
-/// of the final partial wave (the occupancy loss a real device would
-/// eat). The math delegates to the scalar path, so results stay
-/// bit-identical; the grid/occupancy telemetry accumulates in
-/// [`sim_stats`]. This is the seam for a later real GPU backend.
-#[derive(Debug)]
-pub struct SimBackend {
-    launches: AtomicU64,
-    tiles: AtomicU64,
-    wave_slots: AtomicU64,
-}
-
-impl KernelBackend for SimBackend {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    fn lanes(&self) -> u8 {
-        1
-    }
-
-    fn launch(&self, args: LutGemmArgs<'_>, arena: &mut ScratchArena) {
-        let n = args.x.rows();
-        let out_features = args.out.cols();
-        let in_features = args.x.cols();
-        let k = args.lut.rows();
-        let tiles = out_features.div_ceil(TILE_OUT) as u64;
-        if tiles > 0 && n > 0 {
-            let waves = tiles.div_ceil(SIM_SMS);
-            let slots = waves * SIM_SMS;
-            self.launches.fetch_add(1, Ordering::Relaxed);
-            self.tiles.fetch_add(tiles, Ordering::Relaxed);
-            self.wave_slots.fetch_add(slots, Ordering::Relaxed);
-            // Idle slots of the last partial wave sit on work the grid
-            // paid for but didn't use: charge one tile's work per slot.
-            let per_tile = (n * TILE_OUT * (in_features + k)) as f64;
-            let overhead = SIM_LAUNCH_OVERHEAD_FLOPS + (slots - tiles) as f64 * per_tile;
-            runtime::record_compute(overhead, Device::Cpu);
-        }
-        run_tiled::<1>(args, arena);
-    }
-}
-
-/// Accumulated grid telemetry of the [`SimBackend`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimStats {
-    /// Simulated kernel launches.
-    pub launches: u64,
-    /// Total thread-block tiles across all launches.
-    pub tiles: u64,
-    /// Total SM slots across all waves (tiles plus idle slots).
-    pub wave_slots: u64,
-}
-
-impl SimStats {
-    /// Achieved occupancy: tiles over wave slots (1.0 = every SM busy in
-    /// every wave; 0.0 when nothing launched).
-    pub fn occupancy(&self) -> f64 {
-        if self.wave_slots == 0 {
-            0.0
-        } else {
-            self.tiles as f64 / self.wave_slots as f64
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Registry and selection
-// ---------------------------------------------------------------------------
-
-static SCALAR: ScalarBackend = ScalarBackend;
-static VEC4: VectorizedBackend = VectorizedBackend { lanes: 4 };
-static VEC8: VectorizedBackend = VectorizedBackend { lanes: 8 };
-static VEC16: VectorizedBackend = VectorizedBackend { lanes: 16 };
-static SIM: SimBackend = SimBackend {
-    launches: AtomicU64::new(0),
-    tiles: AtomicU64::new(0),
-    wave_slots: AtomicU64::new(0),
-};
-
-static REGISTRY: [&dyn KernelBackend; 5] = [&SCALAR, &VEC4, &VEC8, &VEC16, &SIM];
-
-/// Every registered backend (scalar oracle, the three vectorized lane
-/// widths, the simulated launch). Parity suites iterate this.
-pub fn registry() -> &'static [&'static dyn KernelBackend] {
-    &REGISTRY
-}
-
-/// Snapshot of the [`SimBackend`]'s accumulated grid telemetry.
-pub fn sim_stats() -> SimStats {
-    SimStats {
-        launches: SIM.launches.load(Ordering::Relaxed),
-        tiles: SIM.tiles.load(Ordering::Relaxed),
-        wave_slots: SIM.wave_slots.load(Ordering::Relaxed),
-    }
-}
-
-/// The lane width the vectorized backend defaults to on this machine,
-/// probed from `std::arch` in a deterministic fallback order: avx512f →
-/// 16, avx2 → 8, anything else (including non-x86) → 4.
-pub fn detected_lanes() -> u8 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            16
-        } else if std::arch::is_x86_feature_detected!("avx2") {
-            8
-        } else {
-            4
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        4
-    }
+/// `(name, lanes)` of the LUT-GEMM kernel, printed by the bench records.
+pub fn active() -> (&'static str, u8) {
+    ("tiled", LANES as u8)
 }
 
 /// Comma-joined list of the SIMD capabilities detected on this CPU
@@ -591,195 +199,5 @@ pub fn cpu_features() -> String {
     #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
     {
         String::new()
-    }
-}
-
-const SEL_UNSET: u8 = 0;
-const SEL_SCALAR: u8 = 1;
-const SEL_VEC4: u8 = 2;
-const SEL_VEC8: u8 = 3;
-const SEL_VEC16: u8 = 4;
-const SEL_SIM: u8 = 5;
-
-static SELECTED: AtomicU8 = AtomicU8::new(SEL_UNSET);
-
-fn vec_code(lanes: u8) -> u8 {
-    match lanes {
-        16 => SEL_VEC16,
-        8 => SEL_VEC8,
-        _ => SEL_VEC4,
-    }
-}
-
-fn code_of(name: &str) -> Result<u8, String> {
-    match name {
-        "scalar" => Ok(SEL_SCALAR),
-        "vectorized" | "vec" | "auto" => Ok(vec_code(detected_lanes())),
-        "vec4" => Ok(SEL_VEC4),
-        "vec8" => Ok(SEL_VEC8),
-        "vec16" => Ok(SEL_VEC16),
-        "sim" => Ok(SEL_SIM),
-        other => Err(format!(
-            "unknown kernel backend '{other}' (expected scalar|vectorized|vec4|vec8|vec16|sim)"
-        )),
-    }
-}
-
-fn backend_of(code: u8) -> &'static dyn KernelBackend {
-    match code {
-        SEL_SCALAR => &SCALAR,
-        SEL_VEC4 => &VEC4,
-        SEL_VEC8 => &VEC8,
-        SEL_VEC16 => &VEC16,
-        SEL_SIM => &SIM,
-        _ => backend_of(vec_code(detected_lanes())),
-    }
-}
-
-/// Look up a backend by selector name without changing the process
-/// default (`scalar`, `vectorized`/`vec`/`auto`, `vec4`, `vec8`,
-/// `vec16`, `sim`). Bench sweeps and tests use this with
-/// [`super::kernel::TiledLutKernel::launch_with`].
-///
-/// # Errors
-///
-/// Returns the accepted selector list when `name` is not one of them.
-pub fn backend_by_name(name: &str) -> Result<&'static dyn KernelBackend, String> {
-    code_of(name).map(backend_of)
-}
-
-/// Override the process-default backend (CLI `--backend`). Accepts the
-/// same selectors as [`backend_by_name`].
-///
-/// # Errors
-///
-/// Returns the accepted selector list when `name` is not one of them.
-pub fn set_default_backend(name: &str) -> Result<(), String> {
-    let code = code_of(name)?;
-    SELECTED.store(code, Ordering::Relaxed);
-    Ok(())
-}
-
-/// Resolve an `EDKM_KERNEL_BACKEND`-style value (`None` = variable unset)
-/// into a selector code plus the warning to surface when the value was
-/// not a recognized selector. Pure, so the warn-and-fall-back contract is
-/// unit-testable without touching the process-wide selection.
-fn resolve_env_selector(raw: Option<&str>) -> (u8, Option<String>) {
-    match raw {
-        None => (vec_code(detected_lanes()), None),
-        Some(v) => match code_of(v) {
-            Ok(code) => (code, None),
-            Err(e) => (
-                vec_code(detected_lanes()),
-                Some(format!(
-                    "warning: EDKM_KERNEL_BACKEND: {e}; using vectorized"
-                )),
-            ),
-        },
-    }
-}
-
-/// The backend serving [`super::kernel::TiledLutKernel::forward_into`].
-/// Resolved once: an explicit [`set_default_backend`] wins, else the
-/// `EDKM_KERNEL_BACKEND` environment variable, else `vectorized` at the
-/// detected lane width. An unrecognized environment value warns once and
-/// falls back to the vectorized default.
-pub fn default_backend() -> &'static dyn KernelBackend {
-    let mut code = SELECTED.load(Ordering::Relaxed);
-    if code == SEL_UNSET {
-        let env = std::env::var("EDKM_KERNEL_BACKEND").ok();
-        let (resolved, warning) = resolve_env_selector(env.as_deref());
-        if let Some(w) = warning {
-            eprintln!("{w}");
-        }
-        code = resolved;
-        SELECTED.store(code, Ordering::Relaxed);
-    }
-    backend_of(code)
-}
-
-///`(name, lanes)` of the current default backend — what `StatsSnapshot`
-/// and the serve readout report.
-pub fn active() -> (&'static str, u8) {
-    let b = default_backend();
-    (b.name(), b.lanes())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registry_exposes_all_backends() {
-        let names: Vec<_> = registry().iter().map(|b| (b.name(), b.lanes())).collect();
-        assert_eq!(
-            names,
-            [
-                ("scalar", 1),
-                ("vectorized", 4),
-                ("vectorized", 8),
-                ("vectorized", 16),
-                ("sim", 1)
-            ]
-        );
-    }
-
-    #[test]
-    fn backend_lookup_accepts_every_selector_and_rejects_typos() {
-        for (sel, name) in [
-            ("scalar", "scalar"),
-            ("vectorized", "vectorized"),
-            ("vec", "vectorized"),
-            ("auto", "vectorized"),
-            ("vec4", "vectorized"),
-            ("vec8", "vectorized"),
-            ("vec16", "vectorized"),
-            ("sim", "sim"),
-        ] {
-            assert_eq!(backend_by_name(sel).unwrap().name(), name, "{sel}");
-        }
-        assert!(backend_by_name("gpu").is_err());
-        assert!(backend_by_name("").is_err());
-    }
-
-    #[test]
-    fn detected_lanes_is_a_registered_width() {
-        assert!([4u8, 8, 16].contains(&detected_lanes()));
-        // And the auto selector resolves to exactly that width.
-        assert_eq!(backend_by_name("auto").unwrap().lanes(), detected_lanes());
-    }
-
-    #[test]
-    fn env_selector_resolves_valid_values_silently() {
-        let (code, warning) = resolve_env_selector(Some("scalar"));
-        assert_eq!(backend_of(code).name(), "scalar");
-        assert!(warning.is_none());
-        let (code, warning) = resolve_env_selector(None);
-        assert_eq!(backend_of(code).name(), "vectorized");
-        assert_eq!(backend_of(code).lanes(), detected_lanes());
-        assert!(warning.is_none());
-    }
-
-    #[test]
-    fn invalid_env_selector_warns_and_falls_back_to_default() {
-        let (code, warning) = resolve_env_selector(Some("bogus-backend"));
-        assert_eq!(backend_of(code).name(), "vectorized");
-        assert_eq!(backend_of(code).lanes(), detected_lanes());
-        let w = warning.expect("invalid value must warn");
-        assert!(w.contains("EDKM_KERNEL_BACKEND"), "{w}");
-        assert!(w.contains("bogus-backend"), "{w}");
-        assert!(w.contains("using vectorized"), "{w}");
-    }
-
-    #[test]
-    fn sim_occupancy_is_well_defined() {
-        let s = SimStats::default();
-        assert_eq!(s.occupancy(), 0.0);
-        let s = SimStats {
-            launches: 1,
-            tiles: 24,
-            wave_slots: 32,
-        };
-        assert!((s.occupancy() - 0.75).abs() < 1e-12);
     }
 }

@@ -113,10 +113,9 @@ impl PalettizedLinear {
     }
 
     /// Run the kernel without charging (shared by every entry point).
-    /// Tiny problems take the serial oracle directly (the tiled launch's
+    /// Tiny problems take the serial oracle directly (the tiled path's
     /// staging overhead dominates below the threshold); everything else
-    /// dispatches through the process-selected
-    /// [`launch::KernelBackend`] — bit-identical either way.
+    /// runs the tiled kernel — bit-identical either way.
     fn run_rows(&self, x: &[f32], n: usize, out: &mut [f32], arena: &mut ScratchArena) {
         let work = n * self.out_features * (self.in_features + self.weights.k());
         if work < PAR_WORK_THRESHOLD {

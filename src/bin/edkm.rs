@@ -35,11 +35,23 @@ use edkm::workload::{
 };
 use std::process::ExitCode;
 
-/// Value of `--name v` or `--name=v` in `args`, if present.
+/// Print `msg` and the usage text, then exit 2: the command line is
+/// malformed.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n");
+    usage();
+    std::process::exit(2);
+}
+
+/// Value of `--name v` or `--name=v` in `args`, if the flag is present. A
+/// present flag with no value after it is a usage error.
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     for (i, a) in args.iter().enumerate() {
         if a == name {
-            return args.get(i + 1).cloned();
+            let Some(v) = args.get(i + 1) else {
+                usage_error(&format!("{name} needs a value"));
+            };
+            return Some(v.clone());
         }
         if let Some(v) = a.strip_prefix(&format!("{name}=")) {
             return Some(v.to_string());
@@ -48,10 +60,17 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
     None
 }
 
+/// `text` parsed as `T`; an unparsable value of flag `name` is a usage
+/// error.
+fn parse_value<T: std::str::FromStr>(name: &str, text: &str) -> T {
+    text.trim()
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{name}: cannot parse {text:?}")))
+}
+
+/// `--name`'s value, or `default` when the flag is absent.
 fn parse_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    flag_value(args, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    flag_value(args, name).map_or(default, |v| parse_value(name, &v))
 }
 
 fn usage() {
@@ -76,8 +95,6 @@ commands:
                     --new T (16)  --temp F (0.8, 0 = greedy)
                     --shards S (1)  --kv-block-tokens T (16)
                     --kv-blocks B (0 = unbounded pool)
-                    --backend scalar|vectorized|vec4|vec8|vec16|sim|auto
-                    (LUT-GEMM kernel backend; default auto-detects lanes)
                     --prefix-cache (share cached prompt-prefix KV blocks
                     copy-on-write across requests)
                     --draft-bits N (0 = no speculation; 2 palettizes a
@@ -236,7 +253,7 @@ fn cmd_sweep(args: &[String]) {
     let bits_list: Vec<u8> = flag_value(args, "--bits")
         .unwrap_or_else(|| "2,3,4".into())
         .split(',')
-        .filter_map(|s| s.trim().parse().ok())
+        .map(|s| parse_value("--bits", s))
         .collect();
     let dim: usize = parse_or(args, "--dim", 1);
     let wb = Workbench::build(120);
@@ -440,12 +457,6 @@ fn serve_with_model<M: ServeModel + 'static>(
         "TTFT (steps ≤ bound): {:?} over bounds {:?} (+overflow)",
         stats.ttft_steps.counts(),
         edkm::core::engine::TTFT_BUCKET_BOUNDS
-    );
-    println!(
-        "kernel backend: {} ({} lane{})",
-        stats.kernel_backend,
-        stats.kernel_lanes,
-        if stats.kernel_lanes == 1 { "" } else { "s" }
     );
     if stats.prefix_hits > 0 {
         println!(
@@ -682,13 +693,16 @@ fn cmd_serve(args: &[String]) {
     let prefix_cache = args.iter().any(|a| a == "--prefix-cache");
     let draft_bits: u8 = parse_or(args, "--draft-bits", 0);
     let draft_k: usize = parse_or(args, "--draft-k", 4).max(1);
-    if let Some(backend) = flag_value(args, "--backend") {
-        if let Err(e) = edkm::core::infer::launch::set_default_backend(&backend) {
-            eprintln!("{e}");
-            usage();
-            std::process::exit(2);
-        }
-    }
+    let chaos_seed: Option<u64> =
+        flag_value(args, "--chaos-seed").map(|v| parse_value("--chaos-seed", &v));
+    let profile_name =
+        flag_value(args, "--chaos-profile").unwrap_or_else(|| "replica-churn".into());
+    let Some(profile) = FaultProfile::parse(&profile_name) else {
+        usage_error(&format!(
+            "unknown --chaos-profile {profile_name:?} \
+             (want replica-churn, slow-brownout, or kv-pressure)"
+        ));
+    };
     println!(
         "serving a {bits}-bit compressed model: {n_requests} requests x {n_new} tokens, \
          continuous batching at batch {max_batch}, {shards} shard(s), \
@@ -731,22 +745,7 @@ fn cmd_serve(args: &[String]) {
         model.size_bytes(),
         wb.model.native_size_bytes() as f64 / model.size_bytes() as f64
     );
-    if let Some(seed_text) = flag_value(args, "--chaos-seed") {
-        let Ok(seed) = seed_text.parse::<u64>() else {
-            eprintln!("--chaos-seed wants an unsigned integer, got {seed_text:?}\n");
-            usage();
-            std::process::exit(2);
-        };
-        let profile_name =
-            flag_value(args, "--chaos-profile").unwrap_or_else(|| "replica-churn".into());
-        let Some(profile) = FaultProfile::parse(&profile_name) else {
-            eprintln!(
-                "unknown --chaos-profile {profile_name:?} \
-                 (want replica-churn, slow-brownout, or kv-pressure)\n"
-            );
-            usage();
-            std::process::exit(2);
-        };
+    if let Some(seed) = chaos_seed {
         if shards > 1 {
             eprintln!("note: --chaos-seed serves unsharded replicas; ignoring --shards");
         }
@@ -866,14 +865,8 @@ fn cmd_serve(args: &[String]) {
 /// not model quality).
 fn cmd_bench_workload(args: &[String]) -> ExitCode {
     let kind_name = flag_value(args, "--trace").unwrap_or_else(|| "mixed".into());
-    let kind = match TraceKind::parse(&kind_name) {
-        Ok(k) => k,
-        Err(e) => {
-            eprintln!("{e}\n");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
+    let kind =
+        TraceKind::parse(&kind_name).unwrap_or_else(|e| usage_error(&format!("--trace: {e}")));
     let seed: u64 = parse_or(args, "--seed", 0);
     let requests: usize = parse_or(args, "--requests", 12).max(1);
     let max_batch: usize = parse_or(args, "--batch", 4).max(1);

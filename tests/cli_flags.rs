@@ -1,0 +1,47 @@
+//! The `edkm` command line rejects a flag whose value is missing or does
+//! not parse: it names the flag, prints the usage text and exits 2,
+//! instead of running with the flag's default.
+
+use std::process::Command;
+
+fn edkm(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_edkm"))
+        .args(args)
+        .output()
+        .expect("run the edkm binary");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into(),
+    )
+}
+
+#[test]
+fn malformed_flag_values_exit_2_with_the_flag_and_usage() {
+    for (args, flag) in [
+        (&["serve", "--requests", "abc"][..], "--requests"),
+        (&["serve", "--temp=hot"][..], "--temp"),
+        (&["serve", "--new"][..], "--new"),
+        (&["serve", "--requests", "--new", "4"][..], "--requests"),
+        (&["serve", "--chaos-seed", "x"][..], "--chaos-seed"),
+        (
+            &["serve", "--chaos-profile", "meteor"][..],
+            "--chaos-profile",
+        ),
+        (&["compress", "--bits", "three"][..], "--bits"),
+        (&["sweep", "--bits", "2,x,4"][..], "--bits"),
+        (&["ablate", "--learners", "-1"][..], "--learners"),
+        (&["bench", "workload", "--trace", "bogus"][..], "--trace"),
+        (&["bench", "workload", "--seed", "0x10"][..], "--seed"),
+    ] {
+        let (code, stderr) = edkm(args);
+        assert_eq!(code, Some(2), "edkm {args:?} must exit 2:\n{stderr}");
+        assert!(
+            stderr.contains(flag),
+            "edkm {args:?} must name {flag}:\n{stderr}"
+        );
+        assert!(
+            stderr.contains("usage: edkm"),
+            "edkm {args:?} must print usage:\n{stderr}"
+        );
+    }
+}

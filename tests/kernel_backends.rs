@@ -1,12 +1,14 @@
-//! Property suite for the launch-layer kernel backends: arbitrary
-//! `(out, in, k, batch)` geometries — including off-grid tile/chunk tails
-//! and palettes past the product-table cutoff — must produce results
-//! **bit-identical** to the single-threaded serial oracle on every
-//! registered backend (the scalar-tiled oracle, each fixed lane width, and
-//! the GPU-launch simulator). This is the fixed-tree determinism contract:
-//! lane width and thread count are performance knobs, never numerics knobs.
+//! Property suite for the tiled LUT-GEMM path: arbitrary
+//! `(out, in, k, batch)` geometries — including off-grid tile/chunk tails,
+//! lane-group tails and palettes past the product-table cutoff — must
+//! produce results **bit-identical** to the single-threaded serial oracle.
+//! Every check drives `TiledLutKernel::forward_into` directly, below the
+//! serving path's serial-fallback threshold too, against
+//! `forward_serial_into` on the same inputs. This is the fixed-tree
+//! determinism contract: lane grouping and thread count are performance
+//! choices, never numerics.
 
-use edkm::core::infer::launch;
+use edkm::core::infer::launch::LANES;
 use edkm::core::palettize::PalettizedTensor;
 use edkm::core::scratch::ScratchArena;
 use edkm::core::PalettizedLinear;
@@ -21,28 +23,22 @@ fn linear(out: usize, inp: usize, k: usize, seed: u64) -> PalettizedLinear {
     PalettizedLinear::new(PalettizedTensor::from_nearest(&w, &c, bits, 1))
 }
 
-/// Every registered backend against the serial oracle on one geometry.
-fn assert_all_backends_match(lin: &PalettizedLinear, batch: usize, seed: u64) {
-    let x = Tensor::randn(&[batch, lin.in_features()], DType::F32, Device::Cpu, seed);
-    let want = lin.forward_serial(&x).to_vec();
-    let xd = x.to_vec();
-    let mut arena = ScratchArena::new();
-    let mut got = vec![0.0f32; batch * lin.out_features()];
-    for backend in launch::registry() {
-        got.iter_mut().for_each(|v| *v = f32::NAN);
-        lin.kernel()
-            .launch_with(*backend, &xd, batch, &mut got, &mut arena);
-        assert_eq!(
-            got,
-            want,
-            "[{} x {}] k={} batch={batch}: backend {} ({} lanes) diverged from the serial oracle",
-            lin.out_features(),
-            lin.in_features(),
-            lin.weights().k(),
-            backend.name(),
-            backend.lanes()
-        );
-    }
+/// The tiled path against the serial oracle on one geometry.
+fn assert_tiled_matches_serial(lin: &PalettizedLinear, batch: usize, seed: u64) {
+    let x = Tensor::randn(&[batch, lin.in_features()], DType::F32, Device::Cpu, seed).to_vec();
+    let mut want = vec![0.0f32; batch * lin.out_features()];
+    lin.kernel().forward_serial_into(&x, batch, &mut want);
+    let mut got = vec![f32::NAN; batch * lin.out_features()];
+    lin.kernel()
+        .forward_into(&x, batch, &mut got, &mut ScratchArena::new());
+    assert_eq!(
+        got,
+        want,
+        "[{} x {}] k={} batch={batch}: the tiled path diverged from the serial oracle",
+        lin.out_features(),
+        lin.in_features(),
+        lin.weights().k(),
+    );
 }
 
 proptest! {
@@ -60,81 +56,34 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let lin = linear(out, inp, k, seed);
-        assert_all_backends_match(&lin, batch, seed.wrapping_add(1));
+        assert_tiled_matches_serial(&lin, batch, seed.wrapping_add(1));
     }
 
-    /// Off-grid tails at lane-width granularity: output rows one past and
-    /// one short of every lane width (4/8/16) exercise the fixed
-    /// lane-halving tail descent of the vectorized backend.
+    /// Lane-group tails: every row count 1..=17 — one short of, exactly
+    /// and one past a lane group (7/8/9), every step of the 4 → 2 → 1
+    /// tail descent, and one row past a whole tile.
     #[test]
     fn lane_width_tails_are_bit_identical(
-        lane_pow in 2u32..5,   // 4, 8, 16
-        delta in 0usize..3,    // rows = L - 1, L, L + 1
         inp in 1usize..50,
         seed in 0u64..1000,
     ) {
-        let lanes = 1usize << lane_pow;
-        let out = (lanes + delta).saturating_sub(1).max(1);
-        let lin = linear(out, inp, 8, seed);
-        assert_all_backends_match(&lin, 2, seed.wrapping_add(3));
+        for out in 1..=2 * LANES + 1 {
+            let lin = linear(out, inp, 8, seed);
+            assert_tiled_matches_serial(&lin, 2, seed.wrapping_add(3));
+        }
     }
 }
 
 #[test]
 fn lossless_u16_palette_is_bit_identical_on_every_backend() {
     // The lossless 2^16-entry palette of a bf16 weight takes the inline
-    // u16 index path (no product table); every backend must still match
-    // the oracle exactly.
+    // u16 index path (no product table); it must still match the oracle
+    // exactly.
     let w = Tensor::randn(&[37, 53], DType::Bf16, Device::Cpu, 61);
     let p = PalettizedTensor::lossless(&w);
     assert_eq!(p.bits(), 16);
     let lin = PalettizedLinear::new(p);
-    assert_all_backends_match(&lin, 4, 67);
-}
-
-/// Child half of `invalid_env_backend_warns_and_falls_back`: asserts the
-/// resolved default in a process whose environment the parent controls.
-/// Ignored in normal runs — the parent spawns it with `--ignored`.
-#[test]
-#[ignore = "spawned as a subprocess by invalid_env_backend_warns_and_falls_back"]
-fn env_fallback_child_reports_default_backend() {
-    let b = launch::default_backend();
-    assert_eq!(b.name(), "vectorized");
-    assert_eq!(b.lanes(), launch::detected_lanes());
-}
-
-/// An invalid `EDKM_KERNEL_BACKEND` value must warn on stderr and fall
-/// back to the vectorized default instead of failing. The selection is
-/// resolved once per process, so the regression test runs the child half
-/// above in a subprocess with the variable poisoned.
-#[test]
-fn invalid_env_backend_warns_and_falls_back() {
-    let exe = std::env::current_exe().expect("test binary path");
-    let out = std::process::Command::new(exe)
-        .args([
-            "env_fallback_child_reports_default_backend",
-            "--exact",
-            "--ignored",
-            "--nocapture",
-        ])
-        .env("EDKM_KERNEL_BACKEND", "bogus-backend")
-        .output()
-        .expect("spawn child test");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        out.status.success(),
-        "child must fall back, not fail:\n{stdout}\n{stderr}"
-    );
-    let all = format!("{stdout}\n{stderr}");
-    assert!(
-        all.contains("warning: EDKM_KERNEL_BACKEND"),
-        "fallback must warn: {all}"
-    );
-    assert!(
-        all.contains("bogus-backend"),
-        "warning must name the rejected value: {all}"
-    );
+    assert_tiled_matches_serial(&lin, 4, 67);
 }
 
 #[test]
@@ -147,22 +96,7 @@ fn worker_count_never_changes_the_bits() {
     // every configuration must reproduce the serial oracle's bits.
     use edkm::core::infer::kernel::TILE_OUT;
     for n_tiles in [1usize, 2, 3, 8] {
-        let out = n_tiles * TILE_OUT;
-        let lin = linear(out, 600, 8, 79 + n_tiles as u64);
-        let x = Tensor::randn(&[4, 600], DType::F32, Device::Cpu, 83);
-        let want = lin.forward_serial(&x).to_vec();
-        let xd = x.to_vec();
-        let mut arena = ScratchArena::new();
-        let mut got = vec![0.0f32; 4 * out];
-        for backend in launch::registry() {
-            lin.kernel()
-                .launch_with(*backend, &xd, 4, &mut got, &mut arena);
-            assert_eq!(
-                got,
-                want,
-                "backend {} diverged with {n_tiles} tile(s) in flight",
-                backend.name()
-            );
-        }
+        let lin = linear(n_tiles * TILE_OUT, 600, 8, 79 + n_tiles as u64);
+        assert_tiled_matches_serial(&lin, 4, 83);
     }
 }

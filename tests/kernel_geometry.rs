@@ -6,7 +6,6 @@
 //! rounding of a dense matmul over the decoded weights.
 
 use edkm::core::infer::kernel::{IN_CHUNK, PROD_K_MAX, TILE_OUT};
-use edkm::core::infer::launch;
 use edkm::core::palettize::PalettizedTensor;
 use edkm::core::scratch::ScratchArena;
 use edkm::core::PalettizedLinear;
@@ -96,13 +95,25 @@ fn lossless_u16_palette_is_bit_identical() {
     assert_serial_tiled_parity(&lin, 5, 19, "lossless 2^16 palette");
 }
 
+/// `TiledLutKernel::forward_into` driven directly — no serial fallback
+/// below the work threshold — against `forward_serial_into` on the same
+/// inputs.
+fn assert_kernel_parity(lin: &PalettizedLinear, batch: usize, seed: u64, label: &str) {
+    let x = Tensor::randn(&[batch, lin.in_features()], DType::F32, Device::Cpu, seed).to_vec();
+    let mut want = vec![0.0f32; batch * lin.out_features()];
+    lin.kernel().forward_serial_into(&x, batch, &mut want);
+    let mut got = vec![f32::NAN; batch * lin.out_features()];
+    lin.kernel()
+        .forward_into(&x, batch, &mut got, &mut ScratchArena::new());
+    assert_eq!(got, want, "{label}: the tiled path diverged");
+}
+
 #[test]
 fn every_backend_is_bit_identical_on_every_edge_geometry() {
     runtime::reset();
     // The same awkward shapes the serial/tiled parity tests pin, replayed
-    // through every registered launch backend (scalar oracle, each fixed
-    // lane width, the GPU-launch simulator): all of them must reproduce
-    // the serial reference bit for bit.
+    // through the tiled kernel itself: several of them sit below the
+    // threshold at which `forward_batch` falls back to the serial loop.
     let cases: [(usize, usize, usize, usize); 6] = [
         (TILE_OUT + 1, IN_CHUNK + 1, 8, 4),
         (TILE_OUT - 1, IN_CHUNK - 1, 8, 4),
@@ -111,25 +122,14 @@ fn every_backend_is_bit_identical_on_every_edge_geometry() {
         (2 * TILE_OUT, IN_CHUNK, 8, 1),
         (70, 90, 1, 3),
     ];
-    let mut arena = ScratchArena::new();
     for (out, inp, k, batch) in cases {
         let lin = linear(out, inp, k, (out * 131 + inp) as u64);
-        let x = Tensor::randn(&[batch, inp], DType::F32, Device::Cpu, 41);
-        let want = lin.forward_serial(&x).to_vec();
-        let xd = x.to_vec();
-        let mut got = vec![0.0f32; batch * out];
-        for backend in launch::registry() {
-            got.iter_mut().for_each(|v| *v = f32::NAN);
-            lin.kernel()
-                .launch_with(*backend, &xd, batch, &mut got, &mut arena);
-            assert_eq!(
-                got,
-                want,
-                "[{out} x {inp}] k={k} batch={batch}: backend {} ({} lanes) diverged",
-                backend.name(),
-                backend.lanes()
-            );
-        }
+        assert_kernel_parity(
+            &lin,
+            batch,
+            41,
+            &format!("[{out} x {inp}] k={k} batch={batch}"),
+        );
     }
 }
 
@@ -140,22 +140,7 @@ fn every_backend_handles_the_lossless_u16_palette() {
     let p = PalettizedTensor::lossless(&w);
     assert!(p.k() > PROD_K_MAX);
     let lin = PalettizedLinear::new(p);
-    let x = Tensor::randn(&[3, 140], DType::F32, Device::Cpu, 47);
-    let want = lin.forward_serial(&x).to_vec();
-    let xd = x.to_vec();
-    let mut arena = ScratchArena::new();
-    let mut got = vec![0.0f32; 3 * 90];
-    for backend in launch::registry() {
-        got.iter_mut().for_each(|v| *v = f32::NAN);
-        lin.kernel()
-            .launch_with(*backend, &xd, 3, &mut got, &mut arena);
-        assert_eq!(
-            got,
-            want,
-            "lossless palette: backend {} diverged",
-            backend.name()
-        );
-    }
+    assert_kernel_parity(&lin, 3, 47, "lossless palette");
 }
 
 #[test]
