@@ -40,11 +40,13 @@ impl Shape {
         }
     }
 
+    /// Past `launch::FANOUT_MACS`, so the smoke gate still measures the
+    /// threaded path.
     fn smoke() -> Self {
         Shape {
             out_features: 512,
             in_features: 512,
-            batch: 8,
+            batch: 32,
             reps: 3,
         }
     }

@@ -26,19 +26,24 @@
 //!    table ([`PROD_K_MAX`], e.g. the lossless 2¹⁶ palette) can fall back
 //!    to the inline multiply without changing a single output bit.
 //!
-//! 3. **Deterministic tile parallelism.** Worker threads split the *output
-//!    tiles*, never the reduction: each output element is accumulated by
-//!    exactly one thread, left to right over the input (a single
-//!    accumulator carried across chunks in ascending-`j` order). Results
-//!    are therefore bit-identical to [`TiledLutKernel::forward_serial_into`]
-//!    at every thread count — the determinism argument in DESIGN.md §11–12.
+//! 3. **Deterministic tile parallelism.** Calls of at least
+//!    [`super::launch::FANOUT_MACS`] multiply-accumulates split the
+//!    *output tiles* over worker threads, never the reduction (smaller
+//!    calls run every tile on the calling thread): each output element
+//!    is accumulated by exactly one thread, left to right over the input
+//!    (a single accumulator carried across chunks in ascending-`j`
+//!    order). Results are therefore bit-identical to
+//!    [`TiledLutKernel::forward_serial_into`] at every thread count — the
+//!    determinism argument in DESIGN.md §11–12.
 //!
 //! The GEMM itself runs in `launch::run_tiled`, which advances
-//! [`super::launch::LANES`] output rows at a time and preserves the
-//! accumulation order (`acc += lut[idx[r, j]] · x[j]` for ascending `j`,
-//! one accumulator per output element) — the same order a dense
-//! row-times-matrixᵀ dot product uses — so the kernel agrees with a dense
-//! matmul over the decoded weights to rounding, and with itself exactly.
+//! [`super::launch::LANES`] output rows at a time (with AVX2 permutes for
+//! palettes of up to [`super::launch::LINE`] entries on CPUs that have
+//! them) and preserves the accumulation order (`acc += lut[idx[r, j]] ·
+//! x[j]` for ascending `j`, one accumulator per output element) — the
+//! same order a dense row-times-matrixᵀ dot product uses — so the kernel
+//! agrees with a dense matmul over the decoded weights to rounding, and
+//! with itself exactly.
 
 use super::launch;
 use crate::palettize::PalettizedTensor;
@@ -56,7 +61,7 @@ pub const IN_CHUNK: usize = 512;
 /// bit-identical inline-multiply fallback.
 pub const PROD_K_MAX: usize = 64;
 
-/// Cap on the activation-LUT table size (`n · k · in` floats ≈ 16 MB).
+/// Cap on the activation-LUT table size (`n · max(k, 8) · in` floats ≈ 16 MB).
 /// The table grows with the batch, so an unbounded large prefill would
 /// pin an arbitrarily large arena buffer; past the cap the kernel falls
 /// back to the inline multiply, which is bit-identical.
@@ -271,10 +276,24 @@ impl TiledLutKernel {
     ///
     /// Panics if `x` is not `n · in` long or `out` is not `n · out` long.
     pub fn forward_into(&self, x: &[f32], n: usize, out: &mut [f32], arena: &mut ScratchArena) {
+        self.forward_into_body(x, n, out, arena, true);
+    }
+
+    /// [`TiledLutKernel::forward_into`], with the AVX2 lane body allowed
+    /// only when `allow_avx2` is true: `false` pins the portable body, so
+    /// tests can check both bodies on an AVX2 host.
+    pub(crate) fn forward_into_body(
+        &self,
+        x: &[f32],
+        n: usize,
+        out: &mut [f32],
+        arena: &mut ScratchArena,
+        allow_avx2: bool,
+    ) {
         self.check_shapes(x, n, out);
         match &self.idx {
-            TileIdx::U8(idx) => launch::run_tiled(self, idx, x, n, out, arena),
-            TileIdx::U16(idx) => launch::run_tiled(self, idx, x, n, out, arena),
+            TileIdx::U8(idx) => launch::run_tiled(self, idx, x, n, out, arena, allow_avx2),
+            TileIdx::U16(idx) => launch::run_tiled(self, idx, x, n, out, arena, allow_avx2),
         }
     }
 

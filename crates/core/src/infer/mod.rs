@@ -27,8 +27,8 @@ use edkm_tensor::{runtime, DType, Device, Tensor};
 use kernel::TiledLutKernel;
 use std::sync::Arc;
 
-/// Multiply-accumulate count below which [`PalettizedLinear::forward_batch`]
-/// stays on the serial path (mirrors the kernel threshold in
+/// Multiply-accumulate count below which [`ShardedPalettizedLinear`] runs
+/// its shards inline on the caller (mirrors the kernel threshold in
 /// `edkm_tensor::ops`): spawning workers costs more than it saves on small
 /// layers.
 const PAR_WORK_THRESHOLD: usize = 1 << 17;
@@ -112,19 +112,6 @@ impl PalettizedLinear {
         );
     }
 
-    /// Run the kernel without charging (shared by every entry point).
-    /// Tiny problems take the serial oracle directly (the tiled path's
-    /// staging overhead dominates below the threshold); everything else
-    /// runs the tiled kernel — bit-identical either way.
-    fn run_rows(&self, x: &[f32], n: usize, out: &mut [f32], arena: &mut ScratchArena) {
-        let work = n * self.out_features * (self.in_features + self.weights.k());
-        if work < PAR_WORK_THRESHOLD {
-            self.kernel.forward_serial_into(x, n, out);
-        } else {
-            self.kernel.forward_into(x, n, out, arena);
-        }
-    }
-
     /// `y = x Wᵀ` for `x: [n, in]` via the tiled LUT-GEMM. Delegates to
     /// [`PalettizedLinear::forward_batch`] — there is exactly one LUT-GEMM
     /// inner loop in this type, and both entry points charge the ledger
@@ -158,21 +145,21 @@ impl PalettizedLinear {
 
     /// Slice-level forward: `out[i, :] = x[i, :] Wᵀ`, scratch drawn from
     /// `arena` — the allocation-free entry point the serving decoder
-    /// drives. Work below the parallel threshold runs the serial loop;
-    /// either way the result is bit-identical and the ledger charge the
-    /// same.
+    /// drives. Bit-identical to [`PalettizedLinear::forward_serial`], with
+    /// the same ledger charge.
     ///
     /// # Panics
     ///
     /// Panics if `x` is not `n · in` long or `out` is not `n · out` long.
     pub fn forward_rows(&self, x: &[f32], n: usize, out: &mut [f32], arena: &mut ScratchArena) {
-        self.run_rows(x, n, out, arena);
+        self.kernel.forward_into(x, n, out, arena);
         self.charge(n, Device::Cpu);
     }
 
     /// Batched `y = x Wᵀ` for `x: [n, in]` through the cache-blocked tiled
-    /// kernel (worker threads over output tiles past the work threshold,
-    /// serial below it). Bit-identical to
+    /// kernel (worker threads over output tiles from
+    /// [`launch::FANOUT_MACS`] on, the calling thread below it).
+    /// Bit-identical to
     /// [`PalettizedLinear::forward_serial`] at every thread count; every
     /// FLOP is charged once to the caller's runtime.
     ///
@@ -185,7 +172,7 @@ impl PalettizedLinear {
         let n = x.shape()[0];
         let xd = x.to_vec();
         let mut out = vec![0.0f32; n * self.out_features];
-        scratch::with_thread_scratch(|arena| self.run_rows(&xd, n, &mut out, arena));
+        scratch::with_thread_scratch(|arena| self.kernel.forward_into(&xd, n, &mut out, arena));
         self.charge(n, x.device());
         Tensor::from_vec(out, &[n, self.out_features], DType::F32, x.device())
     }
@@ -1611,7 +1598,7 @@ mod tests {
     #[test]
     fn forward_batch_is_bit_identical_to_forward() {
         let (_w, lin) = palettized_pair(7);
-        // Small batch (serial fallback) and large batch (threaded path).
+        // A small and a large batch, both through the tiled kernel.
         for n in [33usize, 512] {
             let x = Tensor::randn(&[n, 20], DType::F32, Device::Cpu, 8);
             assert_eq!(
@@ -1646,7 +1633,7 @@ mod tests {
     fn forward_delegates_to_batch_path_with_identical_ledger_charges() {
         runtime::reset(); // bind this thread to a private runtime/clock
         let (_w, lin) = palettized_pair(12);
-        // Below and above the parallel threshold.
+        // A small and a large batch.
         for n in [3usize, 512] {
             let x = Tensor::randn(&[n, 20], DType::F32, Device::Cpu, 13);
             let t0 = runtime::sim_seconds();
@@ -1834,16 +1821,22 @@ mod tests {
 
         // Reference: one forward_batch on one thread.
         runtime::reset();
-        let (_w, lin) = palettized_pair(10); // resets the runtime again
+        // Batch 256 of a two-tile [32 × 600] layer clears
+        // launch::FANOUT_MACS, so every call below also fans out its own
+        // worker threads.
+        let (n, out, inp) = (256usize, 32usize, 600usize);
+        let w = Tensor::randn(&[out, inp], DType::F32, Device::Cpu, 10);
+        let lut: Vec<f32> = (0..8).map(|c| (c as f32 - 3.5) * 0.02).collect();
+        let lut = Tensor::from_vec(lut, &[8, 1], DType::F32, Device::Cpu);
+        let lin = PalettizedLinear::new(PalettizedTensor::from_nearest(&w, &lut, 3, 1));
+        assert!(n * out * (inp + lin.weights().k()) >= launch::FANOUT_MACS);
         let lin = Arc::new(lin);
-        // Batch 512 clears PAR_WORK_THRESHOLD, so every call below also
-        // fans out its own worker threads.
         runtime::reset_peak(Device::Cpu);
         let t0 = runtime::sim_seconds();
         let allocs0 = runtime::pool(Device::Cpu).alloc_count();
         // The measured unit matches what each thread below does: allocate
         // the input, run the batch, drop both.
-        let x = Tensor::randn(&[512, 20], DType::F32, Device::Cpu, 11);
+        let x = Tensor::randn(&[n, inp], DType::F32, Device::Cpu, 11);
         drop(lin.forward_batch(&x));
         drop(x);
         let one_call_seconds = runtime::sim_seconds() - t0;
@@ -1862,7 +1855,7 @@ mod tests {
                 let rt = rt.clone();
                 s.spawn(move || {
                     let _g = runtime::bind(&rt);
-                    let x = Tensor::randn(&[512, 20], DType::F32, Device::Cpu, 11);
+                    let x = Tensor::randn(&[n, inp], DType::F32, Device::Cpu, 11);
                     drop(lin.forward_batch(&x));
                 });
             }

@@ -3,13 +3,17 @@
 //! Subcommands drive the library end to end on the synthetic substrate:
 //!
 //! ```text
-//! edkm compress [--bits N] [--dim D] [--epochs E] [--learners L]
+//! edkm compress [--bits N] [--dim D] [--epochs E] [--learners L] [--group-rows G]
 //! edkm sweep    [--bits 2,3,4] [--dim D]
-//! edkm inspect  [--bits N] [--dim D]
+//! edkm inspect  [--bits N] [--dim D] [--group-rows G]
 //! edkm ablate   [--d-model N] [--learners L]
 //! edkm table1
 //! edkm help
 //! ```
+//!
+//! `edkm help` lists `serve` and `bench workload` too. A flag the
+//! subcommand does not list, or a missing or unparsable flag value,
+//! prints the usage text and exits 2.
 //!
 //! The heavyweight paper tables have dedicated binaries in `edkm-bench`
 //! (`cargo run --release -p edkm-bench --bin table3`); this CLI is the
@@ -41,6 +45,32 @@ fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}\n");
     usage();
     std::process::exit(2);
+}
+
+/// Exit 2, naming the flag and printing the usage text, on any `--flag` in
+/// `args` that the subcommand does not list: `valued` flags take a value
+/// (`--name v` or `--name=v`), `switches` take none.
+fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) {
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if !a.starts_with("--") {
+            continue;
+        }
+        let (name, has_value) = a
+            .split_once('=')
+            .map_or((a.as_str(), false), |(n, _)| (n, true));
+        if valued.contains(&name) {
+            if !has_value {
+                rest.next(); // the value; `flag_value` reports a missing one
+            }
+        } else if switches.contains(&name) {
+            if has_value {
+                usage_error(&format!("{name} takes no value"));
+            }
+        } else {
+            usage_error(&format!("unknown flag {name}"));
+        }
+    }
 }
 
 /// Value of `--name v` or `--name=v` in `args`, if the flag is present. A
@@ -81,6 +111,7 @@ commands:
   compress   pretrain a small model, fine-tune-and-compress with eDKM,
              report size and perplexity
              flags: --bits N (3)  --dim D (1)  --epochs E (1)  --learners L (8)
+                    --group-rows G (0 = one LUT)
   sweep      compress at several bit widths and compare
              flags: --bits 2,3,4  --dim D (1)
   inspect    per-parameter compression report (packed vs entropy-coded)
@@ -209,6 +240,11 @@ fn spec_from_flags(args: &[String]) -> CompressSpec {
 }
 
 fn cmd_compress(args: &[String]) {
+    check_flags(
+        args,
+        &["--bits", "--dim", "--epochs", "--learners", "--group-rows"],
+        &[],
+    );
     let spec = spec_from_flags(args);
     println!(
         "compressing at {} bits (cluster_dim {}, {:.2} bits/weight), {} epoch(s), {} learners",
@@ -250,6 +286,7 @@ fn cmd_compress(args: &[String]) {
 }
 
 fn cmd_sweep(args: &[String]) {
+    check_flags(args, &["--bits", "--dim"], &[]);
     let bits_list: Vec<u8> = flag_value(args, "--bits")
         .unwrap_or_else(|| "2,3,4".into())
         .split(',')
@@ -297,6 +334,7 @@ fn cmd_sweep(args: &[String]) {
 }
 
 fn cmd_inspect(args: &[String]) {
+    check_flags(args, &["--bits", "--dim", "--group-rows"], &[]);
     let spec = spec_from_flags(args);
     let wb = Workbench::build(60);
     let compressed = CompressionPipeline::new(spec).export(&wb.model);
@@ -338,6 +376,7 @@ fn cmd_inspect(args: &[String]) {
 }
 
 fn cmd_ablate(args: &[String]) {
+    check_flags(args, &["--d-model", "--learners"], &[]);
     let setup = AblationSetup {
         d_model: parse_or(args, "--d-model", 256),
         n_heads: 8,
@@ -680,6 +719,25 @@ fn serve_with_chaos(
 }
 
 fn cmd_serve(args: &[String]) {
+    check_flags(
+        args,
+        &[
+            "--bits",
+            "--batch",
+            "--requests",
+            "--new",
+            "--temp",
+            "--shards",
+            "--kv-block-tokens",
+            "--kv-blocks",
+            "--draft-bits",
+            "--draft-k",
+            "--replicas",
+            "--chaos-seed",
+            "--chaos-profile",
+        ],
+        &["--prefix-cache", "--affinity"],
+    );
     let bits: u8 = parse_or(args, "--bits", 3);
     let max_batch: usize = parse_or(args, "--batch", 4);
     let n_requests: usize = parse_or(args, "--requests", 6);
@@ -864,6 +922,7 @@ fn cmd_serve(args: &[String]) {
 /// at CLI scale (an untrained model — replay measures the serving stack,
 /// not model quality).
 fn cmd_bench_workload(args: &[String]) -> ExitCode {
+    check_flags(args, &["--trace", "--seed", "--requests", "--batch"], &[]);
     let kind_name = flag_value(args, "--trace").unwrap_or_else(|| "mixed".into());
     let kind =
         TraceKind::parse(&kind_name).unwrap_or_else(|e| usage_error(&format!("--trace: {e}")));
@@ -996,7 +1055,10 @@ fn main() -> ExitCode {
         Some("ablate") => cmd_ablate(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("bench") => return cmd_bench(&args[1..]),
-        Some("table1") => cmd_table1(),
+        Some("table1") => {
+            check_flags(&args[1..], &[], &[]);
+            cmd_table1();
+        }
         Some("help") | None => {
             usage();
             return ExitCode::SUCCESS;

@@ -18,9 +18,9 @@ use std::cell::Cell;
 // A counting global allocator so the steady-state contract can be pinned at
 // the malloc layer, not just the arena's `grows` counter. Counts are
 // thread-local: the hot path under test runs inline on the calling thread
-// (the tiny model sits below the kernel's parallel-dispatch threshold), and
-// allocations made by *other* concurrently running tests never pollute the
-// measurement.
+// (decode-sized GEMMs sit below the kernel's fan-out threshold, and a thread
+// spawn would allocate on this thread), and allocations made by *other*
+// concurrently running tests never pollute the measurement.
 struct CountingAlloc;
 
 thread_local! {
@@ -107,18 +107,18 @@ fn steady_state_decode_steps_do_not_grow_the_arena() {
     sched.run_to_completion();
 }
 
-#[test]
-fn warm_decode_window_performs_zero_heap_allocations() {
-    runtime::reset();
+/// Run `requests` same-shaped requests on `model` and assert that warm
+/// decode steps perform zero heap allocations on this thread.
+fn assert_warm_decode_allocates_nothing(model: PalettizedModel, requests: u64) {
     // 64-token KV blocks: one block holds each request's whole lifetime
     // (3-token prompt + 40 generated), so no block-boundary growth can
     // land inside the measurement window.
-    let model = served().with_kv_config(KvBlockConfig {
+    let model = model.with_kv_config(KvBlockConfig {
         block_tokens: 64,
         max_blocks: 0,
     });
-    let mut sched = Scheduler::new(&model, 4);
-    for id in 0..4u64 {
+    let mut sched = Scheduler::new(&model, requests as usize);
+    for id in 0..requests {
         sched.submit(ServeRequest::new(
             id,
             vec![1 + id as usize, 2, 3],
@@ -142,12 +142,43 @@ fn warm_decode_window_performs_zero_heap_allocations() {
         sched.step_events_into(&mut events);
     }
     let window_allocs = allocs_on_this_thread() - before;
-    assert_eq!(sched.active(), 4, "flight must have stayed constant");
+    assert_eq!(
+        sched.active(),
+        requests as usize,
+        "flight must have stayed constant"
+    );
     assert_eq!(
         window_allocs, 0,
         "warm decode steps must perform zero heap allocations ({window_allocs} counted)"
     );
     sched.run_to_completion();
+}
+
+#[test]
+fn warm_decode_window_performs_zero_heap_allocations() {
+    runtime::reset();
+    assert_warm_decode_allocates_nothing(served(), 4);
+}
+
+#[test]
+fn fleet_geometry_decode_spawns_no_thread_and_allocates_nothing() {
+    runtime::reset();
+    // The served benchmark's layer geometry: its gate/up/down projections
+    // are the largest a 1-row decode step runs. Each must stay on the
+    // calling thread, since spawning a worker allocates on the caller.
+    let cfg = LlamaConfig {
+        vocab: 256,
+        d_model: 256,
+        n_heads: 4,
+        n_layers: 1,
+        d_ff: 512,
+        max_seq: 64,
+    };
+    let dense = LlamaModel::new(cfg, DType::Bf16, Device::Cpu, 7);
+    let mut spec = CompressSpec::with_bits(3);
+    spec.dkm.iters = 2;
+    let model = PalettizedModel::from_dense(&dense, &spec).unwrap();
+    assert_warm_decode_allocates_nothing(model, 1);
 }
 
 #[test]

@@ -1,6 +1,7 @@
-//! The `edkm` command line rejects a flag whose value is missing or does
-//! not parse: it names the flag, prints the usage text and exits 2,
-//! instead of running with the flag's default.
+//! The `edkm` command line rejects a flag it does not list for the
+//! subcommand, and a flag whose value is missing or does not parse: it
+//! names the flag, prints the usage text and exits 2, instead of ignoring
+//! the flag or running with its default.
 
 use std::process::Command;
 
@@ -13,6 +14,36 @@ fn edkm(args: &[&str]) -> (Option<i32>, String) {
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into(),
     )
+}
+
+fn assert_usage_error(args: &[&str], flag: &str) {
+    let (code, stderr) = edkm(args);
+    assert_eq!(code, Some(2), "edkm {args:?} must exit 2:\n{stderr}");
+    assert!(
+        stderr.contains(flag),
+        "edkm {args:?} must name {flag}:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("usage: edkm"),
+        "edkm {args:?} must print usage:\n{stderr}"
+    );
+}
+
+#[test]
+fn unknown_flags_exit_2_with_the_flag_and_usage() {
+    for (args, flag) in [
+        (&["table1", "--bogus-flag", "7"][..], "--bogus-flag"),
+        (&["compress", "--bogus"][..], "--bogus"),
+        (&["sweep", "--group-rows", "2"][..], "--group-rows"),
+        (&["inspect", "--epochs", "2"][..], "--epochs"),
+        (&["ablate", "--bits", "3"][..], "--bits"),
+        (&["serve", "--profile"][..], "--profile"),
+        (&["serve", "--new", "4", "--reqests", "2"][..], "--reqests"),
+        (&["serve", "--affinity=yes"][..], "--affinity"),
+        (&["bench", "workload", "--new", "4"][..], "--new"),
+    ] {
+        assert_usage_error(args, flag);
+    }
 }
 
 #[test]
@@ -33,15 +64,6 @@ fn malformed_flag_values_exit_2_with_the_flag_and_usage() {
         (&["bench", "workload", "--trace", "bogus"][..], "--trace"),
         (&["bench", "workload", "--seed", "0x10"][..], "--seed"),
     ] {
-        let (code, stderr) = edkm(args);
-        assert_eq!(code, Some(2), "edkm {args:?} must exit 2:\n{stderr}");
-        assert!(
-            stderr.contains(flag),
-            "edkm {args:?} must name {flag}:\n{stderr}"
-        );
-        assert!(
-            stderr.contains("usage: edkm"),
-            "edkm {args:?} must print usage:\n{stderr}"
-        );
+        assert_usage_error(args, flag);
     }
 }

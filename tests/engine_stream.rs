@@ -22,13 +22,17 @@ use edkm::nn::{LlamaConfig, LlamaModel};
 use edkm::tensor::{runtime, DType, Device};
 
 fn served(seed: u64) -> PalettizedModel {
+    served_with_max_seq(seed, 48)
+}
+
+fn served_with_max_seq(seed: u64, max_seq: usize) -> PalettizedModel {
     let cfg = LlamaConfig {
         vocab: 32,
         d_model: 16,
         n_heads: 2,
         n_layers: 2,
         d_ff: 32,
-        max_seq: 48,
+        max_seq,
     };
     let dense = LlamaModel::new(cfg, DType::Bf16, Device::Cpu, seed);
     let mut spec = CompressSpec::with_bits(3);
@@ -70,6 +74,11 @@ fn stream_all<M: edkm::core::ServeModel + 'static>(
         },
     );
     let handle = engine.handle();
+    // Hold the worker for about 50 ms while every request is submitted, so
+    // all of them are admitted before the first step, as in the scheduler
+    // runs they are compared against (the forced-preemption case needs
+    // both requests in flight together).
+    handle.inject_stall(50);
     let mut streams = Vec::new();
     for r in reqs {
         let request = Request::new(r.prompt.clone())
@@ -211,16 +220,23 @@ fn engine_streams_survive_forced_preemption_without_duplicates() {
 #[test]
 fn cancelled_request_emits_nothing_after_cancel_returns_and_frees_blocks() {
     runtime::reset();
-    let model = served(10);
+    // A budget far past what the worker can decode while this thread waits
+    // to be scheduled after the first token (a few hundred tokens were
+    // seen), so the request is still decoding when the stall and the
+    // cancel below land.
+    const BUDGET: usize = 4000;
+    let model = served_with_max_seq(10, 4096);
     let pool = std::sync::Arc::clone(model.kv_pool());
     let engine = ServeEngine::new(model, EngineConfig::default());
     let handle = engine.handle();
     let (id, mut stream) = handle
-        .submit(Request::new(vec![1, 2, 3]).max_new_tokens(40))
+        .submit(Request::new(vec![1, 2, 3]).max_new_tokens(BUDGET))
         .expect("submit");
-    // Let the request actually start decoding.
+    // Let the request actually start decoding, then hold the worker
+    // between steps: a stalled worker still serves cancels.
     let first = stream.next_event().expect("first event");
     assert!(matches!(first, TokenEvent::Token { index: 0, .. }));
+    handle.inject_stall(1_000_000);
     assert!(handle.cancel(id).was_cancelled(), "request was in flight");
     // Cancel is acknowledged by the worker: the KV blocks are already back
     // in the pool, before any further decode step.
@@ -234,7 +250,7 @@ fn cancelled_request_emits_nothing_after_cancel_returns_and_frees_blocks() {
     };
     assert_eq!(resp.finish, FinishReason::Cancelled);
     assert!(
-        resp.generated < 40,
+        resp.generated < BUDGET,
         "cancellation cut generation short ({} tokens)",
         resp.generated
     );
@@ -400,6 +416,10 @@ fn concurrent_cancels_of_the_same_request_both_return() {
     let model = served(15);
     let engine = ServeEngine::new(model, EngineConfig::default());
     let handle = engine.handle();
+    // Stall the worker before the request arrives: it is admitted, but no
+    // step runs until both cancels have returned (a stalled worker still
+    // serves cancels), so the request cannot finish first.
+    handle.inject_stall(1_000_000);
     let (id, mut stream) = handle
         .submit(Request::new(vec![1, 2]).max_new_tokens(40))
         .expect("submit");

@@ -2,11 +2,12 @@
 //! `(out, in, k, batch)` geometries — including off-grid tile/chunk tails,
 //! lane-group tails and palettes past the product-table cutoff — must
 //! produce results **bit-identical** to the single-threaded serial oracle.
-//! Every check drives `TiledLutKernel::forward_into` directly, below the
-//! serving path's serial-fallback threshold too, against
+//! Every check drives `TiledLutKernel::forward_into` directly against
 //! `forward_serial_into` on the same inputs. This is the fixed-tree
-//! determinism contract: lane grouping and thread count are performance
-//! choices, never numerics.
+//! determinism contract: lane grouping, the lane body and the thread
+//! count are performance choices, never numerics. On an AVX2 CPU these
+//! checks reach the AVX2 body for palettes of up to 8 entries; the unit
+//! tests in `launch.rs` pin the portable body on the same inputs.
 
 use edkm::core::infer::launch::LANES;
 use edkm::core::palettize::PalettizedTensor;
@@ -88,15 +89,20 @@ fn lossless_u16_palette_is_bit_identical_on_every_backend() {
 
 #[test]
 fn worker_count_never_changes_the_bits() {
-    // The parallel tile loop assigns `min(cores, n_tiles)` worker threads,
-    // each owning whole tiles with one accumulator chain per output
-    // element, so the result is independent of how many threads execute
-    // it. Sweeping the tile count from 1 (inline, zero extra threads)
-    // through many tiles varies the actual worker count on any machine;
+    // From `FANOUT_MACS` on, the tile loop assigns `min(cores, n_tiles)`
+    // worker threads, each owning whole tiles with one accumulator chain
+    // per output element, so the result is independent of how many
+    // threads execute it. Sweeping the tile count from 1 (inline, zero
+    // extra threads) through many tiles, at a decode-sized batch that
+    // stays on the calling thread and a prefill-sized one past the
+    // fan-out threshold, varies the actual worker count on any machine;
     // every configuration must reproduce the serial oracle's bits.
     use edkm::core::infer::kernel::TILE_OUT;
-    for n_tiles in [1usize, 2, 3, 8] {
+    use edkm::core::infer::launch::FANOUT_MACS;
+    for (n_tiles, batch) in [(1usize, 4usize), (2, 4), (3, 4), (8, 4), (3, 160), (8, 64)] {
         let lin = linear(n_tiles * TILE_OUT, 600, 8, 79 + n_tiles as u64);
-        assert_tiled_matches_serial(&lin, 4, 83);
+        let macs = batch * lin.out_features() * (lin.in_features() + lin.weights().k());
+        assert_eq!(macs >= FANOUT_MACS, batch > 4, "{n_tiles} tiles x {batch}");
+        assert_tiled_matches_serial(&lin, batch, 83);
     }
 }

@@ -63,8 +63,7 @@ fn exact_grid_multiples_are_bit_identical() {
 #[test]
 fn batch_one_decode_shape_is_bit_identical() {
     runtime::reset();
-    // The decode steady-state shape: a single activation row. Large enough
-    // that forward_batch takes the tiled path.
+    // The decode steady-state shape: a single activation row.
     let lin = linear(400, 400, 8, 7);
     assert_serial_tiled_parity(&lin, 1, 9, "batch 1");
 }
@@ -95,9 +94,8 @@ fn lossless_u16_palette_is_bit_identical() {
     assert_serial_tiled_parity(&lin, 5, 19, "lossless 2^16 palette");
 }
 
-/// `TiledLutKernel::forward_into` driven directly — no serial fallback
-/// below the work threshold — against `forward_serial_into` on the same
-/// inputs.
+/// `TiledLutKernel::forward_into` driven directly against
+/// `forward_serial_into` on the same inputs.
 fn assert_kernel_parity(lin: &PalettizedLinear, batch: usize, seed: u64, label: &str) {
     let x = Tensor::randn(&[batch, lin.in_features()], DType::F32, Device::Cpu, seed).to_vec();
     let mut want = vec![0.0f32; batch * lin.out_features()];
@@ -112,8 +110,7 @@ fn assert_kernel_parity(lin: &PalettizedLinear, batch: usize, seed: u64, label: 
 fn every_backend_is_bit_identical_on_every_edge_geometry() {
     runtime::reset();
     // The same awkward shapes the serial/tiled parity tests pin, replayed
-    // through the tiled kernel itself: several of them sit below the
-    // threshold at which `forward_batch` falls back to the serial loop.
+    // through the tiled kernel itself.
     let cases: [(usize, usize, usize, usize); 6] = [
         (TILE_OUT + 1, IN_CHUNK + 1, 8, 4),
         (TILE_OUT - 1, IN_CHUNK - 1, 8, 4),
