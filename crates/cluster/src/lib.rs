@@ -2,11 +2,10 @@
 //!
 //! A multi-replica serving fleet behind a load- and prefix-aware router.
 //!
-//! A [`Cluster`] owns N [`ServeEngine`] replicas — each wrapping any
-//! [`ServeModel`], including tensor-parallel sharded models — and hands out
-//! cloneable [`RouterHandle`]s exposing the same submit/stream/cancel
-//! surface as [`EngineHandle`]. The router layers
-//! four policies on top of replica dispatch:
+//! A [`Cluster`] owns N [`ServeEngine`] replicas — each wrapping a
+//! [`ServeModel`] — and hands out cloneable [`RouterHandle`]s exposing the
+//! same submit/stream/cancel surface as [`EngineHandle`]. The router
+//! layers four policies on top of replica dispatch:
 //!
 //! * **Load-aware scoring** — each replica is scored
 //!   `in_flight + min(1, kv_live/kv_peak)` from its live handle and

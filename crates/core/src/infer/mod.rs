@@ -20,18 +20,11 @@ use crate::kv::{KvBlockConfig, KvBlockPool};
 use crate::palettize::{AffineQuantized, PalettizedTensor};
 use crate::pipeline::{CompressSpec, CompressedModel, CompressedTensor, CompressionPipeline};
 use crate::scratch::{self, ScratchArena};
-use edkm_dist::{LearnerGroup, ShardWorkers};
 use edkm_nn::attention::{attend_cached_rows, rope_tables, KvRowView};
 use edkm_nn::{LlamaConfig, LlamaModel};
 use edkm_tensor::{runtime, DType, Device, Tensor};
 use kernel::TiledLutKernel;
 use std::sync::Arc;
-
-/// Multiply-accumulate count below which [`ShardedPalettizedLinear`] runs
-/// its shards inline on the caller (mirrors the kernel threshold in
-/// `edkm_tensor::ops`): spawning workers costs more than it saves on small
-/// layers.
-const PAR_WORK_THRESHOLD: usize = 1 << 17;
 
 /// A linear layer evaluated straight from its palettized weights.
 ///
@@ -179,338 +172,6 @@ impl PalettizedLinear {
 }
 
 // ---------------------------------------------------------------------
-// Tensor-parallel sharded projections.
-// ---------------------------------------------------------------------
-
-/// Any projection the serving decoder can run: evaluated straight from
-/// palettized storage, unsharded ([`PalettizedLinear`]) or partitioned
-/// over a learner group ([`ShardedPalettizedLinear`]).
-pub trait LutProjection {
-    /// Output features.
-    fn out_features(&self) -> usize;
-    /// Input features.
-    fn in_features(&self) -> usize;
-    /// Serialized parameter bytes.
-    fn size_bytes(&self) -> usize;
-    /// Batched `y = x Wᵀ` for `x: [n, in]`.
-    fn forward_batch(&self, x: &Tensor) -> Tensor;
-    /// Slice-level batched forward with scratch from `arena` — the
-    /// allocation-free path the serving decoder drives.
-    fn forward_rows(&self, x: &[f32], n: usize, out: &mut [f32], arena: &mut ScratchArena);
-}
-
-impl LutProjection for PalettizedLinear {
-    fn out_features(&self) -> usize {
-        PalettizedLinear::out_features(self)
-    }
-    fn in_features(&self) -> usize {
-        PalettizedLinear::in_features(self)
-    }
-    fn size_bytes(&self) -> usize {
-        PalettizedLinear::size_bytes(self)
-    }
-    fn forward_batch(&self, x: &Tensor) -> Tensor {
-        PalettizedLinear::forward_batch(self, x)
-    }
-    fn forward_rows(&self, x: &[f32], n: usize, out: &mut [f32], arena: &mut ScratchArena) {
-        PalettizedLinear::forward_rows(self, x, n, out, arena)
-    }
-}
-
-/// How a [`ShardedPalettizedLinear`] splits its weight over the group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Partition {
-    /// Shard *output* features (weight rows). Every learner sees the full
-    /// input and produces a feature slice; the combine is an all-gather
-    /// along the feature axis. Each output element is computed by exactly
-    /// one learner over the full input row, so results are bit-identical
-    /// to the unsharded GEMM — the partition sharded serving uses.
-    Column,
-    /// Shard *input* features (weight columns). Every learner produces a
-    /// full-width partial product over its column slice; the combine is a
-    /// rank-ordered all-reduce sum. Float summation order differs from the
-    /// unsharded kernel, so results agree only to rounding.
-    Row,
-}
-
-/// A palettized projection partitioned over an [`edkm_dist::LearnerGroup`]:
-/// each learner keeps the full LUT plus the tile-repacked indices of its
-/// own shard (shards repack their local tiles at construction), shard
-/// GEMMs run on worker threads, and the combine pays the collective
-/// through [`runtime::record_all_gather`].
-///
-/// Shard execution reuses a persistent [`ShardWorkers`] pool when one is
-/// attached ([`ShardedPalettizedLinear::with_pool`] — what
-/// [`PalettizedModel::shard`] does for every projection of a model), so
-/// serving does not re-spawn worker threads on every projection call.
-/// Small GEMMs, single-learner groups and single-core hosts run the shards
-/// inline; results are bit-identical on every path.
-#[derive(Debug, Clone)]
-pub struct ShardedPalettizedLinear {
-    shards: Arc<Vec<PalettizedLinear>>,
-    group: LearnerGroup,
-    partition: Partition,
-    out_features: usize,
-    in_features: usize,
-    pool: Option<Arc<ShardWorkers>>,
-}
-
-impl ShardedPalettizedLinear {
-    /// Column-parallel shard of a `[out, in]` scalar palette: learner `r`
-    /// keeps output rows `shard_range(r)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the palette is not 2-D scalar-clustered.
-    pub fn column(weights: &PalettizedTensor, group: LearnerGroup) -> Self {
-        Self::build(weights, group, Partition::Column)
-    }
-
-    /// Row-parallel shard of a `[out, in]` scalar palette: learner `r`
-    /// keeps input columns `shard_range(r)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the palette is not 2-D scalar-clustered.
-    pub fn row(weights: &PalettizedTensor, group: LearnerGroup) -> Self {
-        Self::build(weights, group, Partition::Row)
-    }
-
-    /// Run shard GEMMs on `pool`'s persistent worker threads instead of
-    /// spawning scoped threads per call. Results are unchanged; only the
-    /// dispatch cost differs.
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<ShardWorkers>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    fn build(weights: &PalettizedTensor, group: LearnerGroup, partition: Partition) -> Self {
-        assert_eq!(weights.shape().len(), 2, "sharded linear expects [out, in]");
-        assert_eq!(weights.cluster_dim(), 1, "sharded linear is scalar-only");
-        let (out, inp) = (weights.shape()[0], weights.shape()[1]);
-        let indices = weights.indices();
-        let lut = weights.lut();
-        let bits = weights.bits();
-        let shards = match partition {
-            Partition::Column => {
-                let spec = group.shard_spec(out);
-                (0..group.n_learners())
-                    .map(|r| {
-                        let rows = spec.shard_range(r);
-                        let shard_idx = &indices[rows.start * inp..rows.end * inp];
-                        PalettizedLinear::new(PalettizedTensor::from_lut_indices(
-                            lut.to_vec(),
-                            shard_idx,
-                            bits,
-                            1,
-                            vec![rows.len(), inp],
-                        ))
-                    })
-                    .collect()
-            }
-            Partition::Row => {
-                let spec = group.shard_spec(inp);
-                (0..group.n_learners())
-                    .map(|r| {
-                        let cols = spec.shard_range(r);
-                        let mut shard_idx = Vec::with_capacity(out * cols.len());
-                        for row in 0..out {
-                            shard_idx.extend_from_slice(
-                                &indices[row * inp + cols.start..row * inp + cols.end],
-                            );
-                        }
-                        PalettizedLinear::new(PalettizedTensor::from_lut_indices(
-                            lut.to_vec(),
-                            &shard_idx,
-                            bits,
-                            1,
-                            vec![out, cols.len()],
-                        ))
-                    })
-                    .collect()
-            }
-        };
-        ShardedPalettizedLinear {
-            shards: Arc::new(shards),
-            group,
-            partition,
-            out_features: out,
-            in_features: inp,
-            pool: None,
-        }
-    }
-
-    /// The per-learner shard projections, rank order.
-    pub fn shards(&self) -> &[PalettizedLinear] {
-        &self.shards
-    }
-
-    /// The partition axis.
-    pub fn partition(&self) -> Partition {
-        self.partition
-    }
-
-    /// The learner group this projection is partitioned over.
-    pub fn group(&self) -> LearnerGroup {
-        self.group
-    }
-
-    /// Run `f(rank)` for every shard, collecting results in rank order.
-    ///
-    /// Three execution modes, all producing identical bits:
-    /// * **inline** — single-learner groups, GEMMs below the parallel work
-    ///   threshold, or single-core hosts (parallel shards cannot win
-    ///   wall-clock there, and per-call thread churn was the measured
-    ///   shard-sweep slowdown; see EXPERIMENTS.md);
-    /// * **persistent pool** — a [`ShardWorkers`] attached via
-    ///   [`ShardedPalettizedLinear::with_pool`]: jobs are dispatched to
-    ///   long-lived workers, no spawns;
-    /// * **scoped spawn** — the fallback for pool-less multi-core callers.
-    ///
-    /// Every mode binds the caller's runtime, so shard FLOPs and
-    /// allocations land in the shared ledgers exactly once.
-    fn run_shards<F>(&self, work: usize, f: F) -> Vec<Vec<f32>>
-    where
-        F: Fn(usize) -> Vec<f32> + Send + Sync + 'static,
-    {
-        let n = self.group.n_learners();
-        if n == 1 || work < PAR_WORK_THRESHOLD {
-            return (0..n).map(f).collect();
-        }
-        if let Some(pool) = &self.pool {
-            return pool.run(n, f);
-        }
-        if rayon::current_num_threads() == 1 {
-            // No pool and no spare cores: scoped spawns would be pure
-            // overhead (the measured shard-sweep slowdown; EXPERIMENTS.md).
-            return (0..n).map(f).collect();
-        }
-        let rt = runtime::current();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|r| {
-                    let rt = rt.clone();
-                    let f = &f;
-                    s.spawn(move || {
-                        let _g = runtime::bind(&rt);
-                        f(r)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard GEMM thread panicked"))
-                .collect()
-        })
-    }
-
-    /// Slice-level sharded forward; see
-    /// [`ShardedPalettizedLinear::forward_batch`]. The collectives
-    /// allocate their gather buffers (a property of the simulated network,
-    /// not the kernel), so unlike the unsharded path this one is not
-    /// allocation-free; `arena` is accepted for interface uniformity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `n · in` long or `out` is not `n · out` long.
-    pub fn forward_rows(&self, x: &[f32], n: usize, out: &mut [f32], _arena: &mut ScratchArena) {
-        assert_eq!(x.len(), n * self.in_features, "x must be [n, in]");
-        assert_eq!(out.len(), n * self.out_features, "out must be [n, out]");
-        let k = self
-            .shards
-            .iter()
-            .map(|s| s.weights().k())
-            .max()
-            .unwrap_or(0);
-        let work = n * self.out_features * (self.in_features + k);
-        match self.partition {
-            Partition::Column => {
-                let shards = Arc::clone(&self.shards);
-                let xs: Arc<Vec<f32>> = Arc::new(x.to_vec());
-                let outs = self.run_shards(work, move |r| {
-                    let shard = &shards[r];
-                    let mut y = vec![0.0f32; n * shard.out_features()];
-                    scratch::with_thread_scratch(|a| shard.forward_rows(&xs, n, &mut y, a));
-                    y
-                });
-                // Pay the ring all-gather, then splice each learner's
-                // feature slice back into full-width rows.
-                let gathered = self.group.all_gather(&outs);
-                let mut col0 = 0usize;
-                let mut base = 0usize;
-                for shard in self.shards.iter() {
-                    let w = shard.out_features();
-                    for i in 0..n {
-                        out[i * self.out_features + col0..i * self.out_features + col0 + w]
-                            .copy_from_slice(&gathered[base + i * w..base + (i + 1) * w]);
-                    }
-                    col0 += w;
-                    base += n * w;
-                }
-            }
-            Partition::Row => {
-                let spec = self.group.shard_spec(self.in_features);
-                let shards = Arc::clone(&self.shards);
-                let xs: Arc<Vec<f32>> = Arc::new(x.to_vec());
-                let in_features = self.in_features;
-                let parts = self.run_shards(work, move |r| {
-                    let cols = spec.shard_range(r);
-                    let w = cols.len();
-                    let mut slab = Vec::with_capacity(n * w);
-                    for i in 0..n {
-                        slab.extend_from_slice(
-                            &xs[i * in_features + cols.start..i * in_features + cols.end],
-                        );
-                    }
-                    let shard = &shards[r];
-                    let mut y = vec![0.0f32; n * shard.out_features()];
-                    scratch::with_thread_scratch(|a| shard.forward_rows(&slab, n, &mut y, a));
-                    y
-                });
-                out.copy_from_slice(&self.group.all_reduce_sum(&parts));
-            }
-        }
-    }
-
-    /// Sharded `y = x Wᵀ` for `x: [n, in]`: shard GEMMs run on worker
-    /// threads (persistent pool when attached), then the group combine
-    /// (feature all-gather for [`Partition::Column`], rank-ordered
-    /// all-reduce for [`Partition::Row`]) pays simulated network time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `[n, in]`.
-    pub fn forward_batch(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.rank(), 2, "input must be [n, in]");
-        assert_eq!(x.shape()[1], self.in_features, "input width mismatch");
-        let n = x.shape()[0];
-        let xd = x.to_vec();
-        let mut out = vec![0.0f32; n * self.out_features];
-        scratch::with_thread_scratch(|arena| self.forward_rows(&xd, n, &mut out, arena));
-        Tensor::from_vec(out, &[n, self.out_features], DType::F32, x.device())
-    }
-}
-
-impl LutProjection for ShardedPalettizedLinear {
-    fn out_features(&self) -> usize {
-        self.out_features
-    }
-    fn in_features(&self) -> usize {
-        self.in_features
-    }
-    fn size_bytes(&self) -> usize {
-        self.shards.iter().map(PalettizedLinear::size_bytes).sum()
-    }
-    fn forward_batch(&self, x: &Tensor) -> Tensor {
-        ShardedPalettizedLinear::forward_batch(self, x)
-    }
-    fn forward_rows(&self, x: &[f32], n: usize, out: &mut [f32], arena: &mut ScratchArena) {
-        ShardedPalettizedLinear::forward_rows(self, x, n, out, arena)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Whole-model compressed inference.
 // ---------------------------------------------------------------------
 
@@ -596,56 +257,26 @@ impl EmbedStore {
     }
 }
 
-/// One decoder layer served from compressed storage, generic over the
-/// projection kind (unsharded or tensor-parallel).
+/// One decoder layer served from compressed storage.
 #[derive(Debug, Clone)]
-struct PalettizedLayer<P> {
+struct PalettizedLayer {
     input_norm: Vec<f32>,
-    q: P,
-    k: P,
-    v: P,
-    o: P,
+    q: PalettizedLinear,
+    k: PalettizedLinear,
+    v: PalettizedLinear,
+    o: PalettizedLinear,
     post_norm: Vec<f32>,
-    gate: P,
-    up: P,
-    down: P,
+    gate: PalettizedLinear,
+    up: PalettizedLinear,
+    down: PalettizedLinear,
 }
 
-impl<P> PalettizedLayer<P> {
-    fn projections(&self) -> [&P; 7] {
+impl PalettizedLayer {
+    fn projections(&self) -> [&PalettizedLinear; 7] {
         [
             &self.q, &self.k, &self.v, &self.o, &self.gate, &self.up, &self.down,
         ]
     }
-
-    fn map<Q>(&self, f: &impl Fn(&P) -> Q) -> PalettizedLayer<Q> {
-        PalettizedLayer {
-            input_norm: self.input_norm.clone(),
-            q: f(&self.q),
-            k: f(&self.k),
-            v: f(&self.v),
-            o: f(&self.o),
-            post_norm: self.post_norm.clone(),
-            gate: f(&self.gate),
-            up: f(&self.up),
-            down: f(&self.down),
-        }
-    }
-}
-
-/// The shared decoder engine behind [`PalettizedModel`] and
-/// [`ShardedPalettizedModel`]: everything except the projection kind.
-#[derive(Debug, Clone)]
-struct DecoderParts<P> {
-    config: LlamaConfig,
-    embed: EmbedStore,
-    layers: Vec<PalettizedLayer<P>>,
-    final_norm: Vec<f32>,
-    lm_head: P,
-    cos: Vec<f32>,
-    sin: Vec<f32>,
-    device: Device,
-    kv_pool: Arc<KvBlockPool>,
 }
 
 /// A whole LLaMA-style decoder whose every projection runs straight from
@@ -656,42 +287,15 @@ struct DecoderParts<P> {
 /// the paper ships.
 #[derive(Debug, Clone)]
 pub struct PalettizedModel {
-    parts: DecoderParts<PalettizedLinear>,
-}
-
-/// A [`PalettizedModel`] partitioned over an [`edkm_dist::LearnerGroup`]
-/// for tensor-parallel serving: every projection is column-sharded
-/// ([`Partition::Column`] — LUT + tile-repacked indices per learner),
-/// shard GEMMs run on a persistent worker pool shared by the whole model,
-/// and each projection's feature all-gather is charged through
-/// [`runtime::record_all_gather`] so the cost model covers serving
-/// collectives. Column partitioning keeps every output element on exactly
-/// one learner, so logits are **bit-identical** to the unsharded model at
-/// any shard count (`tests/sharded_parity.rs`).
-///
-/// ```
-/// use edkm_core::{CompressSpec, PalettizedModel};
-/// use edkm_dist::LearnerGroup;
-/// use edkm_nn::{LlamaConfig, LlamaModel};
-/// use edkm_tensor::{runtime, DType, Device};
-///
-/// runtime::reset();
-/// let dense = LlamaModel::new(LlamaConfig::tiny(), DType::Bf16, Device::Cpu, 0);
-/// let mut spec = CompressSpec::with_bits(2);
-/// spec.dkm.iters = 2;
-/// let served = PalettizedModel::from_dense(&dense, &spec).unwrap();
-/// let sharded = served.shard(LearnerGroup::new(2));
-///
-/// let mut c0 = served.new_cache();
-/// let mut c1 = sharded.new_cache();
-/// let a = served.prefill(&[1, 2, 3], &mut c0);
-/// let b = sharded.prefill(&[1, 2, 3], &mut c1);
-/// assert_eq!(a.to_vec(), b.to_vec()); // bit-identical logits
-/// ```
-#[derive(Debug, Clone)]
-pub struct ShardedPalettizedModel {
-    parts: DecoderParts<ShardedPalettizedLinear>,
-    group: LearnerGroup,
+    config: LlamaConfig,
+    embed: EmbedStore,
+    layers: Vec<PalettizedLayer>,
+    final_norm: Vec<f32>,
+    lm_head: PalettizedLinear,
+    cos: Vec<f32>,
+    sin: Vec<f32>,
+    device: Device,
+    kv_pool: Arc<KvBlockPool>,
 }
 
 fn sigmoid(v: f32) -> f32 {
@@ -843,22 +447,20 @@ impl PalettizedModel {
         let (cos, sin) = rope_tables(config.max_seq, hd, ROPE_THETA);
         let device = Device::Cpu;
         Ok(PalettizedModel {
-            parts: DecoderParts {
-                embed,
-                layers,
-                final_norm: norm("final_norm", d)?,
-                lm_head: proj("lm_head", config.vocab, d)?,
-                cos,
-                sin,
-                kv_pool: KvBlockPool::new(
-                    KvBlockConfig::default(),
-                    config.n_layers,
-                    config.d_model,
-                    device,
-                ),
-                config,
+            embed,
+            layers,
+            final_norm: norm("final_norm", d)?,
+            lm_head: proj("lm_head", config.vocab, d)?,
+            cos,
+            sin,
+            kv_pool: KvBlockPool::new(
+                KvBlockConfig::default(),
+                config.n_layers,
+                config.d_model,
                 device,
-            },
+            ),
+            config,
+            device,
         })
     }
 
@@ -896,30 +498,12 @@ impl PalettizedModel {
         Self::from_compressed(&compressed, *model.config())
     }
 
-    /// Partition every projection of this model over `group` for
-    /// tensor-parallel serving (column shards; see
-    /// [`ShardedPalettizedModel`]). All projections share one persistent
-    /// [`ShardWorkers`] pool, so serving never re-spawns shard threads per
-    /// call. The sharded model draws from its own fresh default KV pool.
-    pub fn shard(&self, group: LearnerGroup) -> ShardedPalettizedModel {
-        let pool = (group.n_learners() > 1).then(|| ShardWorkers::new(group.n_learners()));
-        ShardedPalettizedModel {
-            parts: self.parts.map_projections(|p| {
-                let sharded = ShardedPalettizedLinear::column(p.weights(), group);
-                match &pool {
-                    Some(pool) => sharded.with_pool(Arc::clone(pool)),
-                    None => sharded,
-                }
-            }),
-            group,
-        }
-    }
-
     /// Replace the model's KV block pool (paging granularity and physical
     /// block cap). Call before handing out caches; existing caches keep
     /// draining into the pool they were drawn from.
     pub fn with_kv_config(mut self, cfg: KvBlockConfig) -> Self {
-        self.parts.replace_kv_pool(cfg);
+        self.kv_pool =
+            KvBlockPool::new(cfg, self.config.n_layers, self.config.d_model, self.device);
         self
     }
 
@@ -930,7 +514,7 @@ impl PalettizedModel {
     /// flag.
     #[must_use]
     pub fn with_prefix_cache(self, enabled: bool) -> Self {
-        self.parts.kv_pool.set_prefix_cache(enabled);
+        self.kv_pool.set_prefix_cache(enabled);
         self
     }
 
@@ -954,22 +538,42 @@ impl PalettizedModel {
 
     /// Architecture config.
     pub fn config(&self) -> &LlamaConfig {
-        &self.parts.config
+        &self.config
     }
 
     /// The shared paged KV block pool caches draw from.
     pub fn kv_pool(&self) -> &Arc<KvBlockPool> {
-        &self.parts.kv_pool
+        &self.kv_pool
     }
 
     /// Serialized bytes of all served parameters (palettes + norms + embed).
     pub fn size_bytes(&self) -> usize {
-        self.parts.size_bytes()
+        let norms = crate::palettize::native16_size_bytes(
+            self.final_norm.len()
+                + self
+                    .layers
+                    .iter()
+                    .map(|l| l.input_norm.len() + l.post_norm.len())
+                    .sum::<usize>(),
+        );
+        self.embed.size_bytes()
+            + norms
+            + self.lm_head.size_bytes()
+            + self
+                .layers
+                .iter()
+                .map(|l| {
+                    l.projections()
+                        .iter()
+                        .map(|p| p.size_bytes())
+                        .sum::<usize>()
+                })
+                .sum::<usize>()
     }
 
     /// A fresh empty KV cache for one sequence.
     pub fn new_cache(&self) -> KvCache {
-        self.parts.new_cache()
+        KvCache::new(Arc::clone(&self.kv_pool))
     }
 
     /// Run one forward chunk per sequence — the continuous-batching core.
@@ -983,113 +587,47 @@ impl PalettizedModel {
     /// Each row's values depend only on its own sequence, never on what it
     /// was batched with — the property the scheduler invariant tests pin.
     ///
+    /// A `Tensor`-returning wrapper over the arena path
+    /// ([`ServeModel::forward_chunks_into`]), for callers outside the
+    /// scheduler loop (parity tests, examples, one-shot prefills).
+    ///
     /// # Panics
     ///
     /// Panics on empty/oversized chunks, chunk/cache count mismatch,
     /// out-of-vocabulary ids, or an exhausted KV block pool (the scheduler
     /// reserves blocks before stepping, so it never trips this).
     pub fn forward_chunks(&self, chunks: &[&[usize]], caches: &mut [KvCache]) -> Tensor {
-        self.parts.forward_chunks(chunks, caches)
+        // Flatten the per-chunk refs into the ChunkView descriptor the
+        // arena path consumes (callers off the hot path can afford the
+        // two temporary vecs; the scheduler builds its view from
+        // reusable buffers instead).
+        let mut tokens = Vec::new();
+        let mut ends = Vec::with_capacity(chunks.len());
+        for chunk in chunks {
+            tokens.extend_from_slice(chunk);
+            ends.push(tokens.len());
+        }
+        let n_total = tokens.len();
+        let logits = scratch::with_thread_scratch(|arena| {
+            self.forward_chunks_into(ChunkView::new(&tokens, &ends), caches, arena)
+        });
+        Tensor::from_vec(
+            logits,
+            &[n_total, self.config.vocab],
+            DType::F32,
+            self.device,
+        )
     }
 
     /// Prefill one sequence's prompt, returning logits `[len, vocab]`.
     pub fn prefill(&self, ids: &[usize], cache: &mut KvCache) -> Tensor {
-        self.forward_chunks(&[ids], std::slice::from_mut(cache))
+        ServeModel::prefill(self, ids, cache)
     }
 
     /// One batched decode step: `tokens[i]` is sequence `i`'s newest token.
     /// Returns logits `[tokens.len(), vocab]`.
     pub fn decode_step(&self, tokens: &[usize], caches: &mut [KvCache]) -> Tensor {
-        self.parts.decode_step(tokens, caches)
-    }
-}
-
-impl ShardedPalettizedModel {
-    /// Build from a compressed container, sharding every projection over
-    /// `group`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ServeError`] under the same conditions as
-    /// [`PalettizedModel::from_compressed`].
-    pub fn from_compressed(
-        compressed: &CompressedModel,
-        config: LlamaConfig,
-        group: LearnerGroup,
-    ) -> Result<Self, ServeError> {
-        Ok(PalettizedModel::from_compressed(compressed, config)?.shard(group))
-    }
-
-    /// Export `model` under `spec` and shard the result over `group`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ServeError`] under the same conditions as
-    /// [`PalettizedModel::from_dense`].
-    pub fn from_dense(
-        model: &LlamaModel,
-        spec: &CompressSpec,
-        group: LearnerGroup,
-    ) -> Result<Self, ServeError> {
-        Ok(PalettizedModel::from_dense(model, spec)?.shard(group))
-    }
-
-    /// The learner group serving is partitioned over.
-    pub fn group(&self) -> LearnerGroup {
-        self.group
-    }
-
-    /// Replace the model's KV block pool; see
-    /// [`PalettizedModel::with_kv_config`].
-    pub fn with_kv_config(mut self, cfg: KvBlockConfig) -> Self {
-        self.parts.replace_kv_pool(cfg);
-        self
-    }
-
-    /// Enable (or disable) prefix sharing on this model's KV pool; see
-    /// [`PalettizedModel::with_prefix_cache`].
-    #[must_use]
-    pub fn with_prefix_cache(self, enabled: bool) -> Self {
-        self.parts.kv_pool.set_prefix_cache(enabled);
-        self
-    }
-
-    /// Architecture config.
-    pub fn config(&self) -> &LlamaConfig {
-        &self.parts.config
-    }
-
-    /// The shared paged KV block pool caches draw from.
-    pub fn kv_pool(&self) -> &Arc<KvBlockPool> {
-        &self.parts.kv_pool
-    }
-
-    /// Serialized bytes of all served parameters. Slightly above the
-    /// unsharded model: every learner carries a full copy of each LUT.
-    pub fn size_bytes(&self) -> usize {
-        self.parts.size_bytes()
-    }
-
-    /// A fresh empty KV cache for one sequence.
-    pub fn new_cache(&self) -> KvCache {
-        self.parts.new_cache()
-    }
-
-    /// Batched forward over per-sequence chunks; see
-    /// [`PalettizedModel::forward_chunks`]. Logits are bit-identical to the
-    /// unsharded model's for any shard count.
-    pub fn forward_chunks(&self, chunks: &[&[usize]], caches: &mut [KvCache]) -> Tensor {
-        self.parts.forward_chunks(chunks, caches)
-    }
-
-    /// Prefill one sequence's prompt, returning logits `[len, vocab]`.
-    pub fn prefill(&self, ids: &[usize], cache: &mut KvCache) -> Tensor {
-        self.forward_chunks(&[ids], std::slice::from_mut(cache))
-    }
-
-    /// One batched decode step; see [`PalettizedModel::decode_step`].
-    pub fn decode_step(&self, tokens: &[usize], caches: &mut [KvCache]) -> Tensor {
-        self.parts.decode_step(tokens, caches)
+        ServeModel::decode_step(self, tokens, caches)
     }
 }
 
@@ -1151,13 +689,12 @@ impl<'a> ChunkView<'a> {
 
 /// The serving surface [`crate::serve::Generator`],
 /// [`crate::serve::Scheduler`] and [`crate::engine::ServeEngine`] drive —
-/// implemented by [`PalettizedModel`] and [`ShardedPalettizedModel`], so
-/// single-worker and tensor-parallel serving share one
-/// generation/scheduling stack.
+/// implemented by [`PalettizedModel`]. Generic callers also accept a
+/// wrapper around it (a model that times each forward, say), and the
+/// speculative draft rides along as an `Arc<dyn ServeModel>`.
 ///
 /// `Send + Sync` are explicit supertraits: the engine moves the model onto
-/// its worker thread, and the sharded model fans shard GEMMs out to worker
-/// threads through `&self`.
+/// its worker thread, and the draft is shared with it through an `Arc`.
 pub trait ServeModel: Send + Sync {
     /// Architecture config.
     fn config(&self) -> &LlamaConfig;
@@ -1180,11 +717,7 @@ pub trait ServeModel: Send + Sync {
         view: ChunkView<'_>,
         caches: &mut [KvCache],
         arena: &mut ScratchArena,
-    ) -> Vec<f32> {
-        let _ = arena; // default goes through the Tensor path
-        let chunks: Vec<&[usize]> = view.iter().collect();
-        self.forward_chunks(&chunks, caches).to_vec()
-    }
+    ) -> Vec<f32>;
 
     /// Prefill one sequence's prompt, returning logits `[len, vocab]`.
     fn prefill(&self, ids: &[usize], cache: &mut KvCache) -> Tensor {
@@ -1195,85 +728,6 @@ pub trait ServeModel: Send + Sync {
     fn decode_step(&self, tokens: &[usize], caches: &mut [KvCache]) -> Tensor {
         let chunks: Vec<&[usize]> = tokens.chunks(1).collect();
         self.forward_chunks(&chunks, caches)
-    }
-}
-
-impl ServeModel for PalettizedModel {
-    fn config(&self) -> &LlamaConfig {
-        PalettizedModel::config(self)
-    }
-    fn kv_pool(&self) -> &Arc<KvBlockPool> {
-        PalettizedModel::kv_pool(self)
-    }
-    fn new_cache(&self) -> KvCache {
-        PalettizedModel::new_cache(self)
-    }
-    fn forward_chunks(&self, chunks: &[&[usize]], caches: &mut [KvCache]) -> Tensor {
-        PalettizedModel::forward_chunks(self, chunks, caches)
-    }
-    fn forward_chunks_into(
-        &self,
-        view: ChunkView<'_>,
-        caches: &mut [KvCache],
-        arena: &mut ScratchArena,
-    ) -> Vec<f32> {
-        self.parts.forward_chunks_into(view, caches, arena)
-    }
-}
-
-impl ServeModel for ShardedPalettizedModel {
-    fn config(&self) -> &LlamaConfig {
-        ShardedPalettizedModel::config(self)
-    }
-    fn kv_pool(&self) -> &Arc<KvBlockPool> {
-        ShardedPalettizedModel::kv_pool(self)
-    }
-    fn new_cache(&self) -> KvCache {
-        ShardedPalettizedModel::new_cache(self)
-    }
-    fn forward_chunks(&self, chunks: &[&[usize]], caches: &mut [KvCache]) -> Tensor {
-        ShardedPalettizedModel::forward_chunks(self, chunks, caches)
-    }
-    fn forward_chunks_into(
-        &self,
-        view: ChunkView<'_>,
-        caches: &mut [KvCache],
-        arena: &mut ScratchArena,
-    ) -> Vec<f32> {
-        self.parts.forward_chunks_into(view, caches, arena)
-    }
-}
-
-impl<P> DecoderParts<P> {
-    /// Clone everything but the projections, mapping each through `f`
-    /// (how a model is resharded). The result draws from a fresh default
-    /// KV pool.
-    fn map_projections<Q>(&self, f: impl Fn(&P) -> Q) -> DecoderParts<Q> {
-        DecoderParts {
-            config: self.config,
-            embed: self.embed.clone(),
-            layers: self.layers.iter().map(|l| l.map(&f)).collect(),
-            final_norm: self.final_norm.clone(),
-            lm_head: f(&self.lm_head),
-            cos: self.cos.clone(),
-            sin: self.sin.clone(),
-            device: self.device,
-            kv_pool: KvBlockPool::new(
-                KvBlockConfig::default(),
-                self.config.n_layers,
-                self.config.d_model,
-                self.device,
-            ),
-        }
-    }
-
-    fn replace_kv_pool(&mut self, cfg: KvBlockConfig) {
-        self.kv_pool =
-            KvBlockPool::new(cfg, self.config.n_layers, self.config.d_model, self.device);
-    }
-
-    fn new_cache(&self) -> KvCache {
-        KvCache::new(Arc::clone(&self.kv_pool))
     }
 }
 
@@ -1334,54 +788,18 @@ impl ForwardScratch {
     }
 }
 
-impl<P: LutProjection> DecoderParts<P> {
-    fn size_bytes(&self) -> usize {
-        let norms = crate::palettize::native16_size_bytes(
-            self.final_norm.len()
-                + self
-                    .layers
-                    .iter()
-                    .map(|l| l.input_norm.len() + l.post_norm.len())
-                    .sum::<usize>(),
-        );
-        self.embed.size_bytes()
-            + norms
-            + self.lm_head.size_bytes()
-            + self
-                .layers
-                .iter()
-                .map(|l| {
-                    l.projections()
-                        .iter()
-                        .map(|p| p.size_bytes())
-                        .sum::<usize>()
-                })
-                .sum::<usize>()
+impl ServeModel for PalettizedModel {
+    fn config(&self) -> &LlamaConfig {
+        PalettizedModel::config(self)
     }
-
-    /// `Tensor`-returning wrapper over the arena path, for callers outside
-    /// the scheduler loop (parity tests, examples, one-shot prefills).
+    fn kv_pool(&self) -> &Arc<KvBlockPool> {
+        PalettizedModel::kv_pool(self)
+    }
+    fn new_cache(&self) -> KvCache {
+        PalettizedModel::new_cache(self)
+    }
     fn forward_chunks(&self, chunks: &[&[usize]], caches: &mut [KvCache]) -> Tensor {
-        // Flatten the per-chunk refs into the ChunkView descriptor the
-        // arena path consumes (callers off the hot path can afford the
-        // two temporary vecs; the scheduler builds its view from
-        // reusable buffers instead).
-        let mut tokens = Vec::new();
-        let mut ends = Vec::with_capacity(chunks.len());
-        for chunk in chunks {
-            tokens.extend_from_slice(chunk);
-            ends.push(tokens.len());
-        }
-        let n_total = tokens.len();
-        let logits = scratch::with_thread_scratch(|arena| {
-            self.forward_chunks_into(ChunkView::new(&tokens, &ends), caches, arena)
-        });
-        Tensor::from_vec(
-            logits,
-            &[n_total, self.config.vocab],
-            DType::F32,
-            self.device,
-        )
+        PalettizedModel::forward_chunks(self, chunks, caches)
     }
 
     /// The batched decoder forward over raw slices: every temporary comes
@@ -1523,12 +941,8 @@ impl<P: LutProjection> DecoderParts<P> {
         s.put(arena);
         logits
     }
-
-    fn decode_step(&self, tokens: &[usize], caches: &mut [KvCache]) -> Tensor {
-        let chunks: Vec<&[usize]> = tokens.chunks(1).collect();
-        self.forward_chunks(&chunks, caches)
-    }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1877,121 +1291,5 @@ mod tests {
             "pool must see each thread's allocations exactly once"
         );
         assert_eq!(runtime::cpu_live_bytes(), 0, "all buffers must drain");
-    }
-
-    #[test]
-    fn column_sharded_linear_is_bit_identical_to_unsharded() {
-        runtime::reset();
-        let (_w, lin) = palettized_pair(20);
-        let x = Tensor::randn(&[6, 20], DType::F32, Device::Cpu, 21);
-        let want = lin.forward_batch(&x).to_vec();
-        // Uneven shards, and more learners than output rows (empty tails).
-        for learners in [1usize, 2, 4, 5, 13] {
-            let sharded =
-                ShardedPalettizedLinear::column(lin.weights(), LearnerGroup::new(learners));
-            assert_eq!(sharded.partition(), Partition::Column);
-            assert_eq!(sharded.shards().len(), learners);
-            assert_eq!(LutProjection::out_features(&sharded), 12);
-            let got = sharded.forward_batch(&x);
-            assert_eq!(got.shape(), &[6, 12]);
-            assert_eq!(
-                got.to_vec(),
-                want,
-                "{learners} column shards must not change a single bit"
-            );
-        }
-    }
-
-    #[test]
-    fn row_sharded_linear_matches_within_rounding() {
-        runtime::reset();
-        let (_w, lin) = palettized_pair(22);
-        let x = Tensor::randn(&[4, 20], DType::F32, Device::Cpu, 23);
-        let want = lin.forward_batch(&x);
-        for learners in [1usize, 2, 3] {
-            let sharded = ShardedPalettizedLinear::row(lin.weights(), LearnerGroup::new(learners));
-            assert_eq!(sharded.partition(), Partition::Row);
-            let got = sharded.forward_batch(&x);
-            assert_eq!(got.shape(), want.shape());
-            let diff = t::max_abs_diff(&got, &want);
-            assert!(
-                diff < 1e-4,
-                "{learners} row shards drifted past rounding: {diff}"
-            );
-            if learners == 1 {
-                assert_eq!(got.to_vec(), want.to_vec(), "one shard is the identity");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_forward_charges_the_collective_to_the_clock() {
-        runtime::reset();
-        let (_w, lin) = palettized_pair(24);
-        let x = Tensor::randn(&[3, 20], DType::F32, Device::Cpu, 25);
-        let t0 = runtime::sim_seconds();
-        lin.forward_batch(&x);
-        let unsharded_cost = runtime::sim_seconds() - t0;
-        let sharded = ShardedPalettizedLinear::column(lin.weights(), LearnerGroup::new(4));
-        let t1 = runtime::sim_seconds();
-        sharded.forward_batch(&x);
-        let sharded_cost = runtime::sim_seconds() - t1;
-        assert!(
-            sharded_cost > unsharded_cost,
-            "shard GEMM FLOPs plus the all-gather must exceed the \
-             unsharded cost: {sharded_cost} vs {unsharded_cost}"
-        );
-    }
-
-    #[test]
-    fn pool_backed_shards_are_bit_identical_to_unsharded() {
-        runtime::reset();
-        // A GEMM big enough to clear the parallel threshold, forced onto a
-        // persistent ShardWorkers pool: the pool dispatch path must change
-        // nothing — not one bit — relative to the unsharded kernel, and
-        // the shard FLOPs must land on the caller's clock.
-        let w = Tensor::randn(&[256, 256], DType::Bf16, Device::Cpu, 50).map(|v| v * 0.05);
-        let dkm = crate::dkm::DkmLayer::new(DkmConfig::with_bits(3));
-        let lin = PalettizedLinear::new(dkm.palettize(&w));
-        let x = Tensor::randn(&[8, 256], DType::F32, Device::Cpu, 51);
-        let want = lin.forward_batch(&x).to_vec();
-        for learners in [2usize, 4] {
-            let pooled =
-                ShardedPalettizedLinear::column(lin.weights(), LearnerGroup::new(learners))
-                    .with_pool(edkm_dist::ShardWorkers::new(learners));
-            let t0 = runtime::sim_seconds();
-            let got = pooled.forward_batch(&x);
-            assert!(
-                runtime::sim_seconds() > t0,
-                "pool jobs must charge the caller's runtime"
-            );
-            assert_eq!(
-                got.to_vec(),
-                want,
-                "{learners} pool-backed shards must not change a single bit"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_model_shares_the_generation_stack() {
-        runtime::reset();
-        let dense = tiny_bf16_model();
-        let spec = CompressSpec::with_bits(3);
-        let base = PalettizedModel::from_dense(&dense, &spec).unwrap();
-        let sharded = base.shard(LearnerGroup::new(2));
-        assert_eq!(sharded.group().n_learners(), 2);
-        assert!(
-            sharded.size_bytes() > base.size_bytes(),
-            "each learner carries a full LUT copy"
-        );
-        // Same logits through the ServeModel surface.
-        let ids = [1usize, 4, 2];
-        let mut c0 = base.new_cache();
-        let mut c1 = sharded.new_cache();
-        let a = base.prefill(&ids, &mut c0);
-        let b = sharded.prefill(&ids, &mut c1);
-        assert_eq!(a.to_vec(), b.to_vec(), "sharded logits are bit-identical");
-        assert_eq!(c0.len(), c1.len());
     }
 }

@@ -146,10 +146,9 @@ impl PalettizedTensor {
         }
     }
 
-    /// Rebuild a palettized tensor from an explicit LUT and *unpacked*
-    /// indices — how tensor-parallel serving carves one palette into
-    /// per-shard artifacts (each shard keeps the full LUT and packs only
-    /// its own index rows).
+    /// Build a palettized tensor from an explicit LUT and *unpacked*
+    /// indices, packing the indices at `bits` — a palette with chosen
+    /// indices, as the kernel tests construct.
     ///
     /// # Panics
     ///

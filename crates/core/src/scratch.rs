@@ -158,13 +158,12 @@ thread_local! {
 }
 
 /// Run `f` with this thread's long-lived [`ScratchArena`] — what the
-/// `Tensor`-returning compatibility wrappers (and shard worker threads) use
-/// so that even callers without an explicit arena recycle their scratch.
+/// `Tensor`-returning compatibility wrappers use so that even callers
+/// without an explicit arena recycle their scratch.
 ///
 /// Re-entrant: the arena is moved out of the thread slot for `f`'s
-/// duration, so a nested call (e.g. a sharded projection running its shard
-/// GEMMs inline on the calling thread) gets a fresh arena, and both merge
-/// back on exit.
+/// duration, so a nested call gets a fresh arena, and both merge back on
+/// exit.
 pub fn with_thread_scratch<R>(f: impl FnOnce(&mut ScratchArena) -> R) -> R {
     let mut arena = THREAD_SCRATCH.with(|a| std::mem::take(&mut *a.borrow_mut()));
     let out = f(&mut arena);

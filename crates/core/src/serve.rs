@@ -148,9 +148,11 @@ pub fn sample_token(row: &[f32], sampling: &SamplingConfig, rng: &mut StdRng) ->
         // The top_k-th largest value is the cut. Everything strictly above
         // it always survives; values *equal* to the cut fill the remaining
         // budget in index order (so ties straddling the cut can never push
-        // out a strictly larger logit).
+        // out a strictly larger logit). `total_cmp` sorts a NaN logit
+        // without panicking; the IEEE `>`/`==` tests below never keep it
+        // (a NaN cut drops every token and the draw falls back to 0).
         let mut sorted = scaled.clone();
-        sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite logits"));
+        sorted.sort_by(|a, b| b.total_cmp(a));
         let cut = sorted[sampling.top_k - 1];
         let above = scaled.iter().filter(|&&v| v > cut).count();
         let mut tie_budget = sampling.top_k - above;
@@ -187,8 +189,8 @@ pub fn sample_token(row: &[f32], sampling: &SamplingConfig, rng: &mut StdRng) ->
     last // rounding fell off the end: return the last viable token
 }
 
-/// KV-cached autoregressive generation over any [`ServeModel`]
-/// (a [`PalettizedModel`] or its tensor-parallel sharded counterpart).
+/// KV-cached autoregressive generation over a [`ServeModel`]
+/// (a [`PalettizedModel`] unless a wrapper stands in for it).
 ///
 /// ```
 /// use edkm_core::{CompressSpec, Generator, PalettizedModel};
@@ -1356,6 +1358,20 @@ mod tests {
             saw_argmax |= tok == 2;
         }
         assert!(saw_argmax, "the argmax must be sampleable");
+    }
+
+    #[test]
+    fn top_k_row_with_a_nan_still_returns_an_in_range_token() {
+        // A NaN logit must not panic the sort that finds the cut (one
+        // panicking step would take the engine worker down with it).
+        let row = [1.0f32, f32::NAN, 3.0, 2.0];
+        for top_k in 1..row.len() {
+            let s = SamplingConfig::with_top_k(1.0, top_k, 5);
+            let mut rng = StdRng::seed_from_u64(top_k as u64);
+            for _ in 0..20 {
+                assert!(sample_token(&row, &s, &mut rng) < row.len());
+            }
+        }
     }
 
     #[test]

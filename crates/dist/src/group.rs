@@ -81,39 +81,6 @@ impl LearnerGroup {
         out
     }
 
-    /// Element-wise sum of one equal-length buffer per learner (rank
-    /// order), charging the ring all-reduce to the simulated clock — the
-    /// combine step of row-parallel sharded GEMMs, where each learner holds
-    /// a partial product over its input columns.
-    ///
-    /// The modeled cost is that of gathering every learner's full buffer
-    /// (`(L-1)` ring steps); single-learner groups reduce for free. The sum
-    /// runs in ascending rank order, so the result is deterministic for a
-    /// given shard layout (but, like any float all-reduce, not bit-equal to
-    /// an unsharded accumulation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts.len() != n_learners()` or the buffers differ in
-    /// length.
-    pub fn all_reduce_sum(&self, parts: &[Vec<f32>]) -> Vec<f32> {
-        assert_eq!(
-            parts.len(),
-            self.n,
-            "all_reduce_sum expects one buffer per learner"
-        );
-        let len = parts[0].len();
-        runtime::record_all_gather(len * std::mem::size_of::<f32>(), self.n);
-        let mut out = parts[0].clone();
-        for part in &parts[1..] {
-            assert_eq!(part.len(), len, "all_reduce_sum buffers must match");
-            for (o, &p) in out.iter_mut().zip(part) {
-                *o += p;
-            }
-        }
-        out
-    }
-
     /// Replicate `data` from the root learner to every learner, returning
     /// one copy per rank (rank order). The ring broadcast costs the same
     /// `(L-1)` full-buffer hops an all-gather of the whole payload would.
@@ -278,28 +245,6 @@ mod tests {
     fn all_gather_wrong_shard_count_panics() {
         runtime::reset();
         LearnerGroup::new(2).all_gather(&[vec![1u8]]);
-    }
-
-    #[test]
-    fn all_reduce_sums_in_rank_order_and_costs_time() {
-        runtime::reset();
-        let g = LearnerGroup::new(3);
-        let t0 = runtime::sim_seconds();
-        let out = g.all_reduce_sum(&[vec![1.0, 2.0], vec![10.0, 20.0], vec![100.0, 200.0]]);
-        assert_eq!(out, vec![111.0, 222.0]);
-        assert!(runtime::sim_seconds() > t0, "all-reduce must cost time");
-        // Single learner: identity, free.
-        runtime::reset();
-        let solo = LearnerGroup::new(1).all_reduce_sum(&[vec![3.5]]);
-        assert_eq!(solo, vec![3.5]);
-        assert_eq!(runtime::sim_seconds(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "one buffer per learner")]
-    fn all_reduce_wrong_part_count_panics() {
-        runtime::reset();
-        LearnerGroup::new(2).all_reduce_sum(&[vec![1.0]]);
     }
 
     #[test]

@@ -22,13 +22,15 @@
 //! Devices are simulated (see `edkm-tensor`), so "remote" learners are plain
 //! host memory that is *not* charged to this learner's pool — exactly the
 //! accounting Table 2's per-learner memory column needs.
+//!
+//! The group is train-time only: `edkm-core`'s sharded store pays its
+//! index-list all-gathers through [`LearnerGroup::all_gather`], while the
+//! serving engine runs every model on one learner.
 
 #![warn(missing_docs)]
 
 pub mod group;
 pub mod trainer;
-pub mod workers;
 
 pub use group::{LearnerGroup, ShardSpec};
 pub use trainer::DataParallelTrainer;
-pub use workers::ShardWorkers;

@@ -40,6 +40,7 @@ fn unknown_flags_exit_2_with_the_flag_and_usage() {
         (&["serve", "--profile"][..], "--profile"),
         (&["serve", "--new", "4", "--reqests", "2"][..], "--reqests"),
         (&["serve", "--affinity=yes"][..], "--affinity"),
+        (&["serve", "--shards", "2"][..], "--shards"),
         (&["bench", "workload", "--new", "4"][..], "--new"),
     ] {
         assert_usage_error(args, flag);
