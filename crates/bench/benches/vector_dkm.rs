@@ -48,10 +48,10 @@ fn bench_block_uniquify(c: &mut Criterion) {
             .collect();
         group.throughput(Throughput::Elements((nblocks * k) as u64));
         group.bench_with_input(BenchmarkId::new("uniquify_wide", dim), &dim, |b, _| {
-            b.iter(|| black_box(uniquify::uniquify_wide(&dense, keys.keys(), k)));
+            b.iter(|| black_box(uniquify::uniquify_wide(&dense, &keys, k)));
         });
         group.bench_with_input(BenchmarkId::new("reconstruct_wide", dim), &dim, |b, _| {
-            let (table, index, _) = uniquify::uniquify_wide(&dense, keys.keys(), k);
+            let (table, index, _) = uniquify::uniquify_wide(&dense, &keys, k);
             b.iter(|| black_box(uniquify::reconstruct_wide(&table, &index, k)));
         });
     }

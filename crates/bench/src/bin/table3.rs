@@ -11,7 +11,8 @@
 //! 3. evaluate every model on Syn-{PIQA, HellaSwag, Winogrande, ARC-e,
 //!    ARC-c, TriviaQA, MMLU} and report accuracy + serialized size.
 //!
-//! Run with `cargo run --release -p edkm-bench --bin table3 [pretrain_steps]`.
+//! Run with `cargo run --release -p edkm-bench --bin table3 [pretrain_steps]`;
+//! an unparsable or extra argument exits 2.
 
 use edkm_core::{CompressSpec, CompressionPipeline, EdkmConfig};
 use edkm_data::{AlpacaSet, Corpus, Grammar, TaskSuite};
@@ -58,11 +59,26 @@ fn train_cfg(lr: f32, total: u64) -> TrainConfig {
     }
 }
 
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\nusage: table3 [pretrain_steps]   (default 1500)");
+    std::process::exit(2);
+}
+
+/// Pretraining steps from the command line.
+fn parse_args() -> usize {
+    let mut args = std::env::args().skip(1);
+    let steps = args.next().map_or(1500, |a| {
+        a.parse()
+            .unwrap_or_else(|_| usage_error(&format!("bad pretrain_steps {a:?}")))
+    });
+    if let Some(extra) = args.next() {
+        usage_error(&format!("unexpected argument {extra:?}"));
+    }
+    steps
+}
+
 fn main() {
-    let pretrain_steps: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(1500);
+    let pretrain_steps = parse_args();
     let t0 = std::time::Instant::now();
     let cfg = model_config();
     let grammar = Grammar::default_with_seed(0);

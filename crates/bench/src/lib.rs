@@ -9,38 +9,17 @@
 //! * `table1` — GPU/CPU footprint of the Table 1 move sequence, with and
 //!   without marshaling.
 //! * `table2` — the M/U/S ablation (memory, reduction factor, simulated
-//!   runtime) on one DKM-clustered attention layer.
+//!   runtime) on one DKM-clustered attention layer; exits 1 if the paper's
+//!   memory ordering fails.
 //! * `table3` — accuracy of FP16 / RTN / GPTQ / AWQ / LLM-QAT / eDKM
 //!   compressed models on the Syn-benchmark suite, plus model sizes.
 //! * `figures` — the worked examples of Figs. 1–3 (attention-map geometry,
 //!   marshaling walk, uniquification decomposition) and the extension
 //!   sweeps (hop limit, learner count, bit width).
 
-use edkm_core::AblationRow;
-
 /// Format a byte count in MB with two decimals.
 pub fn mb(bytes: usize) -> String {
     format!("{:.2}", bytes as f64 / (1024.0 * 1024.0))
-}
-
-/// Render ablation rows exactly like the paper's Table 2 layout.
-pub fn paper_table2(rows: &[AblationRow]) -> String {
-    let base = rows.first().map(|r| r.peak_cpu_bytes).unwrap_or(1) as f64;
-    let mut s = String::new();
-    s.push_str("  M  S  U   Memory(MB)  Reduction(x)  Runtime(sim s)\n");
-    for r in rows {
-        let t = |b: bool| if b { "✓" } else { "·" };
-        s.push_str(&format!(
-            "  {}  {}  {}   {:>9}   {:>10.1}   {:>12.3}\n",
-            t(r.config.marshal),
-            t(r.config.shard),
-            t(r.config.uniquify),
-            mb(r.peak_cpu_bytes),
-            base / r.peak_cpu_bytes.max(1) as f64,
-            r.sim_seconds
-        ));
-    }
-    s
 }
 
 #[cfg(test)]

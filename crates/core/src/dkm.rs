@@ -7,23 +7,41 @@
 //! runs differentiably so the task loss shapes the clustering through the
 //! attention map. The clustered weight is `Ŵ = A·C*`.
 //!
-//! When the source weights are 16-bit and clustering is scalar, the layer
+//! A weight row's attention row depends only on its bits, so distances and
+//! softmaxes run once per distinct row (`uniquify::DistinctRows`): per 16-bit
+//! pattern (or block of ≤ 4 patterns) when the weights are 16-bit, per row
+//! otherwise. The centroid sums still visit every weight, in the dense
+//! loop's order, so the result is bit-identical to clustering every row
+//! (DESIGN.md §4). When the source weights are 16-bit, the layer also
 //! annotates the attention map with the weights' bit patterns so the eDKM
 //! hooks can uniquify it (Section 2.2).
 
 use crate::palettize::{GroupedPalettized, PalettizedTensor};
-use crate::uniquify::{self, RowKeys};
-use edkm_autograd::{no_grad, save_tensor, Var};
-use edkm_tensor::{ops as t, DType, Tensor};
+use crate::uniquify::{self, DistinctRows, RowKeys};
+use edkm_autograd::{save_tensor, Var};
+use edkm_tensor::{ops as t, runtime, DType, Device, Tensor};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Softmax over the last axis whose output storage is annotated with weight
-/// bit patterns *before* it is saved for backward — so the saved-tensor
-/// hooks can uniquify the attention map (the save happens inside this op).
-fn softmax_annotated(x: &Var, keys: Option<RowKeys>) -> Var {
-    let value = t::softmax_lastdim(x.value());
+/// Softmax over the last axis, computed on the distinct rows of `x` and
+/// expanded back to every row, whose output storage is annotated with
+/// weight bit patterns *before* it is saved for backward — so the
+/// saved-tensor hooks can uniquify the attention map (the save happens
+/// inside this op).
+fn softmax_annotated(x: &Var, rows: &DistinctRows, keys: Option<Arc<RowKeys>>) -> Var {
+    let logits = x.value();
+    let (k, device) = (*logits.shape().last().expect("rank >= 1"), logits.device());
+    let distinct = logits.with_data(|l| rows.gather(l, k));
+    let table = t::softmax_lastdim(&Tensor::from_vec(
+        distinct,
+        &[rows.len(), k],
+        DType::F32,
+        device,
+    ));
+    let expanded = table.with_data(|a| uniquify::reconstruct_wide(a, rows.index(), k));
+    let value = Tensor::from_vec(expanded, logits.shape(), DType::F32, device);
     if let Some(keys) = keys {
-        uniquify::annotate(value.storage_id(), Arc::new(keys));
+        uniquify::annotate(value.storage_id(), keys);
     }
     let saved = vec![save_tensor(&value)];
     Var::custom(
@@ -42,6 +60,43 @@ fn softmax_annotated(x: &Var, keys: Option<RowKeys>) -> Var {
             vec![Some(dx.reshape(s[0].shape()))]
         }),
     )
+}
+
+/// One Lloyd centroid update from the `[u, k]` attention rows `a` of the
+/// distinct rows: `C[j] = Σ_p A[index[p], j]·W[p] / (Σ_p A[index[p], j] +
+/// 1e-8)` over the `n` weight rows `w` (`[n, d]`, row-major).
+///
+/// One pass over the weights in `p` order, adding into `k` independent
+/// lanes per sum: each lane sees the same additions in the same order as
+/// the dense `matmul(Aᵀ, W)` and `sum_axis(A, 0)` over the `[n, k]` map,
+/// so the centroids are bit-identical to them.
+fn centroid_update(a: &Tensor, index: &[u32], w: &[f32], d: usize, device: Device) -> Tensor {
+    let k = a.shape()[1];
+    let n = index.len();
+    // Component-major `[d, k]` sums, so each component's k lanes are
+    // contiguous.
+    let mut num = vec![0.0f32; d * k];
+    let mut den = vec![0.0f32; k];
+    a.with_data(|a| {
+        for (&r, w_row) in index.iter().zip(w.chunks_exact(d)) {
+            let a_row = &a[r as usize * k..][..k];
+            for (s, &av) in den.iter_mut().zip(a_row) {
+                *s += av;
+            }
+            for (lanes, &wv) in num.chunks_exact_mut(k).zip(w_row) {
+                for (s, &av) in lanes.iter_mut().zip(a_row) {
+                    *s += av * wv;
+                }
+            }
+        }
+    });
+    let mut c = Vec::with_capacity(k * d);
+    for (j, &s) in den.iter().enumerate() {
+        c.extend((0..d).map(|comp| num[comp * k + j] / (s + 1e-8)));
+    }
+    // The dense matmul and column sum's work.
+    runtime::record_compute(((2 * d + 1) * n * k) as f64, device);
+    Tensor::from_vec(c, &[k, d], DType::F32, device)
 }
 
 /// Centroid initialization strategy.
@@ -159,64 +214,99 @@ impl DkmLayer {
         &self.config
     }
 
-    /// Centroid init per the configured [`DkmInit`] strategy.
-    fn init_centroids(&self, w: &Tensor) -> Tensor {
+    /// Centroid init per the configured [`DkmInit`] strategy: `[k, d]`,
+    /// row-major. `w` holds the `n` weight rows and `distinct` the `u`
+    /// distinct rows that `rows` numbers; every strategy picks the
+    /// centroids, bit for bit, that it would pick scanning all `n` rows.
+    fn init_centroids(&self, w: &[f32], distinct: &[f32], rows: &DistinctRows) -> Vec<f32> {
         let d = self.config.cluster_dim;
         let k = self.config.k();
-        let data = w.to_vec();
-        let n = data.len() / d;
-        let c: Vec<f32> = match self.config.init {
+        let n = rows.index().len();
+        let u = rows.len();
+        fn row(data: &[f32], d: usize, i: usize) -> &[f32] {
+            &data[i * d..(i + 1) * d]
+        }
+        match self.config.init {
             DkmInit::Quantile => {
-                // Sort row indices by first component; sample quantile
-                // midpoints.
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by(|&a, &b| {
-                    data[a * d]
-                        .partial_cmp(&data[b * d])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
+                // Quantile midpoints of the rows sorted by first component,
+                // ties in row order: walk the distinct rows sorted the same
+                // way, each standing for its count of rows.
+                let cmp = |a: f32, b: f32| a.partial_cmp(&b).unwrap_or(Ordering::Equal);
+                let mut count = vec![0usize; u];
+                for &r in rows.index() {
+                    count[r as usize] += 1;
+                }
+                let key = |r: usize| distinct[r * d];
+                let mut order: Vec<usize> = (0..u).collect();
+                order.sort_by(|&a, &b| cmp(key(a), key(b)));
+                // order[s] covers sorted positions start..start + count.
+                let (mut s, mut start) = (0, 0);
                 let mut c = Vec::with_capacity(k * d);
                 for j in 0..k {
-                    let pos = (((j as f64 + 0.5) / k as f64) * n as f64) as usize;
-                    let row = order[pos.min(n - 1)];
-                    c.extend_from_slice(&data[row * d..(row + 1) * d]);
+                    let pos = ((((j as f64 + 0.5) / k as f64) * n as f64) as usize).min(n - 1);
+                    while start + count[order[s]] <= pos {
+                        start += count[order[s]];
+                        s += 1;
+                    }
+                    let v = key(order[s]);
+                    let tied = |t: usize| cmp(key(order[t]), v) == Ordering::Equal;
+                    let (mut lo, mut below) = (s, start);
+                    while lo > 0 && tied(lo - 1) {
+                        lo -= 1;
+                        below -= count[order[lo]];
+                    }
+                    if lo == s && (s + 1 == u || !tied(s + 1)) {
+                        c.extend_from_slice(row(distinct, d, order[s]));
+                    } else {
+                        // Distinct rows that tie (±0, or blocks sharing a
+                        // first component) interleave in row order.
+                        let i = (0..n)
+                            .filter(|&i| cmp(w[i * d], v) == Ordering::Equal)
+                            .nth(pos - below)
+                            .expect("the tie holds the quantile position");
+                        c.extend_from_slice(row(w, d, i));
+                    }
                 }
                 c
             }
             DkmInit::KmeansPlusPlus { seed } => {
                 // Greedy farthest-point: start from a seeded row, then pick
-                // the row with maximal distance to its nearest centroid.
-                let mut c: Vec<f32> = Vec::with_capacity(k * d);
-                let first = (seed as usize) % n;
-                c.extend_from_slice(&data[first * d..(first + 1) * d]);
-                let mut nearest = vec![f32::INFINITY; n];
+                // the first row with maximal distance to its nearest
+                // centroid. Equal rows have equal distances, so the first
+                // such distinct row is the first such row.
+                let mut c = row(w, d, (seed as usize) % n).to_vec();
+                let mut nearest = vec![f32::INFINITY; u];
                 for _ in 1..k {
                     let last = &c[c.len() - d..];
                     let mut best = 0usize;
                     let mut best_d = -1.0f32;
-                    for i in 0..n {
-                        let row = &data[i * d..(i + 1) * d];
-                        let dist: f32 =
-                            row.iter().zip(last).map(|(&a, &b)| (a - b) * (a - b)).sum();
-                        if dist < nearest[i] {
-                            nearest[i] = dist;
+                    for (r, near) in nearest.iter_mut().enumerate() {
+                        let dist: f32 = row(distinct, d, r)
+                            .iter()
+                            .zip(last)
+                            .map(|(&a, &b)| (a - b) * (a - b))
+                            .sum();
+                        if dist < *near {
+                            *near = dist;
                         }
-                        if nearest[i] > best_d {
-                            best_d = nearest[i];
-                            best = i;
+                        if *near > best_d {
+                            best_d = *near;
+                            best = r;
                         }
                     }
-                    c.extend_from_slice(&data[best * d..(best + 1) * d]);
+                    c.extend_from_slice(row(distinct, d, best));
                 }
                 c
             }
             DkmInit::UniformRange => {
-                // Per component: k evenly spaced values over [min, max].
+                // Per component: k evenly spaced values over [min, max] of
+                // every row (`f32::min` may keep either zero of a ±0 pair,
+                // so the scan keeps the rows' order).
                 let mut c = vec![0.0f32; k * d];
                 for comp in 0..d {
                     let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
                     for i in 0..n {
-                        let v = data[i * d + comp];
+                        let v = w[i * d + comp];
                         lo = lo.min(v);
                         hi = hi.max(v);
                     }
@@ -227,13 +317,11 @@ impl DkmLayer {
                 }
                 c
             }
-        };
-        Tensor::from_vec(c, &[k, d], DType::F32, w.device())
+        }
     }
 
     /// Attention sharpness: 1 / (τ · var(w)), detached.
-    fn logit_scale(&self, w: &Tensor) -> f32 {
-        let data = w.to_vec();
+    fn logit_scale(&self, data: &[f32]) -> f32 {
         let n = data.len().max(1) as f32;
         let mean: f32 = data.iter().sum::<f32>() / n;
         let var: f32 = data.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
@@ -259,45 +347,51 @@ impl DkmLayer {
         let k = self.config.k();
 
         let w2 = w.reshape(&[n, d]);
-        let wt = w2.value().clone();
-        let scale = self.logit_scale(&wt);
+        let device = w2.value().device();
+        let dtype = w2.value().dtype();
+        let data = w2.value().to_vec();
+        let scale = self.logit_scale(&data);
+
+        // Rows keyed by their bit patterns (16-bit weights, blocks of ≤ 4)
+        // collapse to their distinct rows; other rows are all distinct.
+        let keys = (d <= uniquify::MAX_KEY_DIM && dtype.is_16bit()).then(|| {
+            let patterns: Vec<u16> = data.iter().filter_map(|&v| dtype.encode16(v)).collect();
+            Arc::new(RowKeys::blocks(&patterns, d))
+        });
+        let rows = keys
+            .as_deref()
+            .map_or_else(|| DistinctRows::identity(n), DistinctRows::of);
+        let distinct_data = rows.gather(&data, d);
+        let mut c = Tensor::from_vec(
+            self.init_centroids(&data, &distinct_data, &rows),
+            &[k, d],
+            DType::F32,
+            device,
+        );
+        let distinct = Tensor::from_vec(distinct_data, &[rows.len(), d], DType::F32, device);
 
         // Lloyd iterations, detached (the reference DKM detaches all but the
-        // final iteration).
-        let mut c = self.init_centroids(&wt);
+        // final iteration): distances and softmax per distinct row.
         let mut iterations_run = 0;
-        {
-            let _ng = no_grad();
-            for _ in 0..self.config.iters.saturating_sub(1) {
-                let logits = t::mul_scalar(&t::neg_sqdist(&wt, &c), scale);
-                let a = t::softmax_lastdim(&logits);
-                let num = t::matmul(&a.t(), &wt); // [k, d]
-                let den = t::add_scalar(&t::sum_axis(&a, 0).reshape(&[k, 1]), 1e-8);
-                let c_new = t::div(&num, &den);
-                let moved = t::max_abs_diff(&c_new, &c);
-                c = c_new;
-                iterations_run += 1;
-                if moved < self.config.tol {
-                    break;
-                }
+        for _ in 0..self.config.iters.saturating_sub(1) {
+            let logits = t::mul_scalar(&t::neg_sqdist(&distinct, &c), scale);
+            let a = t::softmax_lastdim(&logits);
+            let c_new = centroid_update(&a, rows.index(), &data, d, device);
+            let moved = t::max_abs_diff(&c_new, &c);
+            c = c_new;
+            iterations_run += 1;
+            if moved < self.config.tol {
+                break;
             }
         }
 
         // Final differentiable iteration: attention map + centroid update +
         // soft assignment, all on the tape. The attention map is annotated
-        // with the weights' bit patterns (when 16-bit, scalar) so the hooks
-        // can uniquify every save of it.
+        // with the weights' bit patterns (when 16-bit, blocks of ≤ 4) so
+        // the hooks can uniquify every save of it.
         let c_const = Var::constant(c);
         let logits = w2.neg_sqdist(&c_const).mul_scalar(scale);
-        let keys = if d <= uniquify::MAX_KEY_DIM && w.value().dtype().is_16bit() {
-            w2.value()
-                .bits16()
-                .ok()
-                .map(|patterns| RowKeys::blocks(&patterns, d))
-        } else {
-            None
-        };
-        let a = softmax_annotated(&logits, keys); // the big [n, k] attention map
+        let a = softmax_annotated(&logits, &rows, keys); // the big [n, k] attention map
 
         let num = a.t().matmul(&w2); // [k, d] — saves Aᵀ (a view of A)
         let den = a.sum_axis(0).reshape(&[k, 1]).add_scalar(1e-8);
@@ -360,6 +454,220 @@ mod tests {
 
     fn layer(bits: u8) -> DkmLayer {
         DkmLayer::new(DkmConfig::with_bits(bits))
+    }
+
+    /// The dense initialisation `init_centroids` replaced: scans, sorts and
+    /// picks among all `n` rows.
+    fn init_dense(config: &DkmConfig, data: &[f32]) -> Vec<f32> {
+        let d = config.cluster_dim;
+        let k = config.k();
+        let n = data.len() / d;
+        match config.init {
+            DkmInit::Quantile => {
+                let mut order: Vec<usize> = (0..n).collect();
+                order.sort_by(|&a, &b| {
+                    data[a * d]
+                        .partial_cmp(&data[b * d])
+                        .unwrap_or(Ordering::Equal)
+                });
+                let mut c = Vec::with_capacity(k * d);
+                for j in 0..k {
+                    let pos = (((j as f64 + 0.5) / k as f64) * n as f64) as usize;
+                    let row = order[pos.min(n - 1)];
+                    c.extend_from_slice(&data[row * d..(row + 1) * d]);
+                }
+                c
+            }
+            DkmInit::KmeansPlusPlus { seed } => {
+                let mut c: Vec<f32> = Vec::with_capacity(k * d);
+                let first = (seed as usize) % n;
+                c.extend_from_slice(&data[first * d..(first + 1) * d]);
+                let mut nearest = vec![f32::INFINITY; n];
+                for _ in 1..k {
+                    let last = &c[c.len() - d..];
+                    let mut best = 0usize;
+                    let mut best_d = -1.0f32;
+                    for i in 0..n {
+                        let row = &data[i * d..(i + 1) * d];
+                        let dist: f32 =
+                            row.iter().zip(last).map(|(&a, &b)| (a - b) * (a - b)).sum();
+                        if dist < nearest[i] {
+                            nearest[i] = dist;
+                        }
+                        if nearest[i] > best_d {
+                            best_d = nearest[i];
+                            best = i;
+                        }
+                    }
+                    c.extend_from_slice(&data[best * d..(best + 1) * d]);
+                }
+                c
+            }
+            DkmInit::UniformRange => {
+                let mut c = vec![0.0f32; k * d];
+                for comp in 0..d {
+                    let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+                    for i in 0..n {
+                        let v = data[i * d + comp];
+                        lo = lo.min(v);
+                        hi = hi.max(v);
+                    }
+                    for j in 0..k {
+                        let t = (j as f32 + 0.5) / k as f32;
+                        c[j * d + comp] = lo + t * (hi - lo);
+                    }
+                }
+                c
+            }
+        }
+    }
+
+    /// The dense loop `DkmLayer::cluster` replaced: every Lloyd iteration
+    /// builds the `[n, k]` map and sums it with `matmul(Aᵀ, W)` and
+    /// `sum_axis(A, 0)`, and the differentiable softmax treats every row as
+    /// distinct. The oracle the distinct-row loop must match bit for bit.
+    fn cluster_dense(layer: &DkmLayer, w: &Var) -> DkmOutput {
+        let config = layer.config;
+        let shape = w.value().shape().to_vec();
+        let d = config.cluster_dim;
+        let n = w.value().numel() / d;
+        let k = config.k();
+        let w2 = w.reshape(&[n, d]);
+        let wt = w2.value().clone();
+        let data = wt.to_vec();
+        let scale = layer.logit_scale(&data);
+        let mut c = Tensor::from_vec(init_dense(&config, &data), &[k, d], DType::F32, wt.device());
+        let mut iterations_run = 0;
+        for _ in 0..config.iters.saturating_sub(1) {
+            let logits = t::mul_scalar(&t::neg_sqdist(&wt, &c), scale);
+            let a = t::softmax_lastdim(&logits);
+            let num = t::matmul(&a.t(), &wt);
+            let den = t::add_scalar(&t::sum_axis(&a, 0).reshape(&[k, 1]), 1e-8);
+            let c_new = t::div(&num, &den);
+            let moved = t::max_abs_diff(&c_new, &c);
+            c = c_new;
+            iterations_run += 1;
+            if moved < config.tol {
+                break;
+            }
+        }
+        let c_const = Var::constant(c);
+        let logits = w2.neg_sqdist(&c_const).mul_scalar(scale);
+        let keys = (d <= uniquify::MAX_KEY_DIM && wt.dtype().is_16bit())
+            .then(|| Arc::new(RowKeys::blocks(&wt.bits16().unwrap(), d)));
+        let a = softmax_annotated(&logits, &DistinctRows::identity(n), keys);
+        let num = a.t().matmul(&w2);
+        let den = a.sum_axis(0).reshape(&[k, 1]).add_scalar(1e-8);
+        let c_star = num.div(&den);
+        let soft = a.matmul(&c_star).reshape(&shape);
+        DkmOutput {
+            centroids: c_star.value().clone(),
+            soft,
+            iterations_run,
+        }
+    }
+
+    fn bits_of(t: &Tensor) -> Vec<u32> {
+        t.to_vec().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Everything one clustering run yields: centroid, soft-value and
+    /// weight-gradient bits, iterations run, and the hook counters.
+    type Run = (
+        Vec<u32>,
+        Vec<u32>,
+        usize,
+        Vec<u32>,
+        Option<crate::hooks::HookStatsSnapshot>,
+    );
+
+    fn run_cluster(
+        cluster: fn(&DkmLayer, &Var) -> DkmOutput,
+        lay: &DkmLayer,
+        w: &Tensor,
+        hooked: bool,
+    ) -> Run {
+        use crate::hooks::{EdkmConfig, EdkmHooks};
+        use edkm_autograd::{push_hooks, SavedTensorHooks};
+        runtime::reset();
+        uniquify::clear_annotations();
+        let probe = Tensor::randn(w.shape(), DType::F32, w.device(), 99);
+        let hooks = Arc::new(EdkmHooks::new(EdkmConfig::full(4)));
+        let guard = hooked.then(|| push_hooks(Arc::clone(&hooks) as Arc<dyn SavedTensorHooks>));
+        let wv = Var::param(w.clone());
+        let out = cluster(lay, &wv);
+        out.soft.mul(&Var::constant(probe)).sum_all().backward();
+        drop(guard);
+        uniquify::clear_annotations();
+        (
+            bits_of(&out.centroids),
+            bits_of(out.soft.value()),
+            out.iterations_run,
+            bits_of(&wv.grad().expect("weights receive gradients")),
+            hooked.then(|| hooks.stats()),
+        )
+    }
+
+    /// 120 weights (whole blocks for cluster_dim 1, 2, 4 and 5) per input
+    /// family: seeded normal, heavily repeated values, ±0 among repeats,
+    /// all equal.
+    fn oracle_inputs(dtype: DType) -> Vec<(&'static str, Tensor)> {
+        let n = 120;
+        let device = Device::gpu();
+        let normal = Tensor::randn(&[12, 10], dtype, device, 31).map(|v| v * 0.02);
+        let repeated: Vec<f32> = (0..n)
+            .map(|i| [-0.03, 0.01, 0.02, 0.01, 0.05][(i * 7) % 5])
+            .collect();
+        let signed_zeros: Vec<f32> = (0..n)
+            .map(|i| [0.0, -0.0, 0.015, -0.0, 0.0, -0.02, 0.0][(i * 3) % 7])
+            .collect();
+        vec![
+            ("normal", normal),
+            (
+                "repeated",
+                Tensor::from_vec(repeated, &[12, 10], dtype, device),
+            ),
+            (
+                "signed zeros",
+                Tensor::from_vec(signed_zeros, &[12, 10], dtype, device),
+            ),
+            ("all equal", Tensor::full(0.5, &[12, 10], dtype, device)),
+        ]
+    }
+
+    #[test]
+    fn distinct_row_loop_matches_dense_oracle_bit_for_bit() {
+        for dtype in [DType::Bf16, DType::F16, DType::F32] {
+            for (family, w) in oracle_inputs(dtype) {
+                for cluster_dim in [1, 2, 4, 5] {
+                    for bits in 1..=4 {
+                        for iters in [1, 2, 8] {
+                            for init in [
+                                DkmInit::Quantile,
+                                DkmInit::KmeansPlusPlus { seed: 3 },
+                                DkmInit::UniformRange,
+                            ] {
+                                let lay = DkmLayer::new(DkmConfig {
+                                    iters,
+                                    init,
+                                    ..DkmConfig::with_vector(bits, cluster_dim)
+                                });
+                                for hooked in [false, true] {
+                                    let got = run_cluster(DkmLayer::cluster, &lay, &w, hooked);
+                                    let want = run_cluster(cluster_dense, &lay, &w, hooked);
+                                    assert!(
+                                        got == want,
+                                        "{dtype} {family}, dim {cluster_dim}, {bits} bits, \
+                                         {iters} iters, {init:?}, hooked {hooked}: \
+                                         distinct-row clustering differs from the dense loop"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -468,14 +776,15 @@ mod tests {
         let x = Tensor::randn(&[6, 4], DType::F32, Device::Cpu, 9);
         let weight = Tensor::randn(&[6, 4], DType::F32, Device::Cpu, 10);
         // Values equal.
-        let a = super::softmax_annotated(&Var::constant(x.clone()), None);
+        let a =
+            super::softmax_annotated(&Var::constant(x.clone()), &DistinctRows::identity(6), None);
         let b = Var::constant(x.clone()).softmax_lastdim();
         assert!(t::allclose(a.value(), b.value(), 1e-7));
         // Gradients equal.
         let grad_of = |annotated: bool| -> Vec<f32> {
             let v = Var::param(x.clone());
             let s = if annotated {
-                super::softmax_annotated(&v, None)
+                super::softmax_annotated(&v, &DistinctRows::identity(6), None)
             } else {
                 v.softmax_lastdim()
             };

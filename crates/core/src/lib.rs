@@ -56,7 +56,9 @@ pub mod serve;
 pub mod store;
 pub mod uniquify;
 
-pub use ablation::{render_table2, run_one, run_table2, AblationRow, AblationSetup};
+pub use ablation::{
+    check_table2_ordering, render_table2, run_one, run_table2, AblationRow, AblationSetup,
+};
 pub use accounting::AccountedVec;
 pub use dkm::{DkmConfig, DkmInit, DkmLayer, DkmOutput};
 pub use engine::{

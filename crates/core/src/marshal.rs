@@ -81,7 +81,7 @@ impl StoredEntry {
                 let k = len / rk.len();
                 runtime::record_hash_pass(len * 4);
                 if rk.is_scalar() {
-                    let (table, index, _u) = uniquify::uniquify(&full, rk.keys(), k);
+                    let (table, index, _u) = uniquify::uniquify(&full, rk, k);
                     let index = match shard_group {
                         Some(g) => Store::sharded(index, g),
                         None => Store::whole(index),
@@ -92,7 +92,7 @@ impl StoredEntry {
                         k,
                     })
                 } else {
-                    let (table, index, u) = uniquify::uniquify_wide(&full, rk.keys(), k);
+                    let (table, index, u) = uniquify::uniquify_wide(&full, rk, k);
                     if uniquify::compression_ratio_wide(rk.len(), k, u) > 1.0 {
                         let index = match shard_group {
                             Some(g) => Store::sharded(index, g),

@@ -132,63 +132,102 @@ pub fn annotation_count() -> usize {
     ANNOTATIONS.with(|a| a.borrow().len())
 }
 
-/// Index element of a uniquified map (u16 for the paper's scalar path,
-/// u32 for the vector-clustering extension).
-trait IndexElem: Copy {
-    fn from_usize(v: usize) -> Option<Self>;
-    fn to_usize(self) -> usize;
+/// Distinct rows of a keyed map, numbered in first-appearance order: row
+/// `i` equals distinct row `index[i]`, which first appears at row
+/// `first[index[i]]`. The decomposition behind [`uniquify`], and the rows
+/// DKM clusters (`DkmLayer::cluster`).
+#[derive(Debug)]
+pub(crate) struct DistinctRows {
+    first: Vec<usize>,
+    index: Vec<u32>,
 }
 
-impl IndexElem for u16 {
-    fn from_usize(v: usize) -> Option<Self> {
-        u16::try_from(v).ok()
-    }
-    fn to_usize(self) -> usize {
-        usize::from(self)
-    }
-}
-
-impl IndexElem for u32 {
-    fn from_usize(v: usize) -> Option<Self> {
-        u32::try_from(v).ok()
-    }
-    fn to_usize(self) -> usize {
-        self as usize
-    }
-}
-
-fn uniquify_generic<I: IndexElem>(
-    dense: &[f32],
-    keys: &[u64],
-    k: usize,
-) -> (Vec<f32>, Vec<I>, usize) {
-    assert_eq!(dense.len(), keys.len() * k, "dense map size mismatch");
-    let mut row_of_key: HashMap<u64, I> = HashMap::new();
-    let mut table: Vec<f32> = Vec::new();
-    let mut index: Vec<I> = Vec::with_capacity(keys.len());
-    for (i, &key) in keys.iter().enumerate() {
-        let row = &dense[i * k..(i + 1) * k];
-        match row_of_key.get(&key) {
-            Some(&r) => {
-                let at = r.to_usize() * k;
-                debug_assert_eq!(
-                    &table[at..at + k],
-                    row,
-                    "rows sharing key {key:#x} must be identical"
-                );
-                index.push(r);
+impl DistinctRows {
+    /// Split rows by key. Scalar keys are 16-bit patterns and index a
+    /// 2^16-entry table; block keys go through a hash map.
+    pub(crate) fn of(keys: &RowKeys) -> Self {
+        assert!(u32::try_from(keys.len()).is_ok(), "more than u32::MAX rows");
+        let mut first = Vec::new();
+        let mut index = Vec::with_capacity(keys.len());
+        if keys.is_scalar() {
+            // Distinct row + 1 per pattern; 0 marks a pattern not seen yet.
+            let mut slot = vec![0u32; 1 << 16];
+            for (i, &key) in keys.keys().iter().enumerate() {
+                let s = &mut slot[key as usize];
+                if *s == 0 {
+                    first.push(i);
+                    *s = first.len() as u32;
+                }
+                index.push(*s - 1);
             }
-            None => {
-                let r = I::from_usize(table.len() / k)
-                    .unwrap_or_else(|| panic!("unique rows overflow the index type at row {i}"));
-                row_of_key.insert(key, r);
-                table.extend_from_slice(row);
+        } else {
+            let mut row_of_key: HashMap<u64, u32> = HashMap::new();
+            for (i, &key) in keys.keys().iter().enumerate() {
+                let r = *row_of_key.entry(key).or_insert_with(|| {
+                    first.push(i);
+                    (first.len() - 1) as u32
+                });
                 index.push(r);
             }
         }
+        DistinctRows { first, index }
     }
-    let u = table.len() / k;
-    (table, index, u)
+
+    /// `n` rows, every one distinct (rows without keys).
+    pub(crate) fn identity(n: usize) -> Self {
+        let n32 = u32::try_from(n).expect("more than u32::MAX rows");
+        DistinctRows {
+            first: (0..n).collect(),
+            index: (0..n32).collect(),
+        }
+    }
+
+    /// Number of distinct rows.
+    pub(crate) fn len(&self) -> usize {
+        self.first.len()
+    }
+
+    /// Distinct row of every row.
+    pub(crate) fn index(&self) -> &[u32] {
+        &self.index
+    }
+
+    /// The `[u, width]` distinct rows of a row-major `[n, width]` map.
+    pub(crate) fn gather(&self, dense: &[f32], width: usize) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.len() * width);
+        for &i in &self.first {
+            out.extend_from_slice(&dense[i * width..(i + 1) * width]);
+        }
+        out
+    }
+}
+
+/// [`uniquify`] over an index type `I`: u16 for the paper's scalar path,
+/// u32 for the vector-clustering extension.
+fn uniquify_generic<I: TryFrom<u32>>(
+    dense: &[f32],
+    keys: &RowKeys,
+    k: usize,
+) -> (Vec<f32>, Vec<I>, usize) {
+    assert_eq!(dense.len(), keys.len() * k, "dense map size mismatch");
+    let rows = DistinctRows::of(keys);
+    let table = rows.gather(dense, k);
+    let index = rows
+        .index()
+        .iter()
+        .enumerate()
+        .map(|(i, &r)| {
+            debug_assert_eq!(
+                &table[r as usize * k..(r as usize + 1) * k],
+                &dense[i * k..(i + 1) * k],
+                "rows sharing key {:#x} must be identical",
+                keys.keys()[i]
+            );
+            I::try_from(r)
+                .unwrap_or_else(|_| panic!("unique rows overflow the index type at row {i}"))
+        })
+        .collect();
+    (table, index, rows.len())
 }
 
 /// Exact decomposition of a dense `[n, k]` row-major map whose rows repeat
@@ -202,7 +241,7 @@ fn uniquify_generic<I: IndexElem>(
 ///
 /// Panics if `dense.len() != keys.len() · k` or if more than 65 536 unique
 /// rows appear (impossible for scalar 16-bit keys).
-pub fn uniquify(dense: &[f32], keys: &[u64], k: usize) -> (Vec<f32>, Vec<u16>, usize) {
+pub fn uniquify(dense: &[f32], keys: &RowKeys, k: usize) -> (Vec<f32>, Vec<u16>, usize) {
     uniquify_generic::<u16>(dense, keys, k)
 }
 
@@ -212,7 +251,7 @@ pub fn uniquify(dense: &[f32], keys: &[u64], k: usize) -> (Vec<f32>, Vec<u16>, u
 /// # Panics
 ///
 /// Panics if `dense.len() != keys.len() · k`.
-pub fn uniquify_wide(dense: &[f32], keys: &[u64], k: usize) -> (Vec<f32>, Vec<u32>, usize) {
+pub fn uniquify_wide(dense: &[f32], keys: &RowKeys, k: usize) -> (Vec<f32>, Vec<u32>, usize) {
     uniquify_generic::<u32>(dense, keys, k)
 }
 
@@ -278,7 +317,7 @@ mod tests {
             0.1, 0.8, 0.1, // w_j
             0.9, 0.05, 0.05, // w_k == w_i
         ];
-        let (table, index, u) = uniquify(&dense, keys.keys(), 3);
+        let (table, index, u) = uniquify(&dense, &keys, 3);
         assert_eq!(u, 2);
         assert_eq!(table.len(), 6);
         assert_eq!(index, vec![0, 1, 0]);
@@ -289,7 +328,7 @@ mod tests {
     fn all_unique_rows_give_no_compression() {
         let keys = RowKeys::scalar(vec![1u16, 2, 3]);
         let dense = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let (table, index, u) = uniquify(&dense, keys.keys(), 2);
+        let (table, index, u) = uniquify(&dense, &keys, 2);
         assert_eq!(u, 3);
         assert_eq!(table, dense);
         assert_eq!(index, vec![0, 1, 2]);
@@ -301,7 +340,7 @@ mod tests {
         let dense: Vec<f32> = std::iter::repeat_n([0.25f32, 0.75], 100)
             .flatten()
             .collect();
-        let (table, index, u) = uniquify(&dense, keys.keys(), 2);
+        let (table, index, u) = uniquify(&dense, &keys, 2);
         assert_eq!(u, 1);
         assert_eq!(table, vec![0.25, 0.75]);
         assert!(index.iter().all(|&i| i == 0));
@@ -346,7 +385,7 @@ mod tests {
             0.7, 0.3, // (1,2) again
             0.5, 0.5, // (5,6)
         ];
-        let (table, index, u) = uniquify_wide(&dense, rk.keys(), 2);
+        let (table, index, u) = uniquify_wide(&dense, &rk, 2);
         assert_eq!(u, 3);
         assert_eq!(index, vec![0, 1, 0, 2]);
         assert_eq!(reconstruct_wide(&table, &index, 2), dense);
@@ -386,7 +425,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "size mismatch")]
     fn bad_sizes_panic() {
-        uniquify(&[1.0, 2.0], &[1, 2, 3], 2);
+        uniquify(&[1.0, 2.0], &RowKeys::scalar(vec![1, 2, 3]), 2);
     }
 
     #[test]
@@ -414,7 +453,7 @@ mod tests {
                 .iter()
                 .flat_map(|&key| (0..k).map(move |j| (key as f32) * 10.0 + j as f32))
                 .collect();
-            let (table, index, u) = uniquify(&dense, rk.keys(), k);
+            let (table, index, u) = uniquify(&dense, &rk, k);
             prop_assert!(u <= (nkeys as usize).min(n));
             prop_assert_eq!(reconstruct(&table, &index, k), dense);
             prop_assert_eq!(index.len(), n);
@@ -431,7 +470,7 @@ mod tests {
                 .iter()
                 .flat_map(|&key| (0..k).map(move |j| key as f32 + j as f32))
                 .collect();
-            let (table, _, u) = uniquify(&dense, rk.keys(), k);
+            let (table, _, u) = uniquify(&dense, &rk, k);
             prop_assert!(u <= 65536);
             prop_assert_eq!(table.len(), u * k);
         }
@@ -454,7 +493,7 @@ mod tests {
                     (0..k).map(move |j| (key % 1023) as f32 + j as f32)
                 })
                 .collect();
-            let (table, index, u) = uniquify_wide(&dense, rk.keys(), k);
+            let (table, index, u) = uniquify_wide(&dense, &rk, k);
             prop_assert!(u <= nblocks);
             prop_assert_eq!(reconstruct_wide(&table, &index, k), dense);
         }

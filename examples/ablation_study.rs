@@ -12,13 +12,7 @@ fn main() {
         .unwrap_or(256);
     let setup = AblationSetup {
         d_model,
-        n_heads: 8,
-        seq: 16,
-        batch: 1,
-        bits: 3,
-        cluster_dim: 1,
-        dkm_iters: 3,
-        overlap_pcie: false,
+        ..AblationSetup::default()
     };
     println!(
         "ablating one attention layer: d_model={}, 4 projections x {} weights, 3-bit DKM\n",

@@ -22,7 +22,7 @@
 use edkm::autograd::SavedTensorHooks;
 use edkm::chaos::{FaultPlan, FaultProfile};
 use edkm::cluster::{Cluster, ClusterConfig};
-use edkm::core::{run_table2, AblationSetup};
+use edkm::core::{render_table2, run_table2, AblationSetup};
 use edkm::core::{CompressSpec, CompressedTensor, CompressionPipeline, EdkmConfig, EdkmHooks};
 use edkm::core::{
     EngineConfig, KvBlockConfig, PalettizedModel, Priority, Request, SamplingConfig, ServeEngine,
@@ -377,41 +377,19 @@ fn cmd_ablate(args: &[String]) {
     check_flags(args, &["--d-model", "--learners"], &[]);
     let setup = AblationSetup {
         d_model: parse_or(args, "--d-model", 256),
-        n_heads: 8,
-        seq: 16,
-        batch: 1,
-        bits: 3,
-        cluster_dim: 1,
-        dkm_iters: 3,
-        overlap_pcie: false,
+        ..AblationSetup::default()
     };
+    // 8 heads of an even (RoPE) head dimension.
+    if setup.d_model == 0 || !setup.d_model.is_multiple_of(16) {
+        usage_error("--d-model must be a positive multiple of 16");
+    }
     let learners: usize = parse_or(args, "--learners", 8);
     println!(
         "M/U/S ablation: one attention layer, d_model={}, 3-bit DKM, {} learners\n",
         setup.d_model, learners
     );
     let rows = run_table2(&setup, learners);
-    print!("{}", edkm_bench_table(&rows));
-}
-
-/// Render ablation rows (duplicated from `edkm-bench` to keep the CLI
-/// dependency-light; same layout as the paper's Table 2).
-fn edkm_bench_table(rows: &[edkm::core::AblationRow]) -> String {
-    let base = rows.first().map(|r| r.peak_cpu_bytes).unwrap_or(1) as f64;
-    let mut s = String::from("  M  S  U   Memory(MB)  Reduction(x)  Runtime(sim s)\n");
-    for r in rows {
-        let t = |b: bool| if b { "✓" } else { "·" };
-        s.push_str(&format!(
-            "  {}  {}  {}   {:>9.2}   {:>10.1}   {:>12.3}\n",
-            t(r.config.marshal),
-            t(r.config.shard),
-            t(r.config.uniquify),
-            r.peak_cpu_bytes as f64 / (1024.0 * 1024.0),
-            base / r.peak_cpu_bytes.max(1) as f64,
-            r.sim_seconds
-        ));
-    }
-    s
+    print!("{}", render_table2(&rows));
 }
 
 /// Drive handle-based serving of `model`: the engine owns the scheduler

@@ -62,6 +62,7 @@ fn malformed_flag_values_exit_2_with_the_flag_and_usage() {
         (&["compress", "--bits", "three"][..], "--bits"),
         (&["sweep", "--bits", "2,x,4"][..], "--bits"),
         (&["ablate", "--learners", "-1"][..], "--learners"),
+        (&["ablate", "--d-model", "24"][..], "--d-model"),
         (&["bench", "workload", "--trace", "bogus"][..], "--trace"),
         (&["bench", "workload", "--seed", "0x10"][..], "--seed"),
     ] {

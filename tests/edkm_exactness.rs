@@ -1,10 +1,11 @@
 //! Integration test: eDKM is a *memory* optimization — it must not change
 //! the math. Gradients of a full model step are bit-identical with and
-//! without the hooks, across every Table 2 configuration.
+//! without the hooks, across every Table 2 configuration, and a seeded
+//! fine-tune-and-compress run is pinned bit for bit.
 
 use edkm::autograd::{push_hooks, SavedTensorHooks};
-use edkm::core::{DkmConfig, DkmLayer, EdkmConfig, EdkmHooks};
-use edkm::nn::{LlamaConfig, LlamaModel};
+use edkm::core::{CompressSpec, CompressionPipeline, DkmConfig, DkmLayer, EdkmConfig, EdkmHooks};
+use edkm::nn::{LlamaConfig, LlamaModel, LmBatch};
 use edkm::tensor::{runtime, DType, Device};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -93,4 +94,55 @@ fn hooks_actually_intercepted_the_step() {
         "DKM must trigger dedup: {s:?}"
     );
     assert!(s.unpacks > 0, "backward must unpack: {s:?}");
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A seeded bf16 fine-tune-and-compress (full eDKM hooks, 3-bit DKM) gives
+/// the same loss bits and the same container bytes as when these values
+/// were pinned: a change to DKM's rounding anywhere in the pipeline fails
+/// here.
+#[test]
+fn seeded_fine_tune_and_compress_is_pinned_bit_for_bit() {
+    runtime::reset();
+    edkm::core::uniquify::clear_annotations();
+    let config = LlamaConfig {
+        vocab: 32,
+        d_model: 16,
+        n_heads: 2,
+        n_layers: 1,
+        d_ff: 32,
+        max_seq: 12,
+    };
+    let model = LlamaModel::new(config, DType::Bf16, Device::gpu(), 5);
+    let batches: Vec<LmBatch> = (0..3)
+        .map(|b| {
+            LmBatch::new(
+                (0..2)
+                    .map(|s| {
+                        (0..10)
+                            .map(|t| (b * 7 + s * 5 + t * 3 + t * t) % 32)
+                            .collect()
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    let mut spec = CompressSpec::with_bits(3);
+    spec.epochs = 1;
+    spec.dkm.iters = 4;
+    spec.edkm = EdkmConfig::full(4);
+    let result = CompressionPipeline::new(spec).fine_tune_and_compress(&model, &batches);
+    let losses: Vec<u32> = result.losses.iter().map(|l| l.to_bits()).collect();
+    assert_eq!(losses, [1079784369, 1081187687, 1079857502], "loss bits");
+    assert_eq!(
+        fnv1a(&result.compressed.to_bytes()),
+        0xb8cc_be72_cbd2_77c2,
+        "container fingerprint"
+    );
 }
