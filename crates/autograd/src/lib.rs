@@ -35,4 +35,5 @@ pub use gradcheck::{check_gradients, numeric_gradient};
 pub use hooks::{
     pop_hooks, push_hooks, save_tensor, HooksGuard, PackedTensor, SavedTensor, SavedTensorHooks,
 };
+pub use ops::softmax_backward;
 pub use var::{grad_enabled, no_grad, BackwardFn, NoGradGuard, Var, VarId};

@@ -38,6 +38,48 @@ fn sum_lastdim_keepdim(x: &Tensor) -> Tensor {
     s.reshape(&shape)
 }
 
+/// Softmax VJP over the last axis: `dx = s ⊙ (g − rowsum(g ⊙ s))` for the
+/// softmax output `s` and the upstream gradient `g` (same shape); `dx` is
+/// f32.
+///
+/// One pass per row with the bits of the four-op formula it replaces
+/// (`mul`, `sum_axis`, `sub`, `mul`): each row sum adds its products in
+/// column order from 0.0, a product is rounded to `promote(g, s)` when that
+/// is 16-bit, exactly where `mul` rounded it, and every later result is f32.
+/// It charges the clock for the same four passes.
+///
+/// # Panics
+///
+/// Panics if the shapes differ or `s` is rank 0.
+pub fn softmax_backward(g: &Tensor, s: &Tensor) -> Tensor {
+    assert_eq!(g.shape(), s.shape(), "softmax_backward: shape mismatch");
+    let k = *s.shape().last().expect("softmax_backward needs rank >= 1");
+    let prod = t::promote(g.dtype(), s.dtype());
+    let mut dx = vec![0.0f32; s.numel()];
+    if k > 0 {
+        g.with_data(|gd| {
+            s.with_data(|sd| {
+                let rows = gd.chunks_exact(k).zip(sd.chunks_exact(k));
+                for ((g_row, s_row), dx_row) in rows.zip(dx.chunks_exact_mut(k)) {
+                    let terms = g_row.iter().zip(s_row).map(|(&gv, &sv)| gv * sv);
+                    let dot = if prod.is_16bit() {
+                        terms.fold(0.0f32, |acc, v| acc + prod.round(v))
+                    } else {
+                        terms.fold(0.0f32, |acc, v| acc + v)
+                    };
+                    for ((d, &gv), &sv) in dx_row.iter_mut().zip(g_row).zip(s_row) {
+                        *d = sv * (gv - dot);
+                    }
+                }
+            })
+        });
+    }
+    for _ in 0..4 {
+        edkm_tensor::runtime::record_compute(s.numel() as f64, s.device());
+    }
+    Tensor::from_vec(dx, s.shape(), DType::F32, s.device())
+}
+
 fn sigmoid(v: f32) -> f32 {
     1.0 / (1.0 + (-v).exp())
 }
@@ -291,12 +333,7 @@ impl Var {
             "softmax",
             vec![self.clone()],
             saved,
-            Box::new(|g, s| {
-                let gs = t::mul(g, &s[0]);
-                let row = sum_lastdim_keepdim(&gs);
-                let dx = t::mul(&s[0], &t::sub(g, &row));
-                vec![Some(dx)]
-            }),
+            Box::new(|g, s| vec![Some(softmax_backward(g, &s[0]))]),
         )
     }
 
@@ -622,24 +659,31 @@ impl Var {
 
     /// Negative squared distances `[n,k]` between `self` (`[n,d]` weights)
     /// and `centroids` (`[k,d]`): the DKM attention-map logits.
+    ///
+    /// The centroid gradient is computed only when `centroids` requires one
+    /// (decided here, when the node is recorded): DKM passes constant
+    /// centroids and needs only the weight gradient.
     pub fn neg_sqdist(&self, centroids: &Var) -> Var {
         let value = t::neg_sqdist(self.value(), centroids.value());
         let saved = vec![save_tensor(self.value()), save_tensor(centroids.value())];
+        let centroid_grad = centroids.requires_grad();
         Var::from_op(
             value,
             "neg_sqdist",
             vec![self.clone(), centroids.clone()],
             saved,
-            Box::new(|g, s| {
+            Box::new(move |g, s| {
                 let (w, c) = (&s[0], &s[1]);
                 // dW = -2 (rowsum(g) ⊙ w − g @ C)
                 let rows = sum_lastdim_keepdim(g); // [n,1]
                 let dw = t::mul_scalar(&t::sub(&t::mul(&rows, w), &t::matmul(g, c)), -2.0);
                 // dC = 2 (gᵀ @ W − colsum(g) ⊙ c)
-                let cols = t::sum_axis(g, 0); // [k]
-                let colk = cols.reshape(&[cols.numel(), 1]); // [k,1]
-                let dc = t::mul_scalar(&t::sub(&t::matmul(&g.t(), w), &t::mul(&colk, c)), 2.0);
-                vec![Some(dw), Some(dc)]
+                let dc = centroid_grad.then(|| {
+                    let cols = t::sum_axis(g, 0); // [k]
+                    let colk = cols.reshape(&[cols.numel(), 1]); // [k,1]
+                    t::mul_scalar(&t::sub(&t::matmul(&g.t(), w), &t::mul(&colk, c)), 2.0)
+                });
+                vec![Some(dw), dc]
             }),
         )
     }
@@ -1063,6 +1107,102 @@ mod tests {
             2e-2,
         )
         .unwrap();
+    }
+
+    // ---------- fused VJPs vs. the composed formulas they replace ----------
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.to_vec().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The four-op softmax VJP `softmax_backward` replaces.
+    fn softmax_backward_composed(g: &Tensor, s: &Tensor) -> Tensor {
+        let gs = t::mul(g, s);
+        let row = sum_lastdim_keepdim(&gs);
+        t::mul(s, &t::sub(g, &row))
+    }
+
+    #[test]
+    fn softmax_backward_matches_the_composed_formula_bit_for_bit() {
+        // Sharp logits, so the softmax holds exact zeros and subnormals.
+        for shape in [
+            vec![5, 7],
+            vec![1500, 8],
+            vec![2, 3, 4],
+            vec![3, 0],
+            vec![4, 1],
+        ] {
+            runtime::reset();
+            let logits = randn(&shape, 27).map(|v| v * 40.0);
+            let s = if logits.numel() == 0 {
+                logits.clone() // (the forward softmax needs a non-empty axis)
+            } else {
+                t::softmax_lastdim(&logits)
+            };
+            let upstream = randn(&shape, 28).map(|v| v * 1e3);
+            for (g, s) in [
+                (upstream.clone(), s.clone()),
+                (upstream.cast(DType::Bf16), s.clone()),
+                // Both 16-bit: the products round to bf16 before the sum.
+                (upstream.cast(DType::Bf16), s.cast(DType::Bf16)),
+            ] {
+                let t0 = runtime::sim_seconds();
+                let got = softmax_backward(&g, &s);
+                let fused_s = runtime::sim_seconds() - t0;
+                let t0 = runtime::sim_seconds();
+                let want = softmax_backward_composed(&g, &s);
+                let composed_s = runtime::sim_seconds() - t0;
+                let label = format!("{shape:?}, g {}, s {}", g.dtype(), s.dtype());
+                assert_eq!(
+                    (got.shape(), got.dtype()),
+                    (want.shape(), want.dtype()),
+                    "{label}"
+                );
+                assert_eq!(bits(&got), bits(&want), "{label}");
+                assert_eq!(
+                    (fused_s * 1e12).round(),
+                    (composed_s * 1e12).round(),
+                    "{label}: the same four passes are charged (picoseconds)"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn neg_sqdist_computes_the_centroid_gradient_only_when_needed() {
+        let w = randn(&[40, 2], 24);
+        let c = randn(&[8, 2], 25);
+        let g = randn(&[40, 8], 26);
+        let run = |trainable: bool| {
+            runtime::reset();
+            let wv = Var::param(w.clone());
+            let cv = if trainable {
+                Var::param(c.clone())
+            } else {
+                Var::constant(c.clone())
+            };
+            let y = wv.neg_sqdist(&cv);
+            let t0 = runtime::sim_seconds();
+            y.backward_with(g.clone());
+            let cost = runtime::sim_seconds() - t0;
+            (bits(&wv.grad().expect("dW")), cv.grad(), cost)
+        };
+        let (dw_const, dc_const, cost_const) = run(false);
+        let (dw_train, dc_train, cost_train) = run(true);
+        assert_eq!(dw_const, dw_train, "dW does not depend on dC");
+        assert!(dc_const.is_none());
+        assert_eq!(
+            dc_train.expect("trainable centroids get dC").shape(),
+            &[8, 2]
+        );
+        assert!(
+            cost_const < cost_train,
+            "constant centroids skip dC's passes: {cost_const} vs {cost_train}"
+        );
+        // dW = -2 (rowsum(g) ⊙ w − g @ C), composed from tensor ops.
+        let rows = t::sum_axis(&g, 1).reshape(&[40, 1]);
+        let want = t::mul_scalar(&t::sub(&t::mul(&rows, &w), &t::matmul(&g, &c)), -2.0);
+        assert_eq!(dw_const, bits(&want));
     }
 
     proptest! {

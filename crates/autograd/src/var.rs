@@ -272,7 +272,7 @@ impl Var {
                         if !input.requires_grad() {
                             continue;
                         }
-                        debug_assert_eq!(
+                        assert_eq!(
                             ig.shape(),
                             input.value().shape(),
                             "op {}: grad shape {:?} != input shape {:?}",
@@ -450,6 +450,23 @@ mod tests {
         let x = Var::param(scalar(1.0));
         let y = x.add(&x);
         assert_eq!(y.op_name(), Some("add"));
+    }
+
+    #[test]
+    #[should_panic(expected = "op bad_vjp: grad shape [4, 1] != input shape [4, 3]")]
+    fn wrong_gradient_shape_panics_naming_the_op() {
+        // Checked in release builds too: a wrong shape would otherwise be
+        // broadcast by the accumulating add or stored on the leaf.
+        runtime::reset();
+        let x = Var::param(Tensor::zeros(&[4, 3], DType::F32, Device::Cpu));
+        let y = Var::custom(
+            Tensor::zeros(&[4, 3], DType::F32, Device::Cpu),
+            "bad_vjp",
+            vec![x],
+            vec![],
+            Box::new(|g, _| vec![Some(t_ops::sum_axis(g, 1).reshape(&[4, 1]))]),
+        );
+        y.backward_with(Tensor::ones(&[4, 3], DType::F32, Device::Cpu));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::palettize::{GroupedPalettized, PalettizedTensor};
 use crate::uniquify::{self, DistinctRows, RowKeys};
-use edkm_autograd::{save_tensor, Var};
+use edkm_autograd::{save_tensor, softmax_backward, Var};
 use edkm_tensor::{ops as t, runtime, DType, Device, Tensor};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -49,16 +49,7 @@ fn softmax_annotated(x: &Var, rows: &DistinctRows, keys: Option<Arc<RowKeys>>) -
         "softmax_annotated",
         vec![x.clone()],
         saved,
-        Box::new(|g, s| {
-            // Identical to softmax backward: dx = s ⊙ (g − rowsum(g ⊙ s)).
-            let gs = t::mul(g, &s[0]);
-            let k = *gs.shape().last().expect("rank >= 1");
-            let rows = gs.numel() / k;
-            let row_sums = t::sum_axis(&gs.reshape(&[rows, k]), 1).reshape(&[rows, 1]);
-            let g2 = g.reshape(&[rows, k]);
-            let dx = t::mul(&s[0].reshape(&[rows, k]), &t::sub(&g2, &row_sums));
-            vec![Some(dx.reshape(s[0].shape()))]
-        }),
+        Box::new(|g, s| vec![Some(softmax_backward(g, &s[0]))]),
     )
 }
 

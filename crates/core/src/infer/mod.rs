@@ -1061,7 +1061,7 @@ mod tests {
             let serial_cost = runtime::sim_seconds() - t2;
             assert_eq!(a.to_vec(), b.to_vec(), "n={n}: outputs must be identical");
             assert_eq!(a.to_vec(), c.to_vec(), "n={n}: serial reference matches");
-            // The clock advances by the same integer-nanosecond quantum for
+            // The clock advances by the same integer-picosecond quantum for
             // all three entry points (1e-12 absorbs f64 readout rounding).
             assert!(
                 (forward_cost - batch_cost).abs() < 1e-12,
@@ -1275,7 +1275,7 @@ mod tests {
             }
         });
         let _g = runtime::bind(&rt);
-        // The clock advance per call is a deterministic nanosecond quantum,
+        // The clock advance per call is a deterministic picosecond quantum,
         // so 4 concurrent calls must land on exactly 4x one call.
         assert!(
             (runtime::sim_seconds() - workers as f64 * one_call_seconds).abs() < 1e-12,

@@ -98,10 +98,13 @@ impl CostModel {
     }
 }
 
-/// Monotone simulated clock, accumulated in nanoseconds for atomicity.
+/// Monotone simulated clock, accumulated in integer picoseconds for
+/// atomicity: concurrent advances commute, and a charge below a nanosecond
+/// (an elementwise pass over a few thousand floats at GPU rates) still
+/// counts. A `u64` of picoseconds spans about 213 days.
 #[derive(Debug, Default)]
 pub struct SimClock {
-    nanos: AtomicU64,
+    picos: AtomicU64,
 }
 
 impl SimClock {
@@ -110,24 +113,24 @@ impl SimClock {
         Self::default()
     }
 
-    /// Advance the clock by `seconds`.
+    /// Advance the clock by `seconds`, rounded to the nearest picosecond.
     ///
     /// Negative or non-finite durations are ignored (the clock is monotone).
     pub fn advance(&self, seconds: f64) {
         if seconds.is_finite() && seconds > 0.0 {
-            self.nanos
-                .fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
+            self.picos
+                .fetch_add((seconds * 1e12).round() as u64, Ordering::Relaxed);
         }
     }
 
     /// Current simulated time in seconds.
     pub fn seconds(&self) -> f64 {
-        self.nanos.load(Ordering::Relaxed) as f64 / 1e9
+        self.picos.load(Ordering::Relaxed) as f64 / 1e12
     }
 
     /// Reset to time zero.
     pub fn reset(&self) {
-        self.nanos.store(0, Ordering::Relaxed);
+        self.picos.store(0, Ordering::Relaxed);
     }
 }
 
@@ -176,6 +179,17 @@ mod tests {
         assert!((c.seconds() - 2.0).abs() < 1e-6);
         c.reset();
         assert_eq!(c.seconds(), 0.0);
+    }
+
+    #[test]
+    fn clock_counts_sub_nanosecond_charges() {
+        // A 12 000-float pass at 60 TFLOP/s is 0.2 ns: a thousand such
+        // charges must add up, not vanish.
+        let c = SimClock::new();
+        for _ in 0..1000 {
+            c.advance(0.4e-9);
+        }
+        assert_eq!(c.seconds(), 400e-9);
     }
 
     #[test]

@@ -201,6 +201,25 @@ impl Layout {
         }
     }
 
+    /// This layout as a strided matrix when its rank is 1 (one row) or 2, so
+    /// kernels can walk it with two nested loops instead of
+    /// [`Layout::iter_offsets`]'s per-element odometer.
+    pub(crate) fn as_matrix(&self) -> Option<MatrixView> {
+        let (rows, cols, row_stride, col_stride) =
+            match (self.shape.as_slice(), self.strides.as_slice()) {
+                (&[cols], &[col_stride]) => (1, cols, 0, col_stride),
+                (&[rows, cols], &[row_stride, col_stride]) => (rows, cols, row_stride, col_stride),
+                _ => return None,
+            };
+        Some(MatrixView {
+            rows,
+            cols,
+            row_stride,
+            col_stride,
+            offset: self.offset,
+        })
+    }
+
     /// Iterator over flat storage offsets in row-major logical order.
     pub fn iter_offsets(&self) -> OffsetIter<'_> {
         OffsetIter {
@@ -209,6 +228,26 @@ impl Layout {
             remaining: self.numel(),
             flat: self.offset,
         }
+    }
+}
+
+/// A layout of rank 1 or 2 seen as a `rows × cols` matrix whose element
+/// `(i, j)` sits at storage offset `offset + i·row_stride + j·col_stride`
+/// (see [`Layout::as_matrix`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MatrixView {
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) row_stride: usize,
+    pub(crate) col_stride: usize,
+    pub(crate) offset: usize,
+}
+
+impl MatrixView {
+    /// Storage offset of element `(i, j)`.
+    #[inline]
+    pub(crate) fn at(&self, i: usize, j: usize) -> usize {
+        self.offset + i * self.row_stride + j * self.col_stride
     }
 }
 

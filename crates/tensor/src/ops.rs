@@ -4,7 +4,7 @@
 //! [`crate::runtime::record_compute`], which is how the "Runtime (sec)"
 //! column of the paper's Table 2 is assembled.
 
-use crate::layout::broadcast_shapes;
+use crate::layout::{broadcast_shapes, MatrixView};
 use crate::{runtime, DType, Tensor};
 use rayon::prelude::*;
 
@@ -41,8 +41,9 @@ pub fn binary_op(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor 
     let out_shape = broadcast_shapes(a.shape(), b.shape());
     let dt = promote(a.dtype(), b.dtype());
 
-    let out = if a.shape() == b.shape() && a.shape() == out_shape.as_slice() {
-        // Fast path: identical logical order.
+    // Strided and broadcast operands are gathered into logical order first
+    // (row by row up to rank 2), then zipped.
+    let zip = |a: &Tensor, b: &Tensor| {
         a.with_data(|av| {
             b.with_data(|bv| {
                 av.iter()
@@ -51,20 +52,12 @@ pub fn binary_op(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor 
                     .collect::<Vec<f32>>()
             })
         })
-    } else {
-        let la = a.layout().broadcast_to(&out_shape);
-        let lb = b.layout().broadcast_to(&out_shape);
-        a.storage().with_data(|ad| {
-            b.storage().with_data(|bd| {
-                la.iter_offsets()
-                    .zip(lb.iter_offsets())
-                    .map(|(oa, ob)| f(ad[oa], bd[ob]))
-                    .collect::<Vec<f32>>()
-            })
-        })
     };
-
-    let mut out = out;
+    let mut out = if a.shape() == b.shape() {
+        zip(a, b)
+    } else {
+        zip(&a.broadcast_to(&out_shape), &b.broadcast_to(&out_shape))
+    };
     if dt.is_16bit() {
         for v in &mut out {
             *v = dt.round(*v);
@@ -111,6 +104,10 @@ pub fn mul_scalar(a: &Tensor, s: f32) -> Tensor {
 
 /// Matrix product of 2-D tensors `[m,k] × [k,n] → [m,n]`.
 ///
+/// The left operand is read in place whatever its strides (a transposed
+/// view costs no copy); a strided right operand is gathered once. Every
+/// body adds each output's `k` products in `p` order, starting from 0.0.
+///
 /// # Panics
 ///
 /// Panics if shapes are incompatible, ranks are not 2, or devices differ.
@@ -129,8 +126,10 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     );
 
     let dt = promote(a.dtype(), b.dtype());
-    let out = a.with_data(|ad| b.with_data(|bd| matmul_kernel(ad, bd, m, k, n)));
-    let mut out = out;
+    let lhs = a.layout().as_matrix().expect("rank 2 checked");
+    let mut out = vec![0.0f32; m * n];
+    a.storage()
+        .with_data(|ad| b.with_data(|bd| matmul_into(&mut out, ad, lhs, bd, n)));
     if dt.is_16bit() {
         for v in &mut out {
             *v = dt.round(*v);
@@ -140,17 +139,63 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec_unrounded(out, &[m, n], dt, a.device())
 }
 
-pub(crate) fn matmul_kernel(ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    batched_matmul_into(&mut out, ad, bd, 1, m, k, n);
-    out
+/// Output rows per task of a matrix–vector product that fans out.
+const MATVEC_ROWS_PER_TASK: usize = 256;
+
+/// `out = A·B` into a zeroed `out`, for `A` (`[m, k]`) addressed in `ad`
+/// through `lhs` and `B` row-major `[k, n]`. Output rows split across
+/// worker threads once the multiply count clears [`PAR_WORK_THRESHOLD`].
+fn matmul_into(out: &mut [f32], ad: &[f32], lhs: MatrixView, bd: &[f32], n: usize) {
+    let (m, k) = (lhs.rows, lhs.cols);
+    if m == 0 || k == 0 || n == 0 {
+        return; // an empty product: all zeros (chunking needs n > 0)
+    }
+    // Output rows `i0..i0 + rows.len() / n`.
+    let rows = |i0: usize, rows: &mut [f32]| {
+        if n > 1 {
+            for (r, o_row) in rows.chunks_exact_mut(n).enumerate() {
+                let start = lhs.at(i0 + r, 0);
+                let a_row = (0..k).map(|p| ad[start + p * lhs.col_stride]);
+                matmul_row(o_row, a_row, bd, n);
+            }
+        } else if lhs.col_stride == 1 {
+            // Matrix–vector over contiguous rows: one dot product per row.
+            for (r, o) in rows.iter_mut().enumerate() {
+                let a_row = &ad[lhs.at(i0 + r, 0)..][..k];
+                *o = a_row.iter().zip(bd).fold(0.0, |s, (&av, &bv)| s + av * bv);
+            }
+        } else {
+            // Matrix–vector over a transposed view: the rows are lanes,
+            // stepped down `p` together.
+            let len = rows.len();
+            for (p, &bv) in bd.iter().enumerate() {
+                let col = lhs.at(i0, p);
+                if lhs.row_stride == 1 {
+                    for (o, &av) in rows.iter_mut().zip(&ad[col..col + len]) {
+                        *o += av * bv;
+                    }
+                } else {
+                    for (r, o) in rows.iter_mut().enumerate() {
+                        *o += ad[col + r * lhs.row_stride] * bv;
+                    }
+                }
+            }
+        }
+    };
+    let rows_per_task = if n == 1 { MATVEC_ROWS_PER_TASK } else { 1 };
+    if m * n * k >= PAR_WORK_THRESHOLD && m > 1 {
+        out.par_chunks_mut(rows_per_task * n)
+            .enumerate()
+            .for_each(|(t, chunk)| rows(t * rows_per_task, chunk));
+    } else {
+        rows(0, out);
+    }
 }
 
-/// `out[i, :] += a_row ⋅ B` for one output row.
+/// `out[i, :] += a_row ⋅ B` for one output row, adding in `p` order.
 #[inline]
-fn matmul_row(o_row: &mut [f32], a_row: &[f32], bd: &[f32], n: usize) {
-    for (p, &av) in a_row.iter().enumerate() {
-        let b_row = &bd[p * n..(p + 1) * n];
+fn matmul_row(o_row: &mut [f32], a_row: impl Iterator<Item = f32>, bd: &[f32], n: usize) {
+    for (av, b_row) in a_row.zip(bd.chunks_exact(n)) {
         for (o, &bv) in o_row.iter_mut().zip(b_row) {
             *o += av * bv;
         }
@@ -184,12 +229,12 @@ fn batched_matmul_into(
     if ba * m * n * k >= PAR_WORK_THRESHOLD && ba * m > 1 {
         out.par_chunks_mut(n).enumerate().for_each(|(idx, o_row)| {
             let (a_row, b_mat) = row(idx);
-            matmul_row(o_row, a_row, b_mat, n);
+            matmul_row(o_row, a_row.iter().copied(), b_mat, n);
         });
     } else {
         for (idx, o_row) in out.chunks_mut(n).enumerate() {
             let (a_row, b_mat) = row(idx);
-            matmul_row(o_row, a_row, b_mat, n);
+            matmul_row(o_row, a_row.iter().copied(), b_mat, n);
         }
     }
 }
@@ -288,17 +333,30 @@ pub fn sum_axis(t: &Tensor, axis: usize) -> Tensor {
     let outer: usize = shape[..axis].iter().product();
     let mid = shape[axis];
     let inner: usize = shape[axis + 1..].iter().product();
-    let data = t.to_vec();
-    let mut out = vec![0.0f32; outer * inner];
-    for o in 0..outer {
-        for m in 0..mid {
-            let base = (o * mid + m) * inner;
-            let obase = o * inner;
-            for i in 0..inner {
-                out[obase + i] += data[base + i];
+    let out = t.with_data(|data| {
+        if inner == 1 {
+            // Last axis: one accumulator per row, in axis order from 0.0.
+            if mid == 0 {
+                return vec![0.0f32; outer];
             }
+            data.chunks_exact(mid)
+                .map(|row| row.iter().fold(0.0f32, |s, &v| s + v))
+                .collect()
+        } else {
+            let mut out = vec![0.0f32; outer * inner];
+            if inner > 0 && mid > 0 {
+                // Each output lane adds its `mid` terms in axis order.
+                for (lanes, block) in out.chunks_exact_mut(inner).zip(data.chunks(mid * inner)) {
+                    for terms in block.chunks_exact(inner) {
+                        for (s, &v) in lanes.iter_mut().zip(terms) {
+                            *s += v;
+                        }
+                    }
+                }
+            }
+            out
         }
-    }
+    });
     runtime::record_compute(t.numel() as f64, t.device());
     Tensor::from_vec_unrounded(out, &out_shape, DType::F32, t.device())
 }
@@ -763,6 +821,281 @@ mod tests {
         assert!(allclose(&a, &b, 0.2));
         assert!(!allclose(&a, &b, 0.05));
         assert!((l2_norm(&t(vec![3.0, 4.0], &[2])) - 5.0).abs() < 1e-6);
+    }
+
+    // ---------- fast bodies vs. the paths they bypass, bit for bit ----------
+
+    /// The elements of `t` in logical order, read one offset at a time
+    /// through [`Layout::iter_offsets`] (the walk the rank-2 bodies replace).
+    fn logical(t: &Tensor) -> Vec<f32> {
+        t.storage()
+            .with_data(|d| t.layout().iter_offsets().map(|o| d[o]).collect())
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A `[rows, cols]` operand of mixed magnitudes (so the order of every
+    /// sum shows in its bits) with a -0.0 first element, as a `view`:
+    /// "contiguous", "transposed" (`.t()` of a `[cols, rows]` tensor) or
+    /// "sliced" (columns 1.. of a wider tensor).
+    fn operand(rows: usize, cols: usize, view: &str, dtype: DType, seed: u64) -> Tensor {
+        let (r, c) = match view {
+            "transposed" => (cols, rows),
+            "sliced" => (rows, cols + 2),
+            _ => (rows, cols),
+        };
+        let normal = Tensor::randn(&[r * c], DType::F32, Device::Cpu, seed).to_vec();
+        let mut data: Vec<f32> = normal
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v * [1e-3, 1.0, 1e3][i % 3])
+            .collect();
+        if let Some(first) = data.first_mut() {
+            *first = -0.0;
+        }
+        let base = Tensor::from_vec(data, &[r, c], dtype, Device::Cpu);
+        match view {
+            "transposed" => base.t(),
+            "sliced" => base.slice(1, 1, cols),
+            _ => base,
+        }
+    }
+
+    /// The row kernel `matmul` ran on contiguous copies before reading
+    /// views in place: `out[i, :] += a[i, p] · b[p, :]` in `p` order.
+    fn matmul_reference(a: &Tensor, b: &Tensor) -> Vec<f32> {
+        let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
+        let (av, bv) = (logical(a), logical(b));
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for p in 0..k {
+                for j in 0..n {
+                    out[i * n + j] += av[i * k + p] * bv[p * n + j];
+                }
+            }
+        }
+        let dt = promote(a.dtype(), b.dtype());
+        out.into_iter().map(|v| dt.round(v)).collect()
+    }
+
+    #[test]
+    fn matmul_views_and_matrix_vector_match_the_row_kernel() {
+        runtime::reset();
+        // Empty, tiny, matrix-vector (serial and fanned out) and general
+        // shapes, the last past the threading threshold.
+        let shapes = [
+            (0, 3, 2),
+            (3, 0, 2),
+            (3, 2, 0),
+            (0, 0, 1),
+            (3, 0, 1),
+            (1, 1, 1),
+            (7, 5, 1),
+            (1500, 8, 1),
+            (8, 1500, 1),
+            (300, 600, 1),
+            (9, 13, 4),
+            (1500, 1, 8),
+            (64, 64, 40),
+        ];
+        for (m, k, n) in shapes {
+            for lhs in ["contiguous", "transposed", "sliced"] {
+                for rhs in ["contiguous", "transposed", "sliced"] {
+                    for dtype in [DType::F32, DType::Bf16] {
+                        let a = operand(m, k, lhs, dtype, 1);
+                        let b = operand(k, n, rhs, dtype, 2);
+                        let got = matmul(&a, &b);
+                        assert_eq!(got.shape(), &[m, n]);
+                        assert_eq!(
+                            bits(&got.to_vec()),
+                            bits(&matmul_reference(&a, &b)),
+                            "[{m},{k}] {lhs} × [{k},{n}] {rhs}, {dtype}"
+                        );
+                    }
+                }
+            }
+        }
+        const _: () = assert!(300 * 600 >= super::PAR_WORK_THRESHOLD);
+        // A row whose products are all -0.0 sums to +0.0, as the zeroed
+        // output row did (a sum started from -0.0 would keep the sign).
+        let a = t(vec![-0.0, -0.0, 1.0, 2.0], &[2, 2]);
+        let b = t(vec![1.0, 3.0], &[2, 1]);
+        for lhs in [a.clone(), a.t().contiguous().t()] {
+            let got = matmul(&lhs, &b).to_vec();
+            assert_eq!(bits(&got), bits(&[0.0, 7.0]));
+            assert_eq!(bits(&got), bits(&matmul_reference(&lhs, &b)));
+        }
+    }
+
+    /// The outer × axis × inner loop `sum_axis` ran for every axis.
+    fn sum_axis_reference(t: &Tensor, axis: usize) -> Vec<f32> {
+        let shape = t.shape();
+        let outer: usize = shape[..axis].iter().product();
+        let mid = shape[axis];
+        let inner: usize = shape[axis + 1..].iter().product();
+        let data = logical(t);
+        let mut out = vec![0.0f32; outer * inner];
+        for o in 0..outer {
+            for m in 0..mid {
+                for i in 0..inner {
+                    out[o * inner + i] += data[(o * mid + m) * inner + i];
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn last_axis_sum_matches_the_general_loop() {
+        runtime::reset();
+        for shape in [
+            vec![4, 5],
+            vec![1500, 8],
+            vec![3, 0],
+            vec![0, 3],
+            vec![2, 3, 4],
+            vec![2, 3, 0],
+            vec![6],
+            vec![0],
+        ] {
+            let n: usize = shape.iter().product();
+            let flat = operand(1, n, "contiguous", DType::F32, 3).reshape(&shape);
+            for axis in 0..shape.len() {
+                let got = sum_axis(&flat, axis);
+                assert_eq!(
+                    bits(&got.to_vec()),
+                    bits(&sum_axis_reference(&flat, axis)),
+                    "{shape:?} axis {axis}"
+                );
+            }
+        }
+        // A row of -0.0 sums to +0.0, not to `Iterator::sum`'s -0.0.
+        let zeros = t(vec![-0.0, -0.0, -0.0, 1.0, 2.0, 3.0], &[2, 3]);
+        assert_eq!(bits(&sum_axis(&zeros, 1).to_vec()), bits(&[0.0, 6.0]));
+        // A transposed view sums through its logical order.
+        let tv = operand(6, 9, "transposed", DType::Bf16, 4);
+        for axis in 0..2 {
+            assert_eq!(
+                bits(&sum_axis(&tv, axis).to_vec()),
+                bits(&sum_axis_reference(&tv, axis))
+            );
+        }
+    }
+
+    #[test]
+    fn map_matches_per_element_rounding() {
+        runtime::reset();
+        let f = |v: f32| v * 0.3 + 1e-3;
+        for dtype in [DType::F32, DType::Bf16, DType::F16] {
+            for view in ["contiguous", "transposed", "sliced"] {
+                let x = operand(5, 7, view, dtype, 5);
+                let got = x.map(f);
+                assert_eq!(got.dtype(), dtype);
+                let want: Vec<f32> = logical(&x).into_iter().map(|v| dtype.round(f(v))).collect();
+                assert_eq!(bits(&got.to_vec()), bits(&want), "{dtype} {view}");
+            }
+        }
+    }
+
+    /// `binary_op`'s per-element offset walk over both broadcast layouts.
+    fn binary_reference(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Vec<f32> {
+        let shape = broadcast_shapes(a.shape(), b.shape());
+        let (la, lb) = (
+            a.layout().broadcast_to(&shape),
+            b.layout().broadcast_to(&shape),
+        );
+        let dt = promote(a.dtype(), b.dtype());
+        a.storage().with_data(|ad| {
+            b.storage().with_data(|bd| {
+                la.iter_offsets()
+                    .zip(lb.iter_offsets())
+                    .map(|(x, y)| dt.round(f(ad[x], bd[y])))
+                    .collect()
+            })
+        })
+    }
+
+    #[test]
+    fn binary_op_on_transposed_and_broadcast_views_matches_the_offset_walk() {
+        runtime::reset();
+        let (r, c) = (37, 8);
+        for (da, db) in [
+            (DType::F32, DType::F32),
+            (DType::Bf16, DType::Bf16),
+            (DType::Bf16, DType::F32),
+        ] {
+            let rank3 = operand(1, 24, "contiguous", da, 6).reshape(&[2, 3, 4]);
+            let shapes_b: Vec<Tensor> = vec![
+                operand(r, c, "contiguous", db, 7),
+                operand(r, c, "transposed", db, 8),
+                operand(r, c, "sliced", db, 9),
+                operand(r, 1, "contiguous", db, 10),
+                operand(1, c, "contiguous", db, 11),
+                operand(1, c, "contiguous", db, 12).reshape(&[c]),
+                Tensor::scalar(-2.5, db, Device::Cpu),
+            ];
+            for view in ["contiguous", "transposed", "sliced"] {
+                let a = operand(r, c, view, da, 13);
+                for b in &shapes_b {
+                    for (x, y) in [(&a, b), (b, &a)] {
+                        let got = sub(x, y);
+                        assert_eq!(
+                            bits(&got.to_vec()),
+                            bits(&binary_reference(x, y, |p, q| p - q)),
+                            "{:?} {} - {:?} {}",
+                            x.shape(),
+                            x.dtype(),
+                            y.shape(),
+                            y.dtype()
+                        );
+                    }
+                }
+            }
+            // Rank 3 keeps the gather-and-zip and offset-walk paths.
+            let strided3 = operand(1, 24, "contiguous", db, 14)
+                .reshape(&[2, 4, 3])
+                .transpose(1, 2);
+            let row = operand(1, 4, "contiguous", db, 15).reshape(&[4]);
+            for (x, y) in [(&rank3, &strided3), (&strided3, &rank3), (&strided3, &row)] {
+                assert_eq!(
+                    bits(&sub(x, y).to_vec()),
+                    bits(&binary_reference(x, y, |p, q| p - q))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gather_matches_the_offset_walk() {
+        runtime::reset();
+        let base = operand(9, 7, "contiguous", DType::Bf16, 15);
+        let col = Tensor::from_vec(vec![1.0, -0.0, 3.0], &[3, 1], DType::F32, Device::Cpu);
+        for view in [
+            base.t(),
+            base.slice(0, 2, 4),
+            base.slice(1, 3, 2),
+            base.t().slice(0, 1, 3),
+            base.slice(1, 0, 0),
+            base.t().slice(1, 4, 0),
+            base.reshape(&[63]).slice(0, 5, 20),
+            col.broadcast_to(&[3, 4]),
+            col.t().broadcast_to(&[5, 3]),
+            Tensor::scalar(1.5, DType::F32, Device::Cpu).broadcast_to(&[2, 2]),
+            Tensor::arange(24, DType::F32, Device::Cpu)
+                .reshape(&[2, 3, 4])
+                .transpose(0, 2),
+        ] {
+            assert_eq!(
+                bits(&view.to_vec()),
+                bits(&logical(&view)),
+                "{:?} strides {:?}",
+                view.shape(),
+                view.layout().strides()
+            );
+            assert_eq!(bits(&view.contiguous().to_vec()), bits(&logical(&view)));
+        }
     }
 
     proptest! {

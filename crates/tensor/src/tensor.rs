@@ -289,8 +289,22 @@ impl Tensor {
     }
 
     fn gather(&self) -> Vec<f32> {
-        self.storage
-            .with_data(|d| self.layout.iter_offsets().map(|o| d[o]).collect())
+        self.storage.with_data(|d| match self.layout.as_matrix() {
+            // Rank 1 or 2 (transposed, sliced or broadcast): row by row.
+            Some(m) if m.cols > 0 => {
+                let mut out = Vec::with_capacity(m.rows * m.cols);
+                for i in 0..m.rows {
+                    let row = m.at(i, 0);
+                    if m.col_stride == 1 {
+                        out.extend_from_slice(&d[row..row + m.cols]);
+                    } else {
+                        out.extend((0..m.cols).map(|j| d[row + j * m.col_stride]));
+                    }
+                }
+                out
+            }
+            _ => self.layout.iter_offsets().map(|o| d[o]).collect(),
+        })
     }
 
     /// Element at a logical index.
@@ -586,7 +600,11 @@ impl Tensor {
     /// Element-wise map into a new tensor of the same dtype (rounded).
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let dt = self.dtype;
-        let data: Vec<f32> = self.to_vec().into_iter().map(|v| dt.round(f(v))).collect();
+        let data: Vec<f32> = if dt.is_16bit() {
+            self.with_data(|d| d.iter().map(|&v| dt.round(f(v))).collect())
+        } else {
+            self.with_data(|d| d.iter().map(|&v| f(v)).collect())
+        };
         runtime::record_compute(self.numel() as f64, self.device());
         Tensor::from_vec_unrounded(data, self.shape(), dt, self.device())
     }

@@ -11,9 +11,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 fn grads_of_one_step(config: Option<EdkmConfig>) -> HashMap<String, Vec<f32>> {
+    grads_of_one_step_in(DType::Bf16, config)
+}
+
+/// Every parameter's gradient after one DKM-clustered step of a tiny model
+/// held in `dtype`, with the given eDKM hooks installed (or none).
+fn grads_of_one_step_in(dtype: DType, config: Option<EdkmConfig>) -> HashMap<String, Vec<f32>> {
     runtime::reset();
     edkm::core::uniquify::clear_annotations();
-    let model = LlamaModel::new(LlamaConfig::tiny(), DType::Bf16, Device::gpu(), 3);
+    let model = LlamaModel::new(LlamaConfig::tiny(), dtype, Device::gpu(), 3);
     let dkm = DkmLayer::new(DkmConfig {
         iters: 2,
         ..DkmConfig::with_bits(3)
@@ -145,4 +151,37 @@ fn seeded_fine_tune_and_compress_is_pinned_bit_for_bit() {
         0xb8cc_be72_cbd2_77c2,
         "container fingerprint"
     );
+}
+
+/// The number of gradient values and the FNV-1a of their bits: parameters
+/// in name order, each f32's `to_bits()` little-endian.
+fn gradient_fingerprint(grads: &HashMap<String, Vec<f32>>) -> (usize, u64) {
+    let mut names: Vec<&String> = grads.keys().collect();
+    names.sort();
+    let bytes: Vec<u8> = names
+        .into_iter()
+        .flat_map(|name| &grads[name])
+        .flat_map(|g| g.to_bits().to_le_bytes())
+        .collect();
+    (bytes.len() / 4, fnv1a(&bytes))
+}
+
+/// One step's gradients are pinned bit for bit, with and without the full
+/// hooks: a change to how any VJP rounds or orders its sums fails here even
+/// when every comparison between configurations still agrees.
+#[test]
+fn one_step_gradients_are_pinned_bit_for_bit() {
+    for (dtype, want) in [
+        (DType::Bf16, 0x30d6_d246_f67a_5077),
+        (DType::F32, 0xdc64_a58c_e246_32de),
+    ] {
+        for config in [None, Some(EdkmConfig::full(4))] {
+            assert_eq!(
+                gradient_fingerprint(&grads_of_one_step_in(dtype, config)),
+                (920, want),
+                "{dtype} model, hooks {:?}: gradient bits",
+                config.map(|c| c.label())
+            );
+        }
+    }
 }
