@@ -25,9 +25,9 @@
 //! `--slo` turns the gates (`--max-deadline-miss`, `--max-ttft-p99-steps`,
 //! the lossless accuracy floor) into a non-zero exit.
 //!
-//! Acceptance (4-core CI runner): ≥ 2× tokens/sec at batch 8 over
-//! sequential decode. Single-core machines record ~1× parity — the batched
-//! projection GEMMs fall below the parallel work threshold's win.
+//! `batch8_speedup` is recorded, not gated: a LUT-GEMM row costs about
+//! the same alone or in a batch, so batch 8 runs near sequential speed
+//! (EXPERIMENTS.md).
 
 use edkm_chaos::{FaultPlan, FaultProfile};
 use edkm_cluster::{Cluster, ClusterConfig};
@@ -41,9 +41,8 @@ use edkm_nn::{AdamWConfig, LlamaConfig, LlamaModel, LmBatch, LrSchedule, TrainCo
 use edkm_tensor::{runtime, DType, Device};
 use edkm_workload::{
     audit_invariants, replay_cluster_chaos, replay_engine, replay_router, replay_trace,
-    replay_trace_speculative, ChaosReplayConfig, EngineReplayConfig, Trace, TraceConfig, TraceKind,
+    ChaosReplayConfig, EngineReplayConfig, Trace, TraceConfig, TraceKind,
 };
-use std::sync::Arc;
 use std::time::Instant;
 
 struct Workload {
@@ -302,8 +301,8 @@ fn run_workload_sweep(model: &PalettizedModel, wl: &Workload, seed: u64) -> Vec<
     rows
 }
 
-/// Metrics of the prefix-sharing + speculative-decoding section.
-struct PrefixSpecRow {
+/// Metrics of the prefix-sharing section.
+struct PrefixRow {
     /// Fraction of admissions that adopted cached prefix blocks.
     prefix_hit_rate: f64,
     /// Prompt tokens served from shared blocks instead of prefill.
@@ -312,29 +311,15 @@ struct PrefixSpecRow {
     kv_peak_off: usize,
     /// Peak live KV bytes with the prefix cache on (deduplicated).
     kv_peak_on: usize,
-    /// Accepted draft tokens per decode step.
-    accepted_per_step: f64,
-    /// Draft tokens proposed / accepted across the speculative replay.
-    spec_proposed: u64,
-    spec_accepted: u64,
-    /// Prefix-on and speculative replays both matched the plain replay
-    /// token for token.
+    /// The prefix-on replay matched the plain replay token for token.
     tokens_identical: bool,
 }
 
-/// Replay the chat trace three ways over an unbounded pool: plain, with
-/// the prefix cache sharing prompt blocks copy-on-write, and with a
-/// 2-bit palettized draft proposing `draft_k` tokens per step. Sharing
-/// and speculation must both leave every token unchanged; the row
-/// records what they bought (reused prefill, deduplicated peak KV,
-/// accepted drafts per step).
-fn run_prefix_spec(
-    model: &PalettizedModel,
-    dense: &LlamaModel,
-    wl: &Workload,
-    seed: u64,
-    draft_k: usize,
-) -> PrefixSpecRow {
+/// Replay the chat trace twice over an unbounded pool: plain, and with
+/// the prefix cache sharing prompt blocks copy-on-write. Sharing must
+/// leave every token unchanged; the row records what it bought (reused
+/// prefill, deduplicated peak KV).
+fn run_prefix(model: &PalettizedModel, wl: &Workload, seed: u64) -> PrefixRow {
     // Enough chat sessions that turns sharing a history overlap in
     // flight at the peak step — that concurrency is what deduplication
     // saves (the tiny smoke trace alone rarely lines it up).
@@ -355,25 +340,18 @@ fn run_prefix_spec(
         &trace,
         8,
     );
-    let draft = Arc::new(PalettizedModel::draft_from_dense(dense, 2).expect("2-bit draft export"));
-    let spec =
-        replay_trace_speculative(&model.clone().with_kv_config(kv), &trace, 8, draft, draft_k);
-    let same = |a: &edkm_workload::StepReplayReport, b: &edkm_workload::StepReplayReport| {
-        a.outcomes.len() == b.outcomes.len()
-            && a.outcomes
-                .iter()
-                .zip(&b.outcomes)
-                .all(|(x, y)| x.id == y.id && x.tokens == y.tokens)
-    };
-    PrefixSpecRow {
+    let same = plain.outcomes.len() == shared.outcomes.len()
+        && plain
+            .outcomes
+            .iter()
+            .zip(&shared.outcomes)
+            .all(|(x, y)| x.id == y.id && x.tokens == y.tokens);
+    PrefixRow {
         prefix_hit_rate: shared.counters.prefix_hit_rate(),
         prefix_tokens_reused: shared.counters.prefix_tokens_reused,
         kv_peak_off: plain.counters.kv_peak_bytes,
         kv_peak_on: shared.counters.kv_peak_bytes,
-        accepted_per_step: spec.counters.accepted_per_step(),
-        spec_proposed: spec.counters.spec_proposed,
-        spec_accepted: spec.counters.spec_accepted,
-        tokens_identical: same(&plain, &shared) && same(&plain, &spec),
+        tokens_identical: same,
     }
 }
 
@@ -784,8 +762,8 @@ fn main() {
     // Heterogeneous workload sweep + quality/throughput frontier.
     println!("\nreplaying workload traces (seed {workload_seed})...");
     let workload_rows = run_workload_sweep(&model, &wl, workload_seed);
-    println!("replaying chat trace with prefix sharing + speculative decoding...");
-    let ps = run_prefix_spec(&model, &dense, &wl, workload_seed, 4);
+    println!("replaying chat trace with prefix sharing...");
+    let ps = run_prefix(&model, &wl, workload_seed);
     println!("replaying chat trace through 1/2/4-replica clusters...");
     let cl = run_cluster_sweep(&model, &wl, workload_seed);
     println!("replaying mixed trace under seeded fault profiles (3 replicas)...");
@@ -856,14 +834,11 @@ fn main() {
 
     println!(
         "\n  prefix cache (chat trace): hit rate {:.3}, {} prompt tokens reused, \
-         peak KV {} -> {} bytes",
-        ps.prefix_hit_rate, ps.prefix_tokens_reused, ps.kv_peak_off, ps.kv_peak_on
-    );
-    println!(
-        "  speculative decode (2-bit draft, k=4): {}/{} accepted = {:.2}/step, tokens {}",
-        ps.spec_accepted,
-        ps.spec_proposed,
-        ps.accepted_per_step,
+         peak KV {} -> {} bytes, tokens {}",
+        ps.prefix_hit_rate,
+        ps.prefix_tokens_reused,
+        ps.kv_peak_off,
+        ps.kv_peak_on,
         if ps.tokens_identical {
             "identical"
         } else {
@@ -1061,9 +1036,6 @@ fn main() {
          \"prefix_tokens_reused\": {},\n  \
          \"kv_prefix_off_peak_bytes\": {},\n  \
          \"kv_prefix_on_peak_bytes\": {},\n  \
-         \"accepted_per_step\": {:.4},\n  \
-         \"spec_proposed\": {},\n  \
-         \"spec_accepted\": {},\n  \
          \"replicas_1_tok_s\": {:.1},\n  \
          \"replicas_2_tok_s\": {:.1},\n  \
          \"replicas_4_tok_s\": {:.1},\n  \
@@ -1095,9 +1067,6 @@ fn main() {
         ps.prefix_tokens_reused,
         ps.kv_peak_off,
         ps.kv_peak_on,
-        ps.accepted_per_step,
-        ps.spec_proposed,
-        ps.spec_accepted,
         cl.replica_tok_s[0],
         cl.replica_tok_s[1],
         cl.replica_tok_s[2],
@@ -1109,11 +1078,6 @@ fn main() {
     );
     std::fs::write("BENCH_serve.json", &record).expect("write BENCH_serve.json");
     println!("\nwrote BENCH_serve.json");
-    if threads >= 4 && !smoke && speedup < 2.0 {
-        eprintln!(
-            "WARNING: expected >= 2x batch-8 speedup with {threads} threads, got {speedup:.2}x"
-        );
-    }
     if enforce_slo && !slo_ok {
         eprintln!(
             "SLO violation: deadline-miss max {worst_miss:.3} (ceiling {max_deadline_miss}), \

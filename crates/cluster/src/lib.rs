@@ -126,11 +126,6 @@ pub struct ClusterConfig {
     /// Per-tenant fairness policy for the `*_for` submit variants.
     /// `None` admits every tenant unconditionally.
     pub tenancy: Option<TenantPolicy>,
-    /// Speculative draft budget restored to every replica when the degrade
-    /// ladder recovers below [`DegradeLevel::ShrinkDraft`]. Only
-    /// meaningful for fleets whose engines decode speculatively; the
-    /// retune is a no-op on plain engines either way.
-    pub draft_k_full: usize,
 }
 
 impl Default for ClusterConfig {
@@ -141,7 +136,6 @@ impl Default for ClusterConfig {
             spill_threshold: 0,
             hedge_after: None,
             tenancy: None,
-            draft_k_full: 4,
         }
     }
 }
@@ -853,30 +847,15 @@ impl RouterHandle {
     /// Effects per level are cumulative (each includes everything below):
     ///
     /// 1. [`DegradeLevel::NoHedging`] — stop arming hedged duplicates.
-    /// 2. [`DegradeLevel::ShrinkDraft`] — pin every replica's speculative
-    ///    draft budget to 1 (restored to
-    ///    [`ClusterConfig::draft_k_full`] on recovery).
-    /// 3. [`DegradeLevel::RejectLow`] — refuse `Priority::Low` at
+    /// 2. [`DegradeLevel::RejectLow`] — refuse `Priority::Low` at
     ///    admission with [`RouteError::Shed`].
-    /// 4. [`DegradeLevel::ChatOnly`] — additionally refuse normal-priority
+    /// 3. [`DegradeLevel::ChatOnly`] — additionally refuse normal-priority
     ///    requests with no session-prefix affinity hit.
     pub fn set_degrade_level(&self, level: DegradeLevel, step: u64) {
         let to = level as u8;
         let from = self.inner.degrade_level.swap(to, Ordering::Relaxed);
         if from == to {
             return;
-        }
-        let shrink = DegradeLevel::ShrinkDraft as u8;
-        if from < shrink && to >= shrink {
-            let slots = self.inner.slots.lock().expect("slots poisoned");
-            for slot in slots.iter() {
-                slot.handle.set_draft_k(1);
-            }
-        } else if from >= shrink && to < shrink {
-            let slots = self.inner.slots.lock().expect("slots poisoned");
-            for slot in slots.iter() {
-                slot.handle.set_draft_k(self.inner.cfg.draft_k_full);
-            }
         }
         self.inner
             .degrade_events

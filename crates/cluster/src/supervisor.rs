@@ -47,17 +47,14 @@ pub enum DegradeLevel {
     /// Stop arming hedged duplicates: the first capacity reclaimed is the
     /// capacity spent on redundant work.
     NoHedging = 1,
-    /// Pin the speculative draft budget to 1: sheds draft-model compute
-    /// without touching a single emitted token (acceptance is exact).
-    ShrinkDraft = 2,
     /// Refuse `Priority::Low` requests at admission with
     /// [`RouteError::Shed`](crate::RouteError::Shed).
-    RejectLow = 3,
+    RejectLow = 2,
     /// Additionally refuse normal-priority requests with no session-prefix
     /// affinity hit: ongoing chat turns (which extend a prefix the fleet
     /// already holds, and are cheap thanks to the radix cache) and
     /// high-priority work keep flowing; cold new traffic waits.
-    ChatOnly = 4,
+    ChatOnly = 3,
 }
 
 impl DegradeLevel {
@@ -66,8 +63,7 @@ impl DegradeLevel {
         match v {
             0 => DegradeLevel::Full,
             1 => DegradeLevel::NoHedging,
-            2 => DegradeLevel::ShrinkDraft,
-            3 => DegradeLevel::RejectLow,
+            2 => DegradeLevel::RejectLow,
             _ => DegradeLevel::ChatOnly,
         }
     }
@@ -88,7 +84,6 @@ impl std::fmt::Display for DegradeLevel {
         let name = match self {
             DegradeLevel::Full => "full",
             DegradeLevel::NoHedging => "no-hedging",
-            DegradeLevel::ShrinkDraft => "shrink-draft",
             DegradeLevel::RejectLow => "reject-low",
             DegradeLevel::ChatOnly => "chat-only",
         };

@@ -471,11 +471,11 @@ pub struct StatsSnapshot {
     pub prefix_hits: u64,
     /// Prompt tokens served from the prefix cache instead of prefilled.
     pub prefix_tokens_reused: u64,
-    /// Tokens proposed by the speculative draft model.
+    /// Always 0: the serving stack has one decode path and proposes no
+    /// speculative tokens. The field stays only because the benchmark
+    /// crate reports it as `serve.spec_proposed`; it goes when a
+    /// benchmark change drops that metric.
     pub spec_proposed: u64,
-    /// Proposed tokens accepted by target verification (`<=`
-    /// `spec_proposed` always).
-    pub spec_accepted: u64,
 }
 
 impl StatsSnapshot {
@@ -567,9 +567,6 @@ struct Inbox {
     /// freed) but stays alive — the router sees disconnects and fails the
     /// requests over, while the replica keeps serving new work.
     drop_streams: bool,
-    /// Pending speculative draft-budget retune, applied by the worker at
-    /// its next inbox visit (degrade-ladder knob; no-op on plain engines).
-    set_draft_k: Option<usize>,
 }
 
 #[derive(Debug)]
@@ -579,6 +576,12 @@ struct Shared {
     stats: Mutex<StatsSnapshot>,
     capacity: usize,
     max_seq: usize,
+    /// The KV pool's block size and its block cap at construction (`0` =
+    /// unbounded): what [`EngineHandle::validate`] checks a lone request
+    /// against. A KV-squeeze fault lowers the live cap only for a while,
+    /// and the scheduler's admission gate waits it out.
+    kv_block_tokens: usize,
+    kv_max_blocks: usize,
     /// Lifetime admissions (monotone; folded into every published
     /// snapshot).
     submitted: AtomicU64,
@@ -615,8 +618,12 @@ impl EngineHandle {
     ///
     /// # Panics
     ///
-    /// Panics if the prompt is empty or `prompt + max_new_tokens` exceeds
-    /// the model's `max_seq` (same contract as [`Scheduler::submit`]).
+    /// Panics if the prompt is empty, if `prompt + max_new_tokens` exceeds
+    /// the model's `max_seq` (same contract as [`Scheduler::submit`]), or
+    /// if a bounded KV pool cannot hold the request even running alone
+    /// (the condition that panics [`Scheduler::step`]). The panic is on
+    /// the caller's thread, before the request reaches the worker, so the
+    /// engine keeps serving.
     pub fn submit(&self, request: Request) -> Result<(RequestId, TokenStream), SubmitError> {
         self.validate(&request);
         let mut inbox = self.shared.lock_inbox();
@@ -656,14 +663,25 @@ impl EngineHandle {
     }
 
     fn validate(&self, request: &Request) {
-        assert!(!request.prompt.is_empty(), "prompt must be non-empty");
+        let (prompt, max_new) = (request.prompt.len(), request.max_new);
+        assert!(prompt > 0, "prompt must be non-empty");
         assert!(
-            request.prompt.len() + request.max_new <= self.shared.max_seq,
-            "prompt {} + {} new tokens exceed max_seq {}",
-            request.prompt.len(),
-            request.max_new,
+            prompt + max_new <= self.shared.max_seq,
+            "prompt {prompt} + {max_new} new tokens exceed max_seq {}",
             self.shared.max_seq
         );
+        // What the scheduler reserves for a lone sequence: the prompt plus
+        // one decode slot at admission, `prompt + max_new - 1` positions by
+        // its last step. A zero-budget request never touches the pool.
+        let cap = self.shared.kv_max_blocks;
+        if cap > 0 && max_new > 0 {
+            let need = (prompt + max_new.max(2) - 1).div_ceil(self.shared.kv_block_tokens);
+            assert!(
+                need <= cap,
+                "prompt {prompt} + {max_new} new tokens need {need} KV blocks running alone, \
+                 pool caps at {cap}"
+            );
+        }
     }
 
     fn admit(&self, inbox: &mut Inbox, request: Request) -> (RequestId, TokenStream) {
@@ -757,18 +775,6 @@ impl EngineHandle {
         self.shared.stall_steps.load(Ordering::Relaxed)
     }
 
-    /// Retune the speculative draft budget (clamped to ≥ 1 by the
-    /// scheduler; a no-op on engines without a draft model). Applied by
-    /// the worker at its next inbox visit. Exact acceptance keeps token
-    /// streams bit-identical across any retune — only the accepted-per-
-    /// step rate moves — so the degrade ladder can shed draft compute
-    /// mid-flight without disturbing in-flight requests.
-    pub fn set_draft_k(&self, k: usize) {
-        let mut inbox = self.shared.lock_inbox();
-        inbox.set_draft_k = Some(k);
-        self.shared.cv.notify_all();
-    }
-
     /// Sever every live token stream — the router↔replica channel-drop
     /// fault. At its next inbox visit the worker drops all per-request
     /// senders **without** terminal events (consumers see a disconnect,
@@ -844,33 +850,6 @@ impl ServeEngine {
     ///
     /// Panics if `config.max_batch` or `config.queue_capacity` is 0.
     pub fn new<M: ServeModel + 'static>(model: M, config: EngineConfig) -> Self {
-        Self::spawn(model, config, None)
-    }
-
-    /// [`ServeEngine::new`] with speculative decoding: `draft` proposes up
-    /// to `draft_k` tokens per step for every greedy request and the
-    /// target verifies them in the same batched forward, with exact
-    /// acceptance — token streams stay bit-identical to a plain engine.
-    /// See [`Scheduler::with_speculative`] for the contract details.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any sizing field is 0 or the draft's vocabulary/context
-    /// mismatch the target's.
-    pub fn with_speculative<M: ServeModel + 'static>(
-        model: M,
-        config: EngineConfig,
-        draft: Arc<dyn ServeModel>,
-        draft_k: usize,
-    ) -> Self {
-        Self::spawn(model, config, Some((draft, draft_k)))
-    }
-
-    fn spawn<M: ServeModel + 'static>(
-        model: M,
-        config: EngineConfig,
-        spec: Option<(Arc<dyn ServeModel>, usize)>,
-    ) -> Self {
         assert!(config.max_batch > 0, "max_batch must be positive");
         assert!(config.queue_capacity > 0, "queue_capacity must be positive");
         let shared = Arc::new(Shared {
@@ -885,12 +864,13 @@ impl ServeEngine {
                 draining: false,
                 kill: false,
                 drop_streams: false,
-                set_draft_k: None,
             }),
             cv: Condvar::new(),
             stats: Mutex::new(StatsSnapshot::default()),
             capacity: config.queue_capacity,
             max_seq: model.config().max_seq,
+            kv_block_tokens: model.kv_pool().block_tokens(),
+            kv_max_blocks: model.kv_pool().max_blocks(),
             submitted: AtomicU64::new(0),
             rejected_full: AtomicU64::new(0),
             stall_steps: AtomicU64::new(0),
@@ -901,7 +881,7 @@ impl ServeEngine {
             .name("edkm-serve-engine".into())
             .spawn(move || {
                 let _g = runtime::bind(&rt);
-                worker_loop(model, worker_shared, config.max_batch, spec);
+                worker_loop(model, worker_shared, config.max_batch);
             })
             .expect("spawn engine worker");
         ServeEngine {
@@ -1011,21 +991,12 @@ fn publish_stats<M: ServeModel>(
         ttft_steps: tallies.ttft.clone(),
         prefix_hits: sched.prefix_hits(),
         prefix_tokens_reused: sched.prefix_tokens_reused(),
-        spec_proposed: sched.spec_proposed(),
-        spec_accepted: sched.spec_accepted(),
+        spec_proposed: 0,
     };
 }
 
-fn worker_loop<M: ServeModel>(
-    model: M,
-    shared: Arc<Shared>,
-    max_batch: usize,
-    spec: Option<(Arc<dyn ServeModel>, usize)>,
-) {
-    let mut sched = match spec {
-        Some((draft, draft_k)) => Scheduler::with_speculative(&model, max_batch, draft, draft_k),
-        None => Scheduler::new(&model, max_batch),
-    };
+fn worker_loop<M: ServeModel>(model: M, shared: Arc<Shared>, max_batch: usize) {
+    let mut sched = Scheduler::new(&model, max_batch);
     let mut streams: HashMap<u64, mpsc::Sender<TokenEvent>> = HashMap::new();
     let mut submit_step: HashMap<u64, u64> = HashMap::new();
     let mut tallies = Tallies::default();
@@ -1080,9 +1051,6 @@ fn worker_loop<M: ServeModel>(
                         inbox.live.remove(&id);
                     }
                     shared.cv.notify_all();
-                }
-                if let Some(k) = inbox.set_draft_k.take() {
-                    sched.set_draft_k(k);
                 }
                 let cancels: Vec<(u64, u64)> = inbox.cancels.drain(..).collect();
                 let acked = !cancels.is_empty();

@@ -518,24 +518,6 @@ impl PalettizedModel {
         self
     }
 
-    /// An aggressively palettized draft of `model` for speculative
-    /// decoding: same architecture and vocabulary, compressed at
-    /// `draft_bits` (2 is the sweet spot the HPCA paper's palette economics
-    /// make uniquely cheap) with a light DKM schedule — proposal quality
-    /// only affects the accepted-per-step rate, never output tokens. The
-    /// draft keeps its own default (unbounded) KV pool, as
-    /// [`crate::Scheduler::with_speculative`] requires.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ServeError`] under the same conditions as
-    /// [`PalettizedModel::from_dense`].
-    pub fn draft_from_dense(model: &LlamaModel, draft_bits: u8) -> Result<Self, ServeError> {
-        let mut spec = CompressSpec::with_bits(draft_bits);
-        spec.dkm.iters = spec.dkm.iters.min(2);
-        Self::from_dense(model, &spec)
-    }
-
     /// Architecture config.
     pub fn config(&self) -> &LlamaConfig {
         &self.config
@@ -690,12 +672,11 @@ impl<'a> ChunkView<'a> {
 /// The serving surface [`crate::serve::Generator`],
 /// [`crate::serve::Scheduler`] and [`crate::engine::ServeEngine`] drive —
 /// implemented by [`PalettizedModel`]. Generic callers also accept a
-/// wrapper around it (a model that times each forward, say), and the
-/// speculative draft rides along as an `Arc<dyn ServeModel>`.
+/// wrapper around it (a model that times each forward, say).
 ///
-/// `Send + Sync` are explicit supertraits: the engine moves the model onto
-/// its worker thread, and the draft is shared with it through an `Arc`.
-pub trait ServeModel: Send + Sync {
+/// `Send` is an explicit supertrait: the engine moves the model onto its
+/// worker thread.
+pub trait ServeModel: Send {
     /// Architecture config.
     fn config(&self) -> &LlamaConfig;
     /// The paged KV block pool sequences draw from.

@@ -701,35 +701,6 @@ impl KvCache {
         debug_assert!(self.len <= self.capacity(), "committed past capacity");
     }
 
-    /// Shrink the committed length to `new_len`, releasing whole blocks
-    /// past the new end (owned blocks return to the free list, shared
-    /// references drop). Rows between `new_len` and the end of the last
-    /// kept block become dead and are overwritten by later writes — this
-    /// is how speculative decoding rolls back rejected draft positions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_len` exceeds the current length.
-    pub fn truncate(&mut self, new_len: usize) {
-        assert!(
-            new_len <= self.len,
-            "truncate to {new_len} beyond length {}",
-            self.len
-        );
-        self.len = new_len;
-        let keep = self.pool.blocks_for(new_len);
-        if keep >= self.blocks.len() {
-            return;
-        }
-        let mut owned = Vec::new();
-        for r in self.blocks.drain(keep..) {
-            if let BlockRef::Owned(b) = r {
-                owned.push(b);
-            }
-        }
-        self.pool.put_back(owned);
-    }
-
     /// The K row of `layer` at absolute position `pos` (read through the
     /// block table).
     pub fn k_row(&self, layer: usize, pos: usize) -> &[f32] {
@@ -1103,24 +1074,6 @@ mod tests {
         let mut c = KvCache::new(Arc::clone(&p));
         assert!(!c.try_reserve(4), "no evictable blocks, cap holds");
         assert_eq!(p.prefix_cached_blocks(), 1);
-    }
-
-    #[test]
-    fn truncate_releases_tail_blocks_and_rolls_back_len() {
-        let p = pool(2, 0);
-        let mut c = KvCache::new(Arc::clone(&p));
-        assert!(c.try_reserve(6));
-        fill(&mut c, 0, 6, 0.0);
-        assert_eq!(p.blocks_in_use(), 3);
-        c.truncate(3);
-        assert_eq!(c.len(), 3);
-        assert_eq!(p.blocks_in_use(), 2, "third block returned");
-        // Mid-block truncation keeps the partial block; rows re-writable.
-        c.write_rows(0, 3, &[5.0; 4], &[5.0; 4]);
-        c.commit(1);
-        assert_eq!(c.k_row(0, 3), &[5.0; 4]);
-        c.truncate(0);
-        assert_eq!(p.blocks_in_use(), 0);
     }
 
     #[test]

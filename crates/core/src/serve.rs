@@ -425,20 +425,9 @@ impl ActiveSeq {
     }
 }
 
-/// Draft-model bookkeeping for one speculative sequence: the draft's own
-/// KV cache plus the exact token stream already fed into it, so a
-/// mis-speculation rolls the draft back to the longest common prefix with
-/// the committed stream instead of re-prefilling from scratch.
-#[derive(Debug)]
-struct DraftSeq {
-    cache: KvCache,
-    fed: Vec<usize>,
-}
-
-/// The in-flight sequences, their KV caches, and (when speculative
-/// decoding is on) their draft-model state, in aligned vecs (entry `i` of
-/// each belongs to the same request, in admission order). Splitting the
-/// caches out of [`ActiveSeq`] is what lets one step hand the model a
+/// The in-flight sequences and their KV caches, in aligned vecs (entry
+/// `i` of each belongs to the same request, in admission order). Splitting
+/// the caches out of [`ActiveSeq`] is what lets one step hand the model a
 /// contiguous `&mut [KvCache]` slab while the per-sequence bookkeeping
 /// stays independently borrowable — no per-step `Vec<&mut KvCache>` of
 /// reborrows.
@@ -446,13 +435,11 @@ struct DraftSeq {
 struct Flight {
     seqs: Vec<ActiveSeq>,
     caches: Vec<KvCache>,
-    drafts: Vec<Option<DraftSeq>>,
 }
 
 impl Flight {
     fn len(&self) -> usize {
         debug_assert_eq!(self.seqs.len(), self.caches.len());
-        debug_assert_eq!(self.seqs.len(), self.drafts.len());
         self.seqs.len()
     }
 
@@ -463,50 +450,18 @@ impl Flight {
     fn push(&mut self, seq: ActiveSeq, cache: KvCache) {
         self.seqs.push(seq);
         self.caches.push(cache);
-        self.drafts.push(None);
     }
 
     /// Order-preserving removal (the active set stays in admission order,
-    /// which is what makes tail preemption hit the newest sequence). Any
-    /// draft state drops with the slot.
+    /// which is what makes tail preemption hit the newest sequence).
     fn remove(&mut self, i: usize) -> (ActiveSeq, KvCache) {
-        self.drafts.remove(i);
         (self.seqs.remove(i), self.caches.remove(i))
     }
 
     fn pop(&mut self) -> Option<(ActiveSeq, KvCache)> {
         let seq = self.seqs.pop()?;
         let cache = self.caches.pop().expect("vecs stay aligned");
-        self.drafts.pop().expect("vecs stay aligned");
         Some((seq, cache))
-    }
-}
-
-/// Speculative-decoding state: the aggressively palettized draft model,
-/// the per-step proposals it produced, and dedicated scratch so draft
-/// forward shapes never thrash the target's arena.
-struct SpecState {
-    draft: std::sync::Arc<dyn ServeModel>,
-    draft_k: usize,
-    scratch: ScratchArena,
-    /// Per-flight-slot proposals for the current step, rebuilt in place.
-    proposals: Vec<Vec<usize>>,
-    /// Per-flight-slot KV rollback length after verification (`Some` only
-    /// for slots that speculated this step).
-    rollbacks: Vec<Option<usize>>,
-    /// Flat batch buffers for the draft forwards.
-    draft_tokens: Vec<usize>,
-    draft_ends: Vec<usize>,
-    /// Never consumed: greedy sampling ignores randomness, but
-    /// [`sample_token`] wants an RNG handle.
-    rng: StdRng,
-}
-
-impl std::fmt::Debug for SpecState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpecState")
-            .field("draft_k", &self.draft_k)
-            .finish_non_exhaustive()
     }
 }
 
@@ -563,10 +518,6 @@ pub struct Scheduler<'m, M: ServeModel = PalettizedModel> {
     preemptions: u64,
     prefix_hits: u64,
     prefix_tokens_reused: u64,
-    spec_proposed: u64,
-    spec_accepted: u64,
-    /// Speculative-decoding state; `None` runs plain one-token decode.
-    spec: Option<SpecState>,
     /// Reusable forward-pass scratch: after one step of a given flight
     /// shape, later steps of the same shape allocate nothing.
     scratch: ScratchArena,
@@ -598,75 +549,9 @@ impl<'m, M: ServeModel> Scheduler<'m, M> {
             preemptions: 0,
             prefix_hits: 0,
             prefix_tokens_reused: 0,
-            spec_proposed: 0,
-            spec_accepted: 0,
-            spec: None,
             scratch: ScratchArena::new(),
             flat_tokens: Vec::new(),
             chunk_ends: Vec::new(),
-        }
-    }
-
-    /// A scheduler that speculatively decodes greedy requests: `draft`
-    /// (typically a 2-bit palettization of the same architecture) proposes
-    /// up to `draft_k` tokens per step and the target model verifies them
-    /// in one batched forward. Acceptance is exact — a proposal survives
-    /// only if it equals the target's own greedy argmax at that position —
-    /// so the emitted tokens are bit-identical to non-speculative greedy
-    /// decoding; a bad draft only lowers the accepted-per-step rate.
-    /// Non-greedy requests decode on the standard one-token path.
-    ///
-    /// The draft should draw from an **unbounded** KV pool (the default):
-    /// draft cache pressure must never preempt target sequences.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` or `draft_k` is 0, or if the draft's
-    /// vocabulary or context length differ from the target's.
-    pub fn with_speculative(
-        model: &'m M,
-        max_batch: usize,
-        draft: std::sync::Arc<dyn ServeModel>,
-        draft_k: usize,
-    ) -> Self {
-        assert!(draft_k > 0, "draft_k must be positive");
-        assert_eq!(
-            draft.config().vocab,
-            model.config().vocab,
-            "draft and target must share a vocabulary"
-        );
-        assert!(
-            draft.config().max_seq >= model.config().max_seq,
-            "draft max_seq must cover the target's"
-        );
-        let mut sched = Self::new(model, max_batch);
-        sched.spec = Some(SpecState {
-            draft,
-            draft_k,
-            scratch: ScratchArena::new(),
-            proposals: Vec::new(),
-            rollbacks: Vec::new(),
-            draft_tokens: Vec::new(),
-            draft_ends: Vec::new(),
-            rng: StdRng::seed_from_u64(0),
-        });
-        sched
-    }
-
-    /// Current speculative draft budget, `None` when this scheduler
-    /// decodes plainly.
-    pub fn draft_k(&self) -> Option<usize> {
-        self.spec.as_ref().map(|s| s.draft_k)
-    }
-
-    /// Retune the speculative draft budget mid-flight (clamped to ≥ 1; a
-    /// no-op on a plain scheduler). Exact acceptance makes this safe at
-    /// any moment: a smaller `k` only shortens the proposal walk, never
-    /// changes an emitted token — the degrade ladder's cheap way to shed
-    /// draft-model compute under pressure.
-    pub fn set_draft_k(&mut self, k: usize) {
-        if let Some(spec) = self.spec.as_mut() {
-            spec.draft_k = k.max(1);
         }
     }
 
@@ -776,17 +661,6 @@ impl<'m, M: ServeModel> Scheduler<'m, M> {
         self.prefix_tokens_reused
     }
 
-    /// Tokens proposed by the speculative draft model so far.
-    pub fn spec_proposed(&self) -> u64 {
-        self.spec_proposed
-    }
-
-    /// Proposed tokens the target model accepted (always `<=`
-    /// [`Scheduler::spec_proposed`]).
-    pub fn spec_accepted(&self) -> u64 {
-        self.spec_accepted
-    }
-
     /// Sequences preempted so far (blocks reclaimed, request requeued).
     pub fn preemptions(&self) -> u64 {
         self.preemptions
@@ -874,8 +748,11 @@ impl<'m, M: ServeModel> Scheduler<'m, M> {
     /// # Panics
     ///
     /// Panics if the KV pool cannot hold even a single request's working
-    /// set (one sequence running alone still starves) — the pool must be
-    /// sized for at least `blocks_for(prompt + max_new)` of the largest
+    /// set (one sequence running alone still starves). A lone request
+    /// holds `blocks_for(prompt + 1)` blocks at admission and
+    /// `blocks_for(prompt + max_new - 1)` by its last step (the last
+    /// sampled token is never written to the cache), so the pool must cap
+    /// at no fewer blocks than the larger of the two for the largest
     /// request.
     pub fn step(&mut self) -> Vec<ServeResponse> {
         self.step_events().finished
@@ -1024,40 +901,13 @@ impl<'m, M: ServeModel> Scheduler<'m, M> {
             return;
         }
 
-        // Draft proposal phase: every greedy decode-phase sequence gets up
-        // to `draft_k` continuation tokens from the low-bit draft model,
-        // verified below in the same batched target forward as everything
-        // else.
-        if self.spec.is_some() {
-            self.propose_drafts();
-        }
-        let (props_all, mut rollbacks) = match self.spec.as_mut() {
-            Some(s) => (
-                std::mem::take(&mut s.proposals),
-                std::mem::take(&mut s.rollbacks),
-            ),
-            None => (Vec::new(), Vec::new()),
-        };
-        if self.spec.is_some() {
-            // Reused across steps (taken from and returned to SpecState),
-            // so the resize is warm after the first speculative step. The
-            // plain path leaves both vecs empty — steady-state decode
-            // stays allocation-free.
-            rollbacks.clear();
-            rollbacks.resize(self.flight.len(), None);
-        }
-
-        // One batched forward over every in-flight sequence's new tokens
-        // (plus its draft proposals, if any), described by the
-        // scheduler-owned flat buffers (rebuilt in place — no per-step
-        // vecs) while the caches go in as one aligned slab.
+        // One batched forward over every in-flight sequence's new tokens,
+        // described by the scheduler-owned flat buffers (rebuilt in place —
+        // no per-step vecs) while the caches go in as one aligned slab.
         self.flat_tokens.clear();
         self.chunk_ends.clear();
-        for (i, seq) in self.flight.seqs.iter().enumerate() {
+        for seq in &self.flight.seqs {
             self.flat_tokens.extend_from_slice(&seq.next_input);
-            if let Some(p) = props_all.get(i) {
-                self.flat_tokens.extend_from_slice(p);
-            }
             self.chunk_ends.push(self.flat_tokens.len());
         }
         let view = ChunkView::new(&self.flat_tokens, &self.chunk_ends);
@@ -1072,94 +922,28 @@ impl<'m, M: ServeModel> Scheduler<'m, M> {
         // is emitted only past the sequence's high-water mark, so
         // preemption replays never duplicate a stream.
         let vocab = self.model.config().vocab;
-        let mut chunk_start = 0usize;
-        for (i, (seq, &end)) in self
-            .flight
-            .seqs
-            .iter_mut()
-            .zip(&self.chunk_ends)
-            .enumerate()
-        {
-            let props: &[usize] = props_all.get(i).map_or(&[], Vec::as_slice);
-            if props.is_empty() {
-                // Plain path: one sampled token from the chunk's last row.
-                let row = &data[(end - 1) * vocab..end * vocab];
-                let next = sample_token(row, &seq.sampling, &mut seq.rng);
-                seq.tokens.push(next);
-                seq.next_input.clear();
-                seq.next_input.push(next);
-                seq.produced += 1;
-                self.tokens_generated += 1;
-                if seq.produced > seq.emitted.len() {
-                    events.tokens.push(TokenEmission {
-                        id: seq.id,
-                        token: next,
-                        index: seq.produced - 1,
-                    });
-                    seq.emitted.push(next);
-                }
-                if seq.stop_tokens.contains(&next) {
-                    seq.stop_hit = true;
-                }
-                chunk_start = end;
-                continue;
-            }
-            // Speculative verification. The chunk was `[t, d1..dk]`, so
-            // row `r` is the target's distribution *after* consuming chunk
-            // token `r` — exactly the row plain greedy decode would see at
-            // that position. Walk the rows in order: a proposal survives
-            // only if it equals the target's own argmax (exact
-            // acceptance); the first mismatching row contributes the
-            // correction token instead, and a full match yields a bonus
-            // token from the final row. Either way every emitted token is
-            // the one non-speculative greedy decoding would have produced.
-            let k = props.len();
-            debug_assert_eq!(end - chunk_start, 1 + k, "verify chunk shape");
-            for r in 0..=k {
-                let off = chunk_start + r;
-                let row = &data[off * vocab..(off + 1) * vocab];
-                let next = sample_token(row, &seq.sampling, &mut seq.rng);
-                let matched = props.get(r) == Some(&next);
-                if matched {
-                    self.spec_accepted += 1;
-                }
-                seq.tokens.push(next);
-                seq.produced += 1;
-                self.tokens_generated += 1;
-                if seq.produced > seq.emitted.len() {
-                    events.tokens.push(TokenEmission {
-                        id: seq.id,
-                        token: next,
-                        index: seq.produced - 1,
-                    });
-                    seq.emitted.push(next);
-                }
-                if seq.stop_tokens.contains(&next) {
-                    seq.stop_hit = true;
-                }
-                if seq.stop_hit || !matched {
-                    break;
-                }
-            }
+        for (seq, &end) in self.flight.seqs.iter_mut().zip(&self.chunk_ends) {
+            // One sampled token from the chunk's last row.
+            let row = &data[(end - 1) * vocab..end * vocab];
+            let next = sample_token(row, &seq.sampling, &mut seq.rng);
+            seq.tokens.push(next);
             seq.next_input.clear();
-            seq.next_input
-                .push(*seq.tokens.last().expect("just pushed"));
-            // KV rows written for rejected proposals roll back below, so
-            // the cache again holds exactly `committed - 1` positions.
-            rollbacks[i] = Some(seq.tokens.len() - 1);
-            chunk_start = end;
+            seq.next_input.push(next);
+            seq.produced += 1;
+            self.tokens_generated += 1;
+            if seq.produced > seq.emitted.len() {
+                events.tokens.push(TokenEmission {
+                    id: seq.id,
+                    token: next,
+                    index: seq.produced - 1,
+                });
+                seq.emitted.push(next);
+            }
+            if seq.stop_tokens.contains(&next) {
+                seq.stop_hit = true;
+            }
         }
         self.scratch.put(data); // logits buffer back to the arena
-
-        for (i, rb) in rollbacks.iter().enumerate() {
-            if let Some(new_len) = rb {
-                self.flight.caches[i].truncate(*new_len);
-            }
-        }
-        if let Some(s) = self.spec.as_mut() {
-            s.proposals = props_all;
-            s.rollbacks = rollbacks;
-        }
 
         let model = self.model;
         if model.kv_pool().prefix_cache_enabled() {
@@ -1199,88 +983,6 @@ impl<'m, M: ServeModel> Scheduler<'m, M> {
             } else {
                 i += 1;
             }
-        }
-    }
-
-    /// Run the draft model for every greedy decode-phase sequence, filling
-    /// `spec.proposals[i]` with up to `draft_k` continuation tokens per
-    /// flight slot. The draft rolls back to its longest common prefix with
-    /// the committed stream, catches up on unseen committed tokens in one
-    /// chunk, then extends greedily one token at a time; the last proposal
-    /// is never fed back (the target's verdict decides its fate).
-    fn propose_drafts(&mut self) {
-        let max_seq = self.model.config().max_seq;
-        let n = self.flight.len();
-        let spec = self.spec.as_mut().expect("speculative state");
-        let SpecState {
-            draft,
-            draft_k,
-            scratch,
-            proposals,
-            draft_tokens,
-            draft_ends,
-            rng,
-            ..
-        } = spec;
-        let vocab = draft.config().vocab;
-        proposals.clear();
-        proposals.resize_with(n, Vec::new);
-        for (i, slot) in proposals.iter_mut().enumerate() {
-            let seq = &self.flight.seqs[i];
-            // Prefill chunks and stochastic sampling take the plain path,
-            // and the final budgeted token is never worth drafting.
-            if !seq.sampling.is_greedy() || seq.produced == 0 {
-                continue;
-            }
-            let rem = seq.max_new - seq.produced;
-            let k = (*draft_k)
-                .min(rem.saturating_sub(1))
-                .min(max_seq.saturating_sub(seq.tokens.len()));
-            if k == 0 {
-                continue;
-            }
-            // The verify chunk needs target capacity for the committed
-            // token plus `k` proposals; if a bounded pool cannot cover it,
-            // fall back to plain decode instead of preempting anyone.
-            if !self.flight.caches[i].try_reserve(1 + k) {
-                continue;
-            }
-            let dseq = self.flight.drafts[i].get_or_insert_with(|| DraftSeq {
-                cache: draft.new_cache(),
-                fed: Vec::new(),
-            });
-            let committed = &seq.tokens;
-            let mut lcp = 0usize;
-            while lcp < dseq.fed.len() && lcp < committed.len() && dseq.fed[lcp] == committed[lcp] {
-                lcp += 1;
-            }
-            if lcp < dseq.fed.len() {
-                dseq.fed.truncate(lcp);
-                dseq.cache.truncate(lcp);
-            }
-            if dseq.fed.len() >= committed.len() {
-                // The draft already saw every committed token (unreachable:
-                // verification always commits a token the draft never ate).
-                debug_assert!(false, "draft ahead of committed stream");
-                continue;
-            }
-            draft_tokens.clear();
-            draft_tokens.extend_from_slice(&committed[dseq.fed.len()..]);
-            for _ in 0..k {
-                draft_ends.clear();
-                draft_ends.push(draft_tokens.len());
-                let view = ChunkView::new(draft_tokens, draft_ends);
-                let data =
-                    draft.forward_chunks_into(view, std::slice::from_mut(&mut dseq.cache), scratch);
-                let row = &data[(draft_tokens.len() - 1) * vocab..draft_tokens.len() * vocab];
-                let next = sample_token(row, &SamplingConfig::greedy(), rng);
-                scratch.put(data);
-                dseq.fed.extend_from_slice(draft_tokens);
-                slot.push(next);
-                draft_tokens.clear();
-                draft_tokens.push(next);
-            }
-            self.spec_proposed += k as u64;
         }
     }
 

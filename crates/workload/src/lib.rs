@@ -54,9 +54,9 @@ pub use chaos::{
     audit_invariants, replay_cluster_chaos, AppliedFault, ChaosReplayConfig, ChaosReplayReport,
 };
 pub use replay::{
-    replay_cluster, replay_engine, replay_router, replay_trace, replay_trace_speculative,
-    ClusterReplayConfig, ClusterReplayReport, EngineReplayConfig, EngineReplayReport,
-    ReplayCounters, RequestOutcome, StepReplayReport,
+    replay_cluster, replay_engine, replay_router, replay_trace, ClusterReplayConfig,
+    ClusterReplayReport, EngineReplayConfig, EngineReplayReport, ReplayCounters, RequestOutcome,
+    StepReplayReport,
 };
 pub use report::{percentile_f64, percentile_u64};
 pub use trace::{TimedRequest, Trace, TraceConfig, TraceKind};

@@ -60,10 +60,6 @@ pub struct ReplayCounters {
     pub prefix_hits: u64,
     /// Prompt tokens served from the prefix cache instead of prefill.
     pub prefix_tokens_reused: u64,
-    /// Draft tokens proposed by the speculative decoder.
-    pub spec_proposed: u64,
-    /// Draft tokens accepted by target verification.
-    pub spec_accepted: u64,
 }
 
 impl ReplayCounters {
@@ -92,15 +88,6 @@ impl ReplayCounters {
             0.0
         } else {
             self.prefix_hits as f64 / self.submitted as f64
-        }
-    }
-
-    /// Accepted draft tokens per decode step (0 when no step ran).
-    pub fn accepted_per_step(&self) -> f64 {
-        if self.decode_steps == 0 {
-            0.0
-        } else {
-            self.spec_accepted as f64 / self.decode_steps as f64
         }
     }
 }
@@ -136,39 +123,7 @@ impl StepReplayReport {
 /// [`Scheduler::step`] (empty prompts, context overflow, a bounded KV
 /// pool too small for a single request).
 pub fn replay_trace<M: ServeModel>(model: &M, trace: &Trace, max_batch: usize) -> StepReplayReport {
-    replay_with_scheduler(Scheduler::new(model, max_batch), trace)
-}
-
-/// [`replay_trace`] with exact-acceptance speculative decoding: `draft`
-/// proposes `draft_k` tokens per scheduler step and the target verifies
-/// them in one batched forward. Tokens are bit-identical to the plain
-/// replay for greedy requests; [`ReplayCounters::spec_proposed`] /
-/// [`ReplayCounters::spec_accepted`] record the speculation economics.
-///
-/// # Panics
-///
-/// Panics on the same conditions as [`replay_trace`], plus those of
-/// [`Scheduler::with_speculative`] (vocab mismatch, `draft_k == 0`, a
-/// draft with a shorter context than the target).
-pub fn replay_trace_speculative<M: ServeModel>(
-    model: &M,
-    trace: &Trace,
-    max_batch: usize,
-    draft: std::sync::Arc<dyn ServeModel>,
-    draft_k: usize,
-) -> StepReplayReport {
-    replay_with_scheduler(
-        Scheduler::with_speculative(model, max_batch, draft, draft_k),
-        trace,
-    )
-}
-
-/// Shared virtual-clock loop behind [`replay_trace`] and
-/// [`replay_trace_speculative`].
-fn replay_with_scheduler<M: ServeModel>(
-    mut sched: Scheduler<'_, M>,
-    trace: &Trace,
-) -> StepReplayReport {
+    let mut sched = Scheduler::new(model, max_batch);
     let mut events = StepEvents::default();
     let reqs = trace.requests();
     let mut next = 0usize;
@@ -227,8 +182,6 @@ fn replay_with_scheduler<M: ServeModel>(
     counters.tokens_generated = sched.tokens_generated();
     counters.prefix_hits = sched.prefix_hits();
     counters.prefix_tokens_reused = sched.prefix_tokens_reused();
-    counters.spec_proposed = sched.spec_proposed();
-    counters.spec_accepted = sched.spec_accepted();
     outcomes.sort_by_key(|o| o.id);
     let mut ttft_steps: Vec<u64> = outcomes.iter().filter_map(|o| o.ttft_steps).collect();
     ttft_steps.sort_unstable();
@@ -393,8 +346,6 @@ pub fn replay_engine<M: ServeModel + 'static>(
         kv_peak_bytes: stats.kv_peak_bytes,
         prefix_hits: stats.prefix_hits,
         prefix_tokens_reused: stats.prefix_tokens_reused,
-        spec_proposed: stats.spec_proposed,
-        spec_accepted: stats.spec_accepted,
     };
     EngineReplayReport {
         outcomes,

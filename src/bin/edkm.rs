@@ -26,7 +26,6 @@ use edkm::core::{render_table2, run_table2, AblationSetup};
 use edkm::core::{CompressSpec, CompressedTensor, CompressionPipeline, EdkmConfig, EdkmHooks};
 use edkm::core::{
     EngineConfig, KvBlockConfig, PalettizedModel, Priority, Request, SamplingConfig, ServeEngine,
-    ServeModel,
 };
 use edkm::data::{AlpacaSet, Corpus, Grammar};
 use edkm::eval::perplexity;
@@ -102,6 +101,21 @@ fn parse_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T 
     flag_value(args, name).map_or(default, |v| parse_value(name, &v))
 }
 
+/// `text` as a palette bit width; a width outside `1..=8` is a usage
+/// error naming `--bits`.
+fn parse_bits(text: &str) -> u8 {
+    let bits: u8 = parse_value("--bits", text);
+    if !(1..=8).contains(&bits) {
+        usage_error(&format!("--bits {bits} is outside 1..=8"));
+    }
+    bits
+}
+
+/// `--bits N`, or 3 when the flag is absent.
+fn bits_flag(args: &[String]) -> u8 {
+    flag_value(args, "--bits").map_or(3, |v| parse_bits(&v))
+}
+
 fn usage() {
     eprintln!(
         "usage: edkm <command> [flags]
@@ -126,10 +140,6 @@ commands:
                     --kv-blocks B (0 = unbounded pool)
                     --prefix-cache (share cached prompt-prefix KV blocks
                     copy-on-write across requests)
-                    --draft-bits N (0 = no speculation; 2 palettizes a
-                    draft model that proposes tokens the target verifies —
-                    greedy requests only, tokens unchanged)
-                    --draft-k K (4; draft tokens proposed per step)
                     --replicas R (1; R > 1 serves a fleet of R engine
                     replicas behind the load-aware edkm-cluster router —
                     per-request tokens identical to a single engine)
@@ -222,7 +232,7 @@ impl Workbench {
 }
 
 fn spec_from_flags(args: &[String]) -> CompressSpec {
-    let bits: u8 = parse_or(args, "--bits", 3);
+    let bits = bits_flag(args);
     let dim: usize = parse_or(args, "--dim", 1);
     let mut spec = if dim > 1 {
         CompressSpec::vector(bits, dim)
@@ -288,7 +298,7 @@ fn cmd_sweep(args: &[String]) {
     let bits_list: Vec<u8> = flag_value(args, "--bits")
         .unwrap_or_else(|| "2,3,4".into())
         .split(',')
-        .map(|s| parse_value("--bits", s))
+        .map(parse_bits)
         .collect();
     let dim: usize = parse_or(args, "--dim", 1);
     let wb = Workbench::build(120);
@@ -401,7 +411,6 @@ fn serve_with_model(
     n_requests: usize,
     n_new: usize,
     temperature: f32,
-    speculative: Option<(std::sync::Arc<dyn ServeModel>, usize)>,
 ) {
     // Leave room for at least one prompt token (CLI convention: clamp bad
     // flag values instead of crashing).
@@ -424,10 +433,7 @@ fn serve_with_model(
         max_batch,
         queue_capacity: n_requests.max(1),
     };
-    let engine = match speculative {
-        Some((draft, draft_k)) => ServeEngine::with_speculative(model, config, draft, draft_k),
-        None => ServeEngine::new(model, config),
-    };
+    let engine = ServeEngine::new(model, config);
     let handle = engine.handle();
     let t0 = std::time::Instant::now();
     let sim0 = runtime::sim_seconds();
@@ -476,14 +482,6 @@ fn serve_with_model(
         println!(
             "prefix cache: {} hits, {} prompt tokens served from shared blocks",
             stats.prefix_hits, stats.prefix_tokens_reused
-        );
-    }
-    if stats.spec_proposed > 0 {
-        println!(
-            "speculation: {}/{} draft tokens accepted ({:.2} per decode step)",
-            stats.spec_accepted,
-            stats.spec_proposed,
-            stats.spec_accepted as f64 / stats.decode_steps.max(1) as f64
         );
     }
     engine.shutdown();
@@ -704,16 +702,17 @@ fn cmd_serve(args: &[String]) {
             "--temp",
             "--kv-block-tokens",
             "--kv-blocks",
-            "--draft-bits",
-            "--draft-k",
             "--replicas",
             "--chaos-seed",
             "--chaos-profile",
         ],
         &["--prefix-cache", "--affinity"],
     );
-    let bits: u8 = parse_or(args, "--bits", 3);
+    let bits = bits_flag(args);
     let max_batch: usize = parse_or(args, "--batch", 4);
+    if max_batch == 0 {
+        usage_error("--batch must be positive");
+    }
     let n_requests: usize = parse_or(args, "--requests", 6);
     let n_new: usize = parse_or(args, "--new", 16);
     let temperature: f32 = parse_or(args, "--temp", 0.8);
@@ -722,8 +721,6 @@ fn cmd_serve(args: &[String]) {
     let kv_block_tokens: usize = parse_or(args, "--kv-block-tokens", 16).max(1);
     let kv_blocks: usize = parse_or(args, "--kv-blocks", 0);
     let prefix_cache = args.iter().any(|a| a == "--prefix-cache");
-    let draft_bits: u8 = parse_or(args, "--draft-bits", 0);
-    let draft_k: usize = parse_or(args, "--draft-k", 4).max(1);
     let chaos_seed: Option<u64> =
         flag_value(args, "--chaos-seed").map(|v| parse_value("--chaos-seed", &v));
     let profile_name =
@@ -795,37 +792,7 @@ fn cmd_serve(args: &[String]) {
         );
         return;
     }
-    let speculative: Option<(std::sync::Arc<dyn ServeModel>, usize)> = if draft_bits > 0 {
-        match PalettizedModel::draft_from_dense(&wb.model, draft_bits) {
-            Ok(draft) => {
-                println!(
-                    "speculative draft: {draft_bits}-bit palettized ({} bytes), \
-                     proposing {draft_k} token(s) per step",
-                    draft.size_bytes()
-                );
-                if temperature > 0.0 {
-                    eprintln!(
-                        "note: speculation only applies to greedy requests; \
-                         pass --temp 0 to see it engage"
-                    );
-                }
-                Some((std::sync::Arc::new(draft), draft_k))
-            }
-            Err(e) => {
-                eprintln!("cannot build a {draft_bits}-bit draft: {e}");
-                return;
-            }
-        }
-    } else {
-        None
-    };
     if replicas > 1 {
-        if speculative.is_some() {
-            eprintln!(
-                "note: --draft-bits is single-replica only; serving the \
-                 fleet without speculation"
-            );
-        }
         println!(
             "fleet of {replicas} replicas behind the {} router",
             if affinity {
@@ -846,14 +813,7 @@ fn cmd_serve(args: &[String]) {
             .collect();
         serve_with_cluster(fleet, max_batch, n_requests, n_new, temperature, affinity);
     } else {
-        serve_with_model(
-            model,
-            max_batch,
-            n_requests,
-            n_new,
-            temperature,
-            speculative,
-        );
+        serve_with_model(model, max_batch, n_requests, n_new, temperature);
     }
 }
 

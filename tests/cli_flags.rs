@@ -41,6 +41,8 @@ fn unknown_flags_exit_2_with_the_flag_and_usage() {
         (&["serve", "--new", "4", "--reqests", "2"][..], "--reqests"),
         (&["serve", "--affinity=yes"][..], "--affinity"),
         (&["serve", "--shards", "2"][..], "--shards"),
+        (&["serve", "--draft-bits", "2"][..], "--draft-bits"),
+        (&["serve", "--draft-k", "4"][..], "--draft-k"),
         (&["bench", "workload", "--new", "4"][..], "--new"),
     ] {
         assert_usage_error(args, flag);
@@ -61,6 +63,11 @@ fn malformed_flag_values_exit_2_with_the_flag_and_usage() {
         ),
         (&["compress", "--bits", "three"][..], "--bits"),
         (&["sweep", "--bits", "2,x,4"][..], "--bits"),
+        (&["compress", "--bits", "0"][..], "--bits"),
+        (&["sweep", "--bits", "0,3"][..], "--bits"),
+        (&["inspect", "--bits", "12"][..], "--bits"),
+        (&["serve", "--bits", "9"][..], "--bits"),
+        (&["serve", "--batch", "0"][..], "--batch"),
         (&["ablate", "--learners", "-1"][..], "--learners"),
         (&["ablate", "--d-model", "24"][..], "--d-model"),
         (&["bench", "workload", "--trace", "bogus"][..], "--trace"),

@@ -3,18 +3,18 @@
 //! its terminal event the engine's books must balance —
 //! `finished + cancelled + expired == submitted`, no KV bytes left
 //! charged, and the TTFT histogram counting exactly the requests that
-//! emitted at least one token.
+//! emitted at least one token. `spec_proposed` reads 0 throughout.
 //!
 //! [`StatsSnapshot`]: edkm::core::StatsSnapshot
 
 use edkm::core::{
     CompressSpec, EngineConfig, KvBlockConfig, PalettizedModel, Priority, Request, SamplingConfig,
-    ServeEngine, ServeModel, TokenEvent,
+    ServeEngine, TokenEvent,
 };
 use edkm::nn::{LlamaConfig, LlamaModel};
 use edkm::tensor::{DType, Device};
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// One generated request of the interleaving: shape, optional deadline,
@@ -50,11 +50,11 @@ impl Op {
     }
 }
 
-/// The dense weights the target and the 2-bit speculative draft are both
-/// palettized from.
-fn dense() -> &'static LlamaModel {
-    static DENSE: OnceLock<LlamaModel> = OnceLock::new();
-    DENSE.get_or_init(|| {
+/// The shared serve model (tiny and untrained — accounting invariants are
+/// properties of the engine, not of model quality).
+fn model() -> &'static PalettizedModel {
+    static MODEL: OnceLock<PalettizedModel> = OnceLock::new();
+    MODEL.get_or_init(|| {
         let cfg = LlamaConfig {
             vocab: 64,
             d_model: 32,
@@ -63,23 +63,11 @@ fn dense() -> &'static LlamaModel {
             d_ff: 64,
             max_seq: 48,
         };
-        LlamaModel::new(cfg, DType::Bf16, Device::Cpu, 0)
-    })
-}
-
-/// The shared serve model (tiny and untrained — accounting invariants are
-/// properties of the engine, not of model quality).
-fn model() -> &'static PalettizedModel {
-    static MODEL: OnceLock<PalettizedModel> = OnceLock::new();
-    MODEL.get_or_init(|| {
+        let dense = LlamaModel::new(cfg, DType::Bf16, Device::Cpu, 0);
         let mut spec = CompressSpec::with_bits(3);
         spec.dkm.iters = 2;
-        PalettizedModel::from_dense(dense(), &spec).expect("servable export")
+        PalettizedModel::from_dense(&dense, &spec).expect("servable export")
     })
-}
-
-fn draft() -> Arc<dyn ServeModel> {
-    Arc::new(PalettizedModel::draft_from_dense(dense(), 2).expect("2-bit draft export"))
 }
 
 proptest! {
@@ -96,23 +84,22 @@ proptest! {
             max_batch,
             queue_capacity: ops.len(),
         };
-        // A third of the interleavings exercise the full serving surface:
-        // prefix cache on (over a private pool so cases stay independent)
-        // plus a 2-bit speculative draft. The books must balance either
-        // way.
+        // A third of the interleavings run with the prefix cache on (over
+        // a private pool so cases stay independent). The books must
+        // balance either way.
         let featured = seed.is_multiple_of(3);
-        let engine = if featured {
-            let m = model()
+        let served = if featured {
+            model()
                 .clone()
                 .with_kv_config(KvBlockConfig {
                     block_tokens: 8,
                     max_blocks: 0,
                 })
-                .with_prefix_cache(true);
-            ServeEngine::with_speculative(m, config, draft(), 1 + (seed % 4) as usize)
+                .with_prefix_cache(true)
         } else {
-            ServeEngine::new(model().clone(), config)
+            model().clone()
         };
+        let engine = ServeEngine::new(served, config);
         let handle = engine.handle();
         let mut streams = Vec::with_capacity(ops.len());
         for (i, op) in ops.iter().enumerate() {
@@ -160,14 +147,7 @@ proptest! {
             let snap = handle.stats();
             prop_assert!(snap.prefix_hits >= prev.prefix_hits);
             prop_assert!(snap.prefix_tokens_reused >= prev.prefix_tokens_reused);
-            prop_assert!(snap.spec_proposed >= prev.spec_proposed);
-            prop_assert!(snap.spec_accepted >= prev.spec_accepted);
-            prop_assert!(
-                snap.spec_accepted <= snap.spec_proposed,
-                "accepted {} beyond proposed {}",
-                snap.spec_accepted,
-                snap.spec_proposed
-            );
+            prop_assert_eq!(snap.spec_proposed, 0);
             prop_assert!(
                 snap.prefix_tokens_reused >= snap.prefix_hits,
                 "every prefix hit adopts at least one token"
@@ -207,23 +187,21 @@ proptest! {
              a first token"
         );
         prop_assert_eq!(stats.rejected_full, 0);
-        prop_assert!(stats.spec_accepted <= stats.spec_proposed);
+        prop_assert_eq!(stats.spec_proposed, 0);
         prop_assert!(stats.prefix_tokens_reused >= stats.prefix_hits);
         if !featured {
             prop_assert_eq!(stats.prefix_hits, 0);
             prop_assert_eq!(stats.prefix_tokens_reused, 0);
-            prop_assert_eq!(stats.spec_proposed, 0);
-            prop_assert_eq!(stats.spec_accepted, 0);
         }
     }
 }
 
-/// Deterministic end-to-end check that the new counters actually
+/// Deterministic end-to-end check that the prefix counters actually
 /// populate through the engine: six greedy requests sharing a 16-token
-/// prompt prefix, a 2-bit draft, prefix cache on. Late admissions adopt
-/// the early requests' prefill blocks and the draft proposes every step.
+/// prompt prefix, prefix cache on. Late admissions adopt the early
+/// requests' prefill blocks.
 #[test]
-fn prefix_and_speculation_counters_populate_through_the_engine() {
+fn prefix_counters_populate_through_the_engine() {
     let m = model()
         .clone()
         .with_kv_config(KvBlockConfig {
@@ -231,14 +209,12 @@ fn prefix_and_speculation_counters_populate_through_the_engine() {
             max_blocks: 0,
         })
         .with_prefix_cache(true);
-    let engine = ServeEngine::with_speculative(
+    let engine = ServeEngine::new(
         m,
         EngineConfig {
             max_batch: 2,
             queue_capacity: 6,
         },
-        draft(),
-        4,
     );
     let handle = engine.handle();
     let shared: Vec<usize> = (0..16).map(|t| (t * 5 + 3) % 64).collect();
@@ -267,7 +243,6 @@ fn prefix_and_speculation_counters_populate_through_the_engine() {
         stats.prefix_hits
     );
     assert!(stats.prefix_tokens_reused >= stats.prefix_hits * 8);
-    assert!(stats.spec_proposed > 0, "draft never proposed");
-    assert!(stats.spec_accepted <= stats.spec_proposed);
+    assert_eq!(stats.spec_proposed, 0);
     assert_eq!(stats.kv_live_bytes, 0, "drained engine still charges KV");
 }

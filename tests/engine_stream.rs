@@ -11,6 +11,8 @@
 //!   `DeadlineExceeded` and frees its blocks.
 //! * **Backpressure** — `try_submit` refuses at `queue_capacity`;
 //!   blocking `submit` unblocks when a slot frees.
+//! * **Pool bound** — a request a bounded KV pool cannot hold even alone
+//!   is refused at submit, and the engine keeps serving.
 
 use edkm::core::{
     CancelOutcome, CompressSpec, EngineConfig, FinishReason, KvBlockConfig, PalettizedModel,
@@ -531,6 +533,64 @@ fn recv_timeout_delivers_events_then_reports_typed_ends() {
     assert!(
         t0.elapsed() < Duration::from_secs(5),
         "a finished stream must report Ended immediately"
+    );
+    engine.shutdown();
+}
+
+#[test]
+fn a_request_too_large_for_a_bounded_pool_is_refused_at_submit() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
+    runtime::reset();
+    // 4-token blocks, 2 of them. A lone 4-token prompt holds
+    // blocks_for(4 + 1) = 2 at admission and blocks_for(4 + max_new - 1)
+    // by its last step: max_new 5 fits exactly, max_new 6 needs a third.
+    let model = served(18).with_kv_config(KvBlockConfig {
+        block_tokens: 4,
+        max_blocks: 2,
+    });
+    let engine = ServeEngine::new(model, EngineConfig::default());
+    let handle = engine.handle();
+    let greedy = |max_new: usize| {
+        Request::new(vec![1, 2, 3, 4])
+            .max_new_tokens(max_new)
+            .sampling(SamplingConfig::greedy())
+    };
+
+    let (_, mut fits) = handle.submit(greedy(5)).expect("submit");
+    let resp = fits.wait().expect("terminal event");
+    assert_eq!(resp.finish, FinishReason::MaxTokens);
+    assert_eq!(resp.generated, 5);
+
+    // One token more is refused on the caller's thread, by both entry
+    // points, before the request reaches the worker.
+    for refused in [
+        catch_unwind(AssertUnwindSafe(|| handle.submit(greedy(6)))).map(|_| ()),
+        catch_unwind(AssertUnwindSafe(|| handle.try_submit(greedy(6)))).map(|_| ()),
+    ] {
+        let payload = refused.expect_err("a request that cannot run alone is refused");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(msg.contains("pool caps at 2"), "unexpected refusal: {msg}");
+    }
+
+    // The engine is unharmed: a small request still completes, and
+    // shutdown joins a worker that never panicked.
+    let (_, mut small) = handle.submit(greedy(2)).expect("submit");
+    let resp = loop {
+        match small.recv_timeout(Duration::from_secs(30)) {
+            Ok(TokenEvent::Token { .. }) => {}
+            Ok(TokenEvent::Finished(resp)) => break resp,
+            Err(e) => panic!("the engine must keep serving after a refusal: {e}"),
+        }
+    };
+    assert_eq!(resp.finish, FinishReason::MaxTokens);
+    assert_eq!(resp.generated, 2);
+    assert_eq!(
+        handle.stats().submitted,
+        2,
+        "refused requests are not admitted"
     );
     engine.shutdown();
 }
