@@ -8,10 +8,10 @@
 //! - **Workload sweep** — every [`TraceKind`] replayed twice over a
 //!   bounded-KV model: once deterministically against the scheduler
 //!   (TTFT-in-steps percentiles, deadline-miss and preemption rates —
-//!   the numbers CI SLO gates pin), once through the live engine
-//!   (goodput, wall-clock TTFT/per-token percentiles, backpressure
-//!   rejections). Naturally finished requests must generate identical
-//!   tokens in both replays.
+//!   the numbers CI SLO gates pin), once live through one engine behind
+//!   the router (goodput, wall-clock TTFT/per-token percentiles,
+//!   backpressure rejections). Naturally finished requests must generate
+//!   identical tokens in both replays.
 //! - **Quality/throughput frontier** — a pretrained model exported at
 //!   lossless (2^16 palette), 4-bit, and 3-bit; each setting reports
 //!   perplexity and multichoice accuracy from `edkm-eval` next to the
@@ -40,8 +40,8 @@ use edkm_eval::{evaluate_suite, perplexity};
 use edkm_nn::{AdamWConfig, LlamaConfig, LlamaModel, LmBatch, LrSchedule, TrainConfig, Trainer};
 use edkm_tensor::{runtime, DType, Device};
 use edkm_workload::{
-    audit_invariants, replay_cluster_chaos, replay_engine, replay_router, replay_trace,
-    ChaosReplayConfig, EngineReplayConfig, Trace, TraceConfig, TraceKind,
+    audit_invariants, replay_cluster_chaos, replay_router, replay_trace, ChaosReplayConfig,
+    ReplayReport, Trace, TraceConfig, TraceKind,
 };
 use std::time::Instant;
 
@@ -218,8 +218,31 @@ fn parse_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T 
         .unwrap_or(default)
 }
 
+/// Replay `trace` live through a fresh fleet, one engine per model, behind
+/// the router. Returns the report and the fleet's pool-level resident KV
+/// peak, read after the replay drains.
+fn replay_fleet(
+    models: Vec<PalettizedModel>,
+    trace: &Trace,
+    engine: EngineConfig,
+    affinity: bool,
+) -> (ReplayReport, usize) {
+    let cluster = Cluster::new(
+        models,
+        ClusterConfig {
+            engine,
+            affinity,
+            ..ClusterConfig::default()
+        },
+    );
+    let report = replay_router(&cluster.handle(), trace);
+    let resident_peak = cluster.resident_peak_bytes();
+    cluster.shutdown();
+    (report, resident_peak)
+}
+
 /// One trace kind's sweep row: deterministic step-replay metrics plus
-/// wall-clock engine-replay metrics over the same bounded-KV model.
+/// wall-clock live-replay metrics over the same bounded-KV model.
 struct WorkloadRow {
     kind: TraceKind,
     requests: usize,
@@ -239,8 +262,9 @@ struct WorkloadRow {
 
 /// Replay every trace kind over `model` with a KV pool sized for ~3
 /// max-length sequences, so long-context kinds contend for blocks and
-/// exercise preemption. Panics if a naturally finished request generated
-/// different tokens in the step replay and the engine replay.
+/// exercise preemption: once on the virtual clock, once live through one
+/// engine behind the router. Panics if a naturally finished request
+/// generated different tokens in the two replays.
 fn run_workload_sweep(model: &PalettizedModel, wl: &Workload, seed: u64) -> Vec<WorkloadRow> {
     let mut rows = Vec::new();
     for kind in TraceKind::ALL {
@@ -258,13 +282,14 @@ fn run_workload_sweep(model: &PalettizedModel, wl: &Workload, seed: u64) -> Vec<
             max_blocks: per_req * 3,
         });
         let step = replay_trace(&bounded, &trace, 8);
-        let eng = replay_engine(
-            bounded,
+        let (eng, _) = replay_fleet(
+            vec![bounded],
             &trace,
-            EngineReplayConfig {
+            EngineConfig {
                 max_batch: 8,
                 queue_capacity: (wl.trace_requests / 3).max(2),
             },
+            true,
         );
         assert_eq!(
             step.outcomes.len(),
@@ -276,7 +301,7 @@ fn run_workload_sweep(model: &PalettizedModel, wl: &Workload, seed: u64) -> Vec<
             if !s.finish.is_aborted() && !e.finish.is_aborted() {
                 assert_eq!(
                     s.tokens, e.tokens,
-                    "{kind}: request {} tokens diverged between step and engine replay",
+                    "{kind}: request {} tokens diverged between step and live replay",
                     s.id
                 );
             }
@@ -370,17 +395,18 @@ struct ClusterRow {
     /// conversation, so the fleet holds strictly more resident KV.
     kv_peak_affinity_off: usize,
     /// Every cluster replay (1/2/4 replicas, affinity on and off)
-    /// reproduced the bare single-engine tokens per request.
+    /// reproduced the virtual-clock step replay's tokens per request.
     tokens_identical: bool,
 }
 
 /// Replay the chat trace through 1-, 2- and 4-replica clusters (affinity
-/// routing on) plus a 4-replica affinity-off control, next to a bare
-/// single-engine reference. Placement must never change sampled output:
-/// per-request tokens are asserted bit-identical across every run. The
-/// affinity-on vs -off aggregate KV peaks record what session stickiness
-/// buys — co-located chat turns deduplicate their history blocks inside
-/// one replica instead of prefilling them on several.
+/// routing on) plus a 4-replica affinity-off control, next to the
+/// virtual-clock step replay as the reference. Placement must never
+/// change sampled output: per-request tokens are asserted bit-identical
+/// across every run. The affinity-on vs -off aggregate KV peaks record
+/// what session stickiness buys — co-located chat turns deduplicate their
+/// history blocks inside one replica instead of prefilling them on
+/// several.
 fn run_cluster_sweep(model: &PalettizedModel, wl: &Workload, seed: u64) -> ClusterRow {
     let trace = Trace::generate(&TraceConfig::new(
         TraceKind::Chat,
@@ -393,46 +419,26 @@ fn run_cluster_sweep(model: &PalettizedModel, wl: &Workload, seed: u64) -> Clust
         block_tokens: 4,
         max_blocks: 0,
     };
-    let fleet = |n: usize| -> Vec<PalettizedModel> {
-        (0..n)
-            .map(|_| model.clone().with_kv_config(kv).with_prefix_cache(true))
-            .collect()
-    };
-    let engine_cfg = EngineReplayConfig {
-        max_batch: 8,
-        queue_capacity: trace.requests().len().max(1),
-    };
-    let bare = replay_engine(
-        model.clone().with_kv_config(kv).with_prefix_cache(true),
-        &trace,
-        engine_cfg,
-    );
-    let matches_bare = |rep: &edkm_workload::ClusterReplayReport| -> bool {
-        rep.outcomes.len() == bare.outcomes.len()
-            && rep.outcomes.iter().zip(&bare.outcomes).all(|(c, b)| {
-                c.id == b.id
-                    && (c.finish.is_aborted() || b.finish.is_aborted() || c.tokens == b.tokens)
+    let replica = || model.clone().with_kv_config(kv).with_prefix_cache(true);
+    let max_batch = 8;
+    let step = replay_trace(&replica(), &trace, max_batch);
+    let matches_step = |rep: &ReplayReport| -> bool {
+        rep.outcomes.len() == step.outcomes.len()
+            && rep.outcomes.iter().zip(&step.outcomes).all(|(c, s)| {
+                c.id == s.id
+                    && (c.finish.is_aborted() || s.finish.is_aborted() || c.tokens == s.tokens)
             })
     };
-
-    // Own the cluster (rather than `replay_cluster`) so the pool-level
-    // resident KV peak is readable after the replay drains.
-    let run = |n: usize, affinity: bool| -> (edkm_workload::ClusterReplayReport, usize) {
-        let cluster = Cluster::new(
-            fleet(n),
-            ClusterConfig {
-                engine: EngineConfig {
-                    max_batch: engine_cfg.max_batch,
-                    queue_capacity: engine_cfg.queue_capacity,
-                },
-                affinity,
-                ..ClusterConfig::default()
+    let run = |n: usize, affinity: bool| -> (ReplayReport, usize) {
+        replay_fleet(
+            (0..n).map(|_| replica()).collect(),
+            &trace,
+            EngineConfig {
+                max_batch,
+                queue_capacity: trace.requests().len(),
             },
-        );
-        let rep = replay_router(&cluster.handle(), &trace);
-        let resident_peak = cluster.resident_peak_bytes();
-        cluster.shutdown();
-        (rep, resident_peak)
+            affinity,
+        )
     };
 
     let mut replica_tok_s = [0.0f64; 3];
@@ -441,10 +447,10 @@ fn run_cluster_sweep(model: &PalettizedModel, wl: &Workload, seed: u64) -> Clust
     for (slot, &n) in [1usize, 2, 4].iter().enumerate() {
         let (rep, peak) = run(n, true);
         assert!(
-            matches_bare(&rep),
-            "{n}-replica cluster replay diverged from the bare engine"
+            matches_step(&rep),
+            "{n}-replica cluster replay diverged from the step replay"
         );
-        tokens_identical &= matches_bare(&rep);
+        tokens_identical &= matches_step(&rep);
         replica_tok_s[slot] = rep.goodput_tok_s;
         if n == 4 {
             four_on = Some((rep, peak));
@@ -453,10 +459,10 @@ fn run_cluster_sweep(model: &PalettizedModel, wl: &Workload, seed: u64) -> Clust
     let (four_on, peak_on) = four_on.expect("4-replica run happened");
     let (four_off, peak_off) = run(4, false);
     assert!(
-        matches_bare(&four_off),
-        "affinity-off cluster replay diverged from the bare engine"
+        matches_step(&four_off),
+        "affinity-off cluster replay diverged from the step replay"
     );
-    tokens_identical &= matches_bare(&four_off);
+    tokens_identical &= matches_step(&four_off);
     assert!(
         four_on.cluster.affinity_hit_rate() > 0.0,
         "chat trace produced no affinity hits at 4 replicas"
@@ -530,7 +536,7 @@ fn run_chaos_sweep(model: &PalettizedModel, wl: &Workload, seed: u64) -> Vec<Cha
                 &trace,
                 &plan,
                 ChaosReplayConfig {
-                    engine: EngineReplayConfig {
+                    engine: EngineConfig {
                         max_batch,
                         queue_capacity: trace.requests().len().max(1),
                     },
@@ -547,14 +553,14 @@ fn run_chaos_sweep(model: &PalettizedModel, wl: &Workload, seed: u64) -> Vec<Cha
                 plan_fingerprint: report.plan_fingerprint,
                 faults_applied: report.faults.len(),
                 requests_lost: report.requests_lost(),
-                index_violations: report.index_violations,
+                index_violations: report.replay.index_violations,
                 survivors: report.survivors,
-                shed: report.shed.len(),
+                shed: report.replay.shed.len(),
                 survivors_bit_identical: report.survivors_bit_identical,
                 pools_at_baseline: report.pools_at_baseline,
                 recovery_p99_steps: report.recovery_p99_steps(),
                 corrupted_reloads: report.corrupted_reloads,
-                goodput_tok_s: report.goodput_tok_s,
+                goodput_tok_s: report.replay.goodput_tok_s,
             }
         })
         .collect()
@@ -572,7 +578,8 @@ struct FrontierRow {
 
 /// Pretrain a small model, export it at three palette widths, and report
 /// quality (perplexity + mean multichoice accuracy, `edkm-eval`) next to
-/// serving goodput (chat-trace engine replay of the same palettes).
+/// serving goodput (chat-trace live replay of the same palettes, one
+/// engine behind the router).
 /// Returns `(base_perplexity, base_accuracy, rows)`.
 fn run_frontier(wl: &Workload, smoke: bool, seed: u64) -> (f32, f32, Vec<FrontierRow>) {
     let cfg = LlamaConfig {
@@ -647,13 +654,14 @@ fn run_frontier(wl: &Workload, smoke: bool, seed: u64) -> (f32, f32, Vec<Frontie
         let accs = evaluate_suite(&shipped, &suite);
         let acc = accs.iter().map(|&(_, a)| a).sum::<f32>() / accs.len() as f32;
         let servable = PalettizedModel::from_dense(&base, &spec).expect("servable export");
-        let eng = replay_engine(
-            servable,
+        let (live, _) = replay_fleet(
+            vec![servable],
             &trace,
-            EngineReplayConfig {
+            EngineConfig {
                 max_batch: 8,
-                queue_capacity: trace.requests().len().max(1),
+                queue_capacity: trace.requests().len(),
             },
+            true,
         );
         rows.push(FrontierRow {
             setting,
@@ -661,7 +669,7 @@ fn run_frontier(wl: &Workload, smoke: bool, seed: u64) -> (f32, f32, Vec<Frontie
             size_bytes: compressed.size_bytes(),
             perplexity: ppl,
             accuracy: acc,
-            goodput_tok_s: eng.goodput_tok_s,
+            goodput_tok_s: live.goodput_tok_s,
         });
     }
     (base_ppl, base_acc, rows)

@@ -3,16 +3,16 @@
 //! audit the global robustness invariants afterwards.
 //!
 //! The harness owns the fleet on the calling thread and runs the trace
-//! on a worker thread through a loss-tolerant variant of
-//! [`replay_router`](crate::replay_router) (degrade-ladder sheds are
-//! recorded, not fatal). Meanwhile the calling thread runs the
-//! supervision loop: it advances the **virtual step clock** (the
-//! monotonic fleet-wide decode-step count, respawn-proof via per-slot
-//! high-water bases), applies every [`FaultEvent`] whose step has come
-//! due through the [`FaultHook`] seam, schedules KV-squeeze restores,
-//! ticks the [`Supervisor`] on each heartbeat, and applies its actions
-//! (gates, drains, respawns — honouring deferred respawn bit-flips via
-//! the caller's model factory — and degrade-ladder moves).
+//! on a worker thread through [`replay_router`], the same driver every
+//! live replay uses (degrade-ladder sheds and losses are recorded there,
+//! not fatal). Meanwhile the calling thread runs the supervision loop:
+//! it advances the **virtual step clock** (the monotonic fleet-wide
+//! decode-step count, respawn-proof via per-slot high-water bases),
+//! applies every [`FaultEvent`] whose step has come due through the
+//! [`FaultHook`] seam, schedules KV-squeeze restores, ticks the
+//! [`Supervisor`] on each heartbeat, and applies its actions (gates,
+//! drains, respawns — honouring deferred respawn bit-flips via the
+//! caller's model factory — and degrade-ladder moves).
 //!
 //! The resulting [`ChaosReplayReport`] carries exactly the invariants
 //! the acceptance gate checks: `requests_lost == 0`, zero duplicate or
@@ -23,22 +23,18 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use crate::replay::{EngineReplayConfig, RequestOutcome};
+use crate::replay::{replay_router, ReplayReport, RequestOutcome};
 use crate::report::percentile_u64;
 use crate::trace::Trace;
 use edkm_chaos::{FaultApplied, FaultEvent, FaultHook, FaultKind, FaultPlan};
-use edkm_cluster::{
-    Cluster, ClusterConfig, ClusterStats, DegradeEvent, RouteError, RouterHandle, Supervisor,
-    SupervisorAction, SupervisorConfig,
-};
-use edkm_core::{EngineConfig, Request, TokenEvent};
-use edkm_core::{FinishReason, ServeModel};
+use edkm_cluster::{Cluster, ClusterConfig, Supervisor, SupervisorAction, SupervisorConfig};
+use edkm_core::{EngineConfig, FinishReason, ServeModel};
 
 /// Sizing and policy of a chaos replay.
 #[derive(Debug, Clone)]
 pub struct ChaosReplayConfig {
     /// Per-replica engine sizing.
-    pub engine: EngineReplayConfig,
+    pub engine: EngineConfig,
     /// Route follow-up prompts to the replica holding their prefix.
     pub affinity: bool,
     /// Supervisor tuning (breaker thresholds, backoffs, ladder
@@ -50,7 +46,7 @@ pub struct ChaosReplayConfig {
 impl Default for ChaosReplayConfig {
     fn default() -> Self {
         ChaosReplayConfig {
-            engine: EngineReplayConfig {
+            engine: EngineConfig {
                 max_batch: 4,
                 queue_capacity: 64,
             },
@@ -81,16 +77,10 @@ pub struct ChaosReplayReport {
     pub plan_fingerprint: u64,
     /// Fingerprint of the replayed trace.
     pub trace_fingerprint: u64,
-    /// Per-request outcomes of requests that ran, sorted by trace id.
-    pub outcomes: Vec<RequestOutcome>,
-    /// Trace ids refused by the degrade ladder (intentional, not lost).
-    pub shed: Vec<u64>,
-    /// Trace ids that neither produced a terminal event nor were shed —
-    /// must be empty for the robustness gate.
-    pub lost: Vec<u64>,
-    /// Token events whose index was not the next expected one (duplicate
-    /// or skip) — must be zero.
-    pub index_violations: u64,
+    /// The chaos run's replay: outcomes, sheds, losses, token-index
+    /// violations, goodput and wall time, with the fleet snapshot taken
+    /// once the supervisor stopped.
+    pub replay: ReplayReport,
     /// Requests that finished naturally under chaos.
     pub survivors: usize,
     /// `true` iff every survivor's token stream is bit-identical to the
@@ -108,16 +98,8 @@ pub struct ChaosReplayReport {
     pub recovery_steps: Vec<u64>,
     /// Kills whose respawn had not completed when the replay drained.
     pub unrecovered_kills: u64,
-    /// Degrade-ladder transitions observed by the router.
-    pub degrade_events: Vec<DegradeEvent>,
     /// Every fault as applied, in firing order.
     pub faults: Vec<AppliedFault>,
-    /// Naturally finished tokens per wall second under chaos.
-    pub goodput_tok_s: f64,
-    /// Wall-clock duration of the chaos run, seconds.
-    pub wall_secs: f64,
-    /// Fleet snapshot at drain.
-    pub cluster: ClusterStats,
 }
 
 impl ChaosReplayReport {
@@ -129,144 +111,8 @@ impl ChaosReplayReport {
 
     /// Number of requests the audit counts as lost.
     pub fn requests_lost(&self) -> u64 {
-        self.lost.len() as u64
+        self.replay.lost.len() as u64
     }
-}
-
-struct LossyOutcome {
-    outcomes: Vec<RequestOutcome>,
-    shed: Vec<u64>,
-    lost: Vec<u64>,
-    index_violations: u64,
-    wall_secs: f64,
-}
-
-/// Loss-tolerant router replay: like
-/// [`replay_router`](crate::replay_router) (chat causality, arrival
-/// order, one consumer per stream) but degrade-ladder sheds and
-/// unrecoverable submissions are *recorded* instead of panicking, and
-/// token-index ordering violations are counted instead of asserted.
-fn replay_router_lossy(router: &RouterHandle, trace: &Trace) -> LossyOutcome {
-    let t0 = Instant::now();
-    let requests = trace.requests();
-    let deps = turn_dependencies(trace);
-    let finished = std::sync::Arc::new((
-        std::sync::Mutex::new(vec![false; requests.len()]),
-        std::sync::Condvar::new(),
-    ));
-    let mut shed = Vec::new();
-    let mut lost = Vec::new();
-    let mut consumers = Vec::new();
-    for (pos, r) in requests.iter().enumerate() {
-        if let Some(dep) = deps[pos] {
-            let (flags, cv) = &*finished;
-            let mut done = flags.lock().expect("turn flags");
-            while !done[dep] {
-                done = cv.wait(done).expect("turn flags");
-            }
-        }
-        let mut request = Request::new(r.prompt.clone())
-            .max_new_tokens(r.max_new)
-            .sampling(r.sampling)
-            .priority(r.priority);
-        if let Some(d) = r.deadline_steps {
-            request = request.deadline_steps(d);
-        }
-        // Saturation and momentary total outage (every slot dead or
-        // draining mid-recovery) are retried; a degrade-ladder shed is a
-        // terminal, intentional refusal.
-        let submit_deadline = Instant::now() + Duration::from_secs(30);
-        let stream = loop {
-            match router.try_submit(request.clone()) {
-                Ok((_, stream)) => break Some(stream),
-                Err(RouteError::Shed { .. }) => {
-                    shed.push(r.id);
-                    break None;
-                }
-                Err(RouteError::Saturated) | Err(RouteError::NoReplicas) => {
-                    if Instant::now() >= submit_deadline {
-                        lost.push(r.id);
-                        break None;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(_) => {
-                    lost.push(r.id);
-                    break None;
-                }
-            }
-        };
-        let Some(mut stream) = stream else {
-            let (flags, cv) = &*finished;
-            flags.lock().expect("turn flags")[pos] = true;
-            cv.notify_all();
-            continue;
-        };
-        let trace_id = r.id;
-        let finished = std::sync::Arc::clone(&finished);
-        consumers.push(std::thread::spawn(move || {
-            let mut next = 0usize;
-            let mut violations = 0u64;
-            let mut resp = None;
-            while let Some(ev) = stream.next_event() {
-                match ev {
-                    TokenEvent::Token { index, .. } => {
-                        if index != next {
-                            violations += 1;
-                        }
-                        next = index + 1;
-                    }
-                    TokenEvent::Finished(r) => resp = Some(r),
-                }
-            }
-            let (flags, cv) = &*finished;
-            flags.lock().expect("turn flags")[pos] = true;
-            cv.notify_all();
-            (trace_id, resp, violations)
-        }));
-    }
-
-    let mut outcomes = Vec::new();
-    let mut index_violations = 0u64;
-    for c in consumers {
-        let (trace_id, resp, violations) = c.join().expect("stream consumer");
-        index_violations += violations;
-        match resp {
-            Some(resp) => outcomes.push(RequestOutcome {
-                id: trace_id,
-                generated: resp.generated,
-                finish: resp.finish,
-                ttft_steps: None,
-                tokens: resp.tokens,
-            }),
-            None => lost.push(trace_id),
-        }
-    }
-    outcomes.sort_by_key(|o| o.id);
-    shed.sort_unstable();
-    lost.sort_unstable();
-    LossyOutcome {
-        outcomes,
-        shed,
-        lost,
-        index_violations,
-        wall_secs: t0.elapsed().as_secs_f64(),
-    }
-}
-
-/// Same turn-dependency scan as the strict replay driver: the latest
-/// earlier request whose prompt is a proper prefix of this one.
-fn turn_dependencies(trace: &Trace) -> Vec<Option<usize>> {
-    let requests = trace.requests();
-    let mut deps = vec![None; requests.len()];
-    for j in 0..requests.len() {
-        let pj = &requests[j].prompt;
-        deps[j] = (0..j).rev().find(|&i| {
-            let pi = &requests[i].prompt;
-            pi.len() < pj.len() && pj[..pi.len()] == pi[..]
-        });
-    }
-    deps
 }
 
 /// Replay `trace` under `plan` through a supervised fleet and audit the
@@ -294,10 +140,7 @@ where
     F: FnMut(bool) -> Result<M, String>,
 {
     let cluster_cfg = ClusterConfig {
-        engine: EngineConfig {
-            max_batch: config.engine.max_batch,
-            queue_capacity: config.engine.queue_capacity,
-        },
+        engine: config.engine,
         affinity: config.affinity,
         ..ClusterConfig::default()
     };
@@ -308,7 +151,7 @@ where
             .map(|_| build(false).expect("clean reference build"))
             .collect();
         let cluster = Cluster::new(models, cluster_cfg.clone());
-        let out = replay_router_lossy(&cluster.handle(), trace);
+        let out = replay_router(&cluster.handle(), trace);
         cluster.shutdown();
         out.outcomes.into_iter().map(|o| (o.id, o.tokens)).collect()
     };
@@ -331,7 +174,7 @@ where
 
     let router = cluster.handle();
     let trace_owned = trace.clone();
-    let replay = std::thread::spawn(move || replay_router_lossy(&router, &trace_owned));
+    let replay = std::thread::spawn(move || replay_router(&router, &trace_owned));
 
     let router = cluster.handle();
     let events = plan.events();
@@ -445,7 +288,7 @@ where
         }
         std::thread::sleep(edkm_cluster::supervisor::HEARTBEAT_INTERVAL);
     }
-    let lossy = replay.join().expect("chaos replay thread");
+    let mut replay = replay.join().expect("chaos replay thread");
 
     // Any squeeze still pending restoration is undone now, so the
     // capacity audit below checks real recovery, not scheduling luck.
@@ -453,7 +296,7 @@ where
         cluster.pool(replica).set_max_blocks(cap);
     }
 
-    let survivors: Vec<&RequestOutcome> = lossy
+    let survivors: Vec<&RequestOutcome> = replay
         .outcomes
         .iter()
         .filter(|o| !o.finish.is_aborted())
@@ -461,37 +304,29 @@ where
     let survivors_bit_identical = survivors
         .iter()
         .all(|o| reference.get(&o.id).is_some_and(|t| *t == o.tokens));
+    let survivors = survivors.len();
     let pools_at_baseline = (0..replicas).all(|r| {
         let pool = cluster.pool(r);
         pool.blocks_in_use() == pool.prefix_cached_blocks() && pool.max_blocks() == baseline_caps[r]
     });
-
-    let good_tokens: u64 = survivors.iter().map(|o| o.generated as u64).sum();
-    let survivors = survivors.len();
     recovery_steps.sort_unstable();
-    let cluster_stats = router.stats();
-    let degrade_events = cluster_stats.degrade_events.clone();
+    // The supervisor may have moved the ladder after the replay's own
+    // snapshot; report the fleet as the supervision loop left it.
+    replay.cluster = router.stats();
     let unrecovered_kills = kill_at.len() as u64;
     cluster.shutdown();
 
     ChaosReplayReport {
         plan_fingerprint: plan.fingerprint(),
         trace_fingerprint: trace.fingerprint(),
-        outcomes: lossy.outcomes,
-        shed: lossy.shed,
-        lost: lossy.lost,
-        index_violations: lossy.index_violations,
+        replay,
         survivors,
         survivors_bit_identical,
         pools_at_baseline,
         corrupted_reloads,
         recovery_steps,
         unrecovered_kills,
-        degrade_events,
         faults,
-        goodput_tok_s: good_tokens as f64 / lossy.wall_secs.max(1e-9),
-        wall_secs: lossy.wall_secs,
-        cluster: cluster_stats,
     }
 }
 
@@ -499,13 +334,13 @@ where
 /// every violated invariant as a human-readable line (empty = pass).
 pub fn audit_invariants(report: &ChaosReplayReport) -> Vec<String> {
     let mut violations = Vec::new();
-    if !report.lost.is_empty() {
-        violations.push(format!("requests lost: {:?}", report.lost));
+    if !report.replay.lost.is_empty() {
+        violations.push(format!("requests lost: {:?}", report.replay.lost));
     }
-    if report.index_violations > 0 {
+    if report.replay.index_violations > 0 {
         violations.push(format!(
             "token index violations (duplicate or skipped): {}",
-            report.index_violations
+            report.replay.index_violations
         ));
     }
     if !report.survivors_bit_identical {
@@ -514,7 +349,7 @@ pub fn audit_invariants(report: &ChaosReplayReport) -> Vec<String> {
     if !report.pools_at_baseline {
         violations.push("a KV pool did not drain to its ledger baseline".into());
     }
-    for o in &report.outcomes {
+    for o in &report.replay.outcomes {
         if o.finish == FinishReason::Cancelled {
             violations.push(format!("request {} was cancelled by the fault path", o.id));
         }

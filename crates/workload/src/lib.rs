@@ -1,7 +1,7 @@
 //! # edkm-workload
 //!
 //! Trace-driven workload harness for the serving engine: a seeded, fully
-//! deterministic generator of heterogeneous request traces plus two replay
+//! deterministic generator of heterogeneous request traces plus the replay
 //! drivers that feed those traces through the stack and aggregate
 //! serving-quality metrics.
 //!
@@ -20,28 +20,25 @@
 //!   is a pure function of `(model, trace, max_batch)`, so TTFT-in-steps
 //!   percentiles, deadline-miss and preemption rates are **reproducible**
 //!   numbers a CI gate can pin.
-//! - [`replay_engine`] drives a live [`edkm_core::ServeEngine`] through its
-//!   handle with one consumer thread per token stream, measuring the
-//!   wall-clock side: goodput, TTFT and per-token latency percentiles, and
-//!   backpressure rejections under a bounded admission queue.
-//!
-//! [`replay_cluster`] extends the wall-clock layer across a whole
-//! [`edkm_cluster::Cluster`] of engine replicas behind the prefix-affinity
-//! router, reporting fleet goodput plus the router's affinity/spill/
-//! hedge/re-route counters. Per-request tokens stay bit-identical to the
-//! single-engine replay whatever the replica count — placement never
-//! changes sampled output.
+//! - [`replay_router`] is the one wall-clock driver. It submits through an
+//!   [`edkm_cluster::RouterHandle`] with one consumer thread per token
+//!   stream, honoring chat causality, and measures goodput, TTFT and
+//!   per-token latency percentiles and absorbed backpressure. Sheds,
+//!   losses and token-index violations are recorded, never panicked. A
+//!   bare engine is a one-replica [`edkm_cluster::Cluster`].
 //!
 //! Because sampling is per-request-seeded and logits rows are independent
 //! of batch composition, the token streams of the two layers are
-//! bit-identical for every request that runs to its natural finish — the
-//! cross-check `tests/workload_replay.rs` pins.
-
+//! bit-identical for every request that runs to its natural finish,
+//! whatever the replica count or placement — the cross-check
+//! `tests/workload_replay.rs` pins.
+//!
 //! [`replay_cluster_chaos`] closes the loop on robustness: it replays a
 //! trace *and* a seeded [`edkm_chaos::FaultPlan`] together through a
-//! supervised fleet, then audits the global invariants — no request
-//! lost, no duplicate token index, survivors bit-identical to the
-//! undisturbed run, every pool ledger back at baseline.
+//! supervised fleet with [`replay_router`], then audits the global
+//! invariants — no request lost, no duplicate token index, survivors
+//! bit-identical to the undisturbed run, every pool ledger back at
+//! baseline.
 
 #![warn(missing_docs)]
 
@@ -54,9 +51,7 @@ pub use chaos::{
     audit_invariants, replay_cluster_chaos, AppliedFault, ChaosReplayConfig, ChaosReplayReport,
 };
 pub use replay::{
-    replay_cluster, replay_engine, replay_router, replay_trace, ClusterReplayConfig,
-    ClusterReplayReport, EngineReplayConfig, EngineReplayReport, ReplayCounters, RequestOutcome,
-    StepReplayReport,
+    replay_router, replay_trace, ReplayCounters, ReplayReport, RequestOutcome, StepReplayReport,
 };
 pub use report::{percentile_f64, percentile_u64};
 pub use trace::{TimedRequest, Trace, TraceConfig, TraceKind};

@@ -4,22 +4,24 @@
 //! [`replay_trace`] is the deterministic layer — it owns a
 //! [`Scheduler`] and advances a virtual step clock, so arrivals,
 //! admissions, deadlines and preemptions replay identically on every run
-//! and every machine. [`replay_engine`] is the wall-clock layer — it
-//! submits through an [`EngineHandle`] with one consumer thread per token
-//! stream, the shape a real front-end has, and reads backpressure and
-//! engine counters from [`StatsSnapshot`].
+//! and every machine. [`replay_router`] is the wall-clock layer — it
+//! submits through a [`RouterHandle`] with one consumer thread per token
+//! stream, the shape a real front-end has, and reads router and engine
+//! counters from [`ClusterStats`]. A bare engine is a one-replica
+//! [`Cluster`].
 //!
-//! [`EngineHandle`]: edkm_core::EngineHandle
+//! [`Cluster`]: edkm_cluster::Cluster
 
 use crate::report::{percentile_f64, percentile_u64};
 use crate::trace::Trace;
-use edkm_cluster::{Cluster, ClusterConfig, ClusterStats, RouteError, RouterHandle};
+use edkm_cluster::{ClusterStats, ClusterStream, RouteError, RouterHandle};
 use edkm_core::{
-    EngineConfig, FinishReason, Request, Scheduler, ServeEngine, ServeModel, ServeRequest,
-    StatsSnapshot, StepEvents, SubmitError, TokenEvent,
+    FinishReason, Request, Scheduler, ServeModel, ServeRequest, ServeResponse, StepEvents,
+    TokenEvent,
 };
 use std::collections::HashMap;
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// Terminal record of one replayed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,10 +39,10 @@ pub struct RequestOutcome {
     pub ttft_steps: Option<u64>,
 }
 
-/// Aggregate counters of one replay, comparable across runs.
+/// Aggregate counters of one virtual-clock replay, comparable across runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayCounters {
-    /// Requests fed into the scheduler or engine.
+    /// Requests fed into the scheduler.
     pub submitted: u64,
     /// Requests that finished naturally (budget or stop token).
     pub finished: u64,
@@ -192,36 +194,40 @@ pub fn replay_trace<M: ServeModel>(model: &M, trace: &Trace, max_batch: usize) -
     }
 }
 
-/// Sizing of a wall-clock engine replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineReplayConfig {
-    /// Concurrent sequences the scheduler may keep in flight.
-    pub max_batch: usize,
-    /// Bounded admission capacity. When the trace outruns it, the driver
-    /// counts one backpressure rejection per refused [`EngineHandle::try_submit`]
-    /// and falls back to a blocking submit, so every request still runs.
-    ///
-    /// [`EngineHandle::try_submit`]: edkm_core::EngineHandle::try_submit
-    pub queue_capacity: usize,
-}
+/// How long [`replay_router`] keeps retrying a request the router refuses
+/// for capacity ([`RouteError::Saturated`]) or because no replica accepts
+/// work ([`RouteError::NoReplicas`]: every slot dead or draining
+/// mid-recovery) before it records the request as lost.
+const SUBMIT_PATIENCE: Duration = Duration::from_secs(30);
 
-/// Result of a wall-clock engine replay ([`replay_engine`]).
+/// Result of a wall-clock replay ([`replay_router`]).
 #[derive(Debug, Clone)]
-pub struct EngineReplayReport {
-    /// Per-request outcomes, sorted by trace id (`ttft_steps` is `None`
-    /// here; wall-clock TTFT lives in [`EngineReplayReport::ttft_ms`]).
+pub struct ReplayReport {
+    /// Outcomes of the requests that reached a terminal event, sorted by
+    /// trace id (`ttft_steps` is `None` here; wall-clock TTFT lives in
+    /// [`ReplayReport::ttft_ms`]).
     pub outcomes: Vec<RequestOutcome>,
-    /// Aggregate counters, read back from the engine's [`StatsSnapshot`].
-    pub counters: ReplayCounters,
-    /// The engine's final stats snapshot.
-    pub stats: StatsSnapshot,
+    /// Trace ids the degrade ladder refused ([`RouteError::Shed`]):
+    /// intentional refusals, not losses. Ascending.
+    pub shed: Vec<u64>,
+    /// Trace ids that were neither shed nor reached a terminal event: the
+    /// router refused them for good, or their stream ended without one.
+    /// Ascending.
+    pub lost: Vec<u64>,
+    /// Token events whose index was not the next expected one (a
+    /// duplicate or a skip).
+    pub index_violations: u64,
+    /// Requests the router refused for capacity at least once before
+    /// accepting them (saturation the driver absorbed).
+    pub backpressure_rejections: u64,
+    /// Fleet snapshot at drain: per-replica engine stats plus router
+    /// counters (affinity hits, spills, hedges, re-routes, sheds).
+    pub cluster: ClusterStats,
     /// Wall-clock duration of the whole replay, seconds.
     pub wall_secs: f64,
     /// Naturally finished tokens per wall second (expired and cancelled
     /// work does not count — this is goodput, not throughput).
     pub goodput_tok_s: f64,
-    /// `try_submit` refusals the driver absorbed at the bounded queue.
-    pub backpressure_rejections: u64,
     /// Submission → first token, per request, milliseconds, ascending.
     pub ttft_ms: Vec<f64>,
     /// Gaps between consecutive tokens of a request, milliseconds,
@@ -229,7 +235,7 @@ pub struct EngineReplayReport {
     pub per_token_ms: Vec<f64>,
 }
 
-impl EngineReplayReport {
+impl ReplayReport {
     /// Wall-clock TTFT percentile in milliseconds (`p` in `[0, 1]`).
     pub fn ttft_ms_p(&self, p: f64) -> f64 {
         percentile_f64(&self.ttft_ms, p)
@@ -239,194 +245,6 @@ impl EngineReplayReport {
     pub fn per_token_ms_p(&self, p: f64) -> f64 {
         percentile_f64(&self.per_token_ms, p)
     }
-}
-
-/// Replay `trace` through a live [`ServeEngine`]: submissions in arrival
-/// order (closed loop — as fast as admission allows), one consumer thread
-/// per token stream timing first-token and inter-token gaps, engine
-/// counters from the final [`StatsSnapshot`].
-///
-/// Token values are bit-identical to [`replay_trace`] for every request
-/// that reaches a natural finish; only wall-clock-dependent outcomes
-/// (deadline expiry order) may differ.
-pub fn replay_engine<M: ServeModel + 'static>(
-    model: M,
-    trace: &Trace,
-    config: EngineReplayConfig,
-) -> EngineReplayReport {
-    let engine = ServeEngine::new(
-        model,
-        EngineConfig {
-            max_batch: config.max_batch,
-            queue_capacity: config.queue_capacity,
-        },
-    );
-    let handle = engine.handle();
-    let t0 = Instant::now();
-    let mut rejections = 0u64;
-    let mut consumers = Vec::with_capacity(trace.requests().len());
-    for r in trace.requests() {
-        let mut request = Request::new(r.prompt.clone())
-            .max_new_tokens(r.max_new)
-            .sampling(r.sampling)
-            .priority(r.priority);
-        if let Some(d) = r.deadline_steps {
-            request = request.deadline_steps(d);
-        }
-        let (_, mut stream) = match handle.try_submit(request.clone()) {
-            Ok(ok) => ok,
-            Err(SubmitError::Full) => {
-                rejections += 1;
-                handle
-                    .submit(request)
-                    .expect("engine accepts after backoff")
-            }
-            Err(e) => panic!("engine refused trace request: {e}"),
-        };
-        let trace_id = r.id;
-        let submitted = Instant::now();
-        consumers.push(std::thread::spawn(move || {
-            let mut ttft = None;
-            let mut gaps = Vec::new();
-            let mut last = submitted;
-            let mut resp = None;
-            while let Some(ev) = stream.next_event() {
-                match ev {
-                    TokenEvent::Token { index, .. } => {
-                        let nowi = Instant::now();
-                        if index == 0 {
-                            ttft = Some(nowi.duration_since(submitted).as_secs_f64() * 1e3);
-                        } else {
-                            gaps.push(nowi.duration_since(last).as_secs_f64() * 1e3);
-                        }
-                        last = nowi;
-                    }
-                    TokenEvent::Finished(r) => resp = Some(r),
-                }
-            }
-            (trace_id, resp.expect("terminal event"), ttft, gaps)
-        }));
-    }
-
-    let mut outcomes = Vec::with_capacity(consumers.len());
-    let mut ttft_ms = Vec::new();
-    let mut per_token_ms = Vec::new();
-    for c in consumers {
-        let (trace_id, resp, ttft, gaps) = c.join().expect("stream consumer");
-        outcomes.push(RequestOutcome {
-            id: trace_id,
-            generated: resp.generated,
-            finish: resp.finish,
-            ttft_steps: None,
-            tokens: resp.tokens,
-        });
-        ttft_ms.extend(ttft);
-        per_token_ms.extend(gaps);
-    }
-    let wall_secs = t0.elapsed().as_secs_f64();
-    let stats = handle.stats();
-    engine.shutdown();
-
-    outcomes.sort_by_key(|o| o.id);
-    ttft_ms.sort_by(|a, b| a.total_cmp(b));
-    per_token_ms.sort_by(|a, b| a.total_cmp(b));
-    let good_tokens: u64 = outcomes
-        .iter()
-        .filter(|o| !o.finish.is_aborted())
-        .map(|o| o.generated as u64)
-        .sum();
-    let counters = ReplayCounters {
-        submitted: stats.submitted,
-        finished: stats.finished,
-        expired: stats.expired,
-        cancelled: stats.cancelled,
-        preemptions: stats.preemptions,
-        decode_steps: stats.decode_steps,
-        tokens_generated: stats.tokens_generated,
-        kv_peak_bytes: stats.kv_peak_bytes,
-        prefix_hits: stats.prefix_hits,
-        prefix_tokens_reused: stats.prefix_tokens_reused,
-    };
-    EngineReplayReport {
-        outcomes,
-        counters,
-        stats,
-        wall_secs,
-        goodput_tok_s: good_tokens as f64 / wall_secs.max(1e-9),
-        backpressure_rejections: rejections,
-        ttft_ms,
-        per_token_ms,
-    }
-}
-
-/// Sizing of a wall-clock cluster replay: per-replica engine sizing plus
-/// the router's affinity switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterReplayConfig {
-    /// Per-replica engine sizing.
-    pub engine: EngineReplayConfig,
-    /// Route follow-up prompts to the replica holding their prefix.
-    pub affinity: bool,
-}
-
-/// Result of a wall-clock cluster replay ([`replay_cluster`]).
-#[derive(Debug, Clone)]
-pub struct ClusterReplayReport {
-    /// Per-request outcomes, sorted by trace id.
-    pub outcomes: Vec<RequestOutcome>,
-    /// Fleet snapshot at drain: per-replica engine stats plus router
-    /// counters (affinity hits, spills, hedges, re-routes).
-    pub cluster: ClusterStats,
-    /// Wall-clock duration of the whole replay, seconds.
-    pub wall_secs: f64,
-    /// Naturally finished tokens per wall second across the fleet.
-    pub goodput_tok_s: f64,
-    /// `try_submit` refusals the driver absorbed (router saturation).
-    pub backpressure_rejections: u64,
-    /// Submission → first token, per request, milliseconds, ascending.
-    pub ttft_ms: Vec<f64>,
-    /// Gaps between consecutive tokens of a request, milliseconds,
-    /// ascending.
-    pub per_token_ms: Vec<f64>,
-}
-
-impl ClusterReplayReport {
-    /// Wall-clock TTFT percentile in milliseconds (`p` in `[0, 1]`).
-    pub fn ttft_ms_p(&self, p: f64) -> f64 {
-        percentile_f64(&self.ttft_ms, p)
-    }
-
-    /// Per-token gap percentile in milliseconds (`p` in `[0, 1]`).
-    pub fn per_token_ms_p(&self, p: f64) -> f64 {
-        percentile_f64(&self.per_token_ms, p)
-    }
-}
-
-/// Replay `trace` through a fresh [`Cluster`] of one engine per model —
-/// the multi-replica counterpart of [`replay_engine`]. Submissions go in
-/// arrival order through a [`RouterHandle`]; one consumer thread drains
-/// each stream. Deterministic per-request-seeded sampling makes per-request
-/// token values bit-identical to [`replay_engine`] over the same trace,
-/// whatever the replica count or placement.
-pub fn replay_cluster<M: ServeModel + 'static>(
-    models: Vec<M>,
-    trace: &Trace,
-    config: ClusterReplayConfig,
-) -> ClusterReplayReport {
-    let cluster = Cluster::new(
-        models,
-        ClusterConfig {
-            engine: EngineConfig {
-                max_batch: config.engine.max_batch,
-                queue_capacity: config.engine.queue_capacity,
-            },
-            affinity: config.affinity,
-            ..ClusterConfig::default()
-        },
-    );
-    let report = replay_router(&cluster.handle(), trace);
-    cluster.shutdown();
-    report
 }
 
 /// For each request, the position of the latest earlier request whose
@@ -446,34 +264,132 @@ fn turn_dependencies(trace: &Trace) -> Vec<Option<usize>> {
     deps
 }
 
-/// Replay `trace` through an existing [`RouterHandle`] — the driver behind
-/// [`replay_cluster`], exposed so a caller can keep ownership of the
-/// [`Cluster`] and exercise lifecycle transitions (drain/kill/respawn)
-/// mid-replay.
-///
-/// Submission honors chat causality: a turn whose prompt extends an
-/// earlier request's prompt is not sent until that request has finished,
-/// exactly as a real client cannot type a follow-up before the reply
-/// arrives. Independent requests still flood in arrival order. Ordering
-/// never changes token values (sampling is per-request-seeded), but it is
-/// what lets prefix-affinity routing convert session stickiness into KV
-/// reuse on the sticky replica.
-pub fn replay_router(router: &RouterHandle, trace: &Trace) -> ClusterReplayReport {
-    let t0 = Instant::now();
-    let mut rejections = 0u64;
-    let mut consumers = Vec::with_capacity(trace.requests().len());
-    let deps = turn_dependencies(trace);
-    let finished = std::sync::Arc::new((
-        std::sync::Mutex::new(vec![false; trace.requests().len()]),
-        std::sync::Condvar::new(),
-    ));
-    for (pos, r) in trace.requests().iter().enumerate() {
-        if let Some(dep) = deps[pos] {
-            let (flags, cv) = &*finished;
-            let mut done = flags.lock().expect("turn flags");
-            while !done[dep] {
-                done = cv.wait(done).expect("turn flags");
+/// Which trace positions are settled (finished, shed or lost), so the
+/// submitter can hold a chat turn until its predecessor's reply is in.
+struct Turns {
+    settled: Mutex<Vec<bool>>,
+    changed: Condvar,
+}
+
+impl Turns {
+    fn settle(&self, pos: usize) {
+        self.settled.lock().expect("turn flags")[pos] = true;
+        self.changed.notify_all();
+    }
+
+    fn wait_for(&self, pos: usize) {
+        let mut settled = self.settled.lock().expect("turn flags");
+        while !settled[pos] {
+            settled = self.changed.wait(settled).expect("turn flags");
+        }
+    }
+}
+
+/// Submit `request`, absorbing saturation and momentary total outage
+/// until [`SUBMIT_PATIENCE`] runs out. Returns the stream and whether the
+/// router refused the request for capacity at least once.
+fn submit_patiently(
+    router: &RouterHandle,
+    request: Request,
+) -> (Result<ClusterStream, RouteError>, bool) {
+    let deadline = Instant::now() + SUBMIT_PATIENCE;
+    let mut saturated = false;
+    loop {
+        match router.try_submit(request.clone()) {
+            Ok((_, stream)) => return (Ok(stream), saturated),
+            Err(e @ (RouteError::Saturated | RouteError::NoReplicas))
+                if Instant::now() < deadline =>
+            {
+                saturated |= e == RouteError::Saturated;
+                std::thread::sleep(Duration::from_millis(1));
             }
+            Err(e) => return (Err(e), saturated),
+        }
+    }
+}
+
+/// What one consumer thread read off its stream.
+struct Drained {
+    response: Option<ServeResponse>,
+    ttft_ms: Option<f64>,
+    gaps_ms: Vec<f64>,
+    index_violations: u64,
+}
+
+/// Drain `stream` to its end, timing the first token from `submitted` and
+/// every later token from the one before it.
+fn drain_stream(mut stream: ClusterStream, submitted: Instant) -> Drained {
+    let mut out = Drained {
+        response: None,
+        ttft_ms: None,
+        gaps_ms: Vec::new(),
+        index_violations: 0,
+    };
+    let mut next = 0usize;
+    let mut last = submitted;
+    while let Some(ev) = stream.next_event() {
+        match ev {
+            TokenEvent::Token { index, .. } => {
+                let now = Instant::now();
+                if index != next {
+                    out.index_violations += 1;
+                }
+                next = index + 1;
+                let ms = now.duration_since(last).as_secs_f64() * 1e3;
+                if index == 0 {
+                    out.ttft_ms = Some(ms);
+                } else {
+                    out.gaps_ms.push(ms);
+                }
+                last = now;
+            }
+            TokenEvent::Finished(r) => out.response = Some(r),
+        }
+    }
+    out
+}
+
+/// Replay `trace` through `router` on the wall clock: the one live replay
+/// driver. A bare-engine replay is a one-replica [`Cluster`]; the router
+/// delivers the same tokens as the engine it wraps.
+///
+/// Requests go in arrival order, closed loop (as fast as admission
+/// allows), with one consumer thread per stream timing first-token and
+/// inter-token gaps. Submission honors chat causality: a turn whose prompt
+/// extends an earlier request's prompt is not sent until that request has
+/// settled, exactly as a real client cannot type a follow-up before the
+/// reply arrives. Ordering never changes token values (sampling is
+/// per-request-seeded), but it is what lets prefix-affinity routing turn
+/// session stickiness into KV reuse on the sticky replica.
+///
+/// Nothing the fleet does makes the driver panic. Saturation and a
+/// momentary total outage are retried; a degrade-ladder refusal goes into
+/// [`ReplayReport::shed`]; any other refusal, and a stream that ends
+/// without a terminal event, goes into [`ReplayReport::lost`]; token
+/// indices out of order are counted in
+/// [`ReplayReport::index_violations`]. The caller keeps the [`Cluster`],
+/// so it can drain, kill or respawn replicas mid-replay.
+///
+/// Per-request tokens of every request that finishes naturally are
+/// bit-identical to [`replay_trace`]; only wall-clock-dependent outcomes
+/// (deadline expiry) may differ.
+///
+/// [`Cluster`]: edkm_cluster::Cluster
+pub fn replay_router(router: &RouterHandle, trace: &Trace) -> ReplayReport {
+    let t0 = Instant::now();
+    let requests = trace.requests();
+    let deps = turn_dependencies(trace);
+    let turns = Arc::new(Turns {
+        settled: Mutex::new(vec![false; requests.len()]),
+        changed: Condvar::new(),
+    });
+    let mut shed = Vec::new();
+    let mut lost = Vec::new();
+    let mut backpressure_rejections = 0u64;
+    let mut consumers = Vec::with_capacity(requests.len());
+    for (pos, r) in requests.iter().enumerate() {
+        if let Some(dep) = deps[pos] {
+            turns.wait_for(dep);
         }
         let mut request = Request::new(r.prompt.clone())
             .max_new_tokens(r.max_new)
@@ -482,64 +398,53 @@ pub fn replay_router(router: &RouterHandle, trace: &Trace) -> ClusterReplayRepor
         if let Some(d) = r.deadline_steps {
             request = request.deadline_steps(d);
         }
-        let (_, mut stream) = match router.try_submit(request.clone()) {
-            Ok(ok) => ok,
-            Err(RouteError::Saturated) => {
-                rejections += 1;
-                router
-                    .submit(request)
-                    .expect("router accepts after backoff")
-            }
-            Err(e) => panic!("router refused trace request: {e}"),
-        };
-        let trace_id = r.id;
-        let submitted = Instant::now();
-        let finished = std::sync::Arc::clone(&finished);
-        consumers.push(std::thread::spawn(move || {
-            let mut ttft = None;
-            let mut gaps = Vec::new();
-            let mut last = submitted;
-            let mut resp = None;
-            while let Some(ev) = stream.next_event() {
-                match ev {
-                    TokenEvent::Token { index, .. } => {
-                        let nowi = Instant::now();
-                        if index == 0 {
-                            ttft = Some(nowi.duration_since(submitted).as_secs_f64() * 1e3);
-                        } else {
-                            gaps.push(nowi.duration_since(last).as_secs_f64() * 1e3);
-                        }
-                        last = nowi;
-                    }
-                    TokenEvent::Finished(r) => resp = Some(r),
+        let (submitted, saturated) = submit_patiently(router, request);
+        backpressure_rejections += u64::from(saturated);
+        let stream = match submitted {
+            Ok(stream) => stream,
+            Err(e) => {
+                if matches!(e, RouteError::Shed { .. }) {
+                    shed.push(r.id);
+                } else {
+                    lost.push(r.id);
                 }
+                turns.settle(pos);
+                continue;
             }
-            let (flags, cv) = &*finished;
-            flags.lock().expect("turn flags")[pos] = true;
-            cv.notify_all();
-            (trace_id, resp.expect("terminal event"), ttft, gaps)
+        };
+        let (trace_id, submitted_at, turns) = (r.id, Instant::now(), Arc::clone(&turns));
+        consumers.push(std::thread::spawn(move || {
+            let drained = drain_stream(stream, submitted_at);
+            turns.settle(pos);
+            (trace_id, drained)
         }));
     }
 
     let mut outcomes = Vec::with_capacity(consumers.len());
+    let mut index_violations = 0u64;
     let mut ttft_ms = Vec::new();
     let mut per_token_ms = Vec::new();
     for c in consumers {
-        let (trace_id, resp, ttft, gaps) = c.join().expect("stream consumer");
-        outcomes.push(RequestOutcome {
-            id: trace_id,
-            generated: resp.generated,
-            finish: resp.finish,
-            ttft_steps: None,
-            tokens: resp.tokens,
-        });
-        ttft_ms.extend(ttft);
-        per_token_ms.extend(gaps);
+        let (trace_id, drained) = c.join().expect("stream consumer");
+        index_violations += drained.index_violations;
+        ttft_ms.extend(drained.ttft_ms);
+        per_token_ms.extend(drained.gaps_ms);
+        match drained.response {
+            Some(resp) => outcomes.push(RequestOutcome {
+                id: trace_id,
+                generated: resp.generated,
+                finish: resp.finish,
+                ttft_steps: None,
+                tokens: resp.tokens,
+            }),
+            None => lost.push(trace_id),
+        }
     }
     let wall_secs = t0.elapsed().as_secs_f64();
     let cluster = router.stats();
 
     outcomes.sort_by_key(|o| o.id);
+    lost.sort_unstable();
     ttft_ms.sort_by(|a, b| a.total_cmp(b));
     per_token_ms.sort_by(|a, b| a.total_cmp(b));
     let good_tokens: u64 = outcomes
@@ -547,12 +452,15 @@ pub fn replay_router(router: &RouterHandle, trace: &Trace) -> ClusterReplayRepor
         .filter(|o| !o.finish.is_aborted())
         .map(|o| o.generated as u64)
         .sum();
-    ClusterReplayReport {
+    ReplayReport {
         outcomes,
+        shed,
+        lost,
+        index_violations,
+        backpressure_rejections,
         cluster,
         wall_secs,
         goodput_tok_s: good_tokens as f64 / wall_secs.max(1e-9),
-        backpressure_rejections: rejections,
         ttft_ms,
         per_token_ms,
     }

@@ -24,16 +24,14 @@ use edkm::chaos::{FaultPlan, FaultProfile};
 use edkm::cluster::{Cluster, ClusterConfig};
 use edkm::core::{render_table2, run_table2, AblationSetup};
 use edkm::core::{CompressSpec, CompressedTensor, CompressionPipeline, EdkmConfig, EdkmHooks};
-use edkm::core::{
-    EngineConfig, KvBlockConfig, PalettizedModel, Priority, Request, SamplingConfig, ServeEngine,
-};
+use edkm::core::{EngineConfig, KvBlockConfig, PalettizedModel, Priority, Request, SamplingConfig};
 use edkm::data::{AlpacaSet, Corpus, Grammar};
 use edkm::eval::perplexity;
 use edkm::nn::{AdamWConfig, LlamaConfig, LlamaModel, LmBatch, TrainConfig, Trainer};
 use edkm::tensor::{runtime, DType, Device, Tensor};
 use edkm::workload::{
-    audit_invariants, replay_cluster_chaos, replay_engine, replay_trace, ChaosReplayConfig,
-    EngineReplayConfig, Trace, TraceConfig, TraceKind,
+    audit_invariants, replay_cluster_chaos, replay_router, replay_trace, ChaosReplayConfig, Trace,
+    TraceConfig, TraceKind,
 };
 use std::process::ExitCode;
 
@@ -101,6 +99,16 @@ fn parse_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T 
     flag_value(args, name).map_or(default, |v| parse_value(name, &v))
 }
 
+/// `--name`'s value, or `default` when the flag is absent; zero is a
+/// usage error.
+fn parse_positive(args: &[String], name: &str, default: usize) -> usize {
+    let value = parse_or(args, name, default);
+    if value == 0 {
+        usage_error(&format!("{name} must be positive"));
+    }
+    value
+}
+
 /// `text` as a palette bit width; a width outside `1..=8` is a usage
 /// error naming `--bits`.
 fn parse_bits(text: &str) -> u8 {
@@ -132,17 +140,18 @@ commands:
   ablate     the Table 2 M/U/S ablation at CLI scale
              flags: --d-model N (256)  --learners L (8)
   serve      compress a small pretrained model and serve sampled requests
-             through the streaming engine (handle-based token streams over
-             the continuous-batching scheduler, paged KV cache)
+             through the edkm-cluster router over streaming engine replicas
+             (token streams over the continuous-batching scheduler, paged
+             KV cache)
              flags: --bits N (3)  --batch B (4)  --requests R (6)
                     --new T (16)  --temp F (0.8, 0 = greedy)
                     --kv-block-tokens T (16)
                     --kv-blocks B (0 = unbounded pool)
                     --prefix-cache (share cached prompt-prefix KV blocks
                     copy-on-write across requests)
-                    --replicas R (1; R > 1 serves a fleet of R engine
-                    replicas behind the load-aware edkm-cluster router —
-                    per-request tokens identical to a single engine)
+                    --replicas R (1; engine replicas behind the
+                    load-aware router — per-request tokens identical
+                    whatever R)
                     --affinity (with --replicas: route follow-up prompts
                     to the replica already holding their prefix KV)
                     --chaos-seed S (off; replay a seeded trace through the
@@ -155,7 +164,7 @@ commands:
   bench workload
              generate a seeded request trace and replay it twice: once
              deterministically against the scheduler (step metrics), once
-             through the live engine (wall-clock metrics)
+             live through one engine behind the router (wall-clock metrics)
              flags: --trace bursty|chat|summarize|classify|mixed (mixed)
                     --seed N (0)  --requests R (12)  --batch B (4)
   table1     the Table 1 cross-device copy scenario
@@ -402,92 +411,7 @@ fn cmd_ablate(args: &[String]) {
     print!("{}", render_table2(&rows));
 }
 
-/// Drive handle-based serving of `model`: the engine owns the scheduler
-/// loop on its worker thread, the CLI consumes each request's token stream
-/// and prints the responses plus throughput/KV/TTFT stats.
-fn serve_with_model(
-    model: PalettizedModel,
-    max_batch: usize,
-    n_requests: usize,
-    n_new: usize,
-    temperature: f32,
-) {
-    // Leave room for at least one prompt token (CLI convention: clamp bad
-    // flag values instead of crashing).
-    let max_seq = model.config().max_seq;
-    if n_new >= max_seq {
-        eprintln!(
-            "--new {n_new} exceeds max_seq {max_seq}; clamping to {}",
-            max_seq - 1
-        );
-    }
-    let n_new = n_new.min(max_seq - 1);
-    let max_prompt = max_seq - n_new;
-    let vocab = model.config().vocab;
-    let (block_tokens, block_bytes) = {
-        let pool = model.kv_pool();
-        (pool.block_tokens(), pool.block_bytes())
-    };
-
-    let config = EngineConfig {
-        max_batch,
-        queue_capacity: n_requests.max(1),
-    };
-    let engine = ServeEngine::new(model, config);
-    let handle = engine.handle();
-    let t0 = std::time::Instant::now();
-    let sim0 = runtime::sim_seconds();
-    let mut streams = Vec::new();
-    for id in 0..n_requests as u64 {
-        // Every 4th request jumps the FIFO queue — tokens are identical
-        // either way (batch-independent sampling), only admission order
-        // moves.
-        let request = serve_request(id, max_prompt, vocab, n_new, temperature);
-        let (rid, stream) = handle.submit(request).expect("engine accepts submissions");
-        streams.push((rid, stream));
-    }
-    // Consume the streams; tokens buffered in each channel while we drain
-    // an earlier one are not lost.
-    let mut responses = Vec::new();
-    for (rid, mut stream) in streams {
-        let resp = stream.wait().expect("engine finishes every request");
-        responses.push((rid, resp));
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    let stats = handle.stats();
-    for (rid, r) in &responses {
-        println!("  {rid} ({:?}): {:?}", r.finish, r.tokens);
-    }
-    println!(
-        "\n{} tokens in {:.3}s = {:.1} tok/s over {} batched steps ({:.3} sim s)",
-        stats.tokens_generated,
-        secs,
-        stats.tokens_generated as f64 / secs.max(1e-9),
-        stats.decode_steps,
-        runtime::sim_seconds() - sim0,
-    );
-    println!(
-        "peak KV {} bytes ({}-token blocks, peak {} blocks, {} preemptions)",
-        stats.kv_peak_bytes,
-        block_tokens,
-        stats.kv_peak_bytes / block_bytes.max(1),
-        stats.preemptions
-    );
-    println!(
-        "TTFT (steps ≤ bound): {:?} over bounds {:?} (+overflow)",
-        stats.ttft_steps.counts(),
-        edkm::core::engine::TTFT_BUCKET_BOUNDS
-    );
-    if stats.prefix_hits > 0 {
-        println!(
-            "prefix cache: {} hits, {} prompt tokens served from shared blocks",
-            stats.prefix_hits, stats.prefix_tokens_reused
-        );
-    }
-    engine.shutdown();
-}
-
-/// The request set both serve drivers submit: short seeded prompts with a
+/// The request set `edkm serve` submits: short seeded prompts with a
 /// deterministic per-request sampling seed, every 4th request high
 /// priority.
 fn serve_request(id: u64, max_prompt: usize, vocab: usize, n_new: usize, temp: f32) -> Request {
@@ -509,11 +433,14 @@ fn serve_request(id: u64, max_prompt: usize, vocab: usize, n_new: usize, temp: f
         })
 }
 
-/// Multi-replica variant of [`serve_with_model`]: the same requests
-/// submitted through the prefix-affinity router of an [`edkm::cluster`]
-/// fleet. Placement never changes sampled output — per-request tokens are
-/// bit-identical to the single-engine path.
-fn serve_with_cluster(
+/// Serve the CLI's request set through a fleet of one or more engine
+/// replicas behind the [`edkm::cluster`] router: each engine owns its
+/// scheduler loop on a worker thread, the CLI consumes each request's token
+/// stream and prints the responses plus throughput, KV, TTFT and router
+/// stats. Placement never changes sampled output: per-request tokens are
+/// the same whatever the replica count. `n_new` is below `max_seq`, so
+/// every prompt keeps at least one token.
+fn serve_fleet(
     models: Vec<PalettizedModel>,
     max_batch: usize,
     n_requests: usize,
@@ -521,10 +448,12 @@ fn serve_with_cluster(
     temperature: f32,
     affinity: bool,
 ) {
-    let max_seq = models[0].config().max_seq;
-    let n_new = n_new.min(max_seq - 1);
-    let max_prompt = max_seq - n_new;
+    let max_prompt = models[0].config().max_seq - n_new;
     let vocab = models[0].config().vocab;
+    let (block_tokens, block_bytes) = {
+        let pool = models[0].kv_pool();
+        (pool.block_tokens(), pool.block_bytes())
+    };
     let replicas = models.len();
     let cluster = Cluster::new(
         models,
@@ -539,27 +468,55 @@ fn serve_with_cluster(
     );
     let router = cluster.handle();
     let t0 = std::time::Instant::now();
+    let sim0 = runtime::sim_seconds();
     let mut streams = Vec::new();
     for id in 0..n_requests as u64 {
+        // Every 4th request jumps the FIFO queue — tokens are identical
+        // either way (batch-independent sampling), only admission order
+        // moves.
         let request = serve_request(id, max_prompt, vocab, n_new, temperature);
         let (rid, stream) = router.submit(request).expect("router accepts submissions");
         streams.push((rid, stream));
     }
+    // Consume the streams; tokens buffered in each channel while we drain
+    // an earlier one are not lost.
     let mut responses = Vec::new();
     for (rid, mut stream) in streams {
-        let resp = stream.wait().expect("cluster finishes every request");
+        let resp = stream.wait().expect("the fleet finishes every request");
         responses.push((rid, resp));
     }
     let secs = t0.elapsed().as_secs_f64();
     let stats = router.stats();
+    let engines = || stats.replicas.iter().map(|(_, s)| s);
     for (rid, r) in &responses {
         println!("  {rid} ({:?}): {:?}", r.finish, r.tokens);
     }
     println!(
-        "\n{} tokens in {:.3}s = {:.1} tok/s over {replicas} replicas",
+        "\n{} tokens in {:.3}s = {:.1} tok/s over {} batched steps on {replicas} \
+         replica(s) ({:.3} sim s)",
         stats.tokens_generated(),
         secs,
         stats.tokens_generated() as f64 / secs.max(1e-9),
+        engines().map(|s| s.decode_steps).sum::<u64>(),
+        runtime::sim_seconds() - sim0,
+    );
+    let kv_peak = stats.aggregate_kv_peak_bytes();
+    println!(
+        "peak KV {kv_peak} bytes ({block_tokens}-token blocks, peak {} blocks, {} preemptions); \
+         resident KV peak {} bytes",
+        kv_peak / block_bytes.max(1),
+        engines().map(|s| s.preemptions).sum::<u64>(),
+        cluster.resident_peak_bytes()
+    );
+    let mut ttft = vec![0u64; edkm::core::engine::TTFT_BUCKET_BOUNDS.len() + 1];
+    for s in engines() {
+        for (total, n) in ttft.iter_mut().zip(s.ttft_steps.counts()) {
+            *total += n;
+        }
+    }
+    println!(
+        "TTFT (steps ≤ bound): {ttft:?} over bounds {:?} (+overflow)",
+        edkm::core::engine::TTFT_BUCKET_BOUNDS
     );
     println!(
         "router: {} dispatched, affinity hit rate {:.3}, {} spills, {} re-routes",
@@ -568,10 +525,13 @@ fn serve_with_cluster(
         stats.spills,
         stats.rerouted
     );
-    println!(
-        "resident KV peak {} bytes across the fleet",
-        cluster.resident_peak_bytes()
-    );
+    let prefix_hits: u64 = engines().map(|s| s.prefix_hits).sum();
+    if prefix_hits > 0 {
+        println!(
+            "prefix cache: {prefix_hits} hits, {} prompt tokens served from shared blocks",
+            engines().map(|s| s.prefix_tokens_reused).sum::<u64>()
+        );
+    }
     cluster.shutdown();
 }
 
@@ -637,7 +597,7 @@ fn serve_with_chaos(
         &trace,
         &plan,
         ChaosReplayConfig {
-            engine: EngineReplayConfig {
+            engine: EngineConfig {
                 max_batch: run.max_batch,
                 queue_capacity: run.n_requests.max(1),
             },
@@ -657,9 +617,9 @@ fn serve_with_chaos(
          {:.1} tok/s goodput over {:.3}s",
         report.survivors,
         run.n_requests,
-        report.shed.len(),
-        report.goodput_tok_s,
-        report.wall_secs
+        report.replay.shed.len(),
+        report.replay.goodput_tok_s,
+        report.replay.wall_secs
     );
     if !report.recovery_steps.is_empty() || report.corrupted_reloads > 0 {
         println!(
@@ -669,14 +629,14 @@ fn serve_with_chaos(
             report.corrupted_reloads
         );
     }
-    for event in &report.degrade_events {
+    for event in &report.replay.cluster.degrade_events {
         println!("degrade: {event}");
     }
     println!(
         "invariants: requests_lost={} index_violations={} survivors_bit_identical={} \
          pools_at_baseline={}",
         report.requests_lost(),
-        report.index_violations,
+        report.replay.index_violations,
         report.survivors_bit_identical,
         report.pools_at_baseline
     );
@@ -709,16 +669,13 @@ fn cmd_serve(args: &[String]) {
         &["--prefix-cache", "--affinity"],
     );
     let bits = bits_flag(args);
-    let max_batch: usize = parse_or(args, "--batch", 4);
-    if max_batch == 0 {
-        usage_error("--batch must be positive");
-    }
+    let max_batch = parse_positive(args, "--batch", 4);
     let n_requests: usize = parse_or(args, "--requests", 6);
     let n_new: usize = parse_or(args, "--new", 16);
     let temperature: f32 = parse_or(args, "--temp", 0.8);
-    let replicas: usize = parse_or(args, "--replicas", 1).max(1);
+    let replicas = parse_positive(args, "--replicas", 1);
     let affinity = args.iter().any(|a| a == "--affinity");
-    let kv_block_tokens: usize = parse_or(args, "--kv-block-tokens", 16).max(1);
+    let kv_block_tokens = parse_positive(args, "--kv-block-tokens", 16);
     let kv_blocks: usize = parse_or(args, "--kv-blocks", 0);
     let prefix_cache = args.iter().any(|a| a == "--prefix-cache");
     let chaos_seed: Option<u64> =
@@ -744,6 +701,9 @@ fn cmd_serve(args: &[String]) {
     // crashing — the scheduler panics on a pool it can never drain).
     let max_seq = wb.model.config().max_seq;
     let n_new_eff = n_new.min(max_seq - 1);
+    if n_new_eff < n_new {
+        eprintln!("--new {n_new} exceeds max_seq {max_seq}; clamping to {n_new_eff}");
+    }
     let plen_max = (2 + n_requests.saturating_sub(1).min(4)).min(max_seq - n_new_eff);
     let min_blocks = (plen_max + n_new_eff).div_ceil(kv_block_tokens);
     let kv_blocks = if kv_blocks != 0 && kv_blocks < min_blocks {
@@ -792,29 +752,32 @@ fn cmd_serve(args: &[String]) {
         );
         return;
     }
-    if replicas > 1 {
-        println!(
-            "fleet of {replicas} replicas behind the {} router",
-            if affinity {
-                "prefix-affinity"
-            } else {
-                "load-aware"
-            }
-        );
-        // Each replica gets an independent KV pool (`with_kv_config`
-        // replaces the pool a clone would otherwise share).
-        let fleet: Vec<_> = (0..replicas)
-            .map(|_| {
-                model
-                    .clone()
-                    .with_kv_config(kv)
-                    .with_prefix_cache(prefix_cache)
-            })
-            .collect();
-        serve_with_cluster(fleet, max_batch, n_requests, n_new, temperature, affinity);
-    } else {
-        serve_with_model(model, max_batch, n_requests, n_new, temperature);
-    }
+    println!(
+        "{replicas} replica(s) behind the {} router",
+        if affinity {
+            "prefix-affinity"
+        } else {
+            "load-aware"
+        }
+    );
+    // Each replica gets an independent KV pool (`with_kv_config` replaces
+    // the pool a clone would otherwise share).
+    let fleet: Vec<_> = (0..replicas)
+        .map(|_| {
+            model
+                .clone()
+                .with_kv_config(kv)
+                .with_prefix_cache(prefix_cache)
+        })
+        .collect();
+    serve_fleet(
+        fleet,
+        max_batch,
+        n_requests,
+        n_new_eff,
+        temperature,
+        affinity,
+    );
 }
 
 /// `edkm bench workload`: seeded trace generation + the two replay layers
@@ -826,8 +789,8 @@ fn cmd_bench_workload(args: &[String]) -> ExitCode {
     let kind =
         TraceKind::parse(&kind_name).unwrap_or_else(|e| usage_error(&format!("--trace: {e}")));
     let seed: u64 = parse_or(args, "--seed", 0);
-    let requests: usize = parse_or(args, "--requests", 12).max(1);
-    let max_batch: usize = parse_or(args, "--batch", 4).max(1);
+    let requests = parse_positive(args, "--requests", 12);
+    let max_batch = parse_positive(args, "--batch", 4);
     let cfg = LlamaConfig {
         vocab: 64,
         d_model: 32,
@@ -873,25 +836,29 @@ fn cmd_bench_workload(args: &[String]) -> ExitCode {
         step.counters.kv_peak_bytes
     );
 
-    let eng = replay_engine(
-        model,
-        &trace,
-        EngineReplayConfig {
-            max_batch,
-            queue_capacity: requests,
+    let cluster = Cluster::new(
+        vec![model],
+        ClusterConfig {
+            engine: EngineConfig {
+                max_batch,
+                queue_capacity: requests,
+            },
+            ..ClusterConfig::default()
         },
     );
+    let live = replay_router(&cluster.handle(), &trace);
+    cluster.shutdown();
     println!(
-        "\nengine replay (wall clock, batch {max_batch}):\n  \
+        "\nlive replay (wall clock, one engine behind the router, batch {max_batch}):\n  \
          goodput {:.1} tok/s in {:.3}s, TTFT p50 {:.2} / p99 {:.2} ms\n  \
          per-token p50 {:.3} / p99 {:.3} ms, {} backpressure rejections",
-        eng.goodput_tok_s,
-        eng.wall_secs,
-        eng.ttft_ms_p(0.50),
-        eng.ttft_ms_p(0.99),
-        eng.per_token_ms_p(0.50),
-        eng.per_token_ms_p(0.99),
-        eng.backpressure_rejections
+        live.goodput_tok_s,
+        live.wall_secs,
+        live.ttft_ms_p(0.50),
+        live.ttft_ms_p(0.99),
+        live.per_token_ms_p(0.50),
+        live.per_token_ms_p(0.99),
+        live.backpressure_rejections
     );
     ExitCode::SUCCESS
 }

@@ -68,10 +68,17 @@ fn malformed_flag_values_exit_2_with_the_flag_and_usage() {
         (&["inspect", "--bits", "12"][..], "--bits"),
         (&["serve", "--bits", "9"][..], "--bits"),
         (&["serve", "--batch", "0"][..], "--batch"),
+        (&["serve", "--replicas", "0"][..], "--replicas"),
+        (
+            &["serve", "--kv-block-tokens", "0"][..],
+            "--kv-block-tokens",
+        ),
         (&["ablate", "--learners", "-1"][..], "--learners"),
         (&["ablate", "--d-model", "24"][..], "--d-model"),
         (&["bench", "workload", "--trace", "bogus"][..], "--trace"),
         (&["bench", "workload", "--seed", "0x10"][..], "--seed"),
+        (&["bench", "workload", "--requests", "0"][..], "--requests"),
+        (&["bench", "workload", "--batch", "0"][..], "--batch"),
     ] {
         assert_usage_error(args, flag);
     }

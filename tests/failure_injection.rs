@@ -197,14 +197,15 @@ proptest! {
 /// Mid-workload cancel storm: replay a chat trace through the live engine,
 /// cancel a seeded-random half of the in-flight streams once tokens are
 /// flowing, and require (a) zero leaked KV blocks at drain, (b) every
-/// surviving stream bit-identical to an undisturbed run, and (c) every
-/// cancelled stream a strict prefix of its undisturbed counterpart.
+/// surviving stream bit-identical to an undisturbed virtual-clock replay,
+/// and (c) every cancelled stream a strict prefix of its undisturbed
+/// counterpart.
 #[test]
 fn cancel_storm_leaks_nothing_and_leaves_survivors_bit_identical() {
     use edkm::core::{
         EngineConfig, FinishReason, PalettizedModel, Request, ServeEngine, TokenEvent,
     };
-    use edkm::workload::{replay_engine, EngineReplayConfig, Trace, TraceConfig, TraceKind};
+    use edkm::workload::{replay_trace, Trace, TraceConfig, TraceKind};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -229,15 +230,9 @@ fn cancel_storm_leaks_nothing_and_leaves_survivors_bit_identical() {
         cfg.max_seq,
     ));
 
-    // Reference: the same trace with nobody pulling the plug.
-    let undisturbed = replay_engine(
-        model.clone(),
-        &trace,
-        EngineReplayConfig {
-            max_batch: 4,
-            queue_capacity: trace.requests().len(),
-        },
-    );
+    // Reference: the same trace with nobody pulling the plug, on the
+    // scheduler's virtual clock.
+    let undisturbed = replay_trace(&model, &trace, 4);
 
     // Storm run: submit everything, then cancel a random half mid-flight.
     let engine = ServeEngine::new(
@@ -537,10 +532,10 @@ fn fault_plans_replay_byte_identically() {
 #[test]
 fn chaos_profiles_preserve_global_invariants() {
     use edkm::chaos::{FaultPlan, FaultProfile};
+    use edkm::core::EngineConfig;
     use edkm::core::{CompressSpec, KvBlockConfig, PalettizedModel};
     use edkm::workload::{
-        audit_invariants, replay_cluster_chaos, ChaosReplayConfig, EngineReplayConfig, Trace,
-        TraceConfig, TraceKind,
+        audit_invariants, replay_cluster_chaos, ChaosReplayConfig, Trace, TraceConfig, TraceKind,
     };
 
     runtime::reset();
@@ -582,7 +577,7 @@ fn chaos_profiles_preserve_global_invariants() {
             &trace,
             &plan,
             ChaosReplayConfig {
-                engine: EngineReplayConfig {
+                engine: EngineConfig {
                     max_batch: 4,
                     queue_capacity: 32,
                 },
@@ -603,7 +598,10 @@ fn chaos_profiles_preserve_global_invariants() {
             report.faults
         );
         assert_eq!(report.requests_lost(), 0, "{profile}: zero lost");
-        assert_eq!(report.index_violations, 0, "{profile}: exact-once indices");
+        assert_eq!(
+            report.replay.index_violations, 0,
+            "{profile}: exact-once indices"
+        );
         assert!(
             report.survivors_bit_identical,
             "{profile}: survivors must match the undisturbed run"

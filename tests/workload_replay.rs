@@ -3,14 +3,11 @@
 //! `(model, trace, max_batch)` — identical token streams and aggregate
 //! counters across runs, batch caps, and engine worker interleavings.
 
-use edkm::cluster::{Cluster, ClusterConfig};
-use edkm::core::{CompressSpec, EngineConfig, KvBlockConfig, PalettizedModel};
+use edkm::cluster::{Cluster, ClusterConfig, DegradeLevel};
+use edkm::core::{CompressSpec, EngineConfig, KvBlockConfig, PalettizedModel, Priority};
 use edkm::nn::{LlamaConfig, LlamaModel};
 use edkm::tensor::{runtime, DType, Device};
-use edkm::workload::{
-    replay_cluster, replay_engine, replay_router, replay_trace, ClusterReplayConfig,
-    EngineReplayConfig, Trace, TraceConfig, TraceKind,
-};
+use edkm::workload::{replay_router, replay_trace, ReplayReport, Trace, TraceConfig, TraceKind};
 
 fn model_config() -> LlamaConfig {
     LlamaConfig {
@@ -35,6 +32,21 @@ fn tiny_model() -> PalettizedModel {
 fn trace_for(kind: TraceKind, seed: u64) -> Trace {
     let cfg = model_config();
     Trace::generate(&TraceConfig::new(kind, seed, 10, cfg.vocab, cfg.max_seq))
+}
+
+/// Replay `trace` live through a fresh fleet, one engine per model, behind
+/// the router (affinity on). One model is the bare-engine replay.
+fn live_replay(models: Vec<PalettizedModel>, trace: &Trace, engine: EngineConfig) -> ReplayReport {
+    let cluster = Cluster::new(
+        models,
+        ClusterConfig {
+            engine,
+            ..ClusterConfig::default()
+        },
+    );
+    let report = replay_router(&cluster.handle(), trace);
+    cluster.shutdown();
+    report
 }
 
 #[test]
@@ -167,43 +179,67 @@ fn chat_trace_prefix_sharing_reuses_blocks_without_changing_tokens() {
     );
 }
 
-#[test]
-fn engine_replay_matches_step_replay_across_worker_interleavings() {
-    runtime::reset();
-    let model = tiny_model();
-    let trace = trace_for(TraceKind::Chat, 11);
-    let step = replay_trace(&model, &trace, 4);
+/// One engine behind the router must reproduce the virtual-clock replay
+/// of `trace` over `model`, whatever the batch cap and admission capacity.
+/// Requests that finished naturally in both runs carry the same tokens.
+/// Without deadlines every request must finish naturally in both, so every
+/// request's tokens and every counter must agree.
+fn live_replay_matches_step_replay(model: &PalettizedModel, trace: &Trace) {
+    let kind = trace.config().kind;
+    let step = replay_trace(model, trace, 4);
 
     // Two engine shapes: different batch caps and admission capacities
     // change thread interleavings and queue pressure, never tokens.
     for (max_batch, queue_capacity) in [(4usize, 10usize), (8, 2)] {
-        let eng = replay_engine(
-            model.clone(),
-            &trace,
-            EngineReplayConfig {
+        let eng = live_replay(
+            vec![model.clone()],
+            trace,
+            EngineConfig {
                 max_batch,
                 queue_capacity,
             },
         );
+        let stats = &eng.cluster.replicas[0].1;
         assert_eq!(eng.outcomes.len(), step.outcomes.len());
         for (e, s) in eng.outcomes.iter().zip(&step.outcomes) {
             assert_eq!(e.id, s.id);
-            assert_eq!(
-                e.tokens, s.tokens,
-                "engine (batch {max_batch}, queue {queue_capacity}) diverged \
-                 from the virtual-clock replay on request {}",
-                e.id
-            );
+            let natural = !e.finish.is_aborted() && !s.finish.is_aborted();
+            if natural || !trace.has_deadlines() {
+                assert_eq!(
+                    e.tokens, s.tokens,
+                    "{kind}: engine (batch {max_batch}, queue {queue_capacity}) \
+                     diverged from the virtual-clock replay on request {}",
+                    e.id
+                );
+            }
         }
-        assert_eq!(eng.counters.submitted, step.counters.submitted);
-        assert_eq!(eng.counters.finished, step.counters.finished);
-        assert_eq!(eng.counters.cancelled, 0);
-        assert_eq!(eng.counters.expired, 0);
-        assert_eq!(
-            eng.counters.tokens_generated,
-            step.counters.tokens_generated
-        );
-        assert_eq!(eng.stats.kv_live_bytes, 0, "drained engine leaked KV");
+        assert_eq!(stats.submitted, step.counters.submitted);
+        assert_eq!(stats.cancelled, 0);
+        if !trace.has_deadlines() {
+            assert_eq!(stats.finished, step.counters.finished);
+            assert_eq!(stats.expired, 0);
+            assert_eq!(stats.tokens_generated, step.counters.tokens_generated);
+        }
+        assert_eq!(stats.kv_live_bytes, 0, "drained engine leaked KV");
+    }
+}
+
+#[test]
+fn engine_replay_matches_step_replay_across_worker_interleavings() {
+    runtime::reset();
+    let model = tiny_model();
+    live_replay_matches_step_replay(&model, &trace_for(TraceKind::Chat, 11));
+    // Every kind over the serve bench's bounded pool (8-token blocks, three
+    // of the largest request), so preemption and admission stalls replay
+    // live too.
+    for kind in TraceKind::ALL {
+        let trace = trace_for(kind, 11);
+        let per_req = trace.max_tokens_per_request().div_ceil(8);
+        let bounded = model.clone().with_kv_config(KvBlockConfig {
+            block_tokens: 8,
+            max_blocks: per_req * 3,
+        });
+        live_replay_matches_step_replay(&bounded, &trace);
     }
 }
 
@@ -216,25 +252,17 @@ fn cluster_replay_is_token_identical_to_engine_replay_at_any_replica_count() {
         block_tokens: 4,
         max_blocks: 0,
     };
-    let cfg = EngineReplayConfig {
-        max_batch: 4,
-        queue_capacity: trace.requests().len(),
-    };
-    let bare = replay_engine(
-        model.clone().with_kv_config(kv).with_prefix_cache(true),
-        &trace,
-        cfg,
-    );
+    let replica = || model.clone().with_kv_config(kv).with_prefix_cache(true);
+    // The reference is the scheduler itself on the virtual clock: no
+    // router, no engine thread.
+    let bare = replay_trace(&replica(), &trace, 4);
     for replicas in [1usize, 2, 4] {
-        let fleet: Vec<PalettizedModel> = (0..replicas)
-            .map(|_| model.clone().with_kv_config(kv).with_prefix_cache(true))
-            .collect();
-        let rep = replay_cluster(
-            fleet,
+        let rep = live_replay(
+            (0..replicas).map(|_| replica()).collect(),
             &trace,
-            ClusterReplayConfig {
-                engine: cfg,
-                affinity: true,
+            EngineConfig {
+                max_batch: 4,
+                queue_capacity: trace.requests().len(),
             },
         );
         assert_eq!(rep.outcomes.len(), bare.outcomes.len());
@@ -248,6 +276,43 @@ fn cluster_replay_is_token_identical_to_engine_replay_at_any_replica_count() {
             );
         }
     }
+}
+
+/// A degrade-ladder refusal is recorded, not panicked: with the router at
+/// `RejectLow`, exactly the `Priority::Low` requests of a mixed trace land
+/// in `shed`, nothing is lost, and every other request reaches its
+/// terminal event with consecutive token indices.
+#[test]
+fn degrade_ladder_refusals_are_recorded_as_shed() {
+    runtime::reset();
+    let model = tiny_model();
+    let trace = trace_for(TraceKind::Mixed, 42);
+    let (low, others): (Vec<_>, Vec<_>) = trace
+        .requests()
+        .iter()
+        .partition(|r| r.priority == Priority::Low);
+    let low: Vec<u64> = low.iter().map(|r| r.id).collect();
+    let others: Vec<u64> = others.iter().map(|r| r.id).collect();
+    assert!(
+        !low.is_empty(),
+        "the seed must yield a low-priority request"
+    );
+
+    let fleet: Vec<PalettizedModel> = (0..2)
+        .map(|_| model.clone().with_kv_config(KvBlockConfig::default()))
+        .collect();
+    let cluster = Cluster::new(fleet, ClusterConfig::default());
+    let router = cluster.handle();
+    router.set_degrade_level(DegradeLevel::RejectLow, 0);
+    let rep = replay_router(&router, &trace);
+    cluster.shutdown();
+
+    assert_eq!(rep.shed, low, "exactly the low-priority requests are shed");
+    assert_eq!(rep.cluster.shed, low.len() as u64);
+    assert!(rep.lost.is_empty(), "a shed is not a loss: {:?}", rep.lost);
+    let ran: Vec<u64> = rep.outcomes.iter().map(|o| o.id).collect();
+    assert_eq!(ran, others, "every other request reaches a terminal event");
+    assert_eq!(rep.index_violations, 0);
 }
 
 #[test]
