@@ -118,7 +118,10 @@ fn main() {
     let lin = PalettizedLinear::new(PalettizedTensor::from_nearest(&w, &centroids, BITS, 1));
     let x = Tensor::randn(&[batch, in_features], DType::F32, Device::Cpu, 1);
 
-    let identical = lin.forward_serial(&x).to_vec() == lin.forward_batch(&x).to_vec();
+    // Compared by bits: a `+0.0`/`-0.0` swap is a difference, an
+    // identical NaN is not.
+    let bits = |t: &Tensor| t.to_vec().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    let identical = bits(&lin.forward_serial(&x)) == bits(&lin.forward_batch(&x));
     assert!(
         identical,
         "forward_batch must match forward_serial bit for bit"

@@ -25,8 +25,9 @@
 //! `--slo` turns the gates (`--max-deadline-miss`, `--max-ttft-p99-steps`,
 //! the lossless accuracy floor) into a non-zero exit.
 //!
-//! `batch8_speedup` is recorded, not gated: a LUT-GEMM row costs about
-//! the same alone or in a batch, so batch 8 runs near sequential speed
+//! `batch8_speedup` is recorded, not gated: the LUT-GEMM kernel decodes
+//! a column's weights once for up to six batch rows, so batch 8 runs
+//! faster than sequential, by an amount that moves with the host
 //! (EXPERIMENTS.md).
 
 use edkm_chaos::{FaultPlan, FaultProfile};

@@ -16,15 +16,22 @@
 //!    indices as one contiguous run, and the hot loop streams a `(tile, chunk)`
 //!    block sequentially with no per-element bit extraction.
 //!
-//! 2. **Activation-side LUT precompute.** For each batch row, the products
-//!    `prod[c][j] = lut[c] · x[j]` are materialized once per input chunk
-//!    (`k · in` multiplies, amortized over all `out` output rows). The
-//!    GEMM inner loop then *gathers by index and adds*: every multiply
-//!    becomes an add. Because `prod[c][j]` is exactly the f32 the naive
-//!    kernel would have computed inline, the gather path is bit-identical
-//!    to the multiply path — which is also why palettes too rich for a
-//!    table ([`PROD_K_MAX`], e.g. the lossless 2¹⁶ palette) can fall back
-//!    to the inline multiply without changing a single output bit.
+//! 2. **Weight decode once per column, or a product table.** Every
+//!    output is `Σ_j lut[idx[r, j]] · x[j]`, and the products are the
+//!    exact f32s `lut[c] · x[j]` in every body. On CPUs with AVX2, for
+//!    palettes of at most [`super::launch::LINE`] entries, the kernel
+//!    decodes a column's weights for a lane group of output rows from a
+//!    palette register once, then multiplies and adds them for up to
+//!    [`super::launch::GROUP_ROWS`] batch rows, so a row in a batch costs
+//!    less than a row alone. The portable body instead materializes, per
+//!    batch row, the activation-side products `prod[c][j] = lut[c] · x[j]`
+//!    once per input chunk (`k · in` multiplies, amortized over all `out`
+//!    output rows), and its inner loop *gathers by index and adds*.
+//!    Because `prod[c][j]` is exactly the f32 the naive kernel would have
+//!    computed inline, the gather path is bit-identical to the multiply
+//!    path — which is also why palettes too rich for a table
+//!    ([`PROD_K_MAX`], e.g. the lossless 2¹⁶ palette) can fall back to the
+//!    inline multiply without changing a single output bit.
 //!
 //! 3. **Deterministic tile parallelism.** Calls of at least
 //!    [`super::launch::FANOUT_MACS`] multiply-accumulates split the
@@ -37,9 +44,9 @@
 //!    determinism argument in DESIGN.md §11–12.
 //!
 //! The GEMM itself runs in `launch::run_tiled`, which advances
-//! [`super::launch::LANES`] output rows at a time (with AVX2 permutes for
+//! [`super::launch::LANES`] output rows at a time (with the AVX2 body for
 //! palettes of up to [`super::launch::LINE`] entries on CPUs that have
-//! them) and preserves the accumulation order (`acc += lut[idx[r, j]] ·
+//! it) and preserves the accumulation order (`acc += lut[idx[r, j]] ·
 //! x[j]` for ascending `j`, one accumulator per output element) — the
 //! same order a dense row-times-matrixᵀ dot product uses — so the kernel
 //! agrees with a dense matmul over the decoded weights to rounding, and
@@ -56,12 +63,12 @@ pub const TILE_OUT: usize = 16;
 /// (`k · IN_CHUNK` floats) stays L1/L2-resident for sub-4-bit palettes.
 pub const IN_CHUNK: usize = 512;
 
-/// Largest palette for which the activation-side product table pays for
-/// itself. Richer palettes (up to the lossless 2¹⁶ entries) use the
-/// bit-identical inline-multiply fallback.
+/// Largest palette for which the portable body's activation-side product
+/// table pays for itself. Richer palettes (up to the lossless 2¹⁶
+/// entries) use the bit-identical inline-multiply fallback.
 pub const PROD_K_MAX: usize = 64;
 
-/// Cap on the activation-LUT table size (`n · max(k, 8) · in` floats ≈ 16 MB).
+/// Cap on the activation-LUT table size (`n · k · in` floats ≈ 16 MB).
 /// The table grows with the batch, so an unbounded large prefill would
 /// pin an arbitrarily large arena buffer; past the cap the kernel falls
 /// back to the inline multiply, which is bit-identical.
@@ -264,11 +271,12 @@ impl TiledLutKernel {
         }
     }
 
-    /// The tiled GEMM: activation-LUT tables per `(batch row, chunk)`,
-    /// index-gather accumulation, worker threads over output tiles.
-    /// Scratch (the product tables and the tile-major staging buffer)
-    /// comes from `arena`; steady-state calls of one shape allocate
-    /// nothing.
+    /// The tiled GEMM: weights decoded once per column for a group of
+    /// batch rows (AVX2) or gathered from activation-LUT tables per
+    /// `(batch row, chunk)` (portable), worker threads over output tiles.
+    /// Scratch (the tile-major staging buffer, and the portable body's
+    /// product tables) comes from `arena`; steady-state calls of one
+    /// shape allocate nothing.
     ///
     /// Bit-identical to [`TiledLutKernel::forward_serial_into`].
     ///
@@ -324,6 +332,11 @@ mod tests {
             .to_vec()
     }
 
+    /// `v`'s bit patterns, the values the oracle comparisons check.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
     /// Independent reference: ascending-j single-accumulator gather.
     fn reference(p: &PalettizedTensor, x: &[f32], n: usize) -> Vec<f32> {
         let (out, inp) = (p.shape()[0], p.shape()[1]);
@@ -365,11 +378,15 @@ mod tests {
             let want = reference(&p, &x, n);
             let mut serial = vec![0.0f32; n * out];
             kern.forward_serial_into(&x, n, &mut serial);
-            assert_eq!(serial, want, "serial [{out}, {inp}] batch {n}");
+            assert_eq!(
+                bits(&serial),
+                bits(&want),
+                "serial [{out}, {inp}] batch {n}"
+            );
             let mut arena = ScratchArena::new();
             let mut tiled = vec![0.0f32; n * out];
             kern.forward_into(&x, n, &mut tiled, &mut arena);
-            assert_eq!(tiled, want, "tiled [{out}, {inp}] batch {n}");
+            assert_eq!(bits(&tiled), bits(&want), "tiled [{out}, {inp}] batch {n}");
         }
     }
 
@@ -385,7 +402,7 @@ mod tests {
             let mut arena = ScratchArena::new();
             let mut tiled = vec![0.0f32; 3 * 24];
             kern.forward_into(&x, 3, &mut tiled, &mut arena);
-            assert_eq!(tiled, want, "k={k}");
+            assert_eq!(bits(&tiled), bits(&want), "k={k}");
         }
     }
 
@@ -396,7 +413,7 @@ mod tests {
         let mut arena = ScratchArena::new();
         let mut y = vec![0.0f32; 2 * 10];
         kern.forward_into(&x, 2, &mut y, &mut arena);
-        assert_eq!(y, reference(&p, &x, 2));
+        assert_eq!(bits(&y), bits(&reference(&p, &x, 2)));
         assert_eq!(kern.k(), 1);
     }
 

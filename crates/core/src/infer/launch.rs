@@ -10,16 +10,21 @@
 //! ([`super::kernel::TiledLutKernel::forward_serial_into`]) by
 //! construction, at every thread count. Tail rows (`rows % LANES`) take
 //! the fixed descent 4 → 2 → 1, so the execution tree is deterministic by
-//! construction, not by accident of the optimizer.
+//! construction, not by accident of the optimizer. Batch rows advance in
+//! balanced groups of at most [`GROUP_ROWS`], so a tile streams each
+//! `(tile, chunk)` index block once per group, not once per row.
 //!
-//! Palettes of up to [`LINE`] entries (the paper's 3-bit palettes) store
-//! each column's products as one 8-float line, and on CPUs with AVX2 a
-//! lane group gathers from that line with one `vpermps` per column and
-//! adds with one `vaddps` — the same f32 products added in the same order
-//! as the portable body, so both bodies are bit-identical to the oracle
-//! (DESIGN.md §12). Every other case (richer palettes, the inline-multiply
-//! fallback, CPUs without AVX2) runs the portable body. Work below
-//! [`FANOUT_MACS`] runs on the calling thread, spawning nothing.
+//! Palettes of up to [`LINE`] entries (the paper's 3-bit palettes) fit in
+//! one 8-float register, and on CPUs with AVX2 a lane group decodes each
+//! column's weights `lut[idx[r, j]]` with one `vpermps` of that register,
+//! once for every row of a group, then multiplies them by each row's
+//! broadcast `x[i, j]` and adds the products into that row's accumulators:
+//! the same f32 products `lut[c] · x[j]` added in the same order as the
+//! portable body, so both bodies are bit-identical to the oracle
+//! (DESIGN.md §12). Every other case (richer palettes, CPUs without AVX2)
+//! runs the portable body, which gathers from an activation-side product
+//! table or multiplies inline. Work below [`FANOUT_MACS`] runs on the
+//! calling thread, spawning nothing.
 
 use super::kernel::{
     block_base, chunk_cols, tile_rows, TiledLutKernel, IN_CHUNK, PROD_K_MAX, PROD_TABLE_MAX_FLOATS,
@@ -31,10 +36,17 @@ use rayon::prelude::*;
 /// Output rows one lane group advances together.
 pub const LANES: usize = 8;
 
-/// Floats per product line for palettes of at most this many entries
-/// (shorter palettes are zero-padded): one 256-bit register, so one AVX2
-/// `vpermps` gathers any line entry for all [`LANES`] rows of a group.
+/// Palette entries one 256-bit register holds (shorter palettes are
+/// zero-padded), so one AVX2 `vpermps` decodes any entry for all
+/// [`LANES`] rows of a group.
 pub const LINE: usize = 8;
+
+/// Batch rows whose products one pass over a `(tile, chunk)` block adds.
+/// The AVX2 body holds two accumulator registers per row (a tile's two
+/// lane groups), so 6 rows' 12 accumulators, the column's two decoded
+/// weight registers, one broadcast `x` and one product fill the 16 `ymm`
+/// registers; a seventh row would spill.
+pub const GROUP_ROWS: usize = 6;
 
 /// Multiply-accumulates (`n · out · (in + k)`) from which a call fans its
 /// output tiles out over worker threads. Below it every tile runs on the
@@ -43,8 +55,9 @@ pub const LINE: usize = 8;
 /// allocates nothing.
 pub const FANOUT_MACS: usize = 1 << 22;
 
-// The AVX2 body holds one lane group, and one product line, per register.
-const _: () = assert!(LANES == 8 && LINE == 8);
+// The AVX2 body holds one lane group, and the whole palette, per register,
+// and a tile is at most two lane groups.
+const _: () = assert!(LANES == 8 && LINE == 8 && TILE_OUT == 2 * LANES);
 
 /// A tile-repacked index width: `u8` for palettes of up to 256 entries,
 /// `u16` past that.
@@ -106,88 +119,144 @@ where
     }
 }
 
-/// The AVX2 lane body: add a `(tile, chunk)` block of `u8` indices to the
-/// whole lane groups of `acc`, gathering from `lines` (`LINE` floats per
-/// column), and return how many rows it covered — a multiple of
-/// [`LANES`], or 0 on a CPU without AVX2. Per column it widens each lane
-/// group's [`LANES`] indices to 32 bits, gathers their products with one
-/// permute and adds them with one vector add, two lane groups per column
-/// while two remain. Every lane adds the same f32 product to its own
-/// accumulator, in the same ascending-`j` order as [`accumulate`] (no
+/// Split `n` batch rows into `n.div_ceil(GROUP_ROWS)` consecutive groups
+/// whose sizes differ by at most one, the larger first (13 rows → 5, 4,
+/// 4): `(first row, rows)` pairs. Balanced groups keep every pass of the
+/// AVX2 body at least half full, where 6, 6, 1 would run one pass at a
+/// single row.
+fn row_groups(n: usize) -> impl Iterator<Item = (usize, usize)> + Clone {
+    let groups = n.div_ceil(GROUP_ROWS);
+    let (rows, longer) = (n / groups, n % groups);
+    (0..groups).map(move |q| (q * rows + q.min(longer), rows + usize::from(q < longer)))
+}
+
+/// The AVX2 lane body: add a `(tile, chunk)` block of `u8` indices, for
+/// every batch row of a group, to the whole lane groups of the rows'
+/// accumulators, and return how many output rows it covered — a multiple
+/// of [`LANES`], or 0 on a CPU without AVX2. `acc[b]` holds batch row
+/// `b`'s tile accumulators (the first `rows` of them live), `blk` holds
+/// `rows · cols` indices, row `b`'s activations for the chunk are
+/// `x[b · x_stride..]`, one per column, and `palette` is the LUT
+/// zero-padded to [`LINE`] floats.
+///
+/// Per column it widens each lane group's [`LANES`] indices to 32 bits
+/// once and permutes `palette` with them, which gives the decoded weights
+/// `lut[idx[r, j]]`; then, for every row of the group, it multiplies them
+/// by the broadcast `x[b, j]` and adds the products into that row's
+/// accumulators. Every lane adds the f32 product `lut[c] · x[j]` to its
+/// own accumulator, in the same ascending-`j` order as [`accumulate`] (no
 /// fused multiply-add), so the bits cannot differ from the portable body.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn permute_groups(acc: &mut [f32], blk: &[u8], lines: &[f32]) -> usize {
+fn decode_groups(
+    acc: &mut [[f32; TILE_OUT]],
+    rows: usize,
+    cols: usize,
+    blk: &[u8],
+    x: &[f32],
+    x_stride: usize,
+    palette: &[f32; LINE],
+) -> usize {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn avx2(acc: &mut [f32], blk: &[u8], lines: &[f32]) -> usize {
+    fn avx2<const G: usize>(
+        acc: &mut [[f32; TILE_OUT]],
+        rows: usize,
+        cols: usize,
+        blk: &[u8],
+        x: &[f32],
+        x_stride: usize,
+        palette: &[f32; LINE],
+    ) -> usize {
         use std::arch::x86_64::{
-            _mm256_add_ps, _mm256_cvtepu8_epi32, _mm256_loadu_ps, _mm256_permutevar8x32_ps,
-            _mm256_setzero_ps, _mm256_storeu_ps, _mm_loadl_epi64,
+            _mm256_add_ps, _mm256_cvtepu8_epi32, _mm256_loadu_ps, _mm256_mul_ps,
+            _mm256_permutevar8x32_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+            _mm_loadl_epi64,
         };
-        let rows = acc.len();
-        let cols = lines.len() / LINE;
-        // Every pointer below is in bounds because of these two lengths.
-        assert_eq!(lines.len(), cols * LINE, "whole product lines");
+        let pair = rows == TILE_OUT;
+        // Every pointer below is in bounds because of these lengths.
+        assert!(acc.len() == G && rows <= TILE_OUT, "a tile per batch row");
         assert_eq!(blk.len(), rows * cols, "one index per (row, column)");
-        let (acc, blk, lines) = (acc.as_mut_ptr(), blk.as_ptr(), lines.as_ptr());
-        let mut r = 0usize;
-        while r + LANES <= rows {
-            let pair = r + 2 * LANES <= rows;
-            // SAFETY: rows `r .. r + LANES` (`.. r + 2·LANES` when `pair`)
-            // lie inside `acc`, whose length is `rows`.
-            let (mut a0, mut a1) = unsafe {
-                let a1 = if pair {
-                    _mm256_loadu_ps(acc.add(r + LANES))
-                } else {
-                    _mm256_setzero_ps()
-                };
-                (_mm256_loadu_ps(acc.add(r)), a1)
-            };
-            for j in 0..cols {
-                // SAFETY: `j < cols`, so line `j` is the floats `j·LINE ..
-                // (j + 1)·LINE` of `lines` (length `cols·LINE`), and column
-                // `j`'s indices for rows `r .. r + LANES` (`.. r + 2·LANES`
-                // when `pair`) are the bytes from `j·rows + r`, which end at
-                // or before `(j + 1)·rows <= blk.len()`. Every index is
-                // below `k <= LINE`, so the permute reads a filled entry.
-                unsafe {
-                    let line = _mm256_loadu_ps(lines.add(j * LINE));
-                    let i0 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(blk.add(j * rows + r).cast()));
-                    a0 = _mm256_add_ps(a0, _mm256_permutevar8x32_ps(line, i0));
-                    if pair {
-                        let at = blk.add(j * rows + r + LANES);
-                        let i1 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(at.cast()));
-                        a1 = _mm256_add_ps(a1, _mm256_permutevar8x32_ps(line, i1));
-                    }
-                }
-            }
-            // SAFETY: the same rows of `acc` the loads above read.
+        assert!(
+            x.len() >= (G - 1) * x_stride + cols,
+            "an x per (row, column)"
+        );
+        let (blk, x) = (blk.as_ptr(), x.as_ptr());
+        // SAFETY: `palette` is `LINE` = 8 floats.
+        let pal = unsafe { _mm256_loadu_ps(palette.as_ptr()) };
+        let (mut a0, mut a1) = ([_mm256_setzero_ps(); G], [_mm256_setzero_ps(); G]);
+        for b in 0..G {
+            // SAFETY: `acc[b]` is `TILE_OUT` = 2·LANES floats.
             unsafe {
-                _mm256_storeu_ps(acc.add(r), a0);
+                a0[b] = _mm256_loadu_ps(acc[b].as_ptr());
                 if pair {
-                    _mm256_storeu_ps(acc.add(r + LANES), a1);
+                    a1[b] = _mm256_loadu_ps(acc[b].as_ptr().add(LANES));
                 }
             }
-            r += if pair { 2 * LANES } else { LANES };
         }
-        r
+        for j in 0..cols {
+            // SAFETY: column `j`'s indices for rows `0 .. LANES` (`..
+            // 2·LANES` when `pair`, which means `rows` = 2·LANES) are the
+            // bytes from `j·rows`, which end at or before `(j + 1)·rows <=
+            // blk.len()`. Every index is below `k <= LINE`, so the permute
+            // reads a palette entry.
+            let (w0, w1) = unsafe {
+                let at = blk.add(j * rows);
+                let i0 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(at.cast()));
+                let w1 = if pair {
+                    let i1 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(at.add(LANES).cast()));
+                    _mm256_permutevar8x32_ps(pal, i1)
+                } else {
+                    pal
+                };
+                (_mm256_permutevar8x32_ps(pal, i0), w1)
+            };
+            for b in 0..G {
+                // SAFETY: `b < G` and `j < cols`, so `b·x_stride + j` is
+                // below `(G - 1)·x_stride + cols <= x.len()`.
+                let xb = _mm256_set1_ps(unsafe { *x.add(b * x_stride + j) });
+                a0[b] = _mm256_add_ps(a0[b], _mm256_mul_ps(w0, xb));
+                if pair {
+                    a1[b] = _mm256_add_ps(a1[b], _mm256_mul_ps(w1, xb));
+                }
+            }
+        }
+        for b in 0..G {
+            // SAFETY: the same floats of `acc[b]` the loads above read.
+            unsafe {
+                _mm256_storeu_ps(acc[b].as_mut_ptr(), a0[b]);
+                if pair {
+                    _mm256_storeu_ps(acc[b].as_mut_ptr().add(LANES), a1[b]);
+                }
+            }
+        }
+        rows / LANES * LANES
     }
 
     #[cfg(target_arch = "x86_64")]
-    if avx2_live() {
+    if rows >= LANES && avx2_live() {
+        let f = match acc.len() {
+            1 => avx2::<1>,
+            2 => avx2::<2>,
+            3 => avx2::<3>,
+            4 => avx2::<4>,
+            5 => avx2::<5>,
+            6 => avx2::<6>,
+            g => unreachable!("a group of {g} batch rows exceeds GROUP_ROWS"),
+        };
         // SAFETY: the one requirement of calling an `avx2` target-feature
         // function is a CPU with AVX2, detected just above.
-        return unsafe { avx2(acc, blk, lines) };
+        return unsafe { f(acc, rows, cols, blk, x, x_stride, palette) };
     }
     0
 }
 
 /// The tiled GEMM `out = x · Wᵀ` over `kernel`'s repacked `idx` stream:
-/// stage the activation-side LUT product tables, run the output tiles
-/// (across worker threads from [`FANOUT_MACS`] on; fixed tile ownership,
-/// so results cannot depend on the thread count), and scatter the
-/// tile-major staging back to row-major. The AVX2 body runs where it
-/// applies unless `allow_avx2` is false, which pins the portable body.
+/// run the output tiles (across worker threads from [`FANOUT_MACS`] on;
+/// fixed tile ownership, so results cannot depend on the thread count),
+/// each over its batch rows in groups of at most [`GROUP_ROWS`], and
+/// scatter the tile-major staging back to row-major. The AVX2 body runs
+/// where it applies unless `allow_avx2` is false, which pins the portable
+/// body; only the portable body stages activation-side product tables.
 /// Scratch comes from `arena`. The caller checks the shapes.
 pub(super) fn run_tiled<I: TileIndex>(
     kernel: &TiledLutKernel,
@@ -206,25 +275,30 @@ pub(super) fn run_tiled<I: TileIndex>(
     let n_tiles = out_features.div_ceil(TILE_OUT);
     let n_chunks = in_features.div_ceil(IN_CHUNK);
 
-    // Activation-side LUT precompute: prod[i][c][j][cent] = lut[cent] ·
-    // x[i, c·IN_CHUNK + j], contiguous per (i, c) slab, j-major so one
-    // column's candidates share a cache line: a line of `w` floats, `k`
-    // of them filled (zero-padded to LINE for palettes of at most LINE
-    // entries). Only worth the k·in multiplies for palettes small enough
-    // that the table stays cache-resident, and only up to a whole-table
-    // size cap (the table scales with the batch); the inline fallback
-    // computes the identical f32s either way.
-    let w = k.max(LINE);
+    // The AVX2 body decodes the weights from a palette register and needs
+    // no table.
+    let avx2 = allow_avx2 && k <= LINE && avx2_live();
+    let mut palette = [0.0f32; LINE];
+    if avx2 {
+        palette[..k].copy_from_slice(lut);
+    }
+
+    // The portable body's activation-side LUT precompute: prod[i][c][j]
+    // [cent] = lut[cent] · x[i, c·IN_CHUNK + j], contiguous per (i, c)
+    // slab, j-major so one column's `k` candidates share a cache line.
+    // Only worth the k·in multiplies for palettes small enough that the
+    // table stays cache-resident, and only up to a whole-table size cap
+    // (the table scales with the batch); the inline fallback computes the
+    // identical f32s either way.
     let use_prod =
-        k <= PROD_K_MAX && in_features > 0 && n * w * in_features <= PROD_TABLE_MAX_FLOATS;
-    let permute = allow_avx2 && use_prod && w == LINE;
+        !avx2 && k <= PROD_K_MAX && in_features > 0 && n * k * in_features <= PROD_TABLE_MAX_FLOATS;
     let prod = if use_prod {
-        let mut prod = arena.take(n * w * in_features);
+        let mut prod = arena.take(n * k * in_features);
         for (xrow, slab_row) in x
             .chunks_exact(in_features)
-            .zip(prod.chunks_exact_mut(w * in_features))
+            .zip(prod.chunks_exact_mut(k * in_features))
         {
-            for (line, &xv) in slab_row.chunks_exact_mut(w).zip(xrow) {
+            for (line, &xv) in slab_row.chunks_exact_mut(k).zip(xrow) {
                 for (p, &l) in line.iter_mut().zip(lut) {
                     *p = l * xv;
                 }
@@ -232,43 +306,51 @@ pub(super) fn run_tiled<I: TileIndex>(
         }
         prod
     } else {
-        Vec::new() // inline path: no table, and no arena checkout
+        Vec::new() // AVX2 or inline path: no table, and no arena checkout
     };
 
     // Tile-major staging: one `n × TILE_OUT` slab per tile (fixed stride
     // so each chunk of the tile loop is exactly one tile), scattered back
-    // to row-major afterwards. For every batch row a tile streams its
-    // `(t, c)` index blocks chunk by chunk, carrying its accumulators
-    // across chunks.
+    // to row-major afterwards. The zeroed slab rows are the accumulators:
+    // for every group of batch rows a tile streams its `(t, c)` index
+    // blocks chunk by chunk, carrying the group's rows across chunks.
     let mut tmp = arena.take(n_tiles * n * TILE_OUT);
     {
         let prod: &[f32] = &prod;
+        let groups = row_groups(n);
         let tile = |(t, tile_out): (usize, &mut [f32])| {
             let rows = tile_rows(out_features, t);
-            for i in 0..n {
-                let mut acc = [0.0f32; TILE_OUT];
-                let acc = &mut acc[..rows];
+            let (tile_acc, _) = tile_out.as_chunks_mut::<TILE_OUT>();
+            for (i0, g) in groups.clone() {
+                let acc = &mut tile_acc[i0..i0 + g];
                 for c in 0..n_chunks {
                     let cols = chunk_cols(in_features, c);
                     let base = block_base(out_features, in_features, t, c);
                     let blk = &idx[base..base + rows * cols];
-                    if use_prod {
-                        let slab = &prod[(i * in_features + c * IN_CHUNK) * w..][..w * cols];
-                        let done = match I::as_bytes(blk) {
-                            Some(bytes) if permute => permute_groups(acc, bytes, slab),
-                            _ => 0,
-                        };
-                        let columns = slab.chunks_exact(w).map(|line| move |ci: usize| line[ci]);
-                        accumulate(acc, blk, columns, done);
-                    } else {
-                        // Rich-palette inline multiply: the identical
-                        // f32s, no product table.
-                        let xc = &x[i * in_features + c * IN_CHUNK..][..cols];
-                        let columns = xc.iter().map(|&xv| move |ci: usize| lut[ci] * xv);
-                        accumulate(acc, blk, columns, 0);
+                    let xg = &x[i0 * in_features + c * IN_CHUNK..];
+                    let done = match I::as_bytes(blk) {
+                        Some(bytes) if avx2 => {
+                            decode_groups(acc, rows, cols, bytes, xg, in_features, &palette)
+                        }
+                        _ => 0,
+                    };
+                    for (b, acc) in acc.iter_mut().enumerate() {
+                        let acc = &mut acc[..rows];
+                        if use_prod {
+                            let at = ((i0 + b) * in_features + c * IN_CHUNK) * k;
+                            let columns = prod[at..][..k * cols]
+                                .chunks_exact(k)
+                                .map(|line| move |ci: usize| line[ci]);
+                            accumulate(acc, blk, columns, done);
+                        } else {
+                            // Inline multiply (AVX2 tail rows and rich
+                            // palettes): the identical f32s, no table.
+                            let xc = &xg[b * in_features..][..cols];
+                            let columns = xc.iter().map(|&xv| move |ci: usize| lut[ci] * xv);
+                            accumulate(acc, blk, columns, done);
+                        }
                     }
                 }
-                tile_out[i * TILE_OUT..][..rows].copy_from_slice(acc);
             }
         };
         if n * out_features * (in_features + k) >= FANOUT_MACS {
@@ -284,7 +366,7 @@ pub(super) fn run_tiled<I: TileIndex>(
             out[i * out_features + t * TILE_OUT..][..rows].copy_from_slice(src);
         }
     }
-    arena.put(prod); // zero-capacity inline-path Vec is dropped, not pooled
+    arena.put(prod); // zero-capacity Vec is dropped, not pooled
     arena.put(tmp);
 }
 
@@ -361,9 +443,15 @@ mod tests {
     }
 
     fn kernel(out: usize, inp: usize, k: usize, seed: u64) -> TiledLutKernel {
+        palette_kernel(values(k, seed), out, inp, seed + 1)
+    }
+
+    /// A `[out, inp]` kernel over palette `lut`, with indices drawn from
+    /// `seed`.
+    fn palette_kernel(lut: Vec<f32>, out: usize, inp: usize, seed: u64) -> TiledLutKernel {
+        let k = lut.len();
         let bits = (usize::BITS - (k - 1).max(1).leading_zeros()) as u8;
-        let lut = values(k, seed);
-        let idx: Vec<u32> = values(out * inp, seed + 1)
+        let idx: Vec<u32> = values(out * inp, seed)
             .iter()
             .map(|v| ((v + 1.0) * 0.5 * k as f32) as u32 % k as u32)
             .collect();
@@ -394,21 +482,76 @@ mod tests {
 
     #[test]
     fn both_bodies_match_the_oracle_on_every_tail_width_and_palette() {
-        // Every palette the AVX2 body takes (k ≤ LINE, padded lines below
+        // Every palette the AVX2 body takes (k ≤ LINE, zero-padded below
         // it), one past it (portable product table) and one past the
         // table cutoff (inline multiply); every row tail mod 16 and mod 8;
-        // feature counts around the chunk grid; batch 1..=4, cycling with
-        // the row count so each (k, in) pair sees every batch.
+        // feature counts around the chunk grid; batch 1..=13, every row
+        // group size and split up to three groups, cycling with the row
+        // count so each (k, in) pair sees every batch.
+        let batches = 2 * GROUP_ROWS + 1;
         for k in (1..=LINE).chain([LINE + 1, PROD_K_MAX + 1]) {
             for inp in [1, 7, IN_CHUNK - 1, IN_CHUNK, IN_CHUNK + 1, 2 * IN_CHUNK + 6] {
-                let x = values(4 * inp, (k * inp) as u64);
+                let x = values(batches * inp, (k * inp) as u64);
                 for out in 1..=40 {
                     let kern = kernel(out, inp, k, (out + k) as u64);
-                    let n = 1 + out % 4;
+                    let n = 1 + out % batches;
                     assert_both_bodies_match_the_oracle(&kern, &x[..n * inp], n);
                 }
             }
         }
+    }
+
+    #[test]
+    fn signed_zero_products_match_the_oracle_in_both_bodies() {
+        // A palette entry of 0.0 against activations of +0.0 and -0.0:
+        // products and sums that are zero carry the oracle's signs, in
+        // every row group and lane tail. The palette is non-negative, so
+        // a row of -0.0 is all -0.0 products, which sum to +0.0 only from
+        // the oracle's +0.0 start.
+        let (out, inp) = (TILE_OUT + LANES + 3, IN_CHUNK + 5);
+        let mut lut: Vec<f32> = values(LINE, 5).iter().map(|v| v.abs()).collect();
+        lut[0] = 0.0;
+        let kern = palette_kernel(lut, out, inp, 6);
+        // Rows of +0.0, rows of -0.0, and rows mixing both with values.
+        let n = 2 * GROUP_ROWS + 1;
+        let x: Vec<f32> = values(n * inp, 7)
+            .iter()
+            .enumerate()
+            .map(|(e, &v)| match ((e / inp) % 3, e % 3) {
+                (0, _) | (2, 1) => 0.0,
+                (1, _) | (2, 2) => -0.0,
+                _ => v,
+            })
+            .collect();
+        let mut want = vec![0.0f32; n * out];
+        kern.forward_serial_into(&x, n, &mut want);
+        for (i, row) in want.chunks_exact(out).enumerate() {
+            if i % 3 < 2 {
+                assert!(row.iter().all(|v| v.to_bits() == 0), "row {i}: +0.0");
+            }
+        }
+        for n in 1..=n {
+            assert_both_bodies_match_the_oracle(&kern, &x[..n * inp], n);
+        }
+    }
+
+    #[test]
+    fn row_groups_are_balanced_and_cover_the_batch() {
+        for n in 1..=4 * GROUP_ROWS + 1 {
+            let groups: Vec<_> = row_groups(n).collect();
+            assert_eq!(groups.len(), n.div_ceil(GROUP_ROWS), "batch {n}");
+            let mut next = 0;
+            for &(first, rows) in &groups {
+                assert_eq!(first, next, "batch {n}: consecutive groups");
+                assert!((1..=GROUP_ROWS).contains(&rows), "batch {n}: {rows} rows");
+                next += rows;
+            }
+            assert_eq!(next, n, "batch {n}: every row once");
+            let sizes = groups.iter().map(|g| g.1);
+            let (lo, hi) = (sizes.clone().min().unwrap(), sizes.max().unwrap());
+            assert!(hi - lo <= 1, "batch {n}: balanced");
+        }
+        assert_eq!(row_groups(13).collect::<Vec<_>>(), [(0, 5), (5, 4), (9, 4)]);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! palettes, the lossless 2¹⁶-entry palette) must produce **bit-identical**
 //! results between `forward_serial` (the single-threaded reference) and
 //! `forward_batch` (the cache-blocked tiled kernel), and stay within
-//! rounding of a dense matmul over the decoded weights.
+//! rounding of a dense matmul over the decoded weights. Parity compares
+//! bits, so a `+0.0`/`-0.0` swap fails and an identical NaN passes.
 
 use edkm::core::infer::kernel::{IN_CHUNK, PROD_K_MAX, TILE_OUT};
 use edkm::core::palettize::PalettizedTensor;
@@ -19,13 +20,18 @@ fn linear(out: usize, inp: usize, k: usize, seed: u64) -> PalettizedLinear {
     PalettizedLinear::new(PalettizedTensor::from_nearest(&w, &c, bits, 1))
 }
 
+/// `v`'s bit patterns, the values parity compares.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|f| f.to_bits()).collect()
+}
+
 fn assert_serial_tiled_parity(lin: &PalettizedLinear, batch: usize, seed: u64, label: &str) {
     let x = Tensor::randn(&[batch, lin.in_features()], DType::F32, Device::Cpu, seed);
     let serial = lin.forward_serial(&x);
     let tiled = lin.forward_batch(&x);
     assert_eq!(
-        serial.to_vec(),
-        tiled.to_vec(),
+        bits(&serial.to_vec()),
+        bits(&tiled.to_vec()),
         "{label}: tiled kernel must match the serial reference bit for bit"
     );
     // And both stay within rounding of the dense matmul over the decoded
@@ -103,7 +109,7 @@ fn assert_kernel_parity(lin: &PalettizedLinear, batch: usize, seed: u64, label: 
     let mut got = vec![f32::NAN; batch * lin.out_features()];
     lin.kernel()
         .forward_into(&x, batch, &mut got, &mut ScratchArena::new());
-    assert_eq!(got, want, "{label}: the tiled path diverged");
+    assert_eq!(bits(&got), bits(&want), "{label}: the tiled path diverged");
 }
 
 #[test]
@@ -153,7 +159,11 @@ fn forward_rows_matches_the_tensor_entry_points() {
     let mut arena = ScratchArena::new();
     let mut out = vec![0.0f32; n * 65];
     lin.forward_rows(&xd, n, &mut out, &mut arena);
-    assert_eq!(out, want, "forward_rows must match forward_batch");
+    assert_eq!(
+        bits(&out),
+        bits(&want),
+        "forward_rows must match forward_batch"
+    );
     let grows = arena.grows();
     for _ in 0..3 {
         lin.forward_rows(&xd, n, &mut out, &mut arena);
