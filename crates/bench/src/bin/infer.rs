@@ -3,7 +3,9 @@
 //! targets: a `[2048 × 2048]` 3-bit palette at batch 32.
 //!
 //! Prints a comparison table and writes a `BENCH_infer.json` perf record so
-//! later PRs have a trajectory to compare against.
+//! later PRs have a trajectory to compare against. `bit_identical` records
+//! that `forward_batch` matched `forward_serial` bit for bit at the batch
+//! and at batch 1 (the one-row body), on the same weight.
 //!
 //! Flags (any other argument exits 2):
 //! * `--smoke` — a seconds-scale shape for CI (records `"smoke": true`);
@@ -119,12 +121,21 @@ fn main() {
     let x = Tensor::randn(&[batch, in_features], DType::F32, Device::Cpu, 1);
 
     // Compared by bits: a `+0.0`/`-0.0` swap is a difference, an
-    // identical NaN is not.
+    // identical NaN is not. Batch 1 (x's first row) checks the one-row
+    // body on the same weight; at the full shape that call fans out too.
     let bits = |t: &Tensor| t.to_vec().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-    let identical = bits(&lin.forward_serial(&x)) == bits(&lin.forward_batch(&x));
+    let x1 = Tensor::from_vec(
+        x.to_vec()[..in_features].to_vec(),
+        &[1, in_features],
+        DType::F32,
+        Device::Cpu,
+    );
+    let identical = [&x, &x1]
+        .into_iter()
+        .all(|x| bits(&lin.forward_serial(x)) == bits(&lin.forward_batch(x)));
     assert!(
         identical,
-        "forward_batch must match forward_serial bit for bit"
+        "forward_batch must match forward_serial bit for bit, at batch {batch} and 1"
     );
 
     // `forward` delegates to the batch path, so the serial baseline is

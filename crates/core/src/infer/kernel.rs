@@ -6,32 +6,36 @@
 //! LUT-GEMM-style sub-4-bit kernels that amortize palette lookups through
 //! precomputed partial products:
 //!
-//! 1. **Tile repack.** At construction, the palette's bit-packed indices
-//!    are unpacked once and re-laid-out into contiguous *tiles*:
-//!    [`TILE_OUT`] output rows × [`IN_CHUNK`] input columns per block,
-//!    stored at the narrowest width that holds the palette (`u8` for
-//!    k ≤ 256, `u16` above). Within a block the indices are
-//!    **structure-of-arrays** (column-major: all of column `j`'s row
-//!    indices adjacent), so a lane group of output rows reads its lane
-//!    indices as one contiguous run, and the hot loop streams a `(tile, chunk)`
-//!    block sequentially with no per-element bit extraction.
+//! 1. **One packed index stream, read in place.** At construction the
+//!    palette's indices are re-laid-out, still at `bits` bits each, into
+//!    contiguous *tiles*: [`TILE_OUT`] output rows × [`IN_CHUNK`] input
+//!    columns per block. Inside a block each row's indices stay packed
+//!    LSB-first, [`GROUP_COLS`] columns in exactly `bits` `u32` words (the
+//!    bit order of [`crate::palettize::pack_bits`]), and the words are
+//!    interleaved across rows: word `w` of 32-column group `g` of row `r`
+//!    sits at `(g·bits + w)·rows + r`, so a lane group of output rows reads
+//!    the same word of its rows as one contiguous run. Whenever `in` is a
+//!    multiple of 32 a row takes exactly `in·bits/8` bytes, the container's
+//!    own size, and each word is a little-endian word of the container's
+//!    row, so the repack is a transpose. Every body and the serial oracle
+//!    read the indices straight from these words with shifts; nothing
+//!    unpacks them to bytes.
 //!
 //! 2. **Weight decode once per column, or a product table.** Every
 //!    output is `Σ_j lut[idx[r, j]] · x[j]`, and the products are the
 //!    exact f32s `lut[c] · x[j]` in every body. On CPUs with AVX2, for
-//!    palettes of at most [`super::launch::LINE`] entries, the kernel
-//!    decodes a column's weights for a lane group of output rows from a
-//!    palette register once, then multiplies and adds them for up to
-//!    [`super::launch::GROUP_ROWS`] batch rows, so a row in a batch costs
-//!    less than a row alone. The portable body instead materializes, per
-//!    batch row, the activation-side products `prod[c][j] = lut[c] · x[j]`
-//!    once per input chunk (`k · in` multiplies, amortized over all `out`
-//!    output rows), and its inner loop *gathers by index and adds*.
-//!    Because `prod[c][j]` is exactly the f32 the naive kernel would have
-//!    computed inline, the gather path is bit-identical to the multiply
-//!    path — which is also why palettes too rich for a table
-//!    ([`PROD_K_MAX`], e.g. the lossless 2¹⁶ palette) can fall back to the
-//!    inline multiply without changing a single output bit.
+//!    palettes of at most 3 bits, the kernel permutes a palette register
+//!    (or, for a lone batch row, the product line `lut · x[j]`) with a
+//!    lane group's shifted index words; see [`super::launch`]. The
+//!    portable body instead materializes, per batch row, the
+//!    activation-side products `prod[c][j] = lut[c] · x[j]` once per input
+//!    chunk (`k · in` multiplies, amortized over all `out` output rows),
+//!    and its inner loop *gathers by index and adds*. Because `prod[c][j]`
+//!    is exactly the f32 the naive kernel would have computed inline, the
+//!    gather path is bit-identical to the multiply path — which is also
+//!    why palettes too rich for a table ([`PROD_K_MAX`], e.g. the lossless
+//!    2¹⁶ palette) can fall back to the inline multiply without changing a
+//!    single output bit.
 //!
 //! 3. **Deterministic tile parallelism.** Calls of at least
 //!    [`super::launch::FANOUT_MACS`] multiply-accumulates split the
@@ -44,13 +48,11 @@
 //!    determinism argument in DESIGN.md §11–12.
 //!
 //! The GEMM itself runs in `launch::run_tiled`, which advances
-//! [`super::launch::LANES`] output rows at a time (with the AVX2 body for
-//! palettes of up to [`super::launch::LINE`] entries on CPUs that have
-//! it) and preserves the accumulation order (`acc += lut[idx[r, j]] ·
-//! x[j]` for ascending `j`, one accumulator per output element) — the
-//! same order a dense row-times-matrixᵀ dot product uses — so the kernel
-//! agrees with a dense matmul over the decoded weights to rounding, and
-//! with itself exactly.
+//! [`super::launch::LANES`] output rows at a time and preserves the
+//! accumulation order (`acc += lut[idx[r, j]] · x[j]` for ascending `j`,
+//! one accumulator per output element) — the same order a dense
+//! row-times-matrixᵀ dot product uses — so the kernel agrees with a dense
+//! matmul over the decoded weights to rounding, and with itself exactly.
 
 use super::launch;
 use crate::palettize::PalettizedTensor;
@@ -63,6 +65,9 @@ pub const TILE_OUT: usize = 16;
 /// (`k · IN_CHUNK` floats) stays L1/L2-resident for sub-4-bit palettes.
 pub const IN_CHUNK: usize = 512;
 
+/// Columns whose `bits`-bit indices one run of `bits` index words holds.
+pub const GROUP_COLS: usize = 32;
+
 /// Largest palette for which the portable body's activation-side product
 /// table pays for itself. Richer palettes (up to the lossless 2¹⁶
 /// entries) use the bit-identical inline-multiply fallback.
@@ -74,14 +79,9 @@ pub const PROD_K_MAX: usize = 64;
 /// back to the inline multiply, which is bit-identical.
 pub const PROD_TABLE_MAX_FLOATS: usize = 1 << 22;
 
-/// Tile-repacked index storage at the narrowest sufficient width.
-#[derive(Debug, Clone)]
-enum TileIdx {
-    /// Palettes with k ≤ 256 entries.
-    U8(Vec<u8>),
-    /// Palettes up to the lossless 2¹⁶ entries.
-    U16(Vec<u16>),
-}
+// A chunk holds whole 32-column groups, so a row's groups never straddle
+// a chunk.
+const _: () = assert!(IN_CHUNK.is_multiple_of(GROUP_COLS) && GROUP_COLS == u32::BITS as usize);
 
 /// The tiled LUT-GEMM kernel for one scalar-clustered `[out, in]` palette.
 ///
@@ -95,10 +95,12 @@ enum TileIdx {
 #[derive(Debug, Clone)]
 pub struct TiledLutKernel {
     lut: Vec<f32>,
-    k: usize,
+    bits: usize,
     out_features: usize,
     in_features: usize,
-    idx: TileIdx,
+    /// The packed index stream: `(tile, chunk)` blocks of lane-interleaved
+    /// words (module docs, point 1).
+    words: Vec<u32>,
 }
 
 /// Rows in tile `t` (the last tile may be short).
@@ -109,18 +111,60 @@ pub(crate) fn tile_rows(out_features: usize, t: usize) -> usize {
 
 /// Columns in chunk `c` (the last chunk may be short).
 #[inline]
-pub(crate) fn chunk_cols(in_features: usize, c: usize) -> usize {
+fn chunk_cols(in_features: usize, c: usize) -> usize {
     IN_CHUNK.min(in_features - c * IN_CHUNK)
 }
 
-/// Offset of the `(t, c)` index block inside the repacked stream: all of
-/// tile `t`'s earlier rows-times-full-width, plus this tile's rows times
-/// the columns of earlier chunks. Within a block, the index of `(row r,
-/// col j)` lives at `j · rows + r` — the structure-of-arrays layout a lane
-/// group reads contiguously.
+/// Index words of a block of `rows` rows and `cols` columns: `bits` words
+/// per row for every started 32-column group.
 #[inline]
-pub(crate) fn block_base(out_features: usize, in_features: usize, t: usize, c: usize) -> usize {
-    t * TILE_OUT * in_features + tile_rows(out_features, t) * c * IN_CHUNK
+pub(crate) fn block_len(rows: usize, cols: usize, bits: usize) -> usize {
+    rows * bits * cols.div_ceil(GROUP_COLS)
+}
+
+/// Offset of the `(t, c)` block inside the stream: all of tile `t`'s
+/// earlier rows times their full width of words, plus this tile's rows
+/// times the words of earlier (always whole) chunks.
+#[inline]
+fn block_base(out_features: usize, in_features: usize, bits: usize, t: usize, c: usize) -> usize {
+    t * block_len(TILE_OUT, in_features, bits)
+        + block_len(tile_rows(out_features, t), c * IN_CHUNK, bits)
+}
+
+/// Where column `j`'s indices sit in a block of `rows` rows: row `r`'s
+/// index is the `bits` bits from `shift` up of the word pair
+/// `(blk[lo + r], blk[hi + r])`, where `hi` is the next word's run when
+/// the index straddles two words and `lo` again when it does not.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Column {
+    lo: usize,
+    hi: usize,
+    shift: u32,
+    mask: u32,
+}
+
+impl Column {
+    /// Column `j` of a block of `rows` rows of `bits`-bit indices.
+    #[inline]
+    pub(crate) fn new(j: usize, rows: usize, bits: usize) -> Self {
+        let bit = j % GROUP_COLS * bits;
+        let word = j / GROUP_COLS * bits + bit / 32;
+        let shift = bit % 32;
+        let next = if shift + bits > 32 { word + 1 } else { word };
+        Column {
+            lo: word * rows,
+            hi: next * rows,
+            shift: shift as u32,
+            mask: (1 << bits) - 1,
+        }
+    }
+
+    /// Row `r`'s index in `blk`.
+    #[inline]
+    pub(crate) fn index(self, blk: &[u32], r: usize) -> usize {
+        let pair = u64::from(blk[self.lo + r]) | u64::from(blk[self.hi + r]) << 32;
+        ((pair >> self.shift) as u32 & self.mask) as usize
+    }
 }
 
 impl TiledLutKernel {
@@ -133,38 +177,47 @@ impl TiledLutKernel {
         assert_eq!(weights.shape().len(), 2, "kernel expects [out, in]");
         assert_eq!(weights.cluster_dim(), 1, "kernel is scalar-clustered");
         let (out_features, in_features) = (weights.shape()[0], weights.shape()[1]);
-        let flat = weights.indices();
-        let k = weights.k();
-        let n_tiles = out_features.div_ceil(TILE_OUT);
-        let n_chunks = in_features.div_ceil(IN_CHUNK);
-        // Permute row-major [out, in] into (tile, chunk, col, row) blocks —
-        // column-major within each block, so the lane indices of any row
-        // group are one contiguous run.
-        let mut order = Vec::with_capacity(flat.len());
-        for t in 0..n_tiles {
-            for c in 0..n_chunks {
-                let cols = chunk_cols(in_features, c);
-                let rows = tile_rows(out_features, t);
-                for j in 0..cols {
-                    for r in 0..rows {
-                        let row = t * TILE_OUT + r;
-                        order.push(flat[row * in_features + c * IN_CHUNK + j]);
-                    }
+        let bits = usize::from(weights.bits());
+        let row_words = block_len(1, in_features, bits);
+        let chunk_words = block_len(1, IN_CHUNK, bits);
+        // Word `rw` of row `row`'s packed indices → its place in the stream.
+        let place = |row: usize, rw: usize| {
+            let (t, c) = (row / TILE_OUT, rw / chunk_words);
+            block_base(out_features, in_features, bits, t, c)
+                + rw % chunk_words * tile_rows(out_features, t)
+                + row % TILE_OUT
+        };
+        let mut words = vec![0u32; out_features * row_words];
+        if in_features.is_multiple_of(GROUP_COLS) {
+            // Every row of the container starts on a word boundary and
+            // holds exactly `row_words` little-endian words, each the
+            // stream's word: the repack is a transpose.
+            let packed = weights.packed();
+            debug_assert_eq!(packed.len(), words.len() * 4);
+            for (i, w) in packed.chunks_exact(4).enumerate() {
+                words[place(i / row_words, i % row_words)] =
+                    u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            }
+        } else {
+            // A ragged row ends mid-word: place each index on its own.
+            for (i, v) in weights.indices().into_iter().enumerate() {
+                let (row, j) = (i / in_features, i % in_features);
+                let t = row / TILE_OUT;
+                let (c, jj) = (j / IN_CHUNK, j % IN_CHUNK);
+                let col = Column::new(jj, tile_rows(out_features, t), bits);
+                let at = block_base(out_features, in_features, bits, t, c) + row % TILE_OUT;
+                words[at + col.lo] |= v << col.shift;
+                if col.hi != col.lo {
+                    words[at + col.hi] |= v >> (32 - col.shift);
                 }
             }
         }
-        debug_assert_eq!(order.len(), flat.len());
-        let idx = if k <= 1 << 8 {
-            TileIdx::U8(order.iter().map(|&v| v as u8).collect())
-        } else {
-            TileIdx::U16(order.iter().map(|&v| v as u16).collect())
-        };
         TiledLutKernel {
             lut: weights.lut().to_vec(),
-            k,
+            bits,
             out_features,
             in_features,
-            idx,
+            words,
         }
     }
 
@@ -180,7 +233,12 @@ impl TiledLutKernel {
 
     /// Palette entries.
     pub fn k(&self) -> usize {
-        self.k
+        self.lut.len()
+    }
+
+    /// Bits per index.
+    pub(super) fn bits(&self) -> u8 {
+        self.bits as u8
     }
 
     /// Palette centroids, `k` long.
@@ -188,34 +246,38 @@ impl TiledLutKernel {
         &self.lut
     }
 
-    /// Bytes of the repacked index stream plus the LUT — the kernel's
+    /// Tile `t`'s rows, chunk `c`'s columns and their `(t, c)` block of
+    /// index words.
+    #[inline]
+    pub(super) fn block(&self, t: usize, c: usize) -> (usize, usize, &[u32]) {
+        let rows = tile_rows(self.out_features, t);
+        let cols = chunk_cols(self.in_features, c);
+        let base = block_base(self.out_features, self.in_features, self.bits, t, c);
+        (
+            rows,
+            cols,
+            &self.words[base..][..block_len(rows, cols, self.bits)],
+        )
+    }
+
+    /// Bytes of the packed index stream plus the f32 LUT — the kernel's
     /// resident footprint.
     pub fn resident_bytes(&self) -> usize {
-        let idx = match &self.idx {
-            TileIdx::U8(v) => v.len(),
-            TileIdx::U16(v) => v.len() * 2,
-        };
-        idx + self.lut.len() * 4
+        (self.words.len() + self.lut.len()) * 4
     }
 
     /// Reconstruct the row-major `[out, in]` index stream (undoes the tile
-    /// permutation; for tests and export).
+    /// layout; for tests and export).
     pub fn row_major_indices(&self) -> Vec<u32> {
         let mut out = vec![0u32; self.out_features * self.in_features];
-        let n_tiles = self.out_features.div_ceil(TILE_OUT);
-        let n_chunks = self.in_features.div_ceil(IN_CHUNK);
-        for t in 0..n_tiles {
-            for c in 0..n_chunks {
-                let cols = chunk_cols(self.in_features, c);
-                let rows = tile_rows(self.out_features, t);
-                let base = block_base(self.out_features, self.in_features, t, c);
+        for t in 0..self.out_features.div_ceil(TILE_OUT) {
+            for c in 0..self.in_features.div_ceil(IN_CHUNK) {
+                let (rows, cols, blk) = self.block(t, c);
                 for j in 0..cols {
+                    let col = Column::new(j, rows, self.bits);
                     for r in 0..rows {
                         let row = t * TILE_OUT + r;
-                        out[row * self.in_features + c * IN_CHUNK + j] = match &self.idx {
-                            TileIdx::U8(v) => u32::from(v[base + j * rows + r]),
-                            TileIdx::U16(v) => u32::from(v[base + j * rows + r]),
-                        };
+                        out[row * self.in_features + c * IN_CHUNK + j] = col.index(blk, r) as u32;
                     }
                 }
             }
@@ -224,9 +286,10 @@ impl TiledLutKernel {
     }
 
     /// Single-threaded reference GEMM: `out[i, r] = Σ_j lut[idx[r, j]] ·
-    /// x[i, j]`, ascending `j`, one accumulator per element.
-    /// [`TiledLutKernel::forward_into`] is bit-identical to this loop at
-    /// every thread count — it is the oracle of the tiled path.
+    /// x[i, j]`, ascending `j`, one accumulator per element, each index
+    /// read from the stream on its own. [`TiledLutKernel::forward_into`] is
+    /// bit-identical to this loop at every thread count — it is the oracle
+    /// of the tiled path.
     ///
     /// # Panics
     ///
@@ -235,34 +298,17 @@ impl TiledLutKernel {
         self.check_shapes(x, n, out);
         let n_tiles = self.out_features.div_ceil(TILE_OUT);
         let n_chunks = self.in_features.div_ceil(IN_CHUNK);
-        match &self.idx {
-            TileIdx::U8(idx) => self.serial_rows(idx, x, n, out, n_tiles, n_chunks),
-            TileIdx::U16(idx) => self.serial_rows(idx, x, n, out, n_tiles, n_chunks),
-        }
-    }
-
-    fn serial_rows<I: Copy + Into<usize>>(
-        &self,
-        idx: &[I],
-        x: &[f32],
-        n: usize,
-        out: &mut [f32],
-        n_tiles: usize,
-        n_chunks: usize,
-    ) {
         for i in 0..n {
             let xrow = &x[i * self.in_features..(i + 1) * self.in_features];
             let orow = &mut out[i * self.out_features..(i + 1) * self.out_features];
             for t in 0..n_tiles {
-                let rows = tile_rows(self.out_features, t);
-                for r in 0..rows {
+                for r in 0..tile_rows(self.out_features, t) {
                     let mut acc = 0.0f32;
                     for c in 0..n_chunks {
-                        let cols = chunk_cols(self.in_features, c);
-                        let base = block_base(self.out_features, self.in_features, t, c);
+                        let (rows, cols, blk) = self.block(t, c);
                         let xc = &xrow[c * IN_CHUNK..c * IN_CHUNK + cols];
                         for (j, &xv) in xc.iter().enumerate() {
-                            acc += self.lut[idx[base + j * rows + r].into()] * xv;
+                            acc += self.lut[Column::new(j, rows, self.bits).index(blk, r)] * xv;
                         }
                     }
                     orow[t * TILE_OUT + r] = acc;
@@ -287,7 +333,7 @@ impl TiledLutKernel {
         self.forward_into_body(x, n, out, arena, true);
     }
 
-    /// [`TiledLutKernel::forward_into`], with the AVX2 lane body allowed
+    /// [`TiledLutKernel::forward_into`], with the AVX2 lane bodies allowed
     /// only when `allow_avx2` is true: `false` pins the portable body, so
     /// tests can check both bodies on an AVX2 host.
     pub(crate) fn forward_into_body(
@@ -299,10 +345,7 @@ impl TiledLutKernel {
         allow_avx2: bool,
     ) {
         self.check_shapes(x, n, out);
-        match &self.idx {
-            TileIdx::U8(idx) => launch::run_tiled(self, idx, x, n, out, arena, allow_avx2),
-            TileIdx::U16(idx) => launch::run_tiled(self, idx, x, n, out, arena, allow_avx2),
-        }
+        launch::run_tiled(self, x, n, out, arena, allow_avx2);
     }
 
     fn check_shapes(&self, x: &[f32], n: usize, out: &[f32]) {
@@ -337,7 +380,8 @@ mod tests {
         v.iter().map(|f| f.to_bits()).collect()
     }
 
-    /// Independent reference: ascending-j single-accumulator gather.
+    /// Independent reference: ascending-j single-accumulator gather over
+    /// the container's own unpacked indices, so it checks the stream too.
     fn reference(p: &PalettizedTensor, x: &[f32], n: usize) -> Vec<f32> {
         let (out, inp) = (p.shape()[0], p.shape()[1]);
         let idx = p.indices();
@@ -364,6 +408,45 @@ mod tests {
     }
 
     #[test]
+    fn repack_round_trips_every_bit_width_on_aligned_and_ragged_shapes() {
+        // Aligned widths (`in` a multiple of 32) take the word transpose,
+        // ragged ones the per-index path; both must give back the
+        // container's indices at every width, straddling words included.
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        for bits in 1..=16u8 {
+            let k = 1usize << bits;
+            for (out, inp) in [
+                (17, 32),
+                (33, 544),
+                (16, 1056),
+                (17, 33),
+                (5, 100),
+                (33, 545),
+            ] {
+                let idx: Vec<u32> = (0..out * inp)
+                    .map(|_| {
+                        s = s
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        (s >> 33) as u32 % k as u32
+                    })
+                    .collect();
+                let lut = (0..k).map(|c| c as f32).collect();
+                let p = PalettizedTensor::from_lut_indices(lut, &idx, bits, 1, vec![out, inp]);
+                let kern = TiledLutKernel::from_palette(&p);
+                assert_eq!(kern.row_major_indices(), idx, "{bits} bits [{out}, {inp}]");
+                if inp.is_multiple_of(GROUP_COLS) {
+                    assert_eq!(
+                        kern.words.len() * 4,
+                        p.packed().len(),
+                        "{bits} bits: density"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn tiled_matches_serial_and_reference_bit_for_bit() {
         for (out, inp, n) in [
             (16, 512, 4),   // exact tile/chunk multiples
@@ -372,6 +455,7 @@ mod tests {
             (7, 9, 1),      // tail-only rows: the 4 → 2 → 1 descent
             (40, 100, 2),   // a last tile of exactly one lane group
             (130, 1030, 2), // several tiles and chunks with tails
+            (48, 544, 1),   // one row: a tile pair, then a lone tile
         ] {
             let (p, kern) = kernel(out, inp, 8, (out + inp) as u64);
             let x = xbuf(n, inp, 9);
@@ -392,8 +476,8 @@ mod tests {
 
     #[test]
     fn rich_palette_takes_the_inline_path_and_still_matches() {
-        // k > PROD_K_MAX forces the inline-multiply fallback and u16
-        // storage past 256 entries.
+        // k > PROD_K_MAX forces the inline-multiply fallback, and past 256
+        // entries indices of 9 bits and more.
         for k in [PROD_K_MAX + 1, 300] {
             let (p, kern) = kernel(24, 70, k, 5);
             assert!(kern.resident_bytes() > 0);

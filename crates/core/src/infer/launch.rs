@@ -1,8 +1,8 @@
 //! The execution body of the tiled LUT-GEMM kernel.
 //!
 //! [`super::kernel::TiledLutKernel`] owns the *data* (palette LUT, the
-//! structure-of-arrays tile-repacked index stream); `run_tiled` is the
-//! one *execution* its `forward_into` calls. Output rows advance in lane
+//! packed, lane-interleaved index stream); `run_tiled` is the one
+//! *execution* its `forward_into` calls. Output rows advance in lane
 //! groups of [`LANES`]. Lanes are assigned **across output rows**, so each
 //! lane owns one output element's complete ascending-`j` accumulator chain
 //! and no floating-point reduction ever crosses lanes: the result is
@@ -10,25 +10,29 @@
 //! ([`super::kernel::TiledLutKernel::forward_serial_into`]) by
 //! construction, at every thread count. Tail rows (`rows % LANES`) take
 //! the fixed descent 4 → 2 → 1, so the execution tree is deterministic by
-//! construction, not by accident of the optimizer. Batch rows advance in
-//! balanced groups of at most [`GROUP_ROWS`], so a tile streams each
-//! `(tile, chunk)` index block once per group, not once per row.
+//! construction, not by accident of the optimizer.
 //!
-//! Palettes of up to [`LINE`] entries (the paper's 3-bit palettes) fit in
-//! one 8-float register, and on CPUs with AVX2 a lane group decodes each
-//! column's weights `lut[idx[r, j]]` with one `vpermps` of that register,
-//! once for every row of a group, then multiplies them by each row's
-//! broadcast `x[i, j]` and adds the products into that row's accumulators:
-//! the same f32 products `lut[c] · x[j]` added in the same order as the
-//! portable body, so both bodies are bit-identical to the oracle
-//! (DESIGN.md §12). Every other case (richer palettes, CPUs without AVX2)
-//! runs the portable body, which gathers from an activation-side product
-//! table or multiplies inline. Work below [`FANOUT_MACS`] runs on the
-//! calling thread, spawning nothing.
+//! Palettes of at most 3 bits (the paper's 3-bit palettes) fit in one
+//! 8-float register. On CPUs with AVX2 a lane group gets a column's
+//! indices from its packed words with one immediate shift (`vpsrld`; the
+//! two 3-bit indices in 32 that straddle two words add a shift and an
+//! `or`), and one `vpermps` with them selects from that register. A lone
+//! batch row multiplies the palette by the broadcast `x[j]` once per
+//! column and permutes that product line, walking full tiles in pairs so
+//! four accumulator chains are in flight. Groups of 2 to [`GROUP_ROWS`]
+//! batch rows permute the palette itself once per column, which gives the
+//! decoded weights `lut[idx[r, j]]`, and multiply them by each row's
+//! `x[i, j]`; a tile streams each `(tile, chunk)` block once per group,
+//! not once per row. Either way every lane adds the f32 product
+//! `lut[c] · x[j]` in the same order as the portable body, so both bodies
+//! are bit-identical to the oracle (DESIGN.md §12). Every other case
+//! (richer palettes, CPUs without AVX2) runs the portable body, which
+//! reads the same words with shift-and-mask and gathers from an
+//! activation-side product table or multiplies inline. Work below
+//! [`FANOUT_MACS`] runs on the calling thread, spawning nothing.
 
 use super::kernel::{
-    block_base, chunk_cols, tile_rows, TiledLutKernel, IN_CHUNK, PROD_K_MAX, PROD_TABLE_MAX_FLOATS,
-    TILE_OUT,
+    tile_rows, Column, TiledLutKernel, IN_CHUNK, PROD_K_MAX, PROD_TABLE_MAX_FLOATS, TILE_OUT,
 };
 use crate::scratch::ScratchArena;
 use rayon::prelude::*;
@@ -37,16 +41,18 @@ use rayon::prelude::*;
 pub const LANES: usize = 8;
 
 /// Palette entries one 256-bit register holds (shorter palettes are
-/// zero-padded), so one AVX2 `vpermps` decodes any entry for all
-/// [`LANES`] rows of a group.
+/// padded), so one AVX2 `vpermps` selects any entry for all [`LANES`]
+/// rows of a group.
 pub const LINE: usize = 8;
 
 /// Batch rows whose products one pass over a `(tile, chunk)` block adds.
 /// The AVX2 body holds two accumulator registers per row (a tile's two
-/// lane groups), so 6 rows' 12 accumulators, the column's two decoded
-/// weight registers, one broadcast `x` and one product fill the 16 `ymm`
-/// registers; a seventh row would spill.
-pub const GROUP_ROWS: usize = 6;
+/// lane groups), so 4 rows' 8 accumulators, the palette, the column's two
+/// decoded weight registers, one broadcast `x`, one product and the
+/// registers that shift the column's indices out of their words fit in
+/// the 16 `ymm` registers. At 5 and 6 rows the compiler spills, and such
+/// groups run slower than two smaller ones (DESIGN.md §12).
+pub const GROUP_ROWS: usize = 4;
 
 /// Multiply-accumulates (`n · out · (in + k)`) from which a call fans its
 /// output tiles out over worker threads. Below it every tile runs on the
@@ -55,41 +61,25 @@ pub const GROUP_ROWS: usize = 6;
 /// allocates nothing.
 pub const FANOUT_MACS: usize = 1 << 22;
 
+/// Widest index the AVX2 bodies read: `vpermps` selects by the low 3 bits
+/// of each lane, one of the [`LINE`] floats of the palette register.
+const AVX2_BITS: usize = 3;
+
 // The AVX2 body holds one lane group, and the whole palette, per register,
 // and a tile is at most two lane groups.
-const _: () = assert!(LANES == 8 && LINE == 8 && TILE_OUT == 2 * LANES);
+const _: () = assert!(LANES == 8 && LINE == 1 << AVX2_BITS && TILE_OUT == 2 * LANES);
 
-/// A tile-repacked index width: `u8` for palettes of up to 256 entries,
-/// `u16` past that.
-pub(super) trait TileIndex: Copy + Into<usize> + Sync {
-    /// `blk` as bytes when this width is `u8`, the width the AVX2 body
-    /// reads.
-    fn as_bytes(blk: &[Self]) -> Option<&[u8]>;
-}
-
-impl TileIndex for u8 {
-    fn as_bytes(blk: &[u8]) -> Option<&[u8]> {
-        Some(blk)
-    }
-}
-
-impl TileIndex for u16 {
-    fn as_bytes(_: &[u16]) -> Option<&[u8]> {
-        None
-    }
-}
-
-/// Add one `(tile, chunk)` index block to a tile's accumulators from row
-/// `r` on: `acc[r] += term_j(idx[r, j])` for every row, where `columns`
-/// yields `term_j` for ascending `j` — a product-table line lookup, or the
-/// inline `lut[c] · x[j]` multiply. A lane group copies its [`LANES`]
-/// accumulators into a private buffer, which keeps them in registers
-/// across the whole chunk; the tail rows descend through widths 4, 2, 1
-/// in that order (the tail count in binary).
+/// Add one `(tile, chunk)` block of `bits`-bit indices to a tile's
+/// accumulators from row `r` on: `acc[r] += term_j(idx[r, j])` for every
+/// row, where `columns` yields `term_j` for ascending `j` — a
+/// product-table line lookup, or the inline `lut[c] · x[j]` multiply. A
+/// lane group copies its [`LANES`] accumulators into a private buffer,
+/// which keeps them in registers across the whole chunk; the tail rows
+/// descend through widths 4, 2, 1 in that order (the tail count in
+/// binary).
 #[inline(always)]
-fn accumulate<I, T, C>(acc: &mut [f32], blk: &[I], columns: C, mut r: usize)
+fn accumulate<T, C>(acc: &mut [f32], blk: &[u32], bits: usize, columns: C, mut r: usize)
 where
-    I: Copy + Into<usize>,
     T: Fn(usize) -> f32,
     C: Iterator<Item = T> + Clone,
 {
@@ -98,8 +88,9 @@ where
         let mut lane = [0.0f32; LANES];
         lane.copy_from_slice(&acc[r..r + LANES]);
         for (j, term) in columns.clone().enumerate() {
-            for (a, &ci) in lane.iter_mut().zip(&blk[j * rows + r..][..LANES]) {
-                *a += term(ci.into());
+            let col = Column::new(j, rows, bits);
+            for (l, a) in lane.iter_mut().enumerate() {
+                *a += term(col.index(blk, r + l));
             }
         }
         acc[r..r + LANES].copy_from_slice(&lane);
@@ -109,8 +100,9 @@ where
     while w >= 1 {
         if r + w <= rows {
             for (j, term) in columns.clone().enumerate() {
-                for (a, &ci) in acc[r..r + w].iter_mut().zip(&blk[j * rows + r..][..w]) {
-                    *a += term(ci.into());
+                let col = Column::new(j, rows, bits);
+                for (l, a) in acc[r..r + w].iter_mut().enumerate() {
+                    *a += term(col.index(blk, r + l));
                 }
             }
             r += w;
@@ -120,147 +112,450 @@ where
 }
 
 /// Split `n` batch rows into `n.div_ceil(GROUP_ROWS)` consecutive groups
-/// whose sizes differ by at most one, the larger first (13 rows → 5, 4,
-/// 4): `(first row, rows)` pairs. Balanced groups keep every pass of the
-/// AVX2 body at least half full, where 6, 6, 1 would run one pass at a
-/// single row.
+/// whose sizes differ by at most one, the larger first (13 rows → 4, 3,
+/// 3, 3): `(first row, rows)` pairs. Balanced groups keep every pass of
+/// the AVX2 body at least half full, where 4, 4, 4, 1 would run one pass
+/// at a single row.
 fn row_groups(n: usize) -> impl Iterator<Item = (usize, usize)> + Clone {
     let groups = n.div_ceil(GROUP_ROWS);
     let (rows, longer) = (n / groups, n % groups);
     (0..groups).map(move |q| (q * rows + q.min(longer), rows + usize::from(q < longer)))
 }
 
-/// The AVX2 lane body: add a `(tile, chunk)` block of `u8` indices, for
-/// every batch row of a group, to the whole lane groups of the rows'
-/// accumulators, and return how many output rows it covered — a multiple
-/// of [`LANES`], or 0 on a CPU without AVX2. `acc[b]` holds batch row
-/// `b`'s tile accumulators (the first `rows` of them live), `blk` holds
-/// `rows · cols` indices, row `b`'s activations for the chunk are
-/// `x[b · x_stride..]`, one per column, and `palette` is the LUT
-/// zero-padded to [`LINE`] floats.
-///
-/// Per column it widens each lane group's [`LANES`] indices to 32 bits
-/// once and permutes `palette` with them, which gives the decoded weights
-/// `lut[idx[r, j]]`; then, for every row of the group, it multiplies them
-/// by the broadcast `x[b, j]` and adds the products into that row's
-/// accumulators. Every lane adds the f32 product `lut[c] · x[j]` to its
-/// own accumulator, in the same ascending-`j` order as [`accumulate`] (no
-/// fused multiply-add), so the bits cannot differ from the portable body.
+/// The AVX2 lane bodies. Every function here enables `avx2` and nothing
+/// else (no `fma`), so a multiply and an add stay two roundings.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{AVX2_BITS, LANES, LINE};
+    use crate::infer::kernel::{block_len, GROUP_COLS, TILE_OUT};
+    use std::arch::x86_64::{
+        __m256i, _mm256_add_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_mul_ps,
+        _mm256_or_si256, _mm256_permutevar8x32_ps, _mm256_set1_epi32, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_setzero_si256, _mm256_slli_epi32, _mm256_sllv_epi32,
+        _mm256_srli_epi32, _mm256_srlv_epi32, _mm256_storeu_ps,
+    };
+
+    /// Expand `$column!($b, q)` for every column `q` of a 32-column group
+    /// of `$b`-bit indices, so each column's shift counts are constants:
+    /// the group body's walk over a group.
+    macro_rules! for_each_column {
+        ($column:ident, $b:literal) => {{
+            $column!($b, 0);
+            $column!($b, 1);
+            $column!($b, 2);
+            $column!($b, 3);
+            $column!($b, 4);
+            $column!($b, 5);
+            $column!($b, 6);
+            $column!($b, 7);
+            $column!($b, 8);
+            $column!($b, 9);
+            $column!($b, 10);
+            $column!($b, 11);
+            $column!($b, 12);
+            $column!($b, 13);
+            $column!($b, 14);
+            $column!($b, 15);
+            $column!($b, 16);
+            $column!($b, 17);
+            $column!($b, 18);
+            $column!($b, 19);
+            $column!($b, 20);
+            $column!($b, 21);
+            $column!($b, 22);
+            $column!($b, 23);
+            $column!($b, 24);
+            $column!($b, 25);
+            $column!($b, 26);
+            $column!($b, 27);
+            $column!($b, 28);
+            $column!($b, 29);
+            $column!($b, 30);
+            $column!($b, 31);
+        }};
+    }
+
+    /// The lane indices of column `$q` of a whole 32-column group of
+    /// `$b`-bit indices for one lane group, whose `$b` words of the group
+    /// are the runs of [`LANES`] words at `$run.add(w · $stride)`: one
+    /// immediate `vpsrld`, and for an index that straddles two words a
+    /// `vpslld` of the next word and a `vpor`. Each lane keeps the bits
+    /// above its index: `vpermps` reads only the low 3, and the palette
+    /// register repeats a 1- or 2-bit palette, so those bits never change
+    /// the entry a lane selects. Reads raw pointers: call it in an
+    /// `unsafe` block whose caller has checked that the words exist.
+    macro_rules! lane_index {
+        ($run:expr, $stride:expr, $b:literal, $q:literal) => {{
+            const BIT: usize = $q * $b;
+            const SHIFT: i32 = (BIT % 32) as i32;
+            let at: *const u32 = $run.add(BIT / 32 * $stride);
+            let v = _mm256_srli_epi32::<SHIFT>(_mm256_loadu_si256(at.cast()));
+            if BIT % 32 + $b > 32 {
+                let next = _mm256_loadu_si256(at.add($stride).cast());
+                _mm256_or_si256(v, _mm256_slli_epi32::<{ 32 - SHIFT }>(next))
+            } else {
+                v
+            }
+        }};
+    }
+
+    /// [`lane_index!`] for column `q` of a row's partial last group, with
+    /// variable shifts.
+    ///
+    /// # Safety
+    ///
+    /// `run` must be valid for reads of `(bits - 1) · stride + LANES`
+    /// words, and `q < 32`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn partial_lane_index(run: *const u32, stride: usize, bits: usize, q: usize) -> __m256i {
+        let bit = q * bits;
+        let (w, shift) = (bit / 32, (bit % 32) as i32);
+        // SAFETY: `q < 32` puts word `w` below `bits`, and `min` keeps the
+        // next one there too, so both runs of 8 words are readable.
+        let (lo, hi) = unsafe {
+            (
+                _mm256_loadu_si256(run.add(w * stride).cast()),
+                _mm256_loadu_si256(run.add((w + 1).min(bits - 1) * stride).cast()),
+            )
+        };
+        // A count of 32 shifts `hi` out altogether.
+        _mm256_or_si256(
+            _mm256_srlv_epi32(lo, _mm256_set1_epi32(shift)),
+            _mm256_sllv_epi32(hi, _mm256_set1_epi32(32 - shift)),
+        )
+    }
+
+    /// One batch row over `L` lane groups of output rows: `lanes[i]` is
+    /// lane group `i`'s `(tile, chunk)` block of `rows` rows and its first
+    /// row, and its accumulators are `acc[i · LANES ..]`; `x` holds the
+    /// chunk's `cols` activations. Per column it multiplies the palette by
+    /// the broadcast `x[j]` once and permutes that product line once per
+    /// lane group: lane `l` gets the f32 `lut[idx[l]] · x[j]`, exactly the
+    /// product the oracle computes, and adds it to its own accumulator.
+    /// The tile walk passes a pair of full tiles as `L` = 4, so four
+    /// independent add chains hide the add latency. A lane group keeps its
+    /// current index word in a register and shifts it right by `bits` (one
+    /// immediate `vpsrld`) after each column; at 3 bits, columns 10 and 21
+    /// of a group straddle two words and take a `vpslld` of the next word
+    /// and a `vpor`. This body walks a group in short loops rather than
+    /// [`lane_index!`]'s unrolled shifts: unrolled, the compiler spilled
+    /// its four lane groups' words and the body ran 5% slower.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn one_row<const L: usize>(
+        acc: &mut [f32],
+        lanes: [(&[u32], usize); L],
+        rows: usize,
+        cols: usize,
+        bits: usize,
+        x: &[f32],
+        palette: &[f32; LINE],
+    ) {
+        // Every pointer below is in bounds because of these lengths.
+        assert!((1..=AVX2_BITS).contains(&bits), "a palette register index");
+        assert!(acc.len() >= L * LANES, "a lane group's accumulators");
+        assert!(x.len() >= cols, "an x per column");
+        let mut base = [std::ptr::null::<u32>(); L];
+        for (base, (blk, r0)) in base.iter_mut().zip(lanes) {
+            assert_eq!(blk.len(), block_len(rows, cols, bits), "a whole block");
+            assert!(r0 + LANES <= rows, "a whole lane group");
+            *base = blk[r0..].as_ptr();
+        }
+        let x = x.as_ptr();
+        // SAFETY: `palette` is `LINE` = 8 floats.
+        let pal = unsafe { _mm256_loadu_ps(palette.as_ptr()) };
+        let mut a = [_mm256_setzero_ps(); L];
+        for (i, a) in a.iter_mut().enumerate() {
+            // SAFETY: lane group `i < L` owns `acc[i·LANES ..][..LANES]`,
+            // within the asserted length.
+            *a = unsafe { _mm256_loadu_ps(acc.as_ptr().add(i * LANES)) };
+        }
+        // Add column `j`'s products, lane group `i`'s indices `$idx(i)`.
+        macro_rules! step {
+            ($j:expr, |$i:ident| $idx:expr) => {{
+                // SAFETY: `j < cols <= x.len()`.
+                let line = _mm256_mul_ps(pal, _mm256_set1_ps(unsafe { *x.add($j) }));
+                for ($i, a) in a.iter_mut().enumerate() {
+                    *a = _mm256_add_ps(*a, _mm256_permutevar8x32_ps(line, $idx));
+                }
+            }};
+        }
+        // Group `g`'s words of lane group `i` start `g · bits` words of
+        // `rows` rows into its block, and the block holds `bits` words
+        // for every started group, so `(bits - 1)·rows + LANES` words from
+        // there stay within it (`r0 + LANES <= rows`).
+        let run = |i: usize, g: usize| base[i].wrapping_add(g * bits * rows);
+        // Word `$w` of group `$g`, for every lane group.
+        macro_rules! words {
+            ($g:expr, $w:expr) => {{
+                let mut v = [_mm256_setzero_si256(); L];
+                for (i, v) in v.iter_mut().enumerate() {
+                    // SAFETY: the group's words are in the block (above),
+                    // and every `$w` below is below `bits`.
+                    *v = unsafe { _mm256_loadu_si256(run(i, $g).add($w * rows).cast()) };
+                }
+                v
+            }};
+        }
+        // `$n` columns from `$j` on, `$v` holding each lane group's word
+        // with the first column's bits at bit 0.
+        macro_rules! segment {
+            ($v:ident, $b:literal, $j:expr, $n:expr) => {{
+                for q in 0..$n {
+                    step!($j + q, |i| $v[i]);
+                    for v in $v.iter_mut() {
+                        *v = _mm256_srli_epi32::<$b>(*v);
+                    }
+                }
+            }};
+        }
+        for g in 0..cols / GROUP_COLS {
+            let j = g * GROUP_COLS;
+            match bits {
+                1 => {
+                    let mut v = words!(g, 0);
+                    segment!(v, 1, j, 32);
+                }
+                2 => {
+                    let mut v = words!(g, 0);
+                    segment!(v, 2, j, 16);
+                    let mut v = words!(g, 1);
+                    segment!(v, 2, j + 16, 16);
+                }
+                _ => {
+                    // Columns 10 and 21 straddle words 0–1 and 1–2.
+                    let mut v = words!(g, 0);
+                    segment!(v, 3, j, 10);
+                    let mut next = words!(g, 1);
+                    step!(j + 10, |i| _mm256_or_si256(
+                        v[i],
+                        _mm256_slli_epi32::<2>(next[i])
+                    ));
+                    for v in next.iter_mut() {
+                        *v = _mm256_srli_epi32::<1>(*v);
+                    }
+                    segment!(next, 3, j + 11, 10);
+                    let mut last = words!(g, 2);
+                    step!(j + 21, |i| _mm256_or_si256(
+                        next[i],
+                        _mm256_slli_epi32::<1>(last[i])
+                    ));
+                    for v in last.iter_mut() {
+                        *v = _mm256_srli_epi32::<2>(*v);
+                    }
+                    segment!(last, 3, j + 22, 10);
+                }
+            }
+        }
+        let g = cols / GROUP_COLS;
+        for q in 0..cols % GROUP_COLS {
+            // SAFETY: the group's words are in the block (above), `q < 32`.
+            step!(g * GROUP_COLS + q, |i| unsafe {
+                partial_lane_index(run(i, g), rows, bits, q)
+            });
+        }
+        for (i, a) in a.into_iter().enumerate() {
+            // SAFETY: the same floats of `acc` the loads above read.
+            unsafe { _mm256_storeu_ps(acc.as_mut_ptr().add(i * LANES), a) };
+        }
+    }
+
+    /// Groups of `G` ≥ 2 batch rows over the two lane groups of a tile:
+    /// `acc[b]` holds batch row `b`'s tile accumulators, lane group `i`
+    /// starts at row `first[i]` of the tile, `blk` is the `(tile, chunk)`
+    /// block of `rows` rows, and row `b`'s activations for the chunk are
+    /// `x[b · x_stride..]`, one per column. Per column it permutes the
+    /// palette once per lane group, which gives the decoded weights
+    /// `lut[idx[r, j]]`; then, for every row of the group, it multiplies
+    /// them by the broadcast `x[b, j]` and adds the products into that
+    /// row's accumulators. A tile of one lane group (8 to 15 rows) names it
+    /// twice, and computes and stores the same values twice.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn rows<const G: usize>(
+        acc: &mut [[f32; TILE_OUT]],
+        first: [usize; 2],
+        rows: usize,
+        cols: usize,
+        bits: usize,
+        blk: &[u32],
+        x: &[f32],
+        x_stride: usize,
+        palette: &[f32; LINE],
+    ) {
+        // Every pointer below is in bounds because of these lengths.
+        assert!((1..=AVX2_BITS).contains(&bits), "a palette register index");
+        assert!(acc.len() == G && rows <= TILE_OUT, "a tile per batch row");
+        assert!(
+            first.iter().all(|&r0| r0 + LANES <= rows),
+            "whole lane groups"
+        );
+        assert_eq!(blk.len(), block_len(rows, cols, bits), "a whole block");
+        assert!(
+            x.len() >= (G - 1) * x_stride + cols,
+            "an x per (row, column)"
+        );
+        let x = x.as_ptr();
+        // SAFETY: `palette` is `LINE` = 8 floats.
+        let pal = unsafe { _mm256_loadu_ps(palette.as_ptr()) };
+        let mut a = [[_mm256_setzero_ps(); 2]; G];
+        for (a, acc) in a.iter_mut().zip(acc.iter()) {
+            for (a, &r0) in a.iter_mut().zip(&first) {
+                // SAFETY: `r0 + LANES <= rows <= TILE_OUT`, the floats of
+                // `acc[b]`.
+                *a = unsafe { _mm256_loadu_ps(acc.as_ptr().add(r0)) };
+            }
+        }
+        // Add column `j`'s products, lane group `i`'s indices `$idx(i)`.
+        macro_rules! step {
+            ($j:expr, |$i:ident| $idx:expr) => {{
+                let mut w = [pal; 2];
+                for ($i, w) in w.iter_mut().enumerate() {
+                    *w = _mm256_permutevar8x32_ps(pal, $idx);
+                }
+                for (b, a) in a.iter_mut().enumerate() {
+                    // SAFETY: `b < G` and `j < cols`, so `b·x_stride + j`
+                    // is below `(G - 1)·x_stride + cols <= x.len()`.
+                    let xb = _mm256_set1_ps(unsafe { *x.add(b * x_stride + $j) });
+                    for (a, &w) in a.iter_mut().zip(&w) {
+                        *a = _mm256_add_ps(*a, _mm256_mul_ps(w, xb));
+                    }
+                }
+            }};
+        }
+        // Group `g`'s words start `g · bits` words of `rows` rows into the
+        // block, and the block holds `bits` words for every started
+        // group, so `(bits - 1)·rows + LANES` words from a lane group's
+        // first row stay within it (`r0 + LANES <= rows`).
+        let run = |i: usize, g: usize| blk.as_ptr().wrapping_add(g * bits * rows + first[i]);
+        for g in 0..cols / GROUP_COLS {
+            macro_rules! column {
+                ($b:literal, $q:literal) => {
+                    // SAFETY: the group's words are in the block (above),
+                    // and this arm runs only when `bits` is `$b`.
+                    step!(g * GROUP_COLS + $q, |i| unsafe {
+                        lane_index!(run(i, g), rows, $b, $q)
+                    })
+                };
+            }
+            match bits {
+                1 => for_each_column!(column, 1),
+                2 => for_each_column!(column, 2),
+                _ => for_each_column!(column, 3),
+            }
+        }
+        let g = cols / GROUP_COLS;
+        for q in 0..cols % GROUP_COLS {
+            // SAFETY: the group's words are in the block (above), `q < 32`.
+            step!(g * GROUP_COLS + q, |i| unsafe {
+                partial_lane_index(run(i, g), rows, bits, q)
+            });
+        }
+        for (a, acc) in a.iter().zip(acc.iter_mut()) {
+            for (&a, &r0) in a.iter().zip(&first) {
+                // SAFETY: the same floats of `acc[b]` the loads above read.
+                unsafe { _mm256_storeu_ps(acc.as_mut_ptr().add(r0), a) };
+            }
+        }
+    }
+}
+
+/// The AVX2 bodies on one tile for the batch rows of `acc` (see
+/// [`avx2::one_row`] and [`avx2::rows`]), over `blk`, the tile's `(tile,
+/// chunk)` block of `rows · cols` indices; row `b`'s activations for the
+/// chunk are `x[b · x_stride..]`, and `palette` is the palette register.
+/// Returns how many output rows it covered — a multiple of [`LANES`], or
+/// 0 on a CPU without AVX2.
+#[allow(clippy::too_many_arguments)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn decode_groups(
+fn lane_groups(
     acc: &mut [[f32; TILE_OUT]],
     rows: usize,
     cols: usize,
-    blk: &[u8],
+    bits: usize,
+    blk: &[u32],
     x: &[f32],
     x_stride: usize,
     palette: &[f32; LINE],
 ) -> usize {
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn avx2<const G: usize>(
-        acc: &mut [[f32; TILE_OUT]],
-        rows: usize,
-        cols: usize,
-        blk: &[u8],
-        x: &[f32],
-        x_stride: usize,
-        palette: &[f32; LINE],
-    ) -> usize {
-        use std::arch::x86_64::{
-            _mm256_add_ps, _mm256_cvtepu8_epi32, _mm256_loadu_ps, _mm256_mul_ps,
-            _mm256_permutevar8x32_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-            _mm_loadl_epi64,
-        };
-        let pair = rows == TILE_OUT;
-        // Every pointer below is in bounds because of these lengths.
-        assert!(acc.len() == G && rows <= TILE_OUT, "a tile per batch row");
-        assert_eq!(blk.len(), rows * cols, "one index per (row, column)");
-        assert!(
-            x.len() >= (G - 1) * x_stride + cols,
-            "an x per (row, column)"
-        );
-        let (blk, x) = (blk.as_ptr(), x.as_ptr());
-        // SAFETY: `palette` is `LINE` = 8 floats.
-        let pal = unsafe { _mm256_loadu_ps(palette.as_ptr()) };
-        let (mut a0, mut a1) = ([_mm256_setzero_ps(); G], [_mm256_setzero_ps(); G]);
-        for b in 0..G {
-            // SAFETY: `acc[b]` is `TILE_OUT` = 2·LANES floats.
-            unsafe {
-                a0[b] = _mm256_loadu_ps(acc[b].as_ptr());
-                if pair {
-                    a1[b] = _mm256_loadu_ps(acc[b].as_ptr().add(LANES));
-                }
-            }
-        }
-        for j in 0..cols {
-            // SAFETY: column `j`'s indices for rows `0 .. LANES` (`..
-            // 2·LANES` when `pair`, which means `rows` = 2·LANES) are the
-            // bytes from `j·rows`, which end at or before `(j + 1)·rows <=
-            // blk.len()`. Every index is below `k <= LINE`, so the permute
-            // reads a palette entry.
-            let (w0, w1) = unsafe {
-                let at = blk.add(j * rows);
-                let i0 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(at.cast()));
-                let w1 = if pair {
-                    let i1 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(at.add(LANES).cast()));
-                    _mm256_permutevar8x32_ps(pal, i1)
-                } else {
-                    pal
-                };
-                (_mm256_permutevar8x32_ps(pal, i0), w1)
-            };
-            for b in 0..G {
-                // SAFETY: `b < G` and `j < cols`, so `b·x_stride + j` is
-                // below `(G - 1)·x_stride + cols <= x.len()`.
-                let xb = _mm256_set1_ps(unsafe { *x.add(b * x_stride + j) });
-                a0[b] = _mm256_add_ps(a0[b], _mm256_mul_ps(w0, xb));
-                if pair {
-                    a1[b] = _mm256_add_ps(a1[b], _mm256_mul_ps(w1, xb));
-                }
-            }
-        }
-        for b in 0..G {
-            // SAFETY: the same floats of `acc[b]` the loads above read.
-            unsafe {
-                _mm256_storeu_ps(acc[b].as_mut_ptr(), a0[b]);
-                if pair {
-                    _mm256_storeu_ps(acc[b].as_mut_ptr().add(LANES), a1[b]);
-                }
-            }
-        }
-        rows / LANES * LANES
-    }
-
-    #[cfg(target_arch = "x86_64")]
     if rows >= LANES && avx2_live() {
-        let f = match acc.len() {
-            1 => avx2::<1>,
-            2 => avx2::<2>,
-            3 => avx2::<3>,
-            4 => avx2::<4>,
-            5 => avx2::<5>,
-            6 => avx2::<6>,
-            g => unreachable!("a group of {g} batch rows exceeds GROUP_ROWS"),
-        };
+        let x1 = &x[..cols];
+        // A tile of one lane group names it twice.
+        let both = [0, if rows == TILE_OUT { LANES } else { 0 }];
         // SAFETY: the one requirement of calling an `avx2` target-feature
         // function is a CPU with AVX2, detected just above.
-        return unsafe { f(acc, rows, cols, blk, x, x_stride, palette) };
+        unsafe {
+            match acc.len() {
+                1 if rows == TILE_OUT => avx2::one_row::<2>(
+                    acc.as_flattened_mut(),
+                    [(blk, 0), (blk, LANES)],
+                    rows,
+                    cols,
+                    bits,
+                    x1,
+                    palette,
+                ),
+                1 => avx2::one_row::<1>(
+                    acc.as_flattened_mut(),
+                    [(blk, 0)],
+                    rows,
+                    cols,
+                    bits,
+                    x1,
+                    palette,
+                ),
+                2 => avx2::rows::<2>(acc, both, rows, cols, bits, blk, x, x_stride, palette),
+                3 => avx2::rows::<3>(acc, both, rows, cols, bits, blk, x, x_stride, palette),
+                4 => avx2::rows::<4>(acc, both, rows, cols, bits, blk, x, x_stride, palette),
+                g => unreachable!("a group of {g} batch rows exceeds GROUP_ROWS"),
+            }
+        }
+        return rows / LANES * LANES;
     }
     0
 }
 
-/// The tiled GEMM `out = x · Wᵀ` over `kernel`'s repacked `idx` stream:
+/// One batch row over the full tiles `t` and `t + 1`, whose accumulators
+/// are `acc`, with the AVX2 body: four lane groups in flight, chunk by
+/// chunk. Returns whether it ran (not on a CPU without AVX2).
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn tile_pair(
+    kernel: &TiledLutKernel,
+    t: usize,
+    acc: &mut [f32],
+    x: &[f32],
+    palette: &[f32; LINE],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_live() {
+        let bits = usize::from(kernel.bits());
+        for c in 0..kernel.in_features().div_ceil(IN_CHUNK) {
+            let (_, cols, b0) = kernel.block(t, c);
+            let (_, _, b1) = kernel.block(t + 1, c);
+            let lanes = [(b0, 0), (b0, LANES), (b1, 0), (b1, LANES)];
+            let xc = &x[c * IN_CHUNK..][..cols];
+            // SAFETY: the one requirement of calling an `avx2`
+            // target-feature function is a CPU with AVX2, detected above.
+            unsafe { avx2::one_row::<4>(acc, lanes, TILE_OUT, cols, bits, xc, palette) };
+        }
+        return true;
+    }
+    false
+}
+
+/// The tiled GEMM `out = x · Wᵀ` over `kernel`'s packed index stream:
 /// run the output tiles (across worker threads from [`FANOUT_MACS`] on;
 /// fixed tile ownership, so results cannot depend on the thread count),
 /// each over its batch rows in groups of at most [`GROUP_ROWS`], and
-/// scatter the tile-major staging back to row-major. The AVX2 body runs
-/// where it applies unless `allow_avx2` is false, which pins the portable
-/// body; only the portable body stages activation-side product tables.
-/// Scratch comes from `arena`. The caller checks the shapes.
-pub(super) fn run_tiled<I: TileIndex>(
+/// scatter the tile-major staging back to row-major. One batch row on the
+/// AVX2 body walks full tiles in pairs. The AVX2 body runs where it
+/// applies unless `allow_avx2` is false, which pins the portable body;
+/// only the portable body stages activation-side product tables. Scratch
+/// comes from `arena`. The caller checks the shapes.
+pub(super) fn run_tiled(
     kernel: &TiledLutKernel,
-    idx: &[I],
     x: &[f32],
     n: usize,
     out: &mut [f32],
@@ -268,19 +563,22 @@ pub(super) fn run_tiled<I: TileIndex>(
     allow_avx2: bool,
 ) {
     let (out_features, in_features) = (kernel.out_features(), kernel.in_features());
-    let (lut, k) = (kernel.lut(), kernel.k());
+    let (lut, k, bits) = (kernel.lut(), kernel.k(), usize::from(kernel.bits()));
     if n == 0 || out_features == 0 {
         return;
     }
     let n_tiles = out_features.div_ceil(TILE_OUT);
     let n_chunks = in_features.div_ceil(IN_CHUNK);
 
-    // The AVX2 body decodes the weights from a palette register and needs
-    // no table.
-    let avx2 = allow_avx2 && k <= LINE && avx2_live();
+    // The AVX2 body selects from a palette register and needs no table.
+    // Entry `e` of the register holds `lut[e mod 2^bits]`, so the bits a
+    // 1- or 2-bit lane keeps above its index select the same entry.
+    let avx2 = allow_avx2 && bits <= AVX2_BITS && avx2_live();
     let mut palette = [0.0f32; LINE];
     if avx2 {
-        palette[..k].copy_from_slice(lut);
+        for (e, p) in palette.iter_mut().enumerate() {
+            *p = lut.get(e % (1 << bits)).copied().unwrap_or(0.0);
+        }
     }
 
     // The portable body's activation-side LUT precompute: prod[i][c][j]
@@ -310,29 +608,25 @@ pub(super) fn run_tiled<I: TileIndex>(
     };
 
     // Tile-major staging: one `n × TILE_OUT` slab per tile (fixed stride
-    // so each chunk of the tile loop is exactly one tile), scattered back
-    // to row-major afterwards. The zeroed slab rows are the accumulators:
+    // so each chunk of the tile loop is whole tiles), scattered back to
+    // row-major afterwards. The zeroed slab rows are the accumulators:
     // for every group of batch rows a tile streams its `(t, c)` index
     // blocks chunk by chunk, carrying the group's rows across chunks.
     let mut tmp = arena.take(n_tiles * n * TILE_OUT);
     {
         let prod: &[f32] = &prod;
         let groups = row_groups(n);
-        let tile = |(t, tile_out): (usize, &mut [f32])| {
-            let rows = tile_rows(out_features, t);
+        let tile = |t: usize, tile_out: &mut [f32]| {
             let (tile_acc, _) = tile_out.as_chunks_mut::<TILE_OUT>();
             for (i0, g) in groups.clone() {
                 let acc = &mut tile_acc[i0..i0 + g];
                 for c in 0..n_chunks {
-                    let cols = chunk_cols(in_features, c);
-                    let base = block_base(out_features, in_features, t, c);
-                    let blk = &idx[base..base + rows * cols];
+                    let (rows, cols, blk) = kernel.block(t, c);
                     let xg = &x[i0 * in_features + c * IN_CHUNK..];
-                    let done = match I::as_bytes(blk) {
-                        Some(bytes) if avx2 => {
-                            decode_groups(acc, rows, cols, bytes, xg, in_features, &palette)
-                        }
-                        _ => 0,
+                    let done = if avx2 {
+                        lane_groups(acc, rows, cols, bits, blk, xg, in_features, &palette)
+                    } else {
+                        0
                     };
                     for (b, acc) in acc.iter_mut().enumerate() {
                         let acc = &mut acc[..rows];
@@ -341,22 +635,38 @@ pub(super) fn run_tiled<I: TileIndex>(
                             let columns = prod[at..][..k * cols]
                                 .chunks_exact(k)
                                 .map(|line| move |ci: usize| line[ci]);
-                            accumulate(acc, blk, columns, done);
+                            accumulate(acc, blk, bits, columns, done);
                         } else {
                             // Inline multiply (AVX2 tail rows and rich
                             // palettes): the identical f32s, no table.
                             let xc = &xg[b * in_features..][..cols];
                             let columns = xc.iter().map(|&xv| move |ci: usize| lut[ci] * xv);
-                            accumulate(acc, blk, columns, done);
+                            accumulate(acc, blk, bits, columns, done);
                         }
                     }
                 }
             }
         };
+        // One batch row on the AVX2 body takes tiles two at a time, so a
+        // pair of full tiles keeps four accumulator chains in flight.
+        let span = if avx2 && n == 1 { 2 } else { 1 };
+        let tiles = |(s, slab): (usize, &mut [f32])| {
+            let t = s * span;
+            let paired = span == 2
+                && slab.len() == 2 * TILE_OUT
+                && tile_rows(out_features, t + 1) == TILE_OUT
+                && tile_pair(kernel, t, slab, x, &palette);
+            if !paired {
+                for (dt, tile_out) in slab.chunks_mut(n * TILE_OUT).enumerate() {
+                    tile(t + dt, tile_out);
+                }
+            }
+        };
+        let slab = span * n * TILE_OUT;
         if n * out_features * (in_features + k) >= FANOUT_MACS {
-            tmp.par_chunks_mut(n * TILE_OUT).enumerate().for_each(tile);
+            tmp.par_chunks_mut(slab).enumerate().for_each(tiles);
         } else {
-            tmp.chunks_mut(n * TILE_OUT).enumerate().for_each(tile);
+            tmp.chunks_mut(slab).enumerate().for_each(tiles);
         }
     }
     for t in 0..n_tiles {
@@ -383,9 +693,9 @@ fn avx2_live() -> bool {
     }
 }
 
-/// `(name, lanes)` of the LUT-GEMM body this CPU runs for palettes of up
-/// to [`LINE`] entries — `"tiled-avx2"` when the AVX2 body is live,
-/// `"tiled"` otherwise — printed by the bench records.
+/// `(name, lanes)` of the LUT-GEMM body this CPU runs for palettes of at
+/// most 3 bits — `"tiled-avx2"` when the AVX2 body is live, `"tiled"`
+/// otherwise — printed by the bench records.
 pub fn active() -> (&'static str, u8) {
     let name = if avx2_live() { "tiled-avx2" } else { "tiled" };
     (name, LANES as u8)
@@ -482,13 +792,14 @@ mod tests {
 
     #[test]
     fn both_bodies_match_the_oracle_on_every_tail_width_and_palette() {
-        // Every palette the AVX2 body takes (k ≤ LINE, zero-padded below
-        // it), one past it (portable product table) and one past the
-        // table cutoff (inline multiply); every row tail mod 16 and mod 8;
-        // feature counts around the chunk grid; batch 1..=13, every row
-        // group size and split up to three groups, cycling with the row
-        // count so each (k, in) pair sees every batch.
-        let batches = 2 * GROUP_ROWS + 1;
+        // Every palette the AVX2 body takes (1 to 3 bits, k ≤ LINE), one
+        // past it (portable product table) and one past the table cutoff
+        // (inline multiply); every row tail mod 16 and mod 8; feature
+        // counts around the 32-column group and chunk grids; batch
+        // 1..=13, every row group size and split up to four groups,
+        // cycling with the row count so each (k, in) pair sees every
+        // batch.
+        let batches = 3 * GROUP_ROWS + 1;
         for k in (1..=LINE).chain([LINE + 1, PROD_K_MAX + 1]) {
             for inp in [1, 7, IN_CHUNK - 1, IN_CHUNK, IN_CHUNK + 1, 2 * IN_CHUNK + 6] {
                 let x = values(batches * inp, (k * inp) as u64);
@@ -513,7 +824,7 @@ mod tests {
         lut[0] = 0.0;
         let kern = palette_kernel(lut, out, inp, 6);
         // Rows of +0.0, rows of -0.0, and rows mixing both with values.
-        let n = 2 * GROUP_ROWS + 1;
+        let n = 3 * GROUP_ROWS + 1;
         let x: Vec<f32> = values(n * inp, 7)
             .iter()
             .enumerate()
@@ -551,7 +862,10 @@ mod tests {
             let (lo, hi) = (sizes.clone().min().unwrap(), sizes.max().unwrap());
             assert!(hi - lo <= 1, "batch {n}: balanced");
         }
-        assert_eq!(row_groups(13).collect::<Vec<_>>(), [(0, 5), (5, 4), (9, 4)]);
+        assert_eq!(
+            row_groups(13).collect::<Vec<_>>(),
+            [(0, 4), (4, 3), (7, 3), (10, 3)]
+        );
     }
 
     #[test]
@@ -563,6 +877,58 @@ mod tests {
             assert!(n * out * (inp + k) >= FANOUT_MACS, "the case must fan out");
             let kern = kernel(out, inp, k, 3);
             assert_both_bodies_match_the_oracle(&kern, &values(n * inp, 4), n);
+        }
+    }
+
+    #[test]
+    fn one_row_pair_walk_matches_the_oracle_in_both_bodies() {
+        // One batch row walks full tiles in pairs: 1, 2 and 3 full tiles
+        // (a lone tile, a pair, a pair then a lone tile), a short tile of
+        // one lane group plus a tail or of a tail alone after a pair, and
+        // rows whose last 32-column group is partial, in the first chunk
+        // or past a chunk boundary; at every AVX2 bit width.
+        for k in [2, 4, 8] {
+            for inp in [32, 96, 100, IN_CHUNK, IN_CHUNK + 32, IN_CHUNK + 45] {
+                let x = values(inp, (k + inp) as u64);
+                for out in [
+                    TILE_OUT,
+                    2 * TILE_OUT,
+                    3 * TILE_OUT,
+                    2 * TILE_OUT + LANES + 1,
+                    2 * TILE_OUT + 3,
+                    4 * TILE_OUT + LANES,
+                ] {
+                    let kern = kernel(out, inp, k, (out * inp + k) as u64);
+                    assert_both_bodies_match_the_oracle(&kern, &x, 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_row_call_past_the_fanout_threshold_matches_the_oracle() {
+        // A decode-shaped call large enough to fan its tile pairs out over
+        // worker threads.
+        let (out, inp) = (1024, 4096);
+        assert!(out * (inp + LINE) >= FANOUT_MACS, "the case must fan out");
+        let kern = kernel(out, inp, LINE, 17);
+        assert_both_bodies_match_the_oracle(&kern, &values(inp, 18), 1);
+    }
+
+    #[test]
+    fn one_and_two_bit_palettes_match_the_oracle_in_both_bodies() {
+        // Below 3 bits a lane keeps the next columns' bits above its index,
+        // and the AVX2 palette register repeats the palette so they select
+        // nothing else; every batch, whole and partial groups.
+        for k in [2, 3, 4] {
+            for inp in [64, 70, IN_CHUNK + 32] {
+                let x = values(13 * inp, (k * inp) as u64);
+                let kern = kernel(2 * TILE_OUT + LANES + 2, inp, k, k as u64);
+                assert_eq!(kern.bits(), if k == 2 { 1 } else { 2 });
+                for n in 1..=13 {
+                    assert_both_bodies_match_the_oracle(&kern, &x[..n * inp], n);
+                }
+            }
         }
     }
 

@@ -28,15 +28,14 @@ use std::sync::Arc;
 
 /// A linear layer evaluated straight from its palettized weights.
 ///
-/// Construction performs the kernel's one-time tile repack; every forward
-/// entry point then runs the same ascending-`j` single-accumulator math,
-/// so serial, tiled and whole-model paths agree bit for bit.
+/// Construction performs the kernel's one-time tile repack, and the
+/// kernel's packed index stream is then the layer's only copy of its
+/// indices: every forward entry point reads it in place and runs the same
+/// ascending-`j` single-accumulator math, so serial, tiled and whole-model
+/// paths agree bit for bit.
 #[derive(Debug, Clone)]
 pub struct PalettizedLinear {
-    weights: PalettizedTensor,
-    out_features: usize,
-    in_features: usize,
-    /// Tile-repacked indices + activation-LUT GEMM (cached for speed).
+    /// The palette and its packed indices, tile-repacked for the GEMM.
     kernel: TiledLutKernel,
 }
 
@@ -47,6 +46,12 @@ impl PalettizedLinear {
     ///
     /// Panics if the palette is not 2-D scalar-clustered.
     pub fn new(weights: PalettizedTensor) -> Self {
+        Self::from_palette(&weights)
+    }
+
+    /// [`PalettizedLinear::new`] from a borrowed palette: the repack reads
+    /// it and keeps nothing of it.
+    fn from_palette(weights: &PalettizedTensor) -> Self {
         assert_eq!(
             weights.shape().len(),
             2,
@@ -57,29 +62,30 @@ impl PalettizedLinear {
             1,
             "palette must be scalar-clustered (cluster_dim = 1)"
         );
-        let (out_features, in_features) = (weights.shape()[0], weights.shape()[1]);
-        let kernel = TiledLutKernel::from_palette(&weights);
         PalettizedLinear {
-            weights,
-            out_features,
-            in_features,
-            kernel,
+            kernel: TiledLutKernel::from_palette(weights),
         }
     }
 
     /// Output features.
     pub fn out_features(&self) -> usize {
-        self.out_features
+        self.kernel.out_features()
     }
 
     /// Input features.
     pub fn in_features(&self) -> usize {
-        self.in_features
+        self.kernel.in_features()
     }
 
-    /// The compressed weights.
-    pub fn weights(&self) -> &PalettizedTensor {
-        &self.weights
+    /// The compressed weights, rebuilt from the kernel's index stream.
+    pub fn weights(&self) -> PalettizedTensor {
+        PalettizedTensor::from_lut_indices(
+            self.kernel.lut().to_vec(),
+            &self.kernel.row_major_indices(),
+            self.kernel.bits(),
+            1,
+            vec![self.out_features(), self.in_features()],
+        )
     }
 
     /// The tile-repacked GEMM kernel.
@@ -87,9 +93,11 @@ impl PalettizedLinear {
         &self.kernel
     }
 
-    /// Serialized parameter bytes of this layer.
+    /// Serialized parameter bytes of this layer: the indices packed at
+    /// `bits` bits and a 16-bit LUT, as the container stores them.
     pub fn size_bytes(&self) -> usize {
-        self.weights.size_bytes()
+        let bits = usize::from(self.kernel.bits());
+        (self.out_features() * self.in_features() * bits).div_ceil(8) + 2 * self.kernel.k()
     }
 
     /// The LUT-GEMM cost model charged by every forward entry point: `|W|`
@@ -100,7 +108,7 @@ impl PalettizedLinear {
     /// the CPU serving decoder's and charges the CPU ledger.
     fn charge(&self, n: usize, device: Device) {
         runtime::record_compute(
-            (n * self.out_features * (self.in_features + self.weights.k())) as f64,
+            (n * self.out_features() * (self.in_features() + self.kernel.k())) as f64,
             device,
         );
     }
@@ -127,13 +135,13 @@ impl PalettizedLinear {
     /// Panics if `x` is not `[n, in]`.
     pub fn forward_serial(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.rank(), 2, "input must be [n, in]");
-        assert_eq!(x.shape()[1], self.in_features, "input width mismatch");
+        assert_eq!(x.shape()[1], self.in_features(), "input width mismatch");
         let n = x.shape()[0];
         let xd = x.to_vec();
-        let mut out = vec![0.0f32; n * self.out_features];
+        let mut out = vec![0.0f32; n * self.out_features()];
         self.kernel.forward_serial_into(&xd, n, &mut out);
         self.charge(n, x.device());
-        Tensor::from_vec(out, &[n, self.out_features], DType::F32, x.device())
+        Tensor::from_vec(out, &[n, self.out_features()], DType::F32, x.device())
     }
 
     /// Slice-level forward: `out[i, :] = x[i, :] Wᵀ`, scratch drawn from
@@ -161,13 +169,13 @@ impl PalettizedLinear {
     /// Panics if `x` is not `[n, in]`.
     pub fn forward_batch(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.rank(), 2, "input must be [n, in]");
-        assert_eq!(x.shape()[1], self.in_features, "input width mismatch");
+        assert_eq!(x.shape()[1], self.in_features(), "input width mismatch");
         let n = x.shape()[0];
         let xd = x.to_vec();
-        let mut out = vec![0.0f32; n * self.out_features];
+        let mut out = vec![0.0f32; n * self.out_features()];
         scratch::with_thread_scratch(|arena| self.kernel.forward_into(&xd, n, &mut out, arena));
         self.charge(n, x.device());
-        Tensor::from_vec(out, &[n, self.out_features], DType::F32, x.device())
+        Tensor::from_vec(out, &[n, self.out_features()], DType::F32, x.device())
     }
 }
 
@@ -232,7 +240,7 @@ impl KvRowView for LayerView<'_> {
 
 /// Embedding storage of a compressed model: affine-quantized (the paper's
 /// 8-bit embeddings) or dense 16-bit values (the lossless config).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum EmbedStore {
     Affine(AffineQuantized),
     Dense { values: Vec<f32> },
@@ -258,7 +266,7 @@ impl EmbedStore {
 }
 
 /// One decoder layer served from compressed storage.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PalettizedLayer {
     input_norm: Vec<f32>,
     q: PalettizedLinear,
@@ -280,22 +288,34 @@ impl PalettizedLayer {
 }
 
 /// A whole LLaMA-style decoder whose every projection runs straight from
-/// `PalettizedTensor` storage via the tiled LUT-GEMM kernel — the model an
-/// accelerator would execute from the shipped artifact. Weights never
+/// its packed palette indices via the tiled LUT-GEMM kernel — the model an
+/// accelerator would execute from the shipped artifact, at the artifact's
+/// size ([`PalettizedModel::size_bytes`] is what is resident). Weights never
 /// decompress to dense matrices; only the norm gains and (optionally) the
 /// embedding table live as raw 16-bit-equivalent values, exactly the split
 /// the paper ships.
+///
+/// The weights are immutable and shared: a clone copies no weight, only
+/// the handle to the KV block pool, and
+/// [`PalettizedModel::with_kv_config`] gives a clone a pool of its own —
+/// so replicas of one model hold its weights once.
 #[derive(Debug, Clone)]
 pub struct PalettizedModel {
     config: LlamaConfig,
+    weights: Arc<ModelWeights>,
+    device: Device,
+    kv_pool: Arc<KvBlockPool>,
+}
+
+/// The served parameters of a [`PalettizedModel`], shared by its clones.
+#[derive(Debug)]
+struct ModelWeights {
     embed: EmbedStore,
     layers: Vec<PalettizedLayer>,
     final_norm: Vec<f32>,
     lm_head: PalettizedLinear,
     cos: Vec<f32>,
     sin: Vec<f32>,
-    device: Device,
-    kv_pool: Arc<KvBlockPool>,
 }
 
 fn sigmoid(v: f32) -> f32 {
@@ -370,7 +390,7 @@ impl PalettizedModel {
                             p.shape()
                         )));
                     }
-                    Ok(PalettizedLinear::new(p.clone()))
+                    Ok(PalettizedLinear::from_palette(p))
                 }
                 CompressedTensor::PalettizedGrouped(_) => {
                     Err(ServeError::Unsupported(format!("{name}: per-group LUTs")))
@@ -447,12 +467,14 @@ impl PalettizedModel {
         let (cos, sin) = rope_tables(config.max_seq, hd, ROPE_THETA);
         let device = Device::Cpu;
         Ok(PalettizedModel {
-            embed,
-            layers,
-            final_norm: norm("final_norm", d)?,
-            lm_head: proj("lm_head", config.vocab, d)?,
-            cos,
-            sin,
+            weights: Arc::new(ModelWeights {
+                embed,
+                layers,
+                final_norm: norm("final_norm", d)?,
+                lm_head: proj("lm_head", config.vocab, d)?,
+                cos,
+                sin,
+            }),
             kv_pool: KvBlockPool::new(
                 KvBlockConfig::default(),
                 config.n_layers,
@@ -530,19 +552,18 @@ impl PalettizedModel {
 
     /// Serialized bytes of all served parameters (palettes + norms + embed).
     pub fn size_bytes(&self) -> usize {
+        let w = &*self.weights;
         let norms = crate::palettize::native16_size_bytes(
-            self.final_norm.len()
-                + self
-                    .layers
+            w.final_norm.len()
+                + w.layers
                     .iter()
                     .map(|l| l.input_norm.len() + l.post_norm.len())
                     .sum::<usize>(),
         );
-        self.embed.size_bytes()
+        w.embed.size_bytes()
             + norms
-            + self.lm_head.size_bytes()
-            + self
-                .layers
+            + w.lm_head.size_bytes()
+            + w.layers
                 .iter()
                 .map(|l| {
                     l.projections()
@@ -833,25 +854,26 @@ impl ServeModel for PalettizedModel {
         }
 
         let mut s = ForwardScratch::take(arena, n_total, d, self.config.d_ff, self.config.max_seq);
+        let w = &*self.weights;
 
         // Embed all new tokens: [n_total, d].
         let mut row = 0usize;
         for chunk in view.iter() {
             for &id in chunk {
                 assert!(id < self.config.vocab, "id {id} out of vocabulary");
-                self.embed.write_row(id, &mut s.x[row * d..(row + 1) * d]);
+                w.embed.write_row(id, &mut s.x[row * d..(row + 1) * d]);
                 row += 1;
             }
         }
 
-        for (li, layer) in self.layers.iter().enumerate() {
+        for (li, layer) in w.layers.iter().enumerate() {
             rmsnorm_rows_into(&s.x, &layer.input_norm, &mut s.h, self.device);
             layer.q.forward_rows(&s.h, n_total, &mut s.q, arena);
             layer.k.forward_rows(&s.h, n_total, &mut s.k, arena);
             layer.v.forward_rows(&s.h, n_total, &mut s.v, arena);
             for (r, &p) in pos.iter().enumerate() {
-                rope_row(&mut s.q[r * d..(r + 1) * d], h, hd, &self.cos, &self.sin, p);
-                rope_row(&mut s.k[r * d..(r + 1) * d], h, hd, &self.cos, &self.sin, p);
+                rope_row(&mut s.q[r * d..(r + 1) * d], h, hd, &w.cos, &w.sin, p);
+                rope_row(&mut s.k[r * d..(r + 1) * d], h, hd, &w.cos, &w.sin, p);
             }
 
             // Attention: per sequence against its own cache, rows read
@@ -916,9 +938,9 @@ impl ServeModel for PalettizedModel {
         arena.put_idx(starts);
         arena.put_idx(pos);
 
-        rmsnorm_rows_into(&s.x, &self.final_norm, &mut s.h, self.device);
+        rmsnorm_rows_into(&s.x, &w.final_norm, &mut s.h, self.device);
         let mut logits = arena.take(n_total * self.config.vocab);
-        self.lm_head.forward_rows(&s.h, n_total, &mut logits, arena);
+        w.lm_head.forward_rows(&s.h, n_total, &mut logits, arena);
         s.put(arena);
         logits
     }
@@ -1054,6 +1076,136 @@ mod tests {
             );
             assert!(forward_cost > 0.0);
         }
+    }
+
+    /// A 3-bit container at the `fleet` benchmark's geometry (d_model 256,
+    /// d_ff 512, vocab 256), palettes with seeded indices instead of a DKM
+    /// export: 8-bit affine embedding, native norms.
+    fn fleet_container() -> (CompressedModel, LlamaConfig) {
+        runtime::reset();
+        let cfg = LlamaConfig {
+            vocab: 256,
+            d_model: 256,
+            n_heads: 4,
+            n_layers: 2,
+            d_ff: 512,
+            max_seq: 32,
+        };
+        let dense = edkm_nn::LlamaModel::new(cfg, DType::Bf16, Device::Cpu, 3);
+        let clusterable = dense.clusterable_names();
+        let lut: Vec<f32> = (0..8).map(|c| (c as f32 - 3.5) * 0.01).collect();
+        let mut s = 7u64;
+        let entries = dense
+            .named_params()
+            .into_iter()
+            .map(|(name, var)| {
+                let (value, shape) = (var.value(), var.value().shape().to_vec());
+                let entry = if name == dense.embedding().name() {
+                    CompressedTensor::Affine(AffineQuantized::encode(value, 8))
+                } else if clusterable.contains(&name) {
+                    let idx: Vec<u32> = (0..value.numel())
+                        .map(|_| {
+                            s = s
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            (s >> 61) as u32
+                        })
+                        .collect();
+                    CompressedTensor::Palettized(PalettizedTensor::from_lut_indices(
+                        lut.clone(),
+                        &idx,
+                        3,
+                        1,
+                        shape,
+                    ))
+                } else {
+                    CompressedTensor::Native {
+                        values: value.to_vec(),
+                        shape,
+                    }
+                };
+                (name, entry)
+            })
+            .collect();
+        (CompressedModel::from_entries(entries), cfg)
+    }
+
+    #[test]
+    fn served_indices_are_the_container_bytes_at_fleet_geometry() {
+        let (container, cfg) = fleet_container();
+        let model = PalettizedModel::from_compressed(&container, cfg).unwrap();
+        let palette = |name: &str| match container.entries().iter().find(|(n, _)| n == name) {
+            Some((_, CompressedTensor::Palettized(p))) => p,
+            other => panic!("{name}: not a palette: {other:?}"),
+        };
+        let names = [
+            "attn.q_proj",
+            "attn.k_proj",
+            "attn.v_proj",
+            "attn.o_proj",
+            "mlp.gate_proj",
+            "mlp.up_proj",
+            "mlp.down_proj",
+        ];
+        let mut served = vec![("lm_head".to_string(), &model.weights.lm_head)];
+        for (i, layer) in model.weights.layers.iter().enumerate() {
+            for (name, proj) in names.iter().zip(layer.projections()) {
+                served.push((format!("layers.{i}.{name}"), proj));
+            }
+        }
+        for (name, proj) in served {
+            let p = palette(&name);
+            // The kernel's one index stream is the container's packed
+            // indices, byte for byte in size; beside it only the f32 LUT.
+            let kern = proj.kernel();
+            assert_eq!(
+                kern.resident_bytes() - 4 * kern.k(),
+                p.packed().len(),
+                "{name}: resident index bytes"
+            );
+            assert_eq!(proj.size_bytes(), p.size_bytes(), "{name}: size_bytes");
+            assert_eq!(proj.weights().indices(), p.indices(), "{name}: indices");
+        }
+        assert_eq!(model.size_bytes(), container.size_bytes());
+    }
+
+    #[test]
+    fn ragged_projection_reports_the_serialized_size() {
+        // 20 columns are not a whole 32-column group: the stream pads each
+        // row, `size_bytes` still counts the container's packing.
+        let (_w, lin) = palettized_pair(14);
+        assert_eq!(lin.size_bytes(), lin.weights().size_bytes());
+        assert_eq!(lin.size_bytes(), (12 * 20 * 3usize).div_ceil(8) + 2 * 8);
+    }
+
+    #[test]
+    fn configured_clones_share_weights_and_hold_distinct_kv_pools() {
+        let (container, cfg) = fleet_container();
+        let base = PalettizedModel::from_compressed(&container, cfg).unwrap();
+        let kv = KvBlockConfig {
+            block_tokens: 4,
+            max_blocks: 16,
+        };
+        let a = base.clone().with_kv_config(kv).with_prefix_cache(true);
+        let b = base.clone().with_kv_config(kv).with_prefix_cache(true);
+        assert!(
+            Arc::ptr_eq(&a.weights, &base.weights),
+            "a clone copies no weight"
+        );
+        assert!(Arc::ptr_eq(&a.weights, &b.weights));
+        assert!(!Arc::ptr_eq(a.kv_pool(), b.kv_pool()), "a pool per replica");
+        assert!(!Arc::ptr_eq(a.kv_pool(), base.kv_pool()));
+        // A plain clone shares its pool too, as before.
+        assert!(Arc::ptr_eq(base.clone().kv_pool(), base.kv_pool()));
+        // The shared weights serve both replicas the same tokens.
+        let (mut ca, mut cb) = (a.new_cache(), b.new_cache());
+        let ids = [3usize, 1, 4, 1, 5];
+        assert_eq!(
+            a.prefill(&ids, &mut ca).to_vec(),
+            b.prefill(&ids, &mut cb).to_vec()
+        );
+        assert_eq!(a.kv_pool().blocks_in_use(), 2);
+        assert_eq!(b.kv_pool().blocks_in_use(), 2);
     }
 
     fn tiny_bf16_model() -> edkm_nn::LlamaModel {

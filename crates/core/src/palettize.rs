@@ -223,6 +223,11 @@ impl PalettizedTensor {
         unpack_bits(&self.packed, self.bits, n)
     }
 
+    /// The bit-packed index stream, as serialized.
+    pub(crate) fn packed(&self) -> &[u8] {
+        &self.packed
+    }
+
     /// Serialized size: packed indices + 16-bit LUT entries.
     pub fn size_bytes(&self) -> usize {
         self.packed.len() + self.lut.len() * 2
