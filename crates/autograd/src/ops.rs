@@ -7,7 +7,7 @@
 use crate::hooks::save_tensor;
 use crate::var::Var;
 use edkm_tensor::layout::Layout;
-use edkm_tensor::{ops as t, DType, Tensor};
+use edkm_tensor::{exact, ops as t, DType, Tensor};
 
 /// Sum `g` down to `target` shape (the adjoint of broadcasting).
 fn reduce_to_shape(g: &Tensor, target: &[usize]) -> Tensor {
@@ -48,6 +48,11 @@ fn sum_lastdim_keepdim(x: &Tensor) -> Tensor {
 /// is 16-bit, exactly where `mul` rounded it, and every later result is f32.
 /// It charges the clock for the same four passes.
 ///
+/// Both products, `g·s` and `s·(g − dot)`, are formed exactly in f64 from
+/// a widened copy of the row of `s` (`edkm_tensor::exact`): the bits of
+/// the f32 products, without the assist an f32 multiply takes on each of
+/// a sharp map's subnormals.
+///
 /// # Panics
 ///
 /// Panics if the shapes differ or `s` is rank 0.
@@ -57,18 +62,20 @@ pub fn softmax_backward(g: &Tensor, s: &Tensor) -> Tensor {
     let prod = t::promote(g.dtype(), s.dtype());
     let mut dx = vec![0.0f32; s.numel()];
     if k > 0 {
+        let mut s_wide = Vec::with_capacity(k);
         g.with_data(|gd| {
             s.with_data(|sd| {
                 let rows = gd.chunks_exact(k).zip(sd.chunks_exact(k));
                 for ((g_row, s_row), dx_row) in rows.zip(dx.chunks_exact_mut(k)) {
-                    let terms = g_row.iter().zip(s_row).map(|(&gv, &sv)| gv * sv);
+                    let s_row = exact::widen_into(&mut s_wide, s_row);
+                    let terms = g_row.iter().zip(s_row).map(|(&gv, &sv)| exact::mul(gv, sv));
                     let dot = if prod.is_16bit() {
                         terms.fold(0.0f32, |acc, v| acc + prod.round(v))
                     } else {
                         terms.fold(0.0f32, |acc, v| acc + v)
                     };
                     for ((d, &gv), &sv) in dx_row.iter_mut().zip(g_row).zip(s_row) {
-                        *d = sv * (gv - dot);
+                        *d = exact::mul(gv - dot, sv);
                     }
                 }
             })
@@ -1120,6 +1127,82 @@ mod tests {
         let gs = t::mul(g, s);
         let row = sum_lastdim_keepdim(&gs);
         t::mul(s, &t::sub(g, &row))
+    }
+
+    /// The softmax VJP as a plain f32 loop: `g·s` and `s·(g − dot)` are
+    /// f32 multiplies, `g·s` rounded to `prod` before the row sum.
+    fn softmax_backward_plain(g: &[f32], s: &[f32], k: usize, prod: DType) -> Vec<f32> {
+        let mut dx = vec![0.0f32; s.len()];
+        for ((g_row, s_row), dx_row) in g.chunks(k).zip(s.chunks(k)).zip(dx.chunks_mut(k)) {
+            let mut dot = 0.0f32;
+            for (&gv, &sv) in g_row.iter().zip(s_row) {
+                dot += prod.round(gv * sv);
+            }
+            for ((d, &gv), &sv) in dx_row.iter_mut().zip(g_row).zip(s_row) {
+                *d = sv * (gv - dot);
+            }
+        }
+        dx
+    }
+
+    #[test]
+    fn softmax_backward_with_injected_subnormals_matches_the_f32_loop() {
+        runtime::reset();
+        let (rows, k) = (2048, 8);
+        // A sharp map: every third entry sits 87–103 below its row's
+        // others, so its probability is subnormal or just above.
+        let logits: Vec<f32> = randn(&[rows, k], 41)
+            .to_vec()
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                if i % 3 == 1 {
+                    v - 87.0 - (i % 17) as f32
+                } else {
+                    v
+                }
+            })
+            .collect();
+        let s = t::softmax_lastdim(&Tensor::from_vec(
+            logits,
+            &[rows, k],
+            DType::F32,
+            Device::Cpu,
+        ));
+        // Upstream gradients of both scales, with subnormals and signed
+        // zeros injected.
+        let g: Vec<f32> = randn(&[rows, k], 42)
+            .to_vec()
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| match i % 11 {
+                0 => f32::from_bits(1 + i as u32 % 0x7f_ffff) * v.signum(),
+                1 => -0.0,
+                2 => v * 1e-30,
+                _ => v * 1e3,
+            })
+            .collect();
+        let g = Tensor::from_vec(g, &[rows, k], DType::F32, Device::Cpu);
+        let subnormals = |t: &Tensor| t.to_vec().iter().filter(|v| v.is_subnormal()).count();
+        assert!(subnormals(&s) > rows / 4 && subnormals(&g) > rows / 4);
+        for (g, s) in [
+            (g.clone(), s.clone()),
+            (g.cast(DType::Bf16), s.clone()),
+            (g.cast(DType::Bf16), s.cast(DType::Bf16)),
+        ] {
+            let prod = t::promote(g.dtype(), s.dtype());
+            let got = softmax_backward(&g, &s).to_vec();
+            let want = softmax_backward_plain(&g.to_vec(), &s.to_vec(), k, prod);
+            let label = format!("g {}, s {}", g.dtype(), s.dtype());
+            assert_eq!(got.len(), want.len(), "{label}");
+            for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{label}: element {i}: {x:e} vs {y:e}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::palettize::{GroupedPalettized, PalettizedTensor};
 use crate::uniquify::{self, DistinctRows, RowKeys};
 use edkm_autograd::{save_tensor, softmax_backward, Var};
-use edkm_tensor::{ops as t, runtime, DType, Device, Tensor};
+use edkm_tensor::{exact, ops as t, runtime, DType, Device, Tensor};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -60,10 +60,13 @@ fn softmax_annotated(x: &Var, rows: &DistinctRows, keys: Option<Arc<RowKeys>>) -
 /// One pass over the weights in `p` order, adding into `k` independent
 /// lanes per sum: each lane sees the same additions in the same order as
 /// the dense `matmul(Aᵀ, W)` and `sum_axis(A, 0)` over the `[n, k]` map,
-/// so the centroids are bit-identical to them.
+/// so the centroids are bit-identical to them. Each product `a·w` is formed
+/// exactly in f64 from a widened copy of the weights (`exact`): the bits of
+/// the f32 product, without an assist on each of the map's subnormals.
 fn centroid_update(a: &Tensor, index: &[u32], w: &[f32], d: usize, device: Device) -> Tensor {
     let k = a.shape()[1];
     let n = index.len();
+    let w = exact::widen(w);
     // Component-major `[d, k]` sums, so each component's k lanes are
     // contiguous.
     let mut num = vec![0.0f32; d * k];
@@ -76,7 +79,7 @@ fn centroid_update(a: &Tensor, index: &[u32], w: &[f32], d: usize, device: Devic
             }
             for (lanes, &wv) in num.chunks_exact_mut(k).zip(w_row) {
                 for (s, &av) in lanes.iter_mut().zip(a_row) {
-                    *s += av * wv;
+                    *s += exact::mul(av, wv);
                 }
             }
         }
@@ -658,6 +661,56 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn centroid_update_with_injected_subnormals_matches_the_f32_loop() {
+        runtime::reset();
+        let (u, k, n) = (300, 8, 2048);
+        // Attention rows with subnormal entries (every third, spread over
+        // the subnormal range), exact zeros and signed zeros.
+        let a: Vec<f32> = Tensor::rand(&[u, k], DType::F32, Device::Cpu, 51)
+            .to_vec()
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| match i % 7 {
+                1 | 4 => f32::from_bits(1 + (i as u32).wrapping_mul(2_654_435_761) % 0x7f_ffff),
+                2 => v * 1e-37,
+                5 => 0.0,
+                _ => v,
+            })
+            .collect();
+        assert!(a.iter().filter(|v| v.is_subnormal()).count() > u * k / 4);
+        let a = Tensor::from_vec(a, &[u, k], DType::F32, Device::Cpu);
+        let index: Vec<u32> = (0..n as u32).map(|p| (p * 37) % u as u32).collect();
+        for d in [1, 2] {
+            let w: Vec<f32> = Tensor::randn(&[n * d], DType::F32, Device::Cpu, 52)
+                .to_vec()
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| if i % 13 == 0 { -0.0 } else { v * 0.02 })
+                .collect();
+            let got = centroid_update(&a, &index, &w, d, Device::Cpu).to_vec();
+            // The plain loop: f32 products added in `p` order per lane.
+            let av = a.to_vec();
+            let mut num = vec![0.0f32; k * d];
+            let mut den = vec![0.0f32; k];
+            for (p, &r) in index.iter().enumerate() {
+                for j in 0..k {
+                    let a_pj = av[r as usize * k + j];
+                    den[j] += a_pj;
+                    for comp in 0..d {
+                        num[j * d + comp] += a_pj * w[p * d + comp];
+                    }
+                }
+            }
+            let want: Vec<f32> = (0..k * d).map(|i| num[i] / (den[i / d] + 1e-8)).collect();
+            assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "cluster_dim {d}"
+            );
         }
     }
 

@@ -110,6 +110,11 @@ impl RowKeys {
 
 thread_local! {
     static ANNOTATIONS: RefCell<HashMap<u64, Arc<RowKeys>>> = RefCell::new(HashMap::new());
+
+    /// [`DistinctRows::of`]'s table of distinct row + 1 per 16-bit pattern
+    /// (0: not seen yet). Allocated once per thread and all zeros between
+    /// calls: each call zeroes only the slots it set.
+    static PATTERN_SLOTS: RefCell<Vec<u32>> = RefCell::new(vec![0; 1 << 16]);
 }
 
 /// Attach row keys to the storage of an attention-map tensor.
@@ -143,23 +148,29 @@ pub(crate) struct DistinctRows {
 }
 
 impl DistinctRows {
-    /// Split rows by key. Scalar keys are 16-bit patterns and index a
-    /// 2^16-entry table; block keys go through a hash map.
+    /// Split rows by key. Scalar keys are 16-bit patterns and index the
+    /// thread's 2^16-entry slot table; block keys go through a hash map.
     pub(crate) fn of(keys: &RowKeys) -> Self {
         assert!(u32::try_from(keys.len()).is_ok(), "more than u32::MAX rows");
         let mut first = Vec::new();
         let mut index = Vec::with_capacity(keys.len());
         if keys.is_scalar() {
-            // Distinct row + 1 per pattern; 0 marks a pattern not seen yet.
-            let mut slot = vec![0u32; 1 << 16];
-            for (i, &key) in keys.keys().iter().enumerate() {
-                let s = &mut slot[key as usize];
-                if *s == 0 {
-                    first.push(i);
-                    *s = first.len() as u32;
+            PATTERN_SLOTS.with(|slots| {
+                let mut slot = slots.borrow_mut();
+                // Scalar keys are u16 patterns, so no index here panics and
+                // leaves the table dirty.
+                for (i, &key) in keys.keys().iter().enumerate() {
+                    let s = &mut slot[key as usize];
+                    if *s == 0 {
+                        first.push(i);
+                        *s = first.len() as u32;
+                    }
+                    index.push(*s - 1);
                 }
-                index.push(*s - 1);
-            }
+                for &i in &first {
+                    slot[keys.keys()[i] as usize] = 0;
+                }
+            });
         } else {
             let mut row_of_key: HashMap<u64, u32> = HashMap::new();
             for (i, &key) in keys.keys().iter().enumerate() {
@@ -389,6 +400,42 @@ mod tests {
         assert_eq!(u, 3);
         assert_eq!(index, vec![0, 1, 0, 2]);
         assert_eq!(reconstruct_wide(&table, &index, 2), dense);
+    }
+
+    /// `DistinctRows::of` over a freshly zeroed table of its own.
+    fn distinct_rows_fresh(keys: &RowKeys) -> (Vec<usize>, Vec<u32>) {
+        let mut slot = vec![0u32; 1 << 16];
+        let (mut first, mut index) = (Vec::new(), Vec::new());
+        for (i, &key) in keys.keys().iter().enumerate() {
+            if slot[key as usize] == 0 {
+                first.push(i);
+                slot[key as usize] = first.len() as u32;
+            }
+            index.push(slot[key as usize] - 1);
+        }
+        (first, index)
+    }
+
+    #[test]
+    fn back_to_back_distinct_rows_match_fresh_tables() {
+        // Overlapping key sets in a row, each sharing patterns with the one
+        // before: a slot left set by one call would renumber the next.
+        let key_sets: Vec<Vec<u16>> = vec![
+            vec![7, 9, 7, 0xffff, 0],
+            vec![9, 7, 3, 3, 0xffff],
+            vec![],
+            vec![0, 0, 0],
+            (0..5000).map(|i| (i * 37 % 1024) as u16).collect(),
+            (0..5000).map(|i| (i * 91 % 1500) as u16).collect(),
+            vec![7, 9, 7, 0xffff, 0],
+        ];
+        for (call, patterns) in key_sets.iter().enumerate() {
+            let keys = RowKeys::scalar(patterns.clone());
+            let rows = DistinctRows::of(&keys);
+            let (first, index) = distinct_rows_fresh(&keys);
+            assert_eq!(rows.first, first, "call {call}: first rows");
+            assert_eq!(rows.index, index, "call {call}: index");
+        }
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub mod cost;
 pub mod device;
 pub mod dtype;
 pub mod error;
+pub mod exact;
 pub mod layout;
 pub mod ops;
 pub mod pool;

@@ -4,6 +4,7 @@
 //! [`crate::runtime::record_compute`], which is how the "Runtime (sec)"
 //! column of the paper's Table 2 is assembled.
 
+use crate::exact::{self, Factor};
 use crate::layout::{broadcast_shapes, MatrixView};
 use crate::{runtime, DType, Tensor};
 use rayon::prelude::*;
@@ -97,9 +98,11 @@ pub fn add_scalar(a: &Tensor, s: f32) -> Tensor {
     a.map(|v| v + s)
 }
 
-/// `a * s` element-wise.
+/// `a * s` element-wise, each product formed exactly in f64 and rounded
+/// once ([`exact`]): the f32 product's bits, with no subnormal assist.
 pub fn mul_scalar(a: &Tensor, s: f32) -> Tensor {
-    a.map(|v| v * s)
+    let s = exact::opaque(s);
+    a.map(|v| exact::mul(v, s))
 }
 
 /// Matrix product of 2-D tensors `[m,k] × [k,n] → [m,n]`.
@@ -107,6 +110,14 @@ pub fn mul_scalar(a: &Tensor, s: f32) -> Tensor {
 /// The left operand is read in place whatever its strides (a transposed
 /// view costs no copy); a strided right operand is gathered once. Every
 /// body adds each output's `k` products in `p` order, starting from 0.0.
+///
+/// One lane-parallel scan per call picks how the products are formed
+/// (`exact::products_touch_subnormals`): when an operand holds a
+/// subnormal, or the operands' smallest nonzero magnitudes multiply below
+/// `f32::MIN_POSITIVE`, each product is formed exactly in f64 from a
+/// widened copy of the right operand; otherwise in f32. Both give the same
+/// bits; the f64 products take no subnormal assist, the f32 ones run at
+/// twice the lanes.
 ///
 /// # Panics
 ///
@@ -128,8 +139,15 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let dt = promote(a.dtype(), b.dtype());
     let lhs = a.layout().as_matrix().expect("rank 2 checked");
     let mut out = vec![0.0f32; m * n];
-    a.storage()
-        .with_data(|ad| b.with_data(|bd| matmul_into(&mut out, ad, lhs, bd, n)));
+    a.storage().with_data(|ad| {
+        b.with_data(|bd| {
+            if exact::products_touch_subnormals(span(ad, lhs), bd) {
+                matmul_into(&mut out, ad, lhs, &exact::widen(bd), n);
+            } else {
+                matmul_into(&mut out, ad, lhs, bd, n);
+            }
+        })
+    });
     if dt.is_16bit() {
         for v in &mut out {
             *v = dt.round(*v);
@@ -139,13 +157,23 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec_unrounded(out, &[m, n], dt, a.device())
 }
 
+/// The storage elements from a view's first element to its last: every
+/// element the view reads, plus any its strides step over.
+fn span(data: &[f32], view: MatrixView) -> &[f32] {
+    if view.rows == 0 || view.cols == 0 {
+        return &[];
+    }
+    &data[view.offset..=view.at(view.rows - 1, view.cols - 1)]
+}
+
 /// Output rows per task of a matrix–vector product that fans out.
 const MATVEC_ROWS_PER_TASK: usize = 256;
 
 /// `out = A·B` into a zeroed `out`, for `A` (`[m, k]`) addressed in `ad`
-/// through `lhs` and `B` row-major `[k, n]`. Output rows split across
-/// worker threads once the multiply count clears [`PAR_WORK_THRESHOLD`].
-fn matmul_into(out: &mut [f32], ad: &[f32], lhs: MatrixView, bd: &[f32], n: usize) {
+/// through `lhs` and `B` row-major `[k, n]`, its elements f32 or widened
+/// ([`Factor`]). Output rows split across worker threads once the multiply
+/// count clears [`PAR_WORK_THRESHOLD`].
+fn matmul_into<F: Factor>(out: &mut [f32], ad: &[f32], lhs: MatrixView, bd: &[F], n: usize) {
     let (m, k) = (lhs.rows, lhs.cols);
     if m == 0 || k == 0 || n == 0 {
         return; // an empty product: all zeros (chunking needs n > 0)
@@ -162,7 +190,10 @@ fn matmul_into(out: &mut [f32], ad: &[f32], lhs: MatrixView, bd: &[f32], n: usiz
             // Matrix–vector over contiguous rows: one dot product per row.
             for (r, o) in rows.iter_mut().enumerate() {
                 let a_row = &ad[lhs.at(i0 + r, 0)..][..k];
-                *o = a_row.iter().zip(bd).fold(0.0, |s, (&av, &bv)| s + av * bv);
+                *o = a_row
+                    .iter()
+                    .zip(bd)
+                    .fold(0.0, |s, (&av, &bv)| s + bv.times(av));
             }
         } else {
             // Matrix–vector over a transposed view: the rows are lanes,
@@ -172,11 +203,11 @@ fn matmul_into(out: &mut [f32], ad: &[f32], lhs: MatrixView, bd: &[f32], n: usiz
                 let col = lhs.at(i0, p);
                 if lhs.row_stride == 1 {
                     for (o, &av) in rows.iter_mut().zip(&ad[col..col + len]) {
-                        *o += av * bv;
+                        *o += bv.times(av);
                     }
                 } else {
                     for (r, o) in rows.iter_mut().enumerate() {
-                        *o += ad[col + r * lhs.row_stride] * bv;
+                        *o += bv.times(ad[col + r * lhs.row_stride]);
                     }
                 }
             }
@@ -194,10 +225,10 @@ fn matmul_into(out: &mut [f32], ad: &[f32], lhs: MatrixView, bd: &[f32], n: usiz
 
 /// `out[i, :] += a_row ⋅ B` for one output row, adding in `p` order.
 #[inline]
-fn matmul_row(o_row: &mut [f32], a_row: impl Iterator<Item = f32>, bd: &[f32], n: usize) {
+fn matmul_row<F: Factor>(o_row: &mut [f32], a_row: impl Iterator<Item = f32>, bd: &[F], n: usize) {
     for (av, b_row) in a_row.zip(bd.chunks_exact(n)) {
         for (o, &bv) in o_row.iter_mut().zip(b_row) {
-            *o += av * bv;
+            *o += bv.times(av);
         }
     }
 }
@@ -266,6 +297,10 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// Numerically-stable softmax over the last axis.
+///
+/// Each row's normalisation is formed exactly in f64 ([`exact`]): a sharp
+/// row's small entries are subnormal, and the f32 multiply by `1 / sum`
+/// would take an assist on each.
 pub fn softmax_lastdim(t: &Tensor) -> Tensor {
     let cols = *t.shape().last().expect("softmax needs rank >= 1");
     let data = t.to_vec();
@@ -277,9 +312,9 @@ pub fn softmax_lastdim(t: &Tensor) -> Tensor {
             *o = (v - mx).exp();
             sum += *o;
         }
-        let inv = 1.0 / sum;
+        let inv = exact::opaque(1.0 / sum);
         for o in row_out.iter_mut() {
-            *o *= inv;
+            *o = exact::mul(*o, inv);
         }
     }
     runtime::record_compute(4.0 * data.len() as f64, t.device());
@@ -422,7 +457,9 @@ pub fn scatter_add_rows(grad: &Tensor, ids: &[usize], v: usize) -> Tensor {
 /// `out[i][j] = -‖w[i,:] − c[j,:]‖²` for `w: [n,d]`, `c: [k,d]`.
 ///
 /// This is the distance kernel of the DKM attention map (Fig. 1 of the
-/// paper); scalar clustering uses `d = 1`.
+/// paper). Scalar clustering (`d = 1`, the paper's setting) has its own
+/// body: the general one's `0.0 + diff²` is `diff²`, because a square is
+/// never −0.0, so each output is `-(w − c)²` in one vectorisable pass.
 ///
 /// # Panics
 ///
@@ -440,15 +477,10 @@ pub fn neg_sqdist(w: &Tensor, c: &Tensor) -> Tensor {
     let k = c.shape()[0];
     let mut out = vec![0.0f32; n * k];
     let sqdist_row = |i: usize, orow: &mut [f32], wd: &[f32], cd: &[f32]| {
-        let wrow = &wd[i * d..(i + 1) * d];
-        for (j, o) in orow.iter_mut().enumerate() {
-            let crow = &cd[j * d..(j + 1) * d];
-            let mut acc = 0.0f32;
-            for (&wv, &cv) in wrow.iter().zip(crow) {
-                let diff = wv - cv;
-                acc += diff * diff;
-            }
-            *o = -acc;
+        if d == 1 {
+            sqdist_row_scalar(orow, wd[i], cd);
+        } else {
+            sqdist_row_general(orow, &wd[i * d..(i + 1) * d], cd);
         }
     };
     w.with_data(|wd| {
@@ -468,6 +500,29 @@ pub fn neg_sqdist(w: &Tensor, c: &Tensor) -> Tensor {
     });
     runtime::record_compute(3.0 * (n * k * d) as f64, w.device());
     Tensor::from_vec_unrounded(out, &[n, k], DType::F32, w.device())
+}
+
+/// One row of [`neg_sqdist`] for a `d`-element `wrow` against the `[k, d]`
+/// centroids `cd`: each output adds its `d` squared differences from 0.0.
+fn sqdist_row_general(orow: &mut [f32], wrow: &[f32], cd: &[f32]) {
+    let d = wrow.len();
+    for (j, o) in orow.iter_mut().enumerate() {
+        let crow = &cd[j * d..(j + 1) * d];
+        let mut acc = 0.0f32;
+        for (&wv, &cv) in wrow.iter().zip(crow) {
+            let diff = wv - cv;
+            acc += diff * diff;
+        }
+        *o = -acc;
+    }
+}
+
+/// [`sqdist_row_general`] at `d = 1`, bit for bit: `-(w − c)²` per centroid.
+fn sqdist_row_scalar(orow: &mut [f32], wv: f32, cd: &[f32]) {
+    for (o, &cv) in orow.iter_mut().zip(cd) {
+        let diff = wv - cv;
+        *o = -(diff * diff);
+    }
 }
 
 /// `true` if every element differs by at most `tol`.
@@ -995,6 +1050,256 @@ mod tests {
                 assert_eq!(got.dtype(), dtype);
                 let want: Vec<f32> = logical(&x).into_iter().map(|v| dtype.round(f(v))).collect();
                 assert_eq!(bits(&got.to_vec()), bits(&want), "{dtype} {view}");
+            }
+        }
+    }
+
+    // ---------- exact f64 products vs. the f32 loops they replace ----------
+
+    /// `NaN`-aware bit comparison: NaN payloads are unspecified, NaN-ness is.
+    fn same_bits(got: &[f32], want: &[f32]) -> bool {
+        got.len() == want.len()
+            && got.iter().zip(want).all(|(x, y)| {
+                if y.is_nan() {
+                    x.is_nan()
+                } else {
+                    x.to_bits() == y.to_bits()
+                }
+            })
+    }
+
+    fn count_subnormals(v: &[f32]) -> usize {
+        v.iter().filter(|x| x.is_subnormal()).count()
+    }
+
+    /// `[rows, k]` logits with every third entry pushed 87–103 below its
+    /// row, so its softmax entry lands between f32's smallest normal and
+    /// its smallest subnormal: a sharp DKM attention map.
+    fn sharp_logits(rows: usize, k: usize, seed: u64) -> Tensor {
+        let x = Tensor::randn(&[rows, k], DType::F32, Device::Cpu, seed).to_vec();
+        let data = x
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                if i % 3 == 1 {
+                    v - 87.0 - 16.0 * (i % 17) as f32 / 16.0
+                } else {
+                    v
+                }
+            })
+            .collect();
+        Tensor::from_vec(data, &[rows, k], DType::F32, Device::Cpu)
+    }
+
+    /// The softmax loop with an f32 multiply by each row's `1 / sum`.
+    fn softmax_plain(data: &[f32], cols: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; data.len()];
+        for (row_in, row_out) in data.chunks(cols).zip(out.chunks_mut(cols)) {
+            let mx = row_in.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0;
+            for (o, &v) in row_out.iter_mut().zip(row_in) {
+                *o = (v - mx).exp();
+                sum += *o;
+            }
+            let inv = 1.0 / sum;
+            for o in row_out.iter_mut() {
+                *o *= inv;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn softmax_with_subnormal_entries_matches_the_f32_loop() {
+        runtime::reset();
+        for (rows, k) in [(2048, 8), (5, 3), (1, 1), (3, 40)] {
+            let x = sharp_logits(rows, k, 61);
+            let got = softmax_lastdim(&x).to_vec();
+            let want = softmax_plain(&x.to_vec(), k);
+            assert_eq!(bits(&got), bits(&want), "[{rows}, {k}]");
+            if k > 1 {
+                assert!(
+                    count_subnormals(&want) > 0,
+                    "[{rows}, {k}] holds subnormals"
+                );
+            }
+        }
+        // Sums of subnormal rows: a row whose every entry is far below
+        // its max.
+        let x = t(vec![0.0, -100.0, -101.5, -103.0, 0.0, -88.0], &[1, 6]);
+        let (got, want) = (softmax_lastdim(&x).to_vec(), softmax_plain(&x.to_vec(), 6));
+        assert_eq!(bits(&got), bits(&want));
+        assert!(count_subnormals(&want) >= 3);
+    }
+
+    #[test]
+    fn mul_scalar_matches_the_f32_product() {
+        runtime::reset();
+        let mut data = sharp_logits(64, 8, 62).to_vec();
+        data.extend(softmax_plain(&data.clone(), 8));
+        data.extend([
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x7f_ffff),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ]);
+        assert!(count_subnormals(&data) > 0);
+        let scalars = [
+            -2.0,
+            3.7e4, // a logit scale 1 / (τ·var(w))
+            1.0 / 3.0,
+            0.0,
+            -0.0,
+            f32::from_bits(3),
+            1.0e-30,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        for dtype in [DType::F32, DType::Bf16] {
+            let x = Tensor::from_vec(data.clone(), &[data.len()], dtype, Device::Cpu);
+            for s in scalars {
+                let want: Vec<f32> = x.to_vec().iter().map(|&v| dtype.round(v * s)).collect();
+                let got = mul_scalar(&x, s);
+                assert_eq!(got.dtype(), dtype);
+                assert!(same_bits(&got.to_vec(), &want), "{dtype} × {s:e}");
+            }
+        }
+    }
+
+    /// `A·B` through both multiply bodies, and which one `matmul` picks.
+    fn both_bodies(a: &Tensor, b: &Tensor) -> (Vec<f32>, Vec<f32>, bool) {
+        let (m, n) = (a.shape()[0], b.shape()[1]);
+        let lhs = a.layout().as_matrix().expect("rank 2");
+        let (mut plain, mut wide) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+        let picked = a.storage().with_data(|ad| {
+            b.with_data(|bd| {
+                matmul_into(&mut plain, ad, lhs, bd, n);
+                matmul_into(&mut wide, ad, lhs, &exact::widen(bd), n);
+                exact::products_touch_subnormals(span(ad, lhs), bd)
+            })
+        });
+        (plain, wide, picked)
+    }
+
+    #[test]
+    fn matmul_bodies_agree_on_both_sides_of_the_selection() {
+        runtime::reset();
+        // A `[rows, cols]` operand of `family`, as a contiguous or a
+        // transposed view.
+        let make = |family: &str, rows: usize, cols: usize, transposed: bool, seed: u64| {
+            let (r, c) = if transposed {
+                (cols, rows)
+            } else {
+                (rows, cols)
+            };
+            let data: Vec<f32> = match family {
+                // Typical activations and weights: no product near 2^-126.
+                "activations" => operand(r, c, "contiguous", DType::F32, seed).to_vec(),
+                // A sharp 8-centroid attention map holding subnormals, its
+                // entries laid out over the operand's shape.
+                "map" => {
+                    let mut v =
+                        softmax_lastdim(&sharp_logits((r * c).div_ceil(8), 8, seed)).to_vec();
+                    v.truncate(r * c);
+                    v
+                }
+                // Normal values whose products straddle 2^-126 (some round
+                // up to f32::MIN_POSITIVE).
+                "straddling" => Tensor::rand(&[r * c], DType::F32, Device::Cpu, seed)
+                    .to_vec()
+                    .iter()
+                    .map(|&u| (0.5 + 1.5 * u) * 2f32.powi(-63))
+                    .collect(),
+                _ => unreachable!(),
+            };
+            let base = Tensor::from_vec(data, &[r, c], DType::F32, Device::Cpu);
+            if transposed {
+                base.t()
+            } else {
+                base
+            }
+        };
+        let cases = [
+            ("activations", "activations", false),
+            ("map", "activations", true),
+            ("activations", "map", true),
+            ("straddling", "straddling", true),
+            ("map", "straddling", true),
+        ];
+        // Matrix–vector (serial and fanned out) and general shapes.
+        for (m, k, n) in [
+            (40, 8, 1),
+            (8, 40, 1),
+            (2048, 8, 1),
+            (300, 600, 1),
+            (16, 8, 5),
+            (9, 13, 4),
+        ] {
+            for (lhs_family, rhs_family, exact_wanted) in cases {
+                for (transposed, seed) in [(false, 1), (true, 2)] {
+                    let a = make(lhs_family, m, k, transposed, seed);
+                    let b = make(rhs_family, k, n, false, seed + 10);
+                    let (plain, wide, picked) = both_bodies(&a, &b);
+                    let case = format!(
+                        "[{m},{k}] {lhs_family} (transposed {transposed}) × [{k},{n}] {rhs_family}"
+                    );
+                    assert_eq!(bits(&plain), bits(&wide), "{case}: bodies differ");
+                    assert_eq!(bits(&plain), bits(&matmul_reference(&a, &b)), "{case}");
+                    assert_eq!(bits(&matmul(&a, &b).to_vec()), bits(&plain), "{case}");
+                    assert_eq!(picked, exact_wanted, "{case}: body picked");
+                }
+            }
+        }
+        // The straddling family really straddles: some products are
+        // subnormal, some round up to f32::MIN_POSITIVE or above.
+        let x = make("straddling", 1, 4096, false, 5).to_vec();
+        let products: Vec<f32> = x.windows(2).map(|w| w[0] * w[1]).collect();
+        assert!(count_subnormals(&products) > 0);
+        assert!(products.iter().any(|&p| p >= f32::MIN_POSITIVE));
+    }
+
+    #[test]
+    fn scalar_sqdist_matches_the_general_body() {
+        runtime::reset();
+        let specials = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE,
+            1.0e-20,
+            3.0e19,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        // Serial and fanned-out shapes, and rows of special values against
+        // special centroids.
+        for (n, k, seed) in [(2048, 8, 71), (7, 3, 72), (20_000, 8, 73), (3, 0, 74)] {
+            let w = Tensor::randn(&[n, 1], DType::F32, Device::Cpu, seed).map(|v| v * 0.02);
+            let c = Tensor::randn(&[k, 1], DType::F32, Device::Cpu, seed + 1).map(|v| v * 0.02);
+            let cases = [
+                (w.clone(), c.clone()),
+                (t(specials.to_vec(), &[specials.len(), 1]), c.clone()),
+                (w, t(specials.to_vec(), &[specials.len(), 1])),
+            ];
+            for (w, c) in cases {
+                let (n, k) = (w.shape()[0], c.shape()[0]);
+                let got = neg_sqdist(&w, &c).to_vec();
+                let (wd, cd) = (w.to_vec(), c.to_vec());
+                let mut want = vec![0.0f32; n * k];
+                if k > 0 {
+                    for (i, orow) in want.chunks_mut(k).enumerate() {
+                        sqdist_row_general(orow, &wd[i..i + 1], &cd);
+                    }
+                }
+                assert!(same_bits(&got, &want), "[{n}, 1] against [{k}, 1]");
             }
         }
     }
