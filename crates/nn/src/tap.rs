@@ -1,9 +1,9 @@
 //! Activation taps: capture the inputs every projection sees.
 //!
-//! Post-training quantizers (GPTQ, AWQ, SmoothQuant) calibrate on the
-//! activations that actually flow into each linear layer. While a tap is
-//! armed on the current thread, every [`crate::Linear::forward`] records its
-//! input tensor under the layer's parameter name.
+//! Post-training quantizers (GPTQ, AWQ) calibrate on the activations that
+//! actually flow into each linear layer. While a tap is armed on the current
+//! thread, every [`crate::Linear::forward`] records its input tensor under
+//! the layer's parameter name.
 
 use edkm_tensor::Tensor;
 use std::cell::RefCell;

@@ -11,38 +11,24 @@
 //! * [`awq`] — activation-aware weight quantization: per-channel scales
 //!   `s_i = E|x_i|^α` grid-searched to minimize calibration output error,
 //!   after Lin et al.
-//! * [`smoothquant`] — difficulty migration between activations and
-//!   weights (`s_i = max|x_i|^α / max|w_i|^{1−α}`).
 //! * [`qat`] — LLM-QAT: data-free quantization-aware training with a
 //!   straight-through estimator on model-generated data.
 //!
 //! [`model_quant`] applies any of these to a whole `edkm-nn` model with
 //! tapped calibration activations, and accounts serialized model size the
 //! way Table 3's "Model Size (GB)" column does.
-//!
-//! Rounding out Fig. 1's taxonomy of weight optimization systems (beyond
-//! the Table 3 comparators):
-//!
-//! * [`prune`] — magnitude pruning, unstructured and N:M semi-structured.
-//! * [`normalize`] — row-wise weight normalization (`W = diag(g) · D`).
 
 pub mod awq;
 pub mod common;
 pub mod gptq;
 pub mod linalg;
 pub mod model_quant;
-pub mod normalize;
-pub mod prune;
 pub mod qat;
 pub mod rtn;
-pub mod smoothquant;
 
 pub use awq::AwqQuantizer;
 pub use common::{QuantResult, WeightQuantizer};
 pub use gptq::GptqQuantizer;
 pub use model_quant::{capture_calibration, quantize_model, ModelQuantReport};
-pub use normalize::WeightNormed;
-pub use prune::{MagnitudePruner, PruneGranularity, PruneResult};
 pub use qat::{QatPipeline, QatSpec};
 pub use rtn::RtnQuantizer;
-pub use smoothquant::SmoothQuantQuantizer;

@@ -18,7 +18,7 @@
 //! | [`autograd`] | `edkm-autograd` | tape autograd with saved-tensor hooks |
 //! | [`nn`] | `edkm-nn` | LLaMA-style layers, AdamW, trainer |
 //! | [`data`] | `edkm-data` | synthetic corpora and benchmark tasks |
-//! | [`quant`] | `edkm-quant` | RTN / GPTQ / AWQ / SmoothQuant / LLM-QAT baselines |
+//! | [`quant`] | `edkm-quant` | RTN / GPTQ / AWQ / LLM-QAT baselines |
 //! | [`dist`] | `edkm-dist` | simulated learner group + collectives |
 //! | [`core`] | `edkm-core` | DKM layer + eDKM memory optimizations (the paper) |
 //! | [`cluster`] | `edkm-cluster` | multi-replica fleet behind a load- and prefix-aware router |
