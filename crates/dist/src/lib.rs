@@ -1,8 +1,7 @@
 //! # edkm-dist
 //!
 //! The simulated learner group behind eDKM's sharding (Section 2.3 of the
-//! paper) and the fully synchronous data-parallel training setup (Section 3,
-//! 8×A100 under FSDP).
+//! paper).
 //!
 //! The paper trains with `|L|` identical learners; eDKM shards the
 //! uniquification *index lists* of saved tensors across the group so each
@@ -14,10 +13,7 @@
 //!   the group (rank 0 first; uneven tails allowed, shards may be empty),
 //! * collectives ([`LearnerGroup::all_gather`], [`LearnerGroup::broadcast`])
 //!   whose traffic is charged to the simulated clock through
-//!   [`edkm_tensor::runtime::record_all_gather`], and
-//! * [`DataParallelTrainer`] — the synchronous data-parallel training loop
-//!   whose losses are bit-exact with single-process training while the
-//!   gradient all-reduce is charged to the clock.
+//!   [`edkm_tensor::runtime::record_all_gather`].
 //!
 //! Devices are simulated (see `edkm-tensor`), so "remote" learners are plain
 //! host memory that is *not* charged to this learner's pool — exactly the
@@ -30,7 +26,5 @@
 #![warn(missing_docs)]
 
 pub mod group;
-pub mod trainer;
 
 pub use group::{LearnerGroup, ShardSpec};
-pub use trainer::DataParallelTrainer;
