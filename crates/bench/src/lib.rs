@@ -1,10 +1,8 @@
 //! # edkm-bench
 //!
-//! Reproduction harness for every table and figure of the eDKM paper.
-//!
-//! Criterion benches (`benches/`) measure the *mechanics* (tensor moves,
-//! hook packing, DKM scaling); the binaries (`src/bin/`) regenerate the
-//! paper's artifacts end to end:
+//! Reproduction harness for every table and figure of the eDKM paper. Each
+//! table or figure has one front end, a binary in `src/bin/` that
+//! regenerates it end to end:
 //!
 //! * `table1` — GPU/CPU footprint of the Table 1 move sequence, with and
 //!   without marshaling.
