@@ -11,9 +11,9 @@
 //! edkm help
 //! ```
 //!
-//! `edkm help` lists `serve` and `bench workload` too. A flag the
-//! subcommand does not list, or a missing or unparsable flag value,
-//! prints the usage text and exits 2.
+//! `edkm help` lists `serve` and `bench workload` too. An unknown command,
+//! a flag the subcommand does not list, or a missing or unparsable flag
+//! value prints the usage text and exits 2.
 //!
 //! The heavyweight paper tables have dedicated binaries in `edkm-bench`
 //! (`cargo run --release -p edkm-bench --bin table3`); this CLI is the
@@ -866,13 +866,8 @@ fn cmd_bench_workload(args: &[String]) -> ExitCode {
 fn cmd_bench(args: &[String]) -> ExitCode {
     match args.first().map(String::as_str) {
         Some("workload") => cmd_bench_workload(&args[1..]),
-        other => {
-            if let Some(other) = other {
-                eprintln!("unknown bench: {other}\n");
-            }
-            usage();
-            ExitCode::FAILURE
-        }
+        Some(other) => usage_error(&format!("unknown bench {other}")),
+        None => usage_error("bench needs a subcommand: workload"),
     }
 }
 
@@ -929,11 +924,7 @@ fn main() -> ExitCode {
             usage();
             return ExitCode::SUCCESS;
         }
-        Some(other) => {
-            eprintln!("unknown command: {other}\n");
-            usage();
-            return ExitCode::FAILURE;
-        }
+        Some(other) => usage_error(&format!("unknown command {other}")),
     }
     ExitCode::SUCCESS
 }

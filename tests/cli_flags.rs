@@ -1,7 +1,7 @@
-//! The `edkm` command line rejects a flag it does not list for the
-//! subcommand, and a flag whose value is missing or does not parse: it
-//! names the flag, prints the usage text and exits 2, instead of ignoring
-//! the flag or running with its default.
+//! The `edkm` command line rejects an unknown command, a flag it does not
+//! list for the subcommand, and a flag whose value is missing or does not
+//! parse: it names the command or flag, prints the usage text and exits 2,
+//! instead of ignoring the flag or running with its default.
 
 use std::process::Command;
 
@@ -16,17 +16,28 @@ fn edkm(args: &[&str]) -> (Option<i32>, String) {
     )
 }
 
-fn assert_usage_error(args: &[&str], flag: &str) {
+fn assert_usage_error(args: &[&str], named: &str) {
     let (code, stderr) = edkm(args);
     assert_eq!(code, Some(2), "edkm {args:?} must exit 2:\n{stderr}");
     assert!(
-        stderr.contains(flag),
-        "edkm {args:?} must name {flag}:\n{stderr}"
+        stderr.contains(named),
+        "edkm {args:?} must name {named}:\n{stderr}"
     );
     assert!(
         stderr.contains("usage: edkm"),
         "edkm {args:?} must print usage:\n{stderr}"
     );
+}
+
+#[test]
+fn unknown_commands_exit_2_with_usage() {
+    for (args, command) in [
+        (&["bogus"][..], "bogus"),
+        (&["bench"][..], "bench"),
+        (&["bench", "bogus"][..], "bogus"),
+    ] {
+        assert_usage_error(args, command);
+    }
 }
 
 #[test]
