@@ -6,8 +6,6 @@
 //! edkm compress [--bits N] [--dim D] [--epochs E] [--learners L] [--group-rows G]
 //! edkm sweep    [--bits 2,3,4] [--dim D]
 //! edkm inspect  [--bits N] [--dim D] [--group-rows G]
-//! edkm ablate   [--d-model N] [--learners L]
-//! edkm table1
 //! edkm help
 //! ```
 //!
@@ -15,20 +13,18 @@
 //! a flag the subcommand does not list, or a missing or unparsable flag
 //! value prints the usage text and exits 2.
 //!
-//! The heavyweight paper tables have dedicated binaries in `edkm-bench`
-//! (`cargo run --release -p edkm-bench --bin table3`); this CLI is the
-//! quick interactive path a downstream user reaches for first.
+//! Each paper table and figure has one front end, its binary in
+//! `edkm-bench` (`cargo run --release -p edkm-bench --bin table2`); this
+//! CLI is the quick interactive path a downstream user reaches for first.
 
-use edkm::autograd::SavedTensorHooks;
 use edkm::chaos::{FaultPlan, FaultProfile};
 use edkm::cluster::{Cluster, ClusterConfig};
-use edkm::core::{render_table2, run_table2, AblationSetup};
-use edkm::core::{CompressSpec, CompressedTensor, CompressionPipeline, EdkmConfig, EdkmHooks};
+use edkm::core::{CompressSpec, CompressedTensor, CompressionPipeline, EdkmConfig};
 use edkm::core::{EngineConfig, KvBlockConfig, PalettizedModel, Priority, Request, SamplingConfig};
 use edkm::data::{AlpacaSet, Corpus, Grammar};
 use edkm::eval::perplexity;
 use edkm::nn::{AdamWConfig, LlamaConfig, LlamaModel, LmBatch, TrainConfig, Trainer};
-use edkm::tensor::{runtime, DType, Device, Tensor};
+use edkm::tensor::{runtime, DType, Device};
 use edkm::workload::{
     audit_invariants, replay_cluster_chaos, replay_router, replay_trace, ChaosReplayConfig, Trace,
     TraceConfig, TraceKind,
@@ -137,8 +133,6 @@ commands:
              flags: --bits 2,3,4  --dim D (1)
   inspect    per-parameter compression report (packed vs entropy-coded)
              flags: --bits N (3)  --dim D (1)  --group-rows G (0 = one LUT)
-  ablate     the Table 2 M/U/S ablation at CLI scale
-             flags: --d-model N (256)  --learners L (8)
   serve      compress a small pretrained model and serve sampled requests
              through the edkm-cluster router over streaming engine replicas
              (token streams over the continuous-batching scheduler, paged
@@ -167,10 +161,9 @@ commands:
              live through one engine behind the router (wall-clock metrics)
              flags: --trace bursty|chat|summarize|classify|mixed (mixed)
                     --seed N (0)  --requests R (12)  --batch B (4)
-  table1     the Table 1 cross-device copy scenario
   help       this text
 
-full paper tables: cargo run --release -p edkm-bench --bin table{{1,2,3}}"
+paper tables and figures: cargo run --release -p edkm-bench --bin table1|table2|table3|figures"
     );
 }
 
@@ -390,25 +383,6 @@ fn cmd_inspect(args: &[String]) {
         compressed.entropy_size_bytes(),
         wb.model.native_size_bytes()
     );
-}
-
-fn cmd_ablate(args: &[String]) {
-    check_flags(args, &["--d-model", "--learners"], &[]);
-    let setup = AblationSetup {
-        d_model: parse_or(args, "--d-model", 256),
-        ..AblationSetup::default()
-    };
-    // 8 heads of an even (RoPE) head dimension.
-    if setup.d_model == 0 || !setup.d_model.is_multiple_of(16) {
-        usage_error("--d-model must be a positive multiple of 16");
-    }
-    let learners: usize = parse_or(args, "--learners", 8);
-    println!(
-        "M/U/S ablation: one attention layer, d_model={}, 3-bit DKM, {} learners\n",
-        setup.d_model, learners
-    );
-    let rows = run_table2(&setup, learners);
-    print!("{}", render_table2(&rows));
 }
 
 /// The request set `edkm serve` submits: short seeded prompts with a
@@ -871,55 +845,14 @@ fn cmd_bench(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_table1() {
-    println!("Table 1: GPU/CPU footprint of the cross-device copy scenario\n");
-    println!("{:<42} {:>8} {:>8}", "line", "GPU(MB)", "CPU(MB)");
-    runtime::reset();
-    let report = |line: &str| {
-        println!(
-            "{:<42} {:>8.0} {:>8.0}",
-            line,
-            runtime::gpu_live_bytes() as f64 / (1 << 20) as f64,
-            runtime::cpu_live_bytes() as f64 / (1 << 20) as f64
-        );
-    };
-    let x0 = Tensor::rand(&[1024, 1024], DType::F32, Device::gpu(), 0);
-    report("0: x0 = rand([1024,1024]) on gpu");
-    let x1 = x0.reshape(&[1024 * 1024, 1]);
-    report("1: x1 = x0.view(-1, 1)");
-    let _y0 = x0.to_device(Device::Cpu);
-    report("2: y0 = x0.to('cpu')");
-    let _y1 = x1.to_device(Device::Cpu);
-    report("3: y1 = x1.to('cpu')   <- duplicate!");
-
-    println!("\nsame saves through eDKM marshaling hooks:");
-    runtime::reset();
-    let x0 = Tensor::rand(&[1024, 1024], DType::F32, Device::gpu(), 0);
-    let x1 = x0.reshape(&[1024 * 1024, 1]);
-    let hooks = EdkmHooks::new(EdkmConfig::marshal_only());
-    let _p0 = hooks.pack(&x0);
-    let _p1 = hooks.pack(&x1);
-    println!(
-        "  pack(x0); pack(x1) -> CPU {} MB ({} copy, {} reference)",
-        runtime::cpu_live_bytes() / (1 << 20),
-        hooks.stats().misses,
-        hooks.stats().direct_hits
-    );
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("compress") => cmd_compress(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("inspect") => cmd_inspect(&args[1..]),
-        Some("ablate") => cmd_ablate(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("bench") => return cmd_bench(&args[1..]),
-        Some("table1") => {
-            check_flags(&args[1..], &[], &[]);
-            cmd_table1();
-        }
         Some("help") | None => {
             usage();
             return ExitCode::SUCCESS;

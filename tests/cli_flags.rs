@@ -35,6 +35,10 @@ fn unknown_commands_exit_2_with_usage() {
         (&["bogus"][..], "bogus"),
         (&["bench"][..], "bench"),
         (&["bench", "bogus"][..], "bogus"),
+        (&["table1", "--bogus-flag", "7"][..], "table1"),
+        (&["ablate", "--bits", "3"][..], "ablate"),
+        (&["ablate", "--learners", "-1"][..], "ablate"),
+        (&["ablate", "--d-model", "24"][..], "ablate"),
     ] {
         assert_usage_error(args, command);
     }
@@ -43,11 +47,9 @@ fn unknown_commands_exit_2_with_usage() {
 #[test]
 fn unknown_flags_exit_2_with_the_flag_and_usage() {
     for (args, flag) in [
-        (&["table1", "--bogus-flag", "7"][..], "--bogus-flag"),
         (&["compress", "--bogus"][..], "--bogus"),
         (&["sweep", "--group-rows", "2"][..], "--group-rows"),
         (&["inspect", "--epochs", "2"][..], "--epochs"),
-        (&["ablate", "--bits", "3"][..], "--bits"),
         (&["serve", "--profile"][..], "--profile"),
         (&["serve", "--new", "4", "--reqests", "2"][..], "--reqests"),
         (&["serve", "--affinity=yes"][..], "--affinity"),
@@ -84,8 +86,6 @@ fn malformed_flag_values_exit_2_with_the_flag_and_usage() {
             &["serve", "--kv-block-tokens", "0"][..],
             "--kv-block-tokens",
         ),
-        (&["ablate", "--learners", "-1"][..], "--learners"),
-        (&["ablate", "--d-model", "24"][..], "--d-model"),
         (&["bench", "workload", "--trace", "bogus"][..], "--trace"),
         (&["bench", "workload", "--seed", "0x10"][..], "--seed"),
         (&["bench", "workload", "--requests", "0"][..], "--requests"),
