@@ -2,7 +2,8 @@
 //! extension sweeps DESIGN.md calls out (hop limit, learner count, bit
 //! width).
 //!
-//! Run with `cargo run --release -p edkm-bench --bin figures`.
+//! Run with `cargo run --release -p edkm-bench --bin figures`. It takes no
+//! argument, and exits 2 on one.
 
 use edkm_autograd::{SavedTensorHooks, Var};
 use edkm_core::{run_one, AblationSetup};
@@ -324,6 +325,10 @@ fn sweep_groups() {
 }
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("unexpected argument {arg:?}\nusage: figures");
+        std::process::exit(2);
+    }
     fig1();
     fig2();
     fig3();

@@ -1,7 +1,8 @@
 //! Reproduce Table 1 of the eDKM paper: per-line GPU/CPU memory footprint
 //! of a tensor moving across devices, without and with marshaling.
 //!
-//! Run with `cargo run -p edkm-bench --bin table1`.
+//! Run with `cargo run -p edkm-bench --bin table1`. It takes no argument,
+//! and exits 2 on one.
 
 use edkm_autograd::SavedTensorHooks;
 use edkm_core::{EdkmConfig, EdkmHooks};
@@ -12,6 +13,10 @@ fn mb(b: usize) -> usize {
 }
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("unexpected argument {arg:?}\nusage: table1");
+        std::process::exit(2);
+    }
     println!("== Table 1: cross-device copies duplicate storage ==\n");
     println!("line  code                                GPU(MB)  CPU(MB)");
 

@@ -1,5 +1,6 @@
 //! The paper-table bins reject an unparsable or extra argument: they print
 //! a usage line and exit 2 instead of running at their default size.
+//! `table1` and `figures` take no argument at all.
 
 use std::process::Command;
 
@@ -16,6 +17,8 @@ fn table_bins_exit_2_on_bad_arguments() {
         (env!("CARGO_BIN_EXE_table2"), "table2", &["0"][..]),
         (env!("CARGO_BIN_EXE_table3"), "table3", &["abc"][..]),
         (env!("CARGO_BIN_EXE_table3"), "table3", &["10", "extra"][..]),
+        (env!("CARGO_BIN_EXE_table1"), "table1", &["bogus"][..]),
+        (env!("CARGO_BIN_EXE_figures"), "figures", &["bogus"][..]),
     ] {
         let out = Command::new(bin)
             .args(args)
