@@ -334,6 +334,35 @@ mod tests {
             ms.sim_seconds,
             m.sim_seconds
         );
+
+        // Under full eDKM each added learner holds a smaller shard of every
+        // index list, and the all-gathers that reassemble them cost more.
+        let sweep: Vec<AblationRow> = [1, 2, 4, 8, 16]
+            .into_iter()
+            .map(|learners| {
+                let config = EdkmConfig {
+                    min_shard_elems: 1,
+                    ..EdkmConfig::full(learners)
+                };
+                run_one(&setup, config)
+            })
+            .collect();
+        for pair in sweep.windows(2) {
+            let (fewer, more) = (&pair[0], &pair[1]);
+            let (l0, l1) = (fewer.config.learners, more.config.learners);
+            assert!(
+                more.peak_cpu_bytes < fewer.peak_cpu_bytes,
+                "per-learner peak must fall from |L| {l0} to {l1}: {} vs {} bytes",
+                more.peak_cpu_bytes,
+                fewer.peak_cpu_bytes
+            );
+            assert!(
+                more.sim_seconds > fewer.sim_seconds,
+                "sim time must rise from |L| {l0} to {l1}: {} vs {} s",
+                more.sim_seconds,
+                fewer.sim_seconds
+            );
+        }
     }
 
     #[test]
