@@ -10,7 +10,7 @@
 //! decode-step count, respawn-proof via per-slot high-water bases),
 //! applies every [`FaultEvent`] whose step has come due through the
 //! [`FaultHook`] seam, schedules KV-squeeze restores, ticks the
-//! [`Supervisor`] on each heartbeat, and applies its actions (gates,
+//! [`Supervisor`] once per heartbeat, and applies its actions (gates,
 //! drains, respawns — honouring deferred respawn bit-flips via the
 //! caller's model factory — and degrade-ladder moves).
 //!
@@ -27,8 +27,15 @@ use crate::replay::{replay_router, ReplayReport, RequestOutcome};
 use crate::report::percentile_u64;
 use crate::trace::Trace;
 use edkm_chaos::{FaultApplied, FaultEvent, FaultHook, FaultKind, FaultPlan};
+use edkm_cluster::supervisor::HEARTBEAT_INTERVAL;
 use edkm_cluster::{Cluster, ClusterConfig, Supervisor, SupervisorAction, SupervisorConfig};
 use edkm_core::{EngineConfig, FinishReason, ServeModel};
+
+/// How often the supervision loop reads the step clock to fire due
+/// faults. A heartbeat spans several decode steps of a small model, so a
+/// fault due in a trace's last few steps would otherwise find the trace
+/// already drained.
+const FAULT_POLL_INTERVAL: Duration = Duration::from_micros(250);
 
 /// Sizing and policy of a chaos replay.
 #[derive(Debug, Clone)]
@@ -60,7 +67,7 @@ impl Default for ChaosReplayConfig {
 #[derive(Debug, Clone)]
 pub struct AppliedFault {
     /// Virtual step at which the harness applied it (>= the scheduled
-    /// step — faults fire on the first heartbeat at or after their step).
+    /// step — faults fire on the first clock read at or after their step).
     pub at_step: u64,
     /// The scheduled event.
     pub event: FaultEvent,
@@ -193,6 +200,7 @@ where
     let mut recovery_steps = Vec::new();
     let mut corrupted_reloads = 0u64;
     let mut faults = Vec::new();
+    let mut next_heartbeat = Instant::now();
     while !replay.is_finished() {
         let stats = router.stats();
         for (i, (_, snap)) in stats.replicas.iter().enumerate().take(replicas) {
@@ -254,7 +262,13 @@ where
             }
         });
 
-        for action in supervisor.tick(&stats) {
+        let actions = if Instant::now() >= next_heartbeat {
+            next_heartbeat = Instant::now() + HEARTBEAT_INTERVAL;
+            supervisor.tick(&stats)
+        } else {
+            Vec::new()
+        };
+        for action in actions {
             match action {
                 SupervisorAction::OpenBreaker { replica } => {
                     router.set_dispatch_gate(replica, false);
@@ -286,7 +300,7 @@ where
                 }
             }
         }
-        std::thread::sleep(edkm_cluster::supervisor::HEARTBEAT_INTERVAL);
+        std::thread::sleep(FAULT_POLL_INTERVAL);
     }
     let mut replay = replay.join().expect("chaos replay thread");
 

@@ -1,9 +1,10 @@
 //! Integration test: the Table 3 quality claim at test scale — train-time
-//! clustering (eDKM) beats post-training RTN at 3 bits.
+//! clustering (eDKM) beats post-training RTN at 3 bits, and the lossless
+//! export scores what the base model does.
 
 use edkm::core::{CompressSpec, CompressionPipeline, EdkmConfig};
-use edkm::data::{Corpus, Grammar};
-use edkm::eval::perplexity;
+use edkm::data::{Corpus, Grammar, TaskSuite};
+use edkm::eval::{evaluate_suite, perplexity};
 use edkm::nn::{AdamWConfig, LlamaConfig, LlamaModel, LmBatch, TrainConfig, Trainer};
 use edkm::quant::{quantize_model, RtnQuantizer};
 use edkm::tensor::{runtime, DType, Device};
@@ -99,4 +100,36 @@ fn edkm_model_is_smallest_shipped_artifact() {
         rtn_report.size_bytes
     );
     assert!(compressed.size_bytes() * 3 < base.native_size_bytes());
+}
+
+/// Mean multichoice accuracy over the seven synthetic Table 3 tasks.
+fn mean_accuracy(model: &LlamaModel, suite: &TaskSuite) -> f32 {
+    let accs = evaluate_suite(model, suite);
+    accs.iter().map(|&(_, a)| a).sum::<f32>() / accs.len() as f32
+}
+
+#[test]
+fn lossless_export_keeps_base_accuracy_and_perplexity() {
+    let (base, corpus) = pretrained();
+    let eval_windows: Vec<Vec<usize>> = corpus.windows().iter().take(12).cloned().collect();
+    let suite = TaskSuite::generate(&Grammar::default_with_seed(0), 30, 2);
+    let base_ppl = perplexity(&base, &eval_windows);
+    let base_acc = mean_accuracy(&base, &suite);
+
+    // The lossless export round-trips every bf16 weight bit for bit, so
+    // the shipped model must score what the base model does.
+    let compressed = CompressionPipeline::new(CompressSpec::lossless()).export(&base);
+    let shipped = copy_of(&base);
+    compressed.apply_to(&shipped);
+    let ppl = perplexity(&shipped, &eval_windows);
+    let acc = mean_accuracy(&shipped, &suite);
+
+    assert!(
+        acc >= base_acc - 1e-4,
+        "lossless export lost accuracy: {acc} vs base {base_acc}"
+    );
+    assert!(
+        ppl <= base_ppl + 1e-3,
+        "lossless export raised perplexity: {ppl} vs base {base_ppl}"
+    );
 }

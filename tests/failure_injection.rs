@@ -524,8 +524,9 @@ fn fault_plans_replay_byte_identically() {
 }
 
 /// The acceptance gate of the chaos subsystem: replay one fixed trace
-/// under every shipped fault profile with the supervisor closing the
-/// loop, and assert the global invariants — no request lost, no
+/// under every shipped fault profile, with the prefix cache off and on and
+/// the supervisor closing the loop, and assert that faults were actually
+/// applied and the global invariants held — no request lost, no
 /// duplicate or skipped token index, survivors bit-identical to the
 /// undisturbed run, and every KV pool back at its ledger baseline at
 /// drain.
@@ -563,14 +564,27 @@ fn chaos_profiles_preserve_global_invariants() {
         cfg.max_seq,
     ));
 
-    for profile in FaultProfile::ALL {
-        let plan = FaultPlan::generate(profile, 7, 3, 300);
+    // Size the fault band as `edkm serve` does, from the trace's completion
+    // budget over the batch width (at least 48 steps), so each plan's first
+    // faults land while this short trace is still in flight.
+    let max_batch = 4;
+    let total_new: usize = trace.requests().iter().map(|r| r.max_new).sum();
+    let horizon = ((total_new / max_batch) as u64).max(48);
+
+    for (profile, prefix_cache) in FaultProfile::ALL
+        .into_iter()
+        .flat_map(|p| [(p, false), (p, true)])
+    {
+        let plan = FaultPlan::generate(profile, 7, 3, horizon);
         let report = replay_cluster_chaos(
             |corrupt| {
                 if corrupt {
                     Err("bit-flipped container image fails checksum".into())
                 } else {
-                    Ok(model.clone().with_kv_config(kv))
+                    Ok(model
+                        .clone()
+                        .with_kv_config(kv)
+                        .with_prefix_cache(prefix_cache))
                 }
             },
             3,
@@ -578,12 +592,19 @@ fn chaos_profiles_preserve_global_invariants() {
             &plan,
             ChaosReplayConfig {
                 engine: EngineConfig {
-                    max_batch: 4,
+                    max_batch,
                     queue_capacity: 32,
                 },
                 affinity: true,
                 ..ChaosReplayConfig::default()
             },
+        );
+        let profile = format!("{profile} (prefix cache {prefix_cache})");
+        assert!(
+            !report.faults.is_empty(),
+            "{profile}: the trace drained before any of the plan's {} \
+             fault(s) fired",
+            plan.events().len()
         );
         assert_eq!(
             report.plan_fingerprint,

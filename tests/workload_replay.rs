@@ -34,6 +34,16 @@ fn trace_for(kind: TraceKind, seed: u64) -> Trace {
     Trace::generate(&TraceConfig::new(kind, seed, 10, cfg.vocab, cfg.max_seq))
 }
 
+/// `model` over a pool of 8-token blocks that holds three of `trace`'s
+/// largest request, so long-context kinds contend for blocks and preempt.
+fn bounded(model: &PalettizedModel, trace: &Trace) -> PalettizedModel {
+    let per_req = trace.max_tokens_per_request().div_ceil(8);
+    model.clone().with_kv_config(KvBlockConfig {
+        block_tokens: 8,
+        max_blocks: per_req * 3,
+    })
+}
+
 /// Replay `trace` live through a fresh fleet, one engine per model, behind
 /// the router (affinity on). One model is the bare-engine replay.
 fn live_replay(models: Vec<PalettizedModel>, trace: &Trace, engine: EngineConfig) -> ReplayReport {
@@ -72,19 +82,34 @@ fn step_replay_is_deterministic_across_runs() {
     for kind in TraceKind::ALL {
         let trace = trace_for(kind, 42);
         // A bounded pool keeps the preemption path in the replayed set too.
-        let per_req = trace.max_tokens_per_request().div_ceil(8);
-        let bounded = model.clone().with_kv_config(KvBlockConfig {
-            block_tokens: 8,
-            max_blocks: per_req * 3,
-        });
-        let a = replay_trace(&bounded, &trace, 4);
-        let b = replay_trace(&bounded, &trace, 4);
+        let served = bounded(&model, &trace);
+        let a = replay_trace(&served, &trace, 4);
+        let b = replay_trace(&served, &trace, 4);
         assert_eq!(
             a, b,
             "{kind}: two replays of the same trace must agree on every \
              token, finish reason, TTFT, and counter"
         );
         assert_eq!(a.counters.submitted, trace.requests().len() as u64);
+    }
+}
+
+/// The serving SLO on the virtual clock: every trace kind (seed 7, 8
+/// requests) over a bounded pool of 8-token blocks, three of the largest
+/// request, at batch 8. The worst kind may miss at most 35% of its
+/// deadlines and must emit its first token within 96 steps at p99.
+#[test]
+fn every_trace_kind_meets_the_deadline_and_ttft_slo_on_a_bounded_pool() {
+    runtime::reset();
+    let cfg = model_config();
+    let model = tiny_model();
+    for kind in TraceKind::ALL {
+        let trace = Trace::generate(&TraceConfig::new(kind, 7, 8, cfg.vocab, cfg.max_seq));
+        let rep = replay_trace(&bounded(&model, &trace), &trace, 8);
+        let miss = rep.counters.deadline_miss_rate();
+        assert!(miss <= 0.35, "{kind}: deadline-miss rate {miss:.3} > 0.35");
+        let ttft = rep.ttft_steps_p(0.99);
+        assert!(ttft <= 96, "{kind}: TTFT p99 {ttft} steps > 96");
     }
 }
 
@@ -229,17 +254,11 @@ fn engine_replay_matches_step_replay_across_worker_interleavings() {
     runtime::reset();
     let model = tiny_model();
     live_replay_matches_step_replay(&model, &trace_for(TraceKind::Chat, 11));
-    // Every kind over the serve bench's bounded pool (8-token blocks, three
-    // of the largest request), so preemption and admission stalls replay
-    // live too.
+    // Every kind over a bounded pool (8-token blocks, three of the largest
+    // request), so preemption and admission stalls replay live too.
     for kind in TraceKind::ALL {
         let trace = trace_for(kind, 11);
-        let per_req = trace.max_tokens_per_request().div_ceil(8);
-        let bounded = model.clone().with_kv_config(KvBlockConfig {
-            block_tokens: 8,
-            max_blocks: per_req * 3,
-        });
-        live_replay_matches_step_replay(&bounded, &trace);
+        live_replay_matches_step_replay(&bounded(&model, &trace), &trace);
     }
 }
 
@@ -332,10 +351,10 @@ fn affinity_routing_lowers_fleet_resident_kv_peak() {
         block_tokens: 4,
         max_blocks: 0,
     };
+    let replica = || model.clone().with_kv_config(kv).with_prefix_cache(true);
+    let step = replay_trace(&replica(), &trace, 8);
     let run = |affinity: bool| -> (usize, f64) {
-        let fleet: Vec<PalettizedModel> = (0..4)
-            .map(|_| model.clone().with_kv_config(kv).with_prefix_cache(true))
-            .collect();
+        let fleet: Vec<PalettizedModel> = (0..4).map(|_| replica()).collect();
         let cluster = Cluster::new(
             fleet,
             ClusterConfig {
@@ -350,6 +369,16 @@ fn affinity_routing_lowers_fleet_resident_kv_peak() {
         let rep = replay_router(&cluster.handle(), &trace);
         let peak = cluster.resident_peak_bytes();
         cluster.shutdown();
+        // Placement never changes sampled output.
+        assert_eq!(rep.outcomes.len(), step.outcomes.len());
+        for (c, s) in rep.outcomes.iter().zip(&step.outcomes) {
+            assert_eq!(c.id, s.id);
+            assert_eq!(
+                c.tokens, s.tokens,
+                "affinity {affinity}: request {} diverged from the step replay",
+                c.id
+            );
+        }
         (peak, rep.cluster.affinity_hit_rate())
     };
     let (peak_on, hit_rate) = run(true);
