@@ -235,14 +235,14 @@ impl Workbench {
 
 fn spec_from_flags(args: &[String]) -> CompressSpec {
     let bits = bits_flag(args);
-    let dim: usize = parse_or(args, "--dim", 1);
+    let dim = parse_positive(args, "--dim", 1);
     let mut spec = if dim > 1 {
         CompressSpec::vector(bits, dim)
     } else {
         CompressSpec::with_bits(bits)
     };
     spec.epochs = parse_or(args, "--epochs", 1);
-    spec.edkm = EdkmConfig::full(parse_or(args, "--learners", 8));
+    spec.edkm = EdkmConfig::full(parse_positive(args, "--learners", 8));
     spec.lut_group_rows = parse_or(args, "--group-rows", 0);
     spec.dkm.iters = 4;
     spec.train.optim.lr = 3e-4;
@@ -302,7 +302,7 @@ fn cmd_sweep(args: &[String]) {
         .split(',')
         .map(parse_bits)
         .collect();
-    let dim: usize = parse_or(args, "--dim", 1);
+    let dim = parse_positive(args, "--dim", 1);
     let wb = Workbench::build(120);
     let held_out = wb.corpus.subsample(23);
     let base_ppl = perplexity(&wb.model, held_out.windows());
@@ -644,7 +644,7 @@ fn cmd_serve(args: &[String]) {
     );
     let bits = bits_flag(args);
     let max_batch = parse_positive(args, "--batch", 4);
-    let n_requests: usize = parse_or(args, "--requests", 6);
+    let n_requests = parse_positive(args, "--requests", 6);
     let n_new: usize = parse_or(args, "--new", 16);
     let temperature: f32 = parse_or(args, "--temp", 0.8);
     let replicas = parse_positive(args, "--replicas", 1);

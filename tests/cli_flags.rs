@@ -82,6 +82,15 @@ fn malformed_flag_values_exit_2_with_the_flag_and_usage() {
         (&["serve", "--bits", "9"][..], "--bits"),
         (&["serve", "--batch", "0"][..], "--batch"),
         (&["serve", "--replicas", "0"][..], "--replicas"),
+        (&["serve", "--requests", "0"][..], "--requests"),
+        (
+            &["serve", "--chaos-seed", "1", "--requests", "0"][..],
+            "--requests",
+        ),
+        (&["compress", "--learners", "0"][..], "--learners"),
+        (&["compress", "--dim", "0"][..], "--dim"),
+        (&["sweep", "--dim", "0"][..], "--dim"),
+        (&["inspect", "--dim", "0"][..], "--dim"),
         (
             &["serve", "--kv-block-tokens", "0"][..],
             "--kv-block-tokens",
