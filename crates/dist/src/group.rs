@@ -80,14 +80,6 @@ impl LearnerGroup {
         }
         out
     }
-
-    /// Replicate `data` from the root learner to every learner, returning
-    /// one copy per rank (rank order). The ring broadcast costs the same
-    /// `(L-1)` full-buffer hops an all-gather of the whole payload would.
-    pub fn broadcast<T: Copy>(&self, data: &[T]) -> Vec<Vec<T>> {
-        runtime::record_all_gather(std::mem::size_of_val(data), self.n);
-        (0..self.n).map(|_| data.to_vec()).collect()
-    }
 }
 
 /// Balanced contiguous partition of `len` elements over `n` learners.
@@ -106,25 +98,11 @@ impl ShardSpec {
         self.len
     }
 
-    /// Number of shards (= learners).
-    pub fn n_shards(&self) -> usize {
-        self.n
-    }
-
-    /// Element count of `rank`'s shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank >= n_shards()`.
-    pub fn shard_len(&self, rank: usize) -> usize {
-        self.shard_range(rank).len()
-    }
-
     /// Half-open element range of `rank`'s shard.
     ///
     /// # Panics
     ///
-    /// Panics if `rank >= n_shards()`.
+    /// Panics if `rank` is not below the learner count.
     pub fn shard_range(&self, rank: usize) -> Range<usize> {
         assert!(
             rank < self.n,
@@ -175,7 +153,7 @@ mod tests {
     fn even_split_is_exact() {
         let spec = LearnerGroup::new(8).shard_spec(800);
         for r in 0..8 {
-            assert_eq!(spec.shard_len(r), 100);
+            assert_eq!(spec.shard_range(r).len(), 100);
         }
         assert_eq!(spec.shard_range(0), 0..100);
         assert_eq!(spec.shard_range(7), 700..800);
@@ -184,7 +162,7 @@ mod tests {
     #[test]
     fn uneven_split_is_balanced_and_contiguous() {
         let spec = LearnerGroup::new(4).shard_spec(10);
-        let lens: Vec<usize> = (0..4).map(|r| spec.shard_len(r)).collect();
+        let lens: Vec<usize> = (0..4).map(|r| spec.shard_range(r).len()).collect();
         assert_eq!(lens, vec![3, 3, 2, 2]);
         let mut cursor = 0;
         for r in 0..4 {
@@ -197,7 +175,7 @@ mod tests {
     #[test]
     fn short_buffers_leave_empty_tail_shards() {
         let spec = LearnerGroup::new(7).shard_spec(3);
-        let lens: Vec<usize> = (0..7).map(|r| spec.shard_len(r)).collect();
+        let lens: Vec<usize> = (0..7).map(|r| spec.shard_range(r).len()).collect();
         assert_eq!(lens, vec![1, 1, 1, 0, 0, 0, 0]);
         let shards = spec.split(&[9u16, 8, 7]);
         assert_eq!(shards[0], vec![9]);
@@ -245,16 +223,6 @@ mod tests {
     fn all_gather_wrong_shard_count_panics() {
         runtime::reset();
         LearnerGroup::new(2).all_gather(&[vec![1u8]]);
-    }
-
-    #[test]
-    fn broadcast_replicates_and_costs_time() {
-        runtime::reset();
-        let g = LearnerGroup::new(3);
-        let copies = g.broadcast(&[1.5f32, 2.5]);
-        assert_eq!(copies.len(), 3);
-        assert!(copies.iter().all(|c| c == &[1.5, 2.5]));
-        assert!(runtime::sim_seconds() > 0.0);
     }
 
     proptest! {

@@ -11,8 +11,8 @@
 //! * [`LearnerGroup`] — a copyable handle naming the group (`|L|` learners),
 //! * [`ShardSpec`] — the balanced contiguous partition of an index list over
 //!   the group (rank 0 first; uneven tails allowed, shards may be empty),
-//! * collectives ([`LearnerGroup::all_gather`], [`LearnerGroup::broadcast`])
-//!   whose traffic is charged to the simulated clock through
+//! * the all-gather collective ([`LearnerGroup::all_gather`]), whose
+//!   traffic is charged to the simulated clock through
 //!   [`edkm_tensor::runtime::record_all_gather`].
 //!
 //! Devices are simulated (see `edkm-tensor`), so "remote" learners are plain

@@ -85,28 +85,27 @@ pub fn gram(a: &[f32], r: usize, c: usize) -> Vec<f32> {
     g
 }
 
-/// Multiply `[n,n]` square matrices (row-major) — test helper exposed for
-/// downstream property tests.
-pub fn matmul_square(a: &[f32], b: &[f32], n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; n * n];
-    for i in 0..n {
-        for k in 0..n {
-            let v = a[i * n + k];
-            if v == 0.0 {
-                continue;
-            }
-            for j in 0..n {
-                out[i * n + j] += v * b[k * n + j];
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Multiply `[n,n]` square matrices (row-major).
+    fn matmul_square(a: &[f32], b: &[f32], n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; n * n];
+        for i in 0..n {
+            for k in 0..n {
+                let v = a[i * n + k];
+                if v == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    out[i * n + j] += v * b[k * n + j];
+                }
+            }
+        }
+        out
+    }
 
     fn spd(n: usize, seed: u64) -> Vec<f32> {
         // A = B Bᵀ + n·I is SPD.
