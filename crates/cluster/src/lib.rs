@@ -5,7 +5,7 @@
 //! A [`Cluster`] owns N [`ServeEngine`] replicas — each wrapping a
 //! [`ServeModel`] — and hands out cloneable [`RouterHandle`]s exposing the
 //! same submit/stream/cancel surface as [`EngineHandle`]. The router
-//! layers four policies on top of replica dispatch:
+//! layers three policies on top of replica dispatch:
 //!
 //! * **Load-aware scoring** — each replica is scored
 //!   `in_flight + min(1, kv_live/kv_peak)` from its live handle and
@@ -15,8 +15,6 @@
 //!   ([`edkm_core::prefix_fingerprints`]), and follow-up chat turns are
 //!   routed to the replica that already holds their prefix blocks, with
 //!   spill to the least-loaded replica when the sticky one is saturated.
-//! * **Tenant fairness** — optional per-tenant in-flight caps and a
-//!   token-bucket rate limit, rejected with typed [`RouteError`]s.
 //! * **Hedged dispatch** — a request whose first token has not arrived
 //!   within a straggler threshold is re-submitted to a second replica;
 //!   the first responder wins and the loser is cancelled synchronously,
@@ -88,28 +86,6 @@ const HEDGE_SLICE: Duration = Duration::from_millis(2);
 // Public configuration and error types
 // ---------------------------------------------------------------------------
 
-/// Per-tenant admission policy: a concurrent in-flight cap plus a token
-/// bucket refilled continuously at `refill_per_sec`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantPolicy {
-    /// Maximum requests a single tenant may have in flight at once.
-    pub max_in_flight: usize,
-    /// Token-bucket capacity; each admission spends one token.
-    pub bucket_capacity: f64,
-    /// Bucket refill rate in tokens per second.
-    pub refill_per_sec: f64,
-}
-
-impl Default for TenantPolicy {
-    fn default() -> Self {
-        TenantPolicy {
-            max_in_flight: 64,
-            bucket_capacity: 256.0,
-            refill_per_sec: 64.0,
-        }
-    }
-}
-
 /// Router configuration for a [`Cluster`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -117,15 +93,9 @@ pub struct ClusterConfig {
     pub engine: EngineConfig,
     /// Route follow-up prompts to the replica already holding their prefix.
     pub affinity: bool,
-    /// In-flight count at which a sticky replica overflows to the
-    /// least-loaded replica instead. `0` means `2 * engine.max_batch`.
-    pub spill_threshold: usize,
     /// Hedge a request to a second replica when its first token has not
     /// arrived within this budget. `None` disables hedging.
     pub hedge_after: Option<Duration>,
-    /// Per-tenant fairness policy for the `*_for` submit variants.
-    /// `None` admits every tenant unconditionally.
-    pub tenancy: Option<TenantPolicy>,
 }
 
 impl Default for ClusterConfig {
@@ -133,9 +103,7 @@ impl Default for ClusterConfig {
         ClusterConfig {
             engine: EngineConfig::default(),
             affinity: true,
-            spill_threshold: 0,
             hedge_after: None,
-            tenancy: None,
         }
     }
 }
@@ -148,16 +116,6 @@ pub enum RouteError {
     /// Every active replica refused the request at capacity
     /// ([`RouterHandle::try_submit`] only — the blocking path waits).
     Saturated,
-    /// The tenant's token bucket is empty.
-    RateLimited {
-        /// The tenant that was rejected.
-        tenant: String,
-    },
-    /// The tenant is at its in-flight cap.
-    TenantSaturated {
-        /// The tenant that was rejected.
-        tenant: String,
-    },
     /// The request was shed by the degrade ladder: under sustained
     /// pressure the router stops admitting low-value traffic before it
     /// stops serving anyone (see [`DegradeLevel`]).
@@ -174,12 +132,6 @@ impl std::fmt::Display for RouteError {
         match self {
             RouteError::NoReplicas => write!(f, "no replica is accepting work"),
             RouteError::Saturated => write!(f, "every active replica is at capacity"),
-            RouteError::RateLimited { tenant } => {
-                write!(f, "tenant {tenant:?} is rate-limited")
-            }
-            RouteError::TenantSaturated { tenant } => {
-                write!(f, "tenant {tenant:?} is at its in-flight cap")
-            }
             RouteError::Shed { level } => {
                 write!(f, "request shed by degrade ladder level {level}")
             }
@@ -312,12 +264,6 @@ struct Slot {
     gate_open: bool,
 }
 
-struct TenantState {
-    in_flight: usize,
-    bucket: f64,
-    last_refill: Instant,
-}
-
 /// FIFO-bounded map from prefix fingerprint to the replica holding those
 /// KV blocks. Re-inserting an existing fingerprint updates the replica
 /// without extending its lifetime.
@@ -347,7 +293,6 @@ struct RouteEntry {
     replica: usize,
     engine_id: RequestId,
     request: Request,
-    tenant: Option<String>,
 }
 
 /// One candidate replica for a dispatch, in preference order.
@@ -371,7 +316,6 @@ struct RouterInner {
     block_tokens: usize,
     slots: Mutex<Vec<Slot>>,
     affinity: Mutex<AffinityMap>,
-    tenants: Mutex<HashMap<String, TenantState>>,
     routes: Mutex<HashMap<u64, RouteEntry>>,
     shutdown: AtomicBool,
     next_route: AtomicU64,
@@ -388,12 +332,10 @@ struct RouterInner {
 }
 
 impl RouterInner {
-    fn effective_spill_threshold(&self) -> usize {
-        if self.cfg.spill_threshold == 0 {
-            2 * self.cfg.engine.max_batch.max(1)
-        } else {
-            self.cfg.spill_threshold
-        }
+    /// In-flight count at which a sticky replica overflows to the
+    /// least-loaded replica instead.
+    fn spill_at(&self) -> usize {
+        2 * self.cfg.engine.max_batch.max(1)
     }
 
     /// Longest cached prefix of `prompt` → owning replica, probing the
@@ -480,7 +422,7 @@ impl RouterInner {
         if use_affinity && self.cfg.affinity {
             if let Some(rep) = self.affinity_probe(prompt) {
                 if let Some(pos) = scored.iter().position(|(i, ..)| *i == rep) {
-                    if scored[pos].1.in_flight() < self.effective_spill_threshold() {
+                    if scored[pos].1.in_flight() < self.spill_at() {
                         sticky_pos = Some(pos);
                     } else {
                         spilled = true;
@@ -577,60 +519,6 @@ impl RouterInner {
         Err(RouteError::ShutDown)
     }
 
-    /// Token-bucket + in-flight admission for one tenant. Reserves a slot
-    /// on success; the caller must release it via [`Self::tenant_release`]
-    /// (terminal) or [`Self::tenant_rollback`] (dispatch failed).
-    fn tenant_admit(&self, tenant: &str) -> Result<(), RouteError> {
-        let policy = match &self.cfg.tenancy {
-            Some(p) => p,
-            None => return Ok(()),
-        };
-        let mut tenants = self.tenants.lock().expect("tenant table poisoned");
-        let now = Instant::now();
-        let state = tenants.entry(tenant.to_string()).or_insert(TenantState {
-            in_flight: 0,
-            bucket: policy.bucket_capacity,
-            last_refill: now,
-        });
-        let dt = now.duration_since(state.last_refill).as_secs_f64();
-        state.bucket = (state.bucket + dt * policy.refill_per_sec).min(policy.bucket_capacity);
-        state.last_refill = now;
-        if state.in_flight >= policy.max_in_flight {
-            return Err(RouteError::TenantSaturated {
-                tenant: tenant.to_string(),
-            });
-        }
-        if state.bucket < 1.0 {
-            return Err(RouteError::RateLimited {
-                tenant: tenant.to_string(),
-            });
-        }
-        state.bucket -= 1.0;
-        state.in_flight += 1;
-        Ok(())
-    }
-
-    fn tenant_release(&self, tenant: &str) {
-        let mut tenants = self.tenants.lock().expect("tenant table poisoned");
-        if let Some(state) = tenants.get_mut(tenant) {
-            state.in_flight = state.in_flight.saturating_sub(1);
-        }
-    }
-
-    /// Undo a reservation whose dispatch never happened: refund the
-    /// in-flight slot *and* the bucket token.
-    fn tenant_rollback(&self, tenant: &str) {
-        let cap = match &self.cfg.tenancy {
-            Some(p) => p.bucket_capacity,
-            None => return,
-        };
-        let mut tenants = self.tenants.lock().expect("tenant table poisoned");
-        if let Some(state) = tenants.get_mut(tenant) {
-            state.in_flight = state.in_flight.saturating_sub(1);
-            state.bucket = (state.bucket + 1.0).min(cap);
-        }
-    }
-
     /// Degrade-ladder admission: at `RejectLow` and above the router
     /// refuses `Priority::Low` work outright; at `ChatOnly` only
     /// high-priority requests and requests whose prompt extends a known
@@ -659,23 +547,11 @@ impl RouterInner {
 
     fn route(
         self: &Arc<Self>,
-        tenant: Option<&str>,
         request: Request,
         blocking: bool,
     ) -> Result<(RouteId, ClusterStream), RouteError> {
         self.shed_check(&request)?;
-        if let Some(t) = tenant {
-            self.tenant_admit(t)?;
-        }
-        let placed = match self.dispatch(&request, blocking) {
-            Ok(p) => p,
-            Err(e) => {
-                if let Some(t) = tenant {
-                    self.tenant_rollback(t);
-                }
-                return Err(e);
-            }
-        };
+        let placed = self.dispatch(&request, blocking)?;
         let id = RouteId(self.next_route.fetch_add(1, Ordering::Relaxed));
         let hedge_deadline = self.cfg.hedge_after.map(|d| Instant::now() + d);
         {
@@ -686,7 +562,6 @@ impl RouterInner {
                     replica: placed.replica,
                     engine_id: placed.engine_id,
                     request,
-                    tenant: tenant.map(String::from),
                 },
             );
         }
@@ -727,32 +602,14 @@ impl RouterHandle {
     /// admission queue is full. Returns the cluster-level [`RouteId`] and
     /// the token stream.
     pub fn submit(&self, request: Request) -> Result<(RouteId, ClusterStream), RouteError> {
-        self.inner.route(None, request, true)
+        self.inner.route(request, true)
     }
 
     /// Non-blocking [`RouterHandle::submit`]: walks replicas in preference
     /// order and returns [`RouteError::Saturated`] if every active replica
     /// is at capacity.
     pub fn try_submit(&self, request: Request) -> Result<(RouteId, ClusterStream), RouteError> {
-        self.inner.route(None, request, false)
-    }
-
-    /// [`RouterHandle::submit`] under a tenant's fairness policy.
-    pub fn submit_for(
-        &self,
-        tenant: &str,
-        request: Request,
-    ) -> Result<(RouteId, ClusterStream), RouteError> {
-        self.inner.route(Some(tenant), request, true)
-    }
-
-    /// [`RouterHandle::try_submit`] under a tenant's fairness policy.
-    pub fn try_submit_for(
-        &self,
-        tenant: &str,
-        request: Request,
-    ) -> Result<(RouteId, ClusterStream), RouteError> {
-        self.inner.route(Some(tenant), request, false)
+        self.inner.route(request, false)
     }
 
     /// Cancel a routed request. Idempotent like
@@ -1161,17 +1018,13 @@ impl ClusterStream {
         }
     }
 
-    /// Remove the route entry and release the tenant slot. Idempotent.
+    /// Remove the route entry. Idempotent.
     fn finish_route(&mut self) {
-        let entry = {
-            let mut routes = self.inner.routes.lock().expect("route table poisoned");
-            routes.remove(&self.id.0)
-        };
-        if let Some(e) = entry {
-            if let Some(t) = e.tenant {
-                self.inner.tenant_release(&t);
-            }
-        }
+        self.inner
+            .routes
+            .lock()
+            .expect("route table poisoned")
+            .remove(&self.id.0);
     }
 }
 
@@ -1235,7 +1088,6 @@ impl Cluster {
                 order: VecDeque::new(),
                 cap: AFFINITY_CAPACITY,
             }),
-            tenants: Mutex::new(HashMap::new()),
             routes: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
             next_route: AtomicU64::new(0),
@@ -1506,44 +1358,6 @@ mod tests {
             "the follow-up turn must rediscover its session replica"
         );
         assert!(stats.affinity_hit_rate() > 0.0);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn tenant_policy_rejects_with_typed_errors() {
-        let model = base_model();
-        let cluster = Cluster::new(
-            fleet(&model, 1),
-            ClusterConfig {
-                tenancy: Some(TenantPolicy {
-                    max_in_flight: 1,
-                    bucket_capacity: 2.0,
-                    refill_per_sec: 0.0,
-                }),
-                ..ClusterConfig::default()
-            },
-        );
-        let router = cluster.handle();
-
-        let (_, s1) = router.submit_for("acme", req(vec![1, 2, 3], 1, 8)).unwrap();
-        // Second concurrent request: in-flight cap.
-        match router.submit_for("acme", req(vec![4, 5, 6], 2, 4)) {
-            Err(RouteError::TenantSaturated { tenant }) => assert_eq!(tenant, "acme"),
-            other => panic!("expected TenantSaturated, got {other:?}"),
-        }
-        // Another tenant is unaffected by acme's cap.
-        let (_, mut s3) = router.submit_for("beta", req(vec![7, 8, 9], 3, 2)).unwrap();
-        s3.wait().unwrap();
-
-        drop(s1); // release acme's slot
-                  // Bucket: capacity 2, one token spent, zero refill — one more
-                  // admission succeeds, the next is rate-limited.
-        let (_, mut s4) = router.submit_for("acme", req(vec![1, 2, 4], 4, 2)).unwrap();
-        s4.wait().unwrap();
-        match router.submit_for("acme", req(vec![1, 2, 5], 5, 2)) {
-            Err(RouteError::RateLimited { tenant }) => assert_eq!(tenant, "acme"),
-            other => panic!("expected RateLimited, got {other:?}"),
-        }
         cluster.shutdown();
     }
 

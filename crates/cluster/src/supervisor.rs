@@ -17,17 +17,15 @@
 //! still holds queued or active work — a live engine always moves some
 //! counter per scheduling step, so a frozen snapshot under load means the
 //! worker stopped stepping (the slow-replica fault signature, or a stuck
-//! kernel). Dispatch failures reported through
-//! [`Supervisor::record_dispatch_outcome`] feed the same breaker.
+//! kernel).
 //!
-//! **Breaker.** Closed → Open on sustained staleness or consecutive
-//! dispatch failures; Open → HalfOpen after a seeded-jitter exponential
-//! backoff (doubling per open, capped); HalfOpen → Closed after the
-//! replica demonstrates progress, or back to Open (longer backoff) if it
-//! wedges again. The proactive-drain threshold retires a replica that
-//! stays wedged well past the breaker horizon — the conditional-handover
-//! discipline: move traffic away *before* the hard failure, and recycle
-//! the replica once it empties.
+//! **Breaker.** Closed → Open on sustained staleness; Open → HalfOpen
+//! after a seeded-jitter exponential backoff (doubling per open, capped);
+//! HalfOpen → Closed after the replica demonstrates progress, or back to
+//! Open (longer backoff) if it wedges again. The proactive-drain
+//! threshold retires a replica that stays wedged well past the breaker
+//! horizon — the conditional-handover discipline: move traffic away
+//! *before* the hard failure, and recycle the replica once it empties.
 
 use std::time::Duration;
 
@@ -157,8 +155,6 @@ pub struct SupervisorConfig {
     /// Consecutive unchanged-snapshot-under-load probes before a replica
     /// is suspected wedged and its breaker opens.
     pub stale_probes: u32,
-    /// Consecutive dispatch failures that open the breaker.
-    pub failure_threshold: u32,
     /// Base backoff (ticks) an open breaker waits before half-opening;
     /// doubles per consecutive open.
     pub breaker_backoff_base: u64,
@@ -190,7 +186,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             seed: 0,
             stale_probes: 3,
-            failure_threshold: 3,
             breaker_backoff_base: 2,
             breaker_backoff_max: 64,
             half_open_probes: 2,
@@ -251,7 +246,6 @@ struct ReplicaHealth {
     breaker: BreakerState,
     last_snapshot: Option<StatsSnapshot>,
     stale: u32,
-    consecutive_failures: u32,
     /// Consecutive breaker opens (exponential-backoff exponent).
     opens: u32,
     /// Tick at which an Open breaker half-opens.
@@ -272,7 +266,6 @@ impl ReplicaHealth {
             breaker: BreakerState::Closed,
             last_snapshot: None,
             stale: 0,
-            consecutive_failures: 0,
             opens: 0,
             reopen_at: None,
             half_open_progress: 0,
@@ -346,19 +339,6 @@ impl Supervisor {
         self.tick
     }
 
-    /// Feed one dispatch outcome for `replica` (`ok = false` for a refused
-    /// or failed submit). Consecutive failures trip the breaker on the
-    /// next [`Supervisor::tick`]; any success resets the streak.
-    pub fn record_dispatch_outcome(&mut self, replica: usize, ok: bool) {
-        if let Some(h) = self.replicas.get_mut(replica) {
-            if ok {
-                h.consecutive_failures = 0;
-            } else {
-                h.consecutive_failures = h.consecutive_failures.saturating_add(1);
-            }
-        }
-    }
-
     /// Consume one fleet observation and return the actions the driver
     /// should apply, in order. Deterministic given the seed and the
     /// observation sequence.
@@ -413,9 +393,7 @@ impl Supervisor {
                     }
                     match h.breaker {
                         BreakerState::Closed => {
-                            if h.stale >= cfg.stale_probes
-                                || h.consecutive_failures >= cfg.failure_threshold
-                            {
+                            if h.stale >= cfg.stale_probes {
                                 h.breaker = BreakerState::Open;
                                 h.opens = h.opens.saturating_add(1);
                                 let wait = jittered_backoff(
@@ -444,7 +422,7 @@ impl Supervisor {
                             }
                         }
                         BreakerState::HalfOpen => {
-                            if stalled || h.consecutive_failures >= cfg.failure_threshold {
+                            if stalled {
                                 h.breaker = BreakerState::Open;
                                 h.opens = h.opens.saturating_add(1);
                                 let wait = jittered_backoff(
@@ -576,27 +554,6 @@ mod tests {
         let acts = sup.tick(&stats(vec![(ReplicaState::Active, busy(2))]));
         assert!(acts.contains(&SupervisorAction::CloseBreaker { replica: 0 }));
         assert_eq!(sup.breaker(0), BreakerState::Closed);
-    }
-
-    #[test]
-    fn consecutive_dispatch_failures_trip_the_breaker() {
-        let mut sup = Supervisor::new(1, SupervisorConfig::default());
-        for _ in 0..3 {
-            sup.record_dispatch_outcome(0, false);
-        }
-        let acts = sup.tick(&stats(vec![(ReplicaState::Active, busy(1))]));
-        assert!(acts.contains(&SupervisorAction::OpenBreaker { replica: 0 }));
-    }
-
-    #[test]
-    fn a_success_resets_the_failure_streak() {
-        let mut sup = Supervisor::new(1, SupervisorConfig::default());
-        sup.record_dispatch_outcome(0, false);
-        sup.record_dispatch_outcome(0, false);
-        sup.record_dispatch_outcome(0, true);
-        sup.record_dispatch_outcome(0, false);
-        let acts = sup.tick(&stats(vec![(ReplicaState::Active, busy(1))]));
-        assert!(acts.is_empty(), "streak was broken: breaker stays closed");
     }
 
     #[test]
