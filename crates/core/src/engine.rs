@@ -263,28 +263,6 @@ impl TokenStream {
         }
     }
 
-    /// Like [`TokenStream::next_event`], but give up after `timeout` with
-    /// a typed error instead of blocking forever — the consumer-side guard
-    /// against a wedged replica that stopped producing without
-    /// disconnecting.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvTimeout::TimedOut`] if nothing arrived in time (the stream is
-    /// still live and may be polled again); [`RecvTimeout::Ended`] if the
-    /// stream is over — terminal event already consumed, or the engine
-    /// died without finishing the request.
-    pub fn recv_timeout(
-        &mut self,
-        timeout: std::time::Duration,
-    ) -> Result<TokenEvent, RecvTimeout> {
-        match self.poll_event(timeout) {
-            StreamPoll::Event(ev) => Ok(ev),
-            StreamPoll::TimedOut => Err(RecvTimeout::TimedOut),
-            StreamPoll::Ended => Err(RecvTimeout::Ended),
-        }
-    }
-
     /// Drain the stream to its terminal event and return the full
     /// [`ServeResponse`]. `None` only if the engine worker died before
     /// finishing the request.
@@ -317,27 +295,6 @@ pub enum StreamPoll {
     /// engine died without finishing the request.
     Ended,
 }
-
-/// Why a [`TokenStream::recv_timeout`] wait returned no event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvTimeout {
-    /// Nothing arrived within the timeout; the stream is still live.
-    TimedOut,
-    /// The stream is over: the terminal event was already consumed, or the
-    /// engine died without finishing the request.
-    Ended,
-}
-
-impl std::fmt::Display for RecvTimeout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecvTimeout::TimedOut => write!(f, "token stream timed out"),
-            RecvTimeout::Ended => write!(f, "token stream ended"),
-        }
-    }
-}
-
-impl std::error::Error for RecvTimeout {}
 
 /// Typed result of [`EngineHandle::cancel`]: cancellation is an idempotent
 /// no-op on a request that already reached a terminal event.

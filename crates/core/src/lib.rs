@@ -62,8 +62,8 @@ pub use ablation::{
 pub use accounting::AccountedVec;
 pub use dkm::{DkmConfig, DkmInit, DkmLayer, DkmOutput};
 pub use engine::{
-    CancelOutcome, EngineConfig, EngineHandle, RecvTimeout, Request, RequestId, ServeEngine,
-    StatsSnapshot, StreamPoll, SubmitError, TokenEvent, TokenStream, TtftHistogram,
+    CancelOutcome, EngineConfig, EngineHandle, Request, RequestId, ServeEngine, StatsSnapshot,
+    StreamPoll, SubmitError, TokenEvent, TokenStream, TtftHistogram,
 };
 pub use entropy::{index_entropy_bits, EntropyCoded, HuffmanCode};
 pub use hooks::{EdkmConfig, EdkmHooks, HookStatsSnapshot};

@@ -482,8 +482,8 @@ fn cancelling_a_preempted_request_keeps_its_streamed_tokens() {
 }
 
 #[test]
-fn recv_timeout_delivers_events_then_reports_typed_ends() {
-    use edkm::core::RecvTimeout;
+fn poll_event_delivers_events_then_reports_typed_ends() {
+    use edkm::core::StreamPoll;
     use std::time::Duration;
     runtime::reset();
     let engine = ServeEngine::new(served(17), EngineConfig::default());
@@ -499,22 +499,24 @@ fn recv_timeout_delivers_events_then_reports_typed_ends() {
                 .sampling(SamplingConfig::greedy()),
         )
         .expect("submit");
-    assert_eq!(
-        stream.recv_timeout(Duration::from_millis(5)),
-        Err(RecvTimeout::TimedOut),
+    assert!(
+        matches!(
+            stream.poll_event(Duration::from_millis(5)),
+            StreamPoll::TimedOut
+        ),
         "a stalled engine yields nothing within a short deadline"
     );
 
     // With a generous deadline every event of a live request arrives.
     let mut tokens = 0usize;
     loop {
-        match stream.recv_timeout(Duration::from_secs(30)) {
-            Ok(TokenEvent::Token { .. }) => tokens += 1,
-            Ok(TokenEvent::Finished(resp)) => {
+        match stream.poll_event(Duration::from_secs(30)) {
+            StreamPoll::Event(TokenEvent::Token { .. }) => tokens += 1,
+            StreamPoll::Event(TokenEvent::Finished(resp)) => {
                 assert_eq!(resp.generated, 3);
                 break;
             }
-            Err(e) => panic!("live stream must deliver within the deadline: {e}"),
+            other => panic!("live stream must deliver within the deadline: {other:?}"),
         }
     }
     assert_eq!(tokens, 3);
@@ -522,14 +524,12 @@ fn recv_timeout_delivers_events_then_reports_typed_ends() {
     // Past the terminal the stream is over — `Ended`, idempotently, and
     // without waiting out the timeout.
     let t0 = std::time::Instant::now();
-    assert_eq!(
-        stream.recv_timeout(Duration::from_secs(30)),
-        Err(RecvTimeout::Ended)
-    );
-    assert_eq!(
-        stream.recv_timeout(Duration::from_secs(30)),
-        Err(RecvTimeout::Ended)
-    );
+    for _ in 0..2 {
+        assert!(matches!(
+            stream.poll_event(Duration::from_secs(30)),
+            StreamPoll::Ended
+        ));
+    }
     assert!(
         t0.elapsed() < Duration::from_secs(5),
         "a finished stream must report Ended immediately"
@@ -539,6 +539,7 @@ fn recv_timeout_delivers_events_then_reports_typed_ends() {
 
 #[test]
 fn a_request_too_large_for_a_bounded_pool_is_refused_at_submit() {
+    use edkm::core::StreamPoll;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
     runtime::reset();
@@ -579,10 +580,10 @@ fn a_request_too_large_for_a_bounded_pool_is_refused_at_submit() {
     // shutdown joins a worker that never panicked.
     let (_, mut small) = handle.submit(greedy(2)).expect("submit");
     let resp = loop {
-        match small.recv_timeout(Duration::from_secs(30)) {
-            Ok(TokenEvent::Token { .. }) => {}
-            Ok(TokenEvent::Finished(resp)) => break resp,
-            Err(e) => panic!("the engine must keep serving after a refusal: {e}"),
+        match small.poll_event(Duration::from_secs(30)) {
+            StreamPoll::Event(TokenEvent::Token { .. }) => {}
+            StreamPoll::Event(TokenEvent::Finished(resp)) => break resp,
+            other => panic!("the engine must keep serving after a refusal: {other:?}"),
         }
     };
     assert_eq!(resp.finish, FinishReason::MaxTokens);
