@@ -1,326 +1,83 @@
-//! Entropy coding of palette indices (extension beyond the paper).
+//! Entropy-coded size of palette indices (extension beyond the paper).
 //!
 //! Fixed-width packing charges `bits` per index even when the cluster
 //! assignment distribution is skewed. Deep Compression (Han et al., ICLR'16
 //! — reference \[8\] of the paper) showed that Huffman-coding the index
-//! stream recovers most of that slack. This module implements a canonical
-//! Huffman coder over the `u32` index alphabet produced by
+//! stream recovers most of that slack. This module computes the optimal
+//! Huffman code lengths over the `u32` index alphabet produced by
 //! [`crate::palettize::PalettizedTensor`], so the deployment pipeline can
-//! report (and ship) the entropy-coded size.
+//! report the entropy-coded size next to the fixed-width one.
 //!
-//! The coder is *canonical*: only the per-symbol code lengths are stored
-//! (`k` bytes), and both sides reconstruct identical codebooks from them.
+//! The size is that of a canonical code: the payload plus one length byte
+//! per alphabet symbol (from which a decoder rebuilds the codebook) and an
+//! 8-byte symbol count.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fmt;
 
-/// Maximum canonical code length the coder will emit. Depth grows like a
-/// Fibonacci sequence in the worst case, so 48 bits already requires more
-/// index occurrences than any model in this workspace can produce.
-pub const MAX_CODE_LEN: u8 = 48;
-
-/// Error produced when decoding a corrupt entropy-coded stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// The bitstream ended before `n` symbols were decoded.
-    Truncated,
-    /// A prefix was read that no canonical code starts with.
-    BadPrefix,
-    /// The stored code lengths do not form a valid prefix code.
-    BadLengths,
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecodeError::Truncated => write!(f, "bitstream truncated"),
-            DecodeError::BadPrefix => write!(f, "invalid code prefix"),
-            DecodeError::BadLengths => write!(f, "code lengths are not a prefix code"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-/// LSB-first bit writer.
-#[derive(Debug, Default)]
-pub struct BitWriter {
-    bytes: Vec<u8>,
-    /// Bits already used in the final byte (0..8).
-    fill: u8,
-}
-
-impl BitWriter {
-    /// Empty writer.
-    pub fn new() -> Self {
-        Self::default()
+/// Optimal prefix-code lengths for `freqs[symbol]` occurrence counts.
+/// Symbols with zero frequency get length 0 (absent); a lone symbol gets a
+/// 1-bit code.
+fn huffman_lengths(freqs: &[u64]) -> Vec<u8> {
+    let present: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
+    let mut lengths = vec![0u8; freqs.len()];
+    if present.len() == 1 {
+        lengths[present[0]] = 1;
+        return lengths;
     }
 
-    /// Append the low `len` bits of `code`, LSB first.
-    pub fn push(&mut self, code: u64, len: u8) {
-        debug_assert!(len <= 64);
-        for i in 0..len {
-            let bit = ((code >> i) & 1) as u8;
-            if self.fill == 0 {
-                self.bytes.push(0);
+    // Huffman tree via a min-heap of (weight, node). Ties broken by node id
+    // for determinism.
+    #[derive(PartialEq, Eq, PartialOrd, Ord)]
+    struct Node {
+        weight: u64,
+        id: usize,
+    }
+    let mut heap: BinaryHeap<Reverse<Node>> = BinaryHeap::new();
+    // children[id] = Some((left, right)) for internal nodes.
+    let mut children: Vec<Option<(usize, usize)>> = vec![None; present.len()];
+    for (id, &s) in present.iter().enumerate() {
+        heap.push(Reverse(Node {
+            weight: freqs[s],
+            id,
+        }));
+    }
+    while heap.len() > 1 {
+        let a = heap.pop().expect("len > 1").0;
+        let b = heap.pop().expect("len > 1").0;
+        let id = children.len();
+        children.push(Some((a.id, b.id)));
+        heap.push(Reverse(Node {
+            weight: a.weight + b.weight,
+            id,
+        }));
+    }
+    // Depth-first assign lengths; leaf ids are indices into `present`.
+    let root = heap.pop().expect("at least one symbol must occur").0.id;
+    let mut stack = vec![(root, 0u8)];
+    while let Some((id, depth)) = stack.pop() {
+        match children[id] {
+            Some((l, r)) => {
+                stack.push((l, depth + 1));
+                stack.push((r, depth + 1));
             }
-            let last = self.bytes.len() - 1;
-            self.bytes[last] |= bit << self.fill;
-            self.fill = (self.fill + 1) % 8;
+            None => lengths[present[id]] = depth,
         }
     }
-
-    /// Total bits written.
-    pub fn bit_len(&self) -> usize {
-        if self.fill == 0 {
-            self.bytes.len() * 8
-        } else {
-            (self.bytes.len() - 1) * 8 + self.fill as usize
-        }
-    }
-
-    /// Finish and return the byte buffer (final byte zero-padded).
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
+    lengths
 }
 
-/// LSB-first bit reader over a byte slice.
-#[derive(Debug)]
-pub struct BitReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BitReader<'a> {
-    /// Reader starting at the first bit of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        BitReader { bytes, pos: 0 }
-    }
-
-    /// Next bit, or `None` at end of stream.
-    pub fn next_bit(&mut self) -> Option<u8> {
-        let byte = self.bytes.get(self.pos / 8)?;
-        let bit = (byte >> (self.pos % 8)) & 1;
-        self.pos += 1;
-        Some(bit)
-    }
-
-    /// Bits consumed so far.
-    pub fn bits_read(&self) -> usize {
-        self.pos
-    }
-}
-
-/// A canonical Huffman code over the alphabet `0..lengths.len()`.
-///
-/// Symbols with length 0 do not occur in the stream. Construction sorts by
-/// `(length, symbol)` and assigns consecutive codes — both encoder and
-/// decoder derive the same codebook from the lengths alone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HuffmanCode {
-    lengths: Vec<u8>,
-    /// Per-symbol canonical code (MSB-first value), valid where length > 0.
-    codes: Vec<u64>,
-}
-
-impl HuffmanCode {
-    /// Build the optimal code for `freqs[symbol]` occurrence counts.
-    ///
-    /// Symbols with zero frequency get length 0 (absent). If only one
-    /// symbol occurs it gets a 1-bit code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freqs` is empty or all-zero, or if the optimal code would
-    /// exceed [`MAX_CODE_LEN`].
-    pub fn from_frequencies(freqs: &[u64]) -> Self {
-        assert!(!freqs.is_empty(), "alphabet must be non-empty");
-        let present: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
-        assert!(!present.is_empty(), "at least one symbol must occur");
-
-        let mut lengths = vec![0u8; freqs.len()];
-        if present.len() == 1 {
-            lengths[present[0]] = 1;
-            return Self::from_lengths(lengths).expect("single-symbol code is valid");
-        }
-
-        // Huffman tree via a min-heap of (weight, node). Ties broken by
-        // node id for determinism.
-        #[derive(PartialEq, Eq, PartialOrd, Ord)]
-        struct Node {
-            weight: u64,
-            id: usize,
-        }
-        let mut heap: BinaryHeap<Reverse<Node>> = BinaryHeap::new();
-        // children[id] = Some((left, right)) for internal nodes.
-        let mut children: Vec<Option<(usize, usize)>> = vec![None; present.len()];
-        let mut symbol_of: Vec<Option<usize>> = present.iter().map(|&s| Some(s)).collect();
-        for (id, &s) in present.iter().enumerate() {
-            heap.push(Reverse(Node {
-                weight: freqs[s],
-                id,
-            }));
-        }
-        while heap.len() > 1 {
-            let a = heap.pop().expect("len > 1").0;
-            let b = heap.pop().expect("len > 1").0;
-            let id = children.len();
-            children.push(Some((a.id, b.id)));
-            symbol_of.push(None);
-            heap.push(Reverse(Node {
-                weight: a.weight + b.weight,
-                id,
-            }));
-        }
-        // Depth-first assign lengths.
-        let root = heap.pop().expect("non-empty heap").0.id;
-        let mut stack = vec![(root, 0u8)];
-        while let Some((id, depth)) = stack.pop() {
-            match children[id] {
-                Some((l, r)) => {
-                    assert!(depth < MAX_CODE_LEN, "code length exceeds {MAX_CODE_LEN}");
-                    stack.push((l, depth + 1));
-                    stack.push((r, depth + 1));
-                }
-                None => {
-                    let s = symbol_of[id].expect("leaf carries a symbol");
-                    lengths[s] = depth.max(1);
-                }
-            }
-        }
-        Self::from_lengths(lengths).expect("Huffman lengths satisfy Kraft")
-    }
-
-    /// Rebuild the canonical code from per-symbol lengths (the serialized
-    /// form). Returns an error if the lengths over-fill the prefix space.
-    pub fn from_lengths(lengths: Vec<u8>) -> Result<Self, DecodeError> {
-        let max_len = lengths.iter().copied().max().unwrap_or(0);
-        if max_len == 0 || max_len > MAX_CODE_LEN {
-            return Err(DecodeError::BadLengths);
-        }
-        // Kraft sum must not exceed 1.
-        let mut kraft: u128 = 0;
-        for &l in &lengths {
-            if l > 0 {
-                kraft += 1u128 << (MAX_CODE_LEN - l) as u32;
-            }
-        }
-        if kraft > 1u128 << MAX_CODE_LEN as u32 {
-            return Err(DecodeError::BadLengths);
-        }
-        // Canonical assignment: sort by (length, symbol).
-        let mut order: Vec<usize> = (0..lengths.len()).filter(|&s| lengths[s] > 0).collect();
-        order.sort_by_key(|&s| (lengths[s], s));
-        let mut codes = vec![0u64; lengths.len()];
-        let mut code: u64 = 0;
-        let mut prev_len = 0u8;
-        for &s in &order {
-            code <<= lengths[s] - prev_len;
-            codes[s] = code;
-            code += 1;
-            prev_len = lengths[s];
-        }
-        Ok(HuffmanCode { lengths, codes })
-    }
-
-    /// Per-symbol code lengths (the serialized representation).
-    pub fn lengths(&self) -> &[u8] {
-        &self.lengths
-    }
-
-    /// Code length of `symbol` in bits (0 if absent).
-    pub fn len_of(&self, symbol: usize) -> u8 {
-        self.lengths[symbol]
-    }
-
-    /// Encode `symbols` into an LSB-first bitstream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a symbol is out of alphabet or has no code.
-    pub fn encode(&self, symbols: &[u32]) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        for &s in symbols {
-            let s = s as usize;
-            let len = self.lengths[s];
-            assert!(len > 0, "symbol {s} has no code");
-            // Emit MSB-first within the code so canonical decode works.
-            let code = self.codes[s];
-            for i in (0..len).rev() {
-                w.push((code >> i) & 1, 1);
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decode exactly `n` symbols from `bytes`.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError::Truncated`] if the stream ends early,
-    /// [`DecodeError::BadPrefix`] if an impossible prefix appears.
-    pub fn decode(&self, bytes: &[u8], n: usize) -> Result<Vec<u32>, DecodeError> {
-        // first_code[l] / first_sym[l]: canonical decode tables.
-        let max_len = self.lengths.iter().copied().max().unwrap_or(0) as usize;
-        let mut count = vec![0usize; max_len + 1];
-        for &l in &self.lengths {
-            if l > 0 {
-                count[l as usize] += 1;
-            }
-        }
-        let mut order: Vec<usize> = (0..self.lengths.len())
-            .filter(|&s| self.lengths[s] > 0)
-            .collect();
-        order.sort_by_key(|&s| (self.lengths[s], s));
-        let mut first_code = vec![0u64; max_len + 2];
-        let mut first_index = vec![0usize; max_len + 2];
-        let mut code = 0u64;
-        let mut idx = 0usize;
-        for l in 1..=max_len {
-            first_code[l] = code;
-            first_index[l] = idx;
-            code = (code + count[l] as u64) << 1;
-            idx += count[l];
-        }
-
-        let mut r = BitReader::new(bytes);
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut acc = 0u64;
-            let mut len = 0usize;
-            loop {
-                let bit = r.next_bit().ok_or(DecodeError::Truncated)?;
-                acc = (acc << 1) | u64::from(bit);
-                len += 1;
-                if len > max_len {
-                    return Err(DecodeError::BadPrefix);
-                }
-                if count[len] > 0 {
-                    let offset = acc.wrapping_sub(first_code[len]);
-                    if offset < count[len] as u64 {
-                        out.push(order[first_index[len] + offset as usize] as u32);
-                        break;
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// An entropy-coded index stream: canonical code lengths + payload.
+/// The Huffman code of an index stream: per-symbol code lengths and the
+/// payload length they give.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EntropyCoded {
-    code: HuffmanCode,
-    payload: Vec<u8>,
+    lengths: Vec<u8>,
     payload_bits: usize,
     n: usize,
 }
 
 impl EntropyCoded {
-    /// Huffman-code `indices` over the alphabet `0..k`.
+    /// Build the Huffman code of `indices` over the alphabet `0..k`.
     ///
     /// # Panics
     ///
@@ -331,48 +88,19 @@ impl EntropyCoded {
         for &i in indices {
             freqs[i as usize] += 1;
         }
-        let code = HuffmanCode::from_frequencies(&freqs);
-        let payload_bits = indices
-            .iter()
-            .map(|&s| code.len_of(s as usize) as usize)
-            .sum();
-        let payload = code.encode(indices);
+        let lengths = huffman_lengths(&freqs);
+        let payload_bits = indices.iter().map(|&s| lengths[s as usize] as usize).sum();
         EntropyCoded {
-            code,
-            payload,
+            lengths,
             payload_bits,
             n: indices.len(),
         }
     }
 
-    /// Decode back to the exact index stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DecodeError`] on corrupt payloads.
-    pub fn decode(&self) -> Result<Vec<u32>, DecodeError> {
-        self.code.decode(&self.payload, self.n)
-    }
-
-    /// Number of encoded symbols.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` if no symbols are encoded (construction forbids this).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The canonical code.
-    pub fn code(&self) -> &HuffmanCode {
-        &self.code
-    }
-
-    /// Serialized bytes: payload + one length byte per alphabet symbol
-    /// + an 8-byte symbol count.
+    /// Serialized bytes: the payload padded to whole bytes + one length
+    /// byte per alphabet symbol + an 8-byte symbol count.
     pub fn size_bytes(&self) -> usize {
-        self.payload.len() + self.code.lengths().len() + 8
+        self.payload_bits.div_ceil(8) + self.lengths.len() + 8
     }
 
     /// Mean code length in exact bits per symbol (no byte padding).
@@ -408,25 +136,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn bitio_roundtrip() {
-        let mut w = BitWriter::new();
-        w.push(0b1011, 4);
-        w.push(0b1, 1);
-        w.push(0b110010, 6);
-        assert_eq!(w.bit_len(), 11);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        let mut got = 0u64;
-        for i in 0..11 {
-            got |= u64::from(r.next_bit().unwrap()) << i;
-        }
-        assert_eq!(got & 0xF, 0b1011);
-        assert_eq!((got >> 4) & 1, 1);
-        assert_eq!(got >> 5, 0b110010);
-        assert_eq!(r.bits_read(), 11);
-    }
-
-    #[test]
     fn skewed_stream_beats_fixed_width() {
         // 3-bit palette (k=8) but 90% of assignments hit symbol 0.
         let mut idx = vec![0u32; 900];
@@ -434,7 +143,9 @@ mod tests {
             idx.push(1 + (i % 7) as u32);
         }
         let ec = EntropyCoded::encode(&idx, 8);
-        assert_eq!(ec.decode().unwrap(), idx);
+        // 1285 payload bits: 161 bytes + 8 length bytes + 8-byte count.
+        assert_eq!(ec.size_bytes(), 177);
+        assert_eq!(ec.bits_per_symbol(), 1.285);
         let fixed_bits = idx.len() * 3;
         let huff_bits = ec.bits_per_symbol() * idx.len() as f64;
         assert!(
@@ -451,16 +162,16 @@ mod tests {
     fn uniform_stream_matches_fixed_width() {
         let idx: Vec<u32> = (0..4096).map(|i| (i % 8) as u32).collect();
         let ec = EntropyCoded::encode(&idx, 8);
-        assert_eq!(ec.decode().unwrap(), idx);
-        // Uniform over 8 symbols: exactly 3 bits/symbol.
-        assert!((ec.bits_per_symbol() - 3.0).abs() < 1e-9);
+        // Uniform over 8 symbols: exactly 3 bits/symbol, the fixed-width
+        // 1536 bytes + 8 length bytes + 8-byte count.
+        assert_eq!(ec.bits_per_symbol(), 3.0);
+        assert_eq!(ec.size_bytes(), 1552);
     }
 
     #[test]
     fn single_symbol_stream() {
         let idx = vec![5u32; 64];
         let ec = EntropyCoded::encode(&idx, 8);
-        assert_eq!(ec.decode().unwrap(), idx);
         assert!(
             (ec.bits_per_symbol() - 1.0).abs() < 1e-9,
             "degenerate code is 1 bit"
@@ -471,39 +182,7 @@ mod tests {
     fn two_symbols() {
         let idx = vec![0u32, 1, 0, 0, 1, 0];
         let ec = EntropyCoded::encode(&idx, 2);
-        assert_eq!(ec.decode().unwrap(), idx);
         assert!((ec.bits_per_symbol() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn canonical_code_is_deterministic_from_lengths() {
-        let freqs = vec![50u64, 20, 20, 5, 5];
-        let a = HuffmanCode::from_frequencies(&freqs);
-        let b = HuffmanCode::from_lengths(a.lengths().to_vec()).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn truncated_payload_is_rejected() {
-        let idx: Vec<u32> = (0..100).map(|i| (i % 4) as u32).collect();
-        let ec = EntropyCoded::encode(&idx, 4);
-        let mut bad = ec.clone();
-        bad.payload.truncate(1);
-        assert_eq!(bad.decode(), Err(DecodeError::Truncated));
-    }
-
-    #[test]
-    fn invalid_lengths_are_rejected() {
-        // Three 1-bit codes over-fill the prefix space.
-        assert_eq!(
-            HuffmanCode::from_lengths(vec![1, 1, 1]),
-            Err(DecodeError::BadLengths)
-        );
-        // All-zero lengths are meaningless.
-        assert_eq!(
-            HuffmanCode::from_lengths(vec![0, 0]),
-            Err(DecodeError::BadLengths)
-        );
     }
 
     #[test]
@@ -522,13 +201,6 @@ mod tests {
     }
 
     proptest! {
-        /// decode(encode(x)) == x for arbitrary index streams.
-        #[test]
-        fn prop_roundtrip(idx in prop::collection::vec(0u32..16, 1..500)) {
-            let ec = EntropyCoded::encode(&idx, 16);
-            prop_assert_eq!(ec.decode().unwrap(), idx);
-        }
-
         /// Huffman is optimal-prefix: within 1 bit of entropy, never below.
         #[test]
         fn prop_entropy_bounds(idx in prop::collection::vec(0u32..8, 10..400)) {

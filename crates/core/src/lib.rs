@@ -65,7 +65,7 @@ pub use engine::{
     CancelOutcome, EngineConfig, EngineHandle, Request, RequestId, ServeEngine, StatsSnapshot,
     StreamPoll, SubmitError, TokenEvent, TokenStream, TtftHistogram,
 };
-pub use entropy::{index_entropy_bits, EntropyCoded, HuffmanCode};
+pub use entropy::{index_entropy_bits, EntropyCoded};
 pub use hooks::{EdkmConfig, EdkmHooks, HookStatsSnapshot};
 pub use infer::{ChunkView, PalettizedLinear, PalettizedModel, ServeError, ServeModel};
 pub use kv::{

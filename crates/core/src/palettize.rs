@@ -233,8 +233,8 @@ impl PalettizedTensor {
         self.packed.len() + self.lut.len() * 2
     }
 
-    /// Huffman-code the index stream (extension: Deep Compression's final
-    /// stage). The result decodes back to exactly [`Self::indices`].
+    /// Huffman code of the index stream (extension: Deep Compression's
+    /// final stage), for its entropy-coded size.
     pub fn entropy_coded(&self) -> crate::entropy::EntropyCoded {
         crate::entropy::EntropyCoded::encode(&self.indices(), self.k)
     }
