@@ -19,7 +19,6 @@
 //! (Fig. 1 of the paper).
 
 pub mod attention;
-pub mod checkpoint;
 pub mod decoder;
 pub mod embedding;
 pub mod init;
@@ -32,14 +31,13 @@ pub mod tap;
 pub mod trainer;
 
 pub use attention::{attend_cached_rows, AttnKvCache, CausalSelfAttention, KvRowView};
-pub use checkpoint::{CheckpointError, TrainCheckpoint};
 pub use decoder::DecoderLayer;
 pub use embedding::Embedding;
 pub use linear::Linear;
 pub use mlp::SwiGluMlp;
 pub use model::{LlamaConfig, LlamaModel};
 pub use norm::RmsNorm;
-pub use optim::{clip_grad_norm, AdamW, AdamWConfig, LrSchedule, ParamStateSnapshot};
+pub use optim::{clip_grad_norm, AdamW, AdamWConfig, LrSchedule};
 pub use trainer::{LmBatch, TrainConfig, Trainer};
 
 use edkm_autograd::Var;

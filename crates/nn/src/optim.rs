@@ -83,17 +83,6 @@ struct ParamState {
     v: Vec<f32>,
 }
 
-/// Exported optimizer state of one parameter (see [`AdamW::export_param_state`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParamStateSnapshot {
-    /// f32 master weights.
-    pub master: Vec<f32>,
-    /// First-moment estimate.
-    pub m: Vec<f32>,
-    /// Second-moment estimate.
-    pub v: Vec<f32>,
-}
-
 /// AdamW with f32 master weights.
 pub struct AdamW {
     config: AdamWConfig,
@@ -178,47 +167,6 @@ impl AdamW {
             p.value().apply_inplace(|i, _| master[i]);
             p.zero_grad();
         }
-    }
-
-    /// Drop optimizer state for params no longer trained.
-    pub fn reset_state(&mut self) {
-        self.state.clear();
-    }
-
-    /// Snapshot the state of one parameter, if it has stepped before.
-    pub fn export_param_state(&self, p: &Var) -> Option<ParamStateSnapshot> {
-        self.state.get(&p.id().0).map(|st| ParamStateSnapshot {
-            master: st.master.clone(),
-            m: st.m.clone(),
-            v: st.v.clone(),
-        })
-    }
-
-    /// Install previously exported state for `p` (checkpoint resume). The
-    /// next [`AdamW::step`] continues from these moments and master copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's length does not match the parameter.
-    pub fn import_param_state(&mut self, p: &Var, s: ParamStateSnapshot) {
-        let n = p.value().numel();
-        assert_eq!(s.master.len(), n, "master size mismatch");
-        assert_eq!(s.m.len(), n, "m size mismatch");
-        assert_eq!(s.v.len(), n, "v size mismatch");
-        self.state.insert(
-            p.id().0,
-            ParamState {
-                master: s.master,
-                m: s.m,
-                v: s.v,
-            },
-        );
-    }
-
-    /// Overwrite the step counter (checkpoint resume — bias correction and
-    /// schedules depend on it).
-    pub fn set_steps(&mut self, steps: u64) {
-        self.step_count = steps;
     }
 }
 
@@ -360,24 +308,5 @@ mod tests {
         assert!((s.factor(109) - 0.1).abs() < 0.01);
         assert!((s.factor(10_000) - 0.1).abs() < 1e-6, "clamps past total");
         assert_eq!(LrSchedule::Constant.factor(12345), 1.0);
-    }
-
-    #[test]
-    fn reset_state_reinitializes_master() {
-        runtime::reset();
-        let x = Var::param(Tensor::scalar(5.0, DType::F32, Device::Cpu));
-        let mut opt = AdamW::new(AdamWConfig {
-            lr: 0.5,
-            ..AdamWConfig::default()
-        });
-        x.square().sum_all().backward();
-        opt.step(std::slice::from_ref(&x));
-        opt.reset_state();
-        // After reset the master snapshots the *current* value; stepping with
-        // a zero-ish grad keeps it there.
-        x.mul_scalar(0.0).sum_all().backward();
-        let before = x.value().item();
-        opt.step(std::slice::from_ref(&x));
-        assert!((x.value().item() - before).abs() < 1e-6);
     }
 }

@@ -85,16 +85,6 @@ impl Trainer {
         &self.optim
     }
 
-    /// Mutable optimizer access (checkpoint restore).
-    pub fn optimizer_mut(&mut self) -> &mut AdamW {
-        &mut self.optim
-    }
-
-    /// Overwrite the loss history (checkpoint restore).
-    pub fn set_losses(&mut self, losses: Vec<f32>) {
-        self.losses = losses;
-    }
-
     /// One optimization step on `batch`; returns the loss.
     ///
     /// `params` selects what is trained (e.g. all params, or only the
@@ -114,55 +104,6 @@ impl Trainer {
         self.optim.step(params);
         self.losses.push(loss_val);
         loss_val
-    }
-
-    /// One optimization step over several micro-batches with gradient
-    /// accumulation: each micro-batch's loss is scaled by `1/n` and
-    /// back-propagated (gradients accumulate on the leaves), then a single
-    /// clipped optimizer update runs. Equivalent to one [`Trainer::step`]
-    /// on the concatenated batch, at a fraction of the peak memory.
-    ///
-    /// Returns the mean loss across micro-batches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `microbatches` is empty.
-    pub fn step_accumulated(
-        &mut self,
-        model: &LlamaModel,
-        microbatches: &[LmBatch],
-        params: &[Var],
-        hook: Option<WeightHook<'_>>,
-    ) -> f32 {
-        assert!(!microbatches.is_empty(), "no micro-batches");
-        let scale = 1.0 / microbatches.len() as f32;
-        let mut total = 0.0;
-        for batch in microbatches {
-            let loss = model.lm_loss(&batch.seqs, hook);
-            total += loss.value().item();
-            loss.mul_scalar(scale).backward();
-        }
-        clip_grad_norm(params, self.config.clip_norm);
-        self.optim.step(params);
-        let mean = total * scale;
-        self.losses.push(mean);
-        mean
-    }
-
-    /// One pass over `batches`; returns the mean loss.
-    pub fn train_epoch(
-        &mut self,
-        model: &LlamaModel,
-        batches: &[LmBatch],
-        params: &[Var],
-        hook: Option<WeightHook<'_>>,
-    ) -> f32 {
-        assert!(!batches.is_empty(), "no batches");
-        let mut total = 0.0;
-        for b in batches {
-            total += self.step(model, b, params, hook);
-        }
-        total / batches.len() as f32
     }
 }
 
@@ -210,20 +151,5 @@ mod tests {
         );
         assert_eq!(trainer.losses().len(), 61);
         assert_eq!(trainer.optimizer().steps(), 61);
-    }
-
-    #[test]
-    fn epoch_averages_losses() {
-        runtime::reset();
-        let model = LlamaModel::new(LlamaConfig::tiny(), DType::F32, Device::Cpu, 0);
-        let batches = vec![
-            LmBatch::new(vec![vec![1, 2, 3]]),
-            LmBatch::new(vec![vec![4, 5, 6]]),
-        ];
-        let mut trainer = Trainer::new(TrainConfig::default());
-        let params = model.params();
-        let mean = trainer.train_epoch(&model, &batches, &params, None);
-        assert!(mean.is_finite());
-        assert_eq!(trainer.losses().len(), 2);
     }
 }

@@ -8,7 +8,7 @@ use edkm::core::{
     AffineQuantized, CompressSpec, CompressedModel, CompressionPipeline, EdkmConfig, EdkmHooks,
     PalettizedTensor,
 };
-use edkm::nn::{LlamaConfig, LlamaModel, TrainCheckpoint, TrainConfig, Trainer};
+use edkm::nn::{LlamaConfig, LlamaModel};
 use edkm::tensor::{runtime, DType, Device, Tensor};
 use proptest::prelude::*;
 
@@ -82,21 +82,6 @@ fn corrupted_compressed_model_is_rejected_not_misread() {
 
     // The pristine buffer still decodes.
     assert!(CompressedModel::from_bytes(&bytes).is_ok());
-}
-
-#[test]
-fn corrupted_checkpoint_is_rejected_not_misread() {
-    runtime::reset();
-    let model = LlamaModel::new(LlamaConfig::tiny(), DType::Bf16, Device::Cpu, 0);
-    let trainer = Trainer::new(TrainConfig::default());
-    let bytes = TrainCheckpoint::capture(&model, &trainer).to_bytes();
-    for cut in [0, 4, 8, 12, bytes.len() / 3, bytes.len() - 1] {
-        assert!(
-            TrainCheckpoint::from_bytes(&bytes[..cut]).is_err(),
-            "truncation at {cut} must fail"
-        );
-    }
-    assert!(TrainCheckpoint::from_bytes(&bytes).is_ok());
 }
 
 /// Compressing and applying across models with different architectures is
