@@ -8,19 +8,10 @@ use edkm_tensor::{DType, Device, Tensor};
 ///
 /// Returns `(cos, sin)` flattened `[t, hd/2]`.
 pub fn rope_tables(t: usize, hd: usize, theta: f32) -> (Vec<f32>, Vec<f32>) {
-    rope_tables_range(0, t, hd, theta)
-}
-
-/// RoPE tables for the absolute positions `start..start + n` (the
-/// KV-cached decode case: new tokens enter at a nonzero offset but must be
-/// rotated exactly as a full forward pass would rotate them).
-///
-/// Returns `(cos, sin)` flattened `[n, hd/2]`.
-pub fn rope_tables_range(start: usize, n: usize, hd: usize, theta: f32) -> (Vec<f32>, Vec<f32>) {
     let half = hd / 2;
-    let mut cos = Vec::with_capacity(n * half);
-    let mut sin = Vec::with_capacity(n * half);
-    for p in start..start + n {
+    let mut cos = Vec::with_capacity(t * half);
+    let mut sin = Vec::with_capacity(t * half);
+    for p in 0..t {
         for i in 0..half {
             let freq = 1.0 / theta.powf(2.0 * i as f32 / hd as f32);
             let ang = p as f32 * freq;
@@ -88,31 +79,13 @@ pub fn rope(x: &Var, cos: &[f32], sin: &[f32]) -> Var {
 
 /// Causal mask `[t, t]`: 0 on/below the diagonal, −1e9 above.
 pub fn causal_mask(t: usize, device: Device) -> Tensor {
-    causal_mask_offset(t, t, 0, device)
-}
-
-/// Rectangular causal mask `[n, t_total]` for queries at absolute positions
-/// `offset..offset + n` attending over `t_total` cached keys: entry `[i, j]`
-/// is 0 when `j ≤ offset + i`, −1e9 otherwise. `causal_mask` is the
-/// `offset = 0, n = t_total` square case.
-///
-/// # Panics
-///
-/// Panics if the last query position `offset + n` exceeds `t_total`.
-pub fn causal_mask_offset(n: usize, t_total: usize, offset: usize, device: Device) -> Tensor {
-    assert!(
-        offset + n <= t_total,
-        "query positions {}..{} exceed {t_total} cached keys",
-        offset,
-        offset + n
-    );
-    let mut m = vec![0.0f32; n * t_total];
-    for i in 0..n {
-        for j in (offset + i + 1)..t_total {
-            m[i * t_total + j] = -1e9;
+    let mut m = vec![0.0f32; t * t];
+    for i in 0..t {
+        for j in (i + 1)..t {
+            m[i * t + j] = -1e9;
         }
     }
-    Tensor::from_vec(m, &[n, t_total], DType::F32, device)
+    Tensor::from_vec(m, &[t, t], DType::F32, device)
 }
 
 /// Position-indexed read access to one layer's cached K/V rows.
@@ -236,76 +209,6 @@ pub fn attend_cached_rows<V: KvRowView>(
     flops
 }
 
-/// Per-layer key/value cache for autoregressive decoding (batch 1).
-///
-/// Keys are stored *after* RoPE, in `[head][t, hd]` blocks, so a decode
-/// step only computes projections for the new tokens and reuses everything
-/// already rotated. Reassembled tensors are bit-identical to what a full
-/// forward pass would produce for the same prefix.
-#[derive(Debug)]
-pub struct AttnKvCache {
-    k: Vec<Vec<f32>>,
-    v: Vec<Vec<f32>>,
-    head_dim: usize,
-    len: usize,
-}
-
-impl AttnKvCache {
-    /// Empty cache for `n_heads` heads of dimension `head_dim`.
-    pub fn new(n_heads: usize, head_dim: usize) -> Self {
-        AttnKvCache {
-            k: vec![Vec::new(); n_heads],
-            v: vec![Vec::new(); n_heads],
-            head_dim,
-            len: 0,
-        }
-    }
-
-    /// Cached sequence length.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` before the first token.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Append `n` new positions from `[h, n, hd]` key/value tensors.
-    fn append(&mut self, k_new: &Tensor, v_new: &Tensor, n: usize) {
-        let h = self.k.len();
-        let hd = self.head_dim;
-        assert_eq!(k_new.shape(), &[h, n, hd], "cache append shape");
-        let kd = k_new.to_vec();
-        let vd = v_new.to_vec();
-        for head in 0..h {
-            let base = head * n * hd;
-            self.k[head].extend_from_slice(&kd[base..base + n * hd]);
-            self.v[head].extend_from_slice(&vd[base..base + n * hd]);
-        }
-        self.len += n;
-    }
-
-    /// All cached keys as a `[h, len, hd]` tensor.
-    fn k_tensor(&self, device: Device) -> Tensor {
-        self.assemble(&self.k, device)
-    }
-
-    /// All cached values as a `[h, len, hd]` tensor.
-    fn v_tensor(&self, device: Device) -> Tensor {
-        self.assemble(&self.v, device)
-    }
-
-    fn assemble(&self, rows: &[Vec<f32>], device: Device) -> Tensor {
-        let h = rows.len();
-        let mut data = Vec::with_capacity(h * self.len * self.head_dim);
-        for head in rows {
-            data.extend_from_slice(head);
-        }
-        Tensor::from_vec(data, &[h, self.len, self.head_dim], DType::F32, device)
-    }
-}
-
 /// Multi-head causal self-attention block (LLaMA layout: q/k/v/o
 /// projections, RoPE on q and k, no biases).
 #[derive(Debug)]
@@ -426,63 +329,6 @@ impl CausalSelfAttention {
             .reshape(&[b * t, self.d_model]);
         self.o_proj.forward(&merged, hook)
     }
-
-    /// An empty KV cache sized for this block.
-    pub fn new_kv_cache(&self) -> AttnKvCache {
-        AttnKvCache::new(self.n_heads, self.d_model / self.n_heads)
-    }
-
-    /// KV-cached forward for one sequence: `x` holds the `n` *new* tokens
-    /// (`[n, d_model]`) entering at absolute position `cache.len()`; the
-    /// cache gains their keys/values and the output covers only the new
-    /// rows. With an empty cache this is bit-identical to
-    /// [`CausalSelfAttention::forward`] at `b = 1`; incrementally it stays
-    /// bit-identical row-for-row because every score/context row is computed
-    /// in the same accumulation order a full forward would use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `[n, d_model]`.
-    pub fn forward_cached(&self, x: &Var, cache: &mut AttnKvCache) -> Var {
-        let n = x.value().shape()[0];
-        assert_eq!(
-            x.value().shape(),
-            &[n, self.d_model],
-            "cached attention input shape"
-        );
-        let h = self.n_heads;
-        let hd = self.d_model / h;
-        let device = x.value().device();
-        let start = cache.len();
-
-        let split = |y: &Var| -> Var {
-            // [n, d] -> [1, n, h, hd] -> [1, h, n, hd] -> [h, n, hd]
-            y.reshape(&[1, n, h, hd])
-                .transpose(1, 2)
-                .reshape(&[h, n, hd])
-        };
-
-        let (cos, sin) = rope_tables_range(start, n, hd, self.rope_theta);
-        let q = rope(&split(&self.q_proj.forward(x, None)), &cos, &sin);
-        let k_new = rope(&split(&self.k_proj.forward(x, None)), &cos, &sin);
-        let v_new = split(&self.v_proj.forward(x, None));
-        cache.append(k_new.value(), v_new.value(), n);
-
-        let t_total = cache.len();
-        let k_all = Var::constant(cache.k_tensor(device));
-        let v_all = Var::constant(cache.v_tensor(device));
-        let scale = 1.0 / (hd as f32).sqrt();
-        let scores = q.bmm(&k_all.transpose(1, 2)).mul_scalar(scale); // [h, n, t_total]
-        let mask = Var::constant(causal_mask_offset(n, t_total, start, device));
-        let attn = scores.add(&mask).softmax_lastdim();
-        let ctx = attn.bmm(&v_all); // [h, n, hd]
-
-        let merged = ctx
-            .reshape(&[1, h, n, hd])
-            .transpose(1, 2)
-            .reshape(&[n, self.d_model]);
-        self.o_proj.forward(&merged, None)
-    }
 }
 
 #[cfg(test)]
@@ -573,66 +419,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn rope_tables_range_matches_suffix_of_full_tables() {
-        let (cos_full, sin_full) = rope_tables(8, 4, 10000.0);
-        let (cos, sin) = rope_tables_range(5, 3, 4, 10000.0);
-        assert_eq!(cos, &cos_full[5 * 2..]);
-        assert_eq!(sin, &sin_full[5 * 2..]);
-    }
-
-    #[test]
-    fn causal_mask_offset_zero_is_square_causal() {
-        runtime::reset();
-        let a = causal_mask(4, Device::Cpu);
-        let b = causal_mask_offset(4, 4, 0, Device::Cpu);
-        assert_eq!(a.to_vec(), b.to_vec());
-        // Decode case: one query at position 3 sees all 4 keys.
-        let m = causal_mask_offset(1, 4, 3, Device::Cpu);
-        assert!(m.to_vec().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed")]
-    fn causal_mask_offset_rejects_future_queries() {
-        runtime::reset();
-        causal_mask_offset(2, 4, 3, Device::Cpu);
-    }
-
-    #[test]
-    fn cached_prefill_is_bit_identical_to_full_forward() {
-        runtime::reset();
-        let attn = CausalSelfAttention::new("a", 8, 2, 10000.0, DType::F32, Device::Cpu, 0);
-        let t = 5;
-        let x = Var::constant(Tensor::randn(&[t, 8], DType::F32, Device::Cpu, 7));
-        let full = attn.forward(&x, 1, t, None);
-        let mut cache = attn.new_kv_cache();
-        let cached = attn.forward_cached(&x, &mut cache);
-        assert_eq!(full.value().to_vec(), cached.value().to_vec());
-        assert_eq!(cache.len(), t);
-    }
-
-    #[test]
-    fn incremental_decode_matches_full_forward_rows() {
-        runtime::reset();
-        let attn = CausalSelfAttention::new("a", 8, 2, 10000.0, DType::F32, Device::Cpu, 1);
-        let t = 6;
-        let x = Tensor::randn(&[t, 8], DType::F32, Device::Cpu, 9);
-        let full = attn.forward(&Var::constant(x.clone()), 1, t, None);
-        // Feed the same rows one at a time through the cache.
-        let mut cache = attn.new_kv_cache();
-        let mut rows = Vec::new();
-        for i in 0..t {
-            let xi = Var::constant(x.slice(0, i, 1).contiguous());
-            rows.extend(attn.forward_cached(&xi, &mut cache).value().to_vec());
-        }
-        assert_eq!(
-            full.value().to_vec(),
-            rows,
-            "token-at-a-time decode must reproduce the full pass bit for bit"
-        );
     }
 
     /// Rows in one contiguous `[t, d]` buffer (the monolithic layout).

@@ -50,11 +50,6 @@ impl DecoderLayer {
         }
     }
 
-    /// The attention block.
-    pub fn attention(&self) -> &CausalSelfAttention {
-        &self.attn
-    }
-
     /// The MLP block.
     pub fn mlp(&self) -> &SwiGluMlp {
         &self.mlp
@@ -76,13 +71,6 @@ impl DecoderLayer {
     pub fn forward(&self, x: &Var, b: usize, t: usize, hook: Option<WeightHook<'_>>) -> Var {
         let h = x.add(&self.attn.forward(&self.input_norm.forward(x), b, t, hook));
         h.add(&self.mlp.forward(&self.post_norm.forward(&h), hook))
-    }
-
-    /// KV-cached forward of `n` new tokens for one sequence (`[n, d] →
-    /// [n, d]`); the attention block reads and extends `cache`.
-    pub fn forward_cached(&self, x: &Var, cache: &mut crate::AttnKvCache) -> Var {
-        let h = x.add(&self.attn.forward_cached(&self.input_norm.forward(x), cache));
-        h.add(&self.mlp.forward(&self.post_norm.forward(&h), None))
     }
 }
 

@@ -30,7 +30,7 @@ pub mod optim;
 pub mod tap;
 pub mod trainer;
 
-pub use attention::{attend_cached_rows, AttnKvCache, CausalSelfAttention, KvRowView};
+pub use attention::{attend_cached_rows, CausalSelfAttention, KvRowView};
 pub use decoder::DecoderLayer;
 pub use embedding::Embedding;
 pub use linear::Linear;

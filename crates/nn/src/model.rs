@@ -281,66 +281,6 @@ impl LlamaModel {
         }
         ids
     }
-
-    /// One empty KV cache per decoder layer.
-    pub fn new_kv_caches(&self) -> Vec<crate::AttnKvCache> {
-        self.layers
-            .iter()
-            .map(|l| l.attention().new_kv_cache())
-            .collect()
-    }
-
-    /// Logits `[n, vocab]` for `n` new tokens of one sequence whose prefix
-    /// lives in `caches` (one cache per layer, extended in place).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache count disagrees with the layer count or the
-    /// sequence would grow past `max_seq`.
-    pub fn logits_cached(&self, tokens: &[usize], caches: &mut [crate::AttnKvCache]) -> Var {
-        assert_eq!(
-            caches.len(),
-            self.layers.len(),
-            "one KV cache per decoder layer"
-        );
-        assert!(
-            caches[0].len() + tokens.len() <= self.config.max_seq,
-            "sequence too long: {} cached + {} new > {}",
-            caches[0].len(),
-            tokens.len(),
-            self.config.max_seq
-        );
-        let mut x = self.embed.forward(tokens);
-        for (layer, cache) in self.layers.iter().zip(caches.iter_mut()) {
-            x = layer.forward_cached(&x, cache);
-        }
-        let x = self.final_norm.forward(&x);
-        self.lm_head.forward(&x, None)
-    }
-
-    /// KV-cached greedy decoding: one prompt prefill, then one token per
-    /// step. Produces exactly the same tokens as
-    /// [`LlamaModel::generate_greedy`] (bit-identical logits) at
-    /// `O(t)` work per step instead of `O(t²)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prompt is empty or grows past `max_seq`.
-    pub fn generate_greedy_kv(&self, prompt: &[usize], n_new: usize) -> Vec<usize> {
-        assert!(!prompt.is_empty(), "prompt must be non-empty");
-        let _ng = edkm_autograd::no_grad();
-        let mut caches = self.new_kv_caches();
-        let mut ids = prompt.to_vec();
-        let mut next_input = prompt.to_vec();
-        for _ in 0..n_new {
-            let logits = self.logits_cached(&next_input, &mut caches);
-            let row = logits.value().slice(0, next_input.len() - 1, 1);
-            let next = edkm_tensor::ops::argmax_lastdim(&row)[0];
-            ids.push(next);
-            next_input = vec![next];
-        }
-        ids
-    }
 }
 
 #[cfg(test)]
@@ -419,41 +359,6 @@ mod tests {
         assert_eq!(out.len(), 5);
         assert_eq!(&out[..2], &[1, 2]);
         assert!(out.iter().all(|&t| t < 16));
-    }
-
-    #[test]
-    fn kv_cached_generation_matches_full_recompute() {
-        runtime::reset();
-        let model = LlamaModel::new(LlamaConfig::tiny(), DType::F32, Device::Cpu, 3);
-        let full = model.generate_greedy(&[1, 2], 5);
-        let cached = model.generate_greedy_kv(&[1, 2], 5);
-        assert_eq!(full, cached, "KV-cached greedy must match full recompute");
-    }
-
-    #[test]
-    fn cached_logits_are_bit_identical_to_full_logits() {
-        runtime::reset();
-        let model = LlamaModel::new(LlamaConfig::tiny(), DType::F32, Device::Cpu, 4);
-        let ids = [1usize, 5, 2, 7];
-        let full = model.logits(&ids, 1, ids.len(), None);
-        // Prefill 3 tokens, then decode the 4th incrementally.
-        let mut caches = model.new_kv_caches();
-        let prefill = model.logits_cached(&ids[..3], &mut caches);
-        let step = model.logits_cached(&ids[3..], &mut caches);
-        let full_v = full.value().to_vec();
-        let mut cached_v = prefill.value().to_vec();
-        cached_v.extend(step.value().to_vec());
-        assert_eq!(full_v, cached_v, "cached logits must be bit-identical");
-    }
-
-    #[test]
-    #[should_panic(expected = "sequence too long")]
-    fn cached_decode_respects_max_seq() {
-        runtime::reset();
-        let model = LlamaModel::new(LlamaConfig::tiny(), DType::F32, Device::Cpu, 5);
-        let mut caches = model.new_kv_caches();
-        let ids: Vec<usize> = (0..9).map(|i| i % 16).collect(); // max_seq = 8
-        model.logits_cached(&ids, &mut caches);
     }
 
     #[test]

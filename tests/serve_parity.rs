@@ -64,9 +64,6 @@ fn lossless_palette_generation_is_token_exact_for_64_steps() {
         "lossless compressed serving must be token-exact with the dense model"
     );
 
-    // The dense KV-cached path agrees with both (bit-identical logits).
-    assert_eq!(dense.generate_greedy_kv(&[1, 2, 3], PARITY_STEPS), want);
-
     // And it still round-trips through the on-disk container losslessly.
     let compressed = CompressionPipeline::new(CompressSpec::lossless()).export(&dense);
     let back = CompressedModel::from_bytes(&compressed.to_bytes()).expect("container roundtrip");
