@@ -17,7 +17,7 @@
 use edkm::core::{
     CancelOutcome, CompressSpec, EngineConfig, FinishReason, KvBlockConfig, PalettizedModel,
     Priority, Request, SamplingConfig, Scheduler, ServeEngine, ServeRequest, ServeResponse,
-    SubmitError, TokenEvent,
+    StreamPoll, SubmitError, TokenEvent,
 };
 use edkm::nn::{LlamaConfig, LlamaModel};
 use edkm::tensor::{runtime, DType, Device};
@@ -483,7 +483,6 @@ fn cancelling_a_preempted_request_keeps_its_streamed_tokens() {
 
 #[test]
 fn poll_event_delivers_events_then_reports_typed_ends() {
-    use edkm::core::StreamPoll;
     use std::time::Duration;
     runtime::reset();
     let engine = ServeEngine::new(served(17), EngineConfig::default());
@@ -539,7 +538,6 @@ fn poll_event_delivers_events_then_reports_typed_ends() {
 
 #[test]
 fn a_request_too_large_for_a_bounded_pool_is_refused_at_submit() {
-    use edkm::core::StreamPoll;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
     runtime::reset();
