@@ -44,6 +44,7 @@ pub mod device;
 pub mod dtype;
 pub mod error;
 pub mod exact;
+mod expf;
 pub mod layout;
 pub mod ops;
 pub mod pool;

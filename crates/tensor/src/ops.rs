@@ -5,6 +5,7 @@
 //! column of the paper's Table 2 is assembled.
 
 use crate::exact::{self, Factor};
+use crate::expf;
 use crate::layout::{broadcast_shapes, MatrixView};
 use crate::{runtime, DType, Tensor};
 use rayon::prelude::*;
@@ -298,27 +299,54 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// Numerically-stable softmax over the last axis.
 ///
-/// Each row's normalisation is formed exactly in f64 ([`exact`]): a sharp
+/// One output buffer, in four passes: each row's max as a lane-parallel
+/// tree, the shift by it, the exponentials of the whole buffer eight lanes
+/// at a time (`f32::exp`'s bits; DESIGN.md §4), and each row's sum and
+/// normalisation. Any order of `f32::max` gives the same max up to the
+/// sign of a zero, which changes only a ±0 entry's shift, and `exp(±0)`
+/// is one either way. Each row's sum adds in column order from `0.0f32`,
+/// and its normalisation is formed exactly in f64 ([`exact`]): a sharp
 /// row's small entries are subnormal, and the f32 multiply by `1 / sum`
 /// would take an assist on each.
 pub fn softmax_lastdim(t: &Tensor) -> Tensor {
     let cols = *t.shape().last().expect("softmax needs rank >= 1");
-    let data = t.to_vec();
-    let mut out = vec![0.0f32; data.len()];
-    for (row_in, row_out) in data.chunks(cols).zip(out.chunks_mut(cols)) {
-        let mx = row_in.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for (o, &v) in row_out.iter_mut().zip(row_in) {
-            *o = (v - mx).exp();
-            sum += *o;
+    let mut out = t.to_vec();
+    for row in out.chunks_mut(cols) {
+        let mx = row_max(row);
+        for v in row.iter_mut() {
+            *v -= mx;
+        }
+    }
+    expf::exp_in_place(&mut out);
+    for row in out.chunks_mut(cols) {
+        let mut sum = 0.0f32;
+        for &v in row.iter() {
+            sum += v;
         }
         let inv = exact::opaque(1.0 / sum);
-        for o in row_out.iter_mut() {
+        for o in row.iter_mut() {
             *o = exact::mul(*o, inv);
         }
     }
-    runtime::record_compute(4.0 * data.len() as f64, t.device());
+    runtime::record_compute(4.0 * out.len() as f64, t.device());
     Tensor::from_vec_unrounded(out, t.shape(), DType::F32, t.device())
+}
+
+/// `row`'s `f32::max` over eight lanes and then a tree: `-inf` for an
+/// empty or all-NaN row, like the serial fold from `-inf`.
+fn row_max(row: &[f32]) -> f32 {
+    let mut lanes = [f32::NEG_INFINITY; 8];
+    let (groups, tail) = row.as_chunks::<8>();
+    for g in groups {
+        for (m, &v) in lanes.iter_mut().zip(g) {
+            *m = m.max(v);
+        }
+    }
+    for (m, &v) in lanes.iter_mut().zip(tail) {
+        *m = m.max(v);
+    }
+    let [a, b, c, d, e, f, g, h] = lanes;
+    (a.max(e).max(c.max(g))).max(b.max(f).max(d.max(h)))
 }
 
 /// Numerically-stable log-softmax over the last axis.
@@ -1130,6 +1158,51 @@ mod tests {
         let (got, want) = (softmax_lastdim(&x).to_vec(), softmax_plain(&x.to_vec(), 6));
         assert_eq!(bits(&got), bits(&want));
         assert!(count_subnormals(&want) >= 3);
+    }
+
+    /// Rows where a max taken in another order could differ, or where the
+    /// exponentials leave their vector body: a max of +0.0 or -0.0 in
+    /// each position, alone or beside the other zero; all-zero rows of
+    /// every sign pattern; a row with one NaN and an all-NaN row; causal
+    /// mask rows of -1e9 with one finite entry; at widths 1 to 9, 16 and 64.
+    #[test]
+    fn softmax_with_signed_zero_maxima_nans_and_masked_rows_matches_the_f32_loop() {
+        runtime::reset();
+        for width in (1..=9).chain([16, 64]) {
+            let base: Vec<f32> = (0..width).map(|j| -0.5 - 0.25 * j as f32).collect();
+            let mut rows = vec![vec![f32::NAN; width]];
+            for p in 0..width {
+                for zero in [0.0, -0.0] {
+                    let mut row = base.clone();
+                    row[p] = zero;
+                    for q in (0..width).filter(|&q| q != p) {
+                        let mut both = row.clone();
+                        both[q] = -zero;
+                        rows.push(both);
+                    }
+                    rows.push(row);
+                }
+                let mut row = base.clone();
+                row[p] = f32::NAN;
+                rows.push(row);
+                let mut row = vec![-1e9; width];
+                row[p] = 0.3 * p as f32 - 1.0;
+                rows.push(row);
+            }
+            if width <= 9 {
+                for signs in 0u32..1 << width {
+                    rows.push(
+                        (0..width)
+                            .map(|j| if signs >> j & 1 == 1 { -0.0 } else { 0.0 })
+                            .collect(),
+                    );
+                }
+            }
+            let data = rows.concat();
+            let x = t(data.clone(), &[rows.len(), width]);
+            let (got, want) = (softmax_lastdim(&x).to_vec(), softmax_plain(&data, width));
+            assert_eq!(bits(&got), bits(&want), "width {width}");
+        }
     }
 
     #[test]
