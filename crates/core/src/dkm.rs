@@ -58,39 +58,57 @@ fn softmax_annotated(x: &Var, rows: &DistinctRows, keys: Option<Arc<RowKeys>>) -
 /// 1e-8)` over the `n` weight rows `w` (`[n, d]`, row-major).
 ///
 /// One pass over the weights in `p` order, adding into `k` independent
-/// lanes per sum: each lane sees the same additions in the same order as
-/// the dense `matmul(Aᵀ, W)` and `sum_axis(A, 0)` over the `[n, k]` map,
-/// so the centroids are bit-identical to them. Each product `a·w` is formed
-/// exactly in f64 from a widened copy of the weights (`exact`): the bits of
-/// the f32 product, without an assist on each of the map's subnormals.
+/// lanes per sum, `k = 2^bits` for `bits` in `1..=8`: each lane sees the
+/// same additions in the same order as the dense `matmul(Aᵀ, W)` and
+/// `sum_axis(A, 0)` over the `[n, k]` map, so the centroids are
+/// bit-identical to them. Each product `a·w` is formed exactly in f64 from
+/// a widened copy of the weights (`exact`): the bits of the f32 product,
+/// without an assist on each of the map's subnormals.
 fn centroid_update(a: &Tensor, index: &[u32], w: &[f32], d: usize, device: Device) -> Tensor {
     let k = a.shape()[1];
     let n = index.len();
     let w = exact::widen(w);
-    // Component-major `[d, k]` sums, so each component's k lanes are
-    // contiguous.
-    let mut num = vec![0.0f32; d * k];
-    let mut den = vec![0.0f32; k];
-    a.with_data(|a| {
-        for (&r, w_row) in index.iter().zip(w.chunks_exact(d)) {
-            let a_row = &a[r as usize * k..][..k];
-            for (s, &av) in den.iter_mut().zip(a_row) {
-                *s += av;
-            }
-            for (lanes, &wv) in num.chunks_exact_mut(k).zip(w_row) {
-                for (s, &av) in lanes.iter_mut().zip(a_row) {
-                    *s += exact::mul(av, wv);
-                }
-            }
-        }
+    let c = a.with_data(|a| match k {
+        2 => centroids::<2>(a, index, &w, d),
+        4 => centroids::<4>(a, index, &w, d),
+        8 => centroids::<8>(a, index, &w, d),
+        16 => centroids::<16>(a, index, &w, d),
+        32 => centroids::<32>(a, index, &w, d),
+        64 => centroids::<64>(a, index, &w, d),
+        128 => centroids::<128>(a, index, &w, d),
+        256 => centroids::<256>(a, index, &w, d),
+        _ => unreachable!("{k} centroids: k is 2^bits for bits in 1..=8"),
     });
-    let mut c = Vec::with_capacity(k * d);
-    for (j, &s) in den.iter().enumerate() {
-        c.extend((0..d).map(|comp| num[comp * k + j] / (s + 1e-8)));
-    }
     // The dense matmul and column sum's work.
     runtime::record_compute(((2 * d + 1) * n * k) as f64, device);
     Tensor::from_vec(c, &[k, d], DType::F32, device)
+}
+
+/// [`centroid_update`]'s `[K, d]` centroids over a compile-time `K`, which
+/// lets the compiler keep every lane loop whole and vectorised. The
+/// numerators are component-major (`[d, K]`), so each component's `K`
+/// lanes are one array.
+fn centroids<const K: usize>(a: &[f32], index: &[u32], w: &[f64], d: usize) -> Vec<f32> {
+    let (a, _) = a.as_chunks::<K>();
+    let mut num = vec![0.0f32; d * K];
+    let (lanes, _) = num.as_chunks_mut::<K>();
+    let mut den = [0.0f32; K];
+    for (&r, w_row) in index.iter().zip(w.chunks_exact(d)) {
+        let a_row = &a[r as usize];
+        for (s, &av) in den.iter_mut().zip(a_row) {
+            *s += av;
+        }
+        for (lane, &wv) in lanes.iter_mut().zip(w_row) {
+            for (s, &av) in lane.iter_mut().zip(a_row) {
+                *s += exact::mul(av, wv);
+            }
+        }
+    }
+    let mut c = Vec::with_capacity(K * d);
+    for (j, &s) in den.iter().enumerate() {
+        c.extend(lanes.iter().map(|lane| lane[j] / (s + 1e-8)));
+    }
+    c
 }
 
 /// Centroid initialization strategy.
@@ -327,8 +345,10 @@ impl DkmLayer {
     ///
     /// # Panics
     ///
-    /// Panics if `w.numel()` is not divisible by `cluster_dim`.
+    /// Panics if `bits` is outside `1..=8` (`k = 2^bits` centroids) or
+    /// `w.numel()` is not divisible by `cluster_dim`.
     pub fn cluster(&self, w: &Var) -> DkmOutput {
+        assert!((1..=8).contains(&self.config.bits), "bits must be in 1..=8");
         let shape = w.value().shape().to_vec();
         let d = self.config.cluster_dim;
         let numel = w.value().numel();
@@ -667,50 +687,53 @@ mod tests {
     #[test]
     fn centroid_update_with_injected_subnormals_matches_the_f32_loop() {
         runtime::reset();
-        let (u, k, n) = (300, 8, 2048);
-        // Attention rows with subnormal entries (every third, spread over
-        // the subnormal range), exact zeros and signed zeros.
-        let a: Vec<f32> = Tensor::rand(&[u, k], DType::F32, Device::Cpu, 51)
-            .to_vec()
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| match i % 7 {
-                1 | 4 => f32::from_bits(1 + (i as u32).wrapping_mul(2_654_435_761) % 0x7f_ffff),
-                2 => v * 1e-37,
-                5 => 0.0,
-                _ => v,
-            })
-            .collect();
-        assert!(a.iter().filter(|v| v.is_subnormal()).count() > u * k / 4);
-        let a = Tensor::from_vec(a, &[u, k], DType::F32, Device::Cpu);
-        let index: Vec<u32> = (0..n as u32).map(|p| (p * 37) % u as u32).collect();
-        for d in [1, 2] {
-            let w: Vec<f32> = Tensor::randn(&[n * d], DType::F32, Device::Cpu, 52)
+        let (u, n) = (300, 2048);
+        for bits in 1..=8 {
+            let k = 1usize << bits;
+            // Attention rows with subnormal entries (every third, spread
+            // over the subnormal range), exact zeros and signed zeros.
+            let a: Vec<f32> = Tensor::rand(&[u, k], DType::F32, Device::Cpu, 51)
                 .to_vec()
                 .iter()
                 .enumerate()
-                .map(|(i, &v)| if i % 13 == 0 { -0.0 } else { v * 0.02 })
+                .map(|(i, &v)| match i % 7 {
+                    1 | 4 => f32::from_bits(1 + (i as u32).wrapping_mul(2_654_435_761) % 0x7f_ffff),
+                    2 => v * 1e-37,
+                    5 => 0.0,
+                    _ => v,
+                })
                 .collect();
-            let got = centroid_update(&a, &index, &w, d, Device::Cpu).to_vec();
-            // The plain loop: f32 products added in `p` order per lane.
-            let av = a.to_vec();
-            let mut num = vec![0.0f32; k * d];
-            let mut den = vec![0.0f32; k];
-            for (p, &r) in index.iter().enumerate() {
-                for j in 0..k {
-                    let a_pj = av[r as usize * k + j];
-                    den[j] += a_pj;
-                    for comp in 0..d {
-                        num[j * d + comp] += a_pj * w[p * d + comp];
+            assert!(a.iter().filter(|v| v.is_subnormal()).count() > u * k / 4);
+            let a = Tensor::from_vec(a, &[u, k], DType::F32, Device::Cpu);
+            let index: Vec<u32> = (0..n as u32).map(|p| (p * 37) % u as u32).collect();
+            for d in [1, 2, 3] {
+                let w: Vec<f32> = Tensor::randn(&[n * d], DType::F32, Device::Cpu, 52)
+                    .to_vec()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| if i % 13 == 0 { -0.0 } else { v * 0.02 })
+                    .collect();
+                let got = centroid_update(&a, &index, &w, d, Device::Cpu).to_vec();
+                // The plain loop: f32 products added in `p` order per lane.
+                let av = a.to_vec();
+                let mut num = vec![0.0f32; k * d];
+                let mut den = vec![0.0f32; k];
+                for (p, &r) in index.iter().enumerate() {
+                    for j in 0..k {
+                        let a_pj = av[r as usize * k + j];
+                        den[j] += a_pj;
+                        for comp in 0..d {
+                            num[j * d + comp] += a_pj * w[p * d + comp];
+                        }
                     }
                 }
+                let want: Vec<f32> = (0..k * d).map(|i| num[i] / (den[i / d] + 1e-8)).collect();
+                assert_eq!(
+                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{bits} bits, cluster_dim {d}"
+                );
             }
-            let want: Vec<f32> = (0..k * d).map(|i| num[i] / (den[i / d] + 1e-8)).collect();
-            assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "cluster_dim {d}"
-            );
         }
     }
 
@@ -725,6 +748,16 @@ mod tests {
     #[should_panic(expected = "bits must be")]
     fn zero_bits_panics() {
         DkmConfig::with_bits(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bits must be")]
+    fn cluster_rejects_a_config_of_nine_bits() {
+        let lay = DkmLayer::new(DkmConfig {
+            bits: 9,
+            ..DkmConfig::default()
+        });
+        lay.cluster_tensor(&Tensor::zeros(&[4], DType::F32, Device::Cpu));
     }
 
     #[test]
