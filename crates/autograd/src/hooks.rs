@@ -65,7 +65,7 @@ pub fn push_hooks(hooks: Arc<dyn SavedTensorHooks>) -> HooksGuard {
 }
 
 /// Explicitly pop the innermost hooks (rarely needed; prefer the guard).
-pub fn pop_hooks() {
+pub(crate) fn pop_hooks() {
     HOOK_STACK.with(|s| {
         s.borrow_mut().pop();
     });
@@ -111,7 +111,7 @@ impl std::fmt::Debug for SavedTensor {
 
 impl SavedTensor {
     /// Reconstruct the tensor (calls the packing hooks' `unpack`).
-    pub fn unpack(&self) -> Tensor {
+    pub(crate) fn unpack(&self) -> Tensor {
         match &self.hooks {
             Some(h) => h.unpack(&self.packed),
             None => match &self.packed {

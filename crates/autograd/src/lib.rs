@@ -26,14 +26,12 @@
 //! assert_eq!(w.grad().unwrap().to_vec(), vec![1.0, 2.0]);
 //! ```
 
-pub mod gradcheck;
-pub mod hooks;
-pub mod ops;
-pub mod var;
+mod gradcheck;
+mod hooks;
+mod ops;
+mod var;
 
-pub use gradcheck::{check_gradients, numeric_gradient};
-pub use hooks::{
-    pop_hooks, push_hooks, save_tensor, HooksGuard, PackedTensor, SavedTensor, SavedTensorHooks,
-};
+pub use gradcheck::check_gradients;
+pub use hooks::{push_hooks, save_tensor, HooksGuard, PackedTensor, SavedTensor, SavedTensorHooks};
 pub use ops::softmax_backward;
-pub use var::{grad_enabled, no_grad, BackwardFn, NoGradGuard, Var, VarId};
+pub use var::{no_grad, NoGradGuard, Var, VarId};

@@ -19,7 +19,7 @@ thread_local! {
 }
 
 /// `true` if new ops record autograd nodes on this thread.
-pub fn grad_enabled() -> bool {
+pub(crate) fn grad_enabled() -> bool {
     GRAD_ENABLED.with(|g| g.get())
 }
 
@@ -46,7 +46,7 @@ impl Drop for NoGradGuard {
 }
 
 /// VJP closure: `(upstream grad, unpacked saved tensors) -> grads per input`.
-pub type BackwardFn = Box<dyn Fn(&Tensor, &[Tensor]) -> Vec<Option<Tensor>> + Send + Sync>;
+pub(crate) type BackwardFn = Box<dyn Fn(&Tensor, &[Tensor]) -> Vec<Option<Tensor>> + Send + Sync>;
 
 /// Graph node recorded by a differentiable op.
 pub(crate) struct Node {
@@ -177,18 +177,8 @@ impl Var {
     }
 
     /// `true` if gradients flow to (or through) this var.
-    pub fn requires_grad(&self) -> bool {
+    pub(crate) fn requires_grad(&self) -> bool {
         self.0.requires_grad
-    }
-
-    /// `true` if this is a leaf (no recorded op).
-    pub fn is_leaf(&self) -> bool {
-        self.0.node.is_none()
-    }
-
-    /// Name of the op that produced this var, if any.
-    pub fn op_name(&self) -> Option<&'static str> {
-        self.0.node.as_ref().map(|n| n.op)
     }
 
     /// Accumulated gradient of a leaf (cleared by [`Var::zero_grad`]).
@@ -204,13 +194,6 @@ impl Var {
     /// Replace the accumulated gradient (used by gradient clipping).
     pub fn set_grad(&self, g: Option<Tensor>) {
         *self.0.grad.lock() = g;
-    }
-
-    /// Cut the graph: same value, no gradient history.
-    ///
-    /// The value is aliased (recorded as a provenance hop), not copied.
-    pub fn detach(&self) -> Var {
-        Var::constant(self.value().alias())
     }
 
     fn accumulate_grad(&self, g: Tensor) {
@@ -241,7 +224,7 @@ impl Var {
     }
 
     /// Reverse-mode differentiation with an explicit upstream gradient.
-    pub fn backward_with(&self, grad: Tensor) {
+    pub(crate) fn backward_with(&self, grad: Tensor) {
         let order = topo_order(self);
         let mut grads: HashMap<u64, Tensor> = HashMap::new();
         grads.insert(self.0.id, grad);
@@ -335,9 +318,8 @@ mod tests {
         runtime::reset();
         let p = Var::param(scalar(1.0));
         assert!(p.requires_grad());
-        assert!(p.is_leaf());
+        assert!(p.0.node.is_none());
         assert!(p.grad().is_none());
-        assert!(p.op_name().is_none());
         let c = Var::constant(scalar(2.0));
         assert!(!c.requires_grad());
     }
@@ -398,7 +380,10 @@ mod tests {
             y = x.mul_scalar(3.0);
         }
         assert!(grad_enabled());
-        assert!(y.is_leaf(), "op under no_grad must not record a node");
+        assert!(
+            y.0.node.is_none(),
+            "op under no_grad must not record a node"
+        );
         assert!(!y.requires_grad());
     }
 
@@ -410,16 +395,6 @@ mod tests {
             assert!(!grad_enabled());
         }
         assert!(!grad_enabled(), "outer guard still active");
-    }
-
-    #[test]
-    fn detach_cuts_graph() {
-        runtime::reset();
-        let x = Var::param(scalar(2.0));
-        let y = x.mul_scalar(5.0).detach().mul_scalar(3.0);
-        y.backward();
-        assert!(x.grad().is_none(), "gradient must not flow past detach");
-        assert_eq!(y.value().item(), 30.0);
     }
 
     #[test]
@@ -449,7 +424,7 @@ mod tests {
         runtime::reset();
         let x = Var::param(scalar(1.0));
         let y = x.add(&x);
-        assert_eq!(y.op_name(), Some("add"));
+        assert_eq!(y.0.node.as_ref().map(|n| n.op), Some("add"));
     }
 
     #[test]

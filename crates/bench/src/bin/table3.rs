@@ -46,10 +46,7 @@ fn fresh_copy(base: &LlamaModel) -> LlamaModel {
 
 fn train_cfg(lr: f32, total: u64) -> TrainConfig {
     TrainConfig {
-        optim: AdamWConfig {
-            lr,
-            ..AdamWConfig::default()
-        },
+        optim: AdamWConfig { lr },
         schedule: LrSchedule::CosineWithWarmup {
             warmup: total / 20 + 1,
             total,

@@ -155,7 +155,7 @@ impl FaultProfile {
     ];
 
     /// Stable tag mixed into the generation seed and the byte encoding.
-    pub fn tag(&self) -> u64 {
+    pub(crate) fn tag(&self) -> u64 {
         match self {
             FaultProfile::ReplicaChurn => 0xc4a5_0001_0000_0011,
             FaultProfile::SlowBrownout => 0xc4a5_0002_0000_0022,
@@ -292,26 +292,6 @@ impl FaultPlan {
             horizon,
             events,
         }
-    }
-
-    /// The profile this plan was generated from.
-    pub fn profile(&self) -> FaultProfile {
-        self.profile
-    }
-
-    /// The generation seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Fleet size the plan targets.
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
-    /// Virtual-step horizon the plan was laid out over.
-    pub fn horizon(&self) -> u64 {
-        self.horizon
     }
 
     /// The scheduled faults, sorted by virtual step.

@@ -60,8 +60,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use edkm_core::engine::{
-    CancelOutcome, EngineConfig, EngineHandle, Request, RequestId, ServeEngine, StatsSnapshot,
-    StreamPoll, SubmitError, TokenEvent, TokenStream,
+    EngineConfig, EngineHandle, Request, RequestId, ServeEngine, StatsSnapshot, StreamPoll,
+    SubmitError, TokenEvent, TokenStream,
 };
 use edkm_core::infer::ServeModel;
 use edkm_core::kv::{prefix_fingerprints, KvBlockPool, PrefixHasher};
@@ -143,8 +143,8 @@ impl std::fmt::Display for RouteError {
 impl std::error::Error for RouteError {}
 
 /// Typed result of [`Cluster::drain`], mirroring
-/// [`CancelOutcome`]: draining is idempotent, and every
-/// outcome says what the slot was already doing.
+/// [`CancelOutcome`](edkm_core::engine::CancelOutcome): draining is
+/// idempotent, and every outcome says what the slot was already doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DrainOutcome {
     /// The replica was active and is now draining: no new dispatch, and
@@ -156,13 +156,6 @@ pub enum DrainOutcome {
     /// The replica is dead; there is nothing to drain. (A dead slot stays
     /// dead until [`Cluster::respawn`].)
     Dead,
-}
-
-impl DrainOutcome {
-    /// `true` if this call is the one that started the drain.
-    pub fn started_drain(self) -> bool {
-        matches!(self, DrainOutcome::Draining)
-    }
 }
 
 impl std::fmt::Display for DrainOutcome {
@@ -183,7 +176,7 @@ pub struct RouteId(u64);
 
 impl RouteId {
     /// The raw numeric id.
-    pub fn raw(self) -> u64 {
+    pub(crate) fn raw(self) -> u64 {
         self.0
     }
 }
@@ -214,7 +207,7 @@ pub struct ClusterStats {
     /// Requests the router dispatched over its lifetime.
     pub routed: u64,
     /// Dispatches that landed on their prefix-affinity replica.
-    pub affinity_hits: u64,
+    pub(crate) affinity_hits: u64,
     /// Dispatches whose sticky replica was saturated and spilled elsewhere.
     pub spills: u64,
     /// Hedged duplicates submitted for straggling first tokens.
@@ -223,8 +216,6 @@ pub struct ClusterStats {
     pub rerouted: u64,
     /// Requests refused by the degrade ladder ([`RouteError::Shed`]).
     pub shed: u64,
-    /// Current degrade-ladder level (0 = full service).
-    pub degrade_level: u8,
     /// Every ladder transition so far, in order (see [`DegradeEvent`]).
     pub degrade_events: Vec<DegradeEvent>,
 }
@@ -612,48 +603,6 @@ impl RouterHandle {
         self.inner.route(request, false)
     }
 
-    /// Cancel a routed request. Idempotent like
-    /// [`EngineHandle::cancel`]: once the route has reached a terminal
-    /// event (or was never known), this is a no-op reporting
-    /// [`CancelOutcome::AlreadyFinished`].
-    pub fn cancel(&self, id: RouteId) -> CancelOutcome {
-        // The target engine can change under us (hedge win, failover), and
-        // a cancel against the stale engine reports AlreadyFinished. Retry
-        // against the refreshed target a bounded number of times.
-        for _ in 0..3 {
-            let target = {
-                let routes = self.inner.routes.lock().expect("route table poisoned");
-                routes.get(&id.0).map(|e| (e.replica, e.engine_id))
-            };
-            let (replica, engine_id) = match target {
-                Some(t) => t,
-                None => return CancelOutcome::AlreadyFinished,
-            };
-            if let Some(handle) = self.inner.handle_for(replica) {
-                if handle.cancel(engine_id) == CancelOutcome::Cancelled {
-                    return CancelOutcome::Cancelled;
-                }
-            }
-            let moved = {
-                let routes = self.inner.routes.lock().expect("route table poisoned");
-                routes.get(&id.0).map(|e| (e.replica, e.engine_id)) != Some((replica, engine_id))
-            };
-            if !moved {
-                return CancelOutcome::AlreadyFinished;
-            }
-        }
-        CancelOutcome::AlreadyFinished
-    }
-
-    /// Routed requests that have not yet reached a terminal event.
-    pub fn in_flight(&self) -> usize {
-        self.inner
-            .routes
-            .lock()
-            .expect("route table poisoned")
-            .len()
-    }
-
     /// Per-replica engine snapshots plus router counters.
     pub fn stats(&self) -> ClusterStats {
         let replicas = {
@@ -668,7 +617,6 @@ impl RouterHandle {
             hedges: self.inner.hedges.load(Ordering::Relaxed),
             rerouted: self.inner.rerouted.load(Ordering::Relaxed),
             shed: self.inner.shed.load(Ordering::Relaxed),
-            degrade_level: self.inner.degrade_level.load(Ordering::Relaxed),
             degrade_events: self
                 .inner
                 .degrade_events
@@ -692,13 +640,6 @@ impl RouterHandle {
         }
     }
 
-    /// Whether one replica's dispatch gate is open (`true` for unknown
-    /// slots, matching the default).
-    pub fn dispatch_gate(&self, replica: usize) -> bool {
-        let slots = self.inner.slots.lock().expect("slots poisoned");
-        slots.get(replica).map(|s| s.gate_open).unwrap_or(true)
-    }
-
     /// Move the degrade ladder to `level` as of virtual step `step`,
     /// recording a typed [`DegradeEvent`] when the level actually changes.
     /// Effects per level are cumulative (each includes everything below):
@@ -719,11 +660,6 @@ impl RouterHandle {
             .lock()
             .expect("degrade events poisoned")
             .push(DegradeEvent { step, from, to });
-    }
-
-    /// The current degrade-ladder level.
-    pub fn degrade_level(&self) -> u8 {
-        self.inner.degrade_level.load(Ordering::Relaxed)
     }
 }
 
@@ -775,12 +711,6 @@ impl std::fmt::Debug for ClusterStream {
 }
 
 impl ClusterStream {
-    /// The cluster-level route id (matches the rewritten
-    /// [`ServeResponse::id`]).
-    pub fn id(&self) -> RouteId {
-        self.id
-    }
-
     /// Next token event, blocking until one is available. `None` after the
     /// terminal event, or if the whole fleet died under the request.
     pub fn next_event(&mut self) -> Option<TokenEvent> {
@@ -1154,8 +1084,8 @@ impl Cluster {
     /// terminal event.
     ///
     /// Idempotent with a typed [`DrainOutcome`] (mirroring
-    /// [`CancelOutcome`]): exactly one call observes
-    /// [`DrainOutcome::Draining`]; repeats report
+    /// [`CancelOutcome`](edkm_core::engine::CancelOutcome)): exactly one
+    /// call observes [`DrainOutcome::Draining`]; repeats report
     /// [`DrainOutcome::AlreadyDraining`], and draining a dead slot is a
     /// [`DrainOutcome::Dead`] no-op.
     pub fn drain(&self, replica: usize) -> DrainOutcome {
@@ -1231,7 +1161,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edkm_core::serve::{FinishReason, SamplingConfig};
+    use edkm_core::serve::SamplingConfig;
     use edkm_core::{CompressSpec, KvBlockConfig, PalettizedModel};
     use edkm_nn::{LlamaConfig, LlamaModel};
     use edkm_tensor::{runtime, DType, Device};
@@ -1362,24 +1292,6 @@ mod tests {
     }
 
     #[test]
-    fn router_cancel_is_idempotent_and_typed() {
-        let model = base_model();
-        let cluster = Cluster::new(fleet(&model, 2), ClusterConfig::default());
-        let router = cluster.handle();
-
-        let (id, mut s) = router.submit(req(vec![1, 2, 3], 11, 32)).unwrap();
-        let first = router.cancel(id);
-        assert_eq!(first, CancelOutcome::Cancelled);
-        let resp = s.wait().expect("cancel still delivers a terminal");
-        assert_eq!(resp.finish, FinishReason::Cancelled);
-        // Every later cancel — same id, terminal already delivered — is a
-        // typed no-op.
-        assert_eq!(router.cancel(id), CancelOutcome::AlreadyFinished);
-        assert_eq!(router.cancel(id), CancelOutcome::AlreadyFinished);
-        cluster.shutdown();
-    }
-
-    #[test]
     fn hedging_delivers_every_token_exactly_once() {
         let model = base_model();
         // Reference tokens from an un-hedged run.
@@ -1447,10 +1359,8 @@ mod tests {
         // Exactly one call observes the transition; repeats are typed
         // no-ops, mirroring `CancelOutcome`.
         assert_eq!(cluster.drain(0), DrainOutcome::Draining);
-        assert!(DrainOutcome::Draining.started_drain());
         assert_eq!(cluster.drain(0), DrainOutcome::AlreadyDraining);
         assert_eq!(cluster.drain(0), DrainOutcome::AlreadyDraining);
-        assert!(!DrainOutcome::AlreadyDraining.started_drain());
         assert_eq!(cluster.replica_state(0), ReplicaState::Draining);
         // Draining a dead slot reports Dead and changes nothing.
         cluster.kill(1);
@@ -1498,10 +1408,10 @@ mod tests {
         back.wait().expect("finishes");
         let stats = router.stats();
         assert_eq!(stats.shed, 2);
-        assert_eq!(stats.degrade_level, DegradeLevel::Full as u8);
         assert_eq!(stats.degrade_events.len(), 3);
-        assert!(stats.degrade_events[0].is_escalation());
-        assert!(!stats.degrade_events[2].is_escalation());
+        let (first, last) = (&stats.degrade_events[0], &stats.degrade_events[2]);
+        assert!(first.to > first.from, "the first move escalates");
+        assert!(last.to < last.from, "the last move recovers");
         cluster.shutdown();
     }
 
@@ -1511,7 +1421,8 @@ mod tests {
         let cluster = Cluster::new(fleet(&model, 2), ClusterConfig::default());
         let router = cluster.handle();
         router.set_dispatch_gate(0, false);
-        assert!(!router.dispatch_gate(0));
+        let gate_open = |r: usize| router.inner.slots.lock().unwrap()[r].gate_open;
+        assert!(!gate_open(0));
         let mut streams = Vec::new();
         for i in 0..4 {
             let (_, s) = router
@@ -1526,7 +1437,7 @@ mod tests {
         let (_, s) = router.submit(req(vec![7, 7, 7], 90, 2)).unwrap();
         streams.push(s);
         router.set_dispatch_gate(0, true);
-        assert!(router.dispatch_gate(0));
+        assert!(gate_open(0));
         for mut s in streams {
             s.wait().expect("finishes");
         }

@@ -57,7 +57,7 @@ pub enum DegradeLevel {
 
 impl DegradeLevel {
     /// The level encoded by `v`, saturating above the top rung.
-    pub fn from_u8(v: u8) -> Self {
+    pub(crate) fn from_u8(v: u8) -> Self {
         match v {
             0 => DegradeLevel::Full,
             1 => DegradeLevel::NoHedging,
@@ -67,12 +67,12 @@ impl DegradeLevel {
     }
 
     /// One rung harsher (saturating).
-    pub fn escalate(self) -> Self {
+    pub(crate) fn escalate(self) -> Self {
         DegradeLevel::from_u8((self as u8).saturating_add(1))
     }
 
     /// One rung gentler (saturating).
-    pub fn recover(self) -> Self {
+    pub(crate) fn recover(self) -> Self {
         DegradeLevel::from_u8((self as u8).saturating_sub(1))
     }
 }
@@ -94,18 +94,11 @@ impl std::fmt::Display for DegradeLevel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradeEvent {
     /// Virtual step (or supervisor tick) at which the ladder moved.
-    pub step: u64,
+    pub(crate) step: u64,
     /// Level before the transition.
-    pub from: u8,
+    pub(crate) from: u8,
     /// Level after the transition.
-    pub to: u8,
-}
-
-impl DegradeEvent {
-    /// `true` when the ladder moved to a harsher level.
-    pub fn is_escalation(&self) -> bool {
-        self.to > self.from
-    }
+    pub(crate) to: u8,
 }
 
 impl std::fmt::Display for DegradeEvent {
@@ -151,34 +144,34 @@ impl std::fmt::Display for BreakerState {
 pub struct SupervisorConfig {
     /// Seed for the breaker/respawn backoff jitter; same seed + same
     /// observation sequence ⇒ same decisions (replayable recovery).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Consecutive unchanged-snapshot-under-load probes before a replica
     /// is suspected wedged and its breaker opens.
-    pub stale_probes: u32,
+    pub(crate) stale_probes: u32,
     /// Base backoff (ticks) an open breaker waits before half-opening;
     /// doubles per consecutive open.
-    pub breaker_backoff_base: u64,
+    pub(crate) breaker_backoff_base: u64,
     /// Backoff cap for the breaker.
-    pub breaker_backoff_max: u64,
+    pub(crate) breaker_backoff_max: u64,
     /// Progress probes a half-open breaker requires before closing.
-    pub half_open_probes: u32,
+    pub(crate) half_open_probes: u32,
     /// Staleness horizon at which a wedged replica is proactively drained
     /// (then recycled once empty). Should be well past `stale_probes`.
-    pub drain_stale_probes: u32,
+    pub(crate) drain_stale_probes: u32,
     /// Base backoff (ticks) before respawning a dead replica; doubles per
     /// consecutive respawn of the same slot.
-    pub respawn_backoff_base: u64,
+    pub(crate) respawn_backoff_base: u64,
     /// Backoff cap for respawns.
-    pub respawn_backoff_max: u64,
+    pub(crate) respawn_backoff_max: u64,
     /// Escalate the ladder when the unhealthy-replica fraction is at or
     /// above this for `ladder_patience` ticks.
-    pub pressure_up: f64,
+    pub(crate) pressure_up: f64,
     /// Recover one rung when the fraction is at or below this for
     /// `ladder_patience` ticks.
-    pub pressure_down: f64,
+    pub(crate) pressure_down: f64,
     /// Ticks a pressure (or calm) condition must persist before the
     /// ladder moves — the hysteresis that stops flapping.
-    pub ladder_patience: u64,
+    pub(crate) ladder_patience: u64,
 }
 
 impl Default for SupervisorConfig {
@@ -322,21 +315,6 @@ impl Supervisor {
             calm_streak: 0,
             level: DegradeLevel::Full,
         }
-    }
-
-    /// The ladder level the supervisor currently intends.
-    pub fn level(&self) -> DegradeLevel {
-        self.level
-    }
-
-    /// One replica's breaker state.
-    pub fn breaker(&self, replica: usize) -> BreakerState {
-        self.replicas[replica].breaker
-    }
-
-    /// Ticks consumed so far.
-    pub fn ticks(&self) -> u64 {
-        self.tick
     }
 
     /// Consume one fleet observation and return the actions the driver
@@ -505,7 +483,6 @@ mod tests {
             hedges: 0,
             rerouted: 0,
             shed: 0,
-            degrade_level: 0,
             degrade_events: Vec::new(),
         }
     }
@@ -539,7 +516,7 @@ mod tests {
         let _ = sup.tick(&stats(vec![(ReplicaState::Active, busy(1))]));
         let acts = sup.tick(&stats(vec![(ReplicaState::Active, busy(1))]));
         assert!(acts.contains(&SupervisorAction::OpenBreaker { replica: 0 }));
-        assert_eq!(sup.breaker(0), BreakerState::Open);
+        assert_eq!(sup.replicas[0].breaker, BreakerState::Open);
         // Backoff (1 tick at this config) elapses: half-open probe.
         let mut half_opened = false;
         for _ in 0..4 {
@@ -553,7 +530,7 @@ mod tests {
         // A progressing snapshot closes it.
         let acts = sup.tick(&stats(vec![(ReplicaState::Active, busy(2))]));
         assert!(acts.contains(&SupervisorAction::CloseBreaker { replica: 0 }));
-        assert_eq!(sup.breaker(0), BreakerState::Closed);
+        assert_eq!(sup.replicas[0].breaker, BreakerState::Closed);
     }
 
     #[test]
@@ -609,7 +586,7 @@ mod tests {
             }
         }
         assert!(escalated, "sustained pressure must move the ladder");
-        assert_eq!(sup.level(), DegradeLevel::NoHedging);
+        assert_eq!(sup.level, DegradeLevel::NoHedging);
         // Full health: recovery after the same patience, one rung at a time.
         let mut recovered = false;
         for _ in 0..4 {
@@ -626,7 +603,7 @@ mod tests {
             }
         }
         assert!(recovered, "sustained calm must walk the ladder back down");
-        assert_eq!(sup.level(), DegradeLevel::Full);
+        assert_eq!(sup.level, DegradeLevel::Full);
     }
 
     #[test]

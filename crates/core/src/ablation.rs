@@ -53,29 +53,13 @@ impl Default for AblationSetup {
     }
 }
 
-impl AblationSetup {
-    /// A tiny setup for unit tests.
-    pub fn tiny() -> Self {
-        AblationSetup {
-            d_model: 32,
-            n_heads: 2,
-            seq: 4,
-            batch: 1,
-            bits: 3,
-            cluster_dim: 1,
-            dkm_iters: 2,
-            overlap_pcie: false,
-        }
-    }
-}
-
 /// One measured row of Table 2.
 #[derive(Debug, Clone)]
 pub struct AblationRow {
     /// Config label ("—", "M", "M+U", "M+S", "M+U+S").
     pub label: String,
     /// Whether M/U/S were active.
-    pub config: EdkmConfig,
+    pub(crate) config: EdkmConfig,
     /// Peak CPU bytes of offloaded saved tensors (per learner).
     pub peak_cpu_bytes: usize,
     /// Simulated forward+backward seconds.
@@ -100,10 +84,9 @@ impl AblationRow {
 pub fn run_one(setup: &AblationSetup, config: EdkmConfig) -> AblationRow {
     runtime::reset();
     if setup.overlap_pcie {
-        runtime::set_cost_model(edkm_tensor::CostModel {
-            overlap_pcie: true,
-            ..edkm_tensor::CostModel::default()
-        });
+        let mut model = edkm_tensor::CostModel::default();
+        model.overlap_pcie = true;
+        runtime::set_cost_model(model);
     }
     let device = Device::gpu();
 
@@ -226,16 +209,30 @@ pub fn render_table2(rows: &[AblationRow]) -> String {
 mod tests {
     use super::*;
 
+    /// A tiny setup for unit tests.
+    fn tiny() -> AblationSetup {
+        AblationSetup {
+            d_model: 32,
+            n_heads: 2,
+            seq: 4,
+            batch: 1,
+            bits: 3,
+            cluster_dim: 1,
+            dkm_iters: 2,
+            overlap_pcie: false,
+        }
+    }
+
     #[test]
     fn rows_have_expected_labels() {
-        let rows = run_table2(&AblationSetup::tiny(), 4);
+        let rows = run_table2(&tiny(), 4);
         let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(labels, vec!["—", "M", "M+U", "M+S", "M+U+S"]);
     }
 
     #[test]
     fn marshaling_reduces_memory() {
-        let setup = AblationSetup::tiny();
+        let setup = tiny();
         let base = run_one(&setup, EdkmConfig::baseline());
         let m = run_one(&setup, EdkmConfig::marshal_only());
         assert!(base.peak_cpu_bytes > 0);
@@ -277,7 +274,7 @@ mod tests {
 
     #[test]
     fn ordering_check_names_the_failed_relation() {
-        let mut rows = run_table2(&AblationSetup::tiny(), 4);
+        let mut rows = run_table2(&tiny(), 4);
         rows[2].peak_cpu_bytes = rows[1].peak_cpu_bytes;
         let why = check_table2_ordering(&rows).unwrap_err();
         assert!(why.starts_with("M > M+U fails"), "{why}");
@@ -290,10 +287,10 @@ mod tests {
         // keys (vector clustering) break: random bf16 blocks are nearly
         // all-unique, so the wide path's adaptive fallback stores densely
         // and U buys (almost) nothing — while never costing anything.
-        let scalar = AblationSetup::tiny();
+        let scalar = tiny();
         let vector = AblationSetup {
             cluster_dim: 2,
-            ..AblationSetup::tiny()
+            ..tiny()
         };
         let s_m = run_one(&scalar, EdkmConfig::marshal_only());
         let s_mu = run_one(&scalar, EdkmConfig::marshal_uniquify());
@@ -319,7 +316,7 @@ mod tests {
 
     #[test]
     fn sharding_adds_runtime_overhead() {
-        let setup = AblationSetup::tiny();
+        let setup = tiny();
         let m = run_one(&setup, EdkmConfig::marshal_only());
         let ms = run_one(
             &setup,
@@ -367,7 +364,7 @@ mod tests {
 
     #[test]
     fn render_table_contains_all_rows() {
-        let rows = run_table2(&AblationSetup::tiny(), 2);
+        let rows = run_table2(&tiny(), 2);
         let s = render_table2(&rows);
         assert_eq!(s.lines().count(), 2 + 5);
         assert!(s.contains("Reduction"));

@@ -21,7 +21,7 @@ pub struct AccountedVec<T: Copy> {
 impl<T: Copy> AccountedVec<T> {
     /// Take ownership of `data`, charging its bytes to `device`'s pool of
     /// the current thread runtime.
-    pub fn new(data: Vec<T>, device: Device) -> Self {
+    pub(crate) fn new(data: Vec<T>, device: Device) -> Self {
         let bytes = data.len() * std::mem::size_of::<T>();
         let pool = runtime::pool(device);
         pool.alloc(bytes);
@@ -29,22 +29,17 @@ impl<T: Copy> AccountedVec<T> {
     }
 
     /// The buffer contents.
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         &self.data
     }
 
     /// Element count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
     }
 
-    /// `true` if empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Bytes charged to the pool.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.bytes
     }
 }
@@ -67,7 +62,6 @@ mod tests {
             assert_eq!(runtime::cpu_live_bytes(), 200);
             assert_eq!(v.bytes(), 200);
             assert_eq!(v.len(), 100);
-            assert!(!v.is_empty());
         }
         assert_eq!(runtime::cpu_live_bytes(), 0);
         assert_eq!(runtime::peak_bytes(Device::Cpu), 200);
@@ -86,6 +80,6 @@ mod tests {
         runtime::reset();
         let v: AccountedVec<u16> = AccountedVec::new(vec![], Device::Cpu);
         assert_eq!(runtime::cpu_live_bytes(), 0);
-        assert!(v.is_empty());
+        assert_eq!(v.len(), 0);
     }
 }

@@ -221,11 +221,6 @@ impl DkmLayer {
         DkmLayer { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &DkmConfig {
-        &self.config
-    }
-
     /// Centroid init per the configured [`DkmInit`] strategy: `[k, d]`,
     /// row-major. `w` holds the `n` weight rows and `distinct` the `u`
     /// distinct rows that `rows` numbers; every strategy picks the
@@ -882,7 +877,7 @@ mod tests {
         let w = Var::param(Tensor::randn(&[64], DType::Bf16, Device::Cpu, 4).map(|v| v * 0.02));
         let _out = layer(3).cluster(&w);
         assert_eq!(
-            uniquify::annotation_count(),
+            uniquify::tests::annotation_count(),
             1,
             "clustering a 16-bit weight must annotate its attention map"
         );
@@ -895,7 +890,7 @@ mod tests {
         uniquify::clear_annotations();
         let w = Var::param(Tensor::randn(&[64], DType::F32, Device::Cpu, 5));
         let _out = layer(3).cluster(&w);
-        assert_eq!(uniquify::annotation_count(), 0);
+        assert_eq!(uniquify::tests::annotation_count(), 0);
     }
 
     #[test]
@@ -916,7 +911,7 @@ mod tests {
         let w = Var::param(Tensor::randn(&[64], DType::Bf16, Device::Cpu, 8).map(|v| v * 0.02));
         let _out = DkmLayer::new(DkmConfig::with_vector(3, 2)).cluster(&w);
         assert_eq!(
-            uniquify::annotation_count(),
+            uniquify::tests::annotation_count(),
             1,
             "vector clustering of 16-bit weights must annotate block keys"
         );

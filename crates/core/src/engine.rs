@@ -46,13 +46,6 @@ use std::thread::JoinHandle;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId(u64);
 
-impl RequestId {
-    /// The raw id, as it appears in [`ServeResponse::id`].
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 impl std::fmt::Display for RequestId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "req-{}", self.0)
@@ -61,12 +54,12 @@ impl std::fmt::Display for RequestId {
 
 /// Default token budget of a [`Request`] when
 /// [`Request::max_new_tokens`] is not called.
-pub const DEFAULT_MAX_NEW_TOKENS: usize = 16;
+pub(crate) const DEFAULT_MAX_NEW_TOKENS: usize = 16;
 
 /// A typed generation request, built fluently and handed to
 /// [`EngineHandle::submit`] / [`EngineHandle::try_submit`].
 ///
-/// Defaults: greedy sampling, [`DEFAULT_MAX_NEW_TOKENS`] new tokens, no
+/// Defaults: greedy sampling, `DEFAULT_MAX_NEW_TOKENS` new tokens, no
 /// stop tokens, [`Priority::Normal`], no deadline.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -142,11 +135,6 @@ impl Request {
         &self.prompt
     }
 
-    /// The token budget ([`Request::max_new_tokens`]).
-    pub fn max_new(&self) -> usize {
-        self.max_new
-    }
-
     /// The scheduling class this request was built with — what a router's
     /// admission policy (e.g. a degrade ladder shedding low-priority
     /// traffic) keys on.
@@ -184,14 +172,6 @@ pub enum TokenEvent {
 }
 
 impl TokenEvent {
-    /// The token id, for [`TokenEvent::Token`] events.
-    pub fn token(&self) -> Option<usize> {
-        match self {
-            TokenEvent::Token { token, .. } => Some(*token),
-            TokenEvent::Finished(_) => None,
-        }
-    }
-
     /// The finish reason, for the terminal event.
     pub fn finish_reason(&self) -> Option<FinishReason> {
         match self {
@@ -209,17 +189,11 @@ impl TokenEvent {
 /// step, freeing its KV blocks.
 #[derive(Debug)]
 pub struct TokenStream {
-    id: RequestId,
     rx: mpsc::Receiver<TokenEvent>,
     done: bool,
 }
 
 impl TokenStream {
-    /// The id of the request this stream belongs to.
-    pub fn id(&self) -> RequestId {
-        self.id
-    }
-
     /// Block for the next event; `None` after the terminal event (or if
     /// the engine died without finishing the request).
     pub fn next_event(&mut self) -> Option<TokenEvent> {
@@ -349,7 +323,7 @@ impl std::error::Error for SubmitError {}
 
 /// Wall-clock duration one injected stall step burns in the worker loop
 /// (see [`EngineHandle::inject_stall`]).
-pub const STALL_TICK: std::time::Duration = std::time::Duration::from_millis(1);
+pub(crate) const STALL_TICK: std::time::Duration = std::time::Duration::from_millis(1);
 
 /// Upper bucket bounds (inclusive, in scheduler steps) of the TTFT
 /// histogram; one overflow bucket follows the last bound.
@@ -365,7 +339,7 @@ pub struct TtftHistogram {
 
 impl TtftHistogram {
     /// Record one first-token latency of `steps` scheduler steps.
-    pub fn record(&mut self, steps: u64) {
+    pub(crate) fn record(&mut self, steps: u64) {
         let i = TTFT_BUCKET_BOUNDS
             .iter()
             .position(|&b| steps <= b)
@@ -433,24 +407,6 @@ pub struct StatsSnapshot {
     /// crate reports it as `serve.spec_proposed`; it goes when a
     /// benchmark change drops that metric.
     pub spec_proposed: u64,
-}
-
-impl StatsSnapshot {
-    /// Dimensionless load figure for cross-replica comparison: in-flight
-    /// work (`queued + active`) plus the fraction of this engine's own
-    /// observed peak KV footprint currently live (`0.0` before any KV was
-    /// charged). Higher means busier; a router comparing replicas of the
-    /// same fleet can rank them by this single number — whole units are
-    /// requests, the fractional part is KV pressure, so queue depth always
-    /// dominates.
-    pub fn utilization(&self) -> f64 {
-        let kv = if self.kv_peak_bytes == 0 {
-            0.0
-        } else {
-            self.kv_live_bytes as f64 / self.kv_peak_bytes as f64
-        };
-        (self.queued + self.active) as f64 + kv.min(1.0)
-    }
 }
 
 impl std::fmt::Display for StatsSnapshot {
@@ -649,14 +605,7 @@ impl EngineHandle {
         inbox.pending.push_back((request.into_serve(id), tx));
         inbox.live.insert(id);
         self.shared.cv.notify_all();
-        (
-            RequestId(id),
-            TokenStream {
-                id: RequestId(id),
-                rx,
-                done: false,
-            },
-        )
+        (RequestId(id), TokenStream { rx, done: false })
     }
 
     /// Cancel a request wherever it is: still queued, or mid-flight (its
@@ -709,27 +658,15 @@ impl EngineHandle {
         self.shared.cv.notify_all();
     }
 
-    /// Whether [`EngineHandle::drain`] (or shutdown) was called: no new
-    /// admissions will be accepted.
-    pub fn is_draining(&self) -> bool {
-        let inbox = self.shared.lock_inbox();
-        inbox.draining || inbox.shutdown
-    }
-
     /// Inject `steps` stalled decode steps — the slow-replica fault. The
     /// worker burns one stalled step per loop iteration (sleeping
-    /// [`STALL_TICK`] instead of decoding), so in-flight streams stop
+    /// `STALL_TICK` instead of decoding), so in-flight streams stop
     /// producing while the engine stays alive and cancellable: exactly the
     /// wedge signature a supervisor detects through snapshot staleness.
     /// Additive across calls; a no-op engine-side once the balance drains.
     pub fn inject_stall(&self, steps: u64) {
         self.shared.stall_steps.fetch_add(steps, Ordering::Relaxed);
         self.shared.cv.notify_all();
-    }
-
-    /// Injected stall steps not yet burned by the worker.
-    pub fn stalled_steps(&self) -> u64 {
-        self.shared.stall_steps.load(Ordering::Relaxed)
     }
 
     /// Sever every live token stream — the router↔replica channel-drop
@@ -1131,40 +1068,6 @@ fn worker_loop<M: ServeModel>(model: M, shared: Arc<Shared>, max_batch: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn utilization_is_zero_for_an_idle_engine() {
-        assert_eq!(StatsSnapshot::default().utilization(), 0.0);
-    }
-
-    #[test]
-    fn utilization_counts_inflight_work_in_whole_units() {
-        let s = StatsSnapshot {
-            queued: 2,
-            active: 3,
-            ..StatsSnapshot::default()
-        };
-        assert_eq!(s.utilization(), 5.0);
-    }
-
-    #[test]
-    fn utilization_adds_kv_pressure_as_a_fraction() {
-        let s = StatsSnapshot {
-            active: 1,
-            kv_live_bytes: 512,
-            kv_peak_bytes: 1024,
-            ..StatsSnapshot::default()
-        };
-        assert_eq!(s.utilization(), 1.5);
-        // KV pressure can never outrank a whole queued request, even if a
-        // racy read pairs a fresh live figure with a stale peak.
-        let racy = StatsSnapshot {
-            kv_live_bytes: 2048,
-            kv_peak_bytes: 1024,
-            ..StatsSnapshot::default()
-        };
-        assert_eq!(racy.utilization(), 1.0);
-    }
 
     #[test]
     fn display_is_one_compact_line() {

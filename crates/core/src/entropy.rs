@@ -82,7 +82,7 @@ impl EntropyCoded {
     /// # Panics
     ///
     /// Panics if `indices` is empty or contains a value `>= k`.
-    pub fn encode(indices: &[u32], k: usize) -> Self {
+    pub(crate) fn encode(indices: &[u32], k: usize) -> Self {
         assert!(!indices.is_empty(), "cannot entropy-code an empty stream");
         let mut freqs = vec![0u64; k];
         for &i in indices {
@@ -99,7 +99,7 @@ impl EntropyCoded {
 
     /// Serialized bytes: the payload padded to whole bytes + one length
     /// byte per alphabet symbol + an 8-byte symbol count.
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.payload_bits.div_ceil(8) + self.lengths.len() + 8
     }
 

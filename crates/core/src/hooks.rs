@@ -19,13 +19,13 @@ use std::sync::Arc;
 pub struct EdkmConfig {
     /// Offload saved tensors to CPU at all (paper baseline: always true;
     /// `false` keeps tensors resident like stock training).
-    pub offload: bool,
+    pub(crate) offload: bool,
     /// M: cross-device tensor marshaling (registry + graph walk).
-    pub marshal: bool,
+    pub(crate) marshal: bool,
     /// U: weight uniquification of annotated attention maps.
-    pub uniquify: bool,
+    pub(crate) uniquify: bool,
     /// S: shard the big payload component over the learner group.
-    pub shard: bool,
+    pub(crate) shard: bool,
     /// Number of learners `|L|` (paper: 8).
     pub learners: usize,
     /// Graph-walk depth (paper: 4 hops suffice).
@@ -115,7 +115,7 @@ impl EdkmConfig {
 
 /// Pack/unpack counters.
 #[derive(Debug, Default)]
-pub struct HookStats {
+pub(crate) struct HookStats {
     packs: AtomicUsize,
     direct_hits: AtomicUsize,
     walk_hits: AtomicUsize,
@@ -125,7 +125,7 @@ pub struct HookStats {
     offloaded_bytes: AtomicUsize,
 }
 
-/// Snapshot of [`HookStats`].
+/// Snapshot of `HookStats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HookStatsSnapshot {
     /// Total pack calls.
@@ -178,11 +178,6 @@ impl EdkmHooks {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &EdkmConfig {
-        &self.config
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> HookStatsSnapshot {
         HookStatsSnapshot {
@@ -194,11 +189,6 @@ impl EdkmHooks {
             cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
             offloaded_bytes: self.stats.offloaded_bytes.load(Ordering::Relaxed),
         }
-    }
-
-    /// Number of distinct storages offloaded so far.
-    pub fn registry_len(&self) -> usize {
-        self.registry.len()
     }
 
     fn packed(
@@ -252,7 +242,7 @@ impl SavedTensorHooks for EdkmHooks {
         } else {
             None
         };
-        let storage_elems = t.storage().len();
+        let storage_elems = t.storage().with_data(|d| d.len());
         let shard_group = if self.config.shard
             && self.group.n_learners() > 1
             && storage_elems >= self.config.min_shard_elems
@@ -439,7 +429,10 @@ mod tests {
             .flat_map(|&k| (0..8).map(move |j| k as f32 + j as f32))
             .collect();
         let map = Tensor::from_vec(rows, &[64, 8], DType::F32, Device::gpu());
-        uniquify::annotate(map.storage_id(), Arc::new(uniquify::RowKeys::scalar(keys)));
+        uniquify::annotate(
+            map.storage_id(),
+            Arc::new(uniquify::RowKeys::blocks(&keys, 1)),
+        );
         let h = EdkmHooks::new(EdkmConfig::marshal_uniquify());
         let p = h.pack(&map);
         // table 4×8×4B = 128B + index 64×2B = 128B << dense 2048B.

@@ -10,8 +10,8 @@
 //!    palette's indices are re-laid-out, still at `bits` bits each, into
 //!    contiguous *tiles*: [`TILE_OUT`] output rows × [`IN_CHUNK`] input
 //!    columns per block. Inside a block each row's indices stay packed
-//!    LSB-first, [`GROUP_COLS`] columns in exactly `bits` `u32` words (the
-//!    bit order of [`crate::palettize::pack_bits`]), and the words are
+//!    LSB-first, `GROUP_COLS` columns in exactly `bits` `u32` words (the
+//!    bit order of `crate::palettize::pack_bits`), and the words are
 //!    interleaved across rows: word `w` of 32-column group `g` of row `r`
 //!    sits at `(g·bits + w)·rows + r`, so a lane group of output rows reads
 //!    the same word of its rows as one contiguous run. Whenever `in` is a
@@ -66,7 +66,7 @@ pub const TILE_OUT: usize = 16;
 pub const IN_CHUNK: usize = 512;
 
 /// Columns whose `bits`-bit indices one run of `bits` index words holds.
-pub const GROUP_COLS: usize = 32;
+pub(crate) const GROUP_COLS: usize = 32;
 
 /// Largest palette for which the portable body's activation-side product
 /// table pays for itself. Richer palettes (up to the lossless 2¹⁶
@@ -77,7 +77,7 @@ pub const PROD_K_MAX: usize = 64;
 /// The table grows with the batch, so an unbounded large prefill would
 /// pin an arbitrarily large arena buffer; past the cap the kernel falls
 /// back to the inline multiply, which is bit-identical.
-pub const PROD_TABLE_MAX_FLOATS: usize = 1 << 22;
+pub(crate) const PROD_TABLE_MAX_FLOATS: usize = 1 << 22;
 
 // A chunk holds whole 32-column groups, so a row's groups never straddle
 // a chunk.
@@ -100,7 +100,7 @@ pub struct TiledLutKernel {
     in_features: usize,
     /// The packed index stream: `(tile, chunk)` blocks of lane-interleaved
     /// words (module docs, point 1).
-    words: Vec<u32>,
+    pub(super) words: Vec<u32>,
 }
 
 /// Rows in tile `t` (the last tile may be short).
@@ -173,7 +173,7 @@ impl TiledLutKernel {
     /// # Panics
     ///
     /// Panics if the palette is not a 2-D scalar palette.
-    pub fn from_palette(weights: &PalettizedTensor) -> Self {
+    pub(crate) fn from_palette(weights: &PalettizedTensor) -> Self {
         assert_eq!(weights.shape().len(), 2, "kernel expects [out, in]");
         assert_eq!(weights.cluster_dim(), 1, "kernel is scalar-clustered");
         let (out_features, in_features) = (weights.shape()[0], weights.shape()[1]);
@@ -222,17 +222,17 @@ impl TiledLutKernel {
     }
 
     /// Output features.
-    pub fn out_features(&self) -> usize {
+    pub(crate) fn out_features(&self) -> usize {
         self.out_features
     }
 
     /// Input features.
-    pub fn in_features(&self) -> usize {
+    pub(crate) fn in_features(&self) -> usize {
         self.in_features
     }
 
     /// Palette entries.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.lut.len()
     }
 
@@ -260,15 +260,9 @@ impl TiledLutKernel {
         )
     }
 
-    /// Bytes of the packed index stream plus the f32 LUT — the kernel's
-    /// resident footprint.
-    pub fn resident_bytes(&self) -> usize {
-        (self.words.len() + self.lut.len()) * 4
-    }
-
     /// Reconstruct the row-major `[out, in]` index stream (undoes the tile
     /// layout; for tests and export).
-    pub fn row_major_indices(&self) -> Vec<u32> {
+    pub(crate) fn row_major_indices(&self) -> Vec<u32> {
         let mut out = vec![0u32; self.out_features * self.in_features];
         for t in 0..self.out_features.div_ceil(TILE_OUT) {
             for c in 0..self.in_features.div_ceil(IN_CHUNK) {
@@ -480,7 +474,6 @@ mod tests {
         // entries indices of 9 bits and more.
         for k in [PROD_K_MAX + 1, 300] {
             let (p, kern) = kernel(24, 70, k, 5);
-            assert!(kern.resident_bytes() > 0);
             let x = xbuf(3, 70, 6);
             let want = reference(&p, &x, 3);
             let mut arena = ScratchArena::new();

@@ -43,7 +43,7 @@ pub const LANES: usize = 8;
 /// Palette entries one 256-bit register holds (shorter palettes are
 /// padded), so one AVX2 `vpermps` selects any entry for all [`LANES`]
 /// rows of a group.
-pub const LINE: usize = 8;
+pub(crate) const LINE: usize = 8;
 
 /// Batch rows whose products one pass over a `(tile, chunk)` block adds.
 /// The AVX2 body holds two accumulator registers per row (a tile's two

@@ -5,7 +5,7 @@
 //! lengths, and reuse already-computed prefixes across requests.
 //!
 //! A [`KvBlockPool`] owns a bounded (or unbounded) population of
-//! [`KvBlock`]s. Each block stores `block_tokens` positions of rotated K and
+//! `KvBlock`s. Each block stores `block_tokens` positions of rotated K and
 //! V rows for *every* decoder layer, so one block table per sequence covers
 //! the whole model. Blocks are checked out of the pool when a sequence
 //! grows past a block boundary and return to the free list when the
@@ -56,17 +56,10 @@ impl Default for KvBlockConfig {
 /// One physical KV block: `block_tokens` positions of K and V rows for
 /// every layer of the model it was sized for.
 #[derive(Debug)]
-pub struct KvBlock {
+pub(crate) struct KvBlock {
     id: usize,
     k: Vec<f32>,
     v: Vec<f32>,
-}
-
-impl KvBlock {
-    /// Physical block id (stable across free-list recycling).
-    pub fn id(&self) -> usize {
-        self.id
-    }
 }
 
 /// An immutable, refcounted KV block shared between block tables and the
@@ -307,11 +300,11 @@ impl KvBlockPool {
     /// deployment must provision for. Unlike the engine's `kv_peak_bytes`
     /// (in-flight sequences only), this includes blocks the prefix index
     /// retains between requests, so cross-request dedup lowers it.
-    pub fn peak_blocks(&self) -> usize {
+    pub(crate) fn peak_blocks(&self) -> usize {
         self.peak_blocks.load(Ordering::Relaxed)
     }
 
-    /// [`Self::peak_blocks`] in device-pool bytes.
+    /// `Self::peak_blocks` in device-pool bytes.
     pub fn peak_bytes(&self) -> usize {
         self.peak_blocks() * self.block_bytes()
     }
@@ -334,7 +327,7 @@ impl KvBlockPool {
     }
 
     /// Whether prefix sharing is enabled.
-    pub fn prefix_cache_enabled(&self) -> bool {
+    pub(crate) fn prefix_cache_enabled(&self) -> bool {
         self.prefix_enabled.load(Ordering::Relaxed)
     }
 
@@ -556,33 +549,13 @@ impl KvCache {
     }
 
     /// Cached sequence length (committed positions).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// `true` before the first token.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Token capacity of the blocks currently held.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.blocks.len() * self.pool.block_tokens()
-    }
-
-    /// Bytes charged to the device pool for blocks this cache exclusively
-    /// owns. Shared blocks are charged once pool-wide, not per table; use
-    /// the scheduler's deduplicated accounting for flight-level totals.
-    pub fn bytes(&self) -> usize {
-        self.owned_blocks() * self.pool.block_bytes()
-    }
-
-    /// Number of owned (private) entries in the block table.
-    pub fn owned_blocks(&self) -> usize {
-        self.blocks
-            .iter()
-            .filter(|r| matches!(r, BlockRef::Owned(_)))
-            .count()
     }
 
     /// The sequence's block table: physical block ids in position order.
@@ -627,7 +600,7 @@ impl KvCache {
     /// Write `n` consecutive K/V rows (width `d_model`) for `layer`
     /// starting at absolute position `pos0`. Capacity must already be
     /// reserved; positions become readable immediately and are counted by
-    /// [`KvCache::len`] only after [`KvCache::commit`]. Writing into a
+    /// `KvCache::len` only after [`KvCache::commit`]. Writing into a
     /// shared block forks it copy-on-write into a private owned block.
     ///
     /// # Panics
@@ -703,12 +676,12 @@ impl KvCache {
 
     /// The K row of `layer` at absolute position `pos` (read through the
     /// block table).
-    pub fn k_row(&self, layer: usize, pos: usize) -> &[f32] {
+    pub(crate) fn k_row(&self, layer: usize, pos: usize) -> &[f32] {
         self.row(layer, pos, false)
     }
 
     /// The V row of `layer` at absolute position `pos`.
-    pub fn v_row(&self, layer: usize, pos: usize) -> &[f32] {
+    pub(crate) fn v_row(&self, layer: usize, pos: usize) -> &[f32] {
         self.row(layer, pos, true)
     }
 
@@ -717,13 +690,13 @@ impl KvCache {
     /// layer, so attention can stream a whole block per table lookup
     /// instead of resolving every row. Rows past the written range hold
     /// recycled data; callers clamp to their context length.
-    pub fn k_rows_from(&self, layer: usize, pos: usize) -> &[f32] {
+    pub(crate) fn k_rows_from(&self, layer: usize, pos: usize) -> &[f32] {
         self.rows_from(layer, pos, false)
     }
 
     /// The contiguous V rows of `layer` from `pos` to the end of its
     /// block; see [`KvCache::k_rows_from`].
-    pub fn v_rows_from(&self, layer: usize, pos: usize) -> &[f32] {
+    pub(crate) fn v_rows_from(&self, layer: usize, pos: usize) -> &[f32] {
         self.rows_from(layer, pos, true)
     }
 
@@ -790,21 +763,6 @@ impl PrefixHasher {
         }
         self.state
     }
-
-    /// Fingerprint of everything pushed so far.
-    pub fn fingerprint(&self) -> u64 {
-        self.state
-    }
-}
-
-/// FNV-1a fingerprint of a whole token-id sequence (the terminal value of
-/// a [`PrefixHasher`] fed the same tokens).
-pub fn token_fingerprint(tokens: &[usize]) -> u64 {
-    let mut h = PrefixHasher::new();
-    for &t in tokens {
-        h.push(t);
-    }
-    h.fingerprint()
 }
 
 /// `(prefix_len, fingerprint)` of every `block_tokens`-aligned prefix of
@@ -882,7 +840,6 @@ mod tests {
             let mut c = KvCache::new(Arc::clone(&p));
             assert!(c.try_reserve(6)); // 2 blocks
             assert_eq!(c.capacity(), 8);
-            assert_eq!(c.bytes(), 2 * p.block_bytes());
             assert_eq!(p.blocks_in_use(), 2);
             assert_eq!(runtime::cpu_live_bytes(), baseline + 2 * p.block_bytes());
             // Already covered: no extra blocks taken.
@@ -901,7 +858,10 @@ mod tests {
         assert_eq!(p.free_blocks(), 0);
         let mut b = KvCache::new(Arc::clone(&p));
         assert!(!b.try_reserve(1), "pool is exhausted");
-        assert_eq!(b.bytes(), 0, "failed reserve must take nothing");
+        assert!(
+            b.block_table().is_empty(),
+            "failed reserve must take nothing"
+        );
         let ids = a.block_table();
         drop(a);
         assert_eq!(p.free_blocks(), 2);
@@ -1089,6 +1049,16 @@ mod tests {
         assert_eq!(p.prefix_lookup(&prompt, &mut adopter), 0);
     }
 
+    /// FNV-1a fingerprint of a whole token-id sequence (the terminal value
+    /// of a [`PrefixHasher`] fed the same tokens).
+    fn token_fingerprint(tokens: &[usize]) -> u64 {
+        let mut h = PrefixHasher::new();
+        for &t in tokens {
+            h.push(t);
+        }
+        h.state
+    }
+
     #[test]
     fn prefix_hasher_matches_whole_sequence_fingerprint() {
         let tokens = [3usize, 1, 4, 1, 5, 9, 2, 6];
@@ -1098,7 +1068,7 @@ mod tests {
             last = h.push(t);
         }
         assert_eq!(last, token_fingerprint(&tokens));
-        assert_eq!(h.fingerprint(), token_fingerprint(&tokens));
+        assert_eq!(h.state, token_fingerprint(&tokens));
         // Prefix fingerprints only depend on the prefix.
         assert_eq!(
             token_fingerprint(&tokens[..3]),

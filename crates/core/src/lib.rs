@@ -3,16 +3,16 @@
 //! The paper: *eDKM — an efficient and accurate train-time weight clustering
 //! for large language models* (HPCA 2025).
 //!
-//! * [`dkm`] — the differentiable K-Means clustering layer (attention map
+//! * `dkm` — the differentiable K-Means clustering layer (attention map
 //!   between weights and centroids, Lloyd refinement, soft assignment).
-//! * [`marshal`] — cross-device tensor marshaling: a storage-id registry
+//! * `marshal` — cross-device tensor marshaling: a storage-id registry
 //!   plus a ≤4-hop forward-graph walk that eliminates duplicate CPU copies
 //!   of tensors saved for backward (Section 2.1).
 //! * [`uniquify`] — weight uniquification: the `|W|×|C|` attention map
 //!   collapses into a ≤65 536-row attention table plus a 16-bit index list
 //!   (Section 2.2).
-//! * [`store`] — index-list sharding over the simulated learner group.
-//! * [`hooks`] — [`hooks::EdkmHooks`], the `saved_tensors_hooks`
+//! * `store` — index-list sharding over the simulated learner group.
+//! * `hooks` — [`EdkmHooks`], the `saved_tensors_hooks`
 //!   implementation combining offload + M + U + S; one config per Table 2
 //!   row.
 //! * [`palettize`] — the deployment codec (LUT + bit-packed indices) and
@@ -40,20 +40,20 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod accounting;
-pub mod dkm;
+mod accounting;
+mod dkm;
 pub mod engine;
 pub mod entropy;
-pub mod hooks;
+mod hooks;
 pub mod infer;
 pub mod kv;
-pub mod marshal;
+mod marshal;
 pub mod palettize;
 pub mod pipeline;
 pub mod scratch;
-pub mod serialize;
+mod serialize;
 pub mod serve;
-pub mod store;
+mod store;
 pub mod uniquify;
 
 pub use ablation::{
@@ -68,18 +68,16 @@ pub use engine::{
 pub use entropy::{index_entropy_bits, EntropyCoded};
 pub use hooks::{EdkmConfig, EdkmHooks, HookStatsSnapshot};
 pub use infer::{ChunkView, PalettizedLinear, PalettizedModel, ServeError, ServeModel};
-pub use kv::{
-    prefix_fingerprints, token_fingerprint, KvBlockConfig, KvBlockPool, KvCache, PrefixHasher,
-};
-pub use marshal::{EdkmPacked, MarshalRegistry, StoredEntry};
+pub use kv::{prefix_fingerprints, KvBlockConfig, KvBlockPool, KvCache, PrefixHasher};
+
 pub use palettize::{AffineQuantized, GroupedPalettized, PalettizedTensor};
 pub use pipeline::{
     CompressResult, CompressSpec, CompressedModel, CompressedTensor, CompressionPipeline,
 };
 pub use scratch::ScratchArena;
 pub use serve::{
-    sample_token, FinishReason, Generator, Priority, SamplingConfig, Scheduler, ServeRequest,
-    ServeResponse, StepEvents, TokenEmission,
+    FinishReason, Generator, Priority, SamplingConfig, Scheduler, ServeRequest, ServeResponse,
+    StepEvents, TokenEmission,
 };
 pub use store::Store;
 pub use uniquify::RowKeys;

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 /// Offloaded representation of one storage buffer.
 #[derive(Debug)]
-pub enum Payload {
+pub(crate) enum Payload {
     /// Raw f32 contents.
     Dense32(Store<f32>),
     /// 16-bit contents as bit patterns (2 bytes/element, like the source).
@@ -49,7 +49,7 @@ pub enum Payload {
 
 /// One offloaded storage: payload plus reconstruction metadata.
 #[derive(Debug)]
-pub struct StoredEntry {
+pub(crate) struct StoredEntry {
     payload: Payload,
     storage_len: usize,
     dtype: DType,
@@ -62,7 +62,7 @@ pub struct StoredEntry {
 impl StoredEntry {
     /// Offload the full storage behind `t`, compressing via uniquification
     /// when `keys` are provided and sharding over `group` when given.
-    pub fn build(
+    pub(crate) fn build(
         t: &Tensor,
         keys: Option<&uniquify::RowKeys>,
         shard_group: Option<edkm_dist::LearnerGroup>,
@@ -146,7 +146,7 @@ impl StoredEntry {
     }
 
     /// Bytes this entry keeps on *this* learner's CPU.
-    pub fn local_bytes(&self) -> usize {
+    pub(crate) fn local_bytes(&self) -> usize {
         match &self.payload {
             Payload::Dense32(s) => s.local_bytes(),
             Payload::Dense16(s) => s.local_bytes(),
@@ -157,7 +157,7 @@ impl StoredEntry {
 
     /// Total bytes of the compact form across all learners (what must reach
     /// the GPU again at unpack time).
-    pub fn compact_total_bytes(&self) -> usize {
+    pub(crate) fn compact_total_bytes(&self) -> usize {
         match &self.payload {
             Payload::Dense32(s) => s.total_len() * 4,
             Payload::Dense16(s) => s.total_len() * 2,
@@ -166,36 +166,13 @@ impl StoredEntry {
         }
     }
 
-    /// `true` if the payload went through uniquification.
-    pub fn is_uniquified(&self) -> bool {
-        matches!(
-            self.payload,
-            Payload::Uniq { .. } | Payload::UniqWide { .. }
-        )
-    }
-
-    /// `true` if the payload's main component is sharded.
-    pub fn is_sharded(&self) -> bool {
-        match &self.payload {
-            Payload::Dense32(s) => s.is_sharded(),
-            Payload::Dense16(s) => s.is_sharded(),
-            Payload::Uniq { index, .. } => index.is_sharded(),
-            Payload::UniqWide { index, .. } => index.is_sharded(),
-        }
-    }
-
-    /// Element length of the original storage.
-    pub fn storage_len(&self) -> usize {
-        self.storage_len
-    }
-
     /// Reconstruct the full storage as a contiguous `[len]` tensor on the
     /// origin device. Returns `(tensor, was_cached)`.
     ///
     /// Sharded payloads all-gather; uniquified payloads expand table rows;
     /// GPU origins pay an H2D transfer of the compact bytes — each cost is
     /// recorded once thanks to memoization.
-    pub fn reconstruct_storage(&self) -> (Tensor, bool) {
+    pub(crate) fn reconstruct_storage(&self) -> (Tensor, bool) {
         if let Some(t) = self.cache.lock().clone() {
             return (t, true);
         }
@@ -230,21 +207,21 @@ impl StoredEntry {
 /// The pack-time product: a reference to a stored entry plus the view
 /// reconstruction recipe.
 #[derive(Debug)]
-pub struct EdkmPacked {
+pub(crate) struct EdkmPacked {
     /// The (possibly shared) offloaded storage.
-    pub entry: Arc<StoredEntry>,
+    pub(crate) entry: Arc<StoredEntry>,
     /// Layout of the base view over the reconstructed storage (the saved
     /// tensor's own layout for direct hits/misses; the ancestor's layout
     /// for graph-walk hits).
-    pub base_layout: Layout,
+    pub(crate) base_layout: Layout,
     /// Invariant ops to replay on the base view (graph-walk hits only).
-    pub replay: Vec<InvariantOp>,
+    pub(crate) replay: Vec<InvariantOp>,
     /// Shape the unpacked tensor must have (sanity check).
-    pub expect_shape: Vec<usize>,
+    pub(crate) expect_shape: Vec<usize>,
 }
 
 /// Apply a storage-invariant op to a reconstructed tensor.
-pub fn apply_invariant(t: &Tensor, op: &InvariantOp) -> Tensor {
+pub(crate) fn apply_invariant(t: &Tensor, op: &InvariantOp) -> Tensor {
     match op {
         InvariantOp::Reshape { shape } => t.reshape(shape),
         InvariantOp::Transpose { d0, d1 } => t.transpose(*d0, *d1),
@@ -256,34 +233,24 @@ pub fn apply_invariant(t: &Tensor, op: &InvariantOp) -> Tensor {
 
 /// Storage-id-keyed registry of offloaded entries (one per training step).
 #[derive(Debug, Default)]
-pub struct MarshalRegistry {
+pub(crate) struct MarshalRegistry {
     entries: Mutex<HashMap<u64, Arc<StoredEntry>>>,
 }
 
 impl MarshalRegistry {
     /// Empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Entry registered for `sid`, if any.
-    pub fn get(&self, sid: StorageId) -> Option<Arc<StoredEntry>> {
+    pub(crate) fn get(&self, sid: StorageId) -> Option<Arc<StoredEntry>> {
         self.entries.lock().get(&sid.0).cloned()
     }
 
     /// Register `entry` under `sid`.
-    pub fn insert(&self, sid: StorageId, entry: Arc<StoredEntry>) {
+    pub(crate) fn insert(&self, sid: StorageId, entry: Arc<StoredEntry>) {
         self.entries.lock().insert(sid.0, entry);
-    }
-
-    /// Number of registered storages.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// `true` if nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -300,8 +267,7 @@ mod tests {
         let e = StoredEntry::build(&t, None, None);
         assert_eq!(e.local_bytes(), 64 * 4 * 4);
         assert_eq!(runtime::cpu_live_bytes(), 64 * 4 * 4);
-        assert!(!e.is_uniquified());
-        assert!(!e.is_sharded());
+        assert!(matches!(e.payload, Payload::Dense32(Store::Whole(_))));
         let (r, cached) = e.reconstruct_storage();
         assert!(!cached);
         assert_eq!(r.shape(), &[256]);
@@ -327,7 +293,7 @@ mod tests {
     fn uniq_payload_compresses_and_roundtrips() {
         runtime::reset();
         // A [6, 2] map with 2 unique rows.
-        let keys = uniquify::RowKeys::scalar(vec![10, 20, 10, 10, 20, 10]);
+        let keys = uniquify::RowKeys::blocks(&[10, 20, 10, 10, 20, 10], 1);
         let rows: Vec<f32> = keys
             .keys()
             .iter()
@@ -335,7 +301,7 @@ mod tests {
             .collect();
         let t = Tensor::from_vec(rows.clone(), &[6, 2], DType::F32, Device::gpu());
         let e = StoredEntry::build(&t, Some(&keys), None);
-        assert!(e.is_uniquified());
+        assert!(matches!(e.payload, Payload::Uniq { .. }));
         // table: 2 rows × 2 cols × 4B = 16B; index: 6 × 2B = 12B.
         assert_eq!(e.local_bytes(), 16 + 12);
         let (r, _) = e.reconstruct_storage();
@@ -358,7 +324,7 @@ mod tests {
             .collect();
         let t = Tensor::from_vec(rows.clone(), &[128, 2], DType::F32, Device::gpu());
         let e = StoredEntry::build(&t, Some(&keys), None);
-        assert!(e.is_uniquified());
+        assert!(matches!(e.payload, Payload::UniqWide { .. }));
         // table: 4 rows × 2 cols × 4B = 32B; index: 128 × 4B = 512B;
         // dense would be 128 × 2 × 4B = 1024B.
         assert_eq!(e.local_bytes(), 32 + 512);
@@ -377,7 +343,7 @@ mod tests {
         let t = Tensor::from_vec(rows.clone(), &[32, 2], DType::F32, Device::gpu());
         let e = StoredEntry::build(&t, Some(&keys), None);
         assert!(
-            !e.is_uniquified(),
+            matches!(e.payload, Payload::Dense32(_)),
             "unprofitable blocks must offload densely"
         );
         assert_eq!(e.local_bytes(), 64 * 4);
@@ -390,7 +356,7 @@ mod tests {
         runtime::reset();
         let t = Tensor::randn(&[800], DType::F32, Device::gpu(), 2);
         let e = StoredEntry::build(&t, None, Some(LearnerGroup::new(8)));
-        assert!(e.is_sharded());
+        assert!(matches!(e.payload, Payload::Dense32(Store::Sharded { .. })));
         assert_eq!(e.local_bytes(), 800 * 4 / 8);
         let (r, _) = e.reconstruct_storage();
         assert_eq!(r.to_vec(), t.to_vec());
@@ -424,11 +390,11 @@ mod tests {
     fn registry_roundtrip() {
         runtime::reset();
         let reg = MarshalRegistry::new();
-        assert!(reg.is_empty());
+        assert!(reg.entries.lock().is_empty());
         let t = Tensor::randn(&[10], DType::F32, Device::gpu(), 5);
         let e = Arc::new(StoredEntry::build(&t, None, None));
         reg.insert(t.storage_id(), Arc::clone(&e));
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.entries.lock().len(), 1);
         assert!(reg.get(t.storage_id()).is_some());
         assert!(reg.get(StorageId(u64::MAX)).is_none());
     }

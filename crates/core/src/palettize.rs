@@ -15,7 +15,7 @@ use edkm_tensor::{dtype, DType, Device, Tensor};
 /// # Panics
 ///
 /// Panics if `bits` is 0 or > 16, or any value needs more than `bits` bits.
-pub fn pack_bits(values: &[u32], bits: u8) -> Vec<u8> {
+pub(crate) fn pack_bits(values: &[u32], bits: u8) -> Vec<u8> {
     assert!((1..=16).contains(&bits), "bits must be in 1..=16");
     let mut out = Vec::with_capacity((values.len() * bits as usize).div_ceil(8));
     let mut acc: u32 = 0;
@@ -37,7 +37,7 @@ pub fn pack_bits(values: &[u32], bits: u8) -> Vec<u8> {
 }
 
 /// Inverse of [`pack_bits`].
-pub fn unpack_bits(bytes: &[u8], bits: u8, n: usize) -> Vec<u32> {
+pub(crate) fn unpack_bits(bytes: &[u8], bits: u8, n: usize) -> Vec<u32> {
     assert!((1..=16).contains(&bits), "bits must be in 1..=16");
     let mut out = Vec::with_capacity(n);
     let mut acc: u32 = 0;
@@ -155,7 +155,7 @@ impl PalettizedTensor {
     /// Panics if the LUT is not `[k, cluster_dim]`-shaped for `k ≤ 2^bits`,
     /// an index is out of range, or `indices.len() · cluster_dim` disagrees
     /// with `shape`.
-    pub fn from_lut_indices(
+    pub(crate) fn from_lut_indices(
         lut: Vec<f32>,
         indices: &[u32],
         bits: u8,
@@ -213,7 +213,7 @@ impl PalettizedTensor {
     }
 
     /// The lookup table, row-major `[k, cluster_dim]`.
-    pub fn lut(&self) -> &[f32] {
+    pub(crate) fn lut(&self) -> &[f32] {
         &self.lut
     }
 
@@ -279,7 +279,7 @@ impl GroupedPalettized {
     /// # Panics
     ///
     /// Panics if the group shapes do not tile `shape`'s rows.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         groups: Vec<PalettizedTensor>,
         rows_per_group: usize,
         shape: Vec<usize>,
@@ -300,12 +300,12 @@ impl GroupedPalettized {
     }
 
     /// Rows per group (the last group may be smaller).
-    pub fn rows_per_group(&self) -> usize {
+    pub(crate) fn rows_per_group(&self) -> usize {
         self.rows_per_group
     }
 
     /// Original matrix shape.
-    pub fn shape(&self) -> &[usize] {
+    pub(crate) fn shape(&self) -> &[usize] {
         &self.shape
     }
 
@@ -389,12 +389,12 @@ impl AffineQuantized {
     }
 
     /// Row count.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Column count.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -404,28 +404,15 @@ impl AffineQuantized {
         (self.q.len() * self.bits as usize).div_ceil(8) + self.rows * 4
     }
 
-    /// Decode a single row (identical math to [`AffineQuantized::decode`],
-    /// without materializing the whole table — the embedding-lookup path of
-    /// compressed serving).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    pub fn decode_row(&self, r: usize) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols];
-        self.decode_row_into(r, &mut out);
-        out
-    }
-
-    /// Decode row `r` into a caller-provided buffer — the allocation-free
-    /// variant [`decode_row`](AffineQuantized::decode_row) wraps, used by
-    /// the serving embed path so steady-state decode never allocates per
+    /// Decode row `r` into a caller-provided buffer (identical math to
+    /// [`AffineQuantized::decode`], without materializing the whole table):
+    /// the serving embed path, so steady-state decode never allocates per
     /// token.
     ///
     /// # Panics
     ///
     /// Panics if `r` is out of range or `out` is not `cols` long.
-    pub fn decode_row_into(&self, r: usize, out: &mut [f32]) {
+    pub(crate) fn decode_row_into(&self, r: usize, out: &mut [f32]) {
         assert!(r < self.rows, "row {r} out of {} rows", self.rows);
         assert_eq!(out.len(), self.cols, "out must hold one row");
         let (s, z) = (self.scales[r], self.zeros[r]);
@@ -438,7 +425,7 @@ impl AffineQuantized {
     }
 
     /// Decode back to a dense CPU tensor.
-    pub fn decode(&self) -> Tensor {
+    pub(crate) fn decode(&self) -> Tensor {
         let mut out = Vec::with_capacity(self.rows * self.cols);
         for r in 0..self.rows {
             let (s, z) = (self.scales[r], self.zeros[r]);
@@ -447,11 +434,6 @@ impl AffineQuantized {
             }
         }
         Tensor::from_vec(out, &[self.rows, self.cols], DType::F32, Device::Cpu)
-    }
-
-    /// Worst-case absolute rounding error of row `r` (half a step).
-    pub fn row_error_bound(&self, r: usize) -> f32 {
-        self.scales[r] * 0.5
     }
 }
 
@@ -722,8 +704,10 @@ mod tests {
         let t = Tensor::randn(&[6, 10], DType::F32, Device::Cpu, 8);
         let q = AffineQuantized::encode(&t, 8);
         let full = q.decode().to_vec();
+        let mut row = vec![0.0f32; 10];
         for r in 0..6 {
-            assert_eq!(q.decode_row(r), &full[r * 10..(r + 1) * 10]);
+            q.decode_row_into(r, &mut row);
+            assert_eq!(row, &full[r * 10..(r + 1) * 10]);
         }
         assert_eq!(q.rows(), 6);
         assert_eq!(q.cols(), 10);
@@ -738,7 +722,8 @@ mod tests {
         let orig = t.to_vec();
         let dec = d.to_vec();
         for r in 0..8 {
-            let bound = q.row_error_bound(r) + 1e-6;
+            // Half a quantization step.
+            let bound = q.scales[r] * 0.5 + 1e-6;
             for c in 0..32 {
                 let err = (orig[r * 32 + c] - dec[r * 32 + c]).abs();
                 assert!(err <= bound, "row {r}: err {err} > bound {bound}");
@@ -809,7 +794,7 @@ mod tests {
             let dec = q.decode().to_vec();
             let orig = t.to_vec();
             for r in 0..rows {
-                let bound = q.row_error_bound(r) + 1e-5;
+                let bound = q.scales[r] * 0.5 + 1e-5;
                 for c in 0..cols {
                     prop_assert!((orig[r * cols + c] - dec[r * cols + c]).abs() <= bound);
                 }

@@ -21,7 +21,7 @@ pub struct CompressSpec {
     /// Palette bits for decoder projections and the LM head (paper: 3).
     pub bits: u8,
     /// Affine bits for embedding tables (paper: 8).
-    pub embedding_bits: u8,
+    pub(crate) embedding_bits: u8,
     /// DKM clustering hyper-parameters.
     pub dkm: DkmConfig,
     /// eDKM memory-optimization configuration for the fine-tune.
@@ -30,11 +30,6 @@ pub struct CompressSpec {
     pub train: TrainConfig,
     /// Fine-tuning epochs over the provided batches (paper: 2).
     pub epochs: usize,
-    /// Mixed precision: per-parameter bit overrides, matched by substring
-    /// against the parameter name (first match wins). E.g.
-    /// `("lm_head", 4)` keeps the output head at 4 bits while everything
-    /// else uses [`CompressSpec::bits`].
-    pub per_layer_bits: Vec<(String, u8)>,
     /// Per-epoch multiplier on the DKM softmax temperature τ (the DKM
     /// paper's annealing: τ shrinks over training, so the attention map
     /// sharpens and soft weights harden toward their centroids before
@@ -48,7 +43,7 @@ pub struct CompressSpec {
 impl CompressSpec {
     /// The paper's headline configuration: 3-bit weights, 8-bit embeddings,
     /// full eDKM, 2 epochs.
-    pub fn paper_3bit() -> Self {
+    pub(crate) fn paper_3bit() -> Self {
         CompressSpec {
             bits: 3,
             embedding_bits: 8,
@@ -56,7 +51,6 @@ impl CompressSpec {
             edkm: EdkmConfig::full(8),
             train: TrainConfig::default(),
             epochs: 2,
-            per_layer_bits: Vec::new(),
             tau_anneal: 1.0,
             lut_group_rows: 0,
         }
@@ -96,27 +90,19 @@ impl CompressSpec {
         }
     }
 
-    /// Effective palette bits for a named parameter.
-    pub fn bits_for(&self, name: &str) -> u8 {
-        self.per_layer_bits
-            .iter()
-            .find(|(pat, _)| name.contains(pat.as_str()))
-            .map(|&(_, b)| b)
-            .unwrap_or(self.bits)
-    }
-
-    /// DKM config at the effective bit width of `name`.
-    pub fn dkm_for(&self, name: &str) -> DkmConfig {
+    /// DKM config at the palette width [`CompressSpec::bits`], which every
+    /// clusterable parameter shares.
+    fn dkm_config(&self) -> DkmConfig {
         DkmConfig {
-            bits: self.bits_for(name),
+            bits: self.bits,
             ..self.dkm
         }
     }
 
-    /// DKM config for `name` at `epoch` (0-based), with the annealed
-    /// temperature `τ · tau_anneal^epoch`.
-    pub fn dkm_for_epoch(&self, name: &str, epoch: usize) -> DkmConfig {
-        let mut cfg = self.dkm_for(name);
+    /// DKM config for the parameter `_name` at `epoch` (0-based), with the
+    /// annealed temperature `τ · tau_anneal^epoch`.
+    pub fn dkm_for_epoch(&self, _name: &str, epoch: usize) -> DkmConfig {
+        let mut cfg = self.dkm_config();
         cfg.temperature *= self.tau_anneal.powi(epoch as i32).max(1e-6);
         cfg
     }
@@ -245,11 +231,6 @@ impl CompressionPipeline {
         CompressionPipeline { spec }
     }
 
-    /// The spec.
-    pub fn spec(&self) -> &CompressSpec {
-        &self.spec
-    }
-
     /// Fine-tune `model` on `batches` with DKM clustering substituted into
     /// every clusterable projection, then export the compressed model.
     pub fn fine_tune_and_compress(
@@ -307,12 +288,12 @@ impl CompressionPipeline {
         for (name, var) in model.named_params() {
             let value = var.value().clone();
             let entry = if clusterable.contains(&name) {
-                if self.spec.bits_for(&name) >= 16 {
+                if self.spec.bits >= 16 {
                     // The lossless u16 case: no clustering, the palette is
                     // the distinct-value set itself.
                     CompressedTensor::Palettized(PalettizedTensor::lossless(&value))
                 } else {
-                    let dkm = DkmLayer::new(self.spec.dkm_for(&name));
+                    let dkm = DkmLayer::new(self.spec.dkm_config());
                     if self.spec.lut_group_rows > 0 && value.rank() == 2 {
                         CompressedTensor::PalettizedGrouped(
                             dkm.palettize_grouped(&value, self.spec.lut_group_rows),
@@ -447,30 +428,6 @@ mod tests {
             "DKM's repeated attention-map saves must dedup: {stats:?}"
         );
         assert!(result.compressed.size_bytes() > 0);
-    }
-
-    #[test]
-    fn per_layer_bit_overrides_apply() {
-        runtime::reset();
-        let model = tiny_model();
-        let mut spec = quick_spec();
-        spec.per_layer_bits = vec![("lm_head".into(), 5), ("q_proj".into(), 2)];
-        assert_eq!(spec.bits_for("lm_head"), 5);
-        assert_eq!(spec.bits_for("layers.0.attn.q_proj"), 2);
-        assert_eq!(spec.bits_for("layers.0.attn.k_proj"), 3);
-        let compressed = CompressionPipeline::new(spec).export(&model);
-        for (name, e) in compressed.entries() {
-            if let CompressedTensor::Palettized(p) = e {
-                let expect = if name.contains("lm_head") {
-                    5
-                } else if name.contains("q_proj") {
-                    2
-                } else {
-                    3
-                };
-                assert_eq!(p.bits(), expect, "{name}");
-            }
-        }
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl ScratchArena {
     /// the bookkeeping twin of [`ScratchArena::take`] (per-chunk cache
     /// starts, RoPE positions), sharing the same checkout/grow counters
     /// and the same allocation-free steady-state contract.
-    pub fn take_idx(&mut self, len: usize) -> Vec<usize> {
+    pub(crate) fn take_idx(&mut self, len: usize) -> Vec<usize> {
         self.checkouts += 1;
         if len == 0 {
             return Vec::new();
@@ -121,7 +121,7 @@ impl ScratchArena {
     }
 
     /// Return an index buffer to its free list for reuse.
-    pub fn put_idx(&mut self, buf: Vec<usize>) {
+    pub(crate) fn put_idx(&mut self, buf: Vec<usize>) {
         if buf.capacity() > 0 {
             self.free_idx.push(buf);
         }
@@ -136,11 +136,6 @@ impl ScratchArena {
     /// across steady-state decode steps — the allocation-free contract.
     pub fn grows(&self) -> u64 {
         self.grows
-    }
-
-    /// Buffers currently sitting in the free lists (f32 and index).
-    pub fn pooled(&self) -> usize {
-        self.free.len() + self.free_idx.len()
     }
 
     /// Fold `other`'s free lists and counters into this arena (how nested
@@ -164,7 +159,7 @@ thread_local! {
 /// Re-entrant: the arena is moved out of the thread slot for `f`'s
 /// duration, so a nested call gets a fresh arena, and both merge back on
 /// exit.
-pub fn with_thread_scratch<R>(f: impl FnOnce(&mut ScratchArena) -> R) -> R {
+pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut ScratchArena) -> R) -> R {
     let mut arena = THREAD_SCRATCH.with(|a| std::mem::take(&mut *a.borrow_mut()));
     let out = f(&mut arena);
     THREAD_SCRATCH.with(|a| {
@@ -199,7 +194,7 @@ mod tests {
         assert!(got.capacity() < 1000, "must not burn the big buffer");
         a.put(got);
         assert_eq!(a.grows(), 2);
-        assert_eq!(a.pooled(), 2);
+        assert_eq!(a.free.len() + a.free_idx.len(), 2);
     }
 
     #[test]
@@ -237,7 +232,7 @@ mod tests {
     fn zero_len_buffers_are_not_pooled() {
         let mut a = ScratchArena::new();
         a.put(Vec::new());
-        assert_eq!(a.pooled(), 0);
+        assert_eq!(a.free.len() + a.free_idx.len(), 0);
     }
 
     #[test]

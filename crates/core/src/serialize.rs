@@ -198,7 +198,7 @@ impl CompressedModel {
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] on malformed input: any truncation or bit
+    /// Returns a `DecodeError` on malformed input: any truncation or bit
     /// flip fails the integrity trailer (checked before entries are parsed)
     /// or one of the structural checks — decoding never panics.
     pub fn from_bytes(data: &[u8]) -> Result<CompressedModel, DecodeError> {

@@ -76,7 +76,7 @@ impl SamplingConfig {
     }
 
     /// `true` when this config never consumes randomness.
-    pub fn is_greedy(&self) -> bool {
+    pub(crate) fn is_greedy(&self) -> bool {
         self.temperature <= 0.0
     }
 }
@@ -130,7 +130,7 @@ impl FinishReason {
 /// Pick the next token from one logits row. Greedy takes the first argmax
 /// (ties break low, matching `ops::argmax_lastdim`); sampling scales by
 /// temperature, keeps the top-k, softmaxes and draws from `rng`.
-pub fn sample_token(row: &[f32], sampling: &SamplingConfig, rng: &mut StdRng) -> usize {
+pub(crate) fn sample_token(row: &[f32], sampling: &SamplingConfig, rng: &mut StdRng) -> usize {
     assert!(!row.is_empty(), "empty logits row");
     if sampling.is_greedy() {
         let mut best = 0usize;
@@ -329,7 +329,7 @@ impl StepEvents {
     /// Empty both event lists, keeping their capacity — what lets a
     /// driving loop pass one `StepEvents` to
     /// [`Scheduler::step_events_into`] every step without reallocating.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.tokens.clear();
         self.finished.clear();
     }

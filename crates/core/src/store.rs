@@ -29,12 +29,12 @@ pub enum Store<T: Copy> {
 
 impl<T: Copy> Store<T> {
     /// Offload `data` whole onto the CPU.
-    pub fn whole(data: Vec<T>) -> Self {
+    pub(crate) fn whole(data: Vec<T>) -> Self {
         Store::Whole(AccountedVec::new(data, Device::Cpu))
     }
 
     /// Offload `data` sharded over `group` (balanced contiguous split).
-    pub fn sharded(data: Vec<T>, group: LearnerGroup) -> Self {
+    pub(crate) fn sharded(data: Vec<T>, group: LearnerGroup) -> Self {
         let spec = group.shard_spec(data.len());
         let mut shards = spec.split(&data);
         let local = AccountedVec::new(shards.remove(0), Device::Cpu);
@@ -46,7 +46,7 @@ impl<T: Copy> Store<T> {
     }
 
     /// Bytes resident on *this* learner (the Table 2 per-learner metric).
-    pub fn local_bytes(&self) -> usize {
+    pub(crate) fn local_bytes(&self) -> usize {
         match self {
             Store::Whole(v) => v.bytes(),
             Store::Sharded { local, .. } => local.bytes(),
@@ -54,7 +54,7 @@ impl<T: Copy> Store<T> {
     }
 
     /// Total logical element count.
-    pub fn total_len(&self) -> usize {
+    pub(crate) fn total_len(&self) -> usize {
         match self {
             Store::Whole(v) => v.len(),
             Store::Sharded { local, remote, .. } => {
@@ -63,14 +63,9 @@ impl<T: Copy> Store<T> {
         }
     }
 
-    /// `true` if this store is sharded.
-    pub fn is_sharded(&self) -> bool {
-        matches!(self, Store::Sharded { .. })
-    }
-
     /// Reassemble the full buffer. Sharded stores perform (and cost) an
     /// all-gather over the group.
-    pub fn gather(&self) -> Vec<T> {
+    pub(crate) fn gather(&self) -> Vec<T> {
         match self {
             Store::Whole(v) => v.as_slice().to_vec(),
             Store::Sharded {
@@ -99,7 +94,7 @@ mod tests {
         assert_eq!(s.local_bytes(), 2000);
         assert_eq!(runtime::cpu_live_bytes(), 2000);
         assert_eq!(s.total_len(), 1000);
-        assert!(!s.is_sharded());
+        assert!(matches!(s, Store::Whole(_)));
         assert_eq!(s.gather().len(), 1000);
     }
 
@@ -110,7 +105,7 @@ mod tests {
         assert_eq!(s.local_bytes(), 200, "1/8 of 1600 bytes");
         assert_eq!(runtime::cpu_live_bytes(), 200);
         assert_eq!(s.total_len(), 800);
-        assert!(s.is_sharded());
+        assert!(matches!(s, Store::Sharded { .. }));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   the paper uses the weight's bit value itself as the offset idea; we
 //!   store dense table row ids, which is the same size and collision-free.
 //!
-//! The DKM layer [`annotate`]s each attention map's storage with the bit
+//! The DKM layer `annotate`s each attention map's storage with the bit
 //! patterns of its source weights; the eDKM hooks consult the annotation at
 //! pack time.
 //!
@@ -21,7 +21,7 @@
 //! a *block* of `d` weights, keyed by the concatenation of the block's `d`
 //! 16-bit patterns. The key space is `2^(16·d)`, so the ≤ 65 536-row bound —
 //! and with it the u16 index — no longer holds. The wide path
-//! ([`uniquify_wide`]) emits u32 indices and the caller is expected to fall
+//! (`uniquify_wide`) emits u32 indices and the caller is expected to fall
 //! back to a dense offload when the observed unique-block count makes the
 //! decomposition unprofitable (see `StoredEntry::build`).
 
@@ -33,7 +33,7 @@ use edkm_tensor::StorageId;
 
 /// Maximum clustering dimensionality for which block keys fit in a `u64`
 /// (4 × 16-bit patterns).
-pub const MAX_KEY_DIM: usize = 4;
+pub(crate) const MAX_KEY_DIM: usize = 4;
 
 /// Row keys of an attention map: one key per row, derived from the 16-bit
 /// patterns of the source weights.
@@ -48,14 +48,6 @@ pub struct RowKeys {
 }
 
 impl RowKeys {
-    /// Scalar keys: one 16-bit pattern per map row (Section 2.2).
-    pub fn scalar(patterns: Vec<u16>) -> Self {
-        RowKeys {
-            keys: patterns.into_iter().map(u64::from).collect(),
-            dim: 1,
-        }
-    }
-
     /// Block keys: pack each consecutive group of `dim` patterns into one
     /// key (vector-clustering extension).
     ///
@@ -63,7 +55,7 @@ impl RowKeys {
     ///
     /// Panics if `dim` is 0 or exceeds [`MAX_KEY_DIM`], or if
     /// `patterns.len()` is not divisible by `dim`.
-    pub fn blocks(patterns: &[u16], dim: usize) -> Self {
+    pub(crate) fn blocks(patterns: &[u16], dim: usize) -> Self {
         assert!(
             (1..=MAX_KEY_DIM).contains(&dim),
             "block key dim must be in 1..={MAX_KEY_DIM}, got {dim}"
@@ -82,28 +74,23 @@ impl RowKeys {
     }
 
     /// The packed keys, one per map row.
-    pub fn keys(&self) -> &[u64] {
+    pub(crate) fn keys(&self) -> &[u64] {
         &self.keys
     }
 
-    /// Patterns per key (the clustering dimensionality).
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Number of map rows keyed.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.keys.len()
     }
 
     /// `true` if no rows are keyed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
 
     /// `true` for scalar (paper-setting) keys, whose unique count is bounded
     /// by 2^16 and whose index list fits in u16.
-    pub fn is_scalar(&self) -> bool {
+    pub(crate) fn is_scalar(&self) -> bool {
         self.dim == 1
     }
 }
@@ -118,23 +105,18 @@ thread_local! {
 }
 
 /// Attach row keys to the storage of an attention-map tensor.
-pub fn annotate(storage: StorageId, keys: Arc<RowKeys>) {
+pub(crate) fn annotate(storage: StorageId, keys: Arc<RowKeys>) {
     ANNOTATIONS.with(|a| a.borrow_mut().insert(storage.0, keys));
 }
 
 /// Row keys previously attached to `storage`, if any.
-pub fn annotation(storage: StorageId) -> Option<Arc<RowKeys>> {
+pub(crate) fn annotation(storage: StorageId) -> Option<Arc<RowKeys>> {
     ANNOTATIONS.with(|a| a.borrow().get(&storage.0).cloned())
 }
 
 /// Drop all annotations (call between training steps).
 pub fn clear_annotations() {
     ANNOTATIONS.with(|a| a.borrow_mut().clear());
-}
-
-/// Number of live annotations (diagnostics).
-pub fn annotation_count() -> usize {
-    ANNOTATIONS.with(|a| a.borrow().len())
 }
 
 /// Distinct rows of a keyed map, numbered in first-appearance order: row
@@ -252,7 +234,7 @@ fn uniquify_generic<I: TryFrom<u32>>(
 ///
 /// Panics if `dense.len() != keys.len() · k` or if more than 65 536 unique
 /// rows appear (impossible for scalar 16-bit keys).
-pub fn uniquify(dense: &[f32], keys: &RowKeys, k: usize) -> (Vec<f32>, Vec<u16>, usize) {
+pub(crate) fn uniquify(dense: &[f32], keys: &RowKeys, k: usize) -> (Vec<f32>, Vec<u16>, usize) {
     uniquify_generic::<u16>(dense, keys, k)
 }
 
@@ -262,7 +244,11 @@ pub fn uniquify(dense: &[f32], keys: &RowKeys, k: usize) -> (Vec<f32>, Vec<u16>,
 /// # Panics
 ///
 /// Panics if `dense.len() != keys.len() · k`.
-pub fn uniquify_wide(dense: &[f32], keys: &RowKeys, k: usize) -> (Vec<f32>, Vec<u32>, usize) {
+pub(crate) fn uniquify_wide(
+    dense: &[f32],
+    keys: &RowKeys,
+    k: usize,
+) -> (Vec<f32>, Vec<u32>, usize) {
     uniquify_generic::<u32>(dense, keys, k)
 }
 
@@ -271,7 +257,7 @@ pub fn uniquify_wide(dense: &[f32], keys: &RowKeys, k: usize) -> (Vec<f32>, Vec<
 /// # Panics
 ///
 /// Panics if any index is out of table range.
-pub fn reconstruct(table: &[f32], index: &[u16], k: usize) -> Vec<f32> {
+pub(crate) fn reconstruct(table: &[f32], index: &[u16], k: usize) -> Vec<f32> {
     let u = table.len() / k;
     let mut out = Vec::with_capacity(index.len() * k);
     for &r in index {
@@ -286,7 +272,7 @@ pub fn reconstruct(table: &[f32], index: &[u16], k: usize) -> Vec<f32> {
 /// # Panics
 ///
 /// Panics if any index is out of table range.
-pub fn reconstruct_wide(table: &[f32], index: &[u32], k: usize) -> Vec<f32> {
+pub(crate) fn reconstruct_wide(table: &[f32], index: &[u32], k: usize) -> Vec<f32> {
     let u = table.len() / k;
     let mut out = Vec::with_capacity(index.len() * k);
     for &r in index {
@@ -296,33 +282,30 @@ pub fn reconstruct_wide(table: &[f32], index: &[u32], k: usize) -> Vec<f32> {
     out
 }
 
-/// Compression ratio of the uniquified form over the dense form, in bytes
-/// (dense f32 vs f32 table + u16 indices).
-pub fn compression_ratio(n: usize, k: usize, u: usize) -> f64 {
-    let dense = (n * k * 4) as f64;
-    let uniq = (u * k * 4 + n * 2) as f64;
-    dense / uniq.max(1.0)
-}
-
 /// Compression ratio of the *wide* (u32-indexed) uniquified form over the
 /// dense form. Below 1.0 the decomposition is unprofitable and callers
 /// should offload densely instead.
-pub fn compression_ratio_wide(n: usize, k: usize, u: usize) -> f64 {
+pub(crate) fn compression_ratio_wide(n: usize, k: usize, u: usize) -> f64 {
     let dense = (n * k * 4) as f64;
     let uniq = (u * k * 4 + n * 4) as f64;
     dense / uniq.max(1.0)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Number of live annotations on this thread.
+    pub(crate) fn annotation_count() -> usize {
+        ANNOTATIONS.with(|a| a.borrow().len())
+    }
 
     #[test]
     fn paper_worked_example() {
         // Fig. 3: w_i and w_k share bit value BA45; w_j has CB1F. Their
         // attention rows collapse into a 2-row table.
-        let keys = RowKeys::scalar(vec![0xBA45u16, 0xCB1F, 0xBA45]);
+        let keys = RowKeys::blocks(&[0xBA45u16, 0xCB1F, 0xBA45], 1);
         let dense = vec![
             0.9, 0.05, 0.05, // w_i
             0.1, 0.8, 0.1, // w_j
@@ -337,7 +320,7 @@ mod tests {
 
     #[test]
     fn all_unique_rows_give_no_compression() {
-        let keys = RowKeys::scalar(vec![1u16, 2, 3]);
+        let keys = RowKeys::blocks(&[1u16, 2, 3], 1);
         let dense = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let (table, index, u) = uniquify(&dense, &keys, 2);
         assert_eq!(u, 3);
@@ -347,7 +330,7 @@ mod tests {
 
     #[test]
     fn all_same_key_gives_single_row() {
-        let keys = RowKeys::scalar(vec![7u16; 100]);
+        let keys = RowKeys::blocks(&[7u16; 100], 1);
         let dense: Vec<f32> = std::iter::repeat_n([0.25f32, 0.75], 100)
             .flatten()
             .collect();
@@ -360,18 +343,12 @@ mod tests {
     #[test]
     fn block_keys_pack_consecutive_patterns() {
         let rk = RowKeys::blocks(&[0xBA45, 0xCB1F, 0xBA45, 0xCB1F, 0x0001, 0x0002], 2);
-        assert_eq!(rk.dim(), 2);
+        assert_eq!(rk.dim, 2);
         assert_eq!(rk.len(), 3);
         assert!(!rk.is_scalar());
         assert_eq!(rk.keys()[0], 0xBA45_CB1F);
         assert_eq!(rk.keys()[1], 0xBA45_CB1F);
         assert_eq!(rk.keys()[2], 0x0001_0002);
-    }
-
-    #[test]
-    fn blocks_of_dim_one_equal_scalar() {
-        let pats = vec![5u16, 9, 5];
-        assert_eq!(RowKeys::blocks(&pats, 1), RowKeys::scalar(pats));
     }
 
     #[test]
@@ -430,22 +407,12 @@ mod tests {
             vec![7, 9, 7, 0xffff, 0],
         ];
         for (call, patterns) in key_sets.iter().enumerate() {
-            let keys = RowKeys::scalar(patterns.clone());
+            let keys = RowKeys::blocks(patterns, 1);
             let rows = DistinctRows::of(&keys);
             let (first, index) = distinct_rows_fresh(&keys);
             assert_eq!(rows.first, first, "call {call}: first rows");
             assert_eq!(rows.index, index, "call {call}: index");
         }
-    }
-
-    #[test]
-    fn ratio_formula() {
-        // n=65536 scalar weights, k=8, u=1000 uniques.
-        let r = compression_ratio(65536, 8, 1000);
-        let dense = 65536.0 * 8.0 * 4.0;
-        let uniq = 1000.0 * 8.0 * 4.0 + 65536.0 * 2.0;
-        assert!((r - dense / uniq).abs() < 1e-9);
-        assert!(r > 10.0);
     }
 
     #[test]
@@ -461,7 +428,7 @@ mod tests {
         clear_annotations();
         let id = StorageId(987654);
         assert!(annotation(id).is_none());
-        annotate(id, Arc::new(RowKeys::scalar(vec![1, 2, 3])));
+        annotate(id, Arc::new(RowKeys::blocks(&[1, 2, 3], 1)));
         assert_eq!(annotation(id).unwrap().keys(), &[1, 2, 3]);
         assert_eq!(annotation_count(), 1);
         clear_annotations();
@@ -472,7 +439,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "size mismatch")]
     fn bad_sizes_panic() {
-        uniquify(&[1.0, 2.0], &RowKeys::scalar(vec![1, 2, 3]), 2);
+        uniquify(&[1.0, 2.0], &RowKeys::blocks(&[1, 2, 3], 1), 2);
     }
 
     #[test]
@@ -494,7 +461,7 @@ mod tests {
         fn prop_roundtrip(n in 1usize..300, k in 1usize..9, nkeys in 1u16..40) {
             // Build a map where row i depends only on key i % nkeys.
             let patterns: Vec<u16> = (0..n).map(|i| (i as u16) % nkeys).collect();
-            let rk = RowKeys::scalar(patterns);
+            let rk = RowKeys::blocks(&patterns, 1);
             let dense: Vec<f32> = rk
                 .keys()
                 .iter()
@@ -511,7 +478,7 @@ mod tests {
         #[test]
         fn prop_table_bound(n in 1usize..2000, k in 1usize..5) {
             let patterns: Vec<u16> = (0..n).map(|i| (i * 2654435761usize) as u16).collect();
-            let rk = RowKeys::scalar(patterns);
+            let rk = RowKeys::blocks(&patterns, 1);
             let dense: Vec<f32> = rk
                 .keys()
                 .iter()

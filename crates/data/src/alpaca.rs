@@ -20,7 +20,6 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct AlpacaSet {
     examples: Vec<Vec<usize>>,
-    seq_len: usize,
 }
 
 impl AlpacaSet {
@@ -59,17 +58,12 @@ impl AlpacaSet {
             ex.truncate(seq_len + 1);
             examples.push(ex);
         }
-        AlpacaSet { examples, seq_len }
+        AlpacaSet { examples }
     }
 
     /// The examples (`seq_len + 1` tokens each).
     pub fn examples(&self) -> &[Vec<usize>] {
         &self.examples
-    }
-
-    /// Sequence length (predicted positions).
-    pub fn seq_len(&self) -> usize {
-        self.seq_len
     }
 
     /// Group into full batches of `batch_size`.
@@ -97,7 +91,6 @@ mod tests {
             assert_eq!(ex[4], special::QM);
             assert_eq!(ex[5], special::RESP);
         }
-        assert_eq!(a.seq_len(), 12);
     }
 
     #[test]

@@ -50,16 +50,6 @@ impl Corpus {
         &self.windows
     }
 
-    /// Configured sequence length (predicted positions per window).
-    pub fn seq_len(&self) -> usize {
-        self.seq_len
-    }
-
-    /// Total token count.
-    pub fn token_count(&self) -> usize {
-        self.windows.len() * (self.seq_len + 1)
-    }
-
     /// Group windows into batches of `batch_size` (drops the remainder so
     /// every batch is full — simplest deterministic batching).
     pub fn batches(&self, batch_size: usize) -> Vec<Vec<Vec<usize>>> {
@@ -94,8 +84,6 @@ mod tests {
         let c = corpus();
         assert!(c.windows().len() > 10);
         assert!(c.windows().iter().all(|w| w.len() == 17));
-        assert_eq!(c.seq_len(), 16);
-        assert_eq!(c.token_count(), c.windows().len() * 17);
     }
 
     #[test]
@@ -119,14 +107,14 @@ mod tests {
         let c = corpus();
         let s = c.subsample(3);
         assert_eq!(s.windows().len(), c.windows().len().div_ceil(3));
-        assert_eq!(s.seq_len(), c.seq_len());
+        assert_eq!(s.seq_len, c.seq_len);
     }
 
     #[test]
     fn tokens_in_vocab() {
         let g = Grammar::default_with_seed(0);
         let c = Corpus::generate(&g, 5, 5, 8, 3);
-        let v = g.spec().vocab_size();
+        let v = crate::vocab::tests::vocab_size(g.spec());
         assert!(c.windows().iter().flatten().all(|&t| t < v));
     }
 }

@@ -16,7 +16,6 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct Grammar {
     spec: VocabSpec,
-    seed: u64,
     /// `P(verb | subject)` as probabilities, row-major `[ns][nv]`.
     verb_probs: Vec<Vec<f32>>,
     /// `P(object | verb)`, `[nv][no]`.
@@ -50,20 +49,19 @@ fn score_table(rng: &mut StdRng, rows: usize, cols: usize, tau: f32) -> Vec<Vec<
 
 impl Grammar {
     /// Temperature of the verb/object conditionals (sharper = easier).
-    pub const TAU_STRONG: f32 = 0.45;
+    pub(crate) const TAU_STRONG: f32 = 0.45;
     /// Temperature of the modifier conditional (flatter = the "challenge"
     /// relation behind Syn-ARC-c).
-    pub const TAU_WEAK: f32 = 0.75;
+    pub(crate) const TAU_WEAK: f32 = 0.75;
 
     /// Build a grammar from a vocabulary spec and seed.
-    pub fn new(spec: VocabSpec, seed: u64) -> Self {
+    pub(crate) fn new(spec: VocabSpec, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5e_ed_6a_77);
         let verb_probs = score_table(&mut rng, spec.n_subjects, spec.n_verbs, Self::TAU_STRONG);
         let obj_probs = score_table(&mut rng, spec.n_verbs, spec.n_objects, Self::TAU_STRONG);
         let mod_probs = score_table(&mut rng, spec.n_objects, spec.n_modifiers, Self::TAU_WEAK);
         Grammar {
             spec,
-            seed,
             verb_probs,
             obj_probs,
             mod_probs,
@@ -76,28 +74,13 @@ impl Grammar {
     }
 
     /// The vocabulary spec.
-    pub fn spec(&self) -> &VocabSpec {
+    pub(crate) fn spec(&self) -> &VocabSpec {
         &self.spec
     }
 
-    /// Seed this grammar was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// `P(verb = v | subject = s)`.
-    pub fn verb_prob(&self, s: usize, v: usize) -> f32 {
+    pub(crate) fn verb_prob(&self, s: usize, v: usize) -> f32 {
         self.verb_probs[s][v]
-    }
-
-    /// `P(object = o | verb = v)`.
-    pub fn object_prob(&self, v: usize, o: usize) -> f32 {
-        self.obj_probs[v][o]
-    }
-
-    /// `P(modifier = m | object = o)`.
-    pub fn modifier_prob(&self, o: usize, m: usize) -> f32 {
-        self.mod_probs[o][m]
     }
 
     fn ranked(probs: &[f32]) -> Vec<usize> {
@@ -111,32 +94,32 @@ impl Grammar {
     }
 
     /// Verb indices sorted by `P(v|s)` descending.
-    pub fn ranked_verbs(&self, s: usize) -> Vec<usize> {
+    pub(crate) fn ranked_verbs(&self, s: usize) -> Vec<usize> {
         Self::ranked(&self.verb_probs[s])
     }
 
     /// Object indices sorted by `P(o|v)` descending.
-    pub fn ranked_objects(&self, v: usize) -> Vec<usize> {
+    pub(crate) fn ranked_objects(&self, v: usize) -> Vec<usize> {
         Self::ranked(&self.obj_probs[v])
     }
 
     /// Modifier indices sorted by `P(m|o)` descending.
-    pub fn ranked_modifiers(&self, o: usize) -> Vec<usize> {
+    pub(crate) fn ranked_modifiers(&self, o: usize) -> Vec<usize> {
         Self::ranked(&self.mod_probs[o])
     }
 
     /// Most likely verb of subject `s`.
-    pub fn preferred_verb(&self, s: usize) -> usize {
+    pub(crate) fn preferred_verb(&self, s: usize) -> usize {
         self.ranked_verbs(s)[0]
     }
 
     /// Most likely object of verb `v`.
-    pub fn preferred_object(&self, v: usize) -> usize {
+    pub(crate) fn preferred_object(&self, v: usize) -> usize {
         self.ranked_objects(v)[0]
     }
 
     /// Most likely modifier of object `o`.
-    pub fn preferred_modifier(&self, o: usize) -> usize {
+    pub(crate) fn preferred_modifier(&self, o: usize) -> usize {
         self.ranked_modifiers(o)[0]
     }
 
@@ -156,12 +139,12 @@ impl Grammar {
     /// Objects closest in log-probability to verb `v`'s top object — the
     /// borderline distractors that make Syn-tasks sensitive to model
     /// fidelity.
-    pub fn closest_objects(&self, v: usize) -> Vec<usize> {
+    pub(crate) fn closest_objects(&self, v: usize) -> Vec<usize> {
         Self::closest_by_logprob(&self.obj_probs[v], self.preferred_object(v))
     }
 
     /// Modifiers closest in log-probability to object `o`'s top modifier.
-    pub fn closest_modifiers(&self, o: usize) -> Vec<usize> {
+    pub(crate) fn closest_modifiers(&self, o: usize) -> Vec<usize> {
         Self::closest_by_logprob(&self.mod_probs[o], self.preferred_modifier(o))
     }
 
@@ -169,7 +152,7 @@ impl Grammar {
     /// subjects whose probability of `s`'s top verb is closest to `s`'s own
     /// (a margin *spectrum*, indexed by `salt`). Returns `(rival, truth)`
     /// where `truth` is `true` iff `s` genuinely has the higher probability.
-    pub fn rival_subject(&self, s: usize, salt: usize) -> (usize, bool) {
+    pub(crate) fn rival_subject(&self, s: usize, salt: usize) -> (usize, bool) {
         let v = self.preferred_verb(s);
         let p_s = self.verb_prob(s, v).max(1e-12).ln();
         let mut cands: Vec<usize> = (0..self.spec.n_subjects)
@@ -192,14 +175,14 @@ impl Grammar {
     /// A wrong object for verb `v`, drawn from the full closeness spectrum
     /// (`salt = 0` is the borderline case, larger salts progressively
     /// easier), guaranteed ≠ the top object.
-    pub fn distractor_object(&self, v: usize, salt: usize) -> usize {
+    pub(crate) fn distractor_object(&self, v: usize, salt: usize) -> usize {
         let closest = self.closest_objects(v);
         closest[salt % closest.len()]
     }
 
     /// A *weak* wrong object for verb `v` (bottom of the ranking, selected
     /// by `salt`) — the easy-split distractor.
-    pub fn weak_distractor_object(&self, v: usize, salt: usize) -> usize {
+    pub(crate) fn weak_distractor_object(&self, v: usize, salt: usize) -> usize {
         let ranked = self.ranked_objects(v);
         let tail = ranked.len() / 2;
         ranked[ranked.len() - 1 - (salt % tail)]
@@ -217,13 +200,13 @@ impl Grammar {
     }
 
     /// Sample one sentence (`S V O [M] .`) as token ids.
-    pub fn sample_sentence(&self, rng: &mut StdRng) -> Vec<usize> {
+    pub(crate) fn sample_sentence(&self, rng: &mut StdRng) -> Vec<usize> {
         let s = rng.gen_range(0..self.spec.n_subjects);
         self.sample_sentence_with_subject(rng, s)
     }
 
     /// Sample a sentence that starts with subject index `s`.
-    pub fn sample_sentence_with_subject(&self, rng: &mut StdRng, s: usize) -> Vec<usize> {
+    pub(crate) fn sample_sentence_with_subject(&self, rng: &mut StdRng, s: usize) -> Vec<usize> {
         let v = Self::sample_categorical(rng, &self.verb_probs[s]);
         let o = Self::sample_categorical(rng, &self.obj_probs[v]);
         let mut out = vec![self.spec.subject(s), self.spec.verb(v), self.spec.object(o)];
@@ -236,7 +219,7 @@ impl Grammar {
     }
 
     /// Sample a document: `BOS sentence… EOS`.
-    pub fn sample_document(&self, rng: &mut StdRng, n_sentences: usize) -> Vec<usize> {
+    pub(crate) fn sample_document(&self, rng: &mut StdRng, n_sentences: usize) -> Vec<usize> {
         let mut out = vec![special::BOS];
         for _ in 0..n_sentences {
             out.extend(self.sample_sentence(rng));
@@ -247,7 +230,7 @@ impl Grammar {
 
     /// The most likely full sentence for subject `s` (no modifier): the
     /// all-argmax path — the grammar's "ground-truth fact" about `s`.
-    pub fn canonical_sentence(&self, s: usize) -> Vec<usize> {
+    pub(crate) fn canonical_sentence(&self, s: usize) -> Vec<usize> {
         let v = self.preferred_verb(s);
         let o = self.preferred_object(v);
         vec![
@@ -295,13 +278,11 @@ mod tests {
             assert!((total - 1.0).abs() < 1e-4, "P(v|s={s}) sums to {total}");
         }
         for v in 0..g.spec().n_verbs {
-            let total: f32 = (0..g.spec().n_objects).map(|o| g.object_prob(v, o)).sum();
+            let total: f32 = (0..g.spec().n_objects).map(|o| g.obj_probs[v][o]).sum();
             assert!((total - 1.0).abs() < 1e-4);
         }
         for o in 0..g.spec().n_objects {
-            let total: f32 = (0..g.spec().n_modifiers)
-                .map(|m| g.modifier_prob(o, m))
-                .sum();
+            let total: f32 = (0..g.spec().n_modifiers).map(|m| g.mod_probs[o][m]).sum();
             assert!((total - 1.0).abs() < 1e-4);
         }
     }
@@ -354,7 +335,7 @@ mod tests {
             .sum::<f32>()
             / g.spec().n_subjects as f32;
         let mean_top_mod: f32 = (0..g.spec().n_objects)
-            .map(|o| g.modifier_prob(o, g.preferred_modifier(o)))
+            .map(|o| g.mod_probs[o][g.preferred_modifier(o)])
             .sum::<f32>()
             / g.spec().n_objects as f32;
         assert!(
@@ -405,8 +386,8 @@ mod tests {
                 assert_ne!(g.weak_distractor_object(v, salt), top);
             }
             // Close distractors outrank weak ones.
-            let close_p = g.object_prob(v, g.distractor_object(v, 0));
-            let weak_p = g.object_prob(v, g.weak_distractor_object(v, 0));
+            let close_p = g.obj_probs[v][g.distractor_object(v, 0)];
+            let weak_p = g.obj_probs[v][g.weak_distractor_object(v, 0)];
             assert!(close_p >= weak_p);
         }
     }
@@ -435,7 +416,7 @@ mod tests {
         fn prop_tokens_in_vocab(seed in any::<u64>(), n in 1usize..6) {
             let g = Grammar::default_with_seed(seed);
             let d = g.sample_document(&mut rng(seed), n);
-            let v = g.spec().vocab_size();
+            let v = crate::vocab::tests::vocab_size(g.spec());
             prop_assert!(d.iter().all(|&t| t < v));
         }
 

@@ -15,11 +15,11 @@
 //!
 //! All generators are deterministic given their seed.
 
-pub mod alpaca;
-pub mod corpus;
-pub mod grammar;
-pub mod tasks;
-pub mod vocab;
+mod alpaca;
+mod corpus;
+mod grammar;
+mod tasks;
+mod vocab;
 
 pub use alpaca::AlpacaSet;
 pub use corpus::Corpus;

@@ -101,19 +101,6 @@ impl Task {
             Task::MultiChoice { kind, .. } | Task::Cloze { kind, .. } => *kind,
         }
     }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        match self {
-            Task::MultiChoice { items, .. } => items.len(),
-            Task::Cloze { items, .. } => items.len(),
-        }
-    }
-
-    /// `true` if the task has no items.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Shuffle `correct` into a random slot among `distractors`.
@@ -158,7 +145,7 @@ impl TaskSuite {
 }
 
 /// SynPIQA: given `s v`, pick the plausible object (2 choices).
-pub fn gen_piqa(g: &Grammar, n: usize, seed: u64) -> Task {
+pub(crate) fn gen_piqa(g: &Grammar, n: usize, seed: u64) -> Task {
     let mut rng = StdRng::seed_from_u64(seed);
     let spec = *g.spec();
     let items = (0..n)
@@ -183,7 +170,7 @@ pub fn gen_piqa(g: &Grammar, n: usize, seed: u64) -> Task {
 
 /// SynHellaSwag: continue a two-sentence context (4 choices, distractors
 /// break grammar structure or preferences).
-pub fn gen_hellaswag(g: &Grammar, n: usize, seed: u64) -> Task {
+pub(crate) fn gen_hellaswag(g: &Grammar, n: usize, seed: u64) -> Task {
     let mut rng = StdRng::seed_from_u64(seed);
     let spec = *g.spec();
     let items = (0..n)
@@ -230,7 +217,7 @@ pub fn gen_hellaswag(g: &Grammar, n: usize, seed: u64) -> Task {
 
 /// SynWinogrande: which of two subjects is consistent with the observed
 /// verb–object continuation (2 choices).
-pub fn gen_winogrande(g: &Grammar, n: usize, seed: u64) -> Task {
+pub(crate) fn gen_winogrande(g: &Grammar, n: usize, seed: u64) -> Task {
     let mut rng = StdRng::seed_from_u64(seed);
     let spec = *g.spec();
     let items = (0..n)
@@ -272,7 +259,7 @@ pub fn gen_winogrande(g: &Grammar, n: usize, seed: u64) -> Task {
 /// split asks for an object's preferred modifier (modifiers appear in only
 /// ~50% of sentences, so the signal is weaker — naturally harder, like
 /// ARC-c).
-pub fn gen_arc(g: &Grammar, n: usize, seed: u64, challenge: bool) -> Task {
+pub(crate) fn gen_arc(g: &Grammar, n: usize, seed: u64, challenge: bool) -> Task {
     let mut rng = StdRng::seed_from_u64(seed);
     let spec = *g.spec();
     let items = (0..n)
@@ -343,13 +330,13 @@ pub fn gen_arc(g: &Grammar, n: usize, seed: u64, challenge: bool) -> Task {
 
 /// SynTriviaQA: one-shot cloze — the paper applies one-shot here too (Table
 /// 3 footnote b).
-pub fn gen_triviaqa(g: &Grammar, n: usize, seed: u64) -> Task {
+pub(crate) fn gen_triviaqa(g: &Grammar, n: usize, seed: u64) -> Task {
     gen_triviaqa_shots(g, n, seed, 1)
 }
 
 /// SynTriviaQA with a configurable number of in-context examples
 /// (`shots = 0` is zero-shot; the paper's Table 3 uses one-shot).
-pub fn gen_triviaqa_shots(g: &Grammar, n: usize, seed: u64, shots: usize) -> Task {
+pub(crate) fn gen_triviaqa_shots(g: &Grammar, n: usize, seed: u64, shots: usize) -> Task {
     let mut rng = StdRng::seed_from_u64(seed);
     let spec = *g.spec();
     let items = (0..n)
@@ -380,7 +367,7 @@ pub fn gen_triviaqa_shots(g: &Grammar, n: usize, seed: u64, shots: usize) -> Tas
 
 /// SynMMLU: 4-choice items drawn from four "domains" (subject→verb,
 /// verb→object, object→modifier, subject→object composition).
-pub fn gen_mmlu(g: &Grammar, n: usize, seed: u64) -> Task {
+pub(crate) fn gen_mmlu(g: &Grammar, n: usize, seed: u64) -> Task {
     let mut rng = StdRng::seed_from_u64(seed);
     let spec = *g.spec();
     let items = (0..n)
@@ -451,7 +438,10 @@ mod tests {
                 TaskKind::SynMmlu,
             ]
         );
-        assert!(s.tasks().iter().all(|t| t.len() == 10 && !t.is_empty()));
+        assert!(s.tasks().iter().all(|t| match t {
+            Task::MultiChoice { items, .. } => items.len() == 10,
+            Task::Cloze { items, .. } => items.len() == 10,
+        }));
     }
 
     #[test]
@@ -596,14 +586,21 @@ mod tests {
 
     impl VocabSpecHelper {
         fn classify(&self, id: usize) -> &'static str {
-            let r = self.spec.render(id);
-            match r.chars().next() {
-                Some('s') => "subject",
-                Some('v') => "verb",
-                Some('o') => "object",
-                Some('m') => "modifier",
-                _ => "special",
+            let s = &self.spec;
+            let classes = [
+                ("subject", s.n_subjects),
+                ("verb", s.n_verbs),
+                ("object", s.n_objects),
+                ("modifier", s.n_modifiers),
+            ];
+            let mut start = crate::vocab::special::COUNT;
+            for (name, n) in classes {
+                if (start..start + n).contains(&id) {
+                    return name;
+                }
+                start += n;
             }
+            "special"
         }
     }
 }

@@ -3,36 +3,36 @@
 use serde::{Deserialize, Serialize};
 
 /// Reserved token ids.
-pub mod special {
+pub(crate) mod special {
     /// Padding.
-    pub const PAD: usize = 0;
+    pub(crate) const PAD: usize = 0;
     /// Beginning of document.
-    pub const BOS: usize = 1;
+    pub(crate) const BOS: usize = 1;
     /// End of document.
-    pub const EOS: usize = 2;
+    pub(crate) const EOS: usize = 2;
     /// Sentence terminator `.`.
-    pub const STOP: usize = 3;
+    pub(crate) const STOP: usize = 3;
     /// Question marker (used by QA-style tasks).
-    pub const QM: usize = 4;
+    pub(crate) const QM: usize = 4;
     /// Instruction marker (SynAlpaca).
-    pub const INS: usize = 5;
+    pub(crate) const INS: usize = 5;
     /// Response marker (SynAlpaca).
-    pub const RESP: usize = 6;
+    pub(crate) const RESP: usize = 6;
     /// Number of reserved ids.
-    pub const COUNT: usize = 7;
+    pub(crate) const COUNT: usize = 7;
 }
 
 /// Sizes of the four content classes and the derived id ranges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VocabSpec {
     /// Subject tokens.
-    pub n_subjects: usize,
+    pub(crate) n_subjects: usize,
     /// Verb tokens.
-    pub n_verbs: usize,
+    pub(crate) n_verbs: usize,
     /// Object tokens.
-    pub n_objects: usize,
+    pub(crate) n_objects: usize,
     /// Modifier tokens.
-    pub n_modifiers: usize,
+    pub(crate) n_modifiers: usize,
 }
 
 impl Default for VocabSpec {
@@ -47,17 +47,12 @@ impl Default for VocabSpec {
 }
 
 impl VocabSpec {
-    /// Total vocabulary size (reserved + content tokens).
-    pub fn vocab_size(&self) -> usize {
-        special::COUNT + self.n_subjects + self.n_verbs + self.n_objects + self.n_modifiers
-    }
-
     /// Token id of subject `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range (same for the sibling methods).
-    pub fn subject(&self, i: usize) -> usize {
+    pub(crate) fn subject(&self, i: usize) -> usize {
         assert!(
             i < self.n_subjects,
             "subject {i} out of {}",
@@ -67,19 +62,19 @@ impl VocabSpec {
     }
 
     /// Token id of verb `i`.
-    pub fn verb(&self, i: usize) -> usize {
+    pub(crate) fn verb(&self, i: usize) -> usize {
         assert!(i < self.n_verbs, "verb {i} out of {}", self.n_verbs);
         special::COUNT + self.n_subjects + i
     }
 
     /// Token id of object `i`.
-    pub fn object(&self, i: usize) -> usize {
+    pub(crate) fn object(&self, i: usize) -> usize {
         assert!(i < self.n_objects, "object {i} out of {}", self.n_objects);
         special::COUNT + self.n_subjects + self.n_verbs + i
     }
 
     /// Token id of modifier `i`.
-    pub fn modifier(&self, i: usize) -> usize {
+    pub(crate) fn modifier(&self, i: usize) -> usize {
         assert!(
             i < self.n_modifiers,
             "modifier {i} out of {}",
@@ -87,51 +82,16 @@ impl VocabSpec {
         );
         special::COUNT + self.n_subjects + self.n_verbs + self.n_objects + i
     }
-
-    /// Render a token id for debugging (`s3`, `v0`, `o7`, `m1`, `.`, …).
-    pub fn render(&self, id: usize) -> String {
-        match id {
-            special::PAD => "<pad>".into(),
-            special::BOS => "<bos>".into(),
-            special::EOS => "<eos>".into(),
-            special::STOP => ".".into(),
-            special::QM => "?".into(),
-            special::INS => "<ins>".into(),
-            special::RESP => "<resp>".into(),
-            _ => {
-                let i = id - special::COUNT;
-                if i < self.n_subjects {
-                    return format!("s{i}");
-                }
-                let i = i - self.n_subjects;
-                if i < self.n_verbs {
-                    return format!("v{i}");
-                }
-                let i = i - self.n_verbs;
-                if i < self.n_objects {
-                    return format!("o{i}");
-                }
-                let i = i - self.n_objects;
-                if i < self.n_modifiers {
-                    return format!("m{i}");
-                }
-                format!("<unk:{id}>")
-            }
-        }
-    }
-
-    /// Render a sequence of ids as space-joined tokens.
-    pub fn render_seq(&self, ids: &[usize]) -> String {
-        ids.iter()
-            .map(|&i| self.render(i))
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Total vocabulary size (reserved + content tokens).
+    pub(crate) fn vocab_size(v: &VocabSpec) -> usize {
+        special::COUNT + v.n_subjects + v.n_verbs + v.n_objects + v.n_modifiers
+    }
 
     #[test]
     fn ranges_are_disjoint_and_cover() {
@@ -149,21 +109,10 @@ mod tests {
         for i in 0..v.n_modifiers {
             assert!(seen.insert(v.modifier(i)));
         }
-        assert_eq!(seen.len() + special::COUNT, v.vocab_size());
+        assert_eq!(seen.len() + special::COUNT, vocab_size(&v));
         assert!(seen
             .iter()
-            .all(|&id| id >= special::COUNT && id < v.vocab_size()));
-    }
-
-    #[test]
-    fn render_roundtrip_classes() {
-        let v = VocabSpec::default();
-        assert_eq!(v.render(v.subject(3)), "s3");
-        assert_eq!(v.render(v.verb(0)), "v0");
-        assert_eq!(v.render(v.object(15)), "o15");
-        assert_eq!(v.render(v.modifier(7)), "m7");
-        assert_eq!(v.render(special::STOP), ".");
-        assert_eq!(v.render_seq(&[special::BOS, v.subject(0)]), "<bos> s0");
+            .all(|&id| id >= special::COUNT && id < vocab_size(&v)));
     }
 
     #[test]
@@ -174,6 +123,6 @@ mod tests {
 
     #[test]
     fn default_fits_in_64() {
-        assert!(VocabSpec::default().vocab_size() <= 64);
+        assert!(vocab_size(&VocabSpec::default()) <= 64);
     }
 }

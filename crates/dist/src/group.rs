@@ -93,17 +93,12 @@ pub struct ShardSpec {
 }
 
 impl ShardSpec {
-    /// Total element count being partitioned.
-    pub fn total_len(&self) -> usize {
-        self.len
-    }
-
     /// Half-open element range of `rank`'s shard.
     ///
     /// # Panics
     ///
     /// Panics if `rank` is not below the learner count.
-    pub fn shard_range(&self, rank: usize) -> Range<usize> {
+    pub(crate) fn shard_range(&self, rank: usize) -> Range<usize> {
         assert!(
             rank < self.n,
             "rank {rank} out of range for {} shards",
@@ -122,7 +117,7 @@ impl ShardSpec {
     ///
     /// Panics if `data.len()` differs from the spec's length or `rank` is out
     /// of range.
-    pub fn view<'a, T>(&self, data: &'a [T], rank: usize) -> &'a [T] {
+    pub(crate) fn view<'a, T>(&self, data: &'a [T], rank: usize) -> &'a [T] {
         assert_eq!(data.len(), self.len, "shard view over wrong-length buffer");
         &data[self.shard_range(rank)]
     }

@@ -25,6 +25,6 @@
 
 #![warn(missing_docs)]
 
-pub mod group;
+mod group;
 
 pub use group::{LearnerGroup, ShardSpec};

@@ -6,14 +6,11 @@
 //! formatting.
 
 pub mod multichoice;
-pub mod perplexity;
-pub mod report;
+mod perplexity;
+mod report;
 pub mod stats;
 
-pub use multichoice::{
-    choice_logprob, cloze_outcomes, evaluate_suite, evaluate_task, multichoice_outcomes,
-    score_cloze, score_multichoice,
-};
+pub use multichoice::evaluate_suite;
 pub use perplexity::perplexity;
 pub use report::{render_table3, Table3Row};
 pub use stats::{bootstrap_ci, paired_superiority, AccuracyCi};

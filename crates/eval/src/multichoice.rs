@@ -12,7 +12,7 @@ use edkm_tensor::ops as t;
 ///
 /// Panics if `prompt` or `choice` is empty or the combined length exceeds
 /// the model's `max_seq`.
-pub fn choice_logprob(model: &LlamaModel, prompt: &[usize], choice: &[usize]) -> f32 {
+pub(crate) fn choice_logprob(model: &LlamaModel, prompt: &[usize], choice: &[usize]) -> f32 {
     assert!(!prompt.is_empty(), "empty prompt");
     assert!(!choice.is_empty(), "empty choice");
     let _ng = no_grad();
@@ -36,7 +36,7 @@ pub fn choice_logprob(model: &LlamaModel, prompt: &[usize], choice: &[usize]) ->
 
 /// Per-item correctness on multiple-choice items: the choice with the
 /// highest normalized log-probability wins.
-pub fn multichoice_outcomes(model: &LlamaModel, items: &[MultiChoiceTask]) -> Vec<bool> {
+pub(crate) fn multichoice_outcomes(model: &LlamaModel, items: &[MultiChoiceTask]) -> Vec<bool> {
     items
         .iter()
         .map(|item| {
@@ -58,7 +58,7 @@ pub fn multichoice_outcomes(model: &LlamaModel, items: &[MultiChoiceTask]) -> Ve
 
 /// Per-item correctness on cloze items: greedy next token must equal the
 /// answer.
-pub fn cloze_outcomes(model: &LlamaModel, items: &[ClozeTask]) -> Vec<bool> {
+pub(crate) fn cloze_outcomes(model: &LlamaModel, items: &[ClozeTask]) -> Vec<bool> {
     let _ng = no_grad();
     items
         .iter()
@@ -76,13 +76,13 @@ fn percent(outcomes: &[bool]) -> f32 {
 }
 
 /// Accuracy (%) of the model on multiple-choice items.
-pub fn score_multichoice(model: &LlamaModel, items: &[MultiChoiceTask]) -> f32 {
+pub(crate) fn score_multichoice(model: &LlamaModel, items: &[MultiChoiceTask]) -> f32 {
     assert!(!items.is_empty(), "no items");
     percent(&multichoice_outcomes(model, items))
 }
 
 /// Accuracy (%) on cloze items.
-pub fn score_cloze(model: &LlamaModel, items: &[ClozeTask]) -> f32 {
+pub(crate) fn score_cloze(model: &LlamaModel, items: &[ClozeTask]) -> f32 {
     assert!(!items.is_empty(), "no items");
     percent(&cloze_outcomes(model, items))
 }
@@ -96,7 +96,7 @@ pub fn task_outcomes(model: &LlamaModel, task: &Task) -> Vec<bool> {
 }
 
 /// Accuracy (%) of one task.
-pub fn evaluate_task(model: &LlamaModel, task: &Task) -> f32 {
+pub(crate) fn evaluate_task(model: &LlamaModel, task: &Task) -> f32 {
     match task {
         Task::MultiChoice { items, .. } => score_multichoice(model, items),
         Task::Cloze { items, .. } => score_cloze(model, items),
@@ -148,10 +148,7 @@ mod tests {
         let m = model();
         // Teach the model that 7 follows [1, 2].
         let mut trainer = Trainer::new(TrainConfig {
-            optim: AdamWConfig {
-                lr: 5e-3,
-                ..AdamWConfig::default()
-            },
+            optim: AdamWConfig { lr: 5e-3 },
             ..TrainConfig::default()
         });
         let params = m.params();

@@ -49,10 +49,7 @@ mod tests {
         let window = vec![1usize, 2, 3, 1, 2, 3, 1, 2];
         let before = perplexity(&model, std::slice::from_ref(&window));
         let mut trainer = Trainer::new(TrainConfig {
-            optim: AdamWConfig {
-                lr: 3e-3,
-                ..AdamWConfig::default()
-            },
+            optim: AdamWConfig { lr: 3e-3 },
             ..TrainConfig::default()
         });
         let params = model.params();

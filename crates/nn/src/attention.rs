@@ -31,7 +31,7 @@ pub fn rope_tables(t: usize, hd: usize, theta: f32) -> (Vec<f32>, Vec<f32>) {
 ///
 /// Panics if `x` is not `[bh, t, hd]` with `hd` even, or table lengths
 /// disagree with `t·hd/2`.
-pub fn rope(x: &Var, cos: &[f32], sin: &[f32]) -> Var {
+pub(crate) fn rope(x: &Var, cos: &[f32], sin: &[f32]) -> Var {
     let shape = x.value().shape().to_vec();
     assert_eq!(shape.len(), 3, "rope expects [bh, t, hd]");
     let (bh, t, hd) = (shape[0], shape[1], shape[2]);
@@ -78,7 +78,7 @@ pub fn rope(x: &Var, cos: &[f32], sin: &[f32]) -> Var {
 }
 
 /// Causal mask `[t, t]`: 0 on/below the diagonal, −1e9 above.
-pub fn causal_mask(t: usize, device: Device) -> Tensor {
+pub(crate) fn causal_mask(t: usize, device: Device) -> Tensor {
     let mut m = vec![0.0f32; t * t];
     for i in 0..t {
         for j in (i + 1)..t {
@@ -279,13 +279,8 @@ impl CausalSelfAttention {
         }
     }
 
-    /// Head count.
-    pub fn n_heads(&self) -> usize {
-        self.n_heads
-    }
-
     /// The four projections (for parameter registration).
-    pub fn projections(&self) -> [&Linear; 4] {
+    pub(crate) fn projections(&self) -> [&Linear; 4] {
         [&self.q_proj, &self.k_proj, &self.v_proj, &self.o_proj]
     }
 

@@ -1,6 +1,7 @@
 //! One pre-norm decoder layer: attention and MLP with residuals.
 
-use crate::{CausalSelfAttention, Linear, RmsNorm, SwiGluMlp, WeightHook};
+use crate::mlp::SwiGluMlp;
+use crate::{CausalSelfAttention, Linear, RmsNorm, WeightHook};
 use edkm_autograd::Var;
 use edkm_tensor::{DType, Device};
 
@@ -16,7 +17,7 @@ pub struct DecoderLayer {
 impl DecoderLayer {
     /// Build layer `index` of a model.
     #[allow(clippy::too_many_arguments)] // explicit geometry beats a config struct here
-    pub fn new(
+    pub(crate) fn new(
         index: usize,
         d_model: usize,
         n_heads: usize,
@@ -50,13 +51,8 @@ impl DecoderLayer {
         }
     }
 
-    /// The MLP block.
-    pub fn mlp(&self) -> &SwiGluMlp {
-        &self.mlp
-    }
-
     /// The two norms.
-    pub fn norms(&self) -> [&RmsNorm; 2] {
+    pub(crate) fn norms(&self) -> [&RmsNorm; 2] {
         [&self.input_norm, &self.post_norm]
     }
 
@@ -68,7 +64,7 @@ impl DecoderLayer {
     }
 
     /// Forward `[b·t, d] → [b·t, d]`.
-    pub fn forward(&self, x: &Var, b: usize, t: usize, hook: Option<WeightHook<'_>>) -> Var {
+    pub(crate) fn forward(&self, x: &Var, b: usize, t: usize, hook: Option<WeightHook<'_>>) -> Var {
         let h = x.add(&self.attn.forward(&self.input_norm.forward(x), b, t, hook));
         h.add(&self.mlp.forward(&self.post_norm.forward(&h), hook))
     }

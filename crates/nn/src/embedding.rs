@@ -9,13 +9,11 @@ use edkm_tensor::{DType, Device};
 pub struct Embedding {
     name: String,
     weight: Var,
-    vocab: usize,
-    dim: usize,
 }
 
 impl Embedding {
     /// New table with seeded normal(0, 0.02) init.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         vocab: usize,
         dim: usize,
@@ -27,8 +25,6 @@ impl Embedding {
         Embedding {
             name: name.into(),
             weight,
-            vocab,
-            dim,
         }
     }
 
@@ -38,18 +34,8 @@ impl Embedding {
     }
 
     /// The raw table parameter.
-    pub fn weight(&self) -> &Var {
+    pub(crate) fn weight(&self) -> &Var {
         &self.weight
-    }
-
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Look up `ids`, producing `[ids.len(), d]`.
@@ -57,7 +43,7 @@ impl Embedding {
     /// # Panics
     ///
     /// Panics if any id is out of vocabulary.
-    pub fn forward(&self, ids: &[usize]) -> Var {
+    pub(crate) fn forward(&self, ids: &[usize]) -> Var {
         self.weight.embedding(ids)
     }
 }
@@ -79,8 +65,7 @@ mod tests {
         assert_eq!(g.get(&[1, 0]), 2.0);
         assert_eq!(g.get(&[3, 0]), 1.0);
         assert_eq!(g.get(&[0, 0]), 0.0);
-        assert_eq!(e.vocab(), 10);
-        assert_eq!(e.dim(), 4);
+        assert_eq!(e.weight().value().shape(), &[10, 4]);
         assert_eq!(e.name(), "tok");
     }
 }

@@ -3,19 +3,25 @@
 use edkm_tensor::{DType, Device, Tensor};
 
 /// GPT-style normal init with std 0.02.
-pub fn normal_init(shape: &[usize], dtype: DType, device: Device, seed: u64) -> Tensor {
+pub(crate) fn normal_init(shape: &[usize], dtype: DType, device: Device, seed: u64) -> Tensor {
     scaled_normal(shape, 0.02, dtype, device, seed)
 }
 
 /// Normal init with explicit standard deviation.
-pub fn scaled_normal(shape: &[usize], std: f32, dtype: DType, device: Device, seed: u64) -> Tensor {
+pub(crate) fn scaled_normal(
+    shape: &[usize],
+    std: f32,
+    dtype: DType,
+    device: Device,
+    seed: u64,
+) -> Tensor {
     let t = Tensor::randn(shape, DType::F32, device, seed);
     t.map(|v| v * std).cast(dtype)
 }
 
 /// Kaiming-uniform-ish init for a `[out, in]` projection: U(−b, b) with
 /// `b = 1/sqrt(in)`.
-pub fn kaiming_uniform(shape: &[usize], dtype: DType, device: Device, seed: u64) -> Tensor {
+pub(crate) fn kaiming_uniform(shape: &[usize], dtype: DType, device: Device, seed: u64) -> Tensor {
     let fan_in = *shape.last().expect("kaiming needs a shape") as f32;
     let bound = 1.0 / fan_in.sqrt();
     Tensor::uniform(shape, -bound, bound, dtype, device, seed)

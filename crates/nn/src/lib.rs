@@ -12,29 +12,29 @@
 //!
 //! ## Weight hooks
 //!
-//! Every projection weight passes through an optional [`WeightHook`] at
+//! Every projection weight passes through an optional `WeightHook` at
 //! forward time. Train-time compression (DKM soft clustering, LLM-QAT fake
 //! quantization) is implemented by substituting the effective weight there,
 //! which is exactly how train-time weight optimization systems wrap a model
 //! (Fig. 1 of the paper).
 
 pub mod attention;
-pub mod decoder;
-pub mod embedding;
-pub mod init;
-pub mod linear;
-pub mod mlp;
-pub mod model;
-pub mod norm;
-pub mod optim;
+mod decoder;
+mod embedding;
+mod init;
+mod linear;
+mod mlp;
+mod model;
+mod norm;
+mod optim;
 pub mod tap;
-pub mod trainer;
+mod trainer;
 
 pub use attention::{attend_cached_rows, CausalSelfAttention, KvRowView};
 pub use decoder::DecoderLayer;
 pub use embedding::Embedding;
 pub use linear::Linear;
-pub use mlp::SwiGluMlp;
+
 pub use model::{LlamaConfig, LlamaModel};
 pub use norm::RmsNorm;
 pub use optim::{clip_grad_norm, AdamW, AdamWConfig, LrSchedule};
@@ -46,7 +46,7 @@ use edkm_autograd::Var;
 ///
 /// Receives the parameter's registered name and the raw weight, returns the
 /// effective weight to use. Identity when absent.
-pub type WeightHook<'a> = &'a dyn Fn(&str, &Var) -> Var;
+pub(crate) type WeightHook<'a> = &'a dyn Fn(&str, &Var) -> Var;
 
 /// Apply an optional hook to a named weight.
 pub(crate) fn effective_weight(hook: Option<WeightHook<'_>>, name: &str, w: &Var) -> Var {

@@ -10,12 +10,11 @@ pub struct Linear {
     name: String,
     weight: Var,
     in_features: usize,
-    out_features: usize,
 }
 
 impl Linear {
     /// New projection with seeded Kaiming-uniform init.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         in_features: usize,
         out_features: usize,
@@ -33,7 +32,6 @@ impl Linear {
             name: name.into(),
             weight,
             in_features,
-            out_features,
         }
     }
 
@@ -47,22 +45,12 @@ impl Linear {
         &self.weight
     }
 
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
     /// Forward `[n, in] → [n, out]`, routing the weight through `hook`.
     ///
     /// # Panics
     ///
     /// Panics if `x` is not `[n, in]`.
-    pub fn forward(&self, x: &Var, hook: Option<WeightHook<'_>>) -> Var {
+    pub(crate) fn forward(&self, x: &Var, hook: Option<WeightHook<'_>>) -> Var {
         assert_eq!(
             x.value().shape().last(),
             Some(&self.in_features),

@@ -6,7 +6,7 @@ use edkm_tensor::{DType, Device};
 
 /// `down( silu(gate(x)) ⊙ up(x) )`.
 #[derive(Debug)]
-pub struct SwiGluMlp {
+pub(crate) struct SwiGluMlp {
     gate_proj: Linear,
     up_proj: Linear,
     down_proj: Linear,
@@ -14,7 +14,7 @@ pub struct SwiGluMlp {
 
 impl SwiGluMlp {
     /// Build with parameter names prefixed by `prefix` (e.g. `layers.0.mlp`).
-    pub fn new(
+    pub(crate) fn new(
         prefix: &str,
         d_model: usize,
         d_ff: usize,
@@ -51,12 +51,12 @@ impl SwiGluMlp {
     }
 
     /// The three projections (for parameter registration).
-    pub fn projections(&self) -> [&Linear; 3] {
+    pub(crate) fn projections(&self) -> [&Linear; 3] {
         [&self.gate_proj, &self.up_proj, &self.down_proj]
     }
 
     /// Forward `[n, d] → [n, d]`.
-    pub fn forward(&self, x: &Var, hook: Option<WeightHook<'_>>) -> Var {
+    pub(crate) fn forward(&self, x: &Var, hook: Option<WeightHook<'_>>) -> Var {
         let gate = self.gate_proj.forward(x, hook).silu();
         let up = self.up_proj.forward(x, hook);
         self.down_proj.forward(&gate.mul(&up), hook)

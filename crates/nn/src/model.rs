@@ -1,6 +1,7 @@
 //! LLaMA-style decoder-only language model.
 
-use crate::{DecoderLayer, Embedding, Linear, RmsNorm, WeightHook};
+use crate::decoder::DecoderLayer;
+use crate::{Embedding, Linear, RmsNorm, WeightHook};
 use edkm_autograd::Var;
 use edkm_tensor::{DType, Device};
 use serde::{Deserialize, Serialize};
@@ -50,17 +51,6 @@ impl LlamaConfig {
             d_ff: 16,
             max_seq: 8,
         }
-    }
-
-    /// Parameter count of a model with this config.
-    pub fn param_count(&self) -> usize {
-        let per_layer = 4 * self.d_model * self.d_model          // q,k,v,o
-            + 3 * self.d_model * self.d_ff                        // gate,up,down
-            + 2 * self.d_model; //                                   norms
-        self.vocab * self.d_model                                 // embed
-            + self.n_layers * per_layer
-            + self.d_model                                        // final norm
-            + self.vocab * self.d_model //                           lm head
     }
 }
 
@@ -147,11 +137,6 @@ impl LlamaModel {
         &self.layers
     }
 
-    /// The LM head projection.
-    pub fn lm_head(&self) -> &Linear {
-        &self.lm_head
-    }
-
     /// Logits `[b·t, vocab]` for `b` sequences of length `t` given row-major
     /// flattened `ids`.
     ///
@@ -233,11 +218,6 @@ impl LlamaModel {
         out
     }
 
-    /// Total parameter count.
-    pub fn param_count(&self) -> usize {
-        self.params().iter().map(|p| p.value().numel()).sum()
-    }
-
     /// Bytes of the uncompressed model at its native dtype (the paper's
     /// "Model Size" baseline: 16-bit weights).
     pub fn native_size_bytes(&self) -> usize {
@@ -288,12 +268,24 @@ mod tests {
     use super::*;
     use edkm_tensor::runtime;
 
+    /// Parameter count of a model with `cfg`, from the architecture alone.
+    fn param_count(cfg: &LlamaConfig) -> usize {
+        let per_layer = 4 * cfg.d_model * cfg.d_model             // q,k,v,o
+            + 3 * cfg.d_model * cfg.d_ff                          // gate,up,down
+            + 2 * cfg.d_model; //                                    norms
+        cfg.vocab * cfg.d_model                                   // embed
+            + cfg.n_layers * per_layer
+            + cfg.d_model                                         // final norm
+            + cfg.vocab * cfg.d_model //                             lm head
+    }
+
     #[test]
     fn config_param_count_matches_model() {
         runtime::reset();
         let cfg = LlamaConfig::tiny();
         let model = LlamaModel::new(cfg, DType::F32, Device::Cpu, 0);
-        assert_eq!(model.param_count(), cfg.param_count());
+        let numel: usize = model.params().iter().map(|p| p.value().numel()).sum();
+        assert_eq!(numel, param_count(&cfg));
     }
 
     #[test]
@@ -348,7 +340,7 @@ mod tests {
         runtime::reset();
         let cfg = LlamaConfig::tiny();
         let m16 = LlamaModel::new(cfg, DType::Bf16, Device::Cpu, 0);
-        assert_eq!(m16.native_size_bytes(), 2 * cfg.param_count());
+        assert_eq!(m16.native_size_bytes(), 2 * param_count(&cfg));
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub struct RmsNorm {
 
 impl RmsNorm {
     /// New norm over a last axis of size `dim`.
-    pub fn new(name: impl Into<String>, dim: usize, dtype: DType, device: Device) -> Self {
+    pub(crate) fn new(name: impl Into<String>, dim: usize, dtype: DType, device: Device) -> Self {
         RmsNorm {
             name: name.into(),
             weight: Var::param(Tensor::ones(&[dim], dtype, device)),
@@ -22,22 +22,17 @@ impl RmsNorm {
     }
 
     /// Registered parameter name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// The gain parameter.
-    pub fn weight(&self) -> &Var {
+    pub(crate) fn weight(&self) -> &Var {
         &self.weight
     }
 
-    /// Normalization epsilon.
-    pub fn eps(&self) -> f32 {
-        self.eps
-    }
-
     /// Forward over the last axis.
-    pub fn forward(&self, x: &Var) -> Var {
+    pub(crate) fn forward(&self, x: &Var) -> Var {
         x.rmsnorm(&self.weight, self.eps)
     }
 }
@@ -66,6 +61,5 @@ mod tests {
         let x = Var::constant(Tensor::randn(&[2, 4], DType::F32, Device::Cpu, 1));
         n.forward(&x).sum_all().backward();
         assert!(n.weight().grad().is_some());
-        assert_eq!(n.eps(), 1e-5);
     }
 }

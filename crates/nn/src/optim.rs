@@ -10,31 +10,27 @@ use edkm_autograd::Var;
 use edkm_tensor::ops as t_ops;
 use std::collections::HashMap;
 
-/// AdamW hyper-parameters.
+/// First-moment decay: the paper's β₁.
+const BETA1: f32 = 0.9;
+/// Second-moment decay: the paper's β₂.
+const BETA2: f32 = 0.95;
+/// Decoupled weight decay: the paper fine-tunes without it.
+const WEIGHT_DECAY: f32 = 0.0;
+/// Numerical epsilon of the update's denominator.
+const EPS: f32 = 1e-8;
+
+/// The AdamW hyper-parameter that callers tune; the betas, the weight decay
+/// and ε are constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamWConfig {
     /// Peak learning rate.
     pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical epsilon.
-    pub eps: f32,
-    /// Decoupled weight decay.
-    pub weight_decay: f32,
 }
 
 impl Default for AdamWConfig {
     fn default() -> Self {
-        // The paper's recipe: lr 5e-5, wd 0, betas (0.9, 0.95).
-        AdamWConfig {
-            lr: 5e-5,
-            beta1: 0.9,
-            beta2: 0.95,
-            eps: 1e-8,
-            weight_decay: 0.0,
-        }
+        // The paper's recipe: lr 5e-5.
+        AdamWConfig { lr: 5e-5 }
     }
 }
 
@@ -57,7 +53,7 @@ pub enum LrSchedule {
 
 impl LrSchedule {
     /// Multiplier on the peak lr at `step` (0-based).
-    pub fn factor(&self, step: u64) -> f32 {
+    pub(crate) fn factor(&self, step: u64) -> f32 {
         match *self {
             LrSchedule::Constant => 1.0,
             LrSchedule::CosineWithWarmup {
@@ -87,7 +83,7 @@ struct ParamState {
 pub struct AdamW {
     config: AdamWConfig,
     schedule: LrSchedule,
-    step_count: u64,
+    pub(crate) step_count: u64,
     state: HashMap<u64, ParamState>,
 }
 
@@ -104,11 +100,6 @@ impl std::fmt::Debug for AdamW {
 }
 
 impl AdamW {
-    /// New optimizer with a constant schedule.
-    pub fn new(config: AdamWConfig) -> Self {
-        Self::with_schedule(config, LrSchedule::Constant)
-    }
-
     /// New optimizer with an explicit schedule.
     pub fn with_schedule(config: AdamWConfig, schedule: LrSchedule) -> Self {
         AdamW {
@@ -119,18 +110,8 @@ impl AdamW {
         }
     }
 
-    /// Steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.step_count
-    }
-
-    /// The configured hyper-parameters.
-    pub fn config(&self) -> &AdamWConfig {
-        &self.config
-    }
-
     /// Current effective learning rate.
-    pub fn current_lr(&self) -> f32 {
+    pub(crate) fn current_lr(&self) -> f32 {
         self.config.lr * self.schedule.factor(self.step_count)
     }
 
@@ -140,9 +121,8 @@ impl AdamW {
         let lr = self.current_lr();
         self.step_count += 1;
         let t = self.step_count as i32;
-        let (b1, b2) = (self.config.beta1, self.config.beta2);
-        let bc1 = 1.0 - b1.powi(t);
-        let bc2 = 1.0 - b2.powi(t);
+        let bc1 = 1.0 - BETA1.powi(t);
+        let bc2 = 1.0 - BETA2.powi(t);
         for p in params {
             let Some(grad) = p.grad() else { continue };
             let g = grad.to_vec();
@@ -155,13 +135,11 @@ impl AdamW {
             assert_eq!(st.master.len(), g.len(), "param/grad size mismatch");
             #[allow(clippy::needless_range_loop)] // four parallel arrays; zip obscures it
             for i in 0..g.len() {
-                st.m[i] = b1 * st.m[i] + (1.0 - b1) * g[i];
-                st.v[i] = b2 * st.v[i] + (1.0 - b2) * g[i] * g[i];
+                st.m[i] = BETA1 * st.m[i] + (1.0 - BETA1) * g[i];
+                st.v[i] = BETA2 * st.v[i] + (1.0 - BETA2) * g[i] * g[i];
                 let mhat = st.m[i] / bc1;
                 let vhat = st.v[i] / bc2;
-                st.master[i] -= lr
-                    * (mhat / (vhat.sqrt() + self.config.eps)
-                        + self.config.weight_decay * st.master[i]);
+                st.master[i] -= lr * (mhat / (vhat.sqrt() + EPS) + WEIGHT_DECAY * st.master[i]);
             }
             let master = &st.master;
             p.value().apply_inplace(|i, _| master[i]);
@@ -206,10 +184,7 @@ mod tests {
         runtime::reset();
         // minimize (x-3)^2 from x=0.
         let x = Var::param(Tensor::scalar(0.0, DType::F32, Device::Cpu));
-        let mut opt = AdamW::new(AdamWConfig {
-            lr: 0.1,
-            ..AdamWConfig::default()
-        });
+        let mut opt = AdamW::with_schedule(AdamWConfig { lr: 0.1 }, LrSchedule::Constant);
         for _ in 0..200 {
             let loss = x.add_scalar(-3.0).square().sum_all();
             loss.backward();
@@ -220,14 +195,14 @@ mod tests {
             "x={}",
             x.value().item()
         );
-        assert_eq!(opt.steps(), 200);
+        assert_eq!(opt.step_count, 200);
     }
 
     #[test]
     fn step_clears_grads() {
         runtime::reset();
         let x = Var::param(Tensor::scalar(1.0, DType::F32, Device::Cpu));
-        let mut opt = AdamW::new(AdamWConfig::default());
+        let mut opt = AdamW::with_schedule(AdamWConfig::default(), LrSchedule::Constant);
         x.square().sum_all().backward();
         assert!(x.grad().is_some());
         opt.step(std::slice::from_ref(&x));
@@ -240,10 +215,7 @@ mod tests {
         // With a tiny lr, bf16 rounding alone would stall; the master copy
         // must keep accumulating so the param eventually moves.
         let x = Var::param(Tensor::scalar(1.0, DType::Bf16, Device::Cpu));
-        let mut opt = AdamW::new(AdamWConfig {
-            lr: 1e-4,
-            ..AdamWConfig::default()
-        });
+        let mut opt = AdamW::with_schedule(AdamWConfig { lr: 1e-4 }, LrSchedule::Constant);
         for _ in 0..100 {
             let loss = x.square().sum_all();
             loss.backward();
@@ -258,7 +230,7 @@ mod tests {
     fn params_without_grads_are_skipped() {
         runtime::reset();
         let x = Var::param(Tensor::scalar(2.0, DType::F32, Device::Cpu));
-        let mut opt = AdamW::new(AdamWConfig::default());
+        let mut opt = AdamW::with_schedule(AdamWConfig::default(), LrSchedule::Constant);
         opt.step(std::slice::from_ref(&x));
         assert_eq!(x.value().item(), 2.0);
     }

@@ -2,7 +2,7 @@
 //!
 //! Post-training quantizers (GPTQ, AWQ) calibrate on the activations that
 //! actually flow into each linear layer. While a tap is armed on the current
-//! thread, every [`crate::Linear::forward`] records its input tensor under
+//! thread, every `crate::Linear::forward` records its input tensor under
 //! the layer's parameter name.
 
 use edkm_tensor::Tensor;
@@ -23,11 +23,6 @@ pub fn start() {
 /// Stop capturing and return `{parameter name → recorded inputs}`.
 pub fn stop() -> HashMap<String, Vec<Tensor>> {
     TAP.with(|t| t.borrow_mut().take().unwrap_or_default())
-}
-
-/// `true` if a capture is armed.
-pub fn is_armed() -> bool {
-    TAP.with(|t| t.borrow().is_some())
 }
 
 /// Record an input (called by `Linear::forward`).
@@ -75,11 +70,9 @@ mod tests {
         let lin = Linear::new("proj", 4, 2, DType::F32, Device::Cpu, 0);
         let x = Var::constant(Tensor::randn(&[3, 4], DType::F32, Device::Cpu, 1));
         start();
-        assert!(is_armed());
         lin.forward(&x, None);
         lin.forward(&x, None);
         let cap = stop();
-        assert!(!is_armed());
         assert_eq!(cap["proj"].len(), 2);
         let cat = concat_inputs(&cap, "proj").unwrap();
         assert_eq!(cat.shape(), &[6, 4]);

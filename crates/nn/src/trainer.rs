@@ -80,11 +80,6 @@ impl Trainer {
         &self.losses
     }
 
-    /// The underlying optimizer.
-    pub fn optimizer(&self) -> &AdamW {
-        &self.optim
-    }
-
     /// One optimization step on `batch`; returns the loss.
     ///
     /// `params` selects what is trained (e.g. all params, or only the
@@ -133,10 +128,7 @@ mod tests {
         // A deterministic repeating pattern the model can memorize.
         let batch = LmBatch::new(vec![vec![1, 2, 3, 1, 2, 3], vec![2, 3, 1, 2, 3, 1]]);
         let mut trainer = Trainer::new(TrainConfig {
-            optim: AdamWConfig {
-                lr: 3e-3,
-                ..AdamWConfig::default()
-            },
+            optim: AdamWConfig { lr: 3e-3 },
             ..TrainConfig::default()
         });
         let params = model.params();
@@ -150,6 +142,6 @@ mod tests {
             "loss must halve: first={first}, last={last}"
         );
         assert_eq!(trainer.losses().len(), 61);
-        assert_eq!(trainer.optimizer().steps(), 61);
+        assert_eq!(trainer.optim.step_count, 61);
     }
 }

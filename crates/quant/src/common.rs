@@ -6,9 +6,9 @@ use edkm_tensor::Tensor;
 #[derive(Debug, Clone)]
 pub struct QuantResult {
     /// Dequantized ("fake-quantized") weights, same shape as the input.
-    pub dequantized: Tensor,
+    pub(crate) dequantized: Tensor,
     /// Serialized size: packed codes + quantization parameters.
-    pub size_bytes: usize,
+    pub(crate) size_bytes: usize,
 }
 
 /// A post-training weight quantizer for `[out, in]` projection matrices.
@@ -26,7 +26,7 @@ pub trait WeightQuantizer {
 
 /// Affine min–max quantize a row-segment in place: returns the dequantized
 /// values of `vals` at `bits`.
-pub fn affine_fake_quant(vals: &[f32], bits: u8) -> Vec<f32> {
+pub(crate) fn affine_fake_quant(vals: &[f32], bits: u8) -> Vec<f32> {
     let levels = ((1u32 << bits) - 1) as f32;
     let lo = vals.iter().cloned().fold(f32::INFINITY, f32::min);
     let hi = vals.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -41,14 +41,14 @@ pub fn affine_fake_quant(vals: &[f32], bits: u8) -> Vec<f32> {
 
 /// Serialized bytes of a `[rows, cols]` matrix quantized at `bits` with
 /// per-(row, group) affine params stored at 16 bits each.
-pub fn group_quant_size_bytes(rows: usize, cols: usize, bits: u8, group: usize) -> usize {
+pub(crate) fn group_quant_size_bytes(rows: usize, cols: usize, bits: u8, group: usize) -> usize {
     let codes = (rows * cols * bits as usize).div_ceil(8);
     let groups_per_row = cols.div_ceil(group);
     codes + rows * groups_per_row * 2 * 2 // scale + zero, f16 each
 }
 
 /// Effective group size: `group = 0` means one group per row.
-pub fn effective_group(cols: usize, group: usize) -> usize {
+pub(crate) fn effective_group(cols: usize, group: usize) -> usize {
     if group == 0 || group > cols {
         cols
     } else {

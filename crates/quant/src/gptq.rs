@@ -24,7 +24,6 @@ pub struct GptqQuantizer {
     bits: u8,
     group: usize,
     damp_frac: f32,
-    act_order: bool,
 }
 
 impl GptqQuantizer {
@@ -36,17 +35,7 @@ impl GptqQuantizer {
             bits,
             group,
             damp_frac: 0.01,
-            act_order: false,
         }
-    }
-
-    /// Enable activation ordering (`--act-order` in the reference
-    /// implementation): columns are quantized in order of decreasing
-    /// Hessian diagonal, so the most sensitive inputs are handled while the
-    /// most error-compensation budget remains.
-    pub fn with_act_order(mut self) -> Self {
-        self.act_order = true;
-        self
     }
 
     fn quant_params(seg: &[f32], bits: u8) -> (f32, f32) {
@@ -111,44 +100,13 @@ impl WeightQuantizer for GptqQuantizer {
             h[i * cols + i] += damp;
         }
 
-        // Activation ordering: process the loudest inputs first.
-        let perm: Vec<usize> = if self.act_order {
-            let mut idx: Vec<usize> = (0..cols).collect();
-            idx.sort_by(|&a, &b| {
-                h[b * cols + b]
-                    .partial_cmp(&h[a * cols + a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            idx
-        } else {
-            (0..cols).collect()
-        };
-        if self.act_order {
-            let hp: Vec<f32> = (0..cols)
-                .flat_map(|i| (0..cols).map(move |j| (i, j)))
-                .map(|(i, j)| h[perm[i] * cols + perm[j]])
-                .collect();
-            h = hp;
-        }
-
         // U = upper Cholesky factor of H^{-1} (row-major; U = Lᵀ of
         // chol(H^{-1})).
         let hinv = spd_inverse(&h, cols).expect("damped Hessian must be SPD");
         let l = cholesky_lower(&hinv, cols).expect("H^{-1} must be SPD");
         let u = |r: usize, c: usize| l[c * cols + r]; // transpose access
 
-        let orig = w.to_vec();
-        let mut wd = if self.act_order {
-            let mut p = vec![0.0f32; rows * cols];
-            for r in 0..rows {
-                for j in 0..cols {
-                    p[r * cols + j] = orig[r * cols + perm[j]];
-                }
-            }
-            p
-        } else {
-            orig
-        };
+        let mut wd = w.to_vec();
         let mut params: Vec<(f32, f32)> = vec![(1.0, 0.0); rows];
         for j in 0..cols {
             if j % g == 0 {
@@ -171,17 +129,6 @@ impl WeightQuantizer for GptqQuantizer {
                     wd[r * cols + c] -= err * u(j, c);
                 }
             }
-        }
-
-        // Undo the activation ordering.
-        if self.act_order {
-            let mut unp = vec![0.0f32; rows * cols];
-            for r in 0..rows {
-                for j in 0..cols {
-                    unp[r * cols + perm[j]] = wd[r * cols + j];
-                }
-            }
-            wd = unp;
         }
 
         QuantResult {
@@ -268,49 +215,6 @@ mod tests {
         let rel = output_mse(&x, &w, &q.dequantized)
             / output_mse(&x, &w, &Tensor::zeros(&[6, 12], DType::F32, Device::Cpu));
         assert!(rel < 1e-4, "8-bit relative error {rel}");
-    }
-
-    #[test]
-    fn act_order_does_not_hurt_and_often_helps() {
-        runtime::reset();
-        // Strongly anisotropic activations: act-order quantizes loud
-        // channels first, while full compensation budget remains.
-        let scales: Vec<f32> = (0..16).map(|i| if i >= 12 { 20.0 } else { 0.3 }).collect();
-        let x_raw = Tensor::randn(&[128, 16], DType::F32, Device::Cpu, 9);
-        let xd: Vec<f32> = x_raw
-            .to_vec()
-            .chunks(16)
-            .flat_map(|row| {
-                row.iter()
-                    .zip(&scales)
-                    .map(|(v, s)| v * s)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let x = Tensor::from_vec(xd, &[128, 16], DType::F32, Device::Cpu);
-        let w = Tensor::randn(&[8, 16], DType::F32, Device::Cpu, 10);
-
-        let plain = GptqQuantizer::new(3, 0).quantize(&w, Some(&x));
-        let ordered = GptqQuantizer::new(3, 0)
-            .with_act_order()
-            .quantize(&w, Some(&x));
-        let e_plain = output_mse(&x, &w, &plain.dequantized);
-        let e_ordered = output_mse(&x, &w, &ordered.dequantized);
-        assert!(
-            e_ordered <= e_plain * 1.1,
-            "act-order must not regress materially: {e_ordered} vs {e_plain}"
-        );
-        assert!(ordered.dequantized.to_vec().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn act_order_is_identity_permutation_without_calibration() {
-        runtime::reset();
-        // With H = I all diagonals tie, so ordering must not change results.
-        let w = Tensor::randn(&[4, 8], DType::F32, Device::Cpu, 11);
-        let plain = GptqQuantizer::new(4, 4).quantize(&w, None);
-        let ordered = GptqQuantizer::new(4, 4).with_act_order().quantize(&w, None);
-        assert!(t::allclose(&plain.dequantized, &ordered.dequantized, 1e-5));
     }
 
     #[test]

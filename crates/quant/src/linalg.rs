@@ -4,7 +4,7 @@
 /// (row-major `n × n`): `a = L Lᵀ`.
 ///
 /// Returns `None` if the matrix is not positive definite.
-pub fn cholesky_lower(a: &[f32], n: usize) -> Option<Vec<f32>> {
+pub(crate) fn cholesky_lower(a: &[f32], n: usize) -> Option<Vec<f32>> {
     assert_eq!(a.len(), n * n, "matrix must be n*n");
     let mut l = vec![0.0f32; n * n];
     for i in 0..n {
@@ -31,7 +31,7 @@ pub fn cholesky_lower(a: &[f32], n: usize) -> Option<Vec<f32>> {
 /// # Panics
 ///
 /// Panics if a diagonal element is zero.
-pub fn invert_lower(l: &[f32], n: usize) -> Vec<f32> {
+pub(crate) fn invert_lower(l: &[f32], n: usize) -> Vec<f32> {
     let mut inv = vec![0.0f32; n * n];
     for col in 0..n {
         inv[col * n + col] = 1.0 / l[col * n + col];
@@ -49,7 +49,7 @@ pub fn invert_lower(l: &[f32], n: usize) -> Vec<f32> {
 
 /// Inverse of a symmetric positive-definite matrix via Cholesky:
 /// `a⁻¹ = L⁻ᵀ L⁻¹`.
-pub fn spd_inverse(a: &[f32], n: usize) -> Option<Vec<f32>> {
+pub(crate) fn spd_inverse(a: &[f32], n: usize) -> Option<Vec<f32>> {
     let l = cholesky_lower(a, n)?;
     let linv = invert_lower(&l, n);
     // a^{-1}[i][j] = Σ_k linv[k][i] · linv[k][j]
@@ -68,7 +68,7 @@ pub fn spd_inverse(a: &[f32], n: usize) -> Option<Vec<f32>> {
 }
 
 /// `aᵀa` of an `[r, c]` matrix → `[c, c]` Gram matrix.
-pub fn gram(a: &[f32], r: usize, c: usize) -> Vec<f32> {
+pub(crate) fn gram(a: &[f32], r: usize, c: usize) -> Vec<f32> {
     assert_eq!(a.len(), r * c);
     let mut g = vec![0.0f32; c * c];
     for row in a.chunks(c) {

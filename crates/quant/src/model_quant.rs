@@ -17,8 +17,6 @@ pub struct ModelQuantReport {
     /// Serialized model bytes (quantized projections + 16-bit embeddings
     /// and norms, as the PTQ baselines ship them).
     pub size_bytes: usize,
-    /// Per-projection serialized bytes.
-    pub per_layer: Vec<(String, usize)>,
 }
 
 /// Run `windows` through the model under `no_grad` with the activation tap
@@ -60,7 +58,6 @@ pub fn quantize_model(
     let clusterable: std::collections::HashSet<String> =
         model.clusterable_names().into_iter().collect();
     let mut size_bytes = 0usize;
-    let mut per_layer = Vec::new();
     for (name, var) in model.named_params() {
         if clusterable.contains(&name) {
             let w = var.value().clone();
@@ -69,7 +66,6 @@ pub fn quantize_model(
             let dq = result.dequantized.to_vec();
             var.value().apply_inplace(|i, _| dq[i]);
             size_bytes += result.size_bytes;
-            per_layer.push((name, result.size_bytes));
         } else {
             // Embedding + norms stay 16-bit.
             size_bytes += var.value().numel() * 2;
@@ -79,7 +75,6 @@ pub fn quantize_model(
         method: quantizer.method_name(),
         bits: quantizer.bits(),
         size_bytes,
-        per_layer,
     }
 }
 
@@ -130,7 +125,6 @@ mod tests {
             after.iter().take(8).map(|v| v.to_bits()).collect();
         assert!(unique.len() <= 8);
         assert_eq!(report.method, "RTN");
-        assert_eq!(report.per_layer.len(), 8);
         assert!(report.size_bytes > 0);
         // Smaller than the native 16-bit model.
         assert!(report.size_bytes < m.native_size_bytes());

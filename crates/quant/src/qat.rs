@@ -31,18 +31,6 @@ pub struct QatSpec {
     pub epochs: usize,
 }
 
-impl QatSpec {
-    /// The paper's comparison point: 4-bit QAT.
-    pub fn paper_4bit() -> Self {
-        QatSpec {
-            bits: 4,
-            group: 0,
-            train: TrainConfig::default(),
-            epochs: 2,
-        }
-    }
-}
-
 /// The LLM-QAT fine-tuning pipeline.
 #[derive(Debug, Clone)]
 pub struct QatPipeline {
@@ -53,11 +41,6 @@ impl QatPipeline {
     /// Pipeline with the given spec.
     pub fn new(spec: QatSpec) -> Self {
         QatPipeline { spec }
-    }
-
-    /// The spec.
-    pub fn spec(&self) -> &QatSpec {
-        &self.spec
     }
 
     /// Data-free generation: sample `n` sequences of `len + 1` tokens from
@@ -127,6 +110,16 @@ mod tests {
     use edkm_nn::{AdamWConfig, LlamaConfig};
     use edkm_tensor::{runtime, DType, Device};
 
+    /// The paper's comparison point: 4-bit QAT.
+    fn paper_4bit() -> QatSpec {
+        QatSpec {
+            bits: 4,
+            group: 0,
+            train: TrainConfig::default(),
+            epochs: 2,
+        }
+    }
+
     fn tiny_model() -> LlamaModel {
         LlamaModel::new(LlamaConfig::tiny(), DType::F32, Device::Cpu, 0)
     }
@@ -135,7 +128,7 @@ mod tests {
     fn generated_data_has_right_shape_and_vocab() {
         runtime::reset();
         let model = tiny_model();
-        let pipe = QatPipeline::new(QatSpec::paper_4bit());
+        let pipe = QatPipeline::new(paper_4bit());
         let data = pipe.generate_training_data(&model, 3, 6, 1);
         assert_eq!(data.len(), 3);
         for seq in &data {
@@ -152,12 +145,9 @@ mod tests {
         runtime::reset();
         let model = tiny_model();
         let batch = LmBatch::new(vec![vec![1, 2, 3, 1, 2, 3, 1, 2]]);
-        let mut spec = QatSpec::paper_4bit();
+        let mut spec = paper_4bit();
         spec.epochs = 30;
-        spec.train.optim = AdamWConfig {
-            lr: 5e-3,
-            ..AdamWConfig::default()
-        };
+        spec.train.optim = AdamWConfig { lr: 5e-3 };
         let pipe = QatPipeline::new(spec);
         let losses = pipe.fine_tune(&model, &[batch]);
         assert_eq!(losses.len(), 30);
@@ -173,7 +163,7 @@ mod tests {
         // happens at export); they must have many distinct values.
         let model = tiny_model();
         let batch = LmBatch::new(vec![vec![1, 2, 3, 4, 5, 6]]);
-        let mut spec = QatSpec::paper_4bit();
+        let mut spec = paper_4bit();
         spec.epochs = 2;
         QatPipeline::new(spec).fine_tune(&model, &[batch]);
         let w = model.layers()[0].projections()[0].weight().value().to_vec();

@@ -21,14 +21,9 @@ impl RtnQuantizer {
         RtnQuantizer { bits, group }
     }
 
-    /// Group size.
-    pub fn group(&self) -> usize {
-        self.group
-    }
-
     /// Fake-quantize an arbitrary tensor (used by LLM-QAT's STE forward):
     /// rows are the leading dim, groups along the trailing dim.
-    pub fn fake_quant_tensor(&self, w: &Tensor) -> Tensor {
+    pub(crate) fn fake_quant_tensor(&self, w: &Tensor) -> Tensor {
         let cols = *w.shape().last().expect("rank >= 1");
         let g = effective_group(cols, self.group);
         let data = w.to_vec();

@@ -18,21 +18,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Dense-math throughput of a GPU, FLOP/s.
-    pub gpu_flops: f64,
+    pub(crate) gpu_flops: f64,
     /// Dense-math throughput of the host, FLOP/s.
-    pub cpu_flops: f64,
+    pub(crate) cpu_flops: f64,
     /// PCIe bandwidth for host↔device copies, bytes/s.
-    pub pcie_bps: f64,
+    pub(crate) pcie_bps: f64,
     /// Fixed per-transfer latency, seconds.
-    pub pcie_latency_s: f64,
+    pub(crate) pcie_latency_s: f64,
     /// Inter-learner network bandwidth (ring all-gather), bytes/s.
-    pub net_bps: f64,
+    pub(crate) net_bps: f64,
     /// Fixed per-collective-hop latency, seconds.
-    pub net_latency_s: f64,
+    pub(crate) net_latency_s: f64,
     /// Throughput of the uniquification hash/group pass, bytes/s.
-    pub hash_bps: f64,
+    pub(crate) hash_bps: f64,
     /// Cost of inspecting one provenance hop during marshaling, seconds.
-    pub walk_hop_s: f64,
+    pub(crate) walk_hop_s: f64,
     /// Model PCIe copies as fully overlapped with compute (they cost
     /// ledger traffic but no wall-clock). The paper's training pipeline
     /// hides offload traffic behind GPU compute, which is why its Table 2
@@ -59,7 +59,7 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Seconds to execute `flops` floating-point operations on `device`.
-    pub fn compute_s(&self, flops: f64, device: Device) -> f64 {
+    pub(crate) fn compute_s(&self, flops: f64, device: Device) -> f64 {
         let rate = if device.is_gpu() {
             self.gpu_flops
         } else {
@@ -70,7 +70,7 @@ impl CostModel {
 
     /// Seconds for one host↔device copy of `bytes` (zero when
     /// [`CostModel::overlap_pcie`] hides copies behind compute).
-    pub fn transfer_s(&self, bytes: usize) -> f64 {
+    pub(crate) fn transfer_s(&self, bytes: usize) -> f64 {
         if self.overlap_pcie {
             return 0.0;
         }
@@ -79,7 +79,7 @@ impl CostModel {
 
     /// Seconds for a ring all-gather where each of `learners` contributes
     /// `bytes_per_learner`.
-    pub fn all_gather_s(&self, bytes_per_learner: usize, learners: usize) -> f64 {
+    pub(crate) fn all_gather_s(&self, bytes_per_learner: usize, learners: usize) -> f64 {
         if learners <= 1 {
             return 0.0;
         }
@@ -88,12 +88,12 @@ impl CostModel {
     }
 
     /// Seconds for the uniquification pass over `bytes` of weight data.
-    pub fn hash_pass_s(&self, bytes: usize) -> f64 {
+    pub(crate) fn hash_pass_s(&self, bytes: usize) -> f64 {
         bytes as f64 / self.hash_bps
     }
 
     /// Seconds for a marshaling graph walk of `hops` hops.
-    pub fn walk_s(&self, hops: usize) -> f64 {
+    pub(crate) fn walk_s(&self, hops: usize) -> f64 {
         hops as f64 * self.walk_hop_s
     }
 }
@@ -109,14 +109,14 @@ pub struct SimClock {
 
 impl SimClock {
     /// A clock at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Advance the clock by `seconds`, rounded to the nearest picosecond.
     ///
     /// Negative or non-finite durations are ignored (the clock is monotone).
-    pub fn advance(&self, seconds: f64) {
+    pub(crate) fn advance(&self, seconds: f64) {
         if seconds.is_finite() && seconds > 0.0 {
             self.picos
                 .fetch_add((seconds * 1e12).round() as u64, Ordering::Relaxed);
@@ -124,7 +124,7 @@ impl SimClock {
     }
 
     /// Current simulated time in seconds.
-    pub fn seconds(&self) -> f64 {
+    pub(crate) fn seconds(&self) -> f64 {
         self.picos.load(Ordering::Relaxed) as f64 / 1e12
     }
 

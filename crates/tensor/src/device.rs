@@ -33,12 +33,6 @@ impl Device {
     pub fn is_gpu(self) -> bool {
         matches!(self, Device::Gpu(_))
     }
-
-    /// `true` if this is the host.
-    #[inline]
-    pub fn is_cpu(self) -> bool {
-        matches!(self, Device::Cpu)
-    }
 }
 
 impl std::fmt::Display for Device {
@@ -59,8 +53,6 @@ mod tests {
         assert_eq!(Device::Cpu.to_string(), "cpu");
         assert_eq!(Device::Gpu(3).to_string(), "gpu:3");
         assert!(Device::gpu().is_gpu());
-        assert!(!Device::gpu().is_cpu());
-        assert!(Device::Cpu.is_cpu());
         assert_eq!(Device::default(), Device::Cpu);
     }
 

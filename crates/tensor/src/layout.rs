@@ -15,7 +15,7 @@ pub struct Layout {
 
 impl Layout {
     /// Row-major (C-contiguous) layout for `shape`, offset 0.
-    pub fn contiguous(shape: &[usize]) -> Self {
+    pub(crate) fn contiguous(shape: &[usize]) -> Self {
         Layout {
             shape: shape.to_vec(),
             strides: contiguous_strides(shape),
@@ -23,59 +23,39 @@ impl Layout {
         }
     }
 
-    /// Layout from explicit parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shape` and `strides` have different lengths.
-    pub fn new(shape: Vec<usize>, strides: Vec<usize>, offset: usize) -> Self {
-        assert_eq!(
-            shape.len(),
-            strides.len(),
-            "shape rank {} != strides rank {}",
-            shape.len(),
-            strides.len()
-        );
-        Layout {
-            shape,
-            strides,
-            offset,
-        }
-    }
-
     /// Logical shape.
     #[inline]
-    pub fn shape(&self) -> &[usize] {
+    pub(crate) fn shape(&self) -> &[usize] {
         &self.shape
     }
 
     /// Strides in elements (not bytes).
     #[inline]
-    pub fn strides(&self) -> &[usize] {
+    pub(crate) fn strides(&self) -> &[usize] {
         &self.strides
     }
 
     /// Offset into storage, in elements.
     #[inline]
-    pub fn offset(&self) -> usize {
+    pub(crate) fn offset(&self) -> usize {
         self.offset
     }
 
     /// Number of dimensions.
     #[inline]
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.shape.len()
     }
 
     /// Total number of logical elements.
     #[inline]
-    pub fn numel(&self) -> usize {
+    pub(crate) fn numel(&self) -> usize {
         self.shape.iter().product()
     }
 
     /// `true` if logical order equals storage order with no gaps from
     /// `offset`.
-    pub fn is_contiguous(&self) -> bool {
+    pub(crate) fn is_contiguous(&self) -> bool {
         let mut expect = 1usize;
         for (&s, &st) in self.shape.iter().rev().zip(self.strides.iter().rev()) {
             if s == 1 {
@@ -94,7 +74,7 @@ impl Layout {
     /// # Panics
     ///
     /// Panics if `idx` has the wrong rank or is out of bounds.
-    pub fn index(&self, idx: &[usize]) -> usize {
+    pub(crate) fn index(&self, idx: &[usize]) -> usize {
         assert_eq!(idx.len(), self.rank(), "index rank mismatch");
         let mut flat = self.offset;
         for ((&i, &s), &st) in idx.iter().zip(&self.shape).zip(&self.strides) {
@@ -109,7 +89,7 @@ impl Layout {
     /// # Panics
     ///
     /// Panics if either axis is out of range.
-    pub fn transpose(&self, d0: usize, d1: usize) -> Layout {
+    pub(crate) fn transpose(&self, d0: usize, d1: usize) -> Layout {
         assert!(
             d0 < self.rank() && d1 < self.rank(),
             "transpose axes out of range"
@@ -130,7 +110,7 @@ impl Layout {
     /// # Panics
     ///
     /// Panics if `self` is not contiguous or element counts differ.
-    pub fn reshape(&self, shape: &[usize]) -> Layout {
+    pub(crate) fn reshape(&self, shape: &[usize]) -> Layout {
         assert!(self.is_contiguous(), "reshape requires a contiguous layout");
         assert_eq!(
             self.numel(),
@@ -149,7 +129,7 @@ impl Layout {
     /// # Panics
     ///
     /// Panics if the range exceeds the dimension.
-    pub fn slice(&self, dim: usize, start: usize, len: usize) -> Layout {
+    pub(crate) fn slice(&self, dim: usize, start: usize, len: usize) -> Layout {
         assert!(dim < self.rank(), "slice dim out of range");
         assert!(
             start + len <= self.shape[dim],
@@ -172,7 +152,7 @@ impl Layout {
     /// # Panics
     ///
     /// Panics if the shapes are not broadcast-compatible.
-    pub fn broadcast_to(&self, target: &[usize]) -> Layout {
+    pub(crate) fn broadcast_to(&self, target: &[usize]) -> Layout {
         assert!(
             target.len() >= self.rank(),
             "cannot broadcast rank {} to rank {}",
@@ -221,7 +201,7 @@ impl Layout {
     }
 
     /// Iterator over flat storage offsets in row-major logical order.
-    pub fn iter_offsets(&self) -> OffsetIter<'_> {
+    pub(crate) fn iter_offsets(&self) -> OffsetIter<'_> {
         OffsetIter {
             layout: self,
             idx: vec![0; self.rank()],
@@ -252,7 +232,7 @@ impl MatrixView {
 }
 
 /// Row-major strides for `shape`.
-pub fn contiguous_strides(shape: &[usize]) -> Vec<usize> {
+pub(crate) fn contiguous_strides(shape: &[usize]) -> Vec<usize> {
     let mut strides = vec![1usize; shape.len()];
     for i in (0..shape.len().saturating_sub(1)).rev() {
         strides[i] = strides[i + 1] * shape[i + 1];
@@ -265,7 +245,7 @@ pub fn contiguous_strides(shape: &[usize]) -> Vec<usize> {
 /// # Panics
 ///
 /// Panics if the shapes are incompatible.
-pub fn broadcast_shapes(a: &[usize], b: &[usize]) -> Vec<usize> {
+pub(crate) fn broadcast_shapes(a: &[usize], b: &[usize]) -> Vec<usize> {
     let rank = a.len().max(b.len());
     let mut out = vec![0usize; rank];
     for i in 0..rank {
@@ -294,7 +274,7 @@ pub fn broadcast_shapes(a: &[usize], b: &[usize]) -> Vec<usize> {
 
 /// Iterator produced by [`Layout::iter_offsets`].
 #[derive(Debug)]
-pub struct OffsetIter<'a> {
+pub(crate) struct OffsetIter<'a> {
     layout: &'a Layout,
     idx: Vec<usize>,
     remaining: usize,
@@ -348,7 +328,11 @@ mod tests {
         assert!(l.is_contiguous());
         assert!(!l.transpose(0, 1).is_contiguous());
         // Singleton dims do not break contiguity regardless of stride.
-        let l = Layout::new(vec![1, 4], vec![999, 1], 0);
+        let l = Layout {
+            shape: vec![1, 4],
+            strides: vec![999, 1],
+            offset: 0,
+        };
         assert!(l.is_contiguous());
     }
 

@@ -39,31 +39,26 @@
 //! assert_eq!(x0.storage_id(), x1.storage_id());
 //! ```
 
-pub mod cost;
-pub mod device;
+mod cost;
+mod device;
 pub mod dtype;
-pub mod error;
+mod error;
 pub mod exact;
 mod expf;
 pub mod layout;
 pub mod ops;
 pub mod pool;
-pub mod provenance;
+mod provenance;
 pub mod runtime;
-pub mod storage;
-pub mod tensor;
+mod storage;
+mod tensor;
 
 pub use cost::{CostModel, SimClock};
 pub use device::Device;
 pub use dtype::DType;
 pub use error::TensorError;
 pub use layout::Layout;
-pub use pool::{PoolSnapshot, TransferSnapshot};
+pub use pool::TransferSnapshot;
 pub use provenance::{InvariantOp, Provenance, TensorMeta};
 pub use storage::{Storage, StorageId};
-pub use tensor::{Tensor, TensorId};
-
-/// Convenient glob-import of the types almost every consumer needs.
-pub mod prelude {
-    pub use crate::{DType, Device, Tensor};
-}
+pub use tensor::Tensor;

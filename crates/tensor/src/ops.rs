@@ -89,11 +89,6 @@ pub fn div(a: &Tensor, b: &Tensor) -> Tensor {
     binary_op(a, b, |x, y| x / y)
 }
 
-/// Element-wise maximum with broadcasting.
-pub fn maximum(a: &Tensor, b: &Tensor) -> Tensor {
-    binary_op(a, b, f32::max)
-}
-
 /// `a + s` element-wise.
 pub fn add_scalar(a: &Tensor, s: f32) -> Tensor {
     a.map(|v| v + s)
@@ -629,14 +624,13 @@ mod tests {
     }
 
     #[test]
-    fn sub_mul_div_max() {
+    fn sub_mul_div() {
         runtime::reset();
         let a = t(vec![4.0, 9.0], &[2]);
         let b = t(vec![2.0, 3.0], &[2]);
         assert_eq!(sub(&a, &b).to_vec(), vec![2.0, 6.0]);
         assert_eq!(mul(&a, &b).to_vec(), vec![8.0, 27.0]);
         assert_eq!(div(&a, &b).to_vec(), vec![2.0, 3.0]);
-        assert_eq!(maximum(&a, &b).to_vec(), vec![4.0, 9.0]);
         assert_eq!(add_scalar(&a, 1.0).to_vec(), vec![5.0, 10.0]);
         assert_eq!(mul_scalar(&a, 0.5).to_vec(), vec![2.0, 4.5]);
     }

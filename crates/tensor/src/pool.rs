@@ -15,7 +15,6 @@ pub struct PoolCell {
     live: AtomicUsize,
     peak: AtomicUsize,
     allocs: AtomicU64,
-    frees: AtomicU64,
     /// Simulated device capacity in bytes; 0 = unlimited.
     capacity: AtomicUsize,
     /// Allocations that pushed `live` past `capacity` (the would-have-OOMed
@@ -26,7 +25,7 @@ pub struct PoolCell {
 
 impl PoolCell {
     /// Create an empty pool.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -44,22 +43,17 @@ impl PoolCell {
     /// Set the simulated device capacity (0 = unlimited). Allocations past
     /// the capacity are recorded as OOM events, not failed — see
     /// [`PoolCell::oom_events`].
-    pub fn set_capacity(&self, bytes: usize) {
+    pub(crate) fn set_capacity(&self, bytes: usize) {
         self.capacity.store(bytes, Ordering::Relaxed);
     }
 
-    /// The simulated capacity (0 = unlimited).
-    pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
     /// Number of allocations that exceeded the capacity.
-    pub fn oom_events(&self) -> u64 {
+    pub(crate) fn oom_events(&self) -> u64 {
         self.oom_events.load(Ordering::Relaxed)
     }
 
     /// `true` if the pool never exceeded its capacity (or has none).
-    pub fn fits(&self) -> bool {
+    pub(crate) fn fits(&self) -> bool {
         self.oom_events() == 0
     }
 
@@ -72,17 +66,16 @@ impl PoolCell {
     pub fn free(&self, bytes: usize) {
         let prev = self.live.fetch_sub(bytes, Ordering::Relaxed);
         debug_assert!(prev >= bytes, "pool accounting went negative");
-        self.frees.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Bytes currently live on the device.
-    pub fn live_bytes(&self) -> usize {
+    pub(crate) fn live_bytes(&self) -> usize {
         self.live.load(Ordering::Relaxed)
     }
 
     /// High-water mark of live bytes since creation or the last
     /// [`PoolCell::reset_peak`].
-    pub fn peak_bytes(&self) -> usize {
+    pub(crate) fn peak_bytes(&self) -> usize {
         self.peak.load(Ordering::Relaxed)
     }
 
@@ -91,39 +84,11 @@ impl PoolCell {
         self.allocs.load(Ordering::Relaxed)
     }
 
-    /// Number of frees performed.
-    pub fn free_count(&self) -> u64 {
-        self.frees.load(Ordering::Relaxed)
-    }
-
     /// Reset the peak to the current live value (to scope a measurement).
-    pub fn reset_peak(&self) {
+    pub(crate) fn reset_peak(&self) {
         self.peak
             .store(self.live.load(Ordering::Relaxed), Ordering::Relaxed);
     }
-
-    /// Snapshot the counters.
-    pub fn snapshot(&self) -> PoolSnapshot {
-        PoolSnapshot {
-            live_bytes: self.live_bytes(),
-            peak_bytes: self.peak_bytes(),
-            allocs: self.alloc_count(),
-            frees: self.free_count(),
-        }
-    }
-}
-
-/// Point-in-time copy of a [`PoolCell`]'s counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolSnapshot {
-    /// Bytes currently live.
-    pub live_bytes: usize,
-    /// Peak live bytes.
-    pub peak_bytes: usize,
-    /// Allocation count.
-    pub allocs: u64,
-    /// Free count.
-    pub frees: u64,
 }
 
 /// Ledger of simulated host↔device copies.
@@ -134,34 +99,31 @@ pub struct PoolSnapshot {
 pub struct TransferLedger {
     h2d_bytes: AtomicUsize,
     d2h_bytes: AtomicUsize,
-    h2d_txns: AtomicU64,
     d2h_txns: AtomicU64,
 }
 
 impl TransferLedger {
     /// Create an empty ledger.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record a host-to-device copy.
-    pub fn record_h2d(&self, bytes: usize) {
+    pub(crate) fn record_h2d(&self, bytes: usize) {
         self.h2d_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.h2d_txns.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a device-to-host copy.
-    pub fn record_d2h(&self, bytes: usize) {
+    pub(crate) fn record_d2h(&self, bytes: usize) {
         self.d2h_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.d2h_txns.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot the counters.
-    pub fn snapshot(&self) -> TransferSnapshot {
+    pub(crate) fn snapshot(&self) -> TransferSnapshot {
         TransferSnapshot {
             h2d_bytes: self.h2d_bytes.load(Ordering::Relaxed),
             d2h_bytes: self.d2h_bytes.load(Ordering::Relaxed),
-            h2d_txns: self.h2d_txns.load(Ordering::Relaxed),
             d2h_txns: self.d2h_txns.load(Ordering::Relaxed),
         }
     }
@@ -170,7 +132,6 @@ impl TransferLedger {
     pub fn reset(&self) {
         self.h2d_bytes.store(0, Ordering::Relaxed);
         self.d2h_bytes.store(0, Ordering::Relaxed);
-        self.h2d_txns.store(0, Ordering::Relaxed);
         self.d2h_txns.store(0, Ordering::Relaxed);
     }
 }
@@ -182,8 +143,6 @@ pub struct TransferSnapshot {
     pub h2d_bytes: usize,
     /// Total GPU→CPU bytes.
     pub d2h_bytes: usize,
-    /// CPU→GPU transaction count.
-    pub h2d_txns: u64,
     /// GPU→CPU transaction count.
     pub d2h_txns: u64,
 }
@@ -192,11 +151,6 @@ impl TransferSnapshot {
     /// Total bytes moved in either direction.
     pub fn total_bytes(&self) -> usize {
         self.h2d_bytes + self.d2h_bytes
-    }
-
-    /// Total transactions in either direction.
-    pub fn total_txns(&self) -> u64 {
-        self.h2d_txns + self.d2h_txns
     }
 }
 
@@ -217,7 +171,6 @@ mod tests {
         p.alloc(10);
         assert_eq!(p.peak_bytes(), 150);
         assert_eq!(p.alloc_count(), 3);
-        assert_eq!(p.free_count(), 1);
     }
 
     #[test]
@@ -233,22 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_snapshot_matches() {
-        let p = PoolCell::new();
-        p.alloc(64);
-        let s = p.snapshot();
-        assert_eq!(
-            s,
-            PoolSnapshot {
-                live_bytes: 64,
-                peak_bytes: 64,
-                allocs: 1,
-                frees: 0
-            }
-        );
-    }
-
-    #[test]
     fn ledger_directions_are_independent() {
         let l = TransferLedger::new();
         l.record_d2h(4 << 20);
@@ -258,9 +195,7 @@ mod tests {
         assert_eq!(s.d2h_bytes, 8 << 20);
         assert_eq!(s.d2h_txns, 2);
         assert_eq!(s.h2d_bytes, 1024);
-        assert_eq!(s.h2d_txns, 1);
         assert_eq!(s.total_bytes(), (8 << 20) + 1024);
-        assert_eq!(s.total_txns(), 3);
     }
 
     #[test]
@@ -275,7 +210,6 @@ mod tests {
     fn capacity_records_oom_without_failing() {
         let p = PoolCell::new();
         p.set_capacity(100);
-        assert_eq!(p.capacity(), 100);
         p.alloc(60);
         assert!(p.fits());
         p.alloc(60); // 120 > 100: would have OOMed on real hardware
@@ -322,6 +256,5 @@ mod tests {
         }
         assert_eq!(p.live_bytes(), 0);
         assert_eq!(p.alloc_count(), 4000);
-        assert_eq!(p.free_count(), 4000);
     }
 }

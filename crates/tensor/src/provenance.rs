@@ -11,15 +11,7 @@
 
 use crate::layout::Layout;
 use crate::storage::StorageId;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-static NEXT_TENSOR_UID: AtomicU64 = AtomicU64::new(1);
-
-/// Allocate a fresh tensor uid.
-pub(crate) fn next_uid() -> u64 {
-    NEXT_TENSOR_UID.fetch_add(1, Ordering::Relaxed)
-}
 
 /// A data-storage-invariant operation: the output's *contents* are fully
 /// determined by the input's contents plus cheap metadata, so a CPU copy of
@@ -55,19 +47,6 @@ pub enum InvariantOp {
     Alias,
 }
 
-impl InvariantOp {
-    /// Short human-readable name (used in traces and reports).
-    pub fn name(&self) -> &'static str {
-        match self {
-            InvariantOp::Reshape { .. } => "reshape",
-            InvariantOp::Transpose { .. } => "transpose",
-            InvariantOp::Contiguous => "contiguous",
-            InvariantOp::Slice { .. } => "slice",
-            InvariantOp::Alias => "alias",
-        }
-    }
-}
-
 impl std::fmt::Display for InvariantOp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -87,9 +66,9 @@ impl std::fmt::Display for InvariantOp {
 #[derive(Debug, Clone)]
 pub struct Provenance {
     /// The invariant operation that produced the child.
-    pub op: InvariantOp,
+    pub(crate) op: InvariantOp,
     /// Metadata of the parent tensor.
-    pub parent: Arc<TensorMeta>,
+    pub(crate) parent: Arc<TensorMeta>,
 }
 
 /// Identity + provenance metadata attached to every tensor.
@@ -98,22 +77,19 @@ pub struct Provenance {
 /// *data* alive, so recording provenance never leaks device memory.
 #[derive(Debug)]
 pub struct TensorMeta {
-    /// Unique id of the tensor (not the storage).
-    pub uid: u64,
     /// Storage the tensor was viewing when created.
     pub storage_id: StorageId,
     /// Layout of the tensor over its storage (snapshot at creation) — lets
     /// the marshaling layer reconstruct an ancestor found by the graph walk.
     pub layout: Layout,
     /// How this tensor was derived, if it came from an invariant op.
-    pub provenance: Option<Provenance>,
+    pub(crate) provenance: Option<Provenance>,
 }
 
 impl TensorMeta {
     /// Metadata for a freshly materialized tensor (no provenance).
-    pub fn root(storage_id: StorageId, layout: Layout) -> Arc<Self> {
+    pub(crate) fn root(storage_id: StorageId, layout: Layout) -> Arc<Self> {
         Arc::new(TensorMeta {
-            uid: next_uid(),
             storage_id,
             layout,
             provenance: None,
@@ -121,14 +97,13 @@ impl TensorMeta {
     }
 
     /// Metadata derived from `parent` through `op`.
-    pub fn derived(
+    pub(crate) fn derived(
         storage_id: StorageId,
         layout: Layout,
         op: InvariantOp,
         parent: Arc<TensorMeta>,
     ) -> Arc<Self> {
         Arc::new(TensorMeta {
-            uid: next_uid(),
             storage_id,
             layout,
             provenance: Some(Provenance { op, parent }),
@@ -193,13 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn uids_are_unique() {
-        let a = TensorMeta::root(sid(1), lay());
-        let b = TensorMeta::root(sid(1), lay());
-        assert_ne!(a.uid, b.uid);
-    }
-
-    #[test]
     fn ancestors_ordered_nearest_first() {
         // root --reshape--> a --transpose--> b
         let root = TensorMeta::root(sid(1), lay());
@@ -218,9 +186,9 @@ mod tests {
 
         let anc = b.ancestors(4);
         assert_eq!(anc.len(), 2);
-        assert_eq!(anc[0].1.uid, a.uid);
+        assert!(Arc::ptr_eq(&anc[0].1, &a));
         assert_eq!(anc[0].0, vec![InvariantOp::Transpose { d0: 0, d1: 1 }]);
-        assert_eq!(anc[1].1.uid, root.uid);
+        assert!(Arc::ptr_eq(&anc[1].1, &root));
         // Replay order: first reshape (applied to root substitute), then transpose.
         assert_eq!(
             anc[1].0,
@@ -244,7 +212,6 @@ mod tests {
 
     #[test]
     fn op_names_and_display() {
-        assert_eq!(InvariantOp::Contiguous.name(), "contiguous");
         assert_eq!(InvariantOp::Alias.to_string(), "alias");
         assert_eq!(
             InvariantOp::Slice {

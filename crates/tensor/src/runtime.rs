@@ -16,7 +16,7 @@
 //! correctly drain) their old pool handles.
 
 use crate::cost::{CostModel, SimClock};
-use crate::pool::{PoolCell, PoolSnapshot, TransferLedger, TransferSnapshot};
+use crate::pool::{PoolCell, TransferLedger, TransferSnapshot};
 use crate::Device;
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -68,7 +68,7 @@ impl Runtime {
     }
 
     /// Pool of `device` in this runtime.
-    pub fn pool(&self, device: Device) -> Arc<PoolCell> {
+    pub(crate) fn pool(&self, device: Device) -> Arc<PoolCell> {
         Arc::clone(
             self.state
                 .pools
@@ -79,28 +79,23 @@ impl Runtime {
     }
 
     /// This runtime's transfer ledger.
-    pub fn ledger(&self) -> Arc<TransferLedger> {
+    pub(crate) fn ledger(&self) -> Arc<TransferLedger> {
         Arc::clone(&self.state.ledger)
     }
 
     /// This runtime's simulated clock.
-    pub fn clock(&self) -> Arc<SimClock> {
+    pub(crate) fn clock(&self) -> Arc<SimClock> {
         Arc::clone(&self.state.clock)
     }
 
     /// This runtime's cost model.
-    pub fn cost_model(&self) -> CostModel {
+    pub(crate) fn cost_model(&self) -> CostModel {
         *self.state.cost.lock()
     }
 
     /// Replace this runtime's cost model.
-    pub fn set_cost_model(&self, m: CostModel) {
+    pub(crate) fn set_cost_model(&self, m: CostModel) {
         *self.state.cost.lock() = m;
-    }
-
-    /// `true` if `self` and `other` are handles to the same state.
-    pub fn same_as(&self, other: &Runtime) -> bool {
-        Arc::ptr_eq(&self.state, &other.state)
     }
 }
 
@@ -187,11 +182,6 @@ pub fn clock() -> Arc<SimClock> {
     current().clock()
 }
 
-/// The active runtime's cost model.
-pub fn cost_model() -> CostModel {
-    current().cost_model()
-}
-
 /// Replace the active runtime's cost model.
 pub fn set_cost_model(m: CostModel) {
     current().set_cost_model(m);
@@ -244,7 +234,7 @@ pub fn record_all_gather(bytes_per_learner: usize, learners: usize) {
 }
 
 /// Live bytes currently allocated on `device`.
-pub fn live_bytes(device: Device) -> usize {
+pub(crate) fn live_bytes(device: Device) -> usize {
     pool(device).live_bytes()
 }
 
@@ -285,11 +275,6 @@ pub fn gpu_live_bytes() -> usize {
     live_bytes(Device::gpu())
 }
 
-/// Snapshot of a device pool.
-pub fn pool_snapshot(device: Device) -> PoolSnapshot {
-    pool(device).snapshot()
-}
-
 /// Snapshot of the transfer ledger.
 pub fn transfer_snapshot() -> TransferSnapshot {
     ledger().snapshot()
@@ -323,7 +308,7 @@ mod tests {
         let s = transfer_snapshot();
         assert_eq!(s.d2h_bytes, 1000);
         assert_eq!(s.h2d_bytes, 500);
-        assert_eq!(s.total_txns(), 2, "gpu-gpu copies are not PCIe traffic");
+        assert_eq!(s.d2h_txns, 1, "gpu-gpu copies are not PCIe traffic");
         assert!(sim_seconds() > 0.0);
     }
 
@@ -359,9 +344,9 @@ mod tests {
         set_cost_model(m);
         record_transfer(10, Device::gpu(), Device::Cpu);
         assert!((sim_seconds() - 10.0).abs() < 1e-6);
-        assert_eq!(cost_model().pcie_bps, 1.0);
+        assert_eq!(current().cost_model().pcie_bps, 1.0);
         reset();
-        assert_eq!(cost_model(), CostModel::default());
+        assert_eq!(current().cost_model(), CostModel::default());
     }
 
     #[test]
@@ -421,9 +406,9 @@ mod tests {
         {
             let _gb = bind(&b);
             pool(Device::Cpu).alloc(2);
-            assert!(current().same_as(&b));
+            assert!(Arc::ptr_eq(&current().state, &b.state));
         }
-        assert!(current().same_as(&a));
+        assert!(Arc::ptr_eq(&current().state, &a.state));
         assert_eq!(b.pool(Device::Cpu).live_bytes(), 2);
         assert_eq!(a.pool(Device::Cpu).live_bytes(), 0);
     }

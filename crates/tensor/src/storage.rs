@@ -48,7 +48,12 @@ impl Storage {
     ///
     /// Callers normally go through [`crate::Tensor`] constructors, which fetch
     /// the pool from the active runtime (see [`crate::runtime::current`]).
-    pub fn new(data: Vec<f32>, device: Device, dtype: DType, pool: Arc<PoolCell>) -> Arc<Self> {
+    pub(crate) fn new(
+        data: Vec<f32>,
+        device: Device,
+        dtype: DType,
+        pool: Arc<PoolCell>,
+    ) -> Arc<Self> {
         let device_bytes = data.len() * dtype.size_bytes();
         pool.alloc(device_bytes);
         Arc::new(Storage {
@@ -62,30 +67,19 @@ impl Storage {
 
     /// Identity of this buffer.
     #[inline]
-    pub fn id(&self) -> StorageId {
+    pub(crate) fn id(&self) -> StorageId {
         self.id
     }
 
     /// Device this buffer is resident on.
     #[inline]
-    pub fn device(&self) -> Device {
+    pub(crate) fn device(&self) -> Device {
         self.device
     }
 
-    /// Bytes charged to the device pool.
-    #[inline]
-    pub fn device_bytes(&self) -> usize {
-        self.device_bytes
-    }
-
     /// Number of `f32` elements in the buffer.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.read().len()
-    }
-
-    /// `true` if the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Run `f` with read access to the raw buffer.
@@ -97,7 +91,7 @@ impl Storage {
     ///
     /// Mutation is visible through every view sharing this storage, exactly
     /// like an in-place op in PyTorch.
-    pub fn with_data_mut<R>(&self, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    pub(crate) fn with_data_mut<R>(&self, f: impl FnOnce(&mut [f32]) -> R) -> R {
         f(&mut self.data.write())
     }
 }
@@ -147,7 +141,6 @@ mod tests {
         let p = pool();
         let s = Storage::new(vec![1.0, 2.0, 3.0], Device::Cpu, DType::F32, p);
         assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
         s.with_data_mut(|d| d[1] = 9.0);
         let sum: f32 = s.with_data(|d| d.iter().sum());
         assert_eq!(sum, 13.0);

@@ -8,10 +8,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// Unique id of a tensor object (not its storage).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TensorId(pub u64);
-
 /// An n-dimensional tensor on a simulated device.
 ///
 /// `Tensor` is a cheap handle: cloning shares the storage. View operations
@@ -154,35 +150,6 @@ impl Tensor {
         Self::from_vec(data, shape, dtype, device)
     }
 
-    /// Decode 16-bit patterns into a tensor of `dtype`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::Not16Bit`] if `dtype` is [`DType::F32`], or
-    /// [`TensorError::ShapeMismatch`] if `bits.len()` does not match `shape`.
-    pub fn from_bits16(
-        bits: &[u16],
-        shape: &[usize],
-        dtype: DType,
-        device: Device,
-    ) -> Result<Self, TensorError> {
-        if !dtype.is_16bit() {
-            return Err(TensorError::Not16Bit { actual: dtype });
-        }
-        let numel: usize = shape.iter().product();
-        if bits.len() != numel {
-            return Err(TensorError::ShapeMismatch {
-                from: bits.len(),
-                to: numel,
-            });
-        }
-        let data = bits
-            .iter()
-            .map(|&b| dtype.decode16(b).expect("dtype checked 16-bit"))
-            .collect();
-        Ok(Self::from_vec_unrounded(data, shape, dtype, device))
-    }
-
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
@@ -229,12 +196,6 @@ impl Tensor {
         self.storage.id()
     }
 
-    /// Unique id of this tensor object.
-    #[inline]
-    pub fn uid(&self) -> TensorId {
-        TensorId(self.meta.uid)
-    }
-
     /// Provenance metadata (for the marshaling graph walk).
     #[inline]
     pub fn meta(&self) -> &Arc<TensorMeta> {
@@ -255,7 +216,7 @@ impl Tensor {
 
     /// Bytes this tensor's *view* occupies logically (`numel × dtype size`).
     #[inline]
-    pub fn view_bytes(&self) -> usize {
+    pub(crate) fn view_bytes(&self) -> usize {
         self.numel() * self.dtype.size_bytes()
     }
 
@@ -433,11 +394,6 @@ impl Tensor {
         } else {
             self.contiguous().reshape(shape)
         }
-    }
-
-    /// Alias of [`Tensor::reshape`] (PyTorch naming).
-    pub fn view(&self, shape: &[usize]) -> Tensor {
-        self.reshape(shape)
     }
 
     /// View with axes `d0` and `d1` swapped.
@@ -727,8 +683,11 @@ mod tests {
         runtime::reset();
         let t = Tensor::randn(&[64], DType::Bf16, Device::Cpu, 3);
         let bits = t.bits16().unwrap();
-        let back = Tensor::from_bits16(&bits, &[64], DType::Bf16, Device::Cpu).unwrap();
-        assert_eq!(t.to_vec(), back.to_vec());
+        let back: Vec<f32> = bits
+            .iter()
+            .map(|&b| f32::from_bits(u32::from(b) << 16))
+            .collect();
+        assert_eq!(t.to_vec(), back);
     }
 
     #[test]
@@ -736,11 +695,6 @@ mod tests {
         runtime::reset();
         let t = Tensor::zeros(&[2], DType::F32, Device::Cpu);
         assert!(matches!(t.bits16(), Err(TensorError::Not16Bit { .. })));
-        assert!(Tensor::from_bits16(&[0, 0], &[2], DType::F32, Device::Cpu).is_err());
-        assert!(matches!(
-            Tensor::from_bits16(&[0], &[2], DType::Bf16, Device::Cpu),
-            Err(TensorError::ShapeMismatch { .. })
-        ));
     }
 
     #[test]
@@ -751,7 +705,7 @@ mod tests {
         assert_eq!(v.storage_id(), t.storage_id());
         assert_eq!(v.to_vec(), vec![0.0, 3.0, 1.0, 4.0, 2.0, 5.0]);
         let anc = v.meta().ancestors(4);
-        assert_eq!(anc[0].1.uid, t.meta().uid);
+        assert!(Arc::ptr_eq(&anc[0].1, t.meta()));
     }
 
     #[test]
@@ -766,7 +720,7 @@ mod tests {
             .meta()
             .ancestors(8)
             .iter()
-            .map(|(ops, _)| ops.first().unwrap().name().to_string())
+            .map(|(ops, _)| ops.first().unwrap().to_string())
             .collect();
         assert!(hops.contains(&"contiguous".to_string()));
     }

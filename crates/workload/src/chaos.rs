@@ -82,8 +82,6 @@ pub struct ChaosReplayReport {
     /// Fingerprint of the injected [`FaultPlan`] — pin this to assert two
     /// runs faced the same schedule.
     pub plan_fingerprint: u64,
-    /// Fingerprint of the replayed trace.
-    pub trace_fingerprint: u64,
     /// The chaos run's replay: outcomes, sheds, losses, token-index
     /// violations, goodput and wall time, with the fleet snapshot taken
     /// once the supervisor stopped.
@@ -103,8 +101,6 @@ pub struct ChaosReplayReport {
     /// Virtual steps from each replica kill to its completed respawn,
     /// ascending.
     pub recovery_steps: Vec<u64>,
-    /// Kills whose respawn had not completed when the replay drained.
-    pub unrecovered_kills: u64,
     /// Every fault as applied, in firing order.
     pub faults: Vec<AppliedFault>,
 }
@@ -327,19 +323,16 @@ where
     // The supervisor may have moved the ladder after the replay's own
     // snapshot; report the fleet as the supervision loop left it.
     replay.cluster = router.stats();
-    let unrecovered_kills = kill_at.len() as u64;
     cluster.shutdown();
 
     ChaosReplayReport {
         plan_fingerprint: plan.fingerprint(),
-        trace_fingerprint: trace.fingerprint(),
         replay,
         survivors,
         survivors_bit_identical,
         pools_at_baseline,
         corrupted_reloads,
         recovery_steps,
-        unrecovered_kills,
         faults,
     }
 }

@@ -42,10 +42,10 @@
 
 #![warn(missing_docs)]
 
-pub mod chaos;
-pub mod replay;
-pub mod report;
-pub mod trace;
+mod chaos;
+mod replay;
+mod report;
+mod trace;
 
 pub use chaos::{
     audit_invariants, replay_cluster_chaos, AppliedFault, ChaosReplayConfig, ChaosReplayReport,
@@ -53,5 +53,5 @@ pub use chaos::{
 pub use replay::{
     replay_router, replay_trace, ReplayCounters, ReplayReport, RequestOutcome, StepReplayReport,
 };
-pub use report::{percentile_f64, percentile_u64};
+
 pub use trace::{TimedRequest, Trace, TraceConfig, TraceKind};

@@ -31,12 +31,12 @@ pub struct RequestOutcome {
     /// Full sequence: prompt followed by the generated continuation.
     pub tokens: Vec<usize>,
     /// Number of generated tokens.
-    pub generated: usize,
+    pub(crate) generated: usize,
     /// Why the request retired.
     pub finish: FinishReason,
     /// Steps between submission and the first emitted token (virtual-clock
     /// replay only; `None` if no token was emitted).
-    pub ttft_steps: Option<u64>,
+    pub(crate) ttft_steps: Option<u64>,
 }
 
 /// Aggregate counters of one virtual-clock replay, comparable across runs.
@@ -49,9 +49,9 @@ pub struct ReplayCounters {
     /// Requests that hit their step deadline.
     pub expired: u64,
     /// Requests cancelled mid-flight.
-    pub cancelled: u64,
+    pub(crate) cancelled: u64,
     /// Preemption events (KV blocks reclaimed, sequence replayed later).
-    pub preemptions: u64,
+    pub(crate) preemptions: u64,
     /// Batched forward steps executed.
     pub decode_steps: u64,
     /// Tokens generated across all requests.
@@ -103,7 +103,7 @@ pub struct StepReplayReport {
     pub counters: ReplayCounters,
     /// First-token latencies in scheduler steps, ascending (one entry per
     /// request that emitted at least one token).
-    pub ttft_steps: Vec<u64>,
+    pub(crate) ttft_steps: Vec<u64>,
 }
 
 impl StepReplayReport {
@@ -205,7 +205,7 @@ const SUBMIT_PATIENCE: Duration = Duration::from_secs(30);
 pub struct ReplayReport {
     /// Outcomes of the requests that reached a terminal event, sorted by
     /// trace id (`ttft_steps` is `None` here; wall-clock TTFT lives in
-    /// [`ReplayReport::ttft_ms`]).
+    /// `ReplayReport::ttft_ms`).
     pub outcomes: Vec<RequestOutcome>,
     /// Trace ids the degrade ladder refused ([`RouteError::Shed`]):
     /// intentional refusals, not losses. Ascending.
@@ -229,10 +229,10 @@ pub struct ReplayReport {
     /// work does not count — this is goodput, not throughput).
     pub goodput_tok_s: f64,
     /// Submission → first token, per request, milliseconds, ascending.
-    pub ttft_ms: Vec<f64>,
+    pub(crate) ttft_ms: Vec<f64>,
     /// Gaps between consecutive tokens of a request, milliseconds,
     /// ascending.
-    pub per_token_ms: Vec<f64>,
+    pub(crate) per_token_ms: Vec<f64>,
 }
 
 impl ReplayReport {

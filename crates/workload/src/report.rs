@@ -3,7 +3,7 @@
 
 /// Nearest-rank percentile over an ascending `f64` slice (`p` in
 /// `[0, 1]`; 0.0 on an empty slice).
-pub fn percentile_f64(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile_f64(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
@@ -13,7 +13,7 @@ pub fn percentile_f64(sorted: &[f64], p: f64) -> f64 {
 
 /// Nearest-rank percentile over an ascending `u64` slice (`p` in
 /// `[0, 1]`; 0 on an empty slice).
-pub fn percentile_u64(sorted: &[u64], p: f64) -> u64 {
+pub(crate) fn percentile_u64(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }

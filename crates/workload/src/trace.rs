@@ -42,7 +42,7 @@ impl TraceKind {
     ];
 
     /// Stable lowercase name (the `--trace` selector and the JSON key).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TraceKind::Bursty => "bursty",
             TraceKind::Chat => "chat",
@@ -95,15 +95,15 @@ pub struct TraceConfig {
     pub kind: TraceKind,
     /// Master seed; every prompt token, arrival gap and sampling seed
     /// derives from it.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Number of requests in the trace.
-    pub requests: usize,
+    pub(crate) requests: usize,
     /// Vocabulary size of the model the trace targets (prompt tokens are
     /// drawn below it).
-    pub vocab: usize,
+    pub(crate) vocab: usize,
     /// Context budget of the model: every request keeps
     /// `prompt.len() + max_new <= max_seq`.
-    pub max_seq: usize,
+    pub(crate) max_seq: usize,
 }
 
 impl TraceConfig {
@@ -137,7 +137,7 @@ pub struct TimedRequest {
     /// drivers key outcomes by.
     pub id: u64,
     /// Virtual scheduler step at which the request arrives.
-    pub arrival_step: u64,
+    pub(crate) arrival_step: u64,
     /// Prompt token ids (non-empty, all below the config's vocab).
     pub prompt: Vec<usize>,
     /// Completion budget; `prompt.len() + max_new <= max_seq` holds.
@@ -147,12 +147,12 @@ pub struct TimedRequest {
     /// Scheduling class.
     pub priority: Priority,
     /// Step deadline relative to submission, if any.
-    pub deadline_steps: Option<u64>,
+    pub(crate) deadline_steps: Option<u64>,
 }
 
 impl TimedRequest {
     /// Total KV footprint of the request in tokens (prompt + budget).
-    pub fn total_tokens(&self) -> usize {
+    pub(crate) fn total_tokens(&self) -> usize {
         self.prompt.len() + self.max_new
     }
 }

@@ -190,10 +190,7 @@ impl Workbench {
         let model = LlamaModel::new(cfg, DType::Bf16, Device::Cpu, 0);
         let params = model.params();
         let mut trainer = Trainer::new(TrainConfig {
-            optim: AdamWConfig {
-                lr: 3e-3,
-                ..AdamWConfig::default()
-            },
+            optim: AdamWConfig { lr: 3e-3 },
             ..TrainConfig::default()
         });
         let batches: Vec<LmBatch> = corpus.batches(8).into_iter().map(LmBatch::new).collect();

@@ -36,10 +36,7 @@ fn memorize() -> LlamaModel {
     let model = LlamaModel::new(cfg(), DType::Bf16, Device::Cpu, 0);
     let params = model.params();
     let mut trainer = Trainer::new(TrainConfig {
-        optim: AdamWConfig {
-            lr: 5e-3,
-            ..AdamWConfig::default()
-        },
+        optim: AdamWConfig { lr: 5e-3 },
         ..TrainConfig::default()
     });
     let batch = pattern_batch();
