@@ -644,6 +644,9 @@ fn cmd_serve(args: &[String]) {
     let n_requests = parse_positive(args, "--requests", 6);
     let n_new: usize = parse_or(args, "--new", 16);
     let temperature: f32 = parse_or(args, "--temp", 0.8);
+    if !(temperature.is_finite() && temperature >= 0.0) {
+        usage_error(&format!("--temp {temperature} must be finite and >= 0"));
+    }
     let replicas = parse_positive(args, "--replicas", 1);
     let affinity = args.iter().any(|a| a == "--affinity");
     let kv_block_tokens = parse_positive(args, "--kv-block-tokens", 16);

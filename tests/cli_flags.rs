@@ -67,6 +67,9 @@ fn malformed_flag_values_exit_2_with_the_flag_and_usage() {
     for (args, flag) in [
         (&["serve", "--requests", "abc"][..], "--requests"),
         (&["serve", "--temp=hot"][..], "--temp"),
+        (&["serve", "--temp", "nan"][..], "--temp"),
+        (&["serve", "--temp", "-1"][..], "--temp"),
+        (&["serve", "--temp", "inf"][..], "--temp"),
         (&["serve", "--new"][..], "--new"),
         (&["serve", "--requests", "--new", "4"][..], "--requests"),
         (&["serve", "--chaos-seed", "x"][..], "--chaos-seed"),
