@@ -2,16 +2,13 @@
 
 use crate::{Rng, RngCore};
 
-/// Random reordering and selection on slices.
+/// Random reordering of slices.
 pub trait SliceRandom {
     /// Element type.
     type Item;
 
     /// Fisher–Yates shuffle in place.
     fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R);
-
-    /// Uniformly chosen element, `None` on an empty slice.
-    fn choose<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<&Self::Item>;
 }
 
 impl<T> SliceRandom for [T] {
@@ -21,14 +18,6 @@ impl<T> SliceRandom for [T] {
         for i in (1..self.len()).rev() {
             let j = rng.gen_range(0..i + 1);
             self.swap(i, j);
-        }
-    }
-
-    fn choose<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<&T> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(&self[rng.gen_range(0..self.len())])
         }
     }
 }
@@ -47,16 +36,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, sorted, "50 elements virtually never shuffle to identity");
-    }
-
-    #[test]
-    fn choose_covers_and_handles_empty() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let empty: [u8; 0] = [];
-        assert!(empty.choose(&mut rng).is_none());
-        let opts = [1u8, 2, 3];
-        for _ in 0..10 {
-            assert!(opts.contains(opts.choose(&mut rng).unwrap()));
-        }
     }
 }

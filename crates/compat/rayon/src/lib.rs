@@ -1,10 +1,10 @@
 //! Offline API-subset shim of `rayon` over `std::thread::scope`.
 //!
 //! Implements exactly the parallel surface the workspace's hot paths use —
-//! `par_chunks_mut(..).for_each`, `par_chunks_mut(..).enumerate().for_each`,
-//! [`join`], [`scope`], [`current_num_threads`] — with the same call shapes
-//! as upstream rayon, so the path dependency can later be swapped for the
-//! real crate without touching call sites.
+//! `par_chunks_mut(..).for_each`, `par_chunks_mut(..).enumerate().for_each`
+//! and [`current_num_threads`] — with the same call shapes as upstream
+//! rayon, so the path dependency can later be swapped for the real crate
+//! without touching call sites.
 //!
 //! Scheduling is static: the chunk list is divided into one contiguous run
 //! per worker thread. That is cruder than rayon's work stealing but correct,
@@ -26,73 +26,9 @@ pub fn current_num_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Run two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("rayon-shim join task panicked"))
-    })
-}
-
-/// Scope for spawning parallel tasks that may borrow from the caller.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn a task inside the scope.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
-    {
-        let inner = self.inner;
-        inner.spawn(move || f(&Scope { inner }));
-    }
-}
-
-/// Run `f` with a scope whose spawned tasks all finish before `scope`
-/// returns.
-pub fn scope<'env, F>(f: F)
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) + Send,
-{
-    std::thread::scope(|s| f(&Scope { inner: s }));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-    }
-
-    #[test]
-    fn scope_waits_for_tasks() {
-        let hits = AtomicUsize::new(0);
-        scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|_| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 8);
-    }
 
     #[test]
     fn thread_count_positive() {
