@@ -12,103 +12,558 @@
 //! pattern (or block of ≤ 4 patterns) when the weights are 16-bit, per row
 //! otherwise. The centroid sums still visit every weight, in the dense
 //! loop's order, so the result is bit-identical to clustering every row
-//! (DESIGN.md §4). When the source weights are 16-bit, the layer also
-//! annotates the attention map with the weights' bit patterns so the eDKM
-//! hooks can uniquify it (Section 2.2).
+//! (DESIGN.md §4). The final iteration is one tape node whose saves, ledger
+//! charges and bits are those of the op chain it replaced. When the source
+//! weights are 16-bit, the layer also annotates the attention map with the
+//! weights' bit patterns so the eDKM hooks can uniquify it (Section 2.2).
 
 use crate::palettize::{GroupedPalettized, PalettizedTensor};
 use crate::uniquify::{self, DistinctRows, RowKeys};
-use edkm_autograd::{save_tensor, softmax_backward, Var};
+use edkm_autograd::{save_tensor, Var};
 use edkm_tensor::{exact, ops as t, runtime, DType, Device, Tensor};
 use std::cmp::Ordering;
+use std::hint::black_box;
 use std::sync::Arc;
 
-/// Softmax over the last axis, computed on the distinct rows of `x` and
-/// expanded back to every row, whose output storage is annotated with
-/// weight bit patterns *before* it is saved for backward — so the
-/// saved-tensor hooks can uniquify the attention map (the save happens
-/// inside this op).
-fn softmax_annotated(x: &Var, rows: &DistinctRows, keys: Option<Arc<RowKeys>>) -> Var {
-    let logits = x.value();
-    let (k, device) = (*logits.shape().last().expect("rank >= 1"), logits.device());
-    let distinct = logits.with_data(|l| rows.gather(l, k));
-    let table = t::softmax_lastdim(&Tensor::from_vec(
-        distinct,
-        &[rows.len(), k],
-        DType::F32,
-        device,
-    ));
-    let expanded = table.with_data(|a| uniquify::reconstruct_wide(a, rows.index(), k));
-    let value = Tensor::from_vec(expanded, logits.shape(), DType::F32, device);
-    if let Some(keys) = keys {
-        uniquify::annotate(value.storage_id(), keys);
-    }
-    let saved = vec![save_tensor(&value)];
-    Var::custom(
-        value,
-        "softmax_annotated",
-        vec![x.clone()],
-        saved,
-        Box::new(|g, s| vec![Some(softmax_backward(g, &s[0]))]),
-    )
+/// `$f::<K>($args)` for the palette size `K = $k`, which is `2^bits` for
+/// `bits` in `1..=8`: the const-`K` bodies keep every lane loop whole.
+macro_rules! for_palette {
+    ($k:expr, $f:ident($($arg:expr),* $(,)?)) => {
+        match $k {
+            2 => $f::<2>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            8 => $f::<8>($($arg),*),
+            16 => $f::<16>($($arg),*),
+            32 => $f::<32>($($arg),*),
+            64 => $f::<64>($($arg),*),
+            128 => $f::<128>($($arg),*),
+            256 => $f::<256>($($arg),*),
+            k => unreachable!("{k} centroids: k is 2^bits for bits in 1..=8"),
+        }
+    };
 }
 
-/// One Lloyd centroid update from the `[u, k]` attention rows `a` of the
-/// distinct rows: `C[j] = Σ_p A[index[p], j]·W[p] / (Σ_p A[index[p], j] +
-/// 1e-8)` over the `n` weight rows `w` (`[n, d]`, row-major).
+/// The `[u, k]` attention rows `softmax(scale · −‖w − c‖²)` of the `u`
+/// distinct weight rows `distinct` (`[u, d]`) against the centroids `c`
+/// (`[k, d]`), with the bits of `ops::neg_sqdist`, `ops::mul_scalar` and
+/// `ops::softmax_lastdim` on those rows.
 ///
-/// One pass over the weights in `p` order, adding into `k` independent
-/// lanes per sum, `k = 2^bits` for `bits` in `1..=8`: each lane sees the
-/// same additions in the same order as the dense `matmul(Aᵀ, W)` and
-/// `sum_axis(A, 0)` over the `[n, k]` map, so the centroids are
-/// bit-identical to them. Each product `a·w` is formed exactly in f64 from
-/// a widened copy of the weights (`exact`): the bits of the f32 product,
-/// without an assist on each of the map's subnormals.
-fn centroid_update(a: &Tensor, index: &[u32], w: &[f32], d: usize, device: Device) -> Tensor {
-    let k = a.shape()[1];
-    let n = index.len();
-    let w = exact::widen(w);
-    let c = a.with_data(|a| match k {
-        2 => centroids::<2>(a, index, &w, d),
-        4 => centroids::<4>(a, index, &w, d),
-        8 => centroids::<8>(a, index, &w, d),
-        16 => centroids::<16>(a, index, &w, d),
-        32 => centroids::<32>(a, index, &w, d),
-        64 => centroids::<64>(a, index, &w, d),
-        128 => centroids::<128>(a, index, &w, d),
-        256 => centroids::<256>(a, index, &w, d),
-        _ => unreachable!("{k} centroids: k is 2^bits for bits in 1..=8"),
+/// The distance and the scale are charged as passes over `charged_rows`
+/// rows, the softmax over the `u` it runs on: a Lloyd iteration charges
+/// the `u` rows it computes, the differentiable iteration the `n` rows of
+/// the op chain it models.
+fn distinct_attention(
+    distinct: &[f32],
+    c: &Tensor,
+    scale: f32,
+    charged_rows: usize,
+    device: Device,
+) -> Tensor {
+    let (k, d) = (c.shape()[0], c.shape()[1]);
+    let u = distinct.len() / d;
+    let scale = black_box(f64::from(scale));
+    let mut logits = vec![0.0f32; u * k];
+    c.with_data(|c| {
+        for (out, w_row) in logits.chunks_exact_mut(k).zip(distinct.chunks_exact(d)) {
+            if d == 1 {
+                // `0.0 + diff²` is `diff²` (a square is never −0.0), so one
+                // component needs no accumulator.
+                for (o, &cv) in out.iter_mut().zip(c) {
+                    let diff = w_row[0] - cv;
+                    *o = exact::mul(-(diff * diff), scale);
+                }
+            } else {
+                for (o, c_row) in out.iter_mut().zip(c.chunks_exact(d)) {
+                    let dist = w_row.iter().zip(c_row).fold(0.0f32, |acc, (&wv, &cv)| {
+                        let diff = wv - cv;
+                        acc + diff * diff
+                    });
+                    *o = exact::mul(-dist, scale);
+                }
+            }
+        }
     });
-    // The dense matmul and column sum's work.
-    runtime::record_compute(((2 * d + 1) * n * k) as f64, device);
-    Tensor::from_vec(c, &[k, d], DType::F32, device)
+    runtime::record_compute(3.0 * (charged_rows * k * d) as f64, device);
+    runtime::record_compute((charged_rows * k) as f64, device);
+    t::softmax_lastdim(&Tensor::from_vec(logits, &[u, k], DType::F32, device))
 }
 
-/// [`centroid_update`]'s `[K, d]` centroids over a compile-time `K`, which
-/// lets the compiler keep every lane loop whole and vectorised. The
-/// numerators are component-major (`[d, K]`), so each component's `K`
+/// The sums of a centroid update over the `n` rows `w` (`[n, d]`,
+/// widened by `exact::widen`) whose attention rows are `a[index[p]]`
+/// (`a` is `[u, k]`; `index` `None` means `a` holds every row): the
+/// `[k, d]` numerators `Σ_p A[p, j]·W[p]` and, with `den`, the `k`
+/// denominators `Σ_p A[p, j]` (empty without).
+///
+/// One pass over the rows in `p` order, adding into `k` independent lanes
+/// per sum: each lane sees the same additions in the same order as the
+/// dense `matmul(Aᵀ, W)` and `sum_axis(A, 0)`, so the sums are bit for bit
+/// theirs. Each product is formed exactly in f64 (`exact`): the bits of
+/// the f32 product, without an assist on each of the map's subnormals.
+fn column_sums(
+    a: &[f32],
+    k: usize,
+    index: Option<&[u32]>,
+    w: &[f64],
+    d: usize,
+    den: bool,
+) -> (Vec<f32>, Vec<f32>) {
+    for_palette!(k, column_sums_k(a, index, w, d, den))
+}
+
+/// [`column_sums`] over a compile-time `K`. The numerators are
+/// component-major while they add (`[d, K]`), so each component's `K`
 /// lanes are one array.
-fn centroids<const K: usize>(a: &[f32], index: &[u32], w: &[f64], d: usize) -> Vec<f32> {
+fn column_sums_k<const K: usize>(
+    a: &[f32],
+    index: Option<&[u32]>,
+    w: &[f64],
+    d: usize,
+    den: bool,
+) -> (Vec<f32>, Vec<f32>) {
     let (a, _) = a.as_chunks::<K>();
     let mut num = vec![0.0f32; d * K];
     let (lanes, _) = num.as_chunks_mut::<K>();
-    let mut den = [0.0f32; K];
-    for (&r, w_row) in index.iter().zip(w.chunks_exact(d)) {
-        let a_row = &a[r as usize];
-        for (s, &av) in den.iter_mut().zip(a_row) {
-            *s += av;
+    let mut sums = [0.0f32; K];
+    let mut add_row = |a_row: &[f32; K], w_row: &[f64]| {
+        if den {
+            for (s, &av) in sums.iter_mut().zip(a_row) {
+                *s += av;
+            }
         }
         for (lane, &wv) in lanes.iter_mut().zip(w_row) {
             for (s, &av) in lane.iter_mut().zip(a_row) {
                 *s += exact::mul(av, wv);
             }
         }
+    };
+    match index {
+        Some(index) => {
+            for (&r, w_row) in index.iter().zip(w.chunks_exact(d)) {
+                add_row(&a[r as usize], w_row);
+            }
+        }
+        None => {
+            for (a_row, w_row) in a.iter().zip(w.chunks_exact(d)) {
+                add_row(a_row, w_row);
+            }
+        }
     }
-    let mut c = Vec::with_capacity(K * d);
-    for (j, &s) in den.iter().enumerate() {
-        c.extend(lanes.iter().map(|lane| lane[j] / (s + 1e-8)));
+    let mut rows = Vec::with_capacity(K * d);
+    for j in 0..K {
+        rows.extend(lanes.iter().map(|lane| lane[j]));
     }
-    c
+    (rows, if den { sums.to_vec() } else { Vec::new() })
+}
+
+/// One Lloyd centroid update from the `[u, k]` attention rows `a` of the
+/// distinct rows: `C[j] = Σ_p A[index[p], j]·W[p] / (Σ_p A[index[p], j] +
+/// 1e-8)` over the `n` weight rows `w` (`[n, d]`, widened), with the bits
+/// of the dense `matmul`, `sum_axis`, `add_scalar` and `div`.
+fn centroid_update(a: &Tensor, index: &[u32], w: &[f64], d: usize, device: Device) -> Tensor {
+    let k = a.shape()[1];
+    let n = index.len();
+    let (num, den) = a.with_data(|a| column_sums(a, k, Some(index), w, d, true));
+    let den: Vec<f32> = den.iter().map(|&s| s + 1e-8).collect();
+    let c = divide_rows(&num, &den, d);
+    // The dense matmul and column sum's work.
+    runtime::record_compute(((2 * d + 1) * n * k) as f64, device);
+    Tensor::from_vec(c, &[k, d], DType::F32, device)
+}
+
+/// `x[j] / den[j]` for each `d`-element row `j` of `x`: the bits of `div`
+/// broadcasting a `[k, 1]` divisor.
+fn divide_rows(x: &[f32], den: &[f32], d: usize) -> Vec<f32> {
+    x.chunks_exact(d)
+        .zip(den)
+        .flat_map(|(row, &s)| row.iter().map(move |&v| v / s))
+        .collect()
+}
+
+/// DKM's final iteration as one tape node over the weights `w2` (`[n, d]`;
+/// `w_wide` is its data widened, `distinct` its `u` distinct rows as
+/// numbered by `rows`): `A = softmax(scale · −‖W − C‖²)` against the
+/// constant centroids `c`, `c* = Aᵀ·W / (colsum(A) + 1e-8)` and the soft
+/// weights `A·c*`. Returns them and `c*`.
+///
+/// It stands for the ten-node chain `neg_sqdist`, `mul_scalar`, softmax,
+/// `t`, `matmul`, `sum_axis`, `reshape`, `add_scalar`, `div`, `matmul`,
+/// and nothing the hooks, the ledger or the bits can see tells them apart
+/// (DESIGN.md §4):
+///
+/// * it makes the chain's nine saves, in its order: `W`, `C`; `A`
+///   (annotated with `keys` first, so the hooks can uniquify it); `Aᵀ`,
+///   `W`; `num`, the `[k, 1]` `den`; `A`, `c*`;
+/// * it charges the clock for every pass the chain made, forward and
+///   backward, one charge per pass with the chain's FLOP count;
+/// * every value adds the chain's terms in the chain's order from 0.0.
+///
+/// The forward computes each row-wise step once per distinct row and
+/// expands `A` (it is saved) and the soft weights through the index. The
+/// VJP reads only the unpacked saves and `scale`: [`iteration_vjp`].
+fn differentiable_iteration(
+    w2: &Var,
+    w_wide: &[f64],
+    distinct: &[f32],
+    rows: &DistinctRows,
+    keys: Option<Arc<RowKeys>>,
+    c: Tensor,
+    scale: f32,
+) -> (Var, Tensor) {
+    let w = w2.value();
+    let (n, d) = (w.shape()[0], w.shape()[1]);
+    let k = c.shape()[0];
+    let device = w.device();
+    let mut saved = vec![save_tensor(w), save_tensor(&c)];
+
+    let table = distinct_attention(distinct, &c, scale, n, device);
+    let a = table.with_data(|t| uniquify::reconstruct_wide(t, rows.index(), k));
+    let a = Tensor::from_vec(a, &[n, k], DType::F32, device);
+    if let Some(keys) = keys {
+        uniquify::annotate(a.storage_id(), keys);
+    }
+    saved.push(save_tensor(&a));
+    saved.extend([save_tensor(&a.t()), save_tensor(w)]);
+
+    let (num, den) = table.with_data(|t| column_sums(t, k, Some(rows.index()), w_wide, d, true));
+    let den: Vec<f32> = den.iter().map(|&s| s + 1e-8).collect();
+    let c_star = divide_rows(&num, &den, d);
+    let num = Tensor::from_vec(num, &[k, d], DType::F32, device);
+    let den = Tensor::from_vec(den, &[k, 1], DType::F32, device);
+    saved.extend([save_tensor(&num), save_tensor(&den)]);
+
+    let c_wide = exact::widen(&c_star);
+    let soft = table.with_data(|t| for_palette!(k, soft_rows(t, &c_wide, d)));
+    let soft = uniquify::reconstruct_wide(&soft, rows.index(), d);
+    let c_star = Tensor::from_vec(c_star, &[k, d], DType::F32, device);
+    saved.extend([save_tensor(&a), save_tensor(&c_star)]);
+
+    let (nf, kf, df) = (n as f64, k as f64, d as f64);
+    for flops in [
+        2.0 * kf * df * nf, // Aᵀ·W
+        nf * kf,            // colsum(A)
+        kf,                 // + 1e-8
+        kf * df,            // num / den
+        2.0 * nf * df * kf, // A·c*
+    ] {
+        runtime::record_compute(flops, device);
+    }
+    let soft = Var::custom(
+        Tensor::from_vec(soft, &[n, d], DType::F32, device),
+        "dkm_iteration",
+        vec![w2.clone()],
+        saved,
+        Box::new(move |g, s| vec![Some(iteration_vjp(g, s, scale))]),
+    );
+    (soft, c_star)
+}
+
+/// The soft weights `A·c*` of the `[u, K]` attention rows `a`: each of a
+/// row's `d` outputs adds its `K` products in `j` order from 0.0, as
+/// `matmul(A, c*)` does, with `c*` (`[K, d]`) widened. [`ROW_LANES`] rows
+/// at a time, one per lane, so the serial sums run side by side.
+fn soft_rows<const K: usize>(a: &[f32], c_star: &[f64], d: usize) -> Vec<f32> {
+    let (a, _) = a.as_chunks::<K>();
+    let mut out = vec![0.0f32; a.len() * d];
+    for (rows, out) in a.chunks(ROW_LANES).zip(out.chunks_mut(ROW_LANES * d)) {
+        let a = lanes_of(rows);
+        for comp in 0..d {
+            let mut acc = [0.0f32; ROW_LANES];
+            for (a_j, &cw) in a.iter().zip(c_star[comp..].iter().step_by(d)) {
+                for (s, &av) in acc.iter_mut().zip(a_j) {
+                    *s += exact::mul(av, cw);
+                }
+            }
+            for (o, &s) in out[comp..].iter_mut().step_by(d).zip(&acc) {
+                *o = s;
+            }
+        }
+    }
+    out
+}
+
+/// Up to [`ROW_LANES`] rows of `K` entries, transposed: entry `j` of row
+/// `l` in lane `l` of array `j`. Lanes past the last row hold zeros.
+#[inline(always)]
+fn lanes_of<const K: usize>(rows: &[[f32; K]]) -> [[f32; ROW_LANES]; K] {
+    let mut lanes = [[0.0f32; ROW_LANES]; K];
+    for (l, row) in rows.iter().enumerate() {
+        for (lane, &v) in lanes.iter_mut().zip(row) {
+            lane[l] = v;
+        }
+    }
+    lanes
+}
+
+/// The VJP of [`differentiable_iteration`]: the `[n, d]` weight gradient
+/// for the upstream gradient `g` of the soft weights, from the node's nine
+/// unpacked saves and the logit scale.
+///
+/// Three steps, each output the chain's terms in the chain's order:
+///
+/// 1. one pass over the rows for `dc* = Aᵀ·G` ([`column_sums`]);
+/// 2. the division's VJP on `[k, d]` ([`division_vjp`]);
+/// 3. one pass that gives each row its gradient ([`weight_grads`]).
+///
+/// It charges the clock for each pass of the chain's backward, the three
+/// gradient accumulations the tape made included.
+fn iteration_vjp(g: &Tensor, saved: &[Tensor], scale: f32) -> Tensor {
+    let [w, c, a, _, _, num, den, _, c_star] = saved else {
+        unreachable!("the node saves W, C, A, Aᵀ, W, num, den, A and c*")
+    };
+    let (n, d) = (w.shape()[0], w.shape()[1]);
+    let k = c.shape()[0];
+    let device = g.device();
+    let (num, den) = (num.to_vec(), den.to_vec());
+    let dw = a.with_data(|a| {
+        g.with_data(|g| {
+            let (dc_star, _) = column_sums(a, k, None, &exact::widen(g), d, false);
+            let (dnum, dden) = division_vjp(&dc_star, &num, &den, d);
+            let consts = RowConsts {
+                c_star: &c_star.to_vec(),
+                dnum: &dnum,
+                dden: &dden,
+                c: &c.with_data(exact::widen),
+                dnum_wide: &exact::widen(&dnum),
+                scale: black_box(f64::from(scale)),
+                minus_two: black_box(-2.0),
+                d,
+            };
+            let mut dw = vec![0.0f32; n * d];
+            w.with_data(|w| weight_grads(k, a, w, g, &consts, &mut dw));
+            dw
+        })
+    });
+
+    let (nf, kf, df) = (n as f64, k as f64, d as f64);
+    let mut charges = vec![
+        2.0 * nf * kf * df, // A·c*'s VJP: G·c*ᵀ
+        2.0 * kf * df * nf, // and Aᵀ·G
+        kf * df,            // dc* / den
+        kf,                 // den²
+        kf * df,            // dc*·num
+        kf * df,            // / den²
+        kf * df,            // negated
+    ];
+    if d > 1 {
+        charges.push(kf * df); // summed over the components
+    }
+    charges.extend([
+        2.0 * kf * nf * df, // Aᵀ·W's VJP: dnum·Wᵀ
+        2.0 * nf * df * kf, // and A·dnum
+        nf * kf,            // A's second gradient added
+        nf * kf,            // colsum's VJP broadcast
+        nf * kf,            // and added
+        nf * kf,            // the softmax VJP's four passes
+        nf * kf,
+        nf * kf,
+        nf * kf,
+        nf * kf,            // the scale
+        nf * kf,            // the distance VJP: rowsum(dL)
+        nf * df,            // · W
+        2.0 * nf * df * kf, // dL·C
+        nf * df,            // −
+        nf * df,            // · −2
+        nf * df,            // W's two gradients added
+    ]);
+    for flops in charges {
+        runtime::record_compute(flops, device);
+    }
+    Tensor::from_vec(dw, &[n, d], DType::F32, device)
+}
+
+/// The VJP of `c* = num / den` (`den` is `[k]`, the rest `[k, d]`) for the
+/// upstream gradient `dc_star`, with the bits of `Var::div`'s: `dnum =
+/// dc* / den` and `dden = Σ_c −(dc*·num / den²)`, the sum over the
+/// components in order from 0.0.
+fn division_vjp(dc_star: &[f32], num: &[f32], den: &[f32], d: usize) -> (Vec<f32>, Vec<f32>) {
+    let dnum = divide_rows(dc_star, den, d);
+    let dden = dc_star
+        .chunks_exact(d)
+        .zip(num.chunks_exact(d))
+        .zip(den)
+        .map(|((gv, nv), &s)| {
+            let b2 = s * s;
+            let term = |comp: usize| -((gv[comp] * nv[comp]) / b2);
+            // One component is not summed (`reduce_to_shape` keeps the
+            // `[k, 1]` term as it is, −0.0 included).
+            if d == 1 {
+                term(0)
+            } else {
+                (0..d).fold(0.0f32, |acc, comp| acc + term(comp))
+            }
+        })
+        .collect();
+    (dnum, dden)
+}
+
+/// What [`grad_block`] reads besides the rows: `c*`, `dnum` (both
+/// `[k, d]`), `dden` (`[k]`), the centroids and `dnum` widened, and the
+/// scale and −2 as f64s the optimiser cannot trace back to f32s.
+struct RowConsts<'a> {
+    c_star: &'a [f32],
+    dnum: &'a [f32],
+    dden: &'a [f32],
+    c: &'a [f64],
+    dnum_wide: &'a [f64],
+    scale: f64,
+    minus_two: f64,
+    d: usize,
+}
+
+/// Weight rows [`grad_block`] holds at once, one per lane.
+const ROW_LANES: usize = 8;
+
+/// [`iteration_vjp`]'s last pass: the `[n, d]` weight gradient `dw` from
+/// the `[n, k]` map `a`, the weights `w` and the upstream gradient `g`
+/// (both `[n, d]`). On CPUs with AVX2 the same body runs compiled for
+/// AVX2 (eight f32 lanes per register), chosen at run time.
+fn weight_grads(k: usize, a: &[f32], w: &[f32], g: &[f32], consts: &RowConsts, dw: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if lanes_avx2() {
+        // SAFETY: `weight_grads_avx2` requires only AVX2, which
+        // `lanes_avx2` detected on this CPU.
+        return unsafe { for_palette!(k, weight_grads_avx2(a, w, g, consts, dw)) };
+    }
+    for_palette!(k, weight_grads_k(a, w, g, consts, dw))
+}
+
+/// Whether [`weight_grads`] runs its AVX2 instantiation: on a CPU with
+/// AVX2, unless a test asks for the portable one.
+#[cfg(target_arch = "x86_64")]
+fn lanes_avx2() -> bool {
+    #[cfg(test)]
+    if tests::PORTABLE_LANES.get() {
+        return false;
+    }
+    std::arch::is_x86_feature_detected!("avx2")
+}
+
+/// [`weight_grads_k`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn weight_grads_avx2<const K: usize>(
+    a: &[f32],
+    w: &[f32],
+    g: &[f32],
+    consts: &RowConsts,
+    dw: &mut [f32],
+) {
+    weight_grads_k::<K>(a, w, g, consts, dw);
+}
+
+/// [`weight_grads`] over a compile-time `K`: [`grad_block`] on each block
+/// of [`ROW_LANES`] rows, the last one padded with zero rows whose
+/// gradients are dropped.
+#[inline(always)]
+fn weight_grads_k<const K: usize>(
+    a: &[f32],
+    w: &[f32],
+    g: &[f32],
+    consts: &RowConsts,
+    dw: &mut [f32],
+) {
+    const L: usize = ROW_LANES;
+    let d = consts.d;
+    let (a, _) = a.as_chunks::<K>();
+    // The block's weights and upstream gradients, component-major.
+    let mut w_lanes = vec![[0.0f32; L]; d];
+    let mut g_lanes = vec![[0.0f32; L]; d];
+    let rows = w.chunks(L * d).zip(g.chunks(L * d));
+    for ((a_rows, (w_rows, g_rows)), dw_rows) in a.chunks(L).zip(rows).zip(dw.chunks_mut(L * d)) {
+        if a_rows.len() < L {
+            w_lanes.fill([0.0; L]);
+            g_lanes.fill([0.0; L]);
+        }
+        let row_pairs = w_rows.chunks_exact(d).zip(g_rows.chunks_exact(d));
+        for (l, (w_row, g_row)) in row_pairs.enumerate() {
+            for (comp, (&wv, &gv)) in w_row.iter().zip(g_row).enumerate() {
+                w_lanes[comp][l] = wv;
+                g_lanes[comp][l] = gv;
+            }
+        }
+        grad_block::<K>(a_rows, &w_lanes, &g_lanes, consts, dw_rows);
+    }
+}
+
+/// The weight gradients `dw_rows` of up to [`ROW_LANES`] rows, one per
+/// lane, so each lane's serial `K`-term sums run beside seven others:
+/// `a_rows` are the rows' attention rows, `w` and `g` their weights and
+/// upstream gradients in lanes (`[d]` arrays, zeros past the last row).
+/// Per row, every sum adds the chain's terms in the chain's order from
+/// 0.0:
+///
+/// * A's gradient, accumulated as the tape visited its three consumers:
+///   `(G·c*ᵀ + dnum·Wᵀ) + dden`, each product sum over the `d` components;
+/// * the softmax VJP `dx = A ⊙ (dA − Σ_j dA·A)`, then the scale;
+/// * the distance VJP `−2·(Σ_j dL · w − dL·C)`;
+/// * then `+ A·dnum`.
+///
+/// Products that meet the map's subnormals (`dA·A`, `(dA − dot)·A`, the
+/// scale, `dL·C`, `A·dnum` and the `−2`) are formed exactly in f64.
+#[inline(always)]
+fn grad_block<const K: usize>(
+    a_rows: &[[f32; K]],
+    w: &[[f32; ROW_LANES]],
+    g: &[[f32; ROW_LANES]],
+    k: &RowConsts,
+    dw_rows: &mut [f32],
+) {
+    const L: usize = ROW_LANES;
+    let d = k.d;
+    let a = lanes_of(a_rows);
+    let mut a_wide = [[0.0f64; L]; K];
+    for (wide, a_j) in a_wide.iter_mut().zip(&a) {
+        for (x, &v) in wide.iter_mut().zip(a_j) {
+            *x = f64::from(v);
+        }
+    }
+    let a_wide = &black_box(a_wide);
+
+    // dA = (G·c*ᵀ + dnum·Wᵀ) + dden.
+    let mut da = [[0.0f32; L]; K];
+    for (j, da_j) in da.iter_mut().enumerate() {
+        let (mut t1, mut t2) = ([0.0f32; L], [0.0f32; L]);
+        for (comp, (g_c, w_c)) in g.iter().zip(w).enumerate() {
+            let (cv, nv) = (k.c_star[j * d + comp], k.dnum[j * d + comp]);
+            for l in 0..L {
+                t1[l] += g_c[l] * cv;
+                t2[l] += w_c[l] * nv;
+            }
+        }
+        for l in 0..L {
+            da_j[l] = (t1[l] + t2[l]) + k.dden[j];
+        }
+    }
+    // The softmax VJP and the scale: dL, in place of dA.
+    let mut dot = [0.0f32; L];
+    for (da_j, aw_j) in da.iter().zip(a_wide) {
+        for l in 0..L {
+            dot[l] += exact::mul(da_j[l], aw_j[l]);
+        }
+    }
+    let mut row_sum = [0.0f32; L];
+    for (da_j, aw_j) in da.iter_mut().zip(a_wide) {
+        for l in 0..L {
+            let dl = exact::mul(exact::mul(da_j[l] - dot[l], aw_j[l]), k.scale);
+            da_j[l] = dl;
+            row_sum[l] += dl;
+        }
+    }
+    // The distance VJP, then A·dnum.
+    for (comp, w_c) in w.iter().enumerate() {
+        let (mut dl_c, mut a_dnum) = ([0.0f32; L], [0.0f32; L]);
+        for j in 0..K {
+            let (cw, nw) = (k.c[j * d + comp], k.dnum_wide[j * d + comp]);
+            for l in 0..L {
+                dl_c[l] += exact::mul(da[j][l], cw);
+                a_dnum[l] += exact::mul(a[j][l], nw);
+            }
+        }
+        for (l, dw) in dw_rows[comp..].iter_mut().step_by(d).enumerate() {
+            let sq = exact::mul(row_sum[l] * w_c[l] - dl_c[l], k.minus_two);
+            *dw = a_dnum[l] + sq;
+        }
+    }
 }
 
 /// Centroid initialization strategy.
@@ -359,6 +814,7 @@ impl DkmLayer {
         let device = w2.value().device();
         let dtype = w2.value().dtype();
         let data = w2.value().to_vec();
+        let w_wide = exact::widen(&data);
         let scale = self.logit_scale(&data);
 
         // Rows keyed by their bit patterns (16-bit weights, blocks of ≤ 4)
@@ -370,22 +826,20 @@ impl DkmLayer {
         let rows = keys
             .as_deref()
             .map_or_else(|| DistinctRows::identity(n), DistinctRows::of);
-        let distinct_data = rows.gather(&data, d);
+        let distinct = rows.gather(&data, d);
         let mut c = Tensor::from_vec(
-            self.init_centroids(&data, &distinct_data, &rows),
+            self.init_centroids(&data, &distinct, &rows),
             &[k, d],
             DType::F32,
             device,
         );
-        let distinct = Tensor::from_vec(distinct_data, &[rows.len(), d], DType::F32, device);
 
         // Lloyd iterations, detached (the reference DKM detaches all but the
         // final iteration): distances and softmax per distinct row.
         let mut iterations_run = 0;
         for _ in 0..self.config.iters.saturating_sub(1) {
-            let logits = t::mul_scalar(&t::neg_sqdist(&distinct, &c), scale);
-            let a = t::softmax_lastdim(&logits);
-            let c_new = centroid_update(&a, rows.index(), &data, d, device);
+            let a = distinct_attention(&distinct, &c, scale, rows.len(), device);
+            let c_new = centroid_update(&a, rows.index(), &w_wide, d, device);
             let moved = t::max_abs_diff(&c_new, &c);
             c = c_new;
             iterations_run += 1;
@@ -394,22 +848,14 @@ impl DkmLayer {
             }
         }
 
-        // Final differentiable iteration: attention map + centroid update +
-        // soft assignment, all on the tape. The attention map is annotated
-        // with the weights' bit patterns (when 16-bit, blocks of ≤ 4) so
-        // the hooks can uniquify every save of it.
-        let c_const = Var::constant(c);
-        let logits = w2.neg_sqdist(&c_const).mul_scalar(scale);
-        let a = softmax_annotated(&logits, &rows, keys); // the big [n, k] attention map
-
-        let num = a.t().matmul(&w2); // [k, d] — saves Aᵀ (a view of A)
-        let den = a.sum_axis(0).reshape(&[k, 1]).add_scalar(1e-8);
-        let c_star = num.div(&den);
-        let soft = a.matmul(&c_star).reshape(&shape); // saves A again
-
+        // The final iteration, differentiable: one tape node that saves the
+        // `[n, k]` attention map, annotated with the weights' bit patterns
+        // (when 16-bit, blocks of ≤ 4) so the hooks can uniquify it.
+        let (soft, centroids) =
+            differentiable_iteration(&w2, &w_wide, &distinct, &rows, keys, c, scale);
         DkmOutput {
-            centroids: c_star.value().clone(),
-            soft,
+            centroids,
+            soft: soft.reshape(&shape),
             iterations_run,
         }
     }
@@ -458,8 +904,86 @@ impl DkmLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edkm_autograd::check_gradients;
+    use crate::hooks::{EdkmConfig, EdkmHooks, HookStatsSnapshot};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set while a test runs the portable instantiation of
+        /// [`weight_grads`] on a CPU with AVX2.
+        pub(super) static PORTABLE_LANES: Cell<bool> = const { Cell::new(false) };
+    }
+    use edkm_autograd::{check_gradients, push_hooks, softmax_backward, SavedTensorHooks};
     use edkm_tensor::{runtime, Device};
+
+    /// Softmax over the last axis, computed on the distinct rows of `x` and
+    /// expanded back to every row, whose output storage is annotated with
+    /// weight bit patterns *before* it is saved for backward — so the
+    /// saved-tensor hooks can uniquify the attention map (the save happens
+    /// inside this op). The op chain's softmax.
+    fn softmax_annotated(x: &Var, rows: &DistinctRows, keys: Option<Arc<RowKeys>>) -> Var {
+        let logits = x.value();
+        let (k, device) = (*logits.shape().last().expect("rank >= 1"), logits.device());
+        let distinct = logits.with_data(|l| rows.gather(l, k));
+        let table = t::softmax_lastdim(&Tensor::from_vec(
+            distinct,
+            &[rows.len(), k],
+            DType::F32,
+            device,
+        ));
+        let expanded = table.with_data(|a| uniquify::reconstruct_wide(a, rows.index(), k));
+        let value = Tensor::from_vec(expanded, logits.shape(), DType::F32, device);
+        if let Some(keys) = keys {
+            uniquify::annotate(value.storage_id(), keys);
+        }
+        let saved = vec![save_tensor(&value)];
+        Var::custom(
+            value,
+            "softmax_annotated",
+            vec![x.clone()],
+            saved,
+            Box::new(|g, s| vec![Some(softmax_backward(g, &s[0]))]),
+        )
+    }
+
+    /// The ten-node op chain `differentiable_iteration` replaced, with its
+    /// softmax on the distinct rows that `rows` numbers: the oracle of its
+    /// values, gradients, saves and ledger charges.
+    fn iteration_chain(
+        w2: &Var,
+        c: Tensor,
+        scale: f32,
+        rows: &DistinctRows,
+        keys: Option<Arc<RowKeys>>,
+    ) -> (Var, Tensor) {
+        let k = c.shape()[0];
+        let logits = w2.neg_sqdist(&Var::constant(c)).mul_scalar(scale);
+        let a = softmax_annotated(&logits, rows, keys); // the big [n, k] attention map
+        let num = a.t().matmul(w2); // [k, d] — saves Aᵀ (a view of A)
+        let den = a.sum_axis(0).reshape(&[k, 1]).add_scalar(1e-8);
+        let c_star = num.div(&den);
+        let soft = a.matmul(&c_star); // saves A again
+        (soft, c_star.value().clone())
+    }
+
+    /// The row keys and distinct rows `cluster` finds for `w2`'s data.
+    fn distinct_rows_of(w2: &Tensor) -> (Option<Arc<RowKeys>>, DistinctRows) {
+        let (n, d) = (w2.shape()[0], w2.shape()[1]);
+        let keys = (d <= uniquify::MAX_KEY_DIM && w2.dtype().is_16bit())
+            .then(|| Arc::new(RowKeys::blocks(&w2.bits16().unwrap(), d)));
+        let rows = keys
+            .as_deref()
+            .map_or_else(|| DistinctRows::identity(n), DistinctRows::of);
+        (keys, rows)
+    }
+
+    /// [`differentiable_iteration`] on `w2` against the fixed centroids `c`,
+    /// with the distinct rows and widened weights `cluster` gives it.
+    fn iteration_node(w2: &Var, c: Tensor, scale: f32) -> (Var, Tensor) {
+        let data = w2.value().to_vec();
+        let (keys, rows) = distinct_rows_of(w2.value());
+        let distinct = rows.gather(&data, w2.value().shape()[1]);
+        differentiable_iteration(w2, &exact::widen(&data), &distinct, &rows, keys, c, scale)
+    }
 
     fn layer(bits: u8) -> DkmLayer {
         DkmLayer::new(DkmConfig::with_bits(bits))
@@ -560,18 +1084,11 @@ mod tests {
                 break;
             }
         }
-        let c_const = Var::constant(c);
-        let logits = w2.neg_sqdist(&c_const).mul_scalar(scale);
-        let keys = (d <= uniquify::MAX_KEY_DIM && wt.dtype().is_16bit())
-            .then(|| Arc::new(RowKeys::blocks(&wt.bits16().unwrap(), d)));
-        let a = softmax_annotated(&logits, &DistinctRows::identity(n), keys);
-        let num = a.t().matmul(&w2);
-        let den = a.sum_axis(0).reshape(&[k, 1]).add_scalar(1e-8);
-        let c_star = num.div(&den);
-        let soft = a.matmul(&c_star).reshape(&shape);
+        let (keys, _) = distinct_rows_of(&wt);
+        let (soft, centroids) = iteration_chain(&w2, c, scale, &DistinctRows::identity(n), keys);
         DkmOutput {
-            centroids: c_star.value().clone(),
-            soft,
+            centroids,
+            soft: soft.reshape(&shape),
             iterations_run,
         }
     }
@@ -587,7 +1104,7 @@ mod tests {
         Vec<u32>,
         usize,
         Vec<u32>,
-        Option<crate::hooks::HookStatsSnapshot>,
+        Option<HookStatsSnapshot>,
     );
 
     fn run_cluster(
@@ -596,8 +1113,6 @@ mod tests {
         w: &Tensor,
         hooked: bool,
     ) -> Run {
-        use crate::hooks::{EdkmConfig, EdkmHooks};
-        use edkm_autograd::{push_hooks, SavedTensorHooks};
         runtime::reset();
         uniquify::clear_annotations();
         let probe = Tensor::randn(w.shape(), DType::F32, w.device(), 99);
@@ -649,7 +1164,14 @@ mod tests {
         for dtype in [DType::Bf16, DType::F16, DType::F32] {
             for (family, w) in oracle_inputs(dtype) {
                 for cluster_dim in [1, 2, 4, 5] {
-                    for bits in 1..=4 {
+                    // Every palette size meets the oracle; from 32 centroids
+                    // on, the normal and ±0 families keep the time down.
+                    let bits = if matches!(family, "normal" | "signed zeros") {
+                        1..=8
+                    } else {
+                        1..=4
+                    };
+                    for bits in bits {
                         for iters in [1, 2, 8] {
                             for init in [
                                 DkmInit::Quantile,
@@ -662,15 +1184,113 @@ mod tests {
                                     ..DkmConfig::with_vector(bits, cluster_dim)
                                 });
                                 for hooked in [false, true] {
-                                    let got = run_cluster(DkmLayer::cluster, &lay, &w, hooked);
                                     let want = run_cluster(cluster_dense, &lay, &w, hooked);
-                                    assert!(
-                                        got == want,
-                                        "{dtype} {family}, dim {cluster_dim}, {bits} bits, \
-                                         {iters} iters, {init:?}, hooked {hooked}: \
-                                         distinct-row clustering differs from the dense loop"
-                                    );
+                                    for portable in [false, true] {
+                                        PORTABLE_LANES.set(portable);
+                                        let got = run_cluster(DkmLayer::cluster, &lay, &w, hooked);
+                                        assert!(
+                                            got == want,
+                                            "{dtype} {family}, dim {cluster_dim}, {bits} bits, \
+                                             {iters} iters, {init:?}, hooked {hooked}, \
+                                             portable lanes {portable}: distinct-row \
+                                             clustering differs from the dense loop"
+                                        );
+                                    }
                                 }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Everything the node and the op chain must agree on: soft-value, `c*`
+    /// and weight-gradient bits, the hook counters, and the ledger
+    /// (sim-seconds bits, d2h and h2d bytes, CPU peak bytes).
+    type IterationRun = (
+        Vec<u32>,
+        Vec<u32>,
+        Vec<u32>,
+        Option<HookStatsSnapshot>,
+        u64,
+        usize,
+        usize,
+        usize,
+    );
+
+    /// One differentiable iteration of `w` at `cluster_dim` `d` against
+    /// fixed seeded centroids, and its backward from an upstream gradient
+    /// that holds ±0 and subnormals, on a fresh runtime.
+    fn run_iteration(
+        iteration: fn(&Var, Tensor, f32) -> (Var, Tensor),
+        w: &Tensor,
+        d: usize,
+        bits: u8,
+        hooked: bool,
+    ) -> IterationRun {
+        runtime::reset();
+        uniquify::clear_annotations();
+        let (n, k, device) = (w.numel() / d, 1usize << bits, w.device());
+        let c = Tensor::randn(&[k, d], DType::F32, device, 41).map(|v| v * 0.02);
+        let upstream: Vec<f32> = Tensor::randn(&[n * d], DType::F32, device, 42)
+            .to_vec()
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| match i % 6 {
+                1 => 0.0,
+                3 => -0.0,
+                4 => f32::from_bits(1 + (i as u32).wrapping_mul(2_654_435_761) % 0x7f_ffff),
+                5 => -f32::from_bits(0x7f_ffff - i as u32),
+                _ => v,
+            })
+            .collect();
+        let upstream = Tensor::from_vec(upstream, &[n, d], DType::F32, device);
+        let hooks = Arc::new(EdkmHooks::new(EdkmConfig::full(4)));
+        let guard = hooked.then(|| push_hooks(Arc::clone(&hooks) as Arc<dyn SavedTensorHooks>));
+        let wv = Var::param(w.clone());
+        let w2 = wv.reshape(&[n, d]);
+        let scale = DkmLayer::new(DkmConfig::with_vector(bits, d)).logit_scale(&w.to_vec());
+        let (soft, c_star) = iteration(&w2, c, scale);
+        soft.mul(&Var::constant(upstream)).sum_all().backward();
+        drop(guard);
+        uniquify::clear_annotations();
+        let transfers = runtime::transfer_snapshot();
+        (
+            bits_of(soft.value()),
+            bits_of(&c_star),
+            bits_of(&wv.grad().expect("weights receive gradients")),
+            hooked.then(|| hooks.stats()),
+            runtime::sim_seconds().to_bits(),
+            transfers.d2h_bytes,
+            transfers.h2d_bytes,
+            runtime::peak_bytes(Device::Cpu),
+        )
+    }
+
+    #[test]
+    fn iteration_node_matches_the_op_chain_and_its_ledger() {
+        fn chain(w2: &Var, c: Tensor, scale: f32) -> (Var, Tensor) {
+            let (keys, rows) = distinct_rows_of(w2.value());
+            iteration_chain(w2, c, scale, &rows, keys)
+        }
+        for dtype in [DType::Bf16, DType::F16, DType::F32] {
+            for (family, w) in oracle_inputs(dtype) {
+                // cluster_dim 5 has no row keys: every row is distinct.
+                for cluster_dim in [1, 2, 5] {
+                    for bits in 1..=8 {
+                        for hooked in [false, true] {
+                            let want = run_iteration(chain, &w, cluster_dim, bits, hooked);
+                            for portable in [false, true] {
+                                PORTABLE_LANES.set(portable);
+                                let got =
+                                    run_iteration(iteration_node, &w, cluster_dim, bits, hooked);
+                                assert!(
+                                    got == want,
+                                    "{dtype} {family}, dim {cluster_dim}, {bits} bits, \
+                                     hooked {hooked}, portable lanes {portable}: the node \
+                                     differs from the op chain"
+                                );
                             }
                         }
                     }
@@ -708,7 +1328,7 @@ mod tests {
                     .enumerate()
                     .map(|(i, &v)| if i % 13 == 0 { -0.0 } else { v * 0.02 })
                     .collect();
-                let got = centroid_update(&a, &index, &w, d, Device::Cpu).to_vec();
+                let got = centroid_update(&a, &index, &exact::widen(&w), d, Device::Cpu).to_vec();
                 // The plain loop: f32 products added in `p` order per lane.
                 let av = a.to_vec();
                 let mut num = vec![0.0f32; k * d];
@@ -822,24 +1442,23 @@ mod tests {
     fn gradcheck_final_differentiable_iteration() {
         // The full layer is not numerically checkable (the Lloyd iterations
         // and quantile init are detached by design, exactly as in DKM), so
-        // we check the differentiable part in isolation: attention map →
+        // we check the differentiable node in isolation: attention map →
         // centroid update → soft assignment, against *fixed* centroids.
         runtime::reset();
-        let w = Tensor::randn(&[12, 1], DType::F32, Device::Cpu, 3);
-        let c = Tensor::from_vec(vec![-1.0, -0.2, 0.4, 1.2], &[4, 1], DType::F32, Device::Cpu);
-        check_gradients(
-            |vs| {
-                let c_const = Var::constant(c.clone());
-                let a = vs[0].neg_sqdist(&c_const).mul_scalar(2.0).softmax_lastdim();
-                let num = a.t().matmul(&vs[0]);
-                let den = a.sum_axis(0).reshape(&[4, 1]).add_scalar(1e-8);
-                a.matmul(&num.div(&den)).square().sum_all()
-            },
-            &[w],
-            1e-3,
-            5e-2,
-        )
-        .unwrap();
+        for d in [1, 2] {
+            let w = Tensor::randn(&[12, d], DType::F32, Device::Cpu, 3);
+            let c = Tensor::randn(&[4, d], DType::F32, Device::Cpu, 4);
+            check_gradients(
+                |vs| {
+                    let (soft, _) = iteration_node(&vs[0], c.clone(), 2.0);
+                    soft.square().sum_all()
+                },
+                &[w],
+                1e-3,
+                5e-2,
+            )
+            .unwrap_or_else(|e| panic!("cluster_dim {d}: {e}"));
+        }
     }
 
     #[test]
@@ -848,15 +1467,14 @@ mod tests {
         let x = Tensor::randn(&[6, 4], DType::F32, Device::Cpu, 9);
         let weight = Tensor::randn(&[6, 4], DType::F32, Device::Cpu, 10);
         // Values equal.
-        let a =
-            super::softmax_annotated(&Var::constant(x.clone()), &DistinctRows::identity(6), None);
+        let a = softmax_annotated(&Var::constant(x.clone()), &DistinctRows::identity(6), None);
         let b = Var::constant(x.clone()).softmax_lastdim();
         assert!(t::allclose(a.value(), b.value(), 1e-7));
         // Gradients equal.
         let grad_of = |annotated: bool| -> Vec<f32> {
             let v = Var::param(x.clone());
             let s = if annotated {
-                super::softmax_annotated(&v, &DistinctRows::identity(6), None)
+                softmax_annotated(&v, &DistinctRows::identity(6), None)
             } else {
                 v.softmax_lastdim()
             };
@@ -920,9 +1538,6 @@ mod tests {
 
     #[test]
     fn vector_gradients_flow_and_match_hooked_run() {
-        use crate::hooks::{EdkmConfig, EdkmHooks};
-        use edkm_autograd::push_hooks;
-        use edkm_autograd::SavedTensorHooks;
         // Exactness of eDKM must extend to the vector path: gradients with
         // full hooks installed equal gradients without, bit for bit.
         let run = |hooked: bool| -> Vec<f32> {

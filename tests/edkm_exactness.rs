@@ -4,7 +4,10 @@
 //! fine-tune-and-compress run is pinned bit for bit.
 
 use edkm::autograd::{push_hooks, SavedTensorHooks};
-use edkm::core::{CompressSpec, CompressionPipeline, DkmConfig, DkmLayer, EdkmConfig, EdkmHooks};
+use edkm::core::{
+    CompressSpec, CompressionPipeline, DkmConfig, DkmLayer, EdkmConfig, EdkmHooks,
+    HookStatsSnapshot,
+};
 use edkm::nn::{LlamaConfig, LlamaModel, LmBatch};
 use edkm::tensor::{runtime, DType, Device};
 use std::collections::HashMap;
@@ -17,6 +20,16 @@ fn grads_of_one_step(config: Option<EdkmConfig>) -> HashMap<String, Vec<f32>> {
 /// Every parameter's gradient after one DKM-clustered step of a tiny model
 /// held in `dtype`, with the given eDKM hooks installed (or none).
 fn grads_of_one_step_in(dtype: DType, config: Option<EdkmConfig>) -> HashMap<String, Vec<f32>> {
+    one_step_in(dtype, config).0
+}
+
+/// [`grads_of_one_step_in`]'s gradients and the hook counters of the step
+/// (`None` without hooks). The step starts from a fresh runtime, so the
+/// ledger afterwards holds this step alone.
+fn one_step_in(
+    dtype: DType,
+    config: Option<EdkmConfig>,
+) -> (HashMap<String, Vec<f32>>, Option<HookStatsSnapshot>) {
     runtime::reset();
     edkm::core::uniquify::clear_annotations();
     let model = LlamaModel::new(LlamaConfig::tiny(), dtype, Device::gpu(), 3);
@@ -40,13 +53,15 @@ fn grads_of_one_step_in(dtype: DType, config: Option<EdkmConfig>) -> HashMap<Str
         let loss = model.lm_loss(&seqs, Some(&hook));
         loss.backward();
     };
-    run(config.map(|c| Arc::new(EdkmHooks::new(c))));
+    let hooks = config.map(|c| Arc::new(EdkmHooks::new(c)));
+    run(hooks.clone());
 
-    model
+    let grads = model
         .named_params()
         .into_iter()
         .map(|(name, p)| (name, p.grad().map(|g| g.to_vec()).unwrap_or_default()))
-        .collect()
+        .collect();
+    (grads, hooks.map(|h| h.stats()))
 }
 
 #[test]
@@ -184,4 +199,43 @@ fn one_step_gradients_are_pinned_bit_for_bit() {
             );
         }
     }
+}
+
+/// One step's ledger is pinned beside its gradients: the bf16 model under
+/// the full hooks packs, offloads and moves the same bytes and advances
+/// the simulated clock by the same picoseconds as when these values were
+/// pinned. A change to Table 2's accounting (a save, a charge, an offload)
+/// fails here, not only in a reader of `table2`'s output.
+#[test]
+fn one_step_ledger_is_pinned() {
+    let (_, stats) = one_step_in(DType::Bf16, Some(EdkmConfig::full(4)));
+    let s = stats.expect("hooks were installed");
+    let transfers = runtime::transfer_snapshot();
+    let got = (
+        [
+            s.packs,
+            s.direct_hits,
+            s.walk_hits,
+            s.misses,
+            s.unpacks,
+            s.cache_hits,
+            s.offloaded_bytes,
+        ],
+        runtime::peak_bytes(Device::Cpu),
+        transfers.d2h_bytes,
+        transfers.h2d_bytes,
+        runtime::sim_seconds().to_bits(),
+    );
+    assert_eq!(
+        got,
+        (
+            [103, 28, 0, 75, 103, 28, 32_392],
+            32_392,
+            32_392,
+            33_160,
+            0x3f61_b289_0d76_76ca
+        ),
+        "hook counters (packs, direct hits, walk hits, misses, unpacks, cache hits, \
+         offloaded bytes), CPU peak, d2h, h2d, sim-seconds bits"
+    );
 }
