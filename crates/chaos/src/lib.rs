@@ -63,25 +63,16 @@ pub enum FaultKind {
         /// Slot whose streams are severed.
         replica: usize,
     },
-    /// Container bit-flip on respawn reload: the *next* respawn of this
-    /// slot must first attempt a corrupted model load (which fails
-    /// checksum verification) before retrying clean. Applied by the
-    /// replay harness's respawn path, not by the cluster hook.
-    RespawnBitFlip {
-        /// Slot whose next respawn is corrupted.
-        replica: usize,
-    },
 }
 
 impl FaultKind {
     /// The slot this fault targets.
-    pub fn replica(&self) -> usize {
+    pub(crate) fn replica(&self) -> usize {
         match *self {
             FaultKind::ReplicaKill { replica }
             | FaultKind::Stall { replica, .. }
             | FaultKind::KvSqueeze { replica, .. }
-            | FaultKind::ChannelDrop { replica }
-            | FaultKind::RespawnBitFlip { replica } => replica,
+            | FaultKind::ChannelDrop { replica } => replica,
         }
     }
 
@@ -91,7 +82,6 @@ impl FaultKind {
             FaultKind::Stall { .. } => 2,
             FaultKind::KvSqueeze { .. } => 3,
             FaultKind::ChannelDrop { .. } => 4,
-            FaultKind::RespawnBitFlip { .. } => 5,
         }
     }
 }
@@ -110,7 +100,6 @@ impl std::fmt::Display for FaultKind {
                 "kv-squeeze(r{replica}, {blocks} blocks, restore after {restore_after})"
             ),
             FaultKind::ChannelDrop { replica } => write!(f, "channel-drop(r{replica})"),
-            FaultKind::RespawnBitFlip { replica } => write!(f, "respawn-bit-flip(r{replica})"),
         }
     }
 }
@@ -135,11 +124,11 @@ impl std::fmt::Display for FaultEvent {
 /// the fleet; CI replays a fixed trace under every one of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultProfile {
-    /// Abrupt replica kills (some with corrupted-respawn reloads) plus a
-    /// channel drop: exercises failover bit-identity and respawn backoff.
+    /// Abrupt replica kills plus a channel drop: exercises failover
+    /// bit-identity on the survivors.
     ReplicaChurn,
-    /// Stalled decode steps across the fleet: exercises wedge detection,
-    /// the circuit breaker, and the degrade ladder.
+    /// Stalled decode steps across the fleet plus a channel drop:
+    /// exercises deadlines and failover while replicas stop stepping.
     SlowBrownout,
     /// KV-pool capacity squeezes: exercises admission under memory
     /// pressure and pool-ledger integrity on restore.
@@ -214,18 +203,14 @@ impl FaultPlan {
         let hi = (horizon * 3 / 4).max(lo + 1);
         match profile {
             FaultProfile::ReplicaChurn => {
-                // Kill up to half the fleet (never all of it), sometimes
-                // corrupting the respawn reload first.
+                // Kill up to half the fleet (never all of it). The coin
+                // once chose a corrupted respawn reload; it is still drawn
+                // so every seed keeps its kill and channel-drop schedule.
                 let kills = (replicas / 2).max(1);
                 for _ in 0..kills {
                     let replica = rng.gen_range(0..replicas);
                     let step = rng.gen_range(lo..hi);
-                    if rng.gen_bool(0.5) {
-                        events.push(FaultEvent {
-                            step,
-                            kind: FaultKind::RespawnBitFlip { replica },
-                        });
-                    }
+                    let _ = rng.gen_bool(0.5);
                     events.push(FaultEvent {
                         step,
                         kind: FaultKind::ReplicaKill { replica },
@@ -261,7 +246,7 @@ impl FaultPlan {
             }
             FaultProfile::KvPressure => {
                 // Squeeze a majority of pools hard, restore later; one
-                // stall keeps the breaker honest under memory pressure.
+                // stall rides along under the memory pressure.
                 let squeezes = (replicas * 2 / 3).max(1);
                 for _ in 0..squeezes {
                     events.push(FaultEvent {
@@ -370,9 +355,6 @@ pub enum FaultApplied {
         /// Streams severed.
         severed: usize,
     },
-    /// The fault applies at a later lifecycle point (respawn bit-flip);
-    /// the driver must honour it when it respawns the slot.
-    Deferred,
     /// The fault was a no-op in the current fleet state (for example a
     /// kill aimed at an already-dead slot).
     Skipped {
@@ -395,7 +377,6 @@ impl std::fmt::Display for FaultApplied {
             FaultApplied::StreamsDropped { replica, severed } => {
                 write!(f, "dropped {severed} streams on r{replica}")
             }
-            FaultApplied::Deferred => write!(f, "deferred to respawn"),
             FaultApplied::Skipped { reason } => write!(f, "skipped: {reason}"),
         }
     }
@@ -404,8 +385,8 @@ impl std::fmt::Display for FaultApplied {
 /// The seam through which a [`FaultPlan`] touches a system under test.
 ///
 /// The production serving path has no chaos branches at all — the hook
-/// maps faults onto control surfaces that already exist for operations
-/// (kill, drain, stall injection, pool retuning), so chaos off means
+/// maps faults onto the fleet's own control surfaces (kill, stall
+/// injection, pool retuning, stream severing), so chaos off means
 /// literally zero added cost.
 pub trait FaultHook {
     /// Apply one scheduled fault, returning what actually happened.
@@ -447,7 +428,6 @@ impl FaultHook for Cluster {
                 let severed = self.engine_handle(replica).drop_streams();
                 FaultApplied::StreamsDropped { replica, severed }
             }
-            FaultKind::RespawnBitFlip { .. } => FaultApplied::Deferred,
         }
     }
 }

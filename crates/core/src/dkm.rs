@@ -912,8 +912,11 @@ mod tests {
         /// [`weight_grads`] on a CPU with AVX2.
         pub(super) static PORTABLE_LANES: Cell<bool> = const { Cell::new(false) };
     }
-    use edkm_autograd::{check_gradients, push_hooks, softmax_backward, SavedTensorHooks};
+    use edkm_autograd::{
+        check_gradients, push_hooks, softmax_backward, PackedTensor, SavedTensorHooks,
+    };
     use edkm_tensor::{runtime, Device};
+    use std::sync::Mutex;
 
     /// Softmax over the last axis, computed on the distinct rows of `x` and
     /// expanded back to every row, whose output storage is annotated with
@@ -1206,18 +1209,40 @@ mod tests {
     }
 
     /// Everything the node and the op chain must agree on: soft-value, `c*`
-    /// and weight-gradient bits, the hook counters, and the ledger
-    /// (sim-seconds bits, d2h and h2d bytes, CPU peak bytes).
+    /// and weight-gradient bits, the hook counters, the shape and value
+    /// bits of every tensor packed, in order, and the ledger (sim-seconds
+    /// bits, d2h and h2d bytes, CPU peak bytes).
     type IterationRun = (
         Vec<u32>,
         Vec<u32>,
         Vec<u32>,
         Option<HookStatsSnapshot>,
+        Option<Vec<(Vec<usize>, Vec<u32>)>>,
         u64,
         usize,
         usize,
         usize,
     );
+
+    /// [`EdkmHooks`] that first record the shape and value bits of every
+    /// tensor they pack: the counters alone cannot tell two saves that hit
+    /// the marshaling registry the same way apart.
+    struct RecordingHooks {
+        inner: EdkmHooks,
+        packed: Mutex<Vec<(Vec<usize>, Vec<u32>)>>,
+    }
+
+    impl SavedTensorHooks for RecordingHooks {
+        fn pack(&self, t: &Tensor) -> PackedTensor {
+            let saved = (t.shape().to_vec(), bits_of(t));
+            self.packed.lock().expect("recorder").push(saved);
+            self.inner.pack(t)
+        }
+
+        fn unpack(&self, p: &PackedTensor) -> Tensor {
+            self.inner.unpack(p)
+        }
+    }
 
     /// One differentiable iteration of `w` at `cluster_dim` `d` against
     /// fixed seeded centroids, and its backward from an upstream gradient
@@ -1246,7 +1271,10 @@ mod tests {
             })
             .collect();
         let upstream = Tensor::from_vec(upstream, &[n, d], DType::F32, device);
-        let hooks = Arc::new(EdkmHooks::new(EdkmConfig::full(4)));
+        let hooks = Arc::new(RecordingHooks {
+            inner: EdkmHooks::new(EdkmConfig::full(4)),
+            packed: Mutex::new(Vec::new()),
+        });
         let guard = hooked.then(|| push_hooks(Arc::clone(&hooks) as Arc<dyn SavedTensorHooks>));
         let wv = Var::param(w.clone());
         let w2 = wv.reshape(&[n, d]);
@@ -1260,7 +1288,8 @@ mod tests {
             bits_of(soft.value()),
             bits_of(&c_star),
             bits_of(&wv.grad().expect("weights receive gradients")),
-            hooked.then(|| hooks.stats()),
+            hooked.then(|| hooks.inner.stats()),
+            hooked.then(|| hooks.packed.lock().expect("recorder").clone()),
             runtime::sim_seconds().to_bits(),
             transfers.d2h_bytes,
             transfers.h2d_bytes,

@@ -135,13 +135,6 @@ impl Request {
         &self.prompt
     }
 
-    /// The scheduling class this request was built with — what a router's
-    /// admission policy (e.g. a degrade ladder shedding low-priority
-    /// traffic) keys on.
-    pub fn priority_class(&self) -> Priority {
-        self.priority
-    }
-
     fn into_serve(self, id: u64) -> ServeRequest {
         ServeRequest {
             id,
@@ -468,9 +461,6 @@ struct Inbox {
     next_id: u64,
     next_ticket: u64,
     shutdown: bool,
-    /// Drain mode: refuse new admissions but let everything in flight run
-    /// to its terminal event (a router's graceful replica retirement).
-    draining: bool,
     /// Kill mode: the worker aborts at its next inbox visit without
     /// delivering terminal events — in-flight streams disconnect, KV
     /// blocks free as the scheduler drops (a simulated replica crash).
@@ -541,7 +531,7 @@ impl EngineHandle {
         self.validate(&request);
         let mut inbox = self.shared.lock_inbox();
         loop {
-            if inbox.shutdown || inbox.draining {
+            if inbox.shutdown {
                 return Err(SubmitError::ShutDown);
             }
             if inbox.live.len() < self.shared.capacity {
@@ -565,7 +555,7 @@ impl EngineHandle {
     pub fn try_submit(&self, request: Request) -> Result<(RequestId, TokenStream), SubmitError> {
         self.validate(&request);
         let mut inbox = self.shared.lock_inbox();
-        if inbox.shutdown || inbox.draining {
+        if inbox.shutdown {
             return Err(SubmitError::ShutDown);
         }
         if inbox.live.len() >= self.shared.capacity {
@@ -647,22 +637,10 @@ impl EngineHandle {
         self.shared.lock_inbox().live.len()
     }
 
-    /// Put the engine in drain mode: every further submit is refused with
-    /// [`SubmitError::ShutDown`], while everything already in flight runs
-    /// to its terminal event. The hook a fronting router uses to retire a
-    /// replica gracefully — once [`EngineHandle::in_flight`] reaches 0 the
-    /// replica is empty and can be shut down or respawned. Idempotent.
-    pub fn drain(&self) {
-        let mut inbox = self.shared.lock_inbox();
-        inbox.draining = true;
-        self.shared.cv.notify_all();
-    }
-
     /// Inject `steps` stalled decode steps — the slow-replica fault. The
     /// worker burns one stalled step per loop iteration (sleeping
     /// `STALL_TICK` instead of decoding), so in-flight streams stop
-    /// producing while the engine stays alive and cancellable: exactly the
-    /// wedge signature a supervisor detects through snapshot staleness.
+    /// producing while the engine stays alive and cancellable.
     /// Additive across calls; a no-op engine-side once the balance drains.
     pub fn inject_stall(&self, steps: u64) {
         self.shared.stall_steps.fetch_add(steps, Ordering::Relaxed);
@@ -755,7 +733,6 @@ impl ServeEngine {
                 next_id: 0,
                 next_ticket: 0,
                 shutdown: false,
-                draining: false,
                 kill: false,
                 drop_streams: false,
             }),

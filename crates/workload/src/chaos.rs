@@ -1,40 +1,35 @@
 //! Chaos replay: drive a trace and a [`FaultPlan`] through a live
-//! [`Cluster`] together, with the [`Supervisor`] closing the loop, and
-//! audit the global robustness invariants afterwards.
+//! [`Cluster`] together, and audit the global robustness invariants
+//! afterwards.
 //!
 //! The harness owns the fleet on the calling thread and runs the trace
 //! on a worker thread through [`replay_router`], the same driver every
-//! live replay uses (degrade-ladder sheds and losses are recorded there,
-//! not fatal). Meanwhile the calling thread runs the supervision loop:
-//! it advances the **virtual step clock** (the monotonic fleet-wide
-//! decode-step count, respawn-proof via per-slot high-water bases),
-//! applies every [`FaultEvent`] whose step has come due through the
-//! [`FaultHook`] seam, schedules KV-squeeze restores, ticks the
-//! [`Supervisor`] once per heartbeat, and applies its actions (gates,
-//! drains, respawns — honouring deferred respawn bit-flips via the
-//! caller's model factory — and degrade-ladder moves).
+//! live replay uses (losses are recorded there, not fatal). Meanwhile the
+//! calling thread reads the **virtual step clock** (the fleet-wide
+//! decode-step count), applies every [`FaultEvent`] whose step has come
+//! due through the [`FaultHook`] seam, and restores each squeezed KV pool
+//! once its time is up. Recovery is the router's own failover: a killed
+//! replica stays dead, and its requests finish on the survivors.
 //!
 //! The resulting [`ChaosReplayReport`] carries exactly the invariants
 //! the acceptance gate checks: `requests_lost == 0`, zero duplicate or
-//! skipped token indices, survivors bit-identical to an undisturbed
-//! reference run of the same trace, and every pool's block ledger back
-//! at its prefix-cache baseline at drain.
+//! skipped token indices, survivors bit-identical to the tokens each
+//! request produces run to its natural end, and every pool's block
+//! ledger back at its prefix-cache baseline at drain.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use crate::replay::{replay_router, ReplayReport, RequestOutcome};
-use crate::report::percentile_u64;
+use crate::replay::{replay_router, replay_trace, ReplayReport, RequestOutcome};
 use crate::trace::Trace;
 use edkm_chaos::{FaultApplied, FaultEvent, FaultHook, FaultKind, FaultPlan};
-use edkm_cluster::supervisor::HEARTBEAT_INTERVAL;
-use edkm_cluster::{Cluster, ClusterConfig, Supervisor, SupervisorAction, SupervisorConfig};
+use edkm_cluster::{Cluster, ClusterConfig};
 use edkm_core::{EngineConfig, FinishReason, ServeModel};
 
-/// How often the supervision loop reads the step clock to fire due
-/// faults. A heartbeat spans several decode steps of a small model, so a
-/// fault due in a trace's last few steps would otherwise find the trace
-/// already drained.
+/// How often the harness reads the step clock to fire due faults. A
+/// small model runs a decode step in well under a millisecond, so a
+/// slower read lets a fault due in a trace's last few steps find the
+/// trace already drained.
 const FAULT_POLL_INTERVAL: Duration = Duration::from_micros(250);
 
 /// Sizing and policy of a chaos replay.
@@ -44,10 +39,6 @@ pub struct ChaosReplayConfig {
     pub engine: EngineConfig,
     /// Route follow-up prompts to the replica holding their prefix.
     pub affinity: bool,
-    /// Supervisor tuning (breaker thresholds, backoffs, ladder
-    /// hysteresis). The supervisor seed is what makes recovery decisions
-    /// replayable.
-    pub supervisor: SupervisorConfig,
 }
 
 impl Default for ChaosReplayConfig {
@@ -58,7 +49,6 @@ impl Default for ChaosReplayConfig {
                 queue_capacity: 64,
             },
             affinity: true,
-            supervisor: SupervisorConfig::default(),
         }
     }
 }
@@ -82,55 +72,56 @@ pub struct ChaosReplayReport {
     /// Fingerprint of the injected [`FaultPlan`] — pin this to assert two
     /// runs faced the same schedule.
     pub plan_fingerprint: u64,
-    /// The chaos run's replay: outcomes, sheds, losses, token-index
-    /// violations, goodput and wall time, with the fleet snapshot taken
-    /// once the supervisor stopped.
+    /// The chaos run's replay: outcomes, losses, token-index violations,
+    /// goodput and wall time.
     pub replay: ReplayReport,
     /// Requests that finished naturally under chaos.
     pub survivors: usize,
     /// `true` iff every survivor's token stream is bit-identical to the
-    /// undisturbed reference run of the same trace.
+    /// tokens its request produces run to its natural end.
     pub survivors_bit_identical: bool,
     /// `true` iff, at drain, every replica pool's `blocks_in_use` equals
     /// its prefix-cache-retained block count (no leaked blocks) and its
     /// capacity cap is back at its pre-squeeze baseline.
     pub pools_at_baseline: bool,
-    /// Corrupted model loads rejected during respawn (bit-flip faults
-    /// that the reload verification caught before retrying clean).
-    pub corrupted_reloads: u64,
-    /// Virtual steps from each replica kill to its completed respawn,
-    /// ascending.
-    pub recovery_steps: Vec<u64>,
     /// Every fault as applied, in firing order.
     pub faults: Vec<AppliedFault>,
 }
 
 impl ChaosReplayReport {
-    /// p99 of kill-to-respawn recovery time, in virtual steps (0 when the
-    /// plan killed nothing).
-    pub fn recovery_p99_steps(&self) -> u64 {
-        percentile_u64(&self.recovery_steps, 0.99)
-    }
-
     /// Number of requests the audit counts as lost.
     pub fn requests_lost(&self) -> u64 {
         self.replay.lost.len() as u64
     }
 }
 
-/// Replay `trace` under `plan` through a supervised fleet and audit the
-/// robustness invariants. See the module docs for the architecture.
-///
-/// `build(corrupt)` constructs one replica model; `corrupt = true` asks
-/// for a bit-flipped load and **must** fail (the harness uses it to model
-/// a container image corrupted on respawn — the reload verification
-/// rejects it and the respawn retries clean). It is called once per
-/// replica up front (clean), once per respawn, and once extra per
-/// deferred bit-flip.
-///
-/// The harness first runs the same trace undisturbed on an identically
-/// sized fleet to obtain the reference token streams survivors are
-/// audited against.
+/// The virtual-step horizon a [`FaultPlan`] for `trace` spans: the
+/// trace's total completion budget over the batch width, since
+/// continuous batching decodes up to `max_batch` tokens per engine step.
+pub fn fault_horizon(trace: &Trace, max_batch: usize) -> u64 {
+    let total_new: usize = trace.requests().iter().map(|r| r.max_new).sum();
+    (total_new / max_batch.max(1)) as u64
+}
+
+/// The tokens each request of `trace` produces run to its natural end:
+/// [`replay_trace`] on the trace with its deadlines removed. A request
+/// that finishes naturally under any placement, batching or fault
+/// produces exactly these; one cut short by its deadline, a prefix.
+fn reference_tokens<M: ServeModel>(
+    model: &M,
+    trace: &Trace,
+    max_batch: usize,
+) -> HashMap<u64, Vec<usize>> {
+    replay_trace(model, &trace.without_deadlines(), max_batch)
+        .outcomes
+        .into_iter()
+        .map(|o| (o.id, o.tokens))
+        .collect()
+}
+
+/// Replay `trace` under `plan` through a fleet of `replicas` models from
+/// `build` and audit the robustness invariants. See the module docs for
+/// the architecture.
 pub fn replay_cluster_chaos<M, F>(
     mut build: F,
     replicas: usize,
@@ -140,40 +131,28 @@ pub fn replay_cluster_chaos<M, F>(
 ) -> ChaosReplayReport
 where
     M: ServeModel + 'static,
-    F: FnMut(bool) -> Result<M, String>,
+    F: FnMut() -> M,
 {
-    let cluster_cfg = ClusterConfig {
-        engine: config.engine,
-        affinity: config.affinity,
-        ..ClusterConfig::default()
-    };
+    let reference = reference_tokens(&build(), trace, config.engine.max_batch);
 
-    // Reference run: the same trace, the same fleet shape, no faults.
-    let reference: HashMap<u64, Vec<usize>> = {
-        let models: Vec<M> = (0..replicas)
-            .map(|_| build(false).expect("clean reference build"))
-            .collect();
-        let cluster = Cluster::new(models, cluster_cfg.clone());
-        let out = replay_router(&cluster.handle(), trace);
-        cluster.shutdown();
-        out.outcomes.into_iter().map(|o| (o.id, o.tokens)).collect()
-    };
-
-    // Chaos run.
-    let models: Vec<M> = (0..replicas)
-        .map(|_| build(false).expect("clean build"))
-        .collect();
+    let models: Vec<M> = (0..replicas).map(|_| build()).collect();
     // The scheduler's liveness precondition: a pool must always hold one
     // full-length request (it panics on a pool it can never drain). The
     // harness clamps every squeeze to that floor — the squeeze then
     // degrades service (contention, preemption, admission stalls) instead
     // of wedging a replica beyond recovery.
     let max_seq = models[0].config().max_seq;
-    let mut cluster = Cluster::new(models, cluster_cfg);
+    let mut cluster = Cluster::new(
+        models,
+        ClusterConfig {
+            engine: config.engine,
+            affinity: config.affinity,
+            ..ClusterConfig::default()
+        },
+    );
     let baseline_caps: Vec<usize> = (0..replicas)
         .map(|r| cluster.pool(r).max_blocks())
         .collect();
-    let mut supervisor = Supervisor::new(replicas, config.supervisor.clone());
 
     let router = cluster.handle();
     let trace_owned = trace.clone();
@@ -182,30 +161,19 @@ where
     let router = cluster.handle();
     let events = plan.events();
     let mut next_event = 0usize;
-    // Virtual step clock, respawn-proof: per-slot high-water base plus
-    // the slot's current (resetting) decode_steps counter.
-    let mut bases = vec![0u64; replicas];
-    let mut lasts = vec![0u64; replicas];
     // (due_step, wall_deadline, replica, cap) — pending KV-squeeze
     // restorations. The wall deadline is a liveness fallback: if every
     // decode on the fleet is blocked on squeezed pools, the virtual clock
     // freezes and a step-only restore would never come due.
     let mut restores: Vec<(u64, Instant, usize, usize)> = Vec::new();
-    let mut bitflip = vec![false; replicas];
-    let mut kill_at: HashMap<usize, u64> = HashMap::new();
-    let mut recovery_steps = Vec::new();
-    let mut corrupted_reloads = 0u64;
     let mut faults = Vec::new();
-    let mut next_heartbeat = Instant::now();
     while !replay.is_finished() {
-        let stats = router.stats();
-        for (i, (_, snap)) in stats.replicas.iter().enumerate().take(replicas) {
-            if snap.decode_steps < lasts[i] {
-                bases[i] += lasts[i];
-            }
-            lasts[i] = snap.decode_steps;
-        }
-        let vstep: u64 = bases.iter().sum::<u64>() + lasts.iter().sum::<u64>();
+        let vstep: u64 = router
+            .stats()
+            .replicas
+            .iter()
+            .map(|(_, snap)| snap.decode_steps)
+            .sum();
 
         while next_event < events.len() && events[next_event].step <= vstep {
             let mut event = events[next_event];
@@ -220,27 +188,20 @@ where
                 *blocks = (*blocks).max(floor);
             }
             let applied = cluster.apply_fault(&event);
-            match applied {
-                FaultApplied::Killed { replica } => {
-                    kill_at.insert(replica, vstep);
-                }
+            if let (
                 FaultApplied::KvSqueezed {
                     replica,
                     previous_blocks,
-                } => {
-                    if let FaultKind::KvSqueeze { restore_after, .. } = event.kind {
-                        restores.push((
-                            vstep + restore_after,
-                            Instant::now() + Duration::from_millis(500),
-                            replica,
-                            previous_blocks,
-                        ));
-                    }
-                }
-                FaultApplied::Deferred => {
-                    bitflip[event.kind.replica()] = true;
-                }
-                _ => {}
+                },
+                FaultKind::KvSqueeze { restore_after, .. },
+            ) = (applied, event.kind)
+            {
+                restores.push((
+                    vstep + restore_after,
+                    Instant::now() + Duration::from_millis(500),
+                    replica,
+                    previous_blocks,
+                ));
             }
             faults.push(AppliedFault {
                 at_step: vstep,
@@ -257,48 +218,9 @@ where
                 true
             }
         });
-
-        let actions = if Instant::now() >= next_heartbeat {
-            next_heartbeat = Instant::now() + HEARTBEAT_INTERVAL;
-            supervisor.tick(&stats)
-        } else {
-            Vec::new()
-        };
-        for action in actions {
-            match action {
-                SupervisorAction::OpenBreaker { replica } => {
-                    router.set_dispatch_gate(replica, false);
-                }
-                SupervisorAction::HalfOpenBreaker { replica }
-                | SupervisorAction::CloseBreaker { replica } => {
-                    router.set_dispatch_gate(replica, true);
-                }
-                SupervisorAction::DrainReplica { replica } => {
-                    let _ = cluster.drain(replica);
-                }
-                SupervisorAction::RespawnReplica { replica } => {
-                    if bitflip[replica] {
-                        bitflip[replica] = false;
-                        if build(true).is_err() {
-                            corrupted_reloads += 1;
-                        }
-                    }
-                    if let Ok(model) = build(false) {
-                        cluster.respawn(replica, model);
-                        router.set_dispatch_gate(replica, true);
-                        if let Some(killed) = kill_at.remove(&replica) {
-                            recovery_steps.push(vstep.saturating_sub(killed));
-                        }
-                    }
-                }
-                SupervisorAction::SetDegradeLevel { level } => {
-                    router.set_degrade_level(level, vstep);
-                }
-            }
-        }
         std::thread::sleep(FAULT_POLL_INTERVAL);
     }
-    let mut replay = replay.join().expect("chaos replay thread");
+    let replay = replay.join().expect("chaos replay thread");
 
     // Any squeeze still pending restoration is undone now, so the
     // capacity audit below checks real recovery, not scheduling luck.
@@ -319,10 +241,6 @@ where
         let pool = cluster.pool(r);
         pool.blocks_in_use() == pool.prefix_cached_blocks() && pool.max_blocks() == baseline_caps[r]
     });
-    recovery_steps.sort_unstable();
-    // The supervisor may have moved the ladder after the replay's own
-    // snapshot; report the fleet as the supervision loop left it.
-    replay.cluster = router.stats();
     cluster.shutdown();
 
     ChaosReplayReport {
@@ -331,8 +249,6 @@ where
         survivors,
         survivors_bit_identical,
         pools_at_baseline,
-        corrupted_reloads,
-        recovery_steps,
         faults,
     }
 }
@@ -351,7 +267,7 @@ pub fn audit_invariants(report: &ChaosReplayReport) -> Vec<String> {
         ));
     }
     if !report.survivors_bit_identical {
-        violations.push("survivor token streams diverge from the undisturbed run".into());
+        violations.push("survivor token streams diverge from their natural-end tokens".into());
     }
     if !report.pools_at_baseline {
         violations.push("a KV pool did not drain to its ledger baseline".into());
@@ -362,4 +278,76 @@ pub fn audit_invariants(report: &ChaosReplayReport) -> Vec<String> {
         }
     }
     violations
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::{TraceConfig, TraceKind};
+    use edkm_core::{CompressSpec, KvBlockConfig, PalettizedModel};
+    use edkm_nn::{LlamaConfig, LlamaModel};
+    use edkm_tensor::{runtime, DType, Device};
+
+    /// The reference runs every request to its natural end: on a trace
+    /// whose tight deadlines expire on the virtual clock, each expired
+    /// request's tokens are a proper prefix of its reference, each
+    /// naturally finished one equals it, and every reference spends its
+    /// whole completion budget (the trace sets no stop tokens).
+    #[test]
+    fn reference_runs_expiring_requests_to_their_natural_end() {
+        runtime::reset();
+        let cfg = LlamaConfig {
+            vocab: 64,
+            d_model: 32,
+            n_heads: 2,
+            n_layers: 2,
+            d_ff: 64,
+            max_seq: 48,
+        };
+        let dense = LlamaModel::new(cfg, DType::Bf16, Device::Cpu, 0);
+        let mut spec = CompressSpec::with_bits(3);
+        spec.dkm.iters = 2;
+        let model = PalettizedModel::from_dense(&dense, &spec)
+            .expect("servable export")
+            .with_kv_config(KvBlockConfig {
+                block_tokens: 4,
+                max_blocks: 0,
+            });
+        let trace = Trace::generate(&TraceConfig::new(
+            TraceKind::Classify,
+            3,
+            24,
+            cfg.vocab,
+            cfg.max_seq,
+        ));
+        let max_batch = 1;
+        let with_deadlines = replay_trace(&model, &trace, max_batch);
+        assert!(
+            with_deadlines.counters.expired > 0,
+            "the trace must expire some deadlines at batch {max_batch}"
+        );
+
+        let reference = reference_tokens(&model, &trace, max_batch);
+        assert_eq!(reference.len(), trace.requests().len());
+        for r in trace.requests() {
+            assert_eq!(
+                reference[&r.id].len(),
+                r.prompt.len() + r.max_new,
+                "request {} runs its whole budget",
+                r.id
+            );
+        }
+        for o in &with_deadlines.outcomes {
+            let want = &reference[&o.id];
+            if o.finish == FinishReason::DeadlineExceeded {
+                assert!(
+                    o.tokens.len() < want.len() && want[..o.tokens.len()] == o.tokens[..],
+                    "request {}: an expired run is a proper prefix of its reference",
+                    o.id
+                );
+            } else {
+                assert_eq!(&o.tokens, want, "request {}", o.id);
+            }
+        }
+    }
 }

@@ -23,9 +23,9 @@
 //! - [`replay_router`] is the one wall-clock driver. It submits through an
 //!   [`edkm_cluster::RouterHandle`] with one consumer thread per token
 //!   stream, honoring chat causality, and measures goodput, TTFT and
-//!   per-token latency percentiles and absorbed backpressure. Sheds,
-//!   losses and token-index violations are recorded, never panicked. A
-//!   bare engine is a one-replica [`edkm_cluster::Cluster`].
+//!   per-token latency percentiles and absorbed backpressure. Losses and
+//!   token-index violations are recorded, never panicked. A bare engine
+//!   is a one-replica [`edkm_cluster::Cluster`].
 //!
 //! Because sampling is per-request-seeded and logits rows are independent
 //! of batch composition, the token streams of the two layers are
@@ -34,11 +34,12 @@
 //! `tests/workload_replay.rs` pins.
 //!
 //! [`replay_cluster_chaos`] closes the loop on robustness: it replays a
-//! trace *and* a seeded [`edkm_chaos::FaultPlan`] together through a
-//! supervised fleet with [`replay_router`], then audits the global
-//! invariants — no request lost, no duplicate token index, survivors
-//! bit-identical to the undisturbed run, every pool ledger back at
-//! baseline.
+//! trace *and* a seeded [`edkm_chaos::FaultPlan`] (spanning
+//! [`fault_horizon`] steps) together through a fleet with
+//! [`replay_router`], then audits the global invariants — no request
+//! lost, no duplicate token index, survivors bit-identical to the tokens
+//! [`replay_trace`] gives each request run to its natural end, every
+//! pool ledger back at baseline.
 
 #![warn(missing_docs)]
 
@@ -48,7 +49,8 @@ mod report;
 mod trace;
 
 pub use chaos::{
-    audit_invariants, replay_cluster_chaos, AppliedFault, ChaosReplayConfig, ChaosReplayReport,
+    audit_invariants, fault_horizon, replay_cluster_chaos, AppliedFault, ChaosReplayConfig,
+    ChaosReplayReport,
 };
 pub use replay::{
     replay_router, replay_trace, ReplayCounters, ReplayReport, RequestOutcome, StepReplayReport,

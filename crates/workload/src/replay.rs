@@ -196,8 +196,8 @@ pub fn replay_trace<M: ServeModel>(model: &M, trace: &Trace, max_batch: usize) -
 
 /// How long [`replay_router`] keeps retrying a request the router refuses
 /// for capacity ([`RouteError::Saturated`]) or because no replica accepts
-/// work ([`RouteError::NoReplicas`]: every slot dead or draining
-/// mid-recovery) before it records the request as lost.
+/// work ([`RouteError::NoReplicas`]: every slot dead or draining) before
+/// it records the request as lost.
 const SUBMIT_PATIENCE: Duration = Duration::from_secs(30);
 
 /// Result of a wall-clock replay ([`replay_router`]).
@@ -207,12 +207,8 @@ pub struct ReplayReport {
     /// trace id (`ttft_steps` is `None` here; wall-clock TTFT lives in
     /// `ReplayReport::ttft_ms`).
     pub outcomes: Vec<RequestOutcome>,
-    /// Trace ids the degrade ladder refused ([`RouteError::Shed`]):
-    /// intentional refusals, not losses. Ascending.
-    pub shed: Vec<u64>,
-    /// Trace ids that were neither shed nor reached a terminal event: the
-    /// router refused them for good, or their stream ended without one.
-    /// Ascending.
+    /// Trace ids that never reached a terminal event: the router refused
+    /// them for good, or their stream ended without one. Ascending.
     pub lost: Vec<u64>,
     /// Token events whose index was not the next expected one (a
     /// duplicate or a skip).
@@ -221,7 +217,7 @@ pub struct ReplayReport {
     /// accepting them (saturation the driver absorbed).
     pub backpressure_rejections: u64,
     /// Fleet snapshot at drain: per-replica engine stats plus router
-    /// counters (affinity hits, spills, hedges, re-routes, sheds).
+    /// counters (affinity hits, spills, hedges, re-routes).
     pub cluster: ClusterStats,
     /// Wall-clock duration of the whole replay, seconds.
     pub wall_secs: f64,
@@ -264,7 +260,7 @@ fn turn_dependencies(trace: &Trace) -> Vec<Option<usize>> {
     deps
 }
 
-/// Which trace positions are settled (finished, shed or lost), so the
+/// Which trace positions are settled (finished or lost), so the
 /// submitter can hold a chat turn until its predecessor's reply is in.
 struct Turns {
     settled: Mutex<Vec<bool>>,
@@ -363,12 +359,11 @@ fn drain_stream(mut stream: ClusterStream, submitted: Instant) -> Drained {
 /// session stickiness into KV reuse on the sticky replica.
 ///
 /// Nothing the fleet does makes the driver panic. Saturation and a
-/// momentary total outage are retried; a degrade-ladder refusal goes into
-/// [`ReplayReport::shed`]; any other refusal, and a stream that ends
-/// without a terminal event, goes into [`ReplayReport::lost`]; token
-/// indices out of order are counted in
+/// momentary total outage are retried; any other refusal, and a stream
+/// that ends without a terminal event, goes into [`ReplayReport::lost`];
+/// token indices out of order are counted in
 /// [`ReplayReport::index_violations`]. The caller keeps the [`Cluster`],
-/// so it can drain, kill or respawn replicas mid-replay.
+/// so it can inject faults or kill replicas mid-replay.
 ///
 /// Per-request tokens of every request that finishes naturally are
 /// bit-identical to [`replay_trace`]; only wall-clock-dependent outcomes
@@ -383,7 +378,6 @@ pub fn replay_router(router: &RouterHandle, trace: &Trace) -> ReplayReport {
         settled: Mutex::new(vec![false; requests.len()]),
         changed: Condvar::new(),
     });
-    let mut shed = Vec::new();
     let mut lost = Vec::new();
     let mut backpressure_rejections = 0u64;
     let mut consumers = Vec::with_capacity(requests.len());
@@ -400,17 +394,10 @@ pub fn replay_router(router: &RouterHandle, trace: &Trace) -> ReplayReport {
         }
         let (submitted, saturated) = submit_patiently(router, request);
         backpressure_rejections += u64::from(saturated);
-        let stream = match submitted {
-            Ok(stream) => stream,
-            Err(e) => {
-                if matches!(e, RouteError::Shed { .. }) {
-                    shed.push(r.id);
-                } else {
-                    lost.push(r.id);
-                }
-                turns.settle(pos);
-                continue;
-            }
+        let Ok(stream) = submitted else {
+            lost.push(r.id);
+            turns.settle(pos);
+            continue;
         };
         let (trace_id, submitted_at, turns) = (r.id, Instant::now(), Arc::clone(&turns));
         consumers.push(std::thread::spawn(move || {
@@ -454,7 +441,6 @@ pub fn replay_router(router: &RouterHandle, trace: &Trace) -> ReplayReport {
         .sum();
     ReplayReport {
         outcomes,
-        shed,
         lost,
         index_violations,
         backpressure_rejections,

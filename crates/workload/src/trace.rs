@@ -253,6 +253,16 @@ impl Trace {
         self.requests.iter().any(|r| r.deadline_steps.is_some())
     }
 
+    /// The same trace with every step deadline removed: each request then
+    /// runs to its natural end.
+    pub(crate) fn without_deadlines(&self) -> Trace {
+        let mut trace = self.clone();
+        for r in &mut trace.requests {
+            r.deadline_steps = None;
+        }
+        trace
+    }
+
     /// Canonical byte encoding of the whole trace (config + every request
     /// field, little-endian, length-prefixed). Two traces are equal iff
     /// their encodings are — the determinism tests compare these.

@@ -26,8 +26,8 @@ use edkm::eval::perplexity;
 use edkm::nn::{AdamWConfig, LlamaConfig, LlamaModel, LmBatch, TrainConfig, Trainer};
 use edkm::tensor::{runtime, DType, Device};
 use edkm::workload::{
-    audit_invariants, replay_cluster_chaos, replay_router, replay_trace, ChaosReplayConfig, Trace,
-    TraceConfig, TraceKind,
+    audit_invariants, fault_horizon, replay_cluster_chaos, replay_router, replay_trace,
+    ChaosReplayConfig, Trace, TraceConfig, TraceKind,
 };
 use std::process::ExitCode;
 
@@ -150,9 +150,9 @@ commands:
                     to the replica already holding their prefix KV)
                     --chaos-seed S (off; replay a seeded trace through the
                     fleet while a deterministic fault plan kills, stalls,
-                    and KV-squeezes replicas — the supervisor respawns,
-                    breaks circuits, and rides the degrade ladder; exits
-                    non-zero if any global invariant is violated)
+                    KV-squeezes and cuts the streams of replicas — their
+                    requests fail over to the survivors; exits non-zero
+                    if any global invariant is violated)
                     --chaos-profile replica-churn|slow-brownout|kv-pressure
                     (replica-churn; which fault mix the plan draws)
   bench workload
@@ -518,10 +518,9 @@ struct ChaosServe {
 }
 
 /// `edkm serve --chaos-seed S`: replay a seeded trace through a fleet
-/// while a deterministic [`FaultPlan`] kills, stalls, KV-squeezes, and
-/// corrupts replicas, with the cluster supervisor driving recovery.
-/// Prints the applied faults and the invariant audit; exits non-zero if
-/// any global invariant is violated.
+/// while a deterministic [`FaultPlan`] kills, stalls, KV-squeezes and
+/// cuts the streams of replicas. Prints the applied faults and the
+/// invariant audit; exits non-zero if any global invariant is violated.
 fn serve_with_chaos(
     model: PalettizedModel,
     kv: KvBlockConfig,
@@ -536,11 +535,7 @@ fn serve_with_chaos(
         cfg.vocab,
         cfg.max_seq,
     ));
-    // Virtual-step horizon for the fault band: continuous batching decodes
-    // up to `max_batch` tokens per engine step, so fleet-wide decode steps
-    // scale with the trace's total completion budget over the batch width.
-    let total_new: usize = trace.requests().iter().map(|r| r.max_new).sum();
-    let horizon = ((total_new / run.max_batch.max(1)) as u64).max(48);
+    let horizon = fault_horizon(&trace, run.max_batch);
     let plan = FaultPlan::generate(run.profile, run.seed, run.replicas, horizon);
     println!(
         "chaos profile {}, seed {}: {} scheduled fault(s) over a {horizon}-step horizon \
@@ -554,15 +549,11 @@ fn serve_with_chaos(
         println!("  {event}");
     }
     let report = replay_cluster_chaos(
-        |corrupt| {
-            if corrupt {
-                Err("bit-flipped replica image fails reload verification".to_string())
-            } else {
-                Ok(model
-                    .clone()
-                    .with_kv_config(kv)
-                    .with_prefix_cache(prefix_cache))
-            }
+        || {
+            model
+                .clone()
+                .with_kv_config(kv)
+                .with_prefix_cache(prefix_cache)
         },
         run.replicas,
         &trace,
@@ -573,7 +564,6 @@ fn serve_with_chaos(
                 queue_capacity: run.n_requests.max(1),
             },
             affinity: run.affinity,
-            ..ChaosReplayConfig::default()
         },
     );
     println!("\nfaults applied:");
@@ -584,25 +574,9 @@ fn serve_with_chaos(
         );
     }
     println!(
-        "\n{} of {} request(s) survived chaos ({} shed by the degrade ladder), \
-         {:.1} tok/s goodput over {:.3}s",
-        report.survivors,
-        run.n_requests,
-        report.replay.shed.len(),
-        report.replay.goodput_tok_s,
-        report.replay.wall_secs
+        "\n{} of {} request(s) survived chaos, {:.1} tok/s goodput over {:.3}s",
+        report.survivors, run.n_requests, report.replay.goodput_tok_s, report.replay.wall_secs
     );
-    if !report.recovery_steps.is_empty() || report.corrupted_reloads > 0 {
-        println!(
-            "recovery: {} respawn(s), p99 {} virtual steps, {} corrupted reload(s) rejected",
-            report.recovery_steps.len(),
-            report.recovery_p99_steps(),
-            report.corrupted_reloads
-        );
-    }
-    for event in &report.replay.cluster.degrade_events {
-        println!("degrade: {event}");
-    }
     println!(
         "invariants: requests_lost={} index_violations={} survivors_bit_identical={} \
          pools_at_baseline={}",

@@ -3,8 +3,8 @@
 //! `(model, trace, max_batch)` — identical token streams and aggregate
 //! counters across runs, batch caps, and engine worker interleavings.
 
-use edkm::cluster::{Cluster, ClusterConfig, DegradeLevel};
-use edkm::core::{CompressSpec, EngineConfig, KvBlockConfig, PalettizedModel, Priority};
+use edkm::cluster::{Cluster, ClusterConfig};
+use edkm::core::{CompressSpec, EngineConfig, KvBlockConfig, PalettizedModel};
 use edkm::nn::{LlamaConfig, LlamaModel};
 use edkm::tensor::{runtime, DType, Device};
 use edkm::workload::{replay_router, replay_trace, ReplayReport, Trace, TraceConfig, TraceKind};
@@ -295,43 +295,6 @@ fn cluster_replay_is_token_identical_to_engine_replay_at_any_replica_count() {
             );
         }
     }
-}
-
-/// A degrade-ladder refusal is recorded, not panicked: with the router at
-/// `RejectLow`, exactly the `Priority::Low` requests of a mixed trace land
-/// in `shed`, nothing is lost, and every other request reaches its
-/// terminal event with consecutive token indices.
-#[test]
-fn degrade_ladder_refusals_are_recorded_as_shed() {
-    runtime::reset();
-    let model = tiny_model();
-    let trace = trace_for(TraceKind::Mixed, 42);
-    let (low, others): (Vec<_>, Vec<_>) = trace
-        .requests()
-        .iter()
-        .partition(|r| r.priority == Priority::Low);
-    let low: Vec<u64> = low.iter().map(|r| r.id).collect();
-    let others: Vec<u64> = others.iter().map(|r| r.id).collect();
-    assert!(
-        !low.is_empty(),
-        "the seed must yield a low-priority request"
-    );
-
-    let fleet: Vec<PalettizedModel> = (0..2)
-        .map(|_| model.clone().with_kv_config(KvBlockConfig::default()))
-        .collect();
-    let cluster = Cluster::new(fleet, ClusterConfig::default());
-    let router = cluster.handle();
-    router.set_degrade_level(DegradeLevel::RejectLow, 0);
-    let rep = replay_router(&router, &trace);
-    cluster.shutdown();
-
-    assert_eq!(rep.shed, low, "exactly the low-priority requests are shed");
-    assert_eq!(rep.cluster.shed, low.len() as u64);
-    assert!(rep.lost.is_empty(), "a shed is not a loss: {:?}", rep.lost);
-    let ran: Vec<u64> = rep.outcomes.iter().map(|o| o.id).collect();
-    assert_eq!(ran, others, "every other request reaches a terminal event");
-    assert_eq!(rep.index_violations, 0);
 }
 
 #[test]
