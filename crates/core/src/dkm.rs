@@ -21,7 +21,6 @@ use crate::palettize::{GroupedPalettized, PalettizedTensor};
 use crate::uniquify::{self, DistinctRows, RowKeys};
 use edkm_autograd::{save_tensor, Var};
 use edkm_tensor::{exact, ops as t, runtime, DType, Device, Tensor};
-use std::cmp::Ordering;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -46,7 +45,9 @@ macro_rules! for_palette {
 /// The `[u, k]` attention rows `softmax(scale · −‖w − c‖²)` of the `u`
 /// distinct weight rows `distinct` (`[u, d]`) against the centroids `c`
 /// (`[k, d]`), with the bits of `ops::neg_sqdist`, `ops::mul_scalar` and
-/// `ops::softmax_lastdim` on those rows.
+/// `ops::softmax_lastdim` on those rows: the scaled distances fill one
+/// buffer ([`scaled_distances`]), and the softmax's body runs on it in
+/// place.
 ///
 /// The distance and the scale are charged as passes over `charged_rows`
 /// rows, the softmax over the `u` it runs on: a Lloyd iteration charges
@@ -61,31 +62,58 @@ fn distinct_attention(
 ) -> Tensor {
     let (k, d) = (c.shape()[0], c.shape()[1]);
     let u = distinct.len() / d;
-    let scale = black_box(f64::from(scale));
     let mut logits = vec![0.0f32; u * k];
-    c.with_data(|c| {
-        for (out, w_row) in logits.chunks_exact_mut(k).zip(distinct.chunks_exact(d)) {
-            if d == 1 {
-                // `0.0 + diff²` is `diff²` (a square is never −0.0), so one
-                // component needs no accumulator.
-                for (o, &cv) in out.iter_mut().zip(c) {
-                    let diff = w_row[0] - cv;
-                    *o = exact::mul(-(diff * diff), scale);
-                }
-            } else {
-                for (o, c_row) in out.iter_mut().zip(c.chunks_exact(d)) {
-                    let dist = w_row.iter().zip(c_row).fold(0.0f32, |acc, (&wv, &cv)| {
-                        let diff = wv - cv;
-                        acc + diff * diff
-                    });
-                    *o = exact::mul(-dist, scale);
-                }
-            }
-        }
-    });
+    let scale = black_box(f64::from(scale));
+    c.with_data(|c| scaled_distances(distinct, c, d, scale, &mut logits));
     runtime::record_compute(3.0 * (charged_rows * k * d) as f64, device);
     runtime::record_compute((charged_rows * k) as f64, device);
-    t::softmax_lastdim(&Tensor::from_vec(logits, &[u, k], DType::F32, device))
+    t::softmax_rows(&mut logits, k, device);
+    Tensor::from_vec(logits, &[u, k], DType::F32, device)
+}
+
+/// `logits` (`[u, k]`) filled with `scale · −‖w − c‖²` for the distinct
+/// rows `distinct` (`[u, d]`) and the centroids `c` (`[k, d]`); `scale` is
+/// the f32 scale widened where the optimiser cannot see it. On CPUs with
+/// AVX2 the same body runs compiled for AVX2, chosen at run time.
+fn scaled_distances(distinct: &[f32], c: &[f32], d: usize, scale: f64, logits: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if lanes_avx2() {
+        // SAFETY: `scaled_distances_avx2` requires only AVX2, which
+        // `lanes_avx2` detected on this CPU.
+        return unsafe { scaled_distances_avx2(distinct, c, d, scale, logits) };
+    }
+    scaled_distances_body(distinct, c, d, scale, logits);
+}
+
+/// [`scaled_distances_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn scaled_distances_avx2(distinct: &[f32], c: &[f32], d: usize, scale: f64, logits: &mut [f32]) {
+    scaled_distances_body(distinct, c, d, scale, logits);
+}
+
+/// [`scaled_distances`]' body.
+#[inline(always)]
+fn scaled_distances_body(distinct: &[f32], c: &[f32], d: usize, scale: f64, logits: &mut [f32]) {
+    let k = c.len() / d;
+    for (out, w_row) in logits.chunks_exact_mut(k).zip(distinct.chunks_exact(d)) {
+        if d == 1 {
+            // `0.0 + diff²` is `diff²` (a square is never −0.0), so one
+            // component needs no accumulator.
+            for (o, &cv) in out.iter_mut().zip(c) {
+                let diff = w_row[0] - cv;
+                *o = exact::mul(-(diff * diff), scale);
+            }
+        } else {
+            for (o, c_row) in out.iter_mut().zip(c.chunks_exact(d)) {
+                let dist = w_row.iter().zip(c_row).fold(0.0f32, |acc, (&wv, &cv)| {
+                    let diff = wv - cv;
+                    acc + diff * diff
+                });
+                *o = exact::mul(-dist, scale);
+            }
+        }
+    }
 }
 
 /// The sums of a centroid update over the `n` rows `w` (`[n, d]`,
@@ -205,7 +233,7 @@ fn differentiable_iteration(
     w_wide: &[f64],
     distinct: &[f32],
     rows: &DistinctRows,
-    keys: Option<Arc<RowKeys>>,
+    keys: Option<&Arc<RowKeys>>,
     c: Tensor,
     scale: f32,
 ) -> (Var, Tensor) {
@@ -219,7 +247,7 @@ fn differentiable_iteration(
     let a = table.with_data(|t| uniquify::reconstruct_wide(t, rows.index(), k));
     let a = Tensor::from_vec(a, &[n, k], DType::F32, device);
     if let Some(keys) = keys {
-        uniquify::annotate(a.storage_id(), keys);
+        uniquify::annotate(a.storage_id(), Arc::clone(keys));
     }
     saved.push(save_tensor(&a));
     saved.extend([save_tensor(&a.t()), save_tensor(w)]);
@@ -427,8 +455,9 @@ fn weight_grads(k: usize, a: &[f32], w: &[f32], g: &[f32], consts: &RowConsts, d
     for_palette!(k, weight_grads_k(a, w, g, consts, dw))
 }
 
-/// Whether [`weight_grads`] runs its AVX2 instantiation: on a CPU with
-/// AVX2, unless a test asks for the portable one.
+/// Whether [`weight_grads`] and [`scaled_distances`] run their AVX2
+/// instantiations: on a CPU with AVX2, unless a test asks for the
+/// portable ones.
 #[cfg(target_arch = "x86_64")]
 fn lanes_avx2() -> bool {
     #[cfg(test)]
@@ -566,6 +595,19 @@ fn grad_block<const K: usize>(
     }
 }
 
+/// An integer key whose order is `f32::partial_cmp`'s, with −0.0 and
+/// +0.0 one key: the sign-magnitude bits flipped into an unsigned order.
+/// NaNs, which `partial_cmp` leaves unordered, sort past the infinity of
+/// their sign, each payload its own key.
+fn order_key(v: f32) -> u32 {
+    let bits = if v == 0.0 { 0 } else { v.to_bits() };
+    if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    }
+}
+
 /// Centroid initialization strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DkmInit {
@@ -692,15 +734,18 @@ impl DkmLayer {
             DkmInit::Quantile => {
                 // Quantile midpoints of the rows sorted by first component,
                 // ties in row order: walk the distinct rows sorted the same
-                // way, each standing for its count of rows.
-                let cmp = |a: f32, b: f32| a.partial_cmp(&b).unwrap_or(Ordering::Equal);
+                // way, each standing for its count of rows. Distinct rows
+                // are numbered in row order, so sorting `(key, row)` pairs
+                // packed in a u64 keeps ties in row order.
                 let mut count = vec![0usize; u];
                 for &r in rows.index() {
                     count[r as usize] += 1;
                 }
-                let key = |r: usize| distinct[r * d];
-                let mut order: Vec<usize> = (0..u).collect();
-                order.sort_by(|&a, &b| cmp(key(a), key(b)));
+                let key = |r: usize| order_key(distinct[r * d]);
+                let mut packed: Vec<u64> =
+                    (0..u).map(|r| u64::from(key(r)) << 32 | r as u64).collect();
+                packed.sort_unstable();
+                let order: Vec<usize> = packed.iter().map(|&p| p as u32 as usize).collect();
                 // order[s] covers sorted positions start..start + count.
                 let (mut s, mut start) = (0, 0);
                 let mut c = Vec::with_capacity(k * d);
@@ -711,7 +756,7 @@ impl DkmLayer {
                         s += 1;
                     }
                     let v = key(order[s]);
-                    let tied = |t: usize| cmp(key(order[t]), v) == Ordering::Equal;
+                    let tied = |t: usize| key(order[t]) == v;
                     let (mut lo, mut below) = (s, start);
                     while lo > 0 && tied(lo - 1) {
                         lo -= 1;
@@ -723,7 +768,7 @@ impl DkmLayer {
                         // Distinct rows that tie (±0, or blocks sharing a
                         // first component) interleave in row order.
                         let i = (0..n)
-                            .filter(|&i| cmp(w[i * d], v) == Ordering::Equal)
+                            .filter(|&i| order_key(w[i * d]) == v)
                             .nth(pos - below)
                             .expect("the tie holds the quantile position");
                         c.extend_from_slice(row(w, d, i));
@@ -818,17 +863,22 @@ impl DkmLayer {
         let scale = self.logit_scale(&data);
 
         // Rows keyed by their bit patterns (16-bit weights, blocks of ≤ 4)
-        // collapse to their distinct rows; other rows are all distinct.
-        let keys = (d <= uniquify::MAX_KEY_DIM && dtype.is_16bit()).then(|| {
-            let patterns: Vec<u16> = data.iter().filter_map(|&v| dtype.encode16(v)).collect();
-            Arc::new(RowKeys::blocks(&patterns, d))
+        // collapse to their distinct rows, split in one pass over the
+        // weights; other rows are all distinct.
+        let keyed = (d <= uniquify::MAX_KEY_DIM && dtype.is_16bit()).then(|| {
+            let (keys, distinct) = RowKeys::of_weights(&data, dtype, d);
+            (Arc::new(keys), distinct)
         });
-        let rows = keys
-            .as_deref()
-            .map_or_else(|| DistinctRows::identity(n), DistinctRows::of);
-        let distinct = rows.gather(&data, d);
+        let identity;
+        let (keys, rows, distinct) = match &keyed {
+            Some((keys, distinct)) => (Some(keys), keys.rows(), distinct.as_slice()),
+            None => {
+                identity = DistinctRows::identity(n);
+                (None, &identity, data.as_slice())
+            }
+        };
         let mut c = Tensor::from_vec(
-            self.init_centroids(&data, &distinct, &rows),
+            self.init_centroids(&data, distinct, rows),
             &[k, d],
             DType::F32,
             device,
@@ -838,7 +888,7 @@ impl DkmLayer {
         // final iteration): distances and softmax per distinct row.
         let mut iterations_run = 0;
         for _ in 0..self.config.iters.saturating_sub(1) {
-            let a = distinct_attention(&distinct, &c, scale, rows.len(), device);
+            let a = distinct_attention(distinct, &c, scale, rows.len(), device);
             let c_new = centroid_update(&a, rows.index(), &w_wide, d, device);
             let moved = t::max_abs_diff(&c_new, &c);
             c = c_new;
@@ -852,7 +902,7 @@ impl DkmLayer {
         // `[n, k]` attention map, annotated with the weights' bit patterns
         // (when 16-bit, blocks of ≤ 4) so the hooks can uniquify it.
         let (soft, centroids) =
-            differentiable_iteration(&w2, &w_wide, &distinct, &rows, keys, c, scale);
+            differentiable_iteration(&w2, &w_wide, distinct, rows, keys, c, scale);
         DkmOutput {
             centroids,
             soft: soft.reshape(&shape),
@@ -908,14 +958,15 @@ mod tests {
     use std::cell::Cell;
 
     thread_local! {
-        /// Set while a test runs the portable instantiation of
-        /// [`weight_grads`] on a CPU with AVX2.
+        /// Set while a test runs the portable instantiations of
+        /// [`weight_grads`] and [`scaled_distances`] on a CPU with AVX2.
         pub(super) static PORTABLE_LANES: Cell<bool> = const { Cell::new(false) };
     }
     use edkm_autograd::{
         check_gradients, push_hooks, softmax_backward, PackedTensor, SavedTensorHooks,
     };
     use edkm_tensor::{runtime, Device};
+    use std::cmp::Ordering;
     use std::sync::Mutex;
 
     /// Softmax over the last axis, computed on the distinct rows of `x` and
@@ -968,24 +1019,28 @@ mod tests {
         (soft, c_star.value().clone())
     }
 
-    /// The row keys and distinct rows `cluster` finds for `w2`'s data.
-    fn distinct_rows_of(w2: &Tensor) -> (Option<Arc<RowKeys>>, DistinctRows) {
-        let (n, d) = (w2.shape()[0], w2.shape()[1]);
-        let keys = (d <= uniquify::MAX_KEY_DIM && w2.dtype().is_16bit())
-            .then(|| Arc::new(RowKeys::blocks(&w2.bits16().unwrap(), d)));
-        let rows = keys
-            .as_deref()
-            .map_or_else(|| DistinctRows::identity(n), DistinctRows::of);
-        (keys, rows)
+    /// The row keys of `w2`'s bit patterns, split by key, as `cluster`
+    /// keys its rows (`None`: every row is distinct).
+    fn row_keys_of(w2: &Tensor) -> Option<Arc<RowKeys>> {
+        let d = w2.shape()[1];
+        (d <= uniquify::MAX_KEY_DIM && w2.dtype().is_16bit())
+            .then(|| Arc::new(RowKeys::blocks(&w2.bits16().unwrap(), d)))
+    }
+
+    /// `keys`' distinct rows, or `n` distinct rows without keys.
+    fn rows_of(keys: Option<&Arc<RowKeys>>, n: usize) -> DistinctRows {
+        keys.map_or_else(|| DistinctRows::identity(n), |k| k.rows().clone())
     }
 
     /// [`differentiable_iteration`] on `w2` against the fixed centroids `c`,
     /// with the distinct rows and widened weights `cluster` gives it.
     fn iteration_node(w2: &Var, c: Tensor, scale: f32) -> (Var, Tensor) {
         let data = w2.value().to_vec();
-        let (keys, rows) = distinct_rows_of(w2.value());
+        let keys = row_keys_of(w2.value());
+        let rows = rows_of(keys.as_ref(), w2.value().shape()[0]);
         let distinct = rows.gather(&data, w2.value().shape()[1]);
-        differentiable_iteration(w2, &exact::widen(&data), &distinct, &rows, keys, c, scale)
+        let wide = exact::widen(&data);
+        differentiable_iteration(w2, &wide, &distinct, &rows, keys.as_ref(), c, scale)
     }
 
     fn layer(bits: u8) -> DkmLayer {
@@ -1087,7 +1142,7 @@ mod tests {
                 break;
             }
         }
-        let (keys, _) = distinct_rows_of(&wt);
+        let keys = row_keys_of(&wt);
         let (soft, centroids) = iteration_chain(&w2, c, scale, &DistinctRows::identity(n), keys);
         DkmOutput {
             centroids,
@@ -1208,6 +1263,92 @@ mod tests {
         }
     }
 
+    /// Quantile init orders rows by an integer key where the dense oracle
+    /// sorts them with `partial_cmp`. On weights with ±0, ties, ±inf and
+    /// subnormals, and on all-equal weights, the initial centroids keep
+    /// their bits and the final ones keep theirs, NaN for NaN (Rust leaves
+    /// the sign and payload of an operation's NaN open). With NaN weights
+    /// the comparator is no total order, and the oracle's sort of all rows
+    /// panics on saying so; the key order does not panic, and every
+    /// centroid comes out NaN.
+    #[test]
+    fn quantile_init_keeps_the_comparator_orders_centroids() {
+        const SPECIALS: [f32; 10] = [
+            0.0,
+            -0.0,
+            0.015,
+            0.015,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e-40,
+            -1e-39,
+            -0.02,
+            0.0,
+        ];
+        /// A family's name and its weight at each position.
+        type Family = (&'static str, fn(usize) -> f32);
+        let families: [Family; 4] = [
+            ("±0, ties and subnormals", |i| {
+                [0.0, -0.0, 0.015, 1e-40, -1e-39, 0.015][i % 6]
+            }),
+            ("±inf among them", |i| SPECIALS[(i * 3) % SPECIALS.len()]),
+            ("NaN among them", |i| {
+                if i % 17 == 5 {
+                    f32::NAN
+                } else {
+                    SPECIALS[i % 9]
+                }
+            }),
+            ("all equal", |_| -0.0),
+        ];
+        let nan_as_one = |bits: Vec<u32>| -> Vec<u32> {
+            let nan = f32::NAN.to_bits();
+            bits.into_iter()
+                .map(|b| if f32::from_bits(b).is_nan() { nan } else { b })
+                .collect()
+        };
+        let f32_bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for dtype in [DType::Bf16, DType::F16, DType::F32] {
+            for (family, value) in &families {
+                let data: Vec<f32> = (0..120).map(|i| dtype.round(value(i))).collect();
+                let has_nan = data.iter().any(|v| v.is_nan());
+                let w = Tensor::from_vec(data.clone(), &[12, 10], dtype, Device::gpu());
+                for cluster_dim in [1, 2, 5] {
+                    for bits in 1..=3 {
+                        for iters in [1, 4] {
+                            let lay = DkmLayer::new(DkmConfig {
+                                iters,
+                                ..DkmConfig::with_vector(bits, cluster_dim)
+                            });
+                            let at = format!(
+                                "{dtype} {family}, dim {cluster_dim}, {bits} bits, {iters} iters"
+                            );
+                            let got = run_cluster(DkmLayer::cluster, &lay, &w, false).0;
+                            if has_nan {
+                                assert!(
+                                    got.iter().all(|&b| f32::from_bits(b).is_nan()),
+                                    "{at}: {got:x?}"
+                                );
+                                continue;
+                            }
+                            let want = run_cluster(cluster_dense, &lay, &w, false).0;
+                            assert_eq!(nan_as_one(got), nan_as_one(want), "{at}: final centroids");
+                            let n = 120 / cluster_dim;
+                            let keys = row_keys_of(&w.reshape(&[n, cluster_dim]));
+                            let rows = rows_of(keys.as_ref(), n);
+                            let distinct = rows.gather(&data, cluster_dim);
+                            assert_eq!(
+                                f32_bits(lay.init_centroids(&data, &distinct, &rows)),
+                                f32_bits(init_dense(&lay.config, &data)),
+                                "{at}: initial centroids"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Everything the node and the op chain must agree on: soft-value, `c*`
     /// and weight-gradient bits, the hook counters, the shape and value
     /// bits of every tensor packed, in order, and the ledger (sim-seconds
@@ -1300,7 +1441,8 @@ mod tests {
     #[test]
     fn iteration_node_matches_the_op_chain_and_its_ledger() {
         fn chain(w2: &Var, c: Tensor, scale: f32) -> (Var, Tensor) {
-            let (keys, rows) = distinct_rows_of(w2.value());
+            let keys = row_keys_of(w2.value());
+            let rows = rows_of(keys.as_ref(), w2.value().shape()[0]);
             iteration_chain(w2, c, scale, &rows, keys)
         }
         for dtype in [DType::Bf16, DType::F16, DType::F32] {

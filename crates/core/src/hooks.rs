@@ -24,7 +24,11 @@ pub struct EdkmConfig {
     pub(crate) marshal: bool,
     /// U: weight uniquification of annotated attention maps.
     pub(crate) uniquify: bool,
-    /// S: shard the big payload component over the learner group.
+    /// S: shard every offloaded storage of at least `min_shard_elems`
+    /// elements over the learner group. For a uniquified attention map
+    /// that is its index list, and its table stays whole on every
+    /// learner; for a dense storage (weights, soft weights, activations)
+    /// it is the whole payload.
     pub(crate) shard: bool,
     /// Number of learners `|L|` (paper: 8).
     pub learners: usize,

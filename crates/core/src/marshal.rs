@@ -69,66 +69,50 @@ impl StoredEntry {
     ) -> StoredEntry {
         let dtype = t.dtype();
         let origin = t.device();
-        let full: Vec<f32> = t.storage().with_data(|d| d.to_vec());
-        let len = full.len();
+        let storage = t.storage();
+        let len = storage.with_data(|d| d.len());
 
         // Scalar keys always uniquify (the paper's path — the 2^16 bound
         // guarantees profit at LLM scale). Block keys (vector-clustering
         // extension) uniquify only when the observed unique count makes the
-        // decomposition smaller than the dense offload.
+        // decomposition smaller than the dense offload. Either gathers the
+        // table from the storage through the split the keys carry.
         let uniq = match keys {
             Some(rk) if !rk.is_empty() && len.is_multiple_of(rk.len()) => {
                 let k = len / rk.len();
                 runtime::record_hash_pass(len * 4);
                 if rk.is_scalar() {
-                    let (table, index, _u) = uniquify::uniquify(&full, rk, k);
-                    let index = match shard_group {
-                        Some(g) => Store::sharded(index, g),
-                        None => Store::whole(index),
-                    };
+                    let (table, index, _u) = storage.with_data(|d| uniquify::uniquify(d, rk, k));
                     Some(Payload::Uniq {
                         table: AccountedVec::new(table, Device::Cpu),
-                        index,
+                        index: store(index, shard_group),
+                        k,
+                    })
+                } else if uniquify::compression_ratio_wide(rk.len(), k, rk.rows().len()) > 1.0 {
+                    let (table, index, _u) =
+                        storage.with_data(|d| uniquify::uniquify_wide(d, rk, k));
+                    Some(Payload::UniqWide {
+                        table: AccountedVec::new(table, Device::Cpu),
+                        index: store(index, shard_group),
                         k,
                     })
                 } else {
-                    let (table, index, u) = uniquify::uniquify_wide(&full, rk, k);
-                    if uniquify::compression_ratio_wide(rk.len(), k, u) > 1.0 {
-                        let index = match shard_group {
-                            Some(g) => Store::sharded(index, g),
-                            None => Store::whole(index),
-                        };
-                        Some(Payload::UniqWide {
-                            table: AccountedVec::new(table, Device::Cpu),
-                            index,
-                            k,
-                        })
-                    } else {
-                        None // unprofitable: fall back to a dense offload
-                    }
+                    None // unprofitable: fall back to a dense offload
                 }
             }
             _ => None,
         };
         let payload = match uniq {
             Some(p) => p,
-            None => {
-                if dtype.is_16bit() {
-                    let bits: Vec<u16> = full
-                        .iter()
+            None if dtype.is_16bit() => {
+                let bits: Vec<u16> = storage.with_data(|d| {
+                    d.iter()
                         .map(|&v| dtype.encode16(v).expect("16-bit dtype"))
-                        .collect();
-                    Payload::Dense16(match shard_group {
-                        Some(g) => Store::sharded(bits, g),
-                        None => Store::whole(bits),
-                    })
-                } else {
-                    Payload::Dense32(match shard_group {
-                        Some(g) => Store::sharded(full, g),
-                        None => Store::whole(full),
-                    })
-                }
+                        .collect()
+                });
+                Payload::Dense16(store(bits, shard_group))
             }
+            None => Payload::Dense32(store(storage.with_data(|d| d.to_vec()), shard_group)),
         };
 
         let entry = StoredEntry {
@@ -201,6 +185,14 @@ impl StoredEntry {
         let t = Tensor::from_vec(data, &[self.storage_len], self.dtype, self.origin);
         *self.cache.lock() = Some(t.clone());
         (t, false)
+    }
+}
+
+/// `data` offloaded whole, or sharded over `group` when given.
+fn store<T: Copy>(data: Vec<T>, group: Option<edkm_dist::LearnerGroup>) -> Store<T> {
+    match group {
+        Some(g) => Store::sharded(data, g),
+        None => Store::whole(data),
     }
 }
 
@@ -293,9 +285,9 @@ mod tests {
     fn uniq_payload_compresses_and_roundtrips() {
         runtime::reset();
         // A [6, 2] map with 2 unique rows.
-        let keys = uniquify::RowKeys::blocks(&[10, 20, 10, 10, 20, 10], 1);
-        let rows: Vec<f32> = keys
-            .keys()
+        let patterns = [10u16, 20, 10, 10, 20, 10];
+        let keys = uniquify::RowKeys::blocks(&patterns, 1);
+        let rows: Vec<f32> = patterns
             .iter()
             .flat_map(|&k| vec![k as f32, k as f32 + 0.5])
             .collect();
@@ -317,10 +309,9 @@ mod tests {
             .map(|i| [1u16, 2, 3, 4, 5, 6, 7, 8][i % 8])
             .collect();
         let keys = uniquify::RowKeys::blocks(&patterns, 2);
-        let rows: Vec<f32> = keys
-            .keys()
-            .iter()
-            .flat_map(|&k| vec![(k & 0xff) as f32, (k >> 16) as f32])
+        let rows: Vec<f32> = patterns
+            .chunks(2)
+            .flat_map(|b| vec![f32::from(b[1]), f32::from(b[0])])
             .collect();
         let t = Tensor::from_vec(rows.clone(), &[128, 2], DType::F32, Device::gpu());
         let e = StoredEntry::build(&t, Some(&keys), None);
@@ -349,6 +340,105 @@ mod tests {
         assert_eq!(e.local_bytes(), 64 * 4);
         let (r, _) = e.reconstruct_storage();
         assert_eq!(r.to_vec(), rows);
+    }
+
+    /// [`crate::EdkmHooks`] that keep every entry they pack, with the
+    /// tensor it was packed from.
+    struct KeepingHooks {
+        inner: crate::EdkmHooks,
+        kept: parking_lot::Mutex<Vec<(Tensor, Arc<StoredEntry>)>>,
+    }
+
+    impl edkm_autograd::SavedTensorHooks for KeepingHooks {
+        fn pack(&self, t: &Tensor) -> edkm_autograd::PackedTensor {
+            let packed = self.inner.pack(t);
+            if let edkm_autograd::PackedTensor::Custom(b) = &packed {
+                let entry = &b.downcast_ref::<EdkmPacked>().expect("an eDKM pack").entry;
+                self.kept.lock().push((t.clone(), Arc::clone(entry)));
+            }
+            packed
+        }
+
+        fn unpack(&self, p: &edkm_autograd::PackedTensor) -> Tensor {
+            self.inner.unpack(p)
+        }
+    }
+
+    /// The payload DKM's annotated attention map packs to, gathered from
+    /// the map's storage through the split `cluster` made of the weights,
+    /// equals `uniquify` over keys split afresh from the weights' bit
+    /// patterns: table bits, index and the bytes kept on this learner.
+    #[test]
+    fn dkm_map_payload_equals_uniquify_over_its_keys() {
+        use crate::{DkmConfig, DkmLayer, EdkmConfig, EdkmHooks};
+        for dtype in [DType::Bf16, DType::F16] {
+            for dim in [1, 2] {
+                runtime::reset();
+                uniquify::clear_annotations();
+                // Few values, so that blocks of two repeat enough for the
+                // wide decomposition to pay.
+                let w = Tensor::randn(&[24, 16], dtype, Device::gpu(), 17)
+                    .map(|v| (v * 2.0).round() * 0.01);
+                let config = EdkmConfig::full(4);
+                let hooks = Arc::new(KeepingHooks {
+                    inner: EdkmHooks::new(config),
+                    kept: parking_lot::Mutex::new(Vec::new()),
+                });
+                let guard = edkm_autograd::push_hooks(
+                    Arc::clone(&hooks) as Arc<dyn edkm_autograd::SavedTensorHooks>
+                );
+                let layer = DkmLayer::new(DkmConfig::with_vector(3, dim));
+                let _out = layer.cluster(&edkm_autograd::Var::param(w.clone()));
+                drop(guard);
+                let keys = uniquify::RowKeys::blocks(&w.bits16().unwrap(), dim);
+                let kept = hooks.kept.lock();
+                let maps: Vec<_> = kept
+                    .iter()
+                    .filter(|(t, _)| uniquify::annotation(t.storage_id()).is_some())
+                    .collect();
+                // A, Aᵀ and A again: one entry, the two later saves hits.
+                assert_eq!(maps.len(), 3, "{dtype}, dim {dim}: the map's saves");
+                let (map, entry) = maps[0];
+                assert!(maps.iter().all(|(_, e)| Arc::ptr_eq(e, entry)));
+                let k = map.numel() / keys.len();
+                let group = Some(LearnerGroup::new(config.learners));
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let (want_table, got_table, want_local) = match &entry.payload {
+                    Payload::Uniq {
+                        table,
+                        index,
+                        k: got_k,
+                    } => {
+                        let (t, i, _) = uniquify::uniquify(&map.to_vec(), &keys, k);
+                        assert_eq!((index.gather(), *got_k), (i.clone(), k));
+                        let local = t.len() * 4 + store(i, group).local_bytes();
+                        (t, table.as_slice().to_vec(), local)
+                    }
+                    Payload::UniqWide {
+                        table,
+                        index,
+                        k: got_k,
+                    } => {
+                        let (t, i, _) = uniquify::uniquify_wide(&map.to_vec(), &keys, k);
+                        assert_eq!((index.gather(), *got_k), (i.clone(), k));
+                        let local = t.len() * 4 + store(i, group).local_bytes();
+                        (t, table.as_slice().to_vec(), local)
+                    }
+                    other => panic!("{dtype}, dim {dim}: the map packed as {other:?}"),
+                };
+                assert_eq!(
+                    bits(&got_table),
+                    bits(&want_table),
+                    "{dtype}, dim {dim}: table"
+                );
+                assert_eq!(
+                    entry.local_bytes(),
+                    want_local,
+                    "{dtype}, dim {dim}: local bytes"
+                );
+                uniquify::clear_annotations();
+            }
+        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   the paper uses the weight's bit value itself as the offset idea; we
 //!   store dense table row ids, which is the same size and collision-free.
 //!
-//! The DKM layer `annotate`s each attention map's storage with the bit
-//! patterns of its source weights; the eDKM hooks consult the annotation at
-//! pack time.
+//! The DKM layer `annotate`s each attention map's storage with the split of
+//! its rows by the bit patterns of its source weights ([`RowKeys`]); the
+//! eDKM hooks consult the annotation at pack time.
 //!
 //! ## Vector clustering (extension beyond the paper)
 //!
@@ -29,22 +29,39 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use edkm_tensor::StorageId;
+use edkm_tensor::{dtype, DType, StorageId};
 
 /// Maximum clustering dimensionality for which block keys fit in a `u64`
 /// (4 × 16-bit patterns).
 pub(crate) const MAX_KEY_DIM: usize = 4;
 
-/// Row keys of an attention map: one key per row, derived from the 16-bit
-/// patterns of the source weights.
+/// Row keys of an attention map, as the split of its rows by key: one key
+/// per row, derived from the 16-bit patterns of the source weights.
 ///
 /// For scalar clustering (the paper's setting) each key is one pattern; for
 /// vector clustering each key packs the block's `dim ≤ 4` patterns into a
-/// `u64`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `u64`. Rows with equal keys have equal attention rows, so the keys are
+/// kept only as the split of the rows by key: which distinct row each row
+/// is, and where each distinct row first appears.
+#[derive(Debug)]
 pub struct RowKeys {
-    keys: Vec<u64>,
+    rows: DistinctRows,
     dim: usize,
+}
+
+/// `dim`'s keys fit a `u64`.
+fn check_key_dim(dim: usize) {
+    assert!(
+        (1..=MAX_KEY_DIM).contains(&dim),
+        "block key dim must be in 1..={MAX_KEY_DIM}, got {dim}"
+    );
+}
+
+/// The key of one block of ≤ 4 patterns: the patterns packed from the
+/// most significant end.
+#[inline(always)]
+fn pack(patterns: impl Iterator<Item = u16>) -> u64 {
+    patterns.fold(0u64, |acc, p| (acc << 16) | u64::from(p))
 }
 
 impl RowKeys {
@@ -55,37 +72,73 @@ impl RowKeys {
     ///
     /// Panics if `dim` is 0 or exceeds [`MAX_KEY_DIM`], or if
     /// `patterns.len()` is not divisible by `dim`.
+    #[cfg(test)]
     pub(crate) fn blocks(patterns: &[u16], dim: usize) -> Self {
-        assert!(
-            (1..=MAX_KEY_DIM).contains(&dim),
-            "block key dim must be in 1..={MAX_KEY_DIM}, got {dim}"
-        );
+        check_key_dim(dim);
         assert_eq!(
             patterns.len() % dim,
             0,
             "{} patterns do not split into blocks of {dim}",
             patterns.len()
         );
-        let keys = patterns
-            .chunks_exact(dim)
-            .map(|blk| blk.iter().fold(0u64, |acc, &p| (acc << 16) | u64::from(p)))
-            .collect();
-        RowKeys { keys, dim }
+        let block = |i: usize| pack(patterns[i * dim..][..dim].iter().copied());
+        let rows = DistinctRows::split(patterns.len() / dim, dim == 1, block, |_| {});
+        RowKeys { rows, dim }
     }
 
-    /// The packed keys, one per map row.
-    pub(crate) fn keys(&self) -> &[u64] {
-        &self.keys
+    /// The keys of the `[n, dim]` weights `data`, each of them `dtype`'s
+    /// value, in one pass: each weight's pattern is keyed, split and, on
+    /// its row's first appearance, copied. Returns the keys with the
+    /// `[u, dim]` distinct rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dtype` is not 16-bit, `dim` is 0 or exceeds
+    /// [`MAX_KEY_DIM`], or `data.len()` is not divisible by `dim`.
+    pub(crate) fn of_weights(data: &[f32], dtype: DType, dim: usize) -> (Self, Vec<f32>) {
+        match dtype {
+            DType::Bf16 => Self::of_patterns(data, dim, dtype::f32_to_bf16),
+            DType::F16 => Self::of_patterns(data, dim, dtype::f32_to_f16),
+            DType::F32 => panic!("f32 weights have no 16-bit patterns"),
+        }
+    }
+
+    /// [`RowKeys::of_weights`] with `encode` the dtype's pattern.
+    fn of_patterns(data: &[f32], dim: usize, encode: impl Fn(f32) -> u16) -> (Self, Vec<f32>) {
+        check_key_dim(dim);
+        assert_eq!(
+            data.len() % dim,
+            0,
+            "{} weights do not split into rows of {dim}",
+            data.len()
+        );
+        let n = data.len() / dim;
+        let mut distinct = Vec::new();
+        let rows = if dim == 1 {
+            // One weight a row: no block to pack or copy.
+            let first_seen = |i: usize| distinct.push(data[i]);
+            DistinctRows::split(n, true, |i| u64::from(encode(data[i])), first_seen)
+        } else {
+            let row = |i: usize| &data[i * dim..][..dim];
+            let key = |i: usize| pack(row(i).iter().map(|&v| encode(v)));
+            DistinctRows::split(n, false, key, |i| distinct.extend_from_slice(row(i)))
+        };
+        (RowKeys { rows, dim }, distinct)
+    }
+
+    /// The keyed rows, split by key.
+    pub(crate) fn rows(&self) -> &DistinctRows {
+        &self.rows
     }
 
     /// Number of map rows keyed.
     pub(crate) fn len(&self) -> usize {
-        self.keys.len()
+        self.rows.index.len()
     }
 
     /// `true` if no rows are keyed.
     pub(crate) fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.rows.index.is_empty()
     }
 
     /// `true` for scalar (paper-setting) keys, whose unique count is bounded
@@ -98,9 +151,9 @@ impl RowKeys {
 thread_local! {
     static ANNOTATIONS: RefCell<HashMap<u64, Arc<RowKeys>>> = RefCell::new(HashMap::new());
 
-    /// [`DistinctRows::of`]'s table of distinct row + 1 per 16-bit pattern
-    /// (0: not seen yet). Allocated once per thread and all zeros between
-    /// calls: each call zeroes only the slots it set.
+    /// [`DistinctRows::split`]'s table of distinct row + 1 per 16-bit
+    /// pattern (0: not seen yet). Allocated once per thread and all zeros
+    /// between calls: each call zeroes only the slots it set.
     static PATTERN_SLOTS: RefCell<Vec<u32>> = RefCell::new(vec![0; 1 << 16]);
 }
 
@@ -123,41 +176,51 @@ pub fn clear_annotations() {
 /// `i` equals distinct row `index[i]`, which first appears at row
 /// `first[index[i]]`. The decomposition behind [`uniquify`], and the rows
 /// DKM clusters (`DkmLayer::cluster`).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct DistinctRows {
     first: Vec<usize>,
     index: Vec<u32>,
 }
 
 impl DistinctRows {
-    /// Split rows by key. Scalar keys are 16-bit patterns and index the
-    /// thread's 2^16-entry slot table; block keys go through a hash map.
-    pub(crate) fn of(keys: &RowKeys) -> Self {
-        assert!(u32::try_from(keys.len()).is_ok(), "more than u32::MAX rows");
+    /// Split `n` rows by `key(i)`, the key of row `i`, calling
+    /// `first_seen(i)` on each row that starts a distinct row. Scalar
+    /// keys are 16-bit patterns and index the thread's 2^16-entry slot
+    /// table; block keys go through a hash map.
+    #[inline(always)]
+    fn split(
+        n: usize,
+        scalar: bool,
+        key: impl Fn(usize) -> u64,
+        mut first_seen: impl FnMut(usize),
+    ) -> Self {
+        assert!(u32::try_from(n).is_ok(), "more than u32::MAX rows");
         let mut first = Vec::new();
-        let mut index = Vec::with_capacity(keys.len());
-        if keys.is_scalar() {
+        let mut index = Vec::with_capacity(n);
+        if scalar {
             PATTERN_SLOTS.with(|slots| {
                 let mut slot = slots.borrow_mut();
                 // Scalar keys are u16 patterns, so no index here panics and
                 // leaves the table dirty.
-                for (i, &key) in keys.keys().iter().enumerate() {
-                    let s = &mut slot[key as usize];
+                for i in 0..n {
+                    let s = &mut slot[key(i) as u16 as usize];
                     if *s == 0 {
                         first.push(i);
                         *s = first.len() as u32;
+                        first_seen(i);
                     }
                     index.push(*s - 1);
                 }
                 for &i in &first {
-                    slot[keys.keys()[i] as usize] = 0;
+                    slot[key(i) as u16 as usize] = 0;
                 }
             });
         } else {
             let mut row_of_key: HashMap<u64, u32> = HashMap::new();
-            for (i, &key) in keys.keys().iter().enumerate() {
-                let r = *row_of_key.entry(key).or_insert_with(|| {
+            for i in 0..n {
+                let r = *row_of_key.entry(key(i)).or_insert_with(|| {
                     first.push(i);
+                    first_seen(i);
                     (first.len() - 1) as u32
                 });
                 index.push(r);
@@ -203,7 +266,7 @@ fn uniquify_generic<I: TryFrom<u32>>(
     k: usize,
 ) -> (Vec<f32>, Vec<I>, usize) {
     assert_eq!(dense.len(), keys.len() * k, "dense map size mismatch");
-    let rows = DistinctRows::of(keys);
+    let rows = keys.rows();
     let table = rows.gather(dense, k);
     let index = rows
         .index()
@@ -213,8 +276,7 @@ fn uniquify_generic<I: TryFrom<u32>>(
             debug_assert_eq!(
                 &table[r as usize * k..(r as usize + 1) * k],
                 &dense[i * k..(i + 1) * k],
-                "rows sharing key {:#x} must be identical",
-                keys.keys()[i]
+                "row {i} and the first row of its key must be identical"
             );
             I::try_from(r)
                 .unwrap_or_else(|_| panic!("unique rows overflow the index type at row {i}"))
@@ -353,9 +415,53 @@ pub(crate) mod tests {
         assert_eq!(rk.dim, 2);
         assert_eq!(rk.len(), 3);
         assert!(!rk.is_scalar());
-        assert_eq!(rk.keys()[0], 0xBA45_CB1F);
-        assert_eq!(rk.keys()[1], 0xBA45_CB1F);
-        assert_eq!(rk.keys()[2], 0x0001_0002);
+        assert_eq!(rk.rows().index(), &[0, 0, 1]);
+        assert_eq!(rk.rows().first, vec![0, 2]);
+        // A block's patterns keep their order in its key.
+        assert_eq!(
+            RowKeys::blocks(&[1, 2, 2, 1, 1, 2], 2).rows().index(),
+            &[0, 1, 0]
+        );
+    }
+
+    /// Weights with ±0, NaNs, infinities, subnormals and repeats.
+    fn awkward_weights(dtype: DType, n: usize) -> Vec<f32> {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e-40,
+            -3e-39,
+            0.015,
+            -0.02,
+        ];
+        (0..n)
+            .map(|i| dtype.round(specials[(i * 7 + i / 3) % specials.len()] * (1 + i % 3) as f32))
+            .collect()
+    }
+
+    #[test]
+    fn of_weights_matches_the_block_keys_of_their_patterns() {
+        for dtype in [DType::Bf16, DType::F16] {
+            for dim in 1..=MAX_KEY_DIM {
+                let data = awkward_weights(dtype, 240);
+                let patterns: Vec<u16> = data.iter().map(|&v| dtype.encode16(v).unwrap()).collect();
+                let want = RowKeys::blocks(&patterns, dim);
+                let (got, distinct) = RowKeys::of_weights(&data, dtype, dim);
+                assert_eq!(got.rows().first, want.rows().first, "{dtype}, dim {dim}");
+                assert_eq!(
+                    got.rows().index(),
+                    want.rows().index(),
+                    "{dtype}, dim {dim}"
+                );
+                assert_eq!((got.dim, got.len()), (dim, 240 / dim));
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&distinct), bits(&want.rows().gather(&data, dim)));
+            }
+        }
     }
 
     #[test]
@@ -386,11 +492,11 @@ pub(crate) mod tests {
         assert_eq!(reconstruct_wide(&table, &index, 2), dense);
     }
 
-    /// `DistinctRows::of` over a freshly zeroed table of its own.
-    fn distinct_rows_fresh(keys: &RowKeys) -> (Vec<usize>, Vec<u32>) {
+    /// The split of scalar keys over a freshly zeroed table of its own.
+    fn distinct_rows_fresh(patterns: &[u16]) -> (Vec<usize>, Vec<u32>) {
         let mut slot = vec![0u32; 1 << 16];
         let (mut first, mut index) = (Vec::new(), Vec::new());
-        for (i, &key) in keys.keys().iter().enumerate() {
+        for (i, &key) in patterns.iter().enumerate() {
             if slot[key as usize] == 0 {
                 first.push(i);
                 slot[key as usize] = first.len() as u32;
@@ -415,10 +521,9 @@ pub(crate) mod tests {
         ];
         for (call, patterns) in key_sets.iter().enumerate() {
             let keys = RowKeys::blocks(patterns, 1);
-            let rows = DistinctRows::of(&keys);
-            let (first, index) = distinct_rows_fresh(&keys);
-            assert_eq!(rows.first, first, "call {call}: first rows");
-            assert_eq!(rows.index, index, "call {call}: index");
+            let (first, index) = distinct_rows_fresh(patterns);
+            assert_eq!(keys.rows().first, first, "call {call}: first rows");
+            assert_eq!(keys.rows().index, index, "call {call}: index");
         }
     }
 
@@ -436,7 +541,7 @@ pub(crate) mod tests {
         let id = StorageId(987654);
         assert!(annotation(id).is_none());
         annotate(id, Arc::new(RowKeys::blocks(&[1, 2, 3], 1)));
-        assert_eq!(annotation(id).unwrap().keys(), &[1, 2, 3]);
+        assert_eq!(annotation(id).unwrap().rows().index(), &[0, 1, 2]);
         assert_eq!(annotation_count(), 1);
         clear_annotations();
         assert!(annotation(id).is_none());
@@ -469,8 +574,7 @@ pub(crate) mod tests {
             // Build a map where row i depends only on key i % nkeys.
             let patterns: Vec<u16> = (0..n).map(|i| (i as u16) % nkeys).collect();
             let rk = RowKeys::blocks(&patterns, 1);
-            let dense: Vec<f32> = rk
-                .keys()
+            let dense: Vec<f32> = patterns
                 .iter()
                 .flat_map(|&key| (0..k).map(move |j| (key as f32) * 10.0 + j as f32))
                 .collect();
@@ -486,8 +590,7 @@ pub(crate) mod tests {
         fn prop_table_bound(n in 1usize..2000, k in 1usize..5) {
             let patterns: Vec<u16> = (0..n).map(|i| (i * 2654435761usize) as u16).collect();
             let rk = RowKeys::blocks(&patterns, 1);
-            let dense: Vec<f32> = rk
-                .keys()
+            let dense: Vec<f32> = patterns
                 .iter()
                 .flat_map(|&key| (0..k).map(move |j| key as f32 + j as f32))
                 .collect();
@@ -507,10 +610,10 @@ pub(crate) mod tests {
             let patterns: Vec<u16> =
                 (0..nblocks * dim).map(|i| (i as u16) % modulo).collect();
             let rk = RowKeys::blocks(&patterns, dim);
-            let dense: Vec<f32> = rk
-                .keys()
-                .iter()
-                .flat_map(|&key| {
+            let dense: Vec<f32> = patterns
+                .chunks(dim)
+                .map(|block| pack(block.iter().copied()))
+                .flat_map(|key| {
                     (0..k).map(move |j| (key % 1023) as f32 + j as f32)
                 })
                 .collect();

@@ -1,28 +1,57 @@
-//! `f32::exp` over a slice, eight lanes at a time, bit for bit.
+//! `f32::exp` on eight lanes at a time, bit for bit.
 //!
 //! On x86-64 Linux with glibc, `f32::exp` calls glibc's `expf`, and on a
 //! CPU with AVX2 and FMA glibc's IFUNC resolver picks its FMA build of
 //! `sysdeps/ieee754/flt-32/e_expf.c` (checked on glibc 2.36 by `objdump
 //! -d libm.so.6`: the resolver tests FMA and AVX2, and the body has five
-//! fused multiply-adds). [`exp_in_place`] runs that algorithm, with the
+//! fused multiply-adds). [`exp_lanes`] runs that algorithm, with the
 //! same constants and the same five fused operations, on four f64 lanes
 //! per body and two bodies per group of eight floats: where the premise
-//! holds, each lane gets the bits `f32::exp` returns. NaN lanes, lanes of
-//! 88.0 or more and a slice's tail call `f32::exp` itself, and so does
-//! every other target and CPU. The tests pin the body to the host's libm
-//! on every f32 (DESIGN.md §4).
+//! holds, each lane gets the bits `f32::exp` returns. NaN lanes and lanes
+//! of 88.0 or more call `f32::exp` itself, and so does every other target
+//! and CPU. The tests pin the body to the host's libm on every f32
+//! (DESIGN.md §4).
 
-/// Replaces every element of `v` by its `f32::exp`.
-pub(crate) fn exp_in_place(v: &mut [f32]) {
-    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+/// Replaces each of the eight lanes of `g` by its `f32::exp`: glibc's
+/// body on a CPU with AVX2 and FMA, `f32::exp` elsewhere.
+#[inline(always)]
+pub(crate) fn exp_lanes(g: &mut [f32; 8]) {
+    #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: the one requirement of calling an `avx2,fma`
-        // target-feature function is a CPU with both, detected just above.
-        unsafe { glibc_fma::exp_in_place(v) };
+        // SAFETY: `g` is eight floats, and the one requirement of calling
+        // an `avx2,fma` target-feature function is a CPU with both,
+        // detected just above.
+        unsafe {
+            let x = std::arch::x86_64::_mm256_loadu_ps(g.as_ptr());
+            std::arch::x86_64::_mm256_storeu_ps(g.as_mut_ptr(), exp_m256(x));
+        }
         return;
     }
-    for x in v {
+    for x in g {
         *x = x.exp();
+    }
+}
+
+/// The `f32::exp` of each of the eight lanes of `x`, for callers compiled
+/// for AVX2 and FMA, into which it inlines: glibc's body where its
+/// premise holds, `f32::exp` on other targets.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+pub(crate) fn exp_m256(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    return glibc_fma::exp8(x);
+    #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+    {
+        use std::arch::x86_64::*;
+        let mut g = [0.0f32; 8];
+        // SAFETY: `g` is eight floats.
+        unsafe { _mm256_storeu_ps(g.as_mut_ptr(), x) };
+        for v in &mut g {
+            *v = v.exp();
+        }
+        // SAFETY: as above.
+        unsafe { _mm256_loadu_ps(g.as_ptr()) }
     }
 }
 
@@ -106,43 +135,53 @@ mod glibc_fma {
         _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
     }
 
-    /// [`super::exp_in_place`] on a CPU with AVX2 and FMA: the body on
-    /// groups of 8 floats, two bodies a group, with +0.0 blended in below
-    /// [`UFLOW`]; NaN lanes, lanes of 88.0 or more and the tail call
-    /// `f32::exp`.
+    /// The `f32::exp` of each of the eight lanes of `xv` on a CPU with
+    /// AVX2 and FMA: two bodies, with +0.0 blended in below [`UFLOW`]; NaN
+    /// lanes and lanes of 88.0 or more call `f32::exp`.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn exp_in_place(v: &mut [f32]) {
-        let (groups, tail) = v.as_chunks_mut::<8>();
-        for g in groups {
-            let x = *g;
-            // SAFETY: `x` is 8 floats.
-            let xv = unsafe { _mm256_loadu_ps(x.as_ptr()) };
-            let y = _mm256_set_m128(
-                body(_mm256_extractf128_ps::<1>(xv)),
-                body(_mm256_castps256_ps128(xv)),
-            );
-            let y = _mm256_andnot_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(xv, _mm256_set1_ps(UFLOW)), y);
-            // SAFETY: `g` is 8 floats.
-            unsafe { _mm256_storeu_ps(g.as_mut_ptr(), y) };
-            let outside =
-                _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NLT_UQ>(xv, _mm256_set1_ps(BODY_BELOW)));
-            if outside != 0 {
-                for (lane, (o, x)) in g.iter_mut().zip(x).enumerate() {
-                    if outside >> lane & 1 == 1 {
-                        *o = x.exp();
-                    }
-                }
+    #[inline]
+    pub(super) fn exp8(xv: __m256) -> __m256 {
+        let y = _mm256_set_m128(
+            body(_mm256_extractf128_ps::<1>(xv)),
+            body(_mm256_castps256_ps128(xv)),
+        );
+        let y = _mm256_andnot_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(xv, _mm256_set1_ps(UFLOW)), y);
+        let outside =
+            _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NLT_UQ>(xv, _mm256_set1_ps(BODY_BELOW)));
+        if outside == 0 {
+            return y;
+        }
+        let (mut x, mut g) = ([0.0f32; 8], [0.0f32; 8]);
+        // SAFETY: `x` and `g` are 8 floats each.
+        unsafe {
+            _mm256_storeu_ps(x.as_mut_ptr(), xv);
+            _mm256_storeu_ps(g.as_mut_ptr(), y);
+        }
+        for (lane, (o, x)) in g.iter_mut().zip(x).enumerate() {
+            if outside >> lane & 1 == 1 {
+                *o = x.exp();
             }
         }
-        for x in tail {
-            *x = x.exp();
-        }
+        // SAFETY: as above.
+        unsafe { _mm256_loadu_ps(g.as_ptr()) }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every element of `v` by its `f32::exp`: [`exp_lanes`] on each group
+    /// of eight, `f32::exp` on the tail.
+    fn exp_in_place(v: &mut [f32]) {
+        let (groups, tail) = v.as_chunks_mut::<8>();
+        for g in groups {
+            exp_lanes(g);
+        }
+        for x in tail {
+            *x = x.exp();
+        }
+    }
 
     /// [`exp_in_place`] on `x` against `f32::exp` on each element, bit for
     /// bit, NaN payloads included.

@@ -7,8 +7,9 @@
 use crate::exact::{self, Factor};
 use crate::expf;
 use crate::layout::{broadcast_shapes, MatrixView};
-use crate::{runtime, DType, Tensor};
+use crate::{runtime, DType, Device, Tensor};
 use rayon::prelude::*;
+use std::hint::black_box;
 
 /// Multiply-accumulate count below which a kernel stays single-threaded
 /// (spawning workers costs more than it saves on small tensors).
@@ -292,56 +293,331 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec_unrounded(out, &[ba, m, n], dt, a.device())
 }
 
-/// Numerically-stable softmax over the last axis.
-///
-/// One output buffer, in four passes: each row's max as a lane-parallel
-/// tree, the shift by it, the exponentials of the whole buffer eight lanes
-/// at a time (`f32::exp`'s bits; DESIGN.md §4), and each row's sum and
-/// normalisation. Any order of `f32::max` gives the same max up to the
-/// sign of a zero, which changes only a ±0 entry's shift, and `exp(±0)`
-/// is one either way. Each row's sum adds in column order from `0.0f32`,
-/// and its normalisation is formed exactly in f64 ([`exact`]): a sharp
-/// row's small entries are subnormal, and the f32 multiply by `1 / sum`
-/// would take an assist on each.
+/// Numerically-stable softmax over the last axis: [`softmax_rows`] on a
+/// copy of `t`'s values.
 pub fn softmax_lastdim(t: &Tensor) -> Tensor {
     let cols = *t.shape().last().expect("softmax needs rank >= 1");
     let mut out = t.to_vec();
-    for row in out.chunks_mut(cols) {
-        let mx = row_max(row);
-        for v in row.iter_mut() {
-            *v -= mx;
-        }
-    }
-    expf::exp_in_place(&mut out);
-    for row in out.chunks_mut(cols) {
-        let mut sum = 0.0f32;
-        for &v in row.iter() {
-            sum += v;
-        }
-        let inv = exact::opaque(1.0 / sum);
-        for o in row.iter_mut() {
-            *o = exact::mul(*o, inv);
-        }
-    }
-    runtime::record_compute(4.0 * out.len() as f64, t.device());
+    softmax_rows(&mut out, cols, t.device());
     Tensor::from_vec_unrounded(out, t.shape(), DType::F32, t.device())
 }
 
-/// `row`'s `f32::max` over eight lanes and then a tree: `-inf` for an
-/// empty or all-NaN row, like the serial fold from `-inf`.
-fn row_max(row: &[f32]) -> f32 {
-    let mut lanes = [f32::NEG_INFINITY; 8];
-    let (groups, tail) = row.as_chunks::<8>();
-    for g in groups {
-        for (m, &v) in lanes.iter_mut().zip(g) {
-            *m = m.max(v);
+/// The softmax of each row of `cols` entries of `x`, in place, charged to
+/// `device` at four FLOPs an entry: the max, the shift, the exponential
+/// and the normalisation.
+///
+/// One pass over the rows, eight at a time in lanes (entry `j` of row `l`
+/// in lane `l` of column `j`). Per row it takes the max of `f32::max` over
+/// eight strided partial maxima and then a tree, shifts the row by it,
+/// runs the exponentials (`f32::exp`'s bits; DESIGN.md §4), adds the sum
+/// in column order from `0.0f32` and normalises it exactly in f64
+/// ([`exact`]): a sharp row's small entries are subnormal, and the f32
+/// multiply by `1 / sum` would take an assist on each. Any order of
+/// `f32::max` gives the same max up to the sign of a zero, which changes
+/// only a ±0 entry's shift, and `exp(±0)` is one either way. On CPUs with
+/// AVX2 and FMA the same body runs on AVX2 registers, chosen at run time.
+///
+/// # Panics
+///
+/// Panics if `cols` is 0 and `x` is not empty.
+pub fn softmax_rows(x: &mut [f32], cols: usize, device: Device) {
+    #[cfg(target_arch = "x86_64")]
+    if softmax_avx2() {
+        // SAFETY: `softmax_rows_avx2` requires only AVX2 and FMA, which
+        // `softmax_avx2` detected on this CPU.
+        unsafe { softmax_rows_avx2(x, cols) };
+        runtime::record_compute(4.0 * x.len() as f64, device);
+        return;
+    }
+    softmax_body::<[f32; 8]>(x, cols);
+    runtime::record_compute(4.0 * x.len() as f64, device);
+}
+
+/// Whether [`softmax_rows`] runs its AVX2 instantiation: on a CPU with
+/// AVX2 and FMA, unless a test asks for the portable one.
+#[cfg(target_arch = "x86_64")]
+fn softmax_avx2() -> bool {
+    #[cfg(test)]
+    if tests::PORTABLE_SOFTMAX.get() {
+        return false;
+    }
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
+
+/// [`softmax_body`] on AVX2 registers, compiled for AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn softmax_rows_avx2(x: &mut [f32], cols: usize) {
+    softmax_body::<std::arch::x86_64::__m256>(x, cols);
+}
+
+/// Eight f32 lanes, one per row of a block: what [`softmax_body`] computes
+/// on. Every operation gives each lane the bits of its scalar form.
+trait RowLanes: Copy {
+    /// Each lane's `1 / x`, widened to f64 where the optimiser cannot
+    /// trace it back to an f32 ([`exact`]).
+    type Wide: Copy;
+    fn splat(v: f32) -> Self;
+    /// `f32::max` of each lane pair: a NaN lane yields the other.
+    fn max(self, v: Self) -> Self;
+    fn sub(self, v: Self) -> Self;
+    fn add(self, v: Self) -> Self;
+    /// `f32::exp` of each lane.
+    fn exp(self) -> Self;
+    fn recip_wide(self) -> Self::Wide;
+    /// `exact::mul` of each lane by its wide factor.
+    fn mul_wide(self, w: Self::Wide) -> Self;
+    /// The eight rows of `cols = lanes.len()` entries in `block` into
+    /// `lanes`, column by column.
+    fn load_rows(block: &[f32], lanes: &mut [Self]);
+    /// [`RowLanes::load_rows`] inverted.
+    fn store_rows(lanes: &[Self], block: &mut [f32]);
+}
+
+impl RowLanes for [f32; 8] {
+    type Wide = [f64; 8];
+    #[inline(always)]
+    fn splat(v: f32) -> Self {
+        [v; 8]
+    }
+    #[inline(always)]
+    fn max(self, v: Self) -> Self {
+        std::array::from_fn(|l| self[l].max(v[l]))
+    }
+    #[inline(always)]
+    fn sub(self, v: Self) -> Self {
+        std::array::from_fn(|l| self[l] - v[l])
+    }
+    #[inline(always)]
+    fn add(self, v: Self) -> Self {
+        std::array::from_fn(|l| self[l] + v[l])
+    }
+    #[inline(always)]
+    fn exp(mut self) -> Self {
+        expf::exp_lanes(&mut self);
+        self
+    }
+    #[inline(always)]
+    fn recip_wide(self) -> [f64; 8] {
+        black_box(self.map(|s| f64::from(1.0 / s)))
+    }
+    #[inline(always)]
+    fn mul_wide(self, w: [f64; 8]) -> Self {
+        std::array::from_fn(|l| exact::mul(self[l], w[l]))
+    }
+    #[inline(always)]
+    fn load_rows(block: &[f32], lanes: &mut [Self]) {
+        for (l, row) in block.chunks_exact(lanes.len()).enumerate() {
+            for (lane, &v) in lanes.iter_mut().zip(row) {
+                lane[l] = v;
+            }
         }
     }
-    for (m, &v) in lanes.iter_mut().zip(tail) {
-        *m = m.max(v);
+    #[inline(always)]
+    fn store_rows(lanes: &[Self], block: &mut [f32]) {
+        for (l, row) in block.chunks_exact_mut(lanes.len()).enumerate() {
+            for (o, lane) in row.iter_mut().zip(lanes) {
+                *o = lane[l];
+            }
+        }
     }
-    let [a, b, c, d, e, f, g, h] = lanes;
-    (a.max(e).max(c.max(g))).max(b.max(f).max(d.max(h)))
+}
+
+/// The AVX2 lanes. Their methods run AVX2 and FMA instructions, so only
+/// [`softmax_rows_avx2`], compiled for both and called once they are
+/// detected, instantiates [`softmax_body`] with them; the methods inline
+/// into it. Every pointer they pass to a load or a store comes from a
+/// bounds-checked slice of eight floats.
+#[cfg(target_arch = "x86_64")]
+impl RowLanes for std::arch::x86_64::__m256 {
+    type Wide = [std::arch::x86_64::__m256d; 2];
+    #[inline(always)]
+    fn splat(v: f32) -> Self {
+        // SAFETY: AVX is present (the impl's note).
+        unsafe { std::arch::x86_64::_mm256_set1_ps(v) }
+    }
+    #[inline(always)]
+    fn max(self, v: Self) -> Self {
+        use std::arch::x86_64::*;
+        // `vmaxps` yields its second operand when either lane is NaN, so
+        // a NaN in `self` takes `v`'s lane by a blend.
+        // SAFETY: AVX is present (the impl's note).
+        unsafe {
+            let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(self, self);
+            _mm256_blendv_ps(_mm256_max_ps(v, self), v, nan)
+        }
+    }
+    #[inline(always)]
+    fn sub(self, v: Self) -> Self {
+        // SAFETY: AVX is present (the impl's note).
+        unsafe { std::arch::x86_64::_mm256_sub_ps(self, v) }
+    }
+    #[inline(always)]
+    fn add(self, v: Self) -> Self {
+        // SAFETY: AVX is present (the impl's note).
+        unsafe { std::arch::x86_64::_mm256_add_ps(self, v) }
+    }
+    #[inline(always)]
+    fn exp(self) -> Self {
+        // SAFETY: AVX2 and FMA are present (the impl's note).
+        unsafe { expf::exp_m256(self) }
+    }
+    #[inline(always)]
+    fn recip_wide(self) -> Self::Wide {
+        use std::arch::x86_64::*;
+        // SAFETY: AVX is present (the impl's note).
+        unsafe {
+            let inv = _mm256_div_ps(_mm256_set1_ps(1.0), self);
+            black_box([
+                _mm256_cvtps_pd(_mm256_castps256_ps128(inv)),
+                _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(inv)),
+            ])
+        }
+    }
+    #[inline(always)]
+    fn mul_wide(self, [lo, hi]: Self::Wide) -> Self {
+        use std::arch::x86_64::*;
+        // SAFETY: AVX is present (the impl's note).
+        unsafe {
+            let half =
+                |x: __m128, w: __m256d| _mm256_cvtpd_ps(_mm256_mul_pd(_mm256_cvtps_pd(x), w));
+            _mm256_set_m128(
+                half(_mm256_extractf128_ps::<1>(self), hi),
+                half(_mm256_castps256_ps128(self), lo),
+            )
+        }
+    }
+    #[inline(always)]
+    fn load_rows(block: &[f32], lanes: &mut [Self]) {
+        use std::arch::x86_64::*;
+        let cols = lanes.len();
+        if !cols.is_multiple_of(8) {
+            for (j, lane) in lanes.iter_mut().enumerate() {
+                let column: [f32; 8] = std::array::from_fn(|l| block[l * cols + j]);
+                // SAFETY: AVX is present; `column` is eight floats.
+                *lane = unsafe { _mm256_loadu_ps(column.as_ptr()) };
+            }
+            return;
+        }
+        for (t, tile) in lanes.chunks_exact_mut(8).enumerate() {
+            let rows = std::array::from_fn(|l| {
+                let row = &block[l * cols + 8 * t..][..8];
+                // SAFETY: AVX is present; `row` is eight floats.
+                unsafe { _mm256_loadu_ps(row.as_ptr()) }
+            });
+            // SAFETY: AVX2 is present (the impl's note).
+            tile.copy_from_slice(&unsafe { transpose8(rows) });
+        }
+    }
+    #[inline(always)]
+    fn store_rows(lanes: &[Self], block: &mut [f32]) {
+        use std::arch::x86_64::*;
+        let cols = lanes.len();
+        if !cols.is_multiple_of(8) {
+            for (j, &lane) in lanes.iter().enumerate() {
+                let mut column = [0.0f32; 8];
+                // SAFETY: AVX is present; `column` is eight floats.
+                unsafe { _mm256_storeu_ps(column.as_mut_ptr(), lane) };
+                for (l, v) in column.into_iter().enumerate() {
+                    block[l * cols + j] = v;
+                }
+            }
+            return;
+        }
+        for (t, tile) in lanes.chunks_exact(8).enumerate() {
+            let tile = tile.try_into().expect("chunks of eight");
+            // SAFETY: AVX2 is present (the impl's note).
+            let rows = unsafe { transpose8(tile) };
+            for (l, r) in rows.into_iter().enumerate() {
+                let row = &mut block[l * cols + 8 * t..][..8];
+                // SAFETY: AVX is present; `row` is eight floats.
+                unsafe { _mm256_storeu_ps(row.as_mut_ptr(), r) };
+            }
+        }
+    }
+}
+
+/// The 8×8 tile of rows `r` transposed: lane `l` of column `j` is entry
+/// `j` of row `l`. Its own inverse.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn transpose8(r: [std::arch::x86_64::__m256; 8]) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::*;
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let s1 = _mm256_shuffle_ps::<0xee>(t0, t2);
+    let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let s3 = _mm256_shuffle_ps::<0xee>(t1, t3);
+    let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let s5 = _mm256_shuffle_ps::<0xee>(t4, t6);
+    let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let s7 = _mm256_shuffle_ps::<0xee>(t5, t7);
+    [
+        _mm256_permute2f128_ps::<0x20>(s0, s4),
+        _mm256_permute2f128_ps::<0x20>(s1, s5),
+        _mm256_permute2f128_ps::<0x20>(s2, s6),
+        _mm256_permute2f128_ps::<0x20>(s3, s7),
+        _mm256_permute2f128_ps::<0x31>(s0, s4),
+        _mm256_permute2f128_ps::<0x31>(s1, s5),
+        _mm256_permute2f128_ps::<0x31>(s2, s6),
+        _mm256_permute2f128_ps::<0x31>(s3, s7),
+    ]
+}
+
+/// [`softmax_rows`]'s body over the lanes `V`. A last block of fewer than
+/// eight rows runs padded with zero rows, whose results are dropped.
+#[inline(always)]
+fn softmax_body<V: RowLanes>(x: &mut [f32], cols: usize) {
+    const L: usize = 8;
+    if x.is_empty() {
+        return;
+    }
+    assert!(cols > 0, "softmax over rows of no entries");
+    let mut lanes = vec![V::splat(0.0); cols];
+    let mut padded = Vec::new();
+    for block in x.chunks_mut(L * cols) {
+        let whole = block.len() == L * cols;
+        if whole {
+            V::load_rows(block, &mut lanes);
+        } else {
+            padded.extend_from_slice(block);
+            padded.resize(L * cols, 0.0);
+            V::load_rows(&padded, &mut lanes);
+        }
+        // Eight partial maxima, entry `j` in partial `j % 8`, then a tree.
+        let mut part = [V::splat(f32::NEG_INFINITY); 8];
+        for group in lanes.chunks(8) {
+            for (p, &v) in part.iter_mut().zip(group) {
+                *p = p.max(v);
+            }
+        }
+        let [a, b, c, d, e, f, g, h] = part;
+        let mx = (a.max(e).max(c.max(g))).max(b.max(f).max(d.max(h)));
+        let mut sum = V::splat(0.0);
+        for v in lanes.iter_mut() {
+            *v = v.sub(mx).exp();
+            sum = sum.add(*v);
+        }
+        let inv = sum.recip_wide();
+        for v in lanes.iter_mut() {
+            *v = v.mul_wide(inv);
+        }
+        if whole {
+            V::store_rows(&lanes, block);
+        } else {
+            V::store_rows(&lanes, &mut padded);
+            let len = block.len();
+            block.copy_from_slice(&padded[..len]);
+        }
+    }
 }
 
 /// Numerically-stable log-softmax over the last axis.
@@ -581,7 +857,14 @@ pub fn l2_norm(t: &Tensor) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{runtime, Device};
+    use crate::runtime;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set while a test runs the portable instantiation of
+        /// [`softmax_rows`] on a CPU with AVX2 and FMA.
+        pub(super) static PORTABLE_SOFTMAX: Cell<bool> = const { Cell::new(false) };
+    }
     use proptest::prelude::*;
 
     fn t(data: Vec<f32>, shape: &[usize]) -> Tensor {
@@ -1159,6 +1442,10 @@ mod tests {
     /// each position, alone or beside the other zero; all-zero rows of
     /// every sign pattern; a row with one NaN and an all-NaN row; causal
     /// mask rows of -1e9 with one finite entry; at widths 1 to 9, 16 and 64.
+    /// Both instantiations of the body run them: up to width 16 in calls
+    /// of 1 to 17 rows, rotated through every position of the call, so a
+    /// partial block of eight meets each row in every lane; the 8 320 rows
+    /// of width 64 in one call.
     #[test]
     fn softmax_with_signed_zero_maxima_nans_and_masked_rows_matches_the_f32_loop() {
         runtime::reset();
@@ -1193,9 +1480,37 @@ mod tests {
                 }
             }
             let data = rows.concat();
+            let want = bits(&softmax_plain(&data, width));
             let x = t(data.clone(), &[rows.len(), width]);
-            let (got, want) = (softmax_lastdim(&x).to_vec(), softmax_plain(&data, width));
-            assert_eq!(bits(&got), bits(&want), "width {width}");
+            assert_eq!(bits(&softmax_lastdim(&x).to_vec()), want, "width {width}");
+            let n = rows.len();
+            let calls: Vec<(usize, usize)> = if width > 16 {
+                vec![(n, 0)]
+            } else {
+                (1..=17).flat_map(|c| (0..c).map(move |s| (c, s))).collect()
+            };
+            for portable in [false, true] {
+                PORTABLE_SOFTMAX.set(portable);
+                for &(call_rows, shift) in &calls {
+                    let order: Vec<usize> = (0..n).map(|i| (i + shift) % n).collect();
+                    for call in order.chunks(call_rows) {
+                        let mut got: Vec<f32> =
+                            call.iter().flat_map(|&r| rows[r].clone()).collect();
+                        softmax_rows(&mut got, width, Device::Cpu);
+                        let want: Vec<u32> = call
+                            .iter()
+                            .flat_map(|&r| want[r * width..][..width].to_vec())
+                            .collect();
+                        assert_eq!(
+                            bits(&got),
+                            want,
+                            "width {width}, calls of {call_rows} rows shifted by {shift}, \
+                             portable {portable}"
+                        );
+                    }
+                }
+            }
+            PORTABLE_SOFTMAX.set(false);
         }
     }
 

@@ -282,6 +282,13 @@ fn cmd_compress(args: &[String]) {
         result.compressed.size_bytes(),
         result.compressed.entropy_size_bytes()
     );
+    // The trained bits, which ppl and the sizes alone would not show.
+    let container = result.compressed.to_bytes();
+    println!(
+        "container: {} bytes, FNV-1a {:016x}",
+        container.len(),
+        fnv1a(&container)
+    );
     if let Some(stats) = result.final_step_stats {
         println!(
             "final step hooks: {} packs, {:.0}% deduped, {} bytes offloaded",
@@ -290,6 +297,13 @@ fn cmd_compress(args: &[String]) {
             stats.offloaded_bytes
         );
     }
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 fn cmd_sweep(args: &[String]) {
